@@ -19,7 +19,15 @@ from .compliance import (
 from .designs import ARMWING_TRANSMISSION_JOINTS, ArmwingParams, armwing_mechanism, two_stage_armwing
 from .errors import FlapkinError
 from .fileio import parse_mechanism, render_svg, serialize_mechanism, trajectory_csv
-from .gait import GaitMetrics, GaitTrajectory, gait_metrics, generate_gait, plunge_angle, wing_area
+from .gait import (
+    GaitMetrics,
+    GaitTrajectory,
+    gait_from_pose_arrays,
+    gait_metrics,
+    generate_gait,
+    plunge_angle,
+    wing_area,
+)
 from .geometry import Point2, Pose
 from .kinematics import (
     Branch,

@@ -21,7 +21,7 @@ from .aero import AeroConfig, quasi_steady_forces
 from .errors import FlapkinError
 from .fileio import aero_csv, mechanism_to_doc, parse_mechanism, render_svg, trajectory_csv
 from .gait import gait_metrics, generate_gait
-from .kinematics import SolveSettings, sweep_arrays, transmission_angle_series
+from .kinematics import SolveSettings, transmission_angle_series
 from .mechanism import Mechanism, validate_mechanism
 from .synthesis import DesignSpace, GaitSpec, Parameter, synthesize
 
@@ -73,11 +73,9 @@ def cmd_gait(args) -> int:
     gt = _gait_for(m, args.period, args.samples, args.tol)
     sys.stdout.write(trajectory_csv(gt))
     if args.metrics or args.metrics_out:
-        thetas = gt.crank
-        pa = sweep_arrays(m, thetas, SolveSettings(tolerance=args.tol))
         mu = None
         if args.transmission_joint:
-            mu = np.minimum.reduce([transmission_angle_series(m, pa, j)
+            mu = np.minimum.reduce([transmission_angle_series(m, gt.poses, j)
                                     for j in args.transmission_joint])
         mts = gait_metrics(gt, mu)
         doc = {

@@ -26,7 +26,7 @@ import numpy as np
 
 from .compliance import HingeGeometry, hinge_stiffness
 from .errors import MechanismValidationError, ParseError, SchemaError
-from .gait import GaitTrajectory
+from .gait import GaitTrajectory, polygon_area
 from .geometry import Point2
 from .kinematics import Configuration, marker_world
 from .mechanism import (
@@ -271,17 +271,13 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int,
     (filled when compliant), the wing polygon shaded. The viewBox is the
     global bounding box of all frames plus a 5% margin, fixed across frames.
     """
-    from .kinematics import sweep_arrays  # local import to avoid cycles at import time
-
     if frames < 1 or frames > gt.samples:
         raise ValueError(f"frames must be in [1, {gt.samples}]")
     if configurations is None:
+        if gt.poses is None:
+            raise ValueError("gait carries no poses; pass configurations")
         idx = np.linspace(0, gt.samples - 1, frames).astype(int)
-        pa = sweep_arrays(m, gt.crank[idx])
-        if pa.failed_at is not None:
-            raise MechanismValidationError("mechanism no longer assembles while rendering",
-                                           code="SWEEP_FAILED")
-        configurations = pa.configurations()
+        configurations = [gt.poses.configuration(int(k)) for k in idx]
 
     frame_data = []
     all_pts: list[tuple[float, float]] = []
@@ -317,8 +313,8 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int,
             f'<g transform="scale(1,-1)" stroke="#222" stroke-width="{stroke}" '
             'stroke-linecap="round" fill="none">',
         ]
-        area = polygon_area_xy(poly)
-        if poly and area >= 1e-12:
+        area = polygon_area(np.asarray(poly)) if len(poly) >= 3 else 0.0
+        if area >= 1e-12:
             pts_attr = " ".join(f"{_num(x)},{_num(y)}" for x, y in poly)
             parts.append(f'<polygon points="{pts_attr}" fill="#9ecae1" fill-opacity="0.5" stroke="none"/>')
         for lid, pts in polylines.items():
@@ -332,10 +328,3 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int,
         docs.append("\n".join(parts) + "\n")
     return docs
 
-
-def polygon_area_xy(pts: list[tuple[float, float]]) -> float:
-    if len(pts) < 3:
-        return 0.0
-    arr = np.asarray(pts)
-    x, y = arr[:, 0], arr[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))

@@ -43,6 +43,7 @@ class GaitTrajectory:
     extension: np.ndarray
     area: np.ndarray
     wingtip: np.ndarray  # (N, 2)
+    poses: PoseArrays | None = None  # the sweep the gait was extracted from
 
     @property
     def samples(self) -> int:
@@ -96,19 +97,9 @@ def plunge_angle(m: Mechanism, c: Configuration) -> float:
     return math.atan2(v.y, v.x)
 
 
-def reach(m: Mechanism, c: Configuration) -> float:
-    s, w = _shoulder_tip(m, c)
-    return (w - s).norm()
-
-
-def extension_ratio(m: Mechanism, c: Configuration, max_reach: float) -> float:
-    """Reach normalized by the sweep maximum (1 at the most-extended sample)."""
-    if max_reach <= 0.0:
-        raise ZeroReachError("maximum reach over the sweep is zero")
-    return reach(m, c) / max_reach
-
-
-def _gait_from_arrays(m: Mechanism, pa: PoseArrays, period: float, t: np.ndarray) -> GaitTrajectory:
+def gait_from_pose_arrays(m: Mechanism, pa: PoseArrays, period: float,
+                          t: np.ndarray) -> GaitTrajectory:
+    """Gait series of a solved sweep (no failure) sampled at times t."""
     tip = pa.marker_world(m, m.wingtip)
     sh = pa.marker_world(m, m.shoulder)
     d = tip - sh
@@ -123,7 +114,7 @@ def _gait_from_arrays(m: Mechanism, pa: PoseArrays, period: float, t: np.ndarray
     x, y = poly[:, :, 0], poly[:, :, 1]
     area = 0.5 * np.abs(np.einsum("ij,ij->i", x, np.roll(y, -1, axis=1))
                         - np.einsum("ij,ij->i", y, np.roll(x, -1, axis=1)))
-    return GaitTrajectory(period, t, pa.thetas, plunge, reach_series / max_reach, area, tip)
+    return GaitTrajectory(period, t, pa.thetas, plunge, reach_series / max_reach, area, tip, pa)
 
 
 def generate_gait(m: Mechanism, period: float, samples: int,
@@ -150,7 +141,7 @@ def generate_gait(m: Mechanism, period: float, samples: int,
         raise GaitError(
             f"sweep failed at step {pa.failed_at} ({pa.error}); "
             "mechanism does not complete a wingbeat", code=pa.error or "SWEEP_FAILED")
-    return _gait_from_arrays(m, pa, period, t)
+    return gait_from_pose_arrays(m, pa, period, t)
 
 
 def stroke_phases(plunge: np.ndarray) -> np.ndarray:

@@ -49,11 +49,6 @@ class Pose:
 IDENTITY_POSE = Pose(Point2(0.0, 0.0), 0.0)
 
 
-def rot(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def drot(angle: float) -> np.ndarray:
     """Derivative of the rotation matrix with respect to the angle."""
     c, s = math.cos(angle), math.sin(angle)

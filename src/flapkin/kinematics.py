@@ -1,11 +1,12 @@
-"""Pose solvers for planar linkages.
+"""Pose solvers for planar linkages: closed-form dyad plan, Newton fallback.
 
-Two routes to a configuration:
-
-* closed-form law-of-cosines construction for a single four-bar loop
-  (vectorized over crank angles), and
-* damped Newton iteration on the stacked joint-coincidence residuals for
-  arbitrary single-DOF chains, with continuation along sweeps.
+A mechanism is compiled into a dyad plan: place the crank, then solve each RR
+dyad (two links sharing a pin, each pinned once to a link already placed) by
+circle intersection, for all crank angles at once. Along a sweep every dyad
+keeps one of its two roots by continuation; the four-bar is the one-dyad
+case. Chains the plan cannot decompose (triads) fall back to damped Newton
+iteration on the stacked joint-coincidence residuals, seeded step by step
+with the previous solution, and `assemble` always polishes with Newton.
 
 The crank coordinate theta is the world orientation of the crank link frame,
 measured counter-clockwise; sweeps keep all angles unwrapped so they stay
@@ -14,7 +15,7 @@ continuous across +-pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
     SingularJacobianError,
     UnknownMarkerError,
 )
-from .geometry import IDENTITY_POSE, Point2, Pose, drot, fold_quadrant, rot
-from .mechanism import FourBar, FourBarView, Mechanism, as_fourbar, fourbar_mechanism
+from .geometry import IDENTITY_POSE, Point2, Pose, drot, fold_quadrant
+from .mechanism import FourBar, Joint, Mechanism, as_fourbar, fourbar_mechanism
 
 
 class Branch(Enum):
@@ -74,6 +75,7 @@ class PoseArrays:
     failed_at: int | None = None
     error: str | None = None
     branch: Branch | None = None
+    solver: str = "dyad"  # "dyad" (closed-form plan) or "newton"
 
     @property
     def n_solved(self) -> int:
@@ -121,60 +123,242 @@ def marker_world(m: Mechanism, c: Configuration, link_id: str, marker: str) -> P
     return c.pose(link_id).transform(p)
 
 
-def mechanism_scale(m: Mechanism) -> float:
-    """Characteristic length: largest marker coordinate magnitude, floor 1."""
-    s = 0.0
-    for l in m.links:
-        for p in l.markers.values():
-            s = max(s, abs(p.x), abs(p.y))
-    return max(s, 1.0)
-
-
 # ---------------------------------------------------------------------------
-# Closed-form four-bar
+# Dyad plan: the crank, then RR dyads by circle intersection
 
 
-def _fourbar_angles(fb: FourBar, theta: np.ndarray, branch: Branch):
-    """Rocker and coupler segment angles for crank segment angles theta,
-    measured in the canonical frame (ground pivot at origin, ground along +x).
+@dataclass(frozen=True)
+class _Step:
+    """One placement of a dyad plan. A pin is (own marker, placed link, its marker).
 
-    Returns (psi, coupler_angle, ok_mask)."""
-    g, a, b, c = fb.g, fb.a, fb.b, fb.c
-    ax = a * np.cos(theta)
-    ay = a * np.sin(theta)
-    dx = ax - g
-    dy = ay
-    d = np.hypot(dx, dy)
-    eps = 1e-12 * (g + a + b + c)
-    ok = (d >= abs(b - c) - eps) & (d <= b + c + eps) & (d > eps)
-    phi = np.arctan2(dy, dx)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_beta = np.clip((c * c + d * d - b * b) / (2.0 * c * d), -1.0, 1.0)
-    beta = np.arccos(np.where(ok, cos_beta, 0.0))
-    psi = phi - beta if branch is Branch.OPEN else phi + beta
-    bx = g + c * np.cos(psi) - ax
-    by = c * np.sin(psi) - ay
-    coupler_angle = np.arctan2(by, bx)
-    return psi, coupler_angle, ok
+    kind "crank": the driven link, pinned to ground. "dyad": two links sharing
+    a joint (their `shared` markers), each pinned once to a placed link, with
+    `radii` from pin to shared marker. "rigid": one link pinned to two placed
+    links. "hang": one link pinned once, left at orientation zero. "free": an
+    unreachable link, left at the identity.
+    """
+
+    kind: str
+    links: tuple[str, ...]
+    pins: tuple[tuple[str, str, str], ...] = ()
+    shared: tuple[str, ...] = ()
+    radii: tuple[float, ...] = ()
+
+
+def _pin(j: Joint, lid: str) -> tuple[str, str, str]:
+    if j.link_a == lid:
+        return j.marker_a, j.link_b, j.marker_b
+    return j.marker_b, j.link_a, j.marker_a
+
+
+def _decompose(m: Mechanism) -> list[_Step]:
+    """Placement order from the topology alone: the crank, then repeatedly
+    (1) a link pinned to two placed links, (2) an RR dyad, (3) a link hung
+    from one placed link; unreachable links last."""
+    placed = {m.ground}
+    steps = []
+    act = m.actuated_joint()
+    if act is not None:
+        crank = act.other(m.ground)
+        steps.append(_Step("crank", (crank,), (_pin(act, crank),)))
+        placed.add(crank)
+
+    def pins(lid, skip=None):
+        return [_pin(j, lid) for j in m.joints
+                if j is not skip and lid in (j.link_a, j.link_b) and j.other(lid) in placed]
+
+    def rigid():
+        for l in m.links:
+            if l.id not in placed and len(anchors := pins(l.id)) >= 2:
+                return _Step("rigid", (l.id,), tuple(anchors[:2]))
+
+    def dyad():
+        for j in m.joints:
+            if j.link_a in placed or j.link_b in placed:
+                continue
+            sides = [(lid, mk, pins(lid, skip=j))
+                     for lid, mk in ((j.link_a, j.marker_a), (j.link_b, j.marker_b))]
+            if all(p for _, _, p in sides):
+                radii = tuple((m.link(lid).marker(mk) - m.link(lid).marker(p[0][0])).norm()
+                              for lid, mk, p in sides)
+                return _Step("dyad", (j.link_a, j.link_b), (sides[0][2][0], sides[1][2][0]),
+                             (j.marker_a, j.marker_b), radii)
+
+    def hang():
+        for j in m.joints:
+            for lid in (j.link_a, j.link_b):
+                if lid not in placed and j.other(lid) in placed:
+                    return _Step("hang", (lid,), (_pin(j, lid),))
+
+    while len(placed) < len(m.links):
+        step = rigid() or dyad() or hang()
+        if step is None:
+            steps.extend(_Step("free", (l.id,)) for l in m.links if l.id not in placed)
+            break
+        steps.append(step)
+        placed.update(step.links)
+    return steps
+
+
+def _is_dyadic(m: Mechanism, steps: list[_Step]) -> bool:
+    """The plan solves the whole chain: crank and dyads only, square system."""
+    return (bool(steps) and steps[0].kind == "crank"
+            and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
+            and all(st.kind in ("crank", "dyad") for st in steps))
+
+
+def _place_steps(m: Mechanism, steps: list[_Step], thetas: np.ndarray, pick):
+    """Place every link at every crank angle of `thetas` at once.
+
+    Returns link id -> (x, y, angle, cos, sin) arrays, and the mask of
+    samples at which every dyad closes. The i-th dyad's roots are
+    base +- offset; `pick(i, base, offset, n_ok)` returns its root sign per
+    sample, given that its first n_ok samples (and all earlier dyads') close.
+    Circles that miss are clamped to their nearest approach.
+    """
+    n = len(thetas)
+    zero = np.zeros(n)
+    poses = {m.ground: (zero, zero, zero, np.ones(n), zero)}
+    ok = np.ones(n, dtype=bool)
+
+    def world(lid, marker):
+        x, y, _, c, s = poses[lid]
+        p = m.link(lid).marker(marker)
+        return x + c * p.x - s * p.y, y + s * p.x + c * p.y
+
+    def place(lid, marker, at, angle):
+        q = m.link(lid).marker(marker)
+        c, s = np.cos(angle), np.sin(angle)
+        poses[lid] = (at[0] - (c * q.x - s * q.y), at[1] - (s * q.x + c * q.y), angle, c, s)
+
+    def place_two(lid, m1, p1, m2, p2):
+        """Local marker m1 on p1 and m2 on the ray from p1 toward p2."""
+        q1, q2 = m.link(lid).marker(m1), m.link(lid).marker(m2)
+        angle = np.arctan2(p2[1] - p1[1], p2[0] - p1[0]) - math.atan2(q2.y - q1.y, q2.x - q1.x)
+        place(lid, m1, p1, angle)
+
+    n_dyads = 0
+    for st in steps:
+        if st.kind == "free":
+            poses[st.links[0]] = poses[m.ground]
+            continue
+        (own, other, other_marker), *more = st.pins
+        p1 = world(other, other_marker)
+        if st.kind == "crank":
+            place(st.links[0], own, p1, thetas)
+        elif st.kind == "hang":
+            place(st.links[0], own, p1, zero)
+        elif st.kind == "rigid":
+            own2, other2, marker2 = more[0]
+            place_two(st.links[0], own, p1, own2, world(other2, marker2))
+        else:
+            own2, other2, marker2 = more[0]
+            p2 = world(other2, marker2)
+            ra, rb = st.radii
+            dx, dy = p2[0] - p1[0], p2[1] - p1[1]
+            d = np.hypot(dx, dy)
+            # Heron's factors: the circles meet where none is negative
+            f1, f2, f3, f4 = ra + rb - d, d - ra + rb, d + ra - rb, d + ra + rb
+            eps = 1e-12 * f4
+            ok &= (f1 >= -eps) & (f2 >= -eps) & (f3 >= -eps) & (d > eps)
+            d = np.where(d > 0.0, d, 1.0)
+            h = np.sqrt(np.maximum(f1 * f2 * f3 * f4, 0.0)) / (2.0 * d)
+            a = (ra * ra - rb * rb + d * d) / (2.0 * d)
+            ux, uy = dx / d, dy / d
+            base = (p1[0] + a * ux, p1[1] + a * uy)
+            offset = (-h * uy, h * ux)
+            sign = pick(n_dyads, base, offset, n if ok.all() else int(np.argmin(ok)))
+            n_dyads += 1
+            x = (base[0] + sign * offset[0], base[1] + sign * offset[1])
+            place_two(st.links[0], own, p1, st.shared[0], x)
+            place_two(st.links[1], own2, p2, st.shared[1], x)
+    return poses, ok
+
+
+def _continue_roots(base, offset, n: int, s: float) -> list[float]:
+    """Root signs along a sweep: start on root s, then take the root nearest
+    the linear extrapolation of the joint's last two positions. At a near-tie
+    (a change point) that is the root whose step is closest to the previous
+    step. Plain floats: this is the one per-sample loop of a dyad sweep."""
+    bx, by = base[0][:n].tolist(), base[1][:n].tolist()
+    ox, oy = offset[0][:n].tolist(), offset[1][:n].tolist()
+    signs = [s]
+    px, py = bx[0] + s * ox[0], by[0] + s * oy[0]
+    vx = vy = 0.0
+    for k in range(1, n):
+        # |base + o - pred|^2 - |base - o - pred|^2 = -4 o.(pred - base)
+        t = ox[k] * (px + vx - bx[k]) + oy[k] * (py + vy - by[k])
+        if t != 0.0:
+            s = 1.0 if t > 0.0 else -1.0
+        x, y = bx[k] + s * ox[k], by[k] + s * oy[k]
+        vx, vy, px, py = x - px, y - py, x, y
+        signs.append(s)
+    return signs
+
+
+def _dyad_sweep_arrays(m: Mechanism, steps: list[_Step], thetas: np.ndarray,
+                       guess: Configuration | None, branch: Branch) -> PoseArrays:
+    n = len(thetas)
+    dyads = [st for st in steps if st.kind == "dyad"]
+    view = as_fourbar(m)
+    # sign of the open branch's root: the coupler-rocker triangle keeps its orientation
+    open_sign = -1.0 if view is not None and dyads[0].links[0] == view.rocker else 1.0
+    starts = []
+
+    def start_sign(st: _Step, base, offset) -> float:
+        if guess is None:
+            if view is None:
+                return 1.0
+            return open_sign if branch is Branch.OPEN else -open_sign
+        g = guess.pose(st.links[0]).transform(m.link(st.links[0]).marker(st.shared[0]))
+        bx, by, ox, oy = float(base[0][0]), float(base[1][0]), float(offset[0][0]), float(offset[1][0])
+        d_plus = math.hypot(bx + ox - g.x, by + oy - g.y)
+        d_minus = math.hypot(bx - ox - g.x, by - oy - g.y)
+        if abs(d_plus - d_minus) <= 1e-12 * sum(st.radii):
+            raise BranchAmbiguousError(
+                f"both roots of the {st.links[0]}-{st.links[1]} dyad are equidistant from the "
+                "guess (change point); pass an explicit branch")
+        return 1.0 if d_plus < d_minus else -1.0
+
+    def pick(i, base, offset, n_ok):
+        sign = np.ones(n)
+        if n_ok:
+            starts.append(start_sign(dyads[i], base, offset))
+            sign[:n_ok] = _continue_roots(base, offset, n_ok, starts[-1])
+        return sign
+
+    poses, ok = _place_steps(m, steps, thetas, pick)
+    ids = [m.ground, *m.moving_link_ids()]
+    origins = np.stack([np.stack(poses[lid][:2], axis=-1) for lid in ids])
+    angles = np.stack([poses[lid][2] for lid in ids])
+    turning = [i for i, lid in enumerate(ids) if lid not in (m.ground, steps[0].links[0])]
+    angles[turning] = np.unwrap(angles[turning], axis=1)
+    if guess is not None and n:
+        turns = np.round((np.array([guess.pose(ids[i]).angle for i in turning])
+                          - angles[turning, 0]) / (2.0 * math.pi))
+        angles[turning] += 2.0 * math.pi * turns[:, None]
+    failed_at = error = None
+    if not ok.all():
+        failed_at, error = int(np.argmin(ok)), NotAssemblableError.code
+        origins[:, failed_at:] = 0.0
+        angles[:, failed_at:] = 0.0
+    if view is not None:
+        if starts:
+            branch = Branch.OPEN if starts[0] == open_sign else Branch.CROSSED
+    else:
+        branch = guess.branch if guess else None
+    return PoseArrays(ids, thetas, origins, angles, failed_at, error, branch, "dyad")
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
     """Exact closed-form pose of the canonical four-bar mechanism at crank
-    angle theta. Raises NotAssemblableError past a dead center."""
-    th = np.asarray([float(theta)])
-    psi, mu, ok = _fourbar_angles(fb, th, branch)
-    if not ok[0]:
+    angle theta (the one-dyad plan). Raises NotAssemblableError past a dead
+    center."""
+    pa = sweep_arrays(fourbar_mechanism(fb), np.array([float(theta)]), branch=branch)
+    if pa.failed_at is not None:
         raise NotAssemblableError(
             f"four-bar {fb.lengths} cannot close at crank angle {theta:.6g} rad")
-    a = float(fb.a)
-    ax, ay = a * math.cos(theta), a * math.sin(theta)
-    poses = {
-        "ground": IDENTITY_POSE,
-        "crank": Pose(Point2(0.0, 0.0), float(theta)),
-        "coupler": Pose(Point2(ax, ay), float(mu[0])),
-        "rocker": Pose(Point2(fb.g, 0.0), float(psi[0])),
-    }
-    return Configuration(float(theta), poses, branch)
+    return pa.configuration(0)
 
 
 def rocker_angle(c: Configuration) -> float:
@@ -184,109 +368,6 @@ def rocker_angle(c: Configuration) -> float:
 def transmission_angle(fb: FourBar, c: Configuration) -> float:
     """Interior angle between coupler and rocker, folded into [0, pi/2]."""
     return fold_quadrant(c.pose("coupler").angle - c.pose("rocker").angle)
-
-
-def _local_angle_len(m: Mechanism, link_id: str, from_marker: str, to_marker: str):
-    lk = m.link(link_id)
-    v = lk.marker(to_marker) - lk.marker(from_marker)
-    return math.atan2(v.y, v.x), v.norm()
-
-
-def _wrap_near(x: np.ndarray | float) -> np.ndarray | float:
-    """Shift by a whole number of turns into (-pi, pi]; exact when already there."""
-    return x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
-
-
-def _continue_branches(psi_o, mu_o, psi_c, mu_c, branch: Branch):
-    """Continuation-by-nearest-root over the two closed-form branches.
-
-    Starts on the requested branch and at every step keeps whichever branch
-    solution is angularly closest to the previous rocker angle; this tracks
-    through change points (where the branches meet) without teleporting the
-    rocker, and produces unwrapped angle series.
-    """
-    n = len(psi_o)
-    psi = np.empty(n)
-    mu = np.empty(n)
-    if branch is Branch.CROSSED:
-        psi[0], mu[0] = psi_c[0], mu_c[0]
-    else:
-        psi[0], mu[0] = psi_o[0], mu_o[0]
-    d_prev = 0.0
-    for k in range(1, n):
-        d_o = _wrap_near(psi_o[k] - psi[k - 1])
-        d_c = _wrap_near(psi_c[k] - psi[k - 1])
-        # both branches stay continuous through a change point, so plain
-        # nearest-root ties there; preferring the step closest to the previous
-        # step (velocity continuation) keeps the same physical motion branch
-        if abs(d_c - d_prev) < abs(d_o - d_prev):
-            psi[k] = psi[k - 1] + d_c
-            mu[k] = mu[k - 1] + _wrap_near(mu_c[k] - mu[k - 1])
-            d_prev = d_c
-        else:
-            psi[k] = psi[k - 1] + d_o
-            mu[k] = mu[k - 1] + _wrap_near(mu_o[k] - mu[k - 1])
-            d_prev = d_o
-    return psi, mu
-
-
-def _fourbar_pose_arrays(m: Mechanism, view: FourBarView, thetas: np.ndarray,
-                         branch: Branch) -> PoseArrays:
-    """Vectorized closed-form sweep of a recognized four-bar loop, honoring
-    arbitrary link-local frames and a ground link placed anywhere."""
-    fb = view.fourbar
-    act = m.joint(view.crank_joint)
-    j_a = m.joint(view.coupler_joint)
-    j_b = m.joint(view.follower_joint)
-    j_g = m.joint(view.rocker_joint)
-
-    def marker_of(j, lid):
-        return j.marker_a if j.link_a == lid else j.marker_b
-
-    gl = m.link(m.ground)
-    O = gl.marker(marker_of(act, m.ground)).as_array()
-    P2 = gl.marker(marker_of(j_g, m.ground)).as_array()
-    gamma = math.atan2(P2[1] - O[1], P2[0] - O[0])
-
-    d_crank, _ = _local_angle_len(m, view.crank, marker_of(act, view.crank), marker_of(j_a, view.crank))
-    d_coupler, _ = _local_angle_len(m, view.coupler, marker_of(j_a, view.coupler), marker_of(j_b, view.coupler))
-    d_rocker, _ = _local_angle_len(m, view.rocker, marker_of(j_g, view.rocker), marker_of(j_b, view.rocker))
-
-    theta_seg = thetas + d_crank - gamma  # crank segment angle in ground-axis frame
-    psi_o, mu_o, ok = _fourbar_angles(fb, theta_seg, Branch.OPEN)
-    psi_c, mu_c, _ = _fourbar_angles(fb, theta_seg, Branch.CROSSED)
-    failed_at = None
-    if not ok.all():
-        failed_at = int(np.argmin(ok))
-    psi, mu = _continue_branches(psi_o, mu_o, psi_c, mu_c, branch)
-
-    ids = [m.ground, view.crank, view.coupler, view.rocker]
-    n = len(thetas)
-    angles = np.zeros((4, n))
-    origins = np.zeros((4, n, 2))
-    angles[1] = thetas
-    angles[2] = mu + gamma - d_coupler
-    angles[3] = psi + gamma - d_rocker
-
-    def place(i, anchor_world, local_marker):
-        c, s = np.cos(angles[i]), np.sin(angles[i])
-        origins[i, :, 0] = anchor_world[..., 0] - (c * local_marker.x - s * local_marker.y)
-        origins[i, :, 1] = anchor_world[..., 1] - (s * local_marker.x + c * local_marker.y)
-
-    crank_pin = m.link(view.crank).marker(marker_of(act, view.crank))
-    place(1, O, crank_pin)
-    # world position of the crank-coupler pin: its crank-local marker mapped by the crank pose
-    ca, sa = np.cos(angles[1]), np.sin(angles[1])
-    pA = m.link(view.crank).marker(marker_of(j_a, view.crank))
-    A_world = np.stack([
-        origins[1, :, 0] + ca * pA.x - sa * pA.y,
-        origins[1, :, 1] + sa * pA.x + ca * pA.y,
-    ], axis=-1)
-    place(2, A_world, m.link(view.coupler).marker(marker_of(j_a, view.coupler)))
-    place(3, P2, m.link(view.rocker).marker(marker_of(j_g, view.rocker)))
-
-    err = None if failed_at is None else NotAssemblableError.code
-    return PoseArrays(ids, thetas, origins, angles, failed_at, err, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -394,126 +475,28 @@ def initial_guess(m: Mechanism, theta: float) -> Configuration:
     return Configuration(theta, poses)
 
 
-def _place_two_points(m: Mechanism, link_id: str, q1_name: str, p1: np.ndarray,
-                      q2_name: str, x: np.ndarray) -> Pose:
-    """Pose of a link given world positions of two of its local markers."""
-    lk = m.link(link_id)
-    q1 = lk.marker(q1_name)
-    q2 = lk.marker(q2_name)
-    local = math.atan2(q2.y - q1.y, q2.x - q1.x)
-    world = math.atan2(x[1] - p1[1], x[0] - p1[0])
-    ang = world - local
-    c, s = math.cos(ang), math.sin(ang)
-    return Pose(Point2(p1[0] - (c * q1.x - s * q1.y), p1[1] - (s * q1.x + c * q1.y)), ang)
-
-
-def _circle_intersections(p1: np.ndarray, r1: float, p2: np.ndarray, r2: float):
-    """Both intersection points of two circles; tangent/clamped if disjoint."""
-    d = float(np.linalg.norm(p2 - p1))
-    if d < 1e-15:
-        return []
-    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    h_sq = r1 * r1 - a * a
-    h = math.sqrt(h_sq) if h_sq > 0.0 else 0.0
-    u = (p2 - p1) / d
-    n = np.array([-u[1], u[0]])
-    base = p1 + a * u
-    if h == 0.0:
-        return [base]
-    return [base + h * n, base - h * n]
-
-
 def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -> list[Configuration]:
-    """Closed-form starting guesses: place the crank at theta, then repeatedly
-    resolve RR dyads by circle intersection, branching on each +-root.
-
-    Candidates are ordered deterministically; links that no rule reaches are
-    dropped at orientation zero (BFS placement) for Newton to sort out.
+    """Closed-form starting guesses from the dyad plan at one crank angle:
+    one per combination of dyad roots, '+' root first and earlier dyads
+    varying slowest. Circles that miss are clamped to their nearest approach
+    and a tangent dyad gives one root; links the plan can only hang sit at
+    orientation zero for Newton to sort out.
     """
-    act = m.actuated_joint()
-    base: dict[str, Pose] = {m.ground: IDENTITY_POSE}
-    if act is not None:
-        crank_link = act.other(m.ground)
-        anchor = m.link(m.ground).marker(act.marker_a if act.link_a == m.ground else act.marker_b)
-        local = m.link(crank_link).marker(act.marker_b if act.link_b == crank_link else act.marker_a)
-        c, s = math.cos(theta), math.sin(theta)
-        base[crank_link] = Pose(Point2(anchor.x - (c * local.x - s * local.y),
-                                       anchor.y - (s * local.x + c * local.y)), theta)
+    steps = _decompose(m)
+    k = sum(st.kind == "dyad" for st in steps)
+    kv = min(k, 10)  # only the last kv dyads vary; max_candidates never reaches further
+    bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
+    signs = np.hstack([np.ones((2 ** kv, k - kv)), 1.0 - 2.0 * bits])
+    repeated = np.zeros(len(signs), dtype=bool)
 
-    def world_marker(poses, lid, name):
-        return poses[lid].transform(m.link(lid).marker(name)).as_array()
+    def pick(i, base, offset, n_ok):
+        repeated[(offset[0] == 0.0) & (offset[1] == 0.0) & (signs[:, i] < 0.0)] = True
+        return signs[:, i]
 
-    def expand(poses: dict[str, Pose]) -> list[dict[str, Pose]]:
-        unplaced = [l.id for l in m.links if l.id not in poses]
-        if not unplaced:
-            return [poses]
-        # 1. a link pinned to two placed links: pose follows directly
-        for lid in unplaced:
-            anchors = []
-            for j in m.joints:
-                if j.link_a == lid and j.link_b in poses:
-                    anchors.append((j.marker_a, world_marker(poses, j.link_b, j.marker_b)))
-                elif j.link_b == lid and j.link_a in poses:
-                    anchors.append((j.marker_b, world_marker(poses, j.link_a, j.marker_a)))
-            if len(anchors) >= 2:
-                (n1, p1), (n2, p2) = anchors[0], anchors[1]
-                new = dict(poses)
-                new[lid] = _place_two_points(m, lid, n1, p1, n2, p2)
-                return expand(new)
-        # 2. RR dyad: two unplaced links sharing a joint, each pinned once
-        for j in m.joints:
-            if j.link_a in poses or j.link_b in poses:
-                continue
-            sides = []
-            for lid, shared_marker in ((j.link_a, j.marker_a), (j.link_b, j.marker_b)):
-                if lid not in unplaced:
-                    sides = []
-                    break
-                pin = None
-                for jj in m.joints:
-                    if jj is j:
-                        continue
-                    if jj.link_a == lid and jj.link_b in poses:
-                        pin = (jj.marker_a, world_marker(poses, jj.link_b, jj.marker_b))
-                    elif jj.link_b == lid and jj.link_a in poses:
-                        pin = (jj.marker_b, world_marker(poses, jj.link_a, jj.marker_a))
-                    if pin:
-                        break
-                if pin is None:
-                    sides = []
-                    break
-                lk = m.link(lid)
-                radius = (lk.marker(shared_marker) - lk.marker(pin[0])).norm()
-                sides.append((lid, shared_marker, pin[0], pin[1], radius))
-            if len(sides) == 2:
-                (la, ma, na, pa_, ra), (lb, mb, nb, pb_, rb) = sides
-                out = []
-                for x in _circle_intersections(pa_, ra, pb_, rb):
-                    new = dict(poses)
-                    new[la] = _place_two_points(m, la, na, pa_, ma, x)
-                    new[lb] = _place_two_points(m, lb, nb, pb_, mb, x)
-                    out.extend(expand(new))
-                    if len(out) >= max_candidates:
-                        break
-                if out:
-                    return out[:max_candidates]
-        # 3. fallback: hang one adjacent link at orientation zero
-        for j in m.joints:
-            for lid, other in ((j.link_a, j.link_b), (j.link_b, j.link_a)):
-                if lid in unplaced and other in poses:
-                    anchor = world_marker(poses, other,
-                                          j.marker_b if j.link_b == other else j.marker_a)
-                    local = m.link(lid).marker(j.marker_a if j.link_a == lid else j.marker_b)
-                    new = dict(poses)
-                    new[lid] = Pose(Point2(anchor[0] - local.x, anchor[1] - local.y), 0.0)
-                    return expand(new)
-        # disconnected leftovers
-        new = dict(poses)
-        for lid in unplaced:
-            new[lid] = IDENTITY_POSE
-        return [new]
-
-    return [Configuration(theta, poses) for poses in expand(base)[:max_candidates]]
+    poses, _ = _place_steps(m, steps, np.full(len(signs), float(theta)), pick)
+    return [Configuration(theta, {lid: Pose(Point2(float(x[r]), float(y[r])), float(a[r]))
+                                  for lid, (x, y, a, _, _) in poses.items()})
+            for r in np.flatnonzero(~repeated)[:max_candidates]]
 
 
 def assemble(m: Mechanism, theta: float, guess: Configuration | None = None,
@@ -595,39 +578,24 @@ def _newton_sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettin
             origins[i, k] = (p.origin.x, p.origin.y)
             angles[i, k] = p.angle
     return PoseArrays(ids, thetas, origins, angles, failed_at, error,
-                      guess.branch if guess else None)
+                      guess.branch if guess else None, "newton")
 
 
 def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEFAULT_SETTINGS,
                  guess: Configuration | None = None, branch: Branch = Branch.OPEN) -> PoseArrays:
     """Continuation sweep over an array of crank angles, columnar output.
 
-    A single four-bar loop takes the vectorized closed-form route; any other
-    chain runs Newton seeded step-by-step with the previous solution.
+    A chain the dyad plan decomposes is solved in closed form at every angle
+    at once. Each dyad starts on the root nearest `guess`, or without one on
+    the root `bootstrap_candidates` tries first (`branch` for a four-bar),
+    and follows it by continuation. Any other chain runs Newton seeded step
+    by step with the previous solution.
     """
     thetas = np.asarray(thetas, dtype=float)
-    view = as_fourbar(m)
-    if view is not None:
-        if guess is not None:
-            branch = _nearest_branch(m, view, thetas[0], guess)
-        return _fourbar_pose_arrays(m, view, thetas, branch)
+    steps = _decompose(m)
+    if _is_dyadic(m, steps):
+        return _dyad_sweep_arrays(m, steps, thetas, guess, branch)
     return _newton_sweep_arrays(m, thetas, settings, guess)
-
-
-def _nearest_branch(m: Mechanism, view: FourBarView, theta0: float, guess: Configuration) -> Branch:
-    best, best_d = Branch.OPEN, math.inf
-    target = guess.pose(view.rocker).angle
-    for br in Branch:
-        pa = _fourbar_pose_arrays(m, view, np.asarray([theta0]), br)
-        if pa.failed_at is not None:
-            continue
-        d = abs((pa.angles[pa.index(view.rocker), 0] - target + math.pi) % (2 * math.pi) - math.pi)
-        if abs(d - best_d) < 1e-12 and best_d < math.inf:
-            raise BranchAmbiguousError("both branches equidistant from guess (change point); "
-                                       "pass an explicit branch")
-        if d < best_d:
-            best, best_d = br, d
-    return best
 
 
 def sweep(m: Mechanism, theta_start: float, theta_end: float, steps: int,
@@ -645,7 +613,6 @@ def sweep(m: Mechanism, theta_start: float, theta_end: float, steps: int,
 def loop_residual(m: Mechanism, c: Configuration) -> np.ndarray:
     """Coincidence error (2 entries) of every non-spanning-tree joint."""
     tree_links = {m.ground}
-    non_tree = []
     remaining = list(m.joints)
     grew = True
     while grew:
@@ -669,15 +636,6 @@ def loop_residual(m: Mechanism, c: Configuration) -> np.ndarray:
         out[2 * i] = wa.x - wb.x
         out[2 * i + 1] = wa.y - wb.y
     return out
-
-
-def constraint_residual(m: Mechanism, c: Configuration) -> np.ndarray:
-    """All joint-coincidence errors (no crank row), for diagnostics."""
-    sys = ConstraintSystem(m)
-    q = sys.q_from(c)
-    r = sys.residual(q, c.crank_angle)
-    return r[:2 * len(m.joints)]
-
 
 def velocities(m: Mechanism, c: Configuration, crank_rate: float,
                rcond_floor: float = 1e-10) -> dict[str, tuple[Point2, float]]:

@@ -15,8 +15,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import BudgetTooSmallError, EmptyDesignSpaceError, GaitError, SynthesisError
-from .gait import GaitMetrics, gait_metrics, generate_gait
+from .errors import (
+    BudgetTooSmallError,
+    EmptyDesignSpaceError,
+    FlapkinError,
+    GaitError,
+    SynthesisError,
+)
+from .gait import gait_from_pose_arrays, gait_metrics
 from .geometry import Point2
 from .kinematics import DEFAULT_SETTINGS, SolveSettings, sweep_arrays, transmission_angle_series
 from .mechanism import CompliantHinge, Joint, Link, Mechanism, as_fourbar, mobility
@@ -139,15 +145,14 @@ def _evaluate_candidate(space: DesignSpace, spec: GaitSpec, x: np.ndarray,
     thetas = 2.0 * math.pi * np.arange(samples) / samples
     try:
         pa = sweep_arrays(m, thetas, settings)
-    except Exception:
+    except (FlapkinError, np.linalg.LinAlgError):
         return ASSEMBLY_FAILURE_COST + 1.0, None
     if pa.failed_at is not None:
         frac = 1.0 - pa.failed_at / samples
         return ASSEMBLY_FAILURE_COST + frac, None
     try:
-        from .gait import _gait_from_arrays
         t = np.arange(samples) / samples
-        gt = _gait_from_arrays(m, pa, 1.0, t)
+        gt = gait_from_pose_arrays(m, pa, 1.0, t)
         mu = None
         if space.transmission_joints:
             mu = np.minimum.reduce([transmission_angle_series(m, pa, jid)
@@ -267,7 +272,7 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
     out: list[ConstraintViolation] = []
     try:
         dof = mobility(m)
-    except Exception:
+    except (FlapkinError, np.linalg.LinAlgError):
         dof = None
     if dof != 1:
         out.append(ConstraintViolation("mobility", abs((dof or 0) - 1),
@@ -295,10 +300,9 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
                 f"minimum transmission angle {math.degrees(mu_min):.2f} deg is below "
                 f"{math.degrees(spec.min_transmission_angle):.2f} deg"))
 
-    from .gait import _gait_from_arrays
     t = np.arange(samples) / samples
     try:
-        gt = _gait_from_arrays(m, pa, 1.0, t)
+        gt = gait_from_pose_arrays(m, pa, 1.0, t)
         lo, hi = float(gt.extension.min()), float(gt.extension.max())
         lo_t, hi_t = spec.extension_range
         miss = max(lo - (lo_t + EXTENSION_ATTAIN_TOL), (hi_t - EXTENSION_ATTAIN_TOL) - hi, 0.0)

@@ -173,6 +173,21 @@ class TestCli:
         assert doc["extension_range"][1] == pytest.approx(1.0)
         assert doc["min_transmission_angle_rad"] > math.radians(30)
 
+    def test_gait_metrics_sweep_once(self, shipped_path, monkeypatch):
+        import flapkin.kinematics
+
+        calls, solve = [], flapkin.kinematics._dyad_sweep_arrays
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(flapkin.kinematics, "_dyad_sweep_arrays", counted)
+        code, _, err = run_cli(["gait", str(shipped_path), "--period", "0.1", "--samples", "64",
+                                "--metrics", "--transmission-joint", "j_b"])
+        assert code == 0 and json.loads(err)["min_transmission_angle_rad"] > 0.0
+        assert len(calls) == 1
+
     def test_aero_outputs(self, shipped_path):
         code, out, err = run_cli(["aero", str(shipped_path), "--period", "0.1",
                                   "--freestream", "3", "--samples", "64"])

@@ -1,6 +1,7 @@
 """Closed-form and Newton solvers, sweeps, velocities, transmission angles."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flapkin.designs import ArmwingParams, armwing_mechanism
+from flapkin.errors import BranchAmbiguousError, KinematicsError, NotAssemblableError
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Branch,
     Configuration,
     SolveSettings,
     assemble,
+    bootstrap_candidates,
     loop_residual,
     marker_world,
     rocker_angle,
@@ -24,7 +28,7 @@ from flapkin.kinematics import (
     transmission_angle_at,
     velocities,
 )
-from flapkin.mechanism import FourBar, Link, LinkRole, fourbar_mechanism
+from flapkin.mechanism import FourBar, Joint, Link, LinkRole, Mechanism, fourbar_mechanism
 
 from conftest import random_crank_rocker
 
@@ -279,3 +283,190 @@ class TestSettings:
     def test_bad_iterations_rejected(self):
         with pytest.raises(ValueError):
             SolveSettings(max_iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# Dyad plan against the Newton path that stays, and its branch contract
+
+# Newton's default tolerance (1e-10 m of residual) allows ~2e-9 rad of angle
+# error on the shipped armwing's short links; the reference is held tighter.
+NEWTON_REF = SolveSettings(tolerance=1e-13)
+
+
+def newton_continuation(m, thetas):
+    """Step-by-step assemble continuation: (origins, angles, failed index)."""
+    ids = [m.ground, *m.moving_link_ids()]
+    origins = np.zeros((len(ids), len(thetas), 2))
+    angles = np.zeros((len(ids), len(thetas)))
+    c = None
+    for k, theta in enumerate(thetas):
+        try:
+            c = assemble(m, float(theta), c, NEWTON_REF)
+        except KinematicsError:
+            return origins, angles, k
+        for i, lid in enumerate(ids):
+            p = c.pose(lid)
+            origins[i, k] = (p.origin.x, p.origin.y)
+            angles[i, k] = p.angle
+    return origins, angles, None
+
+
+def assert_matches_newton(m, thetas):
+    pa = sweep_arrays(m, thetas)
+    origins, angles, failed_at = newton_continuation(m, thetas)
+    assert pa.solver == "dyad"
+    assert pa.failed_at == failed_at
+    assert pa.ids == [m.ground, *m.moving_link_ids()]
+    n = pa.n_solved
+    assert np.abs(pa.origins[:, :n] - origins[:, :n]).max(initial=0.0) <= 1e-9
+    assert np.abs(pa.angles[:, :n] - angles[:, :n]).max(initial=0.0) <= 1e-9
+    return pa
+
+
+def shipped_params(m) -> ArmwingParams:
+    mk = lambda lid, name: m.link(lid).marker(name)  # noqa: E731
+    return ArmwingParams(
+        crank_r=mk("crank", "tip").x, shoulder=mk("ground", "shoulder"),
+        drive_pin=mk("humerus", "b_pin").x, humerus_len=mk("humerus", "elbow").x,
+        coupler1_len=mk("coupler1", "b_pin").x, cpin=mk("coupler1", "c_pin"),
+        coupler2_len=mk("coupler2", "tip").x, dpin=mk("forearm", "d_pin"),
+        forearm_len=mk("forearm", "tip").x, trail=mk("ground", "trail"))
+
+
+def triad_eight_bar() -> Mechanism:
+    """Crank, a class-III Assur group (ternary link "t" held by three binary
+    links) and a dyad hung on it. Every link frame is the world frame at
+    crank angle 0, so local markers are the world points of that pose."""
+    P = Point2
+    links = (
+        Link("ground", {"origin": P(0, 0), "g1": P(4, -1), "g2": P(6, 1), "g3": P(8, 3)},
+             LinkRole.GROUND),
+        Link("crank", {"origin": P(0, 0), "tip": P(1, 0)}, LinkRole.CRANK),
+        Link("t", {"origin": P(0, 0), "p": P(3.5, 2), "q": P(5.5, 3), "r": P(2.5, 3.5),
+                   "s": P(4.5, 4.5)}),
+        Link("l1", {"origin": P(0, 0), "a": P(4, -1), "b": P(3.5, 2)}),
+        Link("l2", {"origin": P(0, 0), "a": P(6, 1), "b": P(5.5, 3)}),
+        Link("l3", {"origin": P(0, 0), "a": P(1, 0), "b": P(2.5, 3.5)}),
+        Link("d1", {"origin": P(0, 0), "a": P(4.5, 4.5), "b": P(7, 5.5)}),
+        Link("d2", {"origin": P(0, 0), "a": P(8, 3), "b": P(7, 5.5)}),
+    )
+    joints = (
+        Joint("j_crank", "ground", "origin", "crank", "origin", actuated=True),
+        Joint("j1", "ground", "g1", "l1", "a"), Joint("j2", "l1", "b", "t", "p"),
+        Joint("j3", "ground", "g2", "l2", "a"), Joint("j4", "l2", "b", "t", "q"),
+        Joint("j5", "crank", "tip", "l3", "a"), Joint("j6", "l3", "b", "t", "r"),
+        Joint("j7", "t", "s", "d1", "a"), Joint("j8", "d1", "b", "d2", "b"),
+        Joint("j9", "d2", "a", "ground", "g3"),
+    )
+    return Mechanism(links, joints, "ground")
+
+
+def coincidence_residual(m, pa) -> float:
+    worst = 0.0
+    for j in m.joints:
+        a = pa.marker_world(m, (j.link_a, j.marker_a))[:pa.n_solved]
+        b = pa.marker_world(m, (j.link_b, j.marker_b))[:pa.n_solved]
+        worst = max(worst, float(np.hypot(*(a - b).T).max()))
+    return worst
+
+
+class TestDyadPlan:
+    @pytest.mark.parametrize("samples", [256, 360])
+    def test_shipped_armwing_matches_newton(self, armwing, samples):
+        pa = assert_matches_newton(armwing, 2 * math.pi * np.arange(samples) / samples)
+        assert pa.failed_at is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-0.15, 0.15), min_size=19, max_size=19))
+    def test_perturbed_armwings_match_newton(self, rel):
+        from flapkin.designs import two_stage_armwing
+
+        nominal, k, kw = shipped_params(two_stage_armwing()), iter(rel), {}
+        for f in dataclasses.fields(ArmwingParams):
+            v = getattr(nominal, f.name)
+            if isinstance(v, Point2):
+                kw[f.name] = Point2(v.x * (1 + next(k)), v.y * (1 + next(k)))
+            else:
+                kw[f.name] = v * (1 + next(k))
+        assert_matches_newton(armwing_mechanism(ArmwingParams(**kw)),
+                              2 * math.pi * np.arange(64) / 64)
+
+    @pytest.mark.parametrize("fb", [FourBar(6, 2, 5, 5), FourBar(4, 2, 4, 2)])
+    def test_fourbars_take_the_dyad_path(self, fb):
+        pa = sweep_arrays(fourbar_mechanism(fb), np.linspace(0, 2 * math.pi, 64))
+        assert pa.solver == "dyad" and pa.failed_at is None
+
+    def test_shipped_armwing_takes_the_dyad_path(self, armwing):
+        assert sweep_arrays(armwing, np.linspace(0, 1, 8)).solver == "dyad"
+
+    def test_triad_falls_back_to_newton(self):
+        m = triad_eight_bar()
+        guess = Configuration(0.0, {l.id: Pose(Point2(0, 0), 0.0) for l in m.links})
+        pa = sweep_arrays(m, np.linspace(0.0, 0.3, 16), guess=guess)
+        assert pa.solver == "newton" and pa.failed_at is None
+        assert coincidence_residual(m, pa) <= 1e-9
+
+    def test_non_grashof_fails_at_first_open_circle(self):
+        # g=6, a=3, b=2, c=4: |crank tip - rocker pivot|^2 = 45 - 36 cos(theta)
+        # exceeds (b + c)^2 = 36 once cos(theta) < 1/4
+        thetas = np.linspace(0.0, 2 * math.pi, 360)
+        pa = sweep_arrays(fourbar_mechanism(FourBar(6, 3, 2, 4)), thetas)
+        assert pa.solver == "dyad" and pa.error == NotAssemblableError.code
+        assert pa.failed_at == int(np.argmax(np.cos(thetas) < 0.25)) == 76
+        assert not pa.angles[:, pa.failed_at:].any()
+
+    def test_angles_unwrapped_along_the_sweep(self):
+        # double-crank: coupler and follower turn a full revolution with the crank
+        thetas = np.linspace(0.0, 4 * math.pi, 200)
+        pa = sweep_arrays(fourbar_mechanism(FourBar(2, 4, 3.5, 4.5)), thetas)
+        assert pa.failed_at is None
+        assert np.abs(np.diff(pa.angles, axis=1)).max() < 0.5
+        rocker = pa.angles[pa.index("rocker")]
+        assert rocker[-1] - rocker[0] == pytest.approx(4 * math.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_solve_fourbar_law_of_cosines_oracle(self, branch):
+        fb = FourBar(6.0, 2.0, 5.0, 5.0)
+        for theta in np.linspace(0.0, 2 * math.pi, 37):
+            ax, ay = fb.a * math.cos(theta), fb.a * math.sin(theta)
+            d = math.hypot(ax - fb.g, ay)
+            beta = math.acos((fb.c ** 2 + d ** 2 - fb.b ** 2) / (2 * fb.c * d))
+            psi = math.atan2(ay, ax - fb.g) + (-beta if branch is Branch.OPEN else beta)
+            mu = math.atan2(fb.c * math.sin(psi) - ay, fb.g + fb.c * math.cos(psi) - ax)
+            c = solve_fourbar(fb, float(theta), branch)
+            assert c.branch is branch
+            for lid, origin, angle in (("crank", (0, 0), theta), ("coupler", (ax, ay), mu),
+                                       ("rocker", (fb.g, 0), psi)):
+                p = c.pose(lid)
+                turn = (p.angle - angle + math.pi) % (2 * math.pi) - math.pi
+                assert abs(turn) <= 1e-12
+                assert math.hypot(p.origin.x - origin[0], p.origin.y - origin[1]) <= 1e-12
+
+    def test_guess_picks_the_nearest_root(self, fb_mech, fb_example):
+        thetas = np.linspace(0.5, 1.5, 11)
+        crossed = solve_fourbar(fb_example, 0.5, Branch.CROSSED)
+        pa = sweep_arrays(fb_mech, thetas, guess=crossed)
+        assert pa.branch is Branch.CROSSED
+        ref = sweep_arrays(fb_mech, thetas, branch=Branch.CROSSED)
+        assert np.allclose(pa.origins, ref.origins, rtol=0, atol=1e-12)
+
+    def test_guess_roots_and_turns_on_the_armwing(self, armwing):
+        thetas = np.linspace(0.3, 0.6, 8)
+        first, second = bootstrap_candidates(armwing, 0.3)[:2]
+        for guess in (first, second):
+            # a whole turn added to one link's guessed angle carries into the sweep
+            poses = dict(guess.poses)
+            h = poses["humerus"]
+            poses["humerus"] = Pose(h.origin, h.angle + 2 * math.pi)
+            pa = sweep_arrays(armwing, thetas, guess=Configuration(0.3, poses))
+            assert pa.solver == "dyad" and pa.failed_at is None
+            start = pa.configuration(0)
+            for lid, p in poses.items():
+                assert start.pose(lid).angle == pytest.approx(p.angle, abs=1e-12)
+                assert (start.pose(lid).origin - p.origin).norm() <= 1e-12
+
+    def test_guess_at_change_point_is_ambiguous(self):
+        fb = FourBar(4, 2, 4, 2)
+        guess = solve_fourbar(fb, 0.0)
+        with pytest.raises(BranchAmbiguousError):
+            sweep_arrays(fourbar_mechanism(fb), np.linspace(0.0, 1.0, 8), guess=guess)

@@ -37,6 +37,19 @@ class TestObjective:
         # crank longer than the other three bars combined: never closes
         assert objective(np.array([25.0]), wide, spec) == 1.0e6 + 1.0
 
+    def test_coding_errors_surface(self, monkeypatch):
+        space, spec, x_hidden = recovery_space()
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the solver")
+
+        monkeypatch.setattr("flapkin.synthesis.sweep_arrays", broken)
+        with pytest.raises(TypeError):
+            objective(x_hidden, space, spec)
+        monkeypatch.setattr("flapkin.synthesis.mobility", broken)
+        with pytest.raises(TypeError):
+            feasibility_report(space.template, spec)
+
     def test_quadratic_metric_error(self):
         space, spec, x_hidden = recovery_space()
         shifted = dataclasses.replace(spec,
