@@ -21,7 +21,13 @@ from scipy.optimize import minimize
 
 from flapkin.designs import ARMWING_TRANSMISSION_JOINTS, ArmwingParams, armwing_mechanism
 from flapkin.fileio import serialize_mechanism
-from flapkin.gait import gait_metrics, generate_gait, retraction_time, stroke_phases
+from flapkin.gait import (
+    gait_from_pose_arrays,
+    gait_metrics,
+    generate_gait,
+    retraction_time,
+    stroke_phases,
+)
 from flapkin.geometry import Point2
 from flapkin.kinematics import sweep_arrays, transmission_angle_series
 from flapkin.mechanism import validate_mechanism
@@ -60,7 +66,7 @@ def score(x: np.ndarray, samples: int = 128) -> float:
     if pa.failed_at is not None:
         return 1e5 * (2.0 - pa.failed_at / samples)
     try:
-        gt = generate_gait(m, 0.1, samples)
+        gt = gait_from_pose_arrays(m, pa, 0.1, np.arange(samples) * (0.1 / samples))
         mu = np.minimum.reduce([transmission_angle_series(m, pa, j)
                                 for j in ARMWING_TRANSMISSION_JOINTS])
         mts = gait_metrics(gt, mu)
@@ -107,9 +113,7 @@ def main() -> int:
 
     m = armwing_mechanism(params_from(best_x))
     gt = generate_gait(m, 0.1, 256)
-    thetas = 2 * math.pi * np.arange(256) / 256
-    pa = sweep_arrays(m, thetas)
-    mu = np.minimum.reduce([transmission_angle_series(m, pa, j)
+    mu = np.minimum.reduce([transmission_angle_series(m, gt.poses, j)
                             for j in ARMWING_TRANSMISSION_JOINTS])
     mts = gait_metrics(gt, mu)
     print("metrics:", mts)

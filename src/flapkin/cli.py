@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -34,13 +33,6 @@ def _angle(value: float, deg: bool) -> float:
     return math.radians(value) if deg else value
 
 
-def _default_threads() -> int:
-    env = os.environ.get("FLAPKIN_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _gait_for(m: Mechanism, period: float, samples: int, tolerance: float):
     settings = SolveSettings(tolerance=tolerance)
     return generate_gait(m, period, samples, settings)
@@ -59,8 +51,6 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     m = _read_mechanism(args.mechanism)
-    if args.steps < 2:
-        _usage("--steps must be >= 2")
     gt = _gait_for(m, args.period, args.steps, args.tol)
     sys.stdout.write(trajectory_csv(gt))
     return 0
@@ -68,8 +58,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_gait(args) -> int:
     m = _read_mechanism(args.mechanism)
-    if args.samples < 8:
-        _usage("--samples must be >= 8")
     gt = _gait_for(m, args.period, args.samples, args.tol)
     sys.stdout.write(trajectory_csv(gt))
     if args.metrics or args.metrics_out:
@@ -116,7 +104,7 @@ def _load_space(path: str) -> DesignSpace:
 def cmd_synthesize(args) -> int:
     space = _load_space(args.space)
     spec = _load_spec(args.spec)
-    result = synthesize(space, spec, args.budget, args.seed, threads=args.threads)
+    result = synthesize(space, spec, args.budget, args.seed)
     out_doc = mechanism_to_doc(result.mechanism)
     Path(args.out).write_text(json.dumps(out_doc, indent=2, sort_keys=True) + "\n")
     summary = {
@@ -163,14 +151,6 @@ def cmd_animate(args) -> int:
     return 0
 
 
-def _usage(msg: str):
-    raise _UsageError(msg)
-
-
-class _UsageError(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flapkin",
                                  description="Planar armwing linkage kinematics, gait and synthesis toolkit")
@@ -208,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output mechanism JSON")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("aero", help="quasi-steady force history, CSV to stdout")
@@ -238,12 +219,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as e:
-        ap.error(str(e))  # exits 2
-        return 2
     except FlapkinError as e:
         sys.stderr.write(f"{e.family} {e.code}: {e}\n")
         return 1
+    except ValueError as e:  # an argument the library rejects
+        ap.error(str(e))  # exits 2
     except OSError as e:
         sys.stderr.write(f"E_IO {e.__class__.__name__}: {e}\n")
         return 3

@@ -265,19 +265,15 @@ def _link_polyline(m: Mechanism, c: Configuration, link_id: str) -> list[tuple[f
     return pts
 
 
-def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int,
-               configurations: list[Configuration] | None = None) -> list[str]:
+def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int) -> list[str]:
     """One SVG document per frame: links as segments, joints as circles
     (filled when compliant), the wing polygon shaded. The viewBox is the
     global bounding box of all frames plus a 5% margin, fixed across frames.
     """
     if frames < 1 or frames > gt.samples:
         raise ValueError(f"frames must be in [1, {gt.samples}]")
-    if configurations is None:
-        if gt.poses is None:
-            raise ValueError("gait carries no poses; pass configurations")
-        idx = np.linspace(0, gt.samples - 1, frames).astype(int)
-        configurations = [gt.poses.configuration(int(k)) for k in idx]
+    idx = np.linspace(0, gt.samples - 1, frames).astype(int)
+    configurations = [gt.poses.configuration(int(k)) for k in idx]
 
     frame_data = []
     all_pts: list[tuple[float, float]] = []

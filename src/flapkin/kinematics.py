@@ -389,13 +389,14 @@ class ConstraintSystem:
         act = m.actuated_joint()
         self.crank_link = act.other(m.ground) if act is not None else None
         self.rows = 2 * len(m.joints) + (1 if act is not None else 0)
-        self._joints = []
+        # (index a, marker a, index b, marker b) of residual rows 2r, 2r+1
+        self.joints = []
         for j in m.joints:
             pa = m.link(j.link_a).marker(j.marker_a).as_array()
             pb = m.link(j.link_b).marker(j.marker_b).as_array()
             ia = self.index.get(j.link_a)
             ib = self.index.get(j.link_b)
-            self._joints.append((ia, pa, ib, pb))
+            self.joints.append((ia, pa, ib, pb))
 
     def q_from(self, c: Configuration) -> np.ndarray:
         q = np.zeros(self.n)
@@ -422,7 +423,7 @@ class ConstraintSystem:
     def residual(self, q: np.ndarray, theta: float) -> np.ndarray:
         out = np.zeros(self.rows)
         r = 0
-        for ia, pa, ib, pb in self._joints:
+        for ia, pa, ib, pb in self.joints:
             out[r:r + 2] = self._world(q, ia, pa) - self._world(q, ib, pb)
             r += 2
         if self.crank_link is not None:
@@ -432,7 +433,7 @@ class ConstraintSystem:
     def jacobian(self, q: np.ndarray) -> np.ndarray:
         J = np.zeros((self.rows, self.n))
         r = 0
-        for ia, pa, ib, pb in self._joints:
+        for ia, pa, ib, pb in self.joints:
             if ia is not None:
                 J[r, ia] = 1.0
                 J[r + 1, ia + 1] = 1.0
@@ -445,34 +446,6 @@ class ConstraintSystem:
         if self.crank_link is not None:
             J[r, self.index[self.crank_link] + 2] = 1.0
         return J
-
-
-def initial_guess(m: Mechanism, theta: float) -> Configuration:
-    """Breadth-first rigid placement: drop every link at orientation zero
-    (crank at theta) translated so joint markers coincide along a spanning
-    tree. Loop joints are generally left open; Newton closes them."""
-    poses: dict[str, Pose] = {m.ground: IDENTITY_POSE}
-    act = m.actuated_joint()
-    crank_link = act.other(m.ground) if act is not None else None
-    adj = m.adjacency()
-    queue = [m.ground]
-    while queue:
-        lid = queue.pop(0)
-        for j in adj[lid]:
-            other = j.other(lid)
-            if other in poses:
-                continue
-            anchor = poses[lid].transform(m.link(lid).marker(j.marker_a if j.link_a == lid else j.marker_b))
-            local = m.link(other).marker(j.marker_b if j.link_b == other else j.marker_a)
-            ang = theta if other == crank_link else 0.0
-            c, s = math.cos(ang), math.sin(ang)
-            origin = Point2(anchor.x - (c * local.x - s * local.y),
-                            anchor.y - (s * local.x + c * local.y))
-            poses[other] = Pose(origin, ang)
-            queue.append(other)
-    for l in m.links:  # disconnected links still get a pose
-        poses.setdefault(l.id, IDENTITY_POSE)
-    return Configuration(theta, poses)
 
 
 def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -> list[Configuration]:

@@ -2,14 +2,11 @@
 
 Global search by differential evolution (rand/1/bin, F=0.7, CR=0.9) over a
 bounded parameter box mapped onto a fixed mechanism topology, followed by a
-Nelder-Mead polish of the best candidate. Fully deterministic given the seed;
-objective evaluations within a generation may run on a thread pool but are
-always reduced in population order.
+Nelder-Mead polish of the best candidate. Fully deterministic given the seed.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -184,7 +181,7 @@ def objective(x: np.ndarray, space: DesignSpace, spec: GaitSpec,
 
 
 def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
-               threads: int = 1, samples: int = OBJECTIVE_SAMPLES,
+               samples: int = OBJECTIVE_SAMPLES,
                settings: SolveSettings = DEFAULT_SETTINGS) -> SynthesisResult:
     """Differential evolution plus Nelder-Mead polish, deterministic per seed."""
     if space.dim == 0:
@@ -204,9 +201,6 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
     def eval_population(xs):
         nonlocal evals
         evals += len(xs)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                return list(ex.map(cost_of, xs))  # order-preserving reduction
         return [cost_of(x) for x in xs]
 
     pop = lo + rng.random((pop_size, dim)) * (hi - lo)

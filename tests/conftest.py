@@ -121,13 +121,11 @@ def recovery_space(noise: float = 0.0):
     space = DesignSpace(template, params, transmission_joints=("j_b",))
 
     from flapkin.gait import gait_metrics, generate_gait
-    from flapkin.kinematics import sweep_arrays, transmission_angle_series
+    from flapkin.kinematics import transmission_angle_series
     from flapkin.synthesis import OBJECTIVE_SAMPLES
 
     gt = generate_gait(template, 1.0, OBJECTIVE_SAMPLES)
-    thetas = gt.crank
-    pa = sweep_arrays(template, thetas)
-    mu = transmission_angle_series(template, pa, "j_b")
+    mu = transmission_angle_series(template, gt.poses, "j_b")
     mts = gait_metrics(gt, mu)
     spec = GaitSpec(plunge_amplitude=mts.plunge_amplitude + noise,
                     extension_range=mts.extension_range,

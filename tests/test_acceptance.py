@@ -161,8 +161,7 @@ def test_criterion_05_two_hinge_equilibrium():
 def test_criterion_06_single_wingbeat_articulation():
     m = two_stage_armwing()
     gt = generate_gait(m, 1.0, 256)
-    pa = sweep_arrays(m, gt.crank)
-    mu = np.minimum.reduce([transmission_angle_series(m, pa, j)
+    mu = np.minimum.reduce([transmission_angle_series(m, gt.poses, j)
                             for j in ARMWING_TRANSMISSION_JOINTS])
     mts = gait_metrics(gt, mu)
     width = mts.extension_range[1] - mts.extension_range[0]

@@ -16,8 +16,14 @@ from flapkin.compliance import (
     total_potential,
 )
 from flapkin.errors import LargeDeflectionWarning
-from flapkin.geometry import Point2
-from flapkin.kinematics import relative_joint_angle, solve_fourbar
+from flapkin.geometry import Point2, Pose
+from flapkin.kinematics import (
+    Configuration,
+    ConstraintSystem,
+    assemble,
+    relative_joint_angle,
+    solve_fourbar,
+)
 from flapkin.mechanism import CompliantHinge, Joint, Link, LinkRole, Mechanism
 
 from conftest import two_hinge_chain
@@ -64,8 +70,7 @@ class TestElasticEnergy:
         assert elastic_energy(m, c) == pytest.approx(0.0, abs=1e-18)
 
     def test_half_k_theta_squared(self):
-        from flapkin.geometry import Pose
-        from flapkin.kinematics import Branch, Configuration
+        from flapkin.kinematics import Branch
 
         m = single_hinge_chain(k=0.144)
         c = Configuration(0.0, {"ground": Pose(Point2(0, 0), 0.0),
@@ -76,6 +81,13 @@ class TestElasticEnergy:
         for theta in (0.0, 1.0, 2.5):
             c = solve_fourbar(fb_example, theta)
             assert elastic_energy(fb_mech, c) == 0.0
+
+    def test_invariant_to_whole_turns_of_a_link_angle(self, armwing):
+        c = assemble(armwing, 0.3)
+        p = c.pose("humerus")
+        shifted = Configuration(c.crank_angle, {**c.poses, "humerus": Pose(p.origin, p.angle + 2 * math.pi)},
+                                c.branch)
+        assert elastic_energy(armwing, shifted) == pytest.approx(elastic_energy(armwing, c), rel=1e-12)
 
 
 class TestEquilibrium:
@@ -145,6 +157,38 @@ class TestEquilibrium:
         d2 = (V(t1, t2 + h) - V(t1, t2 - h)) / (2 * h)
         assert abs(d1) <= 1e-7 and abs(d2) <= 1e-7
 
+    @pytest.mark.filterwarnings("ignore::flapkin.errors.LargeDeflectionWarning")
+    def test_shipped_armwing_full_revolution_tip_load(self, armwing):
+        k_max = max(j.kind.stiffness for j in armwing.joints if isinstance(j.kind, CompliantHinge))
+        n = 360
+        directions = np.random.default_rng(5).uniform(0.0, 2 * math.pi, n)
+        thetas = 2 * math.pi * np.arange(n) / n
+        assert np.any((thetas >= 4.5) & (thetas <= 5.1))
+        for theta, a in zip(thetas, directions):
+            load = LoadCase(forces=(("forearm", "tip", Point2(0.5 * math.cos(a), 0.5 * math.sin(a))),))
+            c = solve_equilibrium(armwing, float(theta), load)
+            pg, closure = stationarity(armwing, load, c, float(theta))
+            assert pg <= 1e-8 * k_max, theta
+            assert closure <= 1e-8, theta
+
+    def test_lagrangian_hessian_matches_finite_differences(self, armwing):
+        from flapkin.compliance import _Potential
+
+        load = LoadCase(forces=(("forearm", "tip", Point2(0.3, -0.4)),), moments=(("j_b", 0.01),))
+        sys = ConstraintSystem(armwing)
+        pot = _Potential(armwing, load, sys)
+        rng = np.random.default_rng(2)
+        q = sys.q_from(assemble(armwing, 1.1)) + rng.normal(scale=0.01, size=sys.n)
+        lam = rng.normal(size=sys.rows)
+
+        def grad_lagrangian(qv):
+            return pot.grad(qv) + sys.jacobian(qv).T @ lam
+
+        h = 1e-6
+        fd = np.column_stack([(grad_lagrangian(q + h * e) - grad_lagrangian(q - h * e)) / (2 * h)
+                              for e in np.eye(sys.n)])
+        assert np.allclose(pot.hessian(q, lam), fd, rtol=0.0, atol=1e-7)
+
     def test_large_deflection_warns(self):
         m = single_hinge_chain(k=0.1)
         with pytest.warns(LargeDeflectionWarning):
@@ -156,8 +200,6 @@ class TestEquilibrium:
         c = solve_equilibrium(m, 0.0, load)
         v0 = total_potential(m, load, c)
         rng = np.random.default_rng(11)
-        from flapkin.geometry import Pose
-        from flapkin.kinematics import Configuration
 
         # nearby feasible configurations (chain is open: any hinge angles close)
         l1 = m.link("upper").marker("tip").x

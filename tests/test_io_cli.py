@@ -163,6 +163,22 @@ class TestCli:
         code, _, err = run_cli(["sweep", str(shipped_path), "--steps", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["aero", "--period", "0.1", "--freestream", "3", "--strips", "2"],
+        ["aero", "--period", "0.1", "--freestream", "3", "--chord", "a,b"],
+        ["aero", "--period", "0.1", "--freestream", "3", "--samples", "4"],
+        ["gait", "--period", "-1", "--samples", "16"],
+        ["gait", "--period", "0.1", "--samples", "16", "--tol", "0"],
+        ["sweep", "--steps", "3"],
+        ["animate", "--frames", "0", "--out-dir", "frames"],
+    ], ids=["aero --strips 2", "aero --chord a,b", "aero --samples 4", "gait --period -1",
+            "gait --tol 0", "sweep --steps 3", "animate --frames 0"])
+    def test_rejected_argument_usage_error(self, shipped_path, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli([argv[0], str(shipped_path), *argv[1:]])
+        assert code == 2
+        assert "Traceback" not in err
+
     def test_gait_metrics_json(self, shipped_path):
         code, out, err = run_cli(["gait", str(shipped_path), "--period", "0.1",
                                   "--samples", "64", "--metrics",
