@@ -58,6 +58,14 @@ from .mechanism import (
     mobility,
     validate_mechanism,
 )
-from .synthesis import DesignSpace, GaitSpec, Parameter, SynthesisResult, objective, synthesize
+from .synthesis import (
+    DesignSpace,
+    GaitSpec,
+    Parameter,
+    SynthesisResult,
+    objective,
+    population_costs,
+    synthesize,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

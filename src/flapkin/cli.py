@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .aero import AeroConfig, quasi_steady_forces
-from .errors import FlapkinError
+from .errors import FlapkinError, ParseError, SchemaError
 from .fileio import aero_csv, mechanism_to_doc, parse_mechanism, render_svg, trajectory_csv
 from .gait import gait_metrics, generate_gait
 from .kinematics import SolveSettings, transmission_angle_series
@@ -81,24 +81,38 @@ def cmd_gait(args) -> int:
     return 0
 
 
+def _load_doc(path: str, build):
+    """build(doc) for the JSON document at path. Malformed JSON is a
+    ParseError, a missing or mistyped field a SchemaError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    try:
+        return build(doc)
+    except KeyError as e:
+        raise SchemaError(f"{path}: missing field {e}") from e
+    except (TypeError, AttributeError) as e:
+        raise SchemaError(f"{path}: {e}") from e
+
+
 def _load_spec(path: str) -> GaitSpec:
-    doc = json.loads(Path(path).read_text())
-    return GaitSpec(
+    return _load_doc(path, lambda doc: GaitSpec(
         plunge_amplitude=float(doc["plunge_amplitude_rad"]),
         extension_range=tuple(doc["extension_range"]),
         area_ratio_max=float(doc.get("area_ratio_max", 0.9)),
         min_transmission_angle=float(doc.get("min_transmission_angle_rad", math.radians(30))),
         weights=doc.get("weights", {"plunge_amplitude": 1.0, "extension_min": 1.0,
                                     "extension_max": 1.0}),
-    )
+    ))
 
 
 def _load_space(path: str) -> DesignSpace:
-    doc = json.loads(Path(path).read_text())
-    template = parse_mechanism(json.dumps(doc["template"]))
-    params = tuple(Parameter(p["name"], float(p["lower"]), float(p["upper"]))
-                   for p in doc["parameters"])
-    return DesignSpace(template, params, tuple(doc.get("transmission_joints", [])))
+    return _load_doc(path, lambda doc: DesignSpace(
+        parse_mechanism(json.dumps(doc["template"])),
+        tuple(Parameter(p["name"], float(p["lower"]), float(p["upper"])) for p in doc["parameters"]),
+        tuple(doc.get("transmission_joints", [])),
+    ))
 
 
 def cmd_synthesize(args) -> int:

@@ -28,7 +28,6 @@ from .compliance import HingeGeometry, hinge_stiffness
 from .errors import MechanismValidationError, ParseError, SchemaError
 from .gait import GaitTrajectory, polygon_area
 from .geometry import Point2
-from .kinematics import Configuration, marker_world
 from .mechanism import (
     CompliantHinge,
     Joint,
@@ -248,23 +247,6 @@ def aero_csv(report) -> str:
 # SVG frames
 
 
-def _link_polyline(m: Mechanism, c: Configuration, link_id: str) -> list[tuple[float, float]]:
-    """World joint-marker points of a link, ordered by joint declaration."""
-    pts = []
-    for j in m.joints:
-        if j.link_a == link_id:
-            p = marker_world(m, c, link_id, j.marker_a)
-        elif j.link_b == link_id:
-            p = marker_world(m, c, link_id, j.marker_b)
-        else:
-            continue
-        pts.append((p.x, p.y))
-    if len(pts) < 2:  # lone marker: draw a short stub so the link is visible
-        p = marker_world(m, c, link_id, "origin")
-        pts = [(p.x, p.y)]
-    return pts
-
-
 def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int) -> list[str]:
     """One SVG document per frame: links as segments, joints as circles
     (filled when compliant), the wing polygon shaded. The viewBox is the
@@ -273,23 +255,36 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int) -> list[str]:
     if frames < 1 or frames > gt.samples:
         raise ValueError(f"frames must be in [1, {gt.samples}]")
     idx = np.linspace(0, gt.samples - 1, frames).astype(int)
-    configurations = [gt.poses.configuration(int(k)) for k in idx]
+    paths: dict[tuple[str, str], list[list[float]]] = {}
+
+    def at(ref: tuple[str, str]) -> list[list[float]]:
+        """World points of a marker at the frame samples."""
+        if ref not in paths:
+            paths[ref] = gt.poses.marker_world(m, ref)[idx].tolist()
+        return paths[ref]
+
+    # per link, its joint markers in joint declaration order (a lone marker
+    # draws as a short stub at the origin so the link is visible)
+    link_refs = {}
+    for l in m.links:
+        refs = [(l.id, j.marker_a if j.link_a == l.id else j.marker_b)
+                for j in m.joints if l.id in (j.link_a, j.link_b)]
+        link_refs[l.id] = refs if len(refs) >= 2 else [(l.id, "origin")]
 
     frame_data = []
     all_pts: list[tuple[float, float]] = []
-    for c in configurations:
+    for f in range(frames):
         polylines = {}
-        for l in m.links:
-            pts = _link_polyline(m, c, l.id)
-            polylines[l.id] = pts
+        for lid, refs in link_refs.items():
+            pts = [tuple(at(ref)[f]) for ref in refs]
+            polylines[lid] = pts
             all_pts.extend(pts)
         joints = []
         for j in m.joints:
-            p = marker_world(m, c, j.link_a, j.marker_a)
-            joints.append((p.x, p.y, isinstance(j.kind, CompliantHinge)))
-            all_pts.append((p.x, p.y))
-        poly = [(marker_world(m, c, lid, mk).x, marker_world(m, c, lid, mk).y)
-                for lid, mk in m.wing_polygon]
+            x, y = at((j.link_a, j.marker_a))[f]
+            joints.append((x, y, isinstance(j.kind, CompliantHinge)))
+            all_pts.append((x, y))
+        poly = [tuple(at(ref)[f]) for ref in m.wing_polygon]
         all_pts.extend(poly)
         frame_data.append((polylines, joints, poly))
 

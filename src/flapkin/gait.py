@@ -97,24 +97,39 @@ def plunge_angle(m: Mechanism, c: Configuration) -> float:
     return math.atan2(v.y, v.x)
 
 
+def wingbeat_series(tip, shoulder, polygon):
+    """Plunge, extension and membrane area along the last axis.
+
+    tip, shoulder and each vertex of `polygon` are world paths (x, y), each
+    of shape (..., N). Returns (plunge, extension, area, min reach, max
+    reach), the reach extremes with the sample axis kept as size one: a
+    wingbeat needs a positive maximum and a minimum of at least 1e-12.
+    """
+    dx, dy = tip[0] - shoulder[0], tip[1] - shoulder[1]
+    reach = np.hypot(dx, dy)
+    lo, hi = reach.min(axis=-1, keepdims=True), reach.max(axis=-1, keepdims=True)
+    plunge = np.unwrap(np.arctan2(dy, dx), axis=-1)
+    x, y = [v[0] for v in polygon], [v[1] for v in polygon]
+
+    def cross(a, b):  # sum of a_v * b_(v+1) over the vertices, in vertex order
+        return sum(a[v] * b[(v + 1) % len(a)] for v in range(len(a)))
+
+    area = 0.5 * np.abs(cross(x, y) - cross(y, x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return plunge, reach / hi, area, lo, hi
+
+
 def gait_from_pose_arrays(m: Mechanism, pa: PoseArrays, period: float,
                           t: np.ndarray) -> GaitTrajectory:
     """Gait series of a solved sweep (no failure) sampled at times t."""
     tip = pa.marker_world(m, m.wingtip)
-    sh = pa.marker_world(m, m.shoulder)
-    d = tip - sh
-    reach_series = np.hypot(d[:, 0], d[:, 1])
-    max_reach = float(reach_series.max())
-    if max_reach <= 0.0:
+    plunge, extension, area, lo, hi = wingbeat_series(
+        tip.T, pa.marker_world(m, m.shoulder).T, [pa.marker_world(m, ref).T for ref in m.wing_polygon])
+    if hi[0] <= 0.0:
         raise ZeroReachError("maximum reach over the sweep is zero")
-    if reach_series.min() < 1e-12:
+    if lo[0] < 1e-12:
         raise DegenerateGeometryError("shoulder and wingtip coincide during the sweep")
-    plunge = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
-    poly = np.stack([pa.marker_world(m, ref) for ref in m.wing_polygon], axis=1)  # (N, V, 2)
-    x, y = poly[:, :, 0], poly[:, :, 1]
-    area = 0.5 * np.abs(np.einsum("ij,ij->i", x, np.roll(y, -1, axis=1))
-                        - np.einsum("ij,ij->i", y, np.roll(x, -1, axis=1)))
-    return GaitTrajectory(period, t, pa.thetas, plunge, reach_series / max_reach, area, tip, pa)
+    return GaitTrajectory(period, t, pa.thetas, plunge, extension, area, tip, pa)
 
 
 def generate_gait(m: Mechanism, period: float, samples: int,
@@ -148,11 +163,11 @@ def stroke_phases(plunge: np.ndarray) -> np.ndarray:
     """Per-sample stroke sign: +1 upstroke (plunge increasing), -1 downstroke.
 
     Uses periodic central differences with single-sample flickers removed by a
-    3-sample majority filter.
+    3-sample majority filter. Works along the last axis.
     """
-    dp = np.roll(plunge, -1) - np.roll(plunge, 1)
+    dp = np.roll(plunge, -1, axis=-1) - np.roll(plunge, 1, axis=-1)
     sign = np.where(dp >= 0.0, 1, -1)
-    prev_s, next_s = np.roll(sign, 1), np.roll(sign, -1)
+    prev_s, next_s = np.roll(sign, 1, axis=-1), np.roll(sign, -1, axis=-1)
     flicker = (sign != prev_s) & (sign != next_s)
     return np.where(flicker, prev_s, sign)
 
@@ -189,23 +204,16 @@ def gait_metrics(gt: GaitTrajectory, transmission: np.ndarray | None = None) -> 
 
 
 def _contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(start, length) of every True run in a periodic boolean series."""
+    """(start, length) of every True run in a periodic boolean series, in
+    order of start; a run that wraps past the end starts before it."""
     n = len(mask)
     if mask.all():
         return [(0, n)]
-    doubled = np.concatenate([mask, mask])
-    runs = []
-    i = 0
-    while i < n:
-        if doubled[i] and not doubled[i - 1 if i > 0 else n - 1]:
-            j = i
-            while j < 2 * n and doubled[j]:
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
+    step = np.diff(mask.astype(np.int8), prepend=mask[-1])
+    starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)  # stop: first False after a run
+    if len(stops) and stops[0] < starts[0]:  # the last run wraps past the end
+        stops = np.roll(stops, -1)
+    return list(zip(starts.tolist(), ((stops - starts) % n).tolist()))
 
 
 def retraction_time(gt: GaitTrajectory, tol: float = 1e-12) -> float:

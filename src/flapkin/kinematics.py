@@ -15,7 +15,7 @@ continuous across +-pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -29,7 +29,14 @@ from .errors import (
     UnknownMarkerError,
 )
 from .geometry import IDENTITY_POSE, Point2, Pose, drot, fold_quadrant
-from .mechanism import FourBar, Joint, Mechanism, as_fourbar, fourbar_mechanism
+from .mechanism import (
+    FourBar,
+    Joint,
+    Mechanism,
+    fourbar_lengths_valid,
+    fourbar_mechanism,
+    fourbar_sides,
+)
 
 
 class Branch(Enum):
@@ -96,14 +103,60 @@ class PoseArrays:
 
     def marker_world(self, m: Mechanism, ref: tuple[str, str]) -> np.ndarray:
         """World path (N,2) of one marker across the sweep."""
-        lid, mname = ref
-        i = self.index(lid)
-        p = m.link(lid).marker(mname)
-        c, s = np.cos(self.angles[i]), np.sin(self.angles[i])
-        out = np.empty_like(self.origins[i])
-        out[:, 0] = self.origins[i, :, 0] + c * p.x - s * p.y
-        out[:, 1] = self.origins[i, :, 1] + s * p.x + c * p.y
-        return out
+        i = self.index(ref[0])
+        p = m.link(ref[0]).marker(ref[1])
+        return np.stack(_world_path(self.origins[i], self.angles[i], p.x, p.y), axis=-1)
+
+
+def _world_path(origins: np.ndarray, angles: np.ndarray, px, py) -> tuple[np.ndarray, np.ndarray]:
+    """World (x, y) of the link-frame point (px, py) of a link whose origin
+    follows origins (..., N, 2) and orientation angles (..., N)."""
+    c, s = np.cos(angles), np.sin(angles)
+    return origins[..., 0] + c * px - s * py, origins[..., 1] + s * px + c * py
+
+
+Markers = dict[tuple[str, str], tuple[float | np.ndarray, float | np.ndarray]]
+"""Marker table of B mechanisms sharing one topology: (link, marker) -> (x, y)
+in the link frame, each an array of shape (B, 1), or a float where all rows
+agree. It broadcasts against (B, N) arrays over N crank angles."""
+
+
+def marker_table(m: Mechanism) -> Markers:
+    """The one-row marker table of a mechanism."""
+    return {(l.id, k): (float(p.x), float(p.y)) for l in m.links for k, p in l.markers.items()}
+
+
+def _rows(markers: Markers) -> int:
+    """B of a marker table: the length of its array entries, 1 if it has none."""
+    return max((len(v) for xy in markers.values() for v in xy if isinstance(v, np.ndarray)), default=1)
+
+
+@dataclass
+class PoseBatch:
+    """Sweeps of the B mechanisms of a marker table, all at the same crank
+    angles: origins (B, L, N, 2) and angles (B, L, N). failed_at[b] is row
+    b's first failing sample, N where the row closes at every angle."""
+
+    ids: list[str]
+    thetas: np.ndarray
+    origins: np.ndarray
+    angles: np.ndarray
+    failed_at: np.ndarray
+    markers: Markers
+    branches: list[Branch | None]
+    solver: str = "dyad"
+
+    def index(self, link_id: str) -> int:
+        return self.ids.index(link_id)
+
+    def marker_world(self, ref: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+        """World path (x, y), each (B, N), of one marker across the sweeps."""
+        i = self.index(ref[0])
+        return _world_path(self.origins[:, i], self.angles[:, i], *self.markers[ref])
+
+    def transmission_angles(self, m: Mechanism, joint_id: str) -> np.ndarray:
+        """(B, N) transmission angle series at a joint of m's topology."""
+        return _transmission(m.joint(joint_id), self.markers, lambda lid: self.angles[:, self.index(lid)])
 
 
 @dataclass(frozen=True)
@@ -132,17 +185,16 @@ class _Step:
     """One placement of a dyad plan. A pin is (own marker, placed link, its marker).
 
     kind "crank": the driven link, pinned to ground. "dyad": two links sharing
-    a joint (their `shared` markers), each pinned once to a placed link, with
-    `radii` from pin to shared marker. "rigid": one link pinned to two placed
-    links. "hang": one link pinned once, left at orientation zero. "free": an
-    unreachable link, left at the identity.
+    a joint (their `shared` markers), each pinned once to a placed link.
+    "rigid": one link pinned to two placed links. "hang": one link pinned
+    once, left at orientation zero. "free": an unreachable link, left at the
+    identity.
     """
 
     kind: str
     links: tuple[str, ...]
     pins: tuple[tuple[str, str, str], ...] = ()
     shared: tuple[str, ...] = ()
-    radii: tuple[float, ...] = ()
 
 
 def _pin(j: Joint, lid: str) -> tuple[str, str, str]:
@@ -176,13 +228,10 @@ def _decompose(m: Mechanism) -> list[_Step]:
         for j in m.joints:
             if j.link_a in placed or j.link_b in placed:
                 continue
-            sides = [(lid, mk, pins(lid, skip=j))
-                     for lid, mk in ((j.link_a, j.marker_a), (j.link_b, j.marker_b))]
-            if all(p for _, _, p in sides):
-                radii = tuple((m.link(lid).marker(mk) - m.link(lid).marker(p[0][0])).norm()
-                              for lid, mk, p in sides)
-                return _Step("dyad", (j.link_a, j.link_b), (sides[0][2][0], sides[1][2][0]),
-                             (j.marker_a, j.marker_b), radii)
+            sides = [pins(lid, skip=j) for lid in (j.link_a, j.link_b)]
+            if all(sides):
+                return _Step("dyad", (j.link_a, j.link_b), (sides[0][0], sides[1][0]),
+                             (j.marker_a, j.marker_b))
 
     def hang():
         for j in m.joints:
@@ -207,34 +256,64 @@ def _is_dyadic(m: Mechanism, steps: list[_Step]) -> bool:
             and all(st.kind in ("crank", "dyad") for st in steps))
 
 
-def _place_steps(m: Mechanism, steps: list[_Step], thetas: np.ndarray, pick):
-    """Place every link at every crank angle of `thetas` at once.
+def _row(v, b: int) -> float:
+    """Row b of a table entry (a float or a (B, 1) array)."""
+    return float(np.ravel(v)[b if np.size(v) > 1 else 0])
 
-    Returns link id -> (x, y, angle, cos, sin) arrays, and the mask of
-    samples at which every dyad closes. The i-th dyad's roots are
-    base +- offset; `pick(i, base, offset, n_ok)` returns its root sign per
-    sample, given that its first n_ok samples (and all earlier dyads') close.
-    Circles that miss are clamped to their nearest approach.
+
+def _per_row(f, u, v):
+    """f(u, v) one row at a time for table entries (floats or (B, 1) arrays),
+    with the `math` function the scalar geometry uses (numpy's hypot and
+    arctan2 may differ from it in the last bit)."""
+    if isinstance(u, float) and isinstance(v, float):
+        return f(u, v)
+    u, v = np.ravel(u).tolist(), np.ravel(v).tolist()
+    rows = max(len(u), len(v))
+    return np.array(list(map(f, u * (rows // len(u)), v * (rows // len(v)))))[:, None]
+
+
+def _local_length(markers: Markers, lid: str, m1: str, m2: str) -> np.ndarray:
+    """Per-row distance between two markers of a link."""
+    (x1, y1), (x2, y2) = markers[lid, m1], markers[lid, m2]
+    return _per_row(math.hypot, x2 - x1, y2 - y1)
+
+
+def _local_direction(markers: Markers, lid: str, m1: str, m2: str) -> np.ndarray:
+    """Per-row direction, in the link frame, of the vector from marker m1 to m2."""
+    (x1, y1), (x2, y2) = markers[lid, m1], markers[lid, m2]
+    return _per_row(math.atan2, y2 - y1, x2 - x1)
+
+
+def _place_steps(m: Mechanism, steps: list[_Step], markers: Markers, thetas: np.ndarray, pick):
+    """Place every link of the B mechanisms of `markers` at every crank angle
+    of `thetas` at once; m supplies the topology.
+
+    Returns link id -> (x, y, angle, cos, sin) arrays broadcasting to (B, N),
+    and the (B, N) mask of samples at which every dyad closes. The i-th
+    dyad's roots are base +- offset; `pick(i, base, offset, n_ok)` returns its
+    root sign per sample, given that each row's first n_ok[b] samples (and
+    all earlier dyads') close. Circles that miss are clamped to their
+    nearest approach.
     """
     n = len(thetas)
-    zero = np.zeros(n)
-    poses = {m.ground: (zero, zero, zero, np.ones(n), zero)}
-    ok = np.ones(n, dtype=bool)
+    rows = _rows(markers)
+    zero = np.zeros((rows, n))
+    poses = {m.ground: (zero, zero, zero, np.ones((rows, n)), zero)}
+    ok = np.ones((rows, n), dtype=bool)
 
     def world(lid, marker):
         x, y, _, c, s = poses[lid]
-        p = m.link(lid).marker(marker)
-        return x + c * p.x - s * p.y, y + s * p.x + c * p.y
+        px, py = markers[lid, marker]
+        return x + c * px - s * py, y + s * px + c * py
 
     def place(lid, marker, at, angle):
-        q = m.link(lid).marker(marker)
+        qx, qy = markers[lid, marker]
         c, s = np.cos(angle), np.sin(angle)
-        poses[lid] = (at[0] - (c * q.x - s * q.y), at[1] - (s * q.x + c * q.y), angle, c, s)
+        poses[lid] = (at[0] - (c * qx - s * qy), at[1] - (s * qx + c * qy), angle, c, s)
 
     def place_two(lid, m1, p1, m2, p2):
         """Local marker m1 on p1 and m2 on the ray from p1 toward p2."""
-        q1, q2 = m.link(lid).marker(m1), m.link(lid).marker(m2)
-        angle = np.arctan2(p2[1] - p1[1], p2[0] - p1[0]) - math.atan2(q2.y - q1.y, q2.x - q1.x)
+        angle = np.arctan2(p2[1] - p1[1], p2[0] - p1[0]) - _local_direction(markers, lid, m1, m2)
         place(lid, m1, p1, angle)
 
     n_dyads = 0
@@ -254,7 +333,8 @@ def _place_steps(m: Mechanism, steps: list[_Step], thetas: np.ndarray, pick):
         else:
             own2, other2, marker2 = more[0]
             p2 = world(other2, marker2)
-            ra, rb = st.radii
+            ra = _local_length(markers, st.links[0], own, st.shared[0])
+            rb = _local_length(markers, st.links[1], own2, st.shared[1])
             dx, dy = p2[0] - p1[0], p2[1] - p1[1]
             d = np.hypot(dx, dy)
             # Heron's factors: the circles meet where none is negative
@@ -267,7 +347,7 @@ def _place_steps(m: Mechanism, steps: list[_Step], thetas: np.ndarray, pick):
             ux, uy = dx / d, dy / d
             base = (p1[0] + a * ux, p1[1] + a * uy)
             offset = (-h * uy, h * ux)
-            sign = pick(n_dyads, base, offset, n if ok.all() else int(np.argmin(ok)))
+            sign = pick(n_dyads, base, offset, np.where(ok.all(axis=1), n, ok.argmin(axis=1)))
             n_dyads += 1
             x = (base[0] + sign * offset[0], base[1] + sign * offset[1])
             place_two(st.links[0], own, p1, st.shared[0], x)
@@ -296,58 +376,71 @@ def _continue_roots(base, offset, n: int, s: float) -> list[float]:
     return signs
 
 
-def _dyad_sweep_arrays(m: Mechanism, steps: list[_Step], thetas: np.ndarray,
-                       guess: Configuration | None, branch: Branch) -> PoseArrays:
+def _dyad_sweep_arrays(m: Mechanism, steps: list[_Step], markers: Markers, thetas: np.ndarray,
+                       guess: Configuration | None, branch: Branch) -> PoseBatch:
+    """Closed-form sweeps of the mechanisms of a marker table that share m's
+    dyad plan, all B rows in one pass; only root continuation runs per row."""
     n = len(thetas)
     dyads = [st for st in steps if st.kind == "dyad"]
-    view = as_fourbar(m)
+    sides = fourbar_sides(m)
+    rows = _rows(markers)
+    if sides is None:
+        is_fourbar = [False] * rows
+    else:
+        lengths = np.hstack([np.broadcast_to(_local_length(markers, *side), (rows, 1)) for side in sides])
+        is_fourbar = [fourbar_lengths_valid(tuple(r)) for r in lengths.tolist()]
     # sign of the open branch's root: the coupler-rocker triangle keeps its orientation
-    open_sign = -1.0 if view is not None and dyads[0].links[0] == view.rocker else 1.0
-    starts = []
+    open_sign = -1.0 if sides is not None and dyads[0].links[0] == sides[3][0] else 1.0
+    first = [0.0] * rows  # root sign each row's first dyad starts on; 0 if none
 
-    def start_sign(st: _Step, base, offset) -> float:
+    def start_sign(st: _Step, b: int, base, offset) -> float:
         if guess is None:
-            if view is None:
+            if not is_fourbar[b]:
                 return 1.0
             return open_sign if branch is Branch.OPEN else -open_sign
         g = guess.pose(st.links[0]).transform(m.link(st.links[0]).marker(st.shared[0]))
-        bx, by, ox, oy = float(base[0][0]), float(base[1][0]), float(offset[0][0]), float(offset[1][0])
+        bx, by, ox, oy = (float(base[0][b, 0]), float(base[1][b, 0]),
+                          float(offset[0][b, 0]), float(offset[1][b, 0]))
         d_plus = math.hypot(bx + ox - g.x, by + oy - g.y)
         d_minus = math.hypot(bx - ox - g.x, by - oy - g.y)
-        if abs(d_plus - d_minus) <= 1e-12 * sum(st.radii):
+        scale = sum(_row(_local_length(markers, lid, pin[0], mk), b)
+                    for lid, pin, mk in zip(st.links, st.pins, st.shared))
+        if abs(d_plus - d_minus) <= 1e-12 * scale:
             raise BranchAmbiguousError(
                 f"both roots of the {st.links[0]}-{st.links[1]} dyad are equidistant from the "
                 "guess (change point); pass an explicit branch")
         return 1.0 if d_plus < d_minus else -1.0
 
     def pick(i, base, offset, n_ok):
-        sign = np.ones(n)
-        if n_ok:
-            starts.append(start_sign(dyads[i], base, offset))
-            sign[:n_ok] = _continue_roots(base, offset, n_ok, starts[-1])
+        sign = np.ones((rows, n))
+        for b in np.flatnonzero(n_ok).tolist():
+            s = start_sign(dyads[i], b, base, offset)
+            if i == 0:
+                first[b] = s
+            sign[b, :n_ok[b]] = _continue_roots((base[0][b], base[1][b]), (offset[0][b], offset[1][b]),
+                                                int(n_ok[b]), s)
         return sign
 
-    poses, ok = _place_steps(m, steps, thetas, pick)
+    poses, ok = _place_steps(m, steps, markers, thetas, pick)
     ids = [m.ground, *m.moving_link_ids()]
-    origins = np.stack([np.stack(poses[lid][:2], axis=-1) for lid in ids])
-    angles = np.stack([poses[lid][2] for lid in ids])
+    origins = np.empty((rows, len(ids), n, 2))
+    angles = np.empty((rows, len(ids), n))
+    for i, lid in enumerate(ids):
+        origins[:, i, :, 0], origins[:, i, :, 1], angles[:, i] = poses[lid][:3]
     turning = [i for i, lid in enumerate(ids) if lid not in (m.ground, steps[0].links[0])]
-    angles[turning] = np.unwrap(angles[turning], axis=1)
+    angles[:, turning] = np.unwrap(angles[:, turning], axis=-1)
     if guess is not None and n:
         turns = np.round((np.array([guess.pose(ids[i]).angle for i in turning])
-                          - angles[turning, 0]) / (2.0 * math.pi))
-        angles[turning] += 2.0 * math.pi * turns[:, None]
-    failed_at = error = None
-    if not ok.all():
-        failed_at, error = int(np.argmin(ok)), NotAssemblableError.code
-        origins[:, failed_at:] = 0.0
-        angles[:, failed_at:] = 0.0
-    if view is not None:
-        if starts:
-            branch = Branch.OPEN if starts[0] == open_sign else Branch.CROSSED
-    else:
-        branch = guess.branch if guess else None
-    return PoseArrays(ids, thetas, origins, angles, failed_at, error, branch, "dyad")
+                          - angles[:, turning, 0]) / (2.0 * math.pi))
+        angles[:, turning] += 2.0 * math.pi * turns[..., None]
+    failed_at = np.where(ok.all(axis=1), n, ok.argmin(axis=1))
+    if (failed_at < n).any():
+        after = np.broadcast_to((np.arange(n) >= failed_at[:, None])[:, None], angles.shape)
+        origins[after] = 0.0
+        angles[after] = 0.0
+    branches = [(branch if not s else Branch.OPEN if s == open_sign else Branch.CROSSED) if fb
+                else guess.branch if guess else None for s, fb in zip(first, is_fourbar)]
+    return PoseBatch(ids, thetas, origins, angles, failed_at, markers, branches)
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
@@ -463,12 +556,13 @@ def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -
     repeated = np.zeros(len(signs), dtype=bool)
 
     def pick(i, base, offset, n_ok):
-        repeated[(offset[0] == 0.0) & (offset[1] == 0.0) & (signs[:, i] < 0.0)] = True
+        repeated[(offset[0][0] == 0.0) & (offset[1][0] == 0.0) & (signs[:, i] < 0.0)] = True
         return signs[:, i]
 
-    poses, _ = _place_steps(m, steps, np.full(len(signs), float(theta)), pick)
+    poses, _ = _place_steps(m, steps, marker_table(m), np.full(len(signs), float(theta)), pick)
+    poses = {lid: (x[0], y[0], np.ravel(a)) for lid, (x, y, a, _, _) in poses.items()}
     return [Configuration(theta, {lid: Pose(Point2(float(x[r]), float(y[r])), float(a[r]))
-                                  for lid, (x, y, a, _, _) in poses.items()})
+                                  for lid, (x, y, a) in poses.items()})
             for r in np.flatnonzero(~repeated)[:max_candidates]]
 
 
@@ -554,8 +648,16 @@ def _newton_sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettin
                       guess.branch if guess else None, "newton")
 
 
+def _row_mechanism(m: Mechanism, markers: Markers, b: int) -> Mechanism:
+    """m with the marker coordinates of row b of a marker table."""
+    return replace(m, links=tuple(
+        replace(l, markers={k: Point2(*(_row(v, b) for v in markers[l.id, k])) for k in l.markers})
+        for l in m.links))
+
+
 def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEFAULT_SETTINGS,
-                 guess: Configuration | None = None, branch: Branch = Branch.OPEN) -> PoseArrays:
+                 guess: Configuration | None = None, branch: Branch = Branch.OPEN,
+                 markers: Markers | None = None) -> PoseArrays | PoseBatch:
     """Continuation sweep over an array of crank angles, columnar output.
 
     A chain the dyad plan decomposes is solved in closed form at every angle
@@ -563,12 +665,31 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
     the root `bootstrap_candidates` tries first (`branch` for a four-bar),
     and follows it by continuation. Any other chain runs Newton seeded step
     by step with the previous solution.
+
+    With a marker table of B rows, m supplies only the topology and the B
+    mechanisms are swept together into a `PoseBatch`: the dyad plan solves
+    all rows in one array pass (the sweep of m alone is its one-row case);
+    Newton sweeps the rows one by one.
     """
     thetas = np.asarray(thetas, dtype=float)
     steps = _decompose(m)
+    if markers is None:
+        if not _is_dyadic(m, steps):
+            return _newton_sweep_arrays(m, thetas, settings, guess)
+        pb = _dyad_sweep_arrays(m, steps, marker_table(m), thetas, guess, branch)
+        failed_at = int(pb.failed_at[0])
+        if failed_at == len(thetas):
+            return PoseArrays(pb.ids, thetas, pb.origins[0], pb.angles[0], branch=pb.branches[0])
+        return PoseArrays(pb.ids, thetas, pb.origins[0], pb.angles[0], failed_at,
+                          NotAssemblableError.code, pb.branches[0])
     if _is_dyadic(m, steps):
-        return _dyad_sweep_arrays(m, steps, thetas, guess, branch)
-    return _newton_sweep_arrays(m, thetas, settings, guess)
+        return _dyad_sweep_arrays(m, steps, markers, thetas, guess, branch)
+    rows = [_newton_sweep_arrays(_row_mechanism(m, markers, b), thetas, settings, guess)
+            for b in range(_rows(markers))]
+    return PoseBatch(rows[0].ids, thetas, np.stack([pa.origins for pa in rows]),
+                     np.stack([pa.angles for pa in rows]),
+                     np.array([pa.n_solved for pa in rows]), markers,
+                     [pa.branch for pa in rows], "newton")
 
 
 def sweep(m: Mechanism, theta_start: float, theta_end: float, steps: int,
@@ -665,16 +786,20 @@ def transmission_angle_at(m: Mechanism, c: Configuration, joint_id: str) -> floa
 
 def transmission_angle_series(m: Mechanism, pa: PoseArrays, joint_id: str) -> np.ndarray:
     """Vectorized transmission_angle_at across a sweep."""
-    j = m.joint(joint_id)
+    return _transmission(m.joint(joint_id), marker_table(m), lambda lid: pa.angles[pa.index(lid)])
 
-    def dirs(link_id, marker):
-        lk = m.link(link_id)
-        v = lk.marker(marker) - lk.marker("origin")
-        ang = pa.angles[pa.index(link_id)]
-        if v.norm() < 1e-12:
-            return ang
-        return ang + math.atan2(v.y, v.x)
 
-    diff = dirs(j.link_b, j.marker_b) - dirs(j.link_a, j.marker_a)
+def _transmission(j: Joint, markers: Markers, angles) -> np.ndarray:
+    """Transmission angle series at joint j: the folded difference of the two
+    link directions, each its link angle (`angles(link id)`) plus the per-row
+    direction from the link's origin marker to the joint marker (zero when
+    they coincide)."""
+
+    def direction(link_id, marker):
+        length = _local_length(markers, link_id, "origin", marker)
+        return angles(link_id) + np.where(length < 1e-12, 0.0,
+                                          _local_direction(markers, link_id, "origin", marker))
+
+    diff = direction(j.link_b, j.marker_b) - direction(j.link_a, j.marker_a)
     folded = np.abs(diff) % math.pi
     return np.where(folded > math.pi / 2, math.pi - folded, folded)

@@ -288,11 +288,9 @@ class FourBar:
     coupler_point: Point2 = Point2(0.0, 0.0)
 
     def __post_init__(self):
-        lengths = (self.g, self.a, self.b, self.c)
-        if not all(x > 0.0 and math.isfinite(x) for x in lengths):
-            raise ValueError(f"four-bar lengths must be positive and finite, got {lengths}")
-        if max(lengths) >= sum(lengths) - max(lengths):
-            raise ValueError("longest bar must be shorter than the sum of the other three")
+        if not fourbar_lengths_valid(self.lengths):
+            raise ValueError("four-bar lengths must be positive and finite, the longest bar "
+                             f"shorter than the sum of the other three; got {self.lengths}")
 
     @property
     def lengths(self) -> tuple[float, float, float, float]:
@@ -379,8 +377,9 @@ def _marker_on(j: Joint, link_id: str) -> str:
     return j.marker_a if j.link_a == link_id else j.marker_b
 
 
-def as_fourbar(m: Mechanism) -> FourBarView | None:
-    """Recognize a mechanism that is exactly one four-bar loop, else None."""
+def _fourbar_loop(m: Mechanism) -> tuple[Joint, Joint, Joint, Joint] | None:
+    """Crank, coupler, follower and ground-rocker joints of a mechanism that is
+    exactly one four-bar loop, by topology alone; else None."""
     if len(m.links) != 4 or len(m.joints) != 4:
         return None
     act = m.actuated_joint()
@@ -403,22 +402,43 @@ def as_fourbar(m: Mechanism) -> FourBarView | None:
     j_g = _joint_between(m, m.ground, rocker)
     if j_g is None or rocker == m.ground or rocker == crank:
         return None
+    return act, j_a, j_b, j_g
 
-    def seg(link_id: str, j1: Joint, j2: Joint) -> float:
-        lk = m.link(link_id)
-        return (lk.marker(_marker_on(j2, link_id)) - lk.marker(_marker_on(j1, link_id))).norm()
 
-    g = seg(m.ground, act, j_g)
-    a = seg(crank, act, j_a)
-    b = seg(coupler, j_a, j_b)
-    c = seg(rocker, j_g, j_b)
-    if min(g, a, b, c) <= 0.0:
+def _loop_sides(m: Mechanism, loop: tuple[Joint, Joint, Joint, Joint]) -> tuple[tuple[str, str, str], ...]:
+    act, j_a, j_b, j_g = loop
+    crank = act.other(m.ground)
+    coupler, rocker = j_a.other(crank), j_g.other(m.ground)
+    return tuple((lid, _marker_on(j1, lid), _marker_on(j2, lid))
+                 for lid, j1, j2 in ((m.ground, act, j_g), (crank, act, j_a),
+                                     (coupler, j_a, j_b), (rocker, j_g, j_b)))
+
+
+def fourbar_sides(m: Mechanism) -> tuple[tuple[str, str, str], ...] | None:
+    """(link, marker, marker) of the ground, crank, coupler and rocker sides of
+    a mechanism that is exactly one four-bar loop, by topology alone; else None.
+    A side's length is the distance between its two markers."""
+    loop = _fourbar_loop(m)
+    return None if loop is None else _loop_sides(m, loop)
+
+
+def fourbar_lengths_valid(lengths: tuple[float, ...]) -> bool:
+    """Whether side lengths (g, a, b, c) make a `FourBar`: all positive and
+    finite, the longest shorter than the sum of the other three."""
+    return (all(x > 0.0 and math.isfinite(x) for x in lengths)
+            and max(lengths) < sum(lengths) - max(lengths))
+
+
+def as_fourbar(m: Mechanism) -> FourBarView | None:
+    """Recognize a mechanism that is exactly one four-bar loop, else None."""
+    loop = _fourbar_loop(m)
+    if loop is None:
         return None
-    try:
-        fb = FourBar(g, a, b, c)
-    except ValueError:
+    sides = _loop_sides(m, loop)
+    lengths = tuple((m.link(lid).marker(m2) - m.link(lid).marker(m1)).norm() for lid, m1, m2 in sides)
+    if not fourbar_lengths_valid(lengths):
         return None
-    return FourBarView(fb, m.ground, crank, coupler, rocker, act.id, j_a.id, j_b.id, j_g.id)
+    return FourBarView(FourBar(*lengths), *(lid for lid, _, _ in sides), *(j.id for j in loop))
 
 
 def scale_mechanism(m: Mechanism, factor: float) -> Mechanism:

@@ -3,11 +3,21 @@
 Global search by differential evolution (rand/1/bin, F=0.7, CR=0.9) over a
 bounded parameter box mapped onto a fixed mechanism topology, followed by a
 Nelder-Mead polish of the best candidate. Fully deterministic given the seed.
+
+The trial vectors of one generation are independent, so each generation (and
+the initial population) is costed in one `population_costs` call: the design
+space maps the (B, dim) block of candidates onto a marker table of the
+template, the dyad plan sweeps all B mechanisms at once, and the gait series
+and metrics run along the sample axis of (B, N) arrays. `objective` is the
+one-row case of that call, so the polish costs a point with the same
+arithmetic. Templates the dyad plan cannot decompose are swept row by row
+with Newton.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -19,10 +29,17 @@ from .errors import (
     GaitError,
     SynthesisError,
 )
-from .gait import gait_from_pose_arrays, gait_metrics
+from .gait import gait_from_pose_arrays, stroke_phases, wingbeat_series
 from .geometry import Point2
-from .kinematics import DEFAULT_SETTINGS, SolveSettings, sweep_arrays, transmission_angle_series
-from .mechanism import CompliantHinge, Joint, Link, Mechanism, as_fourbar, mobility
+from .kinematics import (
+    DEFAULT_SETTINGS,
+    Markers,
+    SolveSettings,
+    marker_table,
+    sweep_arrays,
+    transmission_angle_series,
+)
+from .mechanism import CompliantHinge, Mechanism, as_fourbar, mobility
 
 ASSEMBLY_FAILURE_COST = 1.0e6
 METRIC_FAILURE_COST = 1.0e5
@@ -85,18 +102,34 @@ class DesignSpace:
         hi = np.array([p.upper for p in self.parameters])
         return lo, hi
 
-    def apply(self, x: np.ndarray) -> Mechanism:
-        """Instantiate the template with parameter vector x."""
-        link_edits: dict[str, dict[str, dict[str, float]]] = {}
-        joint_edits: dict[str, dict[str, float]] = {}
-        for p, v in zip(self.parameters, x):
+    @cached_property
+    def _edits(self) -> tuple[dict, dict]:
+        """The parameter paths as columns: link id -> marker -> component ->
+        column, and joint id -> field -> column. Paths naming a link or joint
+        the template lacks are kept and ignored; a path that cannot be
+        followed raises SynthesisError."""
+        link_edits: dict[str, dict[str, dict[str, int]]] = {}
+        joint_edits: dict[str, dict[str, int]] = {}
+        for i, p in enumerate(self.parameters):
             parts = p.name.split(".")
             if parts[0] == "link" and len(parts) == 5 and parts[2] == "marker":
-                link_edits.setdefault(parts[1], {}).setdefault(parts[3], {})[parts[4]] = float(v)
+                link_edits.setdefault(parts[1], {}).setdefault(parts[3], {})[parts[4]] = i
             elif parts[0] == "joint" and len(parts) == 3 and parts[2] in ("stiffness", "rest_angle"):
-                joint_edits.setdefault(parts[1], {})[parts[2]] = float(v)
+                joint_edits.setdefault(parts[1], {})[parts[2]] = i
             else:
                 raise SynthesisError(f"unknown parameter path {p.name!r}", code="BAD_PARAMETER")
+        for l in self.template.links:
+            for mname in link_edits.get(l.id, {}):
+                if mname not in l.markers:
+                    raise SynthesisError(f"link {l.id!r} has no marker {mname!r}", code="BAD_PARAMETER")
+        for j in self.template.joints:
+            if j.id in joint_edits and not isinstance(j.kind, CompliantHinge):
+                raise SynthesisError(f"joint {j.id!r} is not a compliant hinge", code="BAD_PARAMETER")
+        return link_edits, joint_edits
+
+    def apply(self, x: np.ndarray) -> Mechanism:
+        """Instantiate the template with parameter vector x."""
+        link_edits, joint_edits = self._edits
         links = []
         for l in self.template.links:
             edits = link_edits.get(l.id)
@@ -105,21 +138,48 @@ class DesignSpace:
                 continue
             markers = dict(l.markers)
             for mname, comps in edits.items():
-                if mname not in markers:
-                    raise SynthesisError(f"link {l.id!r} has no marker {mname!r}", code="BAD_PARAMETER")
                 old = markers[mname]
-                markers[mname] = Point2(comps.get("x", old.x), comps.get("y", old.y))
+                markers[mname] = Point2(float(x[comps["x"]]) if "x" in comps else old.x,
+                                        float(x[comps["y"]]) if "y" in comps else old.y)
             links.append(replace(l, markers=markers))
-        joints = []
+        joints = tuple(replace(j, kind=replace(j.kind, **{f: float(x[i]) for f, i in edits.items()}))
+                       if (edits := joint_edits.get(j.id)) else j for j in self.template.joints)
+        return replace(self.template, links=tuple(links), joints=joints)
+
+    def admissible(self, X: np.ndarray) -> np.ndarray:
+        """Rows of X (B, dim) that `apply` accepts: finite marker coordinates,
+        positive finite hinge stiffnesses, finite rest angles."""
+        link_edits, joint_edits = self._edits
+        ok = np.ones(len(X), dtype=bool)
+        for l in self.template.links:
+            for comps in link_edits.get(l.id, {}).values():
+                for comp in ("x", "y"):
+                    if comp in comps:
+                        ok &= np.isfinite(X[:, comps[comp]])
         for j in self.template.joints:
-            edits = joint_edits.get(j.id)
-            if not edits:
-                joints.append(j)
-                continue
-            if not isinstance(j.kind, CompliantHinge):
-                raise SynthesisError(f"joint {j.id!r} is not a compliant hinge", code="BAD_PARAMETER")
-            joints.append(replace(j, kind=replace(j.kind, **edits)))
-        return replace(self.template, links=tuple(links), joints=tuple(joints))
+            edits = joint_edits.get(j.id, {})
+            if "stiffness" in edits:
+                k = X[:, edits["stiffness"]]
+                ok &= (k > 0.0) & np.isfinite(k)
+            if "rest_angle" in edits:
+                ok &= np.isfinite(X[:, edits["rest_angle"]])
+        return ok
+
+    def markers(self, X: np.ndarray) -> Markers:
+        """Marker table of the B mechanisms `apply` builds from the rows of X
+        (B, dim), without building them: edited coordinates are columns of X."""
+        table = marker_table(self.template)
+
+        def column(i):  # a float when there is one row: all rows agree
+            return X[:, i, None] if len(X) > 1 else float(X[0, i])
+
+        for lid, edits in self._edits[0].items():
+            for mname, comps in edits.items():
+                if (lid, mname) in table:
+                    x, y = table[lid, mname]
+                    table[lid, mname] = (column(comps["x"]) if "x" in comps else x,
+                                         column(comps["y"]) if "y" in comps else y)
+        return table
 
 
 @dataclass(frozen=True)
@@ -132,52 +192,73 @@ class SynthesisResult:
     seed: int
 
 
-def _evaluate_candidate(space: DesignSpace, spec: GaitSpec, x: np.ndarray,
-                        samples: int, settings: SolveSettings):
-    """(cost, metrics or None) for one parameter vector."""
-    try:
-        m = space.apply(x)
-    except (ValueError, SynthesisError):
-        return ASSEMBLY_FAILURE_COST + 1.0, None
+def _positive_part(v: np.ndarray) -> np.ndarray:
+    """max(0.0, v) elementwise, as Python's max does it: NaN gives 0."""
+    return np.where(v > 0.0, v, 0.0)
+
+
+def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
+                     samples: int = OBJECTIVE_SAMPLES,
+                     settings: SolveSettings = DEFAULT_SETTINGS) -> np.ndarray:
+    """Synthesis cost of every row of X (B, dim) in one array pass.
+
+    All B candidates are swept together (`sweep_arrays` with their marker
+    table), then their gait series and metrics are taken along the sample
+    axis. A row's cost depends on that row alone. Failures come back as large
+    finite penalties: 1e6 + 1 for a candidate that cannot be built, 1e6 + 1 -
+    k/N for a sweep that fails at sample k of N, 1e5 for a degenerate gait
+    (no reach, shoulder on the wingtip, or no stroke reversal).
+    """
+    if samples < 8:
+        raise ValueError("need >= 8 samples for metrics")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    costs = np.full(len(X), ASSEMBLY_FAILURE_COST + 1.0)
+    m = space.template
     thetas = 2.0 * math.pi * np.arange(samples) / samples
     try:
-        pa = sweep_arrays(m, thetas, settings)
+        rows = np.flatnonzero(space.admissible(X))
+        if not len(rows):
+            return costs
+        pb = sweep_arrays(m, thetas, settings, markers=space.markers(X[rows]))
     except (FlapkinError, np.linalg.LinAlgError):
-        return ASSEMBLY_FAILURE_COST + 1.0, None
-    if pa.failed_at is not None:
-        frac = 1.0 - pa.failed_at / samples
-        return ASSEMBLY_FAILURE_COST + frac, None
-    try:
-        t = np.arange(samples) / samples
-        gt = gait_from_pose_arrays(m, pa, 1.0, t)
-        mu = None
-        if space.transmission_joints:
-            mu = np.minimum.reduce([transmission_angle_series(m, pa, jid)
-                                    for jid in space.transmission_joints])
-        metrics = gait_metrics(gt, mu)
-    except GaitError:
-        return METRIC_FAILURE_COST, None
-
-    cost = 0.0
+        return costs
+    cost = ASSEMBLY_FAILURE_COST + (1.0 - pb.failed_at / samples)
+    closed = pb.failed_at == samples
+    plunge, extension, area, lo, hi = wingbeat_series(
+        pb.marker_world(m.wingtip), pb.marker_world(m.shoulder),
+        [pb.marker_world(ref) for ref in m.wing_polygon])
+    up = stroke_phases(plunge) > 0
+    down = ~up
+    degenerate = (hi[:, 0] <= 0.0) | (lo[:, 0] < 1e-12) | up.all(axis=-1) | down.all(axis=-1)
+    # mean areas row by row: a masked sum along the axis rounds differently
+    # from numpy's pairwise sum of the selected samples
+    ratio = np.zeros(len(area))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b in np.flatnonzero(closed & ~degenerate).tolist():
+            ratio[b] = area[b][up[b]].mean() / area[b][down[b]].mean()
+    metric = 0.0
     w = spec.weights
-    cost += w.get("plunge_amplitude", 0.0) * (metrics.plunge_amplitude - spec.plunge_amplitude) ** 2
-    lo, hi = metrics.extension_range
-    cost += w.get("extension_min", 0.0) * (lo - spec.extension_range[0]) ** 2
-    cost += w.get("extension_max", 0.0) * (hi - spec.extension_range[1]) ** 2
+    metric += w.get("plunge_amplitude", 0.0) * (0.5 * (plunge.max(axis=-1) - plunge.min(axis=-1))
+                                                - spec.plunge_amplitude) ** 2
+    metric += w.get("extension_min", 0.0) * (extension.min(axis=-1) - spec.extension_range[0]) ** 2
+    metric += w.get("extension_max", 0.0) * (extension.max(axis=-1) - spec.extension_range[1]) ** 2
     # hard constraints as graded penalties; scaled by the largest weight so the
     # whole cost is homogeneous of degree one in the weights
     pen = PENALTY * max(w.values())
-    cost += pen * max(0.0, metrics.area_ratio_up_down - spec.area_ratio_max)
-    if metrics.min_transmission_angle is not None:
-        cost += pen * max(0.0, spec.min_transmission_angle - metrics.min_transmission_angle)
-    return cost, metrics
+    metric += pen * _positive_part(ratio - spec.area_ratio_max)
+    if space.transmission_joints:
+        mu = np.minimum.reduce([pb.transmission_angles(m, jid) for jid in space.transmission_joints])
+        metric += pen * _positive_part(spec.min_transmission_angle - mu.min(axis=-1))
+    cost[closed] = np.where(degenerate, METRIC_FAILURE_COST, metric)[closed]
+    costs[rows] = cost
+    return costs
 
 
 def objective(x: np.ndarray, space: DesignSpace, spec: GaitSpec,
               samples: int = OBJECTIVE_SAMPLES,
               settings: SolveSettings = DEFAULT_SETTINGS) -> float:
-    """Scalar synthesis cost; failures come back as large finite penalties."""
-    return _evaluate_candidate(space, spec, np.asarray(x, dtype=float), samples, settings)[0]
+    """Scalar synthesis cost: the one-row case of `population_costs`."""
+    return float(population_costs(space, spec, np.asarray(x, dtype=float)[None], samples, settings)[0])
 
 
 def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
@@ -195,28 +276,22 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
     rng = np.random.default_rng(seed)
     evals = 0
 
-    def cost_of(x):
-        return objective(x, space, spec, samples, settings)
-
-    def eval_population(xs):
-        nonlocal evals
-        evals += len(xs)
-        return [cost_of(x) for x in xs]
-
     pop = lo + rng.random((pop_size, dim)) * (hi - lo)
-    costs = np.array(eval_population(pop))
+    costs = population_costs(space, spec, pop, samples, settings)
+    evals += pop_size
+    others = [np.delete(np.arange(pop_size), i) for i in range(pop_size)]
     f_weight, crossover = 0.7, 0.9
     while evals + pop_size <= budget:
         trials = np.empty_like(pop)
         for i in range(pop_size):
-            choices = [j for j in range(pop_size) if j != i]
-            r1, r2, r3 = rng.choice(choices, size=3, replace=False)
+            r1, r2, r3 = rng.choice(others[i], size=3, replace=False)
             mutant = pop[r1] + f_weight * (pop[r2] - pop[r3])
             mutant = np.clip(mutant, lo, hi)
             cross = rng.random(dim) < crossover
             cross[rng.integers(dim)] = True
             trials[i] = np.where(cross, mutant, pop[i])
-        trial_costs = np.array(eval_population(list(trials)))
+        trial_costs = population_costs(space, spec, trials, samples, settings)
+        evals += pop_size
         better = trial_costs <= costs
         pop[better] = trials[better]
         costs[better] = trial_costs[better]
@@ -230,7 +305,7 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
     def polished(x):
         nonlocal polish_evals, best_x, best_cost
         polish_evals += 1
-        c = cost_of(np.clip(x, lo, hi))
+        c = objective(np.clip(x, lo, hi), space, spec, samples, settings)
         if c < best_cost:
             best_cost, best_x = c, np.clip(np.asarray(x, dtype=float), lo, hi)
         return c

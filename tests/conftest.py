@@ -99,6 +99,34 @@ def two_hinge_chain(k1: float = 0.12, k2: float = 0.12,
     return Mechanism((ground, upper, fore), joints, "ground")
 
 
+def triad_eight_bar() -> Mechanism:
+    """Crank, a class-III Assur group (ternary link "t" held by three binary
+    links) and a dyad hung on it. Every link frame is the world frame at
+    crank angle 0, so local markers are the world points of that pose."""
+    P = Point2
+    links = (
+        Link("ground", {"origin": P(0, 0), "g1": P(4, -1), "g2": P(6, 1), "g3": P(8, 3)},
+             LinkRole.GROUND),
+        Link("crank", {"origin": P(0, 0), "tip": P(1, 0)}, LinkRole.CRANK),
+        Link("t", {"origin": P(0, 0), "p": P(3.5, 2), "q": P(5.5, 3), "r": P(2.5, 3.5),
+                   "s": P(4.5, 4.5)}),
+        Link("l1", {"origin": P(0, 0), "a": P(4, -1), "b": P(3.5, 2)}),
+        Link("l2", {"origin": P(0, 0), "a": P(6, 1), "b": P(5.5, 3)}),
+        Link("l3", {"origin": P(0, 0), "a": P(1, 0), "b": P(2.5, 3.5)}),
+        Link("d1", {"origin": P(0, 0), "a": P(4.5, 4.5), "b": P(7, 5.5)}),
+        Link("d2", {"origin": P(0, 0), "a": P(8, 3), "b": P(7, 5.5)}),
+    )
+    joints = (
+        Joint("j_crank", "ground", "origin", "crank", "origin", actuated=True),
+        Joint("j1", "ground", "g1", "l1", "a"), Joint("j2", "l1", "b", "t", "p"),
+        Joint("j3", "ground", "g2", "l2", "a"), Joint("j4", "l2", "b", "t", "q"),
+        Joint("j5", "crank", "tip", "l3", "a"), Joint("j6", "l3", "b", "t", "r"),
+        Joint("j7", "t", "s", "d1", "a"), Joint("j8", "d1", "b", "d2", "b"),
+        Joint("j9", "d2", "a", "ground", "g3"),
+    )
+    return Mechanism(links, joints, "ground")
+
+
 def recovery_space(noise: float = 0.0):
     """Hidden-mechanism recovery setup: (space, spec, hidden x) for synthesis.
 

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flapkin.errors import GaitError, NoStrokeReversalError
 from flapkin.gait import (
     GaitTrajectory,
+    _contiguous_runs,
     gait_metrics,
     generate_gait,
     plunge_angle,
@@ -184,6 +187,46 @@ class TestStrokePhases:
         assert set(np.unique(sign)) <= {-1, 1}
         flips = int((sign != np.roll(sign, 1)).sum())
         assert flips == 2
+
+
+def loop_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, length) of every True run in a periodic boolean series, found
+    by walking the series twice over."""
+    n = len(mask)
+    if mask.all():
+        return [(0, n)]
+    doubled = np.concatenate([mask, mask])
+    runs = []
+    i = 0
+    while i < n:
+        if doubled[i] and not doubled[i - 1 if i > 0 else n - 1]:
+            j = i
+            while j < 2 * n and doubled[j]:
+                j += 1
+            runs.append((i, j - i))
+            i = j
+        else:
+            i += 1
+    return runs
+
+
+class TestContiguousRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=64))
+    def test_matches_loop(self, bits):
+        mask = np.array(bits)
+        assert _contiguous_runs(mask) == loop_runs(mask)
+
+    @pytest.mark.parametrize("bits, runs", [
+        ([True] * 5, [(0, 5)]),
+        ([False] * 5, []),
+        ([True, False, False, True, True], [(3, 3)]),           # wraps past the end
+        ([True, True, False, True, False, True], [(3, 1), (5, 3)]),
+        ([False, True, True, False], [(1, 2)]),
+    ])
+    def test_edge_cases(self, bits, runs):
+        mask = np.array(bits)
+        assert _contiguous_runs(mask) == runs == loop_runs(mask)
 
 
 class TestRetraction:

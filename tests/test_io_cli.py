@@ -230,6 +230,32 @@ class TestCli:
         assert code == 1
         assert err.startswith("E_FORMAT PARSE_ERROR")
 
+    @pytest.mark.parametrize("broken, error", [("space", "SCHEMA_ERROR"), ("spec", "SCHEMA_ERROR"),
+                                               ("parameter", "SCHEMA_ERROR"), ("json", "PARSE_ERROR")])
+    def test_synthesize_format_error(self, tmp_path, broken, error):
+        from flapkin.mechanism import FourBar, fourbar_mechanism
+
+        space_doc = {
+            "template": mechanism_to_doc(fourbar_mechanism(FourBar(6, 2, 5, 5))),
+            "parameters": [{"name": "link.crank.marker.tip.x", "lower": 1.6, "upper": 2.4}],
+        }
+        spec_doc = {"plunge_amplitude_rad": 0.3, "extension_range": [0.5, 1.0]}
+        if broken == "space":
+            space_doc = {}
+        elif broken == "spec":
+            spec_doc = {}
+        elif broken == "parameter":
+            del space_doc["parameters"][0]["lower"]
+        space_p, spec_p = tmp_path / "space.json", tmp_path / "spec.json"
+        space_p.write_text(json.dumps(space_doc)[:-1] if broken == "json" else json.dumps(space_doc))
+        spec_p.write_text(json.dumps(spec_doc))
+        code, _, err = run_cli(["synthesize", str(space_p), str(spec_p), "--budget", "60",
+                                "--seed", "1", "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"E_FORMAT {error}")
+
     def test_synthesize_deterministic_output(self, tmp_path):
         from flapkin.gait import gait_metrics
         from flapkin.geometry import Point2

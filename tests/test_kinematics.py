@@ -30,7 +30,7 @@ from flapkin.kinematics import (
 )
 from flapkin.mechanism import FourBar, Joint, Link, LinkRole, Mechanism, fourbar_mechanism
 
-from conftest import random_crank_rocker
+from conftest import random_crank_rocker, triad_eight_bar
 
 # law-of-cosines oracle for (6, 2, 5, 5) at theta = 0: d = 4,
 # beta = arccos((c^2 + d^2 - b^2) / (2cd)) = arccos(0.4), rocker = pi - beta
@@ -333,34 +333,6 @@ def shipped_params(m) -> ArmwingParams:
         forearm_len=mk("forearm", "tip").x, trail=mk("ground", "trail"))
 
 
-def triad_eight_bar() -> Mechanism:
-    """Crank, a class-III Assur group (ternary link "t" held by three binary
-    links) and a dyad hung on it. Every link frame is the world frame at
-    crank angle 0, so local markers are the world points of that pose."""
-    P = Point2
-    links = (
-        Link("ground", {"origin": P(0, 0), "g1": P(4, -1), "g2": P(6, 1), "g3": P(8, 3)},
-             LinkRole.GROUND),
-        Link("crank", {"origin": P(0, 0), "tip": P(1, 0)}, LinkRole.CRANK),
-        Link("t", {"origin": P(0, 0), "p": P(3.5, 2), "q": P(5.5, 3), "r": P(2.5, 3.5),
-                   "s": P(4.5, 4.5)}),
-        Link("l1", {"origin": P(0, 0), "a": P(4, -1), "b": P(3.5, 2)}),
-        Link("l2", {"origin": P(0, 0), "a": P(6, 1), "b": P(5.5, 3)}),
-        Link("l3", {"origin": P(0, 0), "a": P(1, 0), "b": P(2.5, 3.5)}),
-        Link("d1", {"origin": P(0, 0), "a": P(4.5, 4.5), "b": P(7, 5.5)}),
-        Link("d2", {"origin": P(0, 0), "a": P(8, 3), "b": P(7, 5.5)}),
-    )
-    joints = (
-        Joint("j_crank", "ground", "origin", "crank", "origin", actuated=True),
-        Joint("j1", "ground", "g1", "l1", "a"), Joint("j2", "l1", "b", "t", "p"),
-        Joint("j3", "ground", "g2", "l2", "a"), Joint("j4", "l2", "b", "t", "q"),
-        Joint("j5", "crank", "tip", "l3", "a"), Joint("j6", "l3", "b", "t", "r"),
-        Joint("j7", "t", "s", "d1", "a"), Joint("j8", "d1", "b", "d2", "b"),
-        Joint("j9", "d2", "a", "ground", "g3"),
-    )
-    return Mechanism(links, joints, "ground")
-
-
 def coincidence_residual(m, pa) -> float:
     worst = 0.0
     for j in m.joints:
@@ -395,6 +367,16 @@ class TestDyadPlan:
     def test_fourbars_take_the_dyad_path(self, fb):
         pa = sweep_arrays(fourbar_mechanism(fb), np.linspace(0, 2 * math.pi, 64))
         assert pa.solver == "dyad" and pa.failed_at is None
+
+    def test_coincident_pivots_ignore_the_branch(self, fb_mech):
+        # ground length zero: not a FourBar, so both requests start on the same root
+        m = dataclasses.replace(fb_mech, links=tuple(
+            dataclasses.replace(l, markers={**l.markers, "tip": Point2(0.0, 0.0)}) if l.id == "ground" else l
+            for l in fb_mech.links))
+        thetas = np.linspace(0, 2 * math.pi, 32)
+        a, b = (sweep_arrays(m, thetas, branch=br) for br in (Branch.OPEN, Branch.CROSSED))
+        assert a.failed_at is None and a.branch is None and b.branch is None
+        assert np.array_equal(a.origins, b.origins)
 
     def test_shipped_armwing_takes_the_dyad_path(self, armwing):
         assert sweep_arrays(armwing, np.linspace(0, 1, 8)).solver == "dyad"

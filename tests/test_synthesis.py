@@ -7,22 +7,31 @@ import math
 import numpy as np
 import pytest
 
-from flapkin.designs import ARMWING_TRANSMISSION_JOINTS
-from flapkin.errors import BudgetTooSmallError, EmptyDesignSpaceError
+from flapkin.designs import ARMWING_TRANSMISSION_JOINTS, two_stage_armwing
+from flapkin.errors import (
+    BudgetTooSmallError,
+    EmptyDesignSpaceError,
+    FlapkinError,
+    GaitError,
+    SynthesisError,
+)
 from flapkin.fileio import serialize_mechanism
-from flapkin.gait import gait_metrics, generate_gait
-from flapkin.kinematics import transmission_angle_series
+from flapkin.gait import gait_from_pose_arrays, gait_metrics, generate_gait
+from flapkin.kinematics import sweep_arrays, transmission_angle_series
 from flapkin.mechanism import FourBar, fourbar_mechanism
 from flapkin.synthesis import (
+    OBJECTIVE_SAMPLES,
+    PENALTY,
     DesignSpace,
     GaitSpec,
     Parameter,
     feasibility_report,
     objective,
+    population_costs,
     synthesize,
 )
 
-from conftest import recovery_space
+from conftest import recovery_space, triad_eight_bar
 
 
 class TestObjective:
@@ -72,6 +81,120 @@ class TestObjective:
                 assert c2 == c1
             else:
                 assert c2 == 2.0 * c1
+
+
+def oracle_cost(space: DesignSpace, spec: GaitSpec, x: np.ndarray,
+                samples: int = OBJECTIVE_SAMPLES) -> float:
+    """One candidate at a time through the mechanism it builds: `apply`, a
+    sweep, the gait of that sweep and its metrics, summed term by term."""
+    try:
+        m = space.apply(x)
+    except (ValueError, SynthesisError):
+        return 1.0e6 + 1.0
+    thetas = 2.0 * math.pi * np.arange(samples) / samples
+    try:
+        pa = sweep_arrays(m, thetas)
+    except (FlapkinError, np.linalg.LinAlgError):
+        return 1.0e6 + 1.0
+    if pa.failed_at is not None:
+        return 1.0e6 + (1.0 - pa.failed_at / samples)
+    try:
+        gt = gait_from_pose_arrays(m, pa, 1.0, np.arange(samples) / samples)
+        mu = None
+        if space.transmission_joints:
+            mu = np.minimum.reduce([transmission_angle_series(m, pa, jid)
+                                    for jid in space.transmission_joints])
+        mts = gait_metrics(gt, mu)
+    except GaitError:
+        return 1.0e5
+    w = spec.weights
+    cost = w.get("plunge_amplitude", 0.0) * (mts.plunge_amplitude - spec.plunge_amplitude) ** 2
+    cost += w.get("extension_min", 0.0) * (mts.extension_range[0] - spec.extension_range[0]) ** 2
+    cost += w.get("extension_max", 0.0) * (mts.extension_range[1] - spec.extension_range[1]) ** 2
+    pen = PENALTY * max(w.values())
+    cost += pen * max(0.0, mts.area_ratio_up_down - spec.area_ratio_max)
+    if mts.min_transmission_angle is not None:
+        cost += pen * max(0.0, spec.min_transmission_angle - mts.min_transmission_angle)
+    return cost
+
+
+def widened(lo: float, hi: float) -> DesignSpace:
+    """The recovery space with its box at [lo, hi] times the hidden values."""
+    space, _, x_hidden = recovery_space()
+    return dataclasses.replace(space, parameters=tuple(
+        Parameter(p.name, lo * v, hi * v) for p, v in zip(space.parameters, x_hidden)))
+
+
+def armwing_space(extra: tuple[Parameter, ...] = ()) -> tuple[DesignSpace, GaitSpec]:
+    """Five marker coordinates of the shipped armwing, +-25% around their values."""
+    m = two_stage_armwing()
+    names = ("link.crank.marker.tip.x", "link.coupler1.marker.b_pin.x",
+             "link.humerus.marker.elbow.x", "link.coupler2.marker.tip.x",
+             "link.forearm.marker.d_pin.y")
+    params = []
+    for name in names:
+        _, lid, _, marker, axis = name.split(".")
+        v = getattr(m.link(lid).marker(marker), axis)  # all positive
+        params.append(Parameter(name, 0.75 * v, 1.25 * v))
+    gt = generate_gait(m, 1.0, OBJECTIVE_SAMPLES)
+    mts = gait_metrics(gt)
+    spec = GaitSpec(plunge_amplitude=mts.plunge_amplitude, extension_range=mts.extension_range,
+                    area_ratio_max=mts.area_ratio_up_down)
+    return DesignSpace(m, tuple(params) + extra, ARMWING_TRANSMISSION_JOINTS), spec
+
+
+def population_cases():
+    space, spec, _ = recovery_space()
+    arm, arm_spec = armwing_space()
+    return {"recovery": (space, spec), "wide": (widened(0.6, 1.5), spec),
+            "armwing": (arm, arm_spec)}
+
+
+class TestPopulationCosts:
+    @pytest.mark.parametrize("case", ["recovery", "wide", "armwing"])
+    def test_rows_match_objective_and_oracle(self, case):
+        space, spec = population_cases()[case]
+        lo, hi = space.bounds()
+        X = lo + np.random.default_rng(17).random((60, space.dim)) * (hi - lo)
+        costs = population_costs(space, spec, X)
+        # a row's cost is the one-row call on it, bit for bit, whatever else is in the batch
+        assert [objective(x, space, spec) for x in X] == costs.tolist()
+        assert np.array_equal(population_costs(space, spec, X[::-1])[::-1], costs)
+        assert np.array_equal(population_costs(space, spec, X[7:9]), costs[7:9])
+        want = np.array([oracle_cost(space, spec, x) for x in X])
+        failed = want >= 1e5
+        assert np.array_equal(costs[failed], want[failed])
+        np.testing.assert_allclose(costs[~failed], want[~failed], rtol=1e-12, atol=0.0)
+        if case == "wide":
+            assert failed.any() and not failed.all()
+
+    def test_nonpositive_stiffness_cannot_be_built(self):
+        space, spec = armwing_space((Parameter("joint.j_b.stiffness", -0.05, 0.05),))
+        lo, hi = space.bounds()
+        X = lo + np.random.default_rng(3).random((40, space.dim)) * (hi - lo)
+        X[0, -1] = 0.0
+        costs = population_costs(space, spec, X)
+        bad = X[:, -1] <= 0.0
+        assert bad.any() and not bad.all()
+        assert np.all(costs[bad] == 1.0e6 + 1.0)
+        want = np.array([oracle_cost(space, spec, x) for x in X[~bad]])
+        np.testing.assert_allclose(costs[~bad], want, rtol=1e-12, atol=0.0)
+
+    def test_triad_template_takes_newton_rows(self):
+        m = dataclasses.replace(triad_eight_bar(), shoulder=("ground", "origin"), wingtip=("d1", "b"),
+                                wing_polygon=(("ground", "origin"), ("t", "s"), ("d1", "b")))
+        space = DesignSpace(m, (Parameter("link.crank.marker.tip.x", 0.5, 0.7),
+                                Parameter("link.d1.marker.b.y", 5.3, 5.7)))
+        spec = GaitSpec(plunge_amplitude=0.1, extension_range=(0.8, 1.0))
+        lo, hi = space.bounds()
+        X = lo + np.random.default_rng(8).random((4, space.dim)) * (hi - lo)
+        thetas = 2.0 * math.pi * np.arange(OBJECTIVE_SAMPLES) / OBJECTIVE_SAMPLES
+        assert sweep_arrays(m, thetas, markers=space.markers(X)).solver == "newton"
+        costs = population_costs(space, spec, X)
+        assert [objective(x, space, spec) for x in X] == costs.tolist()
+        want = np.array([oracle_cost(space, spec, x) for x in X])
+        assert np.all(want < 1e5)
+        np.testing.assert_allclose(costs, want, rtol=1e-12, atol=0.0)
 
 
 class TestSynthesize:
