@@ -29,10 +29,6 @@ def _read_mechanism(path: str) -> Mechanism:
     return parse_mechanism(Path(path).read_bytes())
 
 
-def _angle(value: float, deg: bool) -> float:
-    return math.radians(value) if deg else value
-
-
 def _gait_for(m: Mechanism, period: float, samples: int, tolerance: float):
     settings = SolveSettings(tolerance=tolerance)
     return generate_gait(m, period, samples, settings)
@@ -50,6 +46,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.steps < 8:  # the gait's own minimum, named by this command's option
+        raise ValueError(f"--steps must be >= 8, got {args.steps}")
     m = _read_mechanism(args.mechanism)
     gt = _gait_for(m, args.period, args.steps, args.tol)
     sys.stdout.write(trajectory_csv(gt))
@@ -58,6 +56,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_gait(args) -> int:
     m = _read_mechanism(args.mechanism)
+    if unknown := sorted(set(args.transmission_joint) - {j.id for j in m.joints}):
+        raise ValueError(f"--transmission-joint {unknown[0]!r}: no such joint in {args.mechanism}")
     gt = _gait_for(m, args.period, args.samples, args.tol)
     sys.stdout.write(trajectory_csv(gt))
     if args.metrics or args.metrics_out:
@@ -83,7 +83,7 @@ def cmd_gait(args) -> int:
 
 def _load_doc(path: str, build):
     """build(doc) for the JSON document at path. Malformed JSON is a
-    ParseError, a missing or mistyped field a SchemaError."""
+    ParseError; a missing, mistyped or out-of-range field a SchemaError."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -92,7 +92,7 @@ def _load_doc(path: str, build):
         return build(doc)
     except KeyError as e:
         raise SchemaError(f"{path}: missing field {e}") from e
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, ValueError) as e:
         raise SchemaError(f"{path}: {e}") from e
 
 

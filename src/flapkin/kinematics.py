@@ -2,11 +2,11 @@
 
 A mechanism is compiled into a dyad plan: place the crank, then solve each RR
 dyad (two links sharing a pin, each pinned once to a link already placed) by
-circle intersection, for all crank angles at once. Along a sweep every dyad
-keeps one of its two roots by continuation; the four-bar is the one-dyad
-case. Chains the plan cannot decompose (triads) fall back to damped Newton
-iteration on the stacked joint-coincidence residuals, seeded step by step
-with the previous solution, and `assemble` always polishes with Newton.
+circle intersection, for all crank angles and all rows of a batch at once,
+each dyad keeping one of its two roots by continuation; the four-bar is the
+one-dyad case. Chains the plan cannot decompose (triads) fall back to damped
+Newton iteration on the stacked joint-coincidence residuals, seeded step by
+step with the previous solution, and `assemble` always polishes with Newton.
 
 The crank coordinate theta is the world orientation of the crank link frame,
 measured counter-clockwise; sweeps keep all angles unwrapped so they stay
@@ -356,10 +356,9 @@ def _place_steps(m: Mechanism, steps: list[_Step], markers: Markers, thetas: np.
 
 
 def _continue_roots(base, offset, n: int, s: float) -> list[float]:
-    """Root signs along a sweep: start on root s, then take the root nearest
-    the linear extrapolation of the joint's last two positions. At a near-tie
-    (a change point) that is the root whose step is closest to the previous
-    step. Plain floats: this is the one per-sample loop of a dyad sweep."""
+    """Root signs along a sweep: start on root s, then take the root nearest the linear
+    extrapolation of the joint's last two positions (at a change point, the root whose step
+    is closest to the previous step). Plain floats, for the rows `_follow_roots` passes on."""
     bx, by = base[0][:n].tolist(), base[1][:n].tolist()
     ox, oy = offset[0][:n].tolist(), offset[1][:n].tolist()
     signs = [s]
@@ -376,28 +375,38 @@ def _continue_roots(base, offset, n: int, s: float) -> list[float]:
     return signs
 
 
+def _follow_roots(base, offset, n_ok: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """`_continue_roots` of B rows from roots s, 1.0 past n_ok. The loop's test t (same float
+    ops) on each row's constant-sign path: a row it never flips keeps s; the rest run the loop."""
+    b, o = np.split(np.stack(np.broadcast_arrays(*base, *offset)), 2)  # (x, y) by (B, N)
+    s, k = s[:, None], np.arange(b.shape[-1])
+    p = b + s * o
+    v = np.zeros_like(p[..., 1:])  # the loop's last step: none before sample 1
+    v[..., 1:] = np.diff(p[..., :-1])
+    t = (o[..., 1:] * (p[..., :-1] + v - b[..., 1:])).sum(axis=0)  # ox * (..) + oy * (..)
+    switch = np.where(s > 0.0, ~(t >= 0.0), t > 0.0) & (k[1:] < n_ok[:, None])  # NaN: root -1
+    sign = np.where(k < n_ok[:, None], s, 1.0)
+    for r in np.flatnonzero(switch.any(axis=1)).tolist():
+        sign[r, :n_ok[r]] = _continue_roots(b[:, r], o[:, r], int(n_ok[r]), float(s[r, 0]))
+    return sign
+
+
 def _dyad_sweep_arrays(m: Mechanism, steps: list[_Step], markers: Markers, thetas: np.ndarray,
                        guess: Configuration | None, branch: Branch) -> PoseBatch:
     """Closed-form sweeps of the mechanisms of a marker table that share m's
-    dyad plan, all B rows in one pass; only root continuation runs per row."""
+    dyad plan, all B rows in one pass, root continuation included."""
     n = len(thetas)
     dyads = [st for st in steps if st.kind == "dyad"]
     sides = fourbar_sides(m)
     rows = _rows(markers)
-    if sides is None:
-        is_fourbar = [False] * rows
-    else:
-        lengths = np.hstack([np.broadcast_to(_local_length(markers, *side), (rows, 1)) for side in sides])
-        is_fourbar = [fourbar_lengths_valid(tuple(r)) for r in lengths.tolist()]
+    is_fourbar = np.zeros(rows, dtype=bool) if sides is None else fourbar_lengths_valid(np.hstack(
+        [np.broadcast_to(_local_length(markers, *side), (rows, 1)) for side in sides]))
     # sign of the open branch's root: the coupler-rocker triangle keeps its orientation
     open_sign = -1.0 if sides is not None and dyads[0].links[0] == sides[3][0] else 1.0
-    first = [0.0] * rows  # root sign each row's first dyad starts on; 0 if none
+    start = np.where(is_fourbar, open_sign if branch is Branch.OPEN else -open_sign, 1.0)
+    first = np.zeros(rows)  # root sign each row's first dyad starts on; 0 if none
 
     def start_sign(st: _Step, b: int, base, offset) -> float:
-        if guess is None:
-            if not is_fourbar[b]:
-                return 1.0
-            return open_sign if branch is Branch.OPEN else -open_sign
         g = guess.pose(st.links[0]).transform(m.link(st.links[0]).marker(st.shared[0]))
         bx, by, ox, oy = (float(base[0][b, 0]), float(base[1][b, 0]),
                           float(offset[0][b, 0]), float(offset[1][b, 0]))
@@ -412,14 +421,11 @@ def _dyad_sweep_arrays(m: Mechanism, steps: list[_Step], markers: Markers, theta
         return 1.0 if d_plus < d_minus else -1.0
 
     def pick(i, base, offset, n_ok):
-        sign = np.ones((rows, n))
-        for b in np.flatnonzero(n_ok).tolist():
-            s = start_sign(dyads[i], b, base, offset)
-            if i == 0:
-                first[b] = s
-            sign[b, :n_ok[b]] = _continue_roots((base[0][b], base[1][b]), (offset[0][b], offset[1][b]),
-                                                int(n_ok[b]), s)
-        return sign
+        s = start if guess is None else np.array(
+            [start_sign(dyads[i], b, base, offset) if n_ok[b] else 1.0 for b in range(rows)])
+        if i == 0:
+            first[:] = np.where(n_ok > 0, s, 0.0)
+        return _follow_roots(base, offset, n_ok, s)
 
     poses, ok = _place_steps(m, steps, markers, thetas, pick)
     ids = [m.ground, *m.moving_link_ids()]

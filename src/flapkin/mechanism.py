@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import DisconnectedError
 from .geometry import Point2
 
@@ -422,11 +424,13 @@ def fourbar_sides(m: Mechanism) -> tuple[tuple[str, str, str], ...] | None:
     return None if loop is None else _loop_sides(m, loop)
 
 
-def fourbar_lengths_valid(lengths: tuple[float, ...]) -> bool:
-    """Whether side lengths (g, a, b, c) make a `FourBar`: all positive and
-    finite, the longest shorter than the sum of the other three."""
-    return (all(x > 0.0 and math.isfinite(x) for x in lengths)
-            and max(lengths) < sum(lengths) - max(lengths))
+def fourbar_lengths_valid(lengths) -> np.ndarray:
+    """Whether side lengths (g, a, b, c) along the last axis make a `FourBar`: all
+    positive and finite, the longest shorter than the in-order sum of the rest."""
+    lengths = np.asarray(lengths, dtype=float)
+    longest, (g, a, b, c) = lengths.max(axis=-1), np.moveaxis(lengths, -1, 0)
+    with np.errstate(invalid="ignore"):
+        return (lengths > 0.0).all(axis=-1) & np.isfinite(longest) & (longest < g + a + b + c - longest)
 
 
 def as_fourbar(m: Mechanism) -> FourBarView | None:

@@ -8,10 +8,10 @@ The trial vectors of one generation are independent, so each generation (and
 the initial population) is costed in one `population_costs` call: the design
 space maps the (B, dim) block of candidates onto a marker table of the
 template, the dyad plan sweeps all B mechanisms at once, and the gait series
-and metrics run along the sample axis of (B, N) arrays. `objective` is the
-one-row case of that call, so the polish costs a point with the same
-arithmetic. Templates the dyad plan cannot decompose are swept row by row
-with Newton.
+and metrics run along the sample axis of (B, N) arrays; only a dyad root that
+switches at a change point is followed row by row. `objective` is the one-row
+case of that call, so the polish costs a point with the same arithmetic.
+Templates the dyad plan cannot decompose are swept row by row with Newton.
 """
 from __future__ import annotations
 
@@ -197,6 +197,20 @@ def _positive_part(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
+def _area_ratio(area: np.ndarray, up: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mean up over mean down area of the (B, N) series on the masked rows, 0.0
+    elsewhere. Rows with equal up count k form (rows, k) and (rows, N - k) blocks,
+    summed row-pairwise as `area[b][up[b]].mean()` does (a masked sum does not)."""
+    ratio = np.zeros(len(area))
+    counts = up.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in np.unique(counts[rows]).tolist():
+            g = np.flatnonzero(rows & (counts == k))
+            up_sum, down_sum = (np.add.reduce(area[g][u].reshape(len(g), -1), axis=-1) for u in (up[g], ~up[g]))
+            ratio[g] = (up_sum / k) / (down_sum / (area.shape[-1] - k))
+    return ratio
+
+
 def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
                      samples: int = OBJECTIVE_SAMPLES,
                      settings: SolveSettings = DEFAULT_SETTINGS) -> np.ndarray:
@@ -228,14 +242,8 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
         pb.marker_world(m.wingtip), pb.marker_world(m.shoulder),
         [pb.marker_world(ref) for ref in m.wing_polygon])
     up = stroke_phases(plunge) > 0
-    down = ~up
-    degenerate = (hi[:, 0] <= 0.0) | (lo[:, 0] < 1e-12) | up.all(axis=-1) | down.all(axis=-1)
-    # mean areas row by row: a masked sum along the axis rounds differently
-    # from numpy's pairwise sum of the selected samples
-    ratio = np.zeros(len(area))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for b in np.flatnonzero(closed & ~degenerate).tolist():
-            ratio[b] = area[b][up[b]].mean() / area[b][down[b]].mean()
+    degenerate = (hi[:, 0] <= 0.0) | (lo[:, 0] < 1e-12) | up.all(axis=-1) | ~up.any(axis=-1)
+    ratio = _area_ratio(area, up, closed & ~degenerate)
     metric = 0.0
     w = spec.weights
     metric += w.get("plunge_amplitude", 0.0) * (0.5 * (plunge.max(axis=-1) - plunge.min(axis=-1))

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flapkin.errors import MechanismValidationError, ParseError, SchemaError
 from flapkin.fileio import (
@@ -163,16 +165,22 @@ class TestCli:
         code, _, err = run_cli(["sweep", str(shipped_path), "--steps", "1"])
         assert code == 2
 
+    def test_sweep_steps_error_names_option(self, shipped_path):
+        code, _, err = run_cli(["sweep", str(shipped_path), "--steps", "3"])
+        assert code == 2
+        assert err.splitlines()[-1] == "flapkin: error: --steps must be >= 8, got 3"
+
     @pytest.mark.parametrize("argv", [
         ["aero", "--period", "0.1", "--freestream", "3", "--strips", "2"],
         ["aero", "--period", "0.1", "--freestream", "3", "--chord", "a,b"],
         ["aero", "--period", "0.1", "--freestream", "3", "--samples", "4"],
         ["gait", "--period", "-1", "--samples", "16"],
         ["gait", "--period", "0.1", "--samples", "16", "--tol", "0"],
+        ["gait", "--period", "0.1", "--samples", "16", "--metrics", "--transmission-joint", "nope"],
         ["sweep", "--steps", "3"],
         ["animate", "--frames", "0", "--out-dir", "frames"],
     ], ids=["aero --strips 2", "aero --chord a,b", "aero --samples 4", "gait --period -1",
-            "gait --tol 0", "sweep --steps 3", "animate --frames 0"])
+            "gait --tol 0", "gait --transmission-joint nope", "sweep --steps 3", "animate --frames 0"])
     def test_rejected_argument_usage_error(self, shipped_path, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli([argv[0], str(shipped_path), *argv[1:]])
@@ -231,7 +239,9 @@ class TestCli:
         assert err.startswith("E_FORMAT PARSE_ERROR")
 
     @pytest.mark.parametrize("broken, error", [("space", "SCHEMA_ERROR"), ("spec", "SCHEMA_ERROR"),
-                                               ("parameter", "SCHEMA_ERROR"), ("json", "PARSE_ERROR")])
+                                               ("parameter", "SCHEMA_ERROR"), ("json", "PARSE_ERROR"),
+                                               ("extension_range", "SCHEMA_ERROR"),
+                                               ("bounds", "SCHEMA_ERROR")])
     def test_synthesize_format_error(self, tmp_path, broken, error):
         from flapkin.mechanism import FourBar, fourbar_mechanism
 
@@ -246,6 +256,10 @@ class TestCli:
             spec_doc = {}
         elif broken == "parameter":
             del space_doc["parameters"][0]["lower"]
+        elif broken == "extension_range":  # GaitSpec rejects it
+            spec_doc["extension_range"] = [0.9, 0.5]
+        elif broken == "bounds":  # Parameter rejects lower > upper
+            space_doc["parameters"][0]["lower"] = 3.0
         space_p, spec_p = tmp_path / "space.json", tmp_path / "spec.json"
         space_p.write_text(json.dumps(space_doc)[:-1] if broken == "json" else json.dumps(space_doc))
         spec_p.write_text(json.dumps(spec_doc))
@@ -290,3 +304,62 @@ class TestCli:
             assert code == 0
             outs.append((out_p.read_bytes(), out))
         assert outs[0] == outs[1]
+
+
+NUMBER = st.one_of(st.sampled_from(["0.1", "1", "0", "-1", "nan", "inf", "-inf", "x"]),
+                   st.floats(-1e3, 1e3).map(repr))
+COUNT = st.integers(-5, 300).map(str)
+SUBCOMMAND_OPTIONS = {  # option -> value strategy; None for a flag
+    "validate": {},
+    "sweep": {"--steps": COUNT, "--period": NUMBER, "--tol": NUMBER},
+    "gait": {"--period": NUMBER, "--samples": COUNT, "--metrics": None, "--tol": NUMBER,
+             "--transmission-joint": st.sampled_from(["j_b", "j_d", "nope"])},
+    "aero": {"--period": NUMBER, "--freestream": NUMBER, "--density": NUMBER, "--samples": COUNT,
+             "--strips": COUNT, "--span": NUMBER, "--tol": NUMBER,
+             "--chord": st.sampled_from(["0.08,0.075,0.06,0.03", "0.1", "a,b", "", "-1,2", "nan,1"])},
+    "animate": {"--frames": COUNT, "--period": NUMBER, "--tol": NUMBER},
+    "synthesize": {"--budget": st.integers(-5, 200).map(str), "--seed": st.integers(-2, 5).map(str),
+                   "--threads": COUNT},
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory) -> dict[str, list[str]]:
+    """Input files for every positional argument: good, missing and broken."""
+    from flapkin.mechanism import FourBar, fourbar_mechanism
+
+    d = tmp_path_factory.mktemp("fuzz")
+    docs = {
+        "armwing.json": shipped_bytes().decode(),
+        "broken.json": '{"version": 1,,}',
+        "space.json": json.dumps({
+            "template": mechanism_to_doc(fourbar_mechanism(FourBar(6, 2, 5, 5))),
+            "parameters": [{"name": "link.crank.marker.tip.x", "lower": 1.6, "upper": 2.4}]}),
+        "spec.json": json.dumps({"plunge_amplitude_rad": 0.3, "extension_range": [0.5, 1.0]}),
+        "bad_spec.json": json.dumps({"plunge_amplitude_rad": 0.3, "extension_range": [0.9, 0.5]}),
+    }
+    for name, text in docs.items():
+        (d / name).write_text(text)
+    missing, broken = str(d / "missing.json"), str(d / "broken.json")
+    return {"mechanism": [str(d / "armwing.json"), missing, broken],
+            "space": [str(d / "space.json"), missing, broken],
+            "spec": [str(d / "spec.json"), str(d / "bad_spec.json"), missing],
+            "out": [str(d / "out")]}
+
+
+class TestCliFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_ends_in_a_documented_exit_code(self, cli_inputs, data):
+        command = data.draw(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)), label="command")
+        positional = ["space", "spec"] if command == "synthesize" else ["mechanism"]
+        argv = [command, *(data.draw(st.sampled_from(cli_inputs[p]), label=p) for p in positional)]
+        if command in ("synthesize", "animate"):
+            argv += ["--out" if command == "synthesize" else "--out-dir",
+                     cli_inputs["out"][0] + (".json" if command == "synthesize" else "")]
+        for option, values in SUBCOMMAND_OPTIONS[command].items():
+            if data.draw(st.integers(0, 9), label=f"use {option}"):  # required options mostly present
+                argv += [option] if values is None else [option, data.draw(values, label=option)]
+        code, _, err = run_cli(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flapkin import kinematics
 from flapkin.designs import ArmwingParams, armwing_mechanism
 from flapkin.errors import BranchAmbiguousError, KinematicsError, NotAssemblableError
 from flapkin.geometry import Point2, Pose
@@ -452,3 +453,40 @@ class TestDyadPlan:
         guess = solve_fourbar(fb, 0.0)
         with pytest.raises(BranchAmbiguousError):
             sweep_arrays(fourbar_mechanism(fb), np.linspace(0.0, 1.0, 8), guess=guess)
+
+    def test_change_point_row_takes_the_scalar_loop(self, monkeypatch):
+        # the parallelogram's roots meet at theta = pi, and the loop switches
+        # to the other root there: the constant-sign check must send it back
+        calls, loop = [], kinematics._continue_roots
+
+        def counted(*args):
+            calls.append(loop(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(kinematics, "_continue_roots", counted)
+        thetas = np.arange(361) * math.pi / 180
+        pa = sweep_arrays(fourbar_mechanism(FourBar(4, 2, 4, 2)), thetas)
+        assert len(calls) == 1 and calls[0][0] != calls[0][-1]
+        assert pa.failed_at is None
+        assert np.abs(pa.angles[pa.index("rocker")] - thetas).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans(), st.data())
+    def test_batched_signs_equal_the_scalar_loop(self, rows, n, seed, smooth, data):
+        rng = np.random.default_rng(seed)
+        k = np.arange(n)
+        if smooth:  # slowly turning roots whose gap may close: few switches
+            base = np.cumsum(0.1 * rng.standard_normal((2, rows, n)), axis=-1)
+            r = rng.uniform(-1, 1, (rows, 1)) + rng.uniform(-0.1, 0.1, (rows, 1)) * k
+            phi = rng.uniform(-3, 3, (rows, 1)) + rng.uniform(-0.2, 0.2, (rows, 1)) * k
+            offset = (r * np.cos(phi), r * np.sin(phi))
+        else:  # small integers: ties (t == 0) and switches everywhere
+            base, offset = rng.integers(-2, 3, (2, 2, rows, n)).astype(float)
+        n_ok = np.array(data.draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows)))
+        s = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rows, max_size=rows)))
+        sign = kinematics._follow_roots(tuple(base), offset, n_ok, s)
+        for b in range(rows):
+            want = kinematics._continue_roots((base[0][b], base[1][b]), (offset[0][b], offset[1][b]),
+                                              int(n_ok[b]), float(s[b])) if n_ok[b] else []
+            assert sign[b, :n_ok[b]].tolist() == want
+            assert np.all(sign[b, n_ok[b]:] == 1.0)

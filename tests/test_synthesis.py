@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flapkin.designs import ARMWING_TRANSMISSION_JOINTS, two_stage_armwing
 from flapkin.errors import (
@@ -25,6 +27,7 @@ from flapkin.synthesis import (
     DesignSpace,
     GaitSpec,
     Parameter,
+    _area_ratio,
     feasibility_report,
     objective,
     population_costs,
@@ -195,6 +198,24 @@ class TestPopulationCosts:
         want = np.array([oracle_cost(space, spec, x) for x in X])
         assert np.all(want < 1e5)
         np.testing.assert_allclose(costs, want, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_area_ratio_equals_per_row_means(self, n, rows, seed):
+        # up counts below 8, at 8 and above 8 on either side of the stroke,
+        # rows sharing a count, and rows left out; magnitudes vary so that the
+        # summation order shows in the last bits
+        rng = np.random.default_rng(seed)
+        area = rng.standard_normal((len(rows), n)) * 10.0 ** rng.uniform(-3, 3, (len(rows), 1)) + 1.0
+        up = np.zeros((len(rows), n), dtype=bool)
+        for b, (k, _) in enumerate(rows):
+            up[b, rng.permutation(n)[:min(k, n)]] = True
+        use = np.array([u for _, u in rows]) & up.any(axis=-1) & ~up.all(axis=-1)
+        want = np.zeros(len(rows))
+        for b in np.flatnonzero(use):  # the per-row loop the grouped reduction replaces
+            want[b] = area[b][up[b]].mean() / area[b][~up[b]].mean()
+        assert np.array_equal(_area_ratio(area, up, use), want)
 
 
 class TestSynthesize:
