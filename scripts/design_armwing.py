@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from flapkin.designs import ARMWING_TRANSMISSION_JOINTS, ArmwingParams, armwing_mechanism
+from flapkin.errors import FlapkinError, GaitError
 from flapkin.fileio import serialize_mechanism
 from flapkin.gait import (
     gait_from_pose_arrays,
@@ -60,17 +61,17 @@ def score(x: np.ndarray, samples: int = 128) -> float:
         return 1e6
     thetas = 2 * math.pi * np.arange(samples) / samples
     try:
-        pa = sweep_arrays(m, thetas)
-    except Exception:
+        pb = sweep_arrays(m, thetas)
+    except (FlapkinError, np.linalg.LinAlgError):
         return 1e6
-    if pa.failed_at is not None:
-        return 1e5 * (2.0 - pa.failed_at / samples)
+    if pb.errors[0]:
+        return 1e5 * (2.0 - int(pb.failed_at[0]) / samples)
     try:
-        gt = gait_from_pose_arrays(m, pa, 0.1, np.arange(samples) * (0.1 / samples))
-        mu = np.minimum.reduce([transmission_angle_series(m, pa, j)
+        gt = gait_from_pose_arrays(m, pb, 0.1, np.arange(samples) * (0.1 / samples))
+        mu = np.minimum.reduce([transmission_angle_series(m, pb, j)
                                 for j in ARMWING_TRANSMISSION_JOINTS])
         mts = gait_metrics(gt, mu)
-    except Exception:
+    except GaitError:
         return 1e5
     width = mts.extension_range[1] - mts.extension_range[0]
     loss = 0.0

@@ -25,8 +25,6 @@ from .gait import (
     gait_from_pose_arrays,
     gait_metrics,
     generate_gait,
-    plunge_angle,
-    wing_area,
 )
 from .geometry import Point2, Pose
 from .kinematics import (
@@ -34,12 +32,8 @@ from .kinematics import (
     Configuration,
     SolveSettings,
     assemble,
-    loop_residual,
-    marker_world,
     solve_fourbar,
-    sweep,
     sweep_arrays,
-    transmission_angle,
     velocities,
 )
 from .mechanism import (

@@ -46,10 +46,6 @@ class BranchAmbiguousError(KinematicsError):
     code = "BRANCH_AMBIGUOUS"
 
 
-class UnknownMarkerError(KinematicsError):
-    code = "UNKNOWN_MARKER"
-
-
 class GaitError(FlapkinError):
     family = "E_GAIT"
 

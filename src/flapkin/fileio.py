@@ -252,6 +252,8 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int) -> list[str]:
     (filled when compliant), the wing polygon shaded. The viewBox is the
     global bounding box of all frames plus a 5% margin, fixed across frames.
     """
+    if gt.poses is None:
+        raise ValueError("gait carries no sweep to render (GaitTrajectory.poses is None)")
     if frames < 1 or frames > gt.samples:
         raise ValueError(f"frames must be in [1, {gt.samples}]")
     idx = np.linspace(0, gt.samples - 1, frames).astype(int)
@@ -260,7 +262,7 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int) -> list[str]:
     def at(ref: tuple[str, str]) -> list[list[float]]:
         """World points of a marker at the frame samples."""
         if ref not in paths:
-            paths[ref] = gt.poses.marker_world(m, ref)[idx].tolist()
+            paths[ref] = np.stack(gt.poses.marker_world(ref), axis=-1)[0, idx].tolist()
         return paths[ref]
 
     # per link, its joint markers in joint declaration order (a lone marker

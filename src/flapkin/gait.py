@@ -3,7 +3,8 @@
 One wingbeat is one full crank revolution at constant rate 2*pi/period. The
 gait is the time series of plunge angle (shoulder-to-wingtip ray above the
 ground axis, unwrapped), extension ratio (reach normalized by the sweep
-maximum), and membrane area (shoelace over the wing polygon markers).
+maximum), and membrane area (shoelace over the wing polygon markers), all
+read off row 0 of the one-mechanism `PoseBatch` the revolution is swept into.
 """
 from __future__ import annotations
 
@@ -18,14 +19,12 @@ from .errors import (
     NoStrokeReversalError,
     ZeroReachError,
 )
-from .geometry import Point2
 from .kinematics import (
     Branch,
     Configuration,
     DEFAULT_SETTINGS,
-    PoseArrays,
+    PoseBatch,
     SolveSettings,
-    marker_world,
     sweep_arrays,
 )
 from .mechanism import Mechanism
@@ -43,7 +42,7 @@ class GaitTrajectory:
     extension: np.ndarray
     area: np.ndarray
     wingtip: np.ndarray  # (N, 2)
-    poses: PoseArrays | None = None  # the sweep the gait was extracted from
+    poses: PoseBatch | None = None  # the one-row sweep the gait was extracted from
 
     @property
     def samples(self) -> int:
@@ -69,34 +68,6 @@ def polygon_area(points: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def wing_area(m: Mechanism, c: Configuration) -> float:
-    """Membrane area traced by the wing-polygon markers in the world frame."""
-    if len(m.wing_polygon) < 3:
-        raise GaitError("mechanism has no wing polygon", code="BAD_WING_POLYGON")
-    pts = np.array([marker_world(m, c, lid, mk).as_array() for lid, mk in m.wing_polygon])
-    return polygon_area(pts)
-
-
-def _shoulder_tip(m: Mechanism, c: Configuration) -> tuple[Point2, Point2]:
-    if m.shoulder is None or m.wingtip is None:
-        raise GaitError("mechanism does not declare shoulder/wingtip markers", code="DEGENERATE")
-    s = marker_world(m, c, *m.shoulder)
-    w = marker_world(m, c, *m.wingtip)
-    return s, w
-
-
-def plunge_angle(m: Mechanism, c: Configuration) -> float:
-    """Angle of the shoulder-to-wingtip ray above the ground x axis.
-
-    Downstroke is decreasing plunge by convention.
-    """
-    s, w = _shoulder_tip(m, c)
-    v = w - s
-    if v.norm() < 1e-12:
-        raise DegenerateGeometryError("shoulder and wingtip coincide")
-    return math.atan2(v.y, v.x)
-
-
 def wingbeat_series(tip, shoulder, polygon):
     """Plunge, extension and membrane area along the last axis.
 
@@ -119,17 +90,17 @@ def wingbeat_series(tip, shoulder, polygon):
         return plunge, reach / hi, area, lo, hi
 
 
-def gait_from_pose_arrays(m: Mechanism, pa: PoseArrays, period: float,
+def gait_from_pose_arrays(m: Mechanism, pb: PoseBatch, period: float,
                           t: np.ndarray) -> GaitTrajectory:
-    """Gait series of a solved sweep (no failure) sampled at times t."""
-    tip = pa.marker_world(m, m.wingtip)
-    plunge, extension, area, lo, hi = wingbeat_series(
-        tip.T, pa.marker_world(m, m.shoulder).T, [pa.marker_world(m, ref).T for ref in m.wing_polygon])
+    """Gait series of row 0 of a sweep that closes there, sampled at times t."""
+    tip = pb.marker_world(m.wingtip)
+    plunge, extension, area, lo, hi = (v[0] for v in wingbeat_series(
+        tip, pb.marker_world(m.shoulder), [pb.marker_world(ref) for ref in m.wing_polygon]))
     if hi[0] <= 0.0:
         raise ZeroReachError("maximum reach over the sweep is zero")
     if lo[0] < 1e-12:
         raise DegenerateGeometryError("shoulder and wingtip coincide during the sweep")
-    return GaitTrajectory(period, t, pa.thetas, plunge, extension, area, tip, pa)
+    return GaitTrajectory(period, t, pb.thetas, plunge, extension, area, np.stack(tip, axis=-1)[0], pb)
 
 
 def generate_gait(m: Mechanism, period: float, samples: int,
@@ -151,12 +122,12 @@ def generate_gait(m: Mechanism, period: float, samples: int,
                         code="DEGENERATE")
     t = np.arange(samples) * (period / samples)
     thetas = theta0 + 2.0 * math.pi * np.arange(samples) / samples
-    pa = sweep_arrays(m, thetas, settings, guess, branch)
-    if pa.failed_at is not None:
+    pb = sweep_arrays(m, thetas, settings, guess, branch)
+    if error := pb.errors[0]:
         raise GaitError(
-            f"sweep failed at step {pa.failed_at} ({pa.error}); "
-            "mechanism does not complete a wingbeat", code=pa.error or "SWEEP_FAILED")
-    return gait_from_pose_arrays(m, pa, period, t)
+            f"sweep failed at step {pb.failed_at[0]} ({error}); "
+            "mechanism does not complete a wingbeat", code=error)
+    return gait_from_pose_arrays(m, pb, period, t)
 
 
 def stroke_phases(plunge: np.ndarray) -> np.ndarray:

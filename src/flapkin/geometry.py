@@ -53,9 +53,3 @@ def drot(angle: float) -> np.ndarray:
     """Derivative of the rotation matrix with respect to the angle."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[-s, -c], [c, -s]])
-
-
-def fold_quadrant(angle: float) -> float:
-    """Fold an angle into [0, pi/2] the way transmission angles are reported."""
-    a = abs(angle) % math.pi
-    return math.pi - a if a > math.pi / 2 else a

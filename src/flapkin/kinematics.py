@@ -7,6 +7,8 @@ each dyad keeping one of its two roots by continuation; the four-bar is the
 one-dyad case. Chains the plan cannot decompose (triads) fall back to damped
 Newton iteration on the stacked joint-coincidence residuals, seeded step by
 step with the previous solution, and `assemble` always polishes with Newton.
+Either way a sweep is a `PoseBatch`: the poses of B mechanisms that share one
+topology (a marker table) at the same crank angles, one mechanism being B = 1.
 
 The crank coordinate theta is the world orientation of the crank link frame,
 measured counter-clockwise; sweeps keep all angles unwrapped so they stay
@@ -26,9 +28,8 @@ from .errors import (
     KinematicsError,
     NotAssemblableError,
     SingularJacobianError,
-    UnknownMarkerError,
 )
-from .geometry import IDENTITY_POSE, Point2, Pose, drot, fold_quadrant
+from .geometry import IDENTITY_POSE, Point2, Pose, drot
 from .mechanism import (
     FourBar,
     Joint,
@@ -71,43 +72,6 @@ class SolveSettings:
 DEFAULT_SETTINGS = SolveSettings()
 
 
-@dataclass
-class PoseArrays:
-    """Columnar sweep result: per-link origins (L,N,2) and angles (L,N)."""
-
-    ids: list[str]
-    thetas: np.ndarray
-    origins: np.ndarray
-    angles: np.ndarray
-    failed_at: int | None = None
-    error: str | None = None
-    branch: Branch | None = None
-    solver: str = "dyad"  # "dyad" (closed-form plan) or "newton"
-
-    @property
-    def n_solved(self) -> int:
-        return len(self.thetas) if self.failed_at is None else self.failed_at
-
-    def index(self, link_id: str) -> int:
-        return self.ids.index(link_id)
-
-    def configuration(self, k: int) -> Configuration:
-        poses = {
-            lid: Pose(Point2(self.origins[i, k, 0], self.origins[i, k, 1]), float(self.angles[i, k]))
-            for i, lid in enumerate(self.ids)
-        }
-        return Configuration(float(self.thetas[k]), poses, self.branch)
-
-    def configurations(self) -> list[Configuration]:
-        return [self.configuration(k) for k in range(self.n_solved)]
-
-    def marker_world(self, m: Mechanism, ref: tuple[str, str]) -> np.ndarray:
-        """World path (N,2) of one marker across the sweep."""
-        i = self.index(ref[0])
-        p = m.link(ref[0]).marker(ref[1])
-        return np.stack(_world_path(self.origins[i], self.angles[i], p.x, p.y), axis=-1)
-
-
 def _world_path(origins: np.ndarray, angles: np.ndarray, px, py) -> tuple[np.ndarray, np.ndarray]:
     """World (x, y) of the link-frame point (px, py) of a link whose origin
     follows origins (..., N, 2) and orientation angles (..., N)."""
@@ -134,17 +98,19 @@ def _rows(markers: Markers) -> int:
 @dataclass
 class PoseBatch:
     """Sweeps of the B mechanisms of a marker table, all at the same crank
-    angles: origins (B, L, N, 2) and angles (B, L, N). failed_at[b] is row
-    b's first failing sample, N where the row closes at every angle."""
+    angles: origins (B, L, N, 2) and angles (B, L, N). Row b closes at its first
+    failed_at[b] samples (N if at every angle; zeros past them), and errors[b] is
+    its failure code or None. One mechanism is B = 1: `configuration(s)` read row 0."""
 
     ids: list[str]
     thetas: np.ndarray
     origins: np.ndarray
     angles: np.ndarray
     failed_at: np.ndarray
+    errors: list[str | None]
     markers: Markers
     branches: list[Branch | None]
-    solver: str = "dyad"
+    solver: str = "dyad"  # "dyad" (closed-form plan) or "newton"
 
     def index(self, link_id: str) -> int:
         return self.ids.index(link_id)
@@ -154,26 +120,15 @@ class PoseBatch:
         i = self.index(ref[0])
         return _world_path(self.origins[:, i], self.angles[:, i], *self.markers[ref])
 
-    def transmission_angles(self, m: Mechanism, joint_id: str) -> np.ndarray:
-        """(B, N) transmission angle series at a joint of m's topology."""
-        return _transmission(m.joint(joint_id), self.markers, lambda lid: self.angles[:, self.index(lid)])
+    def configuration(self, k: int) -> Configuration:
+        poses = {
+            lid: Pose(Point2(self.origins[0, i, k, 0], self.origins[0, i, k, 1]), float(self.angles[0, i, k]))
+            for i, lid in enumerate(self.ids)
+        }
+        return Configuration(float(self.thetas[k]), poses, self.branches[0])
 
-
-@dataclass(frozen=True)
-class SweepResult:
-    configurations: list[Configuration]
-    failed_at: int | None = None
-    error: str | None = None
-
-
-def marker_world(m: Mechanism, c: Configuration, link_id: str, marker: str) -> Point2:
-    """Rigid transform of a link-local marker by the solved link pose."""
-    try:
-        lk = m.link(link_id)
-        p = lk.marker(marker)
-    except KeyError as e:
-        raise UnknownMarkerError(f"unknown link or marker: {link_id}.{marker}") from e
-    return c.pose(link_id).transform(p)
+    def configurations(self) -> list[Configuration]:
+        return [self.configuration(k) for k in range(self.failed_at[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +302,7 @@ def _place_steps(m: Mechanism, steps: list[_Step], markers: Markers, thetas: np.
             ux, uy = dx / d, dy / d
             base = (p1[0] + a * ux, p1[1] + a * uy)
             offset = (-h * uy, h * ux)
-            sign = pick(n_dyads, base, offset, np.where(ok.all(axis=1), n, ok.argmin(axis=1)))
+            sign = pick(n_dyads, base, offset, np.logical_and.accumulate(ok, axis=1).sum(axis=1))
             n_dyads += 1
             x = (base[0] + sign * offset[0], base[1] + sign * offset[1])
             place_two(st.links[0], own, p1, st.shared[0], x)
@@ -439,34 +394,26 @@ def _dyad_sweep_arrays(m: Mechanism, steps: list[_Step], markers: Markers, theta
         turns = np.round((np.array([guess.pose(ids[i]).angle for i in turning])
                           - angles[:, turning, 0]) / (2.0 * math.pi))
         angles[:, turning] += 2.0 * math.pi * turns[..., None]
-    failed_at = np.where(ok.all(axis=1), n, ok.argmin(axis=1))
+    failed_at = np.logical_and.accumulate(ok, axis=1).sum(axis=1)  # leading closed samples
     if (failed_at < n).any():
         after = np.broadcast_to((np.arange(n) >= failed_at[:, None])[:, None], angles.shape)
         origins[after] = 0.0
         angles[after] = 0.0
     branches = [(branch if not s else Branch.OPEN if s == open_sign else Branch.CROSSED) if fb
                 else guess.branch if guess else None for s, fb in zip(first, is_fourbar)]
-    return PoseBatch(ids, thetas, origins, angles, failed_at, markers, branches)
+    errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
+    return PoseBatch(ids, thetas, origins, angles, failed_at, errors, markers, branches)
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
     """Exact closed-form pose of the canonical four-bar mechanism at crank
     angle theta (the one-dyad plan). Raises NotAssemblableError past a dead
     center."""
-    pa = sweep_arrays(fourbar_mechanism(fb), np.array([float(theta)]), branch=branch)
-    if pa.failed_at is not None:
+    pb = sweep_arrays(fourbar_mechanism(fb), np.array([float(theta)]), branch=branch)
+    if pb.errors[0]:
         raise NotAssemblableError(
             f"four-bar {fb.lengths} cannot close at crank angle {theta:.6g} rad")
-    return pa.configuration(0)
-
-
-def rocker_angle(c: Configuration) -> float:
-    return c.pose("rocker").angle
-
-
-def transmission_angle(fb: FourBar, c: Configuration) -> float:
-    """Interior angle between coupler and rocker, folded into [0, pi/2]."""
-    return fold_quadrant(c.pose("coupler").angle - c.pose("rocker").angle)
+    return pb.configuration(0)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +540,15 @@ def assemble(m: Mechanism, theta: float, guess: Configuration | None = None,
             except (ConvergenceError, SingularJacobianError) as e:
                 last_error = e
         raise last_error or ConvergenceError(f"no bootstrap candidate converged at theta={theta:.6g}")
-    q = sys.q_from(guess)
+    return sys.config_from(_newton(sys, sys.q_from(guess), theta, settings), theta, guess.branch)
+
+
+def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveSettings) -> np.ndarray:
+    """`assemble`'s iteration on the unknowns q of a guess; returns the root
+    it converges to, the drive coordinate then held at theta exactly."""
     fn = np.linalg.norm(sys.residual(q, theta))
     if fn <= settings.tolerance:
-        return sys.config_from(q, theta, guess.branch)
+        return q
     for _ in range(settings.max_iterations):
         J = sys.jacobian(q)
         F = sys.residual(q, theta)
@@ -624,34 +576,36 @@ def assemble(m: Mechanism, theta: float, guess: Configuration | None = None,
             base = sys.index.get(sys.crank_link) if sys.crank_link else None
             if base is not None:
                 q[base + 2] = theta  # hold the drive coordinate exactly
-            return sys.config_from(q, theta, guess.branch)
+            return q
     raise ConvergenceError(
         f"no convergence after {settings.max_iterations} iterations at theta={theta:.6g}, "
         f"residual {fn:.3e}")
 
 
-def _newton_sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings,
-                         guess: Configuration | None) -> PoseArrays:
-    sys = ConstraintSystem(m)
-    ids = [m.ground] + sys.moving
-    n = len(thetas)
-    origins = np.zeros((len(ids), n, 2))
-    angles = np.zeros((len(ids), n))
-    current = guess
-    failed_at = None
-    error = None
-    for k, th in enumerate(thetas):
-        try:
-            current = assemble(m, float(th), current, settings)
-        except (NotAssemblableError, ConvergenceError, SingularJacobianError) as e:
-            failed_at, error = k, e.code
-            break
-        for i, lid in enumerate(ids):
-            p = current.pose(lid)
-            origins[i, k] = (p.origin.x, p.origin.y)
-            angles[i, k] = p.angle
-    return PoseArrays(ids, thetas, origins, angles, failed_at, error,
-                      guess.branch if guess else None, "newton")
+def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, settings: SolveSettings,
+                         guess: Configuration | None) -> PoseBatch:
+    """Newton continuation of each row of a marker table in turn: `assemble`
+    at the first crank angle, then each step seeded with the previous root."""
+    rows, n = _rows(markers), len(thetas)
+    ids = [m.ground, *m.moving_link_ids()]
+    origins = np.zeros((rows, len(ids), n, 2))
+    angles = np.zeros((rows, len(ids), n))
+    failed_at = np.full(rows, n)
+    errors: list[str | None] = [None] * rows
+    for b in range(rows):
+        mb = _row_mechanism(m, markers, b)
+        sys = ConstraintSystem(mb)
+        for k, theta in enumerate(thetas.tolist()):
+            try:
+                q = (_newton(sys, q, theta, settings) if k else
+                     sys.q_from(assemble(mb, theta, guess, settings)))
+            except (NotAssemblableError, ConvergenceError, SingularJacobianError) as e:
+                failed_at[b], errors[b] = k, e.code
+                break
+            xya = q.reshape(-1, 3)
+            origins[b, 1:, k], angles[b, 1:, k] = xya[:, :2], xya[:, 2]
+    return PoseBatch(ids, thetas, origins, angles, failed_at, errors, markers,
+                     [guess.branch if guess else None] * rows, "newton")
 
 
 def _row_mechanism(m: Mechanism, markers: Markers, b: int) -> Mechanism:
@@ -663,8 +617,8 @@ def _row_mechanism(m: Mechanism, markers: Markers, b: int) -> Mechanism:
 
 def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEFAULT_SETTINGS,
                  guess: Configuration | None = None, branch: Branch = Branch.OPEN,
-                 markers: Markers | None = None) -> PoseArrays | PoseBatch:
-    """Continuation sweep over an array of crank angles, columnar output.
+                 markers: Markers | None = None) -> PoseBatch:
+    """Continuation sweeps over an array of crank angles, columnar output.
 
     A chain the dyad plan decomposes is solved in closed form at every angle
     at once. Each dyad starts on the root nearest `guess`, or without one on
@@ -673,69 +627,17 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
     by step with the previous solution.
 
     With a marker table of B rows, m supplies only the topology and the B
-    mechanisms are swept together into a `PoseBatch`: the dyad plan solves
-    all rows in one array pass (the sweep of m alone is its one-row case);
-    Newton sweeps the rows one by one.
+    mechanisms are swept together: the dyad plan solves all rows in one array
+    pass, Newton sweeps them one by one. Without one, m is swept alone, as
+    the one-row table `marker_table(m)`.
     """
     thetas = np.asarray(thetas, dtype=float)
+    markers = marker_table(m) if markers is None else markers
     steps = _decompose(m)
-    if markers is None:
-        if not _is_dyadic(m, steps):
-            return _newton_sweep_arrays(m, thetas, settings, guess)
-        pb = _dyad_sweep_arrays(m, steps, marker_table(m), thetas, guess, branch)
-        failed_at = int(pb.failed_at[0])
-        if failed_at == len(thetas):
-            return PoseArrays(pb.ids, thetas, pb.origins[0], pb.angles[0], branch=pb.branches[0])
-        return PoseArrays(pb.ids, thetas, pb.origins[0], pb.angles[0], failed_at,
-                          NotAssemblableError.code, pb.branches[0])
     if _is_dyadic(m, steps):
         return _dyad_sweep_arrays(m, steps, markers, thetas, guess, branch)
-    rows = [_newton_sweep_arrays(_row_mechanism(m, markers, b), thetas, settings, guess)
-            for b in range(_rows(markers))]
-    return PoseBatch(rows[0].ids, thetas, np.stack([pa.origins for pa in rows]),
-                     np.stack([pa.angles for pa in rows]),
-                     np.array([pa.n_solved for pa in rows]), markers,
-                     [pa.branch for pa in rows], "newton")
+    return _newton_sweep_arrays(m, markers, thetas, settings, guess)
 
-
-def sweep(m: Mechanism, theta_start: float, theta_end: float, steps: int,
-          settings: SolveSettings = DEFAULT_SETTINGS, guess: Configuration | None = None,
-          branch: Branch = Branch.OPEN) -> SweepResult:
-    """Solve `steps` configurations over [theta_start, theta_end] (inclusive)
-    with continuation. On failure, partial results plus the failing index."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    thetas = np.linspace(theta_start, theta_end, steps)
-    pa = sweep_arrays(m, thetas, settings, guess, branch)
-    return SweepResult(pa.configurations(), pa.failed_at, pa.error)
-
-
-def loop_residual(m: Mechanism, c: Configuration) -> np.ndarray:
-    """Coincidence error (2 entries) of every non-spanning-tree joint."""
-    tree_links = {m.ground}
-    remaining = list(m.joints)
-    grew = True
-    while grew:
-        grew = False
-        still = []
-        for j in remaining:
-            if j.link_a in tree_links and j.link_b in tree_links:
-                still.append(j)
-            elif j.link_a in tree_links or j.link_b in tree_links:
-                tree_links.add(j.link_a)
-                tree_links.add(j.link_b)
-                grew = True
-            else:
-                still.append(j)
-        remaining = still
-    non_tree = [j for j in remaining if j.link_a in tree_links and j.link_b in tree_links]
-    out = np.zeros(2 * len(non_tree))
-    for i, j in enumerate(non_tree):
-        wa = marker_world(m, c, j.link_a, j.marker_a)
-        wb = marker_world(m, c, j.link_b, j.marker_b)
-        out[2 * i] = wa.x - wb.x
-        out[2 * i + 1] = wa.y - wb.y
-    return out
 
 def velocities(m: Mechanism, c: Configuration, crank_rate: float,
                rcond_floor: float = 1e-10) -> dict[str, tuple[Point2, float]]:
@@ -762,49 +664,17 @@ def velocities(m: Mechanism, c: Configuration, crank_rate: float,
     return out
 
 
-def relative_joint_angle(m: Mechanism, c: Configuration, joint_id: str) -> float:
-    """Orientation of link_b minus orientation of link_a at a joint."""
+def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.ndarray:
+    """(B, N) transmission angle series at a joint of m's topology: the
+    difference of the two link directions folded into [0, pi/2]. A link's
+    direction is its angle plus the per-row direction from its origin marker
+    to the joint marker (zero when they coincide)."""
     j = m.joint(joint_id)
-    return c.pose(j.link_b).angle - c.pose(j.link_a).angle
-
-
-def _direction_at_joint(m: Mechanism, c: Configuration, link_id: str, j) -> float:
-    lk = m.link(link_id)
-    pj = lk.marker(j.marker_a if j.link_a == link_id else j.marker_b)
-    v = pj - lk.marker("origin")
-    pose = c.pose(link_id)
-    if v.norm() < 1e-12:
-        return pose.angle
-    return pose.angle + math.atan2(v.y, v.x)
-
-
-def transmission_angle_at(m: Mechanism, c: Configuration, joint_id: str) -> float:
-    """Folded angle between the two link directions meeting at a joint.
-
-    A link's direction is taken from its origin marker toward the joint
-    marker (its x axis when the joint sits at the origin marker).
-    """
-    j = m.joint(joint_id)
-    da = _direction_at_joint(m, c, j.link_a, j)
-    db = _direction_at_joint(m, c, j.link_b, j)
-    return fold_quadrant(db - da)
-
-
-def transmission_angle_series(m: Mechanism, pa: PoseArrays, joint_id: str) -> np.ndarray:
-    """Vectorized transmission_angle_at across a sweep."""
-    return _transmission(m.joint(joint_id), marker_table(m), lambda lid: pa.angles[pa.index(lid)])
-
-
-def _transmission(j: Joint, markers: Markers, angles) -> np.ndarray:
-    """Transmission angle series at joint j: the folded difference of the two
-    link directions, each its link angle (`angles(link id)`) plus the per-row
-    direction from the link's origin marker to the joint marker (zero when
-    they coincide)."""
 
     def direction(link_id, marker):
-        length = _local_length(markers, link_id, "origin", marker)
-        return angles(link_id) + np.where(length < 1e-12, 0.0,
-                                          _local_direction(markers, link_id, "origin", marker))
+        length = _local_length(pb.markers, link_id, "origin", marker)
+        return pb.angles[:, pb.index(link_id)] + np.where(
+            length < 1e-12, 0.0, _local_direction(pb.markers, link_id, "origin", marker))
 
     diff = direction(j.link_b, j.marker_b) - direction(j.link_a, j.marker_a)
     folded = np.abs(diff) % math.pi

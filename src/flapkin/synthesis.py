@@ -255,7 +255,7 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
     pen = PENALTY * max(w.values())
     metric += pen * _positive_part(ratio - spec.area_ratio_max)
     if space.transmission_joints:
-        mu = np.minimum.reduce([pb.transmission_angles(m, jid) for jid in space.transmission_joints])
+        mu = np.minimum.reduce([transmission_angle_series(m, pb, jid) for jid in space.transmission_joints])
         metric += pen * _positive_part(spec.min_transmission_angle - mu.min(axis=-1))
     cost[closed] = np.where(degenerate, METRIC_FAILURE_COST, metric)[closed]
     costs[rows] = cost
@@ -355,13 +355,12 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
         out.append(ConstraintViolation("mobility", abs((dof or 0) - 1),
                                        f"Gruebler mobility is {dof}, expected 1"))
     thetas = 2.0 * math.pi * np.arange(samples) / samples
-    pa = sweep_arrays(m, thetas, settings)
-    if pa.failed_at is not None:
-        frac = 1.0 - pa.failed_at / samples
-        theta_fail = float(thetas[pa.failed_at])
+    pb = sweep_arrays(m, thetas, settings)
+    if error := pb.errors[0]:
+        failed_at = int(pb.failed_at[0])
         out.append(ConstraintViolation(
-            "full_revolution", frac,
-            f"not assemblable from theta={theta_fail:.4f} rad onward ({pa.error})"))
+            "full_revolution", 1.0 - failed_at / samples,
+            f"not assemblable from theta={float(thetas[failed_at]):.4f} rad onward ({error})"))
         return out
 
     joints = transmission_joints
@@ -370,7 +369,7 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
         if view is not None:
             joints = (view.follower_joint,)
     if joints:
-        mu_min = min(float(transmission_angle_series(m, pa, jid).min()) for jid in joints)
+        mu_min = min(float(transmission_angle_series(m, pb, jid).min()) for jid in joints)
         if mu_min < spec.min_transmission_angle:
             out.append(ConstraintViolation(
                 "min_transmission_angle", spec.min_transmission_angle - mu_min,
@@ -379,7 +378,7 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
 
     t = np.arange(samples) / samples
     try:
-        gt = gait_from_pose_arrays(m, pa, 1.0, t)
+        gt = gait_from_pose_arrays(m, pb, 1.0, t)
         lo, hi = float(gt.extension.min()), float(gt.extension.max())
         lo_t, hi_t = spec.extension_range
         miss = max(lo - (lo_t + EXTENSION_ATTAIN_TOL), (hi_t - EXTENSION_ATTAIN_TOL) - hi, 0.0)

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from flapkin.gait import GaitTrajectory
+from flapkin.errors import DegenerateGeometryError, GaitError
+from flapkin.gait import GaitTrajectory, polygon_area
 from flapkin.geometry import Point2
+from flapkin.kinematics import Configuration
 from flapkin.mechanism import (
     CompliantHinge,
     FourBar,
@@ -37,6 +39,108 @@ def armwing() -> Mechanism:
     from flapkin.designs import two_stage_armwing
 
     return two_stage_armwing()
+
+
+def marker_world(m: Mechanism, c: Configuration, link_id: str, marker: str) -> Point2:
+    """Rigid transform of a link-local marker by the solved link pose."""
+    return c.pose(link_id).transform(m.link(link_id).marker(marker))
+
+
+def loop_residual(m: Mechanism, c: Configuration) -> np.ndarray:
+    """Coincidence error (2 entries) of every non-spanning-tree joint."""
+    tree_links = {m.ground}
+    remaining = list(m.joints)
+    grew = True
+    while grew:
+        grew = False
+        still = []
+        for j in remaining:
+            if j.link_a in tree_links and j.link_b in tree_links:
+                still.append(j)
+            elif j.link_a in tree_links or j.link_b in tree_links:
+                tree_links.add(j.link_a)
+                tree_links.add(j.link_b)
+                grew = True
+            else:
+                still.append(j)
+        remaining = still
+    non_tree = [j for j in remaining if j.link_a in tree_links and j.link_b in tree_links]
+    out = np.zeros(2 * len(non_tree))
+    for i, j in enumerate(non_tree):
+        wa = marker_world(m, c, j.link_a, j.marker_a)
+        wb = marker_world(m, c, j.link_b, j.marker_b)
+        out[2 * i] = wa.x - wb.x
+        out[2 * i + 1] = wa.y - wb.y
+    return out
+
+
+def relative_joint_angle(m: Mechanism, c: Configuration, joint_id: str) -> float:
+    """Orientation of link_b minus orientation of link_a at a joint."""
+    j = m.joint(joint_id)
+    return c.pose(j.link_b).angle - c.pose(j.link_a).angle
+
+
+def fold_quadrant(angle: float) -> float:
+    """Fold an angle into [0, pi/2] the way transmission angles are reported."""
+    a = abs(angle) % math.pi
+    return math.pi - a if a > math.pi / 2 else a
+
+
+def transmission_angle(fb: FourBar, c: Configuration) -> float:
+    """Interior angle between coupler and rocker, folded into [0, pi/2]."""
+    return fold_quadrant(c.pose("coupler").angle - c.pose("rocker").angle)
+
+
+def _direction_at_joint(m: Mechanism, c: Configuration, link_id: str, j) -> float:
+    lk = m.link(link_id)
+    pj = lk.marker(j.marker_a if j.link_a == link_id else j.marker_b)
+    v = pj - lk.marker("origin")
+    pose = c.pose(link_id)
+    if v.norm() < 1e-12:
+        return pose.angle
+    return pose.angle + math.atan2(v.y, v.x)
+
+
+def transmission_angle_at(m: Mechanism, c: Configuration, joint_id: str) -> float:
+    """Folded angle between the two link directions meeting at a joint.
+
+    A link's direction is taken from its origin marker toward the joint
+    marker (its x axis when the joint sits at the origin marker).
+    """
+    j = m.joint(joint_id)
+    da = _direction_at_joint(m, c, j.link_a, j)
+    db = _direction_at_joint(m, c, j.link_b, j)
+    return fold_quadrant(db - da)
+
+
+def wing_area(m: Mechanism, c: Configuration) -> float:
+    """Membrane area traced by the wing-polygon markers in the world frame."""
+    if len(m.wing_polygon) < 3:
+        raise GaitError("mechanism has no wing polygon", code="BAD_WING_POLYGON")
+    pts = np.array([marker_world(m, c, lid, mk).as_array() for lid, mk in m.wing_polygon])
+    return polygon_area(pts)
+
+
+def plunge_angle(m: Mechanism, c: Configuration) -> float:
+    """Angle of the shoulder-to-wingtip ray above the ground x axis.
+
+    Downstroke is decreasing plunge by convention.
+    """
+    if m.shoulder is None or m.wingtip is None:
+        raise GaitError("mechanism does not declare shoulder/wingtip markers", code="DEGENERATE")
+    v = marker_world(m, c, *m.wingtip) - marker_world(m, c, *m.shoulder)
+    if v.norm() < 1e-12:
+        raise DegenerateGeometryError("shoulder and wingtip coincide")
+    return math.atan2(v.y, v.x)
+
+
+def coincidence_residual(m: Mechanism, pb) -> float:
+    """Worst joint-coincidence error over the closed samples of row 0 of a sweep."""
+    worst, n = 0.0, pb.failed_at[0]
+    for j in m.joints:
+        (ax, ay), (bx, by) = pb.marker_world((j.link_a, j.marker_a)), pb.marker_world((j.link_b, j.marker_b))
+        worst = max(worst, float(np.hypot(ax[0, :n] - bx[0, :n], ay[0, :n] - by[0, :n]).max()))
+    return worst
 
 
 def random_crank_rocker(rng: np.random.Generator) -> FourBar:

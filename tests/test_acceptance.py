@@ -26,7 +26,6 @@ from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Configuration,
     assemble,
-    relative_joint_angle,
     solve_fourbar,
     sweep_arrays,
     transmission_angle_series,
@@ -35,7 +34,8 @@ from flapkin.kinematics import (
 from flapkin.mechanism import FourBar, fourbar_mechanism
 from flapkin.synthesis import synthesize
 
-from conftest import make_plunge_gait, random_crank_rocker, recovery_space, two_hinge_chain
+from conftest import (coincidence_residual, make_plunge_gait, random_crank_rocker, recovery_space,
+                      relative_joint_angle, two_hinge_chain)
 
 N_LINKAGES = 100
 DEG = math.pi / 180.0
@@ -46,24 +46,15 @@ def _sample_linkages(seed: int = 2024):
     return [random_crank_rocker(rng) for _ in range(N_LINKAGES)]
 
 
-def _coincidence_residual(m, pa) -> float:
-    worst = 0.0
-    for j in m.joints:
-        a = pa.marker_world(m, (j.link_a, j.marker_a))
-        b = pa.marker_world(m, (j.link_b, j.marker_b))
-        worst = max(worst, float(np.hypot(*(a - b).T).max()))
-    return worst
-
-
 def test_criterion_01_closure_suite():
     thetas = np.arange(361) * DEG
     worst_res, worst_jump = 0.0, 0.0
     for fb in _sample_linkages():
         m = fourbar_mechanism(fb)
         pa = sweep_arrays(m, thetas)
-        assert pa.failed_at is None
-        worst_res = max(worst_res, _coincidence_residual(m, pa))
-        rocker = pa.angles[pa.index("rocker")]
+        assert pa.errors == [None]
+        worst_res = max(worst_res, coincidence_residual(m, pa))
+        rocker = pa.angles[0, pa.index("rocker")]
         worst_jump = max(worst_jump, float(np.abs(np.diff(rocker)).max()))
     assert worst_res <= 1e-9
     assert worst_jump < 0.2
@@ -125,8 +116,8 @@ def test_criterion_04_parallelogram_exactness():
     m = fourbar_mechanism(FourBar(4, 2, 4, 2))
     thetas = np.arange(361) * DEG
     pa = sweep_arrays(m, thetas)
-    assert pa.failed_at is None
-    rocker = pa.angles[pa.index("rocker")]
+    assert pa.errors == [None]
+    rocker = pa.angles[0, pa.index("rocker")]
     worst = float(np.abs(rocker - thetas).max())
     assert worst <= 1e-12
     print(f"PASS criterion 4: parallelogram rocker tracks crank, "

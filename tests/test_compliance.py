@@ -21,12 +21,11 @@ from flapkin.kinematics import (
     Configuration,
     ConstraintSystem,
     assemble,
-    relative_joint_angle,
     solve_fourbar,
 )
 from flapkin.mechanism import CompliantHinge, Joint, Link, LinkRole, Mechanism
 
-from conftest import two_hinge_chain
+from conftest import relative_joint_angle, two_hinge_chain
 
 
 def single_hinge_chain(k: float = 0.144, arm: float = 0.05) -> Mechanism:

@@ -15,17 +15,15 @@ from flapkin.gait import (
     _contiguous_runs,
     gait_metrics,
     generate_gait,
-    plunge_angle,
     polygon_area,
     retraction_time,
     stroke_phases,
-    wing_area,
 )
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import Branch, Configuration, sweep_arrays
 from flapkin.mechanism import FourBar, Link, LinkRole, Mechanism, fourbar_mechanism
 
-from conftest import make_plunge_gait
+from conftest import make_plunge_gait, marker_world, plunge_angle, wing_area
 
 
 def parallelogram_wing() -> Mechanism:
@@ -54,7 +52,6 @@ class TestPolygonArea:
         for k in range(0, 24, 4):
             c = pa.configuration(k)
             a = wing_area(armwing, c)
-            from flapkin.kinematics import marker_world
             pts = [marker_world(armwing, c, lid, mk).as_array()
                    for lid, mk in armwing.wing_polygon]
             tri = 0.0
@@ -174,7 +171,7 @@ class TestMetrics:
         gt = generate_gait(m, 1.0, 512)
         thetas = gt.crank
         pa = sweep_arrays(m, thetas)
-        rocker = pa.angles[pa.index("rocker")]
+        rocker = pa.angles[0, pa.index("rocker")]
         half_swing = 0.5 * (rocker.max() - rocker.min())
         assert gait_metrics(gt).plunge_amplitude == pytest.approx(half_swing, rel=1e-6)
 

@@ -24,9 +24,9 @@ from flapkin.fileio import (
     trajectory_csv,
 )
 from flapkin.gait import generate_gait
-from flapkin.kinematics import marker_world, sweep_arrays
+from flapkin.kinematics import sweep_arrays
 
-from conftest import make_plunge_gait, run_cli
+from conftest import make_plunge_gait, marker_world, run_cli
 
 
 def shipped_bytes() -> bytes:
@@ -140,6 +140,10 @@ class TestRenderSvg:
         gt = generate_gait(armwing, 1.0, 16)
         with pytest.raises(ValueError):
             render_svg(gt, armwing, 17)
+
+    def test_gait_without_sweep_rejected(self, armwing):
+        with pytest.raises(ValueError, match="no sweep"):
+            render_svg(make_plunge_gait(), armwing, 4)
 
 
 class TestCli:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flapkin import kinematics
 from flapkin.designs import ArmwingParams, armwing_mechanism
-from flapkin.errors import BranchAmbiguousError, KinematicsError, NotAssemblableError
+from flapkin.errors import BranchAmbiguousError, NotAssemblableError
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Branch,
@@ -19,19 +19,15 @@ from flapkin.kinematics import (
     SolveSettings,
     assemble,
     bootstrap_candidates,
-    loop_residual,
-    marker_world,
-    rocker_angle,
     solve_fourbar,
-    sweep,
     sweep_arrays,
-    transmission_angle,
-    transmission_angle_at,
+    transmission_angle_series,
     velocities,
 )
 from flapkin.mechanism import FourBar, Joint, Link, LinkRole, Mechanism, fourbar_mechanism
 
-from conftest import random_crank_rocker, triad_eight_bar
+from conftest import (coincidence_residual, loop_residual, marker_world, random_crank_rocker, recovery_space,
+                      transmission_angle, transmission_angle_at, triad_eight_bar)
 
 # law-of-cosines oracle for (6, 2, 5, 5) at theta = 0: d = 4,
 # beta = arccos((c^2 + d^2 - b^2) / (2cd)) = arccos(0.4), rocker = pi - beta
@@ -63,17 +59,17 @@ def bisect_rocker(fb: FourBar, theta: float, lo: float, hi: float) -> float:
 class TestClosedForm:
     def test_rocker_oracle_theta0(self, fb_example):
         c = solve_fourbar(fb_example, 0.0)
-        assert rocker_angle(c) == pytest.approx(ROCKER_6255_T0, abs=1e-10)
+        assert c.pose("rocker").angle == pytest.approx(ROCKER_6255_T0, abs=1e-10)
 
     def test_rocker_oracle_theta90_bisection(self, fb_example):
         c = solve_fourbar(fb_example, math.pi / 2)
         psi_ref = bisect_rocker(fb_example, math.pi / 2, 1.0, 2.8)
-        assert rocker_angle(c) == pytest.approx(psi_ref, abs=1e-9)
+        assert c.pose("rocker").angle == pytest.approx(psi_ref, abs=1e-9)
 
     def test_parallelogram_theta50(self):
         fb = FourBar(4, 2, 4, 2)
         c = solve_fourbar(fb, math.radians(50.0), Branch.OPEN)
-        assert rocker_angle(c) == pytest.approx(math.radians(50.0), abs=1e-12)
+        assert c.pose("rocker").angle == pytest.approx(math.radians(50.0), abs=1e-12)
         assert c.pose("coupler").angle == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_postcondition(self, fb_example, fb_mech):
@@ -126,33 +122,36 @@ class TestAssemble:
 
 class TestSweep:
     def test_crank_rocker_continuity(self, fb_mech):
-        res = sweep(fb_mech, 0.0, 2 * math.pi, 360)
-        assert res.failed_at is None and len(res.configurations) == 360
-        rockers = np.array([rocker_angle(c) for c in res.configurations])
+        pb = sweep_arrays(fb_mech, np.linspace(0.0, 2 * math.pi, 360))
+        configurations = pb.configurations()
+        assert pb.errors == [None] and len(configurations) == 360
+        rockers = np.array([c.pose("rocker").angle for c in configurations])
         assert np.abs(np.diff(rockers)).max() < 0.2
-        for c in res.configurations[::30]:
+        for c in configurations[::30]:
             assert np.linalg.norm(loop_residual(fb_mech, c)) <= 1e-9
 
     def test_non_grashof_fails_past_dead_center(self):
         m = fourbar_mechanism(FourBar(6, 3, 2, 4))
-        res = sweep(m, 0.0, 2 * math.pi, 360)
-        assert res.failed_at is not None
-        assert len(res.configurations) == res.failed_at
+        pb = sweep_arrays(m, np.linspace(0.0, 2 * math.pi, 360))
+        assert pb.errors[0] is not None
+        assert len(pb.configurations()) == pb.failed_at[0]
 
     def test_degenerate_range(self, fb_mech):
-        res = sweep(fb_mech, 0.0, 0.0, 2)
-        a, b = res.configurations
+        a, b = sweep_arrays(fb_mech, np.linspace(0.0, 0.0, 2)).configurations()
         for lid in fb_mech.link_ids:
             assert a.pose(lid).angle == b.pose(lid).angle
 
-    def test_steps_below_two_rejected(self, fb_mech):
-        with pytest.raises(ValueError):
-            sweep(fb_mech, 0.0, 1.0, 1)
+    @pytest.mark.parametrize("name", ["fourbar", "armwing", "triad"])
+    def test_empty_crank_angle_array(self, name, fb_mech, armwing):
+        m = {"fourbar": fb_mech, "armwing": armwing, "triad": triad_eight_bar()}[name]
+        pb = sweep_arrays(m, np.array([]))
+        assert pb.origins.shape == (1, len(m.links), 0, 2) and pb.angles.shape == (1, len(m.links), 0)
+        assert pb.failed_at.tolist() == [0] and pb.errors == [None] and pb.configurations() == []
 
     def test_crank_angles_unwrapped(self, fb_mech):
         thetas = np.linspace(0, 2 * math.pi, 90)
         pa = sweep_arrays(fb_mech, thetas)
-        crank = pa.angles[pa.index("crank")]
+        crank = pa.angles[0, pa.index("crank")]
         assert np.allclose(np.diff(crank) > 0, True)
         assert crank[-1] == pytest.approx(2 * math.pi, abs=1e-9)
 
@@ -195,29 +194,33 @@ class TestTransmission:
         assert transmission_angle(fb, c) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_folded_to_first_quadrant(self, fb_example, fb_mech):
-        for theta in np.linspace(0, 2 * math.pi, 40):
+        thetas = np.linspace(0, 2 * math.pi, 40)
+        series = transmission_angle_series(fb_mech, sweep_arrays(fb_mech, thetas), "j_b")
+        for theta, mu_series in zip(thetas, series[0]):
             c = solve_fourbar(fb_example, float(theta))
             mu = transmission_angle(fb_example, c)
             assert 0.0 <= mu <= math.pi / 2 + 1e-12
             assert transmission_angle_at(fb_mech, c, "j_b") == pytest.approx(mu, abs=1e-9)
+            assert mu_series == pytest.approx(mu, abs=1e-9)
 
 
 class TestMarkerWorld:
     def test_ground_marker_unchanged(self, fb_mech, fb_example):
         c = solve_fourbar(fb_example, 0.5)
         p = marker_world(fb_mech, c, "ground", "tip")
-        assert (p.x, p.y) == (6.0, 0.0)
+        x, y = sweep_arrays(fb_mech, np.array([0.5])).marker_world(("ground", "tip"))
+        assert (p.x, p.y) == (x[0, 0], y[0, 0]) == (6.0, 0.0)
 
     def test_marker_at_origin_is_link_origin(self, fb_mech, fb_example):
         c = solve_fourbar(fb_example, 0.5)
         p = marker_world(fb_mech, c, "coupler", "origin")
         o = c.pose("coupler").origin
-        assert (p.x, p.y) == (o.x, o.y)
+        x, y = sweep_arrays(fb_mech, np.array([0.5])).marker_world(("coupler", "origin"))
+        assert (p.x, p.y) == (x[0, 0], y[0, 0]) == (o.x, o.y)
 
     def test_rotation_identity(self):
         link = Link("l", {"origin": Point2(0, 0), "m": Point2(1, 0)})
         c = Configuration(0.0, {"l": Pose(Point2(0, 0), math.pi / 2)}, Branch.OPEN)
-        from flapkin.mechanism import Mechanism
         m = Mechanism((Link("ground", {"origin": Point2(0, 0)}, LinkRole.GROUND), link),
                       (), "ground")
         p = marker_world(m, c, "l", "m")
@@ -245,8 +248,6 @@ class TestProperties:
     @settings(max_examples=25, deadline=None)
     @given(theta=st.floats(0.0, 2 * math.pi), phi=st.floats(-math.pi, math.pi))
     def test_frame_invariance(self, theta, phi):
-        import dataclasses
-
         fb_example = FourBar(6.0, 2.0, 5.0, 5.0, coupler_point=Point2(2.5, 1.5))
         fb_mech = fourbar_mechanism(fb_example)
         g = fb_example.g
@@ -256,11 +257,11 @@ class TestProperties:
         m2 = dataclasses.replace(fb_mech, links=(ground,) + fb_mech.links[1:])
         pa1 = sweep_arrays(fb_mech, np.array([theta, theta + 0.1]))
         pa2 = sweep_arrays(m2, np.array([theta + phi, theta + phi + 0.1]))
-        assert pa1.failed_at is None and pa2.failed_at is None
+        assert pa1.errors == pa2.errors == [None]
         R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
         for lid in ("crank", "coupler", "rocker"):
-            w1 = pa1.marker_world(fb_mech, (lid, "tip"))
-            w2 = pa2.marker_world(m2, (lid, "tip"))
+            w1 = np.stack(pa1.marker_world((lid, "tip")), axis=-1)
+            w2 = np.stack(pa2.marker_world((lid, "tip")), axis=-1)
             assert np.allclose(w2, w1 @ R.T, atol=1e-8)
 
     @settings(max_examples=20, deadline=None)
@@ -270,9 +271,9 @@ class TestProperties:
         fb = random_crank_rocker(rng)
         m = fourbar_mechanism(fb)
         settings_ = SolveSettings(tolerance=1e-10)
-        res = sweep(m, 0.0, 2 * math.pi, 64, settings_)
-        assert res.failed_at is None
-        for c in res.configurations[::8]:
+        pb = sweep_arrays(m, np.linspace(0.0, 2 * math.pi, 64), settings_)
+        assert pb.errors == [None]
+        for c in pb.configurations()[::8]:
             assert np.linalg.norm(loop_residual(m, c)) <= settings_.tolerance * sum(fb.lengths)
 
 
@@ -294,33 +295,15 @@ class TestSettings:
 NEWTON_REF = SolveSettings(tolerance=1e-13)
 
 
-def newton_continuation(m, thetas):
-    """Step-by-step assemble continuation: (origins, angles, failed index)."""
-    ids = [m.ground, *m.moving_link_ids()]
-    origins = np.zeros((len(ids), len(thetas), 2))
-    angles = np.zeros((len(ids), len(thetas)))
-    c = None
-    for k, theta in enumerate(thetas):
-        try:
-            c = assemble(m, float(theta), c, NEWTON_REF)
-        except KinematicsError:
-            return origins, angles, k
-        for i, lid in enumerate(ids):
-            p = c.pose(lid)
-            origins[i, k] = (p.origin.x, p.origin.y)
-            angles[i, k] = p.angle
-    return origins, angles, None
-
-
 def assert_matches_newton(m, thetas):
     pa = sweep_arrays(m, thetas)
-    origins, angles, failed_at = newton_continuation(m, thetas)
-    assert pa.solver == "dyad"
-    assert pa.failed_at == failed_at
-    assert pa.ids == [m.ground, *m.moving_link_ids()]
-    n = pa.n_solved
-    assert np.abs(pa.origins[:, :n] - origins[:, :n]).max(initial=0.0) <= 1e-9
-    assert np.abs(pa.angles[:, :n] - angles[:, :n]).max(initial=0.0) <= 1e-9
+    ref = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, NEWTON_REF, None)
+    assert pa.solver == "dyad" and ref.solver == "newton"
+    assert pa.failed_at.tolist() == ref.failed_at.tolist()
+    assert pa.ids == ref.ids == [m.ground, *m.moving_link_ids()]
+    n = pa.failed_at[0]
+    assert np.abs(pa.origins[:, :, :n] - ref.origins[:, :, :n]).max(initial=0.0) <= 1e-9
+    assert np.abs(pa.angles[:, :, :n] - ref.angles[:, :, :n]).max(initial=0.0) <= 1e-9
     return pa
 
 
@@ -334,20 +317,11 @@ def shipped_params(m) -> ArmwingParams:
         forearm_len=mk("forearm", "tip").x, trail=mk("ground", "trail"))
 
 
-def coincidence_residual(m, pa) -> float:
-    worst = 0.0
-    for j in m.joints:
-        a = pa.marker_world(m, (j.link_a, j.marker_a))[:pa.n_solved]
-        b = pa.marker_world(m, (j.link_b, j.marker_b))[:pa.n_solved]
-        worst = max(worst, float(np.hypot(*(a - b).T).max()))
-    return worst
-
-
 class TestDyadPlan:
     @pytest.mark.parametrize("samples", [256, 360])
     def test_shipped_armwing_matches_newton(self, armwing, samples):
         pa = assert_matches_newton(armwing, 2 * math.pi * np.arange(samples) / samples)
-        assert pa.failed_at is None
+        assert pa.errors == [None]
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-0.15, 0.15), min_size=19, max_size=19))
@@ -367,7 +341,7 @@ class TestDyadPlan:
     @pytest.mark.parametrize("fb", [FourBar(6, 2, 5, 5), FourBar(4, 2, 4, 2)])
     def test_fourbars_take_the_dyad_path(self, fb):
         pa = sweep_arrays(fourbar_mechanism(fb), np.linspace(0, 2 * math.pi, 64))
-        assert pa.solver == "dyad" and pa.failed_at is None
+        assert pa.solver == "dyad" and pa.errors == [None]
 
     def test_coincident_pivots_ignore_the_branch(self, fb_mech):
         # ground length zero: not a FourBar, so both requests start on the same root
@@ -376,7 +350,7 @@ class TestDyadPlan:
             for l in fb_mech.links))
         thetas = np.linspace(0, 2 * math.pi, 32)
         a, b = (sweep_arrays(m, thetas, branch=br) for br in (Branch.OPEN, Branch.CROSSED))
-        assert a.failed_at is None and a.branch is None and b.branch is None
+        assert a.errors == [None] and a.branches == b.branches == [None]
         assert np.array_equal(a.origins, b.origins)
 
     def test_shipped_armwing_takes_the_dyad_path(self, armwing):
@@ -386,7 +360,7 @@ class TestDyadPlan:
         m = triad_eight_bar()
         guess = Configuration(0.0, {l.id: Pose(Point2(0, 0), 0.0) for l in m.links})
         pa = sweep_arrays(m, np.linspace(0.0, 0.3, 16), guess=guess)
-        assert pa.solver == "newton" and pa.failed_at is None
+        assert pa.solver == "newton" and pa.errors == [None]
         assert coincidence_residual(m, pa) <= 1e-9
 
     def test_non_grashof_fails_at_first_open_circle(self):
@@ -394,17 +368,17 @@ class TestDyadPlan:
         # exceeds (b + c)^2 = 36 once cos(theta) < 1/4
         thetas = np.linspace(0.0, 2 * math.pi, 360)
         pa = sweep_arrays(fourbar_mechanism(FourBar(6, 3, 2, 4)), thetas)
-        assert pa.solver == "dyad" and pa.error == NotAssemblableError.code
-        assert pa.failed_at == int(np.argmax(np.cos(thetas) < 0.25)) == 76
-        assert not pa.angles[:, pa.failed_at:].any()
+        assert pa.solver == "dyad" and pa.errors == [NotAssemblableError.code]
+        assert pa.failed_at[0] == int(np.argmax(np.cos(thetas) < 0.25)) == 76
+        assert not pa.angles[0, :, pa.failed_at[0]:].any()
 
     def test_angles_unwrapped_along_the_sweep(self):
         # double-crank: coupler and follower turn a full revolution with the crank
         thetas = np.linspace(0.0, 4 * math.pi, 200)
         pa = sweep_arrays(fourbar_mechanism(FourBar(2, 4, 3.5, 4.5)), thetas)
-        assert pa.failed_at is None
-        assert np.abs(np.diff(pa.angles, axis=1)).max() < 0.5
-        rocker = pa.angles[pa.index("rocker")]
+        assert pa.errors == [None]
+        assert np.abs(np.diff(pa.angles, axis=-1)).max() < 0.5
+        rocker = pa.angles[0, pa.index("rocker")]
         assert rocker[-1] - rocker[0] == pytest.approx(4 * math.pi, abs=1e-9)
 
     @pytest.mark.parametrize("branch", list(Branch))
@@ -429,7 +403,7 @@ class TestDyadPlan:
         thetas = np.linspace(0.5, 1.5, 11)
         crossed = solve_fourbar(fb_example, 0.5, Branch.CROSSED)
         pa = sweep_arrays(fb_mech, thetas, guess=crossed)
-        assert pa.branch is Branch.CROSSED
+        assert pa.branches == [Branch.CROSSED]
         ref = sweep_arrays(fb_mech, thetas, branch=Branch.CROSSED)
         assert np.allclose(pa.origins, ref.origins, rtol=0, atol=1e-12)
 
@@ -442,7 +416,7 @@ class TestDyadPlan:
             h = poses["humerus"]
             poses["humerus"] = Pose(h.origin, h.angle + 2 * math.pi)
             pa = sweep_arrays(armwing, thetas, guess=Configuration(0.3, poses))
-            assert pa.solver == "dyad" and pa.failed_at is None
+            assert pa.solver == "dyad" and pa.errors == [None]
             start = pa.configuration(0)
             for lid, p in poses.items():
                 assert start.pose(lid).angle == pytest.approx(p.angle, abs=1e-12)
@@ -467,8 +441,8 @@ class TestDyadPlan:
         thetas = np.arange(361) * math.pi / 180
         pa = sweep_arrays(fourbar_mechanism(FourBar(4, 2, 4, 2)), thetas)
         assert len(calls) == 1 and calls[0][0] != calls[0][-1]
-        assert pa.failed_at is None
-        assert np.abs(pa.angles[pa.index("rocker")] - thetas).max() <= 1e-12
+        assert pa.errors == [None]
+        assert np.abs(pa.angles[0, pa.index("rocker")] - thetas).max() <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans(), st.data())
@@ -490,3 +464,26 @@ class TestDyadPlan:
                                               int(n_ok[b]), float(s[b])) if n_ok[b] else []
             assert sign[b, :n_ok[b]].tolist() == want
             assert np.all(sign[b, n_ok[b]:] == 1.0)
+
+
+class TestBatchRows:
+    """Row b of a batch sweep is the sweep of the b-th mechanism alone, bit for bit."""
+
+    @pytest.mark.parametrize("solver, box, rows, n", [("dyad", 1.0, 300, 128), ("dyad", 3.0, 300, 128),
+                                                      ("newton", 1.0, 4, 32)])
+    def test_rows_are_one_mechanism_sweeps(self, solver, box, rows, n):
+        from flapkin.synthesis import DesignSpace, Parameter
+
+        space = recovery_space()[0] if solver == "dyad" else DesignSpace(triad_eight_bar(), (
+            Parameter("link.crank.marker.tip.x", 0.5, 0.7), Parameter("link.d1.marker.b.y", 5.3, 5.7)))
+        lo, hi = space.bounds()
+        half = 0.5 * box * (hi - lo)
+        X = 0.5 * (lo + hi) - half + np.random.default_rng(4).random((rows, space.dim)) * 2 * half
+        thetas = 2 * math.pi * np.arange(n) / n
+        pb = sweep_arrays(space.template, thetas, markers=space.markers(X))
+        assert pb.solver == solver and (pb.failed_at < n).any() == (box > 1.0)  # about a third at 3x
+        for b, x in enumerate(X):
+            one = sweep_arrays(space.apply(x), thetas)
+            assert np.array_equal(pb.origins[b], one.origins[0]) and np.array_equal(pb.angles[b], one.angles[0])
+            assert (pb.failed_at[b], pb.errors[b], pb.branches[b]) == \
+                (one.failed_at[0], one.errors[0], one.branches[0])

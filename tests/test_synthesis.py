@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +65,15 @@ class TestObjective:
         with pytest.raises(TypeError):
             feasibility_report(space.template, spec)
 
+    def test_no_untyped_except_in_library_or_scripts(self):
+        # a failure the search should survive has a type; anything else is a bug to surface
+        root = Path(__file__).resolve().parents[1]
+        found = [f"{path.relative_to(root)}:{i}" for d in ("src", "scripts")
+                 for path in sorted((root / d).rglob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"except\s*(:|\(?\s*(Base)?Exception\b)", line)]
+        assert found == []
+
     def test_quadratic_metric_error(self):
         space, spec, x_hidden = recovery_space()
         shifted = dataclasses.replace(spec,
@@ -99,8 +110,8 @@ def oracle_cost(space: DesignSpace, spec: GaitSpec, x: np.ndarray,
         pa = sweep_arrays(m, thetas)
     except (FlapkinError, np.linalg.LinAlgError):
         return 1.0e6 + 1.0
-    if pa.failed_at is not None:
-        return 1.0e6 + (1.0 - pa.failed_at / samples)
+    if pa.errors[0]:
+        return 1.0e6 + (1.0 - pa.failed_at[0] / samples)
     try:
         gt = gait_from_pose_arrays(m, pa, 1.0, np.arange(samples) / samples)
         mu = None
