@@ -16,7 +16,7 @@ from .compliance import (
     hinge_stiffness,
     solve_equilibrium,
 )
-from .designs import ARMWING_TRANSMISSION_JOINTS, ArmwingParams, armwing_mechanism, two_stage_armwing
+from .designs import ARMWING_TRANSMISSION_JOINTS, two_stage_armwing
 from .errors import FlapkinError
 from .fileio import parse_mechanism, render_svg, serialize_mechanism, trajectory_csv
 from .gait import (

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -97,13 +96,14 @@ def _load_doc(path: str, build):
 
 
 def _load_spec(path: str) -> GaitSpec:
+    """The gait spec at path; keys the document omits take GaitSpec's defaults."""
     return _load_doc(path, lambda doc: GaitSpec(
         plunge_amplitude=float(doc["plunge_amplitude_rad"]),
         extension_range=tuple(doc["extension_range"]),
-        area_ratio_max=float(doc.get("area_ratio_max", 0.9)),
-        min_transmission_angle=float(doc.get("min_transmission_angle_rad", math.radians(30))),
-        weights=doc.get("weights", {"plunge_amplitude": 1.0, "extension_min": 1.0,
-                                    "extension_max": 1.0}),
+        **{field: convert(doc[key]) for key, field, convert in (
+            ("area_ratio_max", "area_ratio_max", float),
+            ("min_transmission_angle_rad", "min_transmission_angle", float),
+            ("weights", "weights", lambda w: w)) if key in doc},
     ))
 
 

@@ -6,80 +6,25 @@ coupler, that folds the forearm about the elbow (extension-retraction). One
 motor at the crank pin drives both, so the wing expands and retracts within
 each wingbeat.
 
-All dimensions are design choices at desk scale (a ~25 cm wing), tuned by
-scripts/design_armwing.py; the hinge dimensions and modulus are representative
-of 3D-printable flexible polymers, not measured values.
+All dimensions are design choices at desk scale (a ~25 cm wing). Their design
+problem is the `flapkin synthesize` input pair data/armwing_space.json (twelve
+marker coordinates, each +-25 % of its shipped value) and
+data/armwing_spec.json (gait targets with margins on the acceptance
+thresholds). The hinge dimensions and modulus are representative of
+3D-printable flexible polymers, not measured values.
 """
 from __future__ import annotations
 
 import importlib.resources
-import math
-from dataclasses import dataclass
 
-from .compliance import HingeGeometry, hinge_stiffness
-from .geometry import Point2
-from .mechanism import CompliantHinge, Joint, Link, LinkRole, Mechanism, RigidPin
+from .fileio import parse_mechanism
+from .mechanism import Mechanism
 
 # transmission-quality joints of the two stages (coupler-follower pins)
 ARMWING_TRANSMISSION_JOINTS = ("j_b", "j_d")
 
-FLEX_HINGE = HingeGeometry(width=0.008, thickness=0.0005, length=0.002, elastic_modulus=1.2e9)
-
-
-@dataclass(frozen=True)
-class ArmwingParams:
-    """Geometry knobs of the two-stage armwing, meters / radians."""
-
-    crank_r: float          # stage-1 crank radius
-    shoulder: Point2        # humerus ground pivot, relative to the crank pivot
-    drive_pin: float        # humerus pin radius where the stage-1 coupler attaches
-    humerus_len: float      # shoulder to elbow
-    coupler1_len: float     # crank tip to humerus pin
-    cpin: Point2            # second coupler-1 pin, in the coupler-1 frame
-    coupler2_len: float     # coupler-1 pin to forearm pin
-    dpin: Point2            # forearm pin, in the forearm frame (origin at elbow)
-    forearm_len: float      # elbow to wingtip
-    trail: Point2           # membrane root trailing point, on the ground link
-
-
-def armwing_mechanism(p: ArmwingParams, compliant: bool = True) -> Mechanism:
-    kind_b = CompliantHinge(hinge_stiffness(FLEX_HINGE), 0.0, FLEX_HINGE) if compliant else RigidPin()
-    links = (
-        Link("ground", {"origin": Point2(0, 0), "shoulder": p.shoulder, "trail": p.trail},
-             LinkRole.GROUND),
-        Link("crank", {"origin": Point2(0, 0), "tip": Point2(p.crank_r, 0)}, LinkRole.CRANK),
-        Link("coupler1", {"origin": Point2(0, 0), "b_pin": Point2(p.coupler1_len, 0),
-                          "c_pin": p.cpin}, LinkRole.COUPLER),
-        Link("humerus", {"origin": Point2(0, 0), "b_pin": Point2(p.drive_pin, 0),
-                         "elbow": Point2(p.humerus_len, 0)}, LinkRole.ROCKER),
-        Link("coupler2", {"origin": Point2(0, 0), "tip": Point2(p.coupler2_len, 0)},
-             LinkRole.COUPLER),
-        Link("forearm", {"origin": Point2(0, 0), "d_pin": p.dpin,
-                         "tip": Point2(p.forearm_len, 0)}, LinkRole.GENERIC),
-    )
-    joints = (
-        Joint("j_crank", "ground", "origin", "crank", "origin", actuated=True),
-        Joint("j_a", "crank", "tip", "coupler1", "origin"),
-        Joint("j_b", "coupler1", "b_pin", "humerus", "b_pin", kind=kind_b),
-        Joint("j_s", "ground", "shoulder", "humerus", "origin"),
-        Joint("j_c", "coupler1", "c_pin", "coupler2", "origin"),
-        Joint("j_d", "coupler2", "tip", "forearm", "d_pin", kind=kind_b),
-        Joint("j_e", "humerus", "elbow", "forearm", "origin"),
-    )
-    return Mechanism(
-        links=links,
-        joints=joints,
-        ground="ground",
-        wing_polygon=(("ground", "shoulder"), ("humerus", "elbow"),
-                      ("forearm", "tip"), ("ground", "trail")),
-        shoulder=("ground", "shoulder"),
-        wingtip=("forearm", "tip"),
-    )
-
 
 def two_stage_armwing() -> Mechanism:
     """The shipped armwing example, loaded from the packaged JSON document."""
-    from .fileio import parse_mechanism
-
     data = importlib.resources.files("flapkin.data").joinpath("armwing.json").read_bytes()
     return parse_mechanism(data)

@@ -115,8 +115,8 @@ def generate_gait(m: Mechanism, period: float, samples: int,
     """
     if samples < 8:
         raise ValueError("samples must be >= 8")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    if not (period > 0.0 and math.isfinite(period)):
+        raise ValueError("period must be positive and finite")
     if m.shoulder is None or m.wingtip is None or len(m.wing_polygon) < 3:
         raise GaitError("mechanism must declare shoulder, wingtip and wing polygon",
                         code="DEGENERATE")

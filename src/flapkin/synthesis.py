@@ -62,10 +62,13 @@ class GaitSpec:
         lo, hi = self.extension_range
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"extension range must satisfy 0 <= min < max <= 1, got {self.extension_range}")
-        if self.area_ratio_max <= 0.0:
-            raise ValueError("area ratio bound must be positive")
-        if any(w < 0.0 for w in self.weights.values()) or not any(self.weights.values()):
-            raise ValueError("weights must be nonnegative and not all zero")
+        if not (math.isfinite(self.plunge_amplitude) and math.isfinite(self.min_transmission_angle)):
+            raise ValueError("plunge amplitude and minimum transmission angle must be finite")
+        if not (0.0 < self.area_ratio_max < math.inf):
+            raise ValueError("area ratio bound must be positive and finite")
+        w = self.weights.values()
+        if not all(0.0 <= v < math.inf for v in w) or not any(w):
+            raise ValueError("weights must be finite, nonnegative and not all zero")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Shared fixtures and oracle helpers for the test suite."""
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from flapkin.cli import main
+from flapkin.designs import two_stage_armwing
 from flapkin.errors import DegenerateGeometryError, GaitError
-from flapkin.gait import GaitTrajectory, polygon_area
+from flapkin.gait import GaitTrajectory, gait_metrics, generate_gait, polygon_area
 from flapkin.geometry import Point2
-from flapkin.kinematics import Configuration
+from flapkin.kinematics import Configuration, transmission_angle_series
 from flapkin.mechanism import (
     CompliantHinge,
     FourBar,
@@ -21,6 +25,7 @@ from flapkin.mechanism import (
     fourbar_mechanism,
     grashof_classify,
 )
+from flapkin.synthesis import OBJECTIVE_SAMPLES, DesignSpace, GaitSpec, Parameter
 
 
 @pytest.fixture
@@ -36,8 +41,6 @@ def fb_mech(fb_example) -> Mechanism:
 
 @pytest.fixture
 def armwing() -> Mechanism:
-    from flapkin.designs import two_stage_armwing
-
     return two_stage_armwing()
 
 
@@ -237,8 +240,6 @@ def recovery_space(noise: float = 0.0):
     Five marker coordinates of the (6, 2, 5, 5) crank-rocker, bounds +-20%
     around the hidden values.
     """
-    from flapkin.synthesis import DesignSpace, GaitSpec, Parameter
-
     hidden = FourBar(6.0, 2.0, 5.0, 5.0, coupler_point=Point2(2.5, 1.5))
     template = fourbar_mechanism(hidden)
     names_and_values = (
@@ -251,11 +252,6 @@ def recovery_space(noise: float = 0.0):
     params = tuple(Parameter(name, 0.8 * v, 1.2 * v) for name, v in names_and_values)
     x_hidden = np.array([v for _, v in names_and_values])
     space = DesignSpace(template, params, transmission_joints=("j_b",))
-
-    from flapkin.gait import gait_metrics, generate_gait
-    from flapkin.kinematics import transmission_angle_series
-    from flapkin.synthesis import OBJECTIVE_SAMPLES
-
     gt = generate_gait(template, 1.0, OBJECTIVE_SAMPLES)
     mu = transmission_angle_series(template, gt.poses, "j_b")
     mts = gait_metrics(gt, mu)
@@ -268,11 +264,6 @@ def recovery_space(noise: float = 0.0):
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """Invoke the CLI in-process, returning (exit code, stdout, stderr)."""
-    import contextlib
-    import io
-
-    from flapkin.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flapkin.aero import AeroConfig, quasi_steady_forces
+from flapkin.cli import _load_spec
 from flapkin.errors import MechanismValidationError, ParseError, SchemaError
 from flapkin.fileio import (
     AERO_HEADER,
@@ -23,8 +25,11 @@ from flapkin.fileio import (
     serialize_mechanism,
     trajectory_csv,
 )
-from flapkin.gait import generate_gait
+from flapkin.gait import gait_metrics, generate_gait
+from flapkin.geometry import Point2
 from flapkin.kinematics import sweep_arrays
+from flapkin.mechanism import FourBar, fourbar_mechanism
+from flapkin.synthesis import GaitSpec
 
 from conftest import make_plunge_gait, marker_world, run_cli
 
@@ -102,8 +107,6 @@ class TestTrajectoryCsv:
         assert a == b and "\r" not in a
 
     def test_aero_csv_header(self):
-        from flapkin.aero import AeroConfig, quasi_steady_forces
-
         rep = quasi_steady_forces(make_plunge_gait(samples=32), AeroConfig(freestream=2.0))
         assert aero_csv(rep).split("\n")[0] == AERO_HEADER
 
@@ -179,12 +182,15 @@ class TestCli:
         ["aero", "--period", "0.1", "--freestream", "3", "--chord", "a,b"],
         ["aero", "--period", "0.1", "--freestream", "3", "--samples", "4"],
         ["gait", "--period", "-1", "--samples", "16"],
+        ["gait", "--period", "nan", "--samples", "16"],
+        ["gait", "--period", "inf", "--samples", "16"],
         ["gait", "--period", "0.1", "--samples", "16", "--tol", "0"],
         ["gait", "--period", "0.1", "--samples", "16", "--metrics", "--transmission-joint", "nope"],
         ["sweep", "--steps", "3"],
         ["animate", "--frames", "0", "--out-dir", "frames"],
     ], ids=["aero --strips 2", "aero --chord a,b", "aero --samples 4", "gait --period -1",
-            "gait --tol 0", "gait --transmission-joint nope", "sweep --steps 3", "animate --frames 0"])
+            "gait --period nan", "gait --period inf", "gait --tol 0", "gait --transmission-joint nope",
+            "sweep --steps 3", "animate --frames 0"])
     def test_rejected_argument_usage_error(self, shipped_path, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli([argv[0], str(shipped_path), *argv[1:]])
@@ -245,10 +251,11 @@ class TestCli:
     @pytest.mark.parametrize("broken, error", [("space", "SCHEMA_ERROR"), ("spec", "SCHEMA_ERROR"),
                                                ("parameter", "SCHEMA_ERROR"), ("json", "PARSE_ERROR"),
                                                ("extension_range", "SCHEMA_ERROR"),
-                                               ("bounds", "SCHEMA_ERROR")])
+                                               ("bounds", "SCHEMA_ERROR"), ("weights", "SCHEMA_ERROR"),
+                                               ("plunge_amplitude_rad", "SCHEMA_ERROR"),
+                                               ("area_ratio_max", "SCHEMA_ERROR"),
+                                               ("min_transmission_angle_rad", "SCHEMA_ERROR")])
     def test_synthesize_format_error(self, tmp_path, broken, error):
-        from flapkin.mechanism import FourBar, fourbar_mechanism
-
         space_doc = {
             "template": mechanism_to_doc(fourbar_mechanism(FourBar(6, 2, 5, 5))),
             "parameters": [{"name": "link.crank.marker.tip.x", "lower": 1.6, "upper": 2.4}],
@@ -264,6 +271,8 @@ class TestCli:
             spec_doc["extension_range"] = [0.9, 0.5]
         elif broken == "bounds":  # Parameter rejects lower > upper
             space_doc["parameters"][0]["lower"] = 3.0
+        elif broken in ("weights", "plunge_amplitude_rad", "area_ratio_max", "min_transmission_angle_rad"):
+            spec_doc[broken] = {"plunge_amplitude": math.nan} if broken == "weights" else math.nan
         space_p, spec_p = tmp_path / "space.json", tmp_path / "spec.json"
         space_p.write_text(json.dumps(space_doc)[:-1] if broken == "json" else json.dumps(space_doc))
         spec_p.write_text(json.dumps(spec_doc))
@@ -274,11 +283,15 @@ class TestCli:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"E_FORMAT {error}")
 
-    def test_synthesize_deterministic_output(self, tmp_path):
-        from flapkin.gait import gait_metrics
-        from flapkin.geometry import Point2
-        from flapkin.mechanism import FourBar, fourbar_mechanism
+    def test_spec_file_omitting_keys_takes_gaitspec_defaults(self, tmp_path):
+        p, doc = tmp_path / "spec.json", {"plunge_amplitude_rad": 0.3, "extension_range": [0.5, 1.0]}
+        p.write_text(json.dumps(doc))
+        assert _load_spec(str(p)) == GaitSpec(plunge_amplitude=0.3, extension_range=(0.5, 1.0))
+        p.write_text(json.dumps({**doc, "area_ratio_max": 0.8, "min_transmission_angle_rad": 0.6,
+                                 "weights": {"x": 2.0}}))
+        assert _load_spec(str(p)) == GaitSpec(0.3, (0.5, 1.0), 0.8, 0.6, {"x": 2.0})
 
+    def test_synthesize_deterministic_output(self, tmp_path):
         template = fourbar_mechanism(FourBar(6, 2, 5, 5, coupler_point=Point2(2.5, 1.5)))
         mts = gait_metrics(generate_gait(template, 1.0, 128))
         space_doc = {
@@ -330,8 +343,6 @@ SUBCOMMAND_OPTIONS = {  # option -> value strategy; None for a flag
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory) -> dict[str, list[str]]:
     """Input files for every positional argument: good, missing and broken."""
-    from flapkin.mechanism import FourBar, fourbar_mechanism
-
     d = tmp_path_factory.mktemp("fuzz")
     docs = {
         "armwing.json": shipped_bytes().decode(),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flapkin import kinematics
-from flapkin.designs import ArmwingParams, armwing_mechanism
+from flapkin.designs import two_stage_armwing
 from flapkin.errors import BranchAmbiguousError, NotAssemblableError
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
@@ -25,6 +25,7 @@ from flapkin.kinematics import (
     velocities,
 )
 from flapkin.mechanism import FourBar, Joint, Link, LinkRole, Mechanism, fourbar_mechanism
+from flapkin.synthesis import DesignSpace, Parameter
 
 from conftest import (coincidence_residual, loop_residual, marker_world, random_crank_rocker, recovery_space,
                       transmission_angle, transmission_angle_at, triad_eight_bar)
@@ -307,14 +308,11 @@ def assert_matches_newton(m, thetas):
     return pa
 
 
-def shipped_params(m) -> ArmwingParams:
-    mk = lambda lid, name: m.link(lid).marker(name)  # noqa: E731
-    return ArmwingParams(
-        crank_r=mk("crank", "tip").x, shoulder=mk("ground", "shoulder"),
-        drive_pin=mk("humerus", "b_pin").x, humerus_len=mk("humerus", "elbow").x,
-        coupler1_len=mk("coupler1", "b_pin").x, cpin=mk("coupler1", "c_pin"),
-        coupler2_len=mk("coupler2", "tip").x, dpin=mk("forearm", "d_pin"),
-        forearm_len=mk("forearm", "tip").x, trail=mk("ground", "trail"))
+# the marker coordinates of the shipped armwing design space plus the membrane's
+# trailing root point, as <link>.<marker>.<component>
+PERTURBED = ("crank.tip.x", "ground.shoulder.x", "ground.shoulder.y", "humerus.b_pin.x", "humerus.elbow.x",
+             "coupler1.b_pin.x", "coupler1.c_pin.x", "coupler1.c_pin.y", "coupler2.tip.x", "forearm.d_pin.x",
+             "forearm.d_pin.y", "forearm.tip.x", "ground.trail.x", "ground.trail.y")
 
 
 class TestDyadPlan:
@@ -326,16 +324,10 @@ class TestDyadPlan:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-0.15, 0.15), min_size=19, max_size=19))
     def test_perturbed_armwings_match_newton(self, rel):
-        from flapkin.designs import two_stage_armwing
-
-        nominal, k, kw = shipped_params(two_stage_armwing()), iter(rel), {}
-        for f in dataclasses.fields(ArmwingParams):
-            v = getattr(nominal, f.name)
-            if isinstance(v, Point2):
-                kw[f.name] = Point2(v.x * (1 + next(k)), v.y * (1 + next(k)))
-            else:
-                kw[f.name] = v * (1 + next(k))
-        assert_matches_newton(armwing_mechanism(ArmwingParams(**kw)),
+        m, paths = two_stage_armwing(), [p.split(".") for p in PERTURBED]
+        space = DesignSpace(m, tuple(Parameter(f"link.{lid}.marker.{mk}.{c}", -1.0, 1.0) for lid, mk, c in paths))
+        nominal = np.array([getattr(m.link(lid).marker(mk), c) for lid, mk, c in paths])
+        assert_matches_newton(space.apply(nominal * (1 + np.array(rel[:len(PERTURBED)]))),
                               2 * math.pi * np.arange(64) / 64)
 
     @pytest.mark.parametrize("fb", [FourBar(6, 2, 5, 5), FourBar(4, 2, 4, 2)])
@@ -472,8 +464,6 @@ class TestBatchRows:
     @pytest.mark.parametrize("solver, box, rows, n", [("dyad", 1.0, 300, 128), ("dyad", 3.0, 300, 128),
                                                       ("newton", 1.0, 4, 32)])
     def test_rows_are_one_mechanism_sweeps(self, solver, box, rows, n):
-        from flapkin.synthesis import DesignSpace, Parameter
-
         space = recovery_space()[0] if solver == "dyad" else DesignSpace(triad_eight_bar(), (
             Parameter("link.crank.marker.tip.x", 0.5, 0.7), Parameter("link.d1.marker.b.y", 5.3, 5.7)))
         lo, hi = space.bounds()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flapkin
 from flapkin.designs import ARMWING_TRANSMISSION_JOINTS, two_stage_armwing
 from flapkin.errors import (
     BudgetTooSmallError,
@@ -19,8 +21,8 @@ from flapkin.errors import (
     GaitError,
     SynthesisError,
 )
-from flapkin.fileio import serialize_mechanism
-from flapkin.gait import gait_from_pose_arrays, gait_metrics, generate_gait
+from flapkin.fileio import parse_mechanism, serialize_mechanism
+from flapkin.gait import gait_from_pose_arrays, gait_metrics, generate_gait, retraction_time
 from flapkin.kinematics import sweep_arrays, transmission_angle_series
 from flapkin.mechanism import FourBar, fourbar_mechanism
 from flapkin.synthesis import (
@@ -36,7 +38,9 @@ from flapkin.synthesis import (
     synthesize,
 )
 
-from conftest import recovery_space, triad_eight_bar
+from conftest import recovery_space, run_cli, triad_eight_bar
+
+DATA = Path(flapkin.__file__).parent / "data"
 
 
 class TestObjective:
@@ -292,6 +296,31 @@ class TestSynthesize:
         assert result.cost > 0.0
 
 
+class TestArmwingDesignProblem:
+    """The shipped armwing's design problem is a `flapkin synthesize` input pair."""
+
+    def test_space_template_is_the_shipped_armwing(self):
+        space = json.loads((DATA / "armwing_space.json").read_text())
+        assert space["template"] == json.loads((DATA / "armwing.json").read_text())
+        assert tuple(space["transmission_joints"]) == ARMWING_TRANSMISSION_JOINTS
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_synthesize_gives_a_valid_armwing(self, tmp_path, seed):
+        out = tmp_path / "best.json"
+        code, _, _ = run_cli(["synthesize", str(DATA / "armwing_space.json"), str(DATA / "armwing_spec.json"),
+                              "--budget", "1500", "--seed", str(seed), "--out", str(out)])
+        assert code == 0
+        m = parse_mechanism(out.read_bytes())
+        gt = generate_gait(m, 0.1, 256)
+        mu = np.minimum.reduce([transmission_angle_series(m, gt.poses, j) for j in ARMWING_TRANSMISSION_JOINTS])
+        mts = gait_metrics(gt, mu)
+        # criterion 6 thresholds, then criterion 10
+        assert mts.extension_range[1] - mts.extension_range[0] >= 0.15
+        assert mts.area_ratio_up_down <= 0.9
+        assert mts.min_transmission_angle >= math.radians(30.0)
+        assert retraction_time(gt) <= 0.06
+
+
 class TestFeasibilityReport:
     def test_shipped_example_feasible(self, armwing):
         gt = generate_gait(armwing, 1.0, 128)
@@ -327,6 +356,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GaitSpec(plunge_amplitude=0.5, extension_range=(0.2, 1.0),
                      weights={"plunge_amplitude": 0.0})
+
+    @pytest.mark.parametrize("field, value", [
+        ("plunge_amplitude", math.nan), ("plunge_amplitude", math.inf),
+        ("area_ratio_max", math.nan), ("area_ratio_max", math.inf),
+        ("min_transmission_angle", math.nan), ("min_transmission_angle", -math.inf),
+        ("weights", {"plunge_amplitude": math.nan}), ("weights", {"plunge_amplitude": 1.0, "extension_min": math.inf}),
+    ])
+    def test_non_finite_values(self, field, value):
+        with pytest.raises(ValueError):
+            GaitSpec(**{"plunge_amplitude": 0.5, "extension_range": (0.2, 1.0), field: value})
 
     def test_bad_parameter_bounds(self):
         with pytest.raises(ValueError):
