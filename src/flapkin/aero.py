@@ -33,14 +33,17 @@ class AeroConfig:
     cl_max: float = 1.2
 
     def __post_init__(self):
-        if self.air_density <= 0.0:
-            raise ValueError("air density must be positive")
+        for name in ("freestream", "lift_slope", "cl_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 < self.air_density < math.inf:
+            raise ValueError("air density must be positive and finite")
         if self.strip_count < 4:
             raise ValueError("strip count must be >= 4")
-        if self.span <= 0.0:
-            raise ValueError("span must be positive")
-        if any(c < 0.0 for c in self.chord_profile) or len(self.chord_profile) < 2:
-            raise ValueError("chord profile needs >= 2 nonnegative entries")
+        if not 0.0 < self.span < math.inf:
+            raise ValueError("span must be positive and finite")
+        if not all(0.0 <= c < math.inf for c in self.chord_profile) or len(self.chord_profile) < 2:
+            raise ValueError("chord profile needs >= 2 nonnegative finite entries")
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,24 @@ the initial population) is costed in one `population_costs` call: the design
 space maps the (B, dim) block of candidates onto a marker table of the
 template, the dyad plan sweeps all B mechanisms at once, and the gait series
 and metrics run along the sample axis of (B, N) arrays; only a dyad root that
-switches at a change point is followed row by row. `objective` is the one-row
-case of that call, so the polish costs a point with the same arithmetic.
-Templates the dyad plan cannot decompose are swept row by row with Newton.
+switches at a change point is followed row by row. Templates the dyad plan
+cannot decompose are swept row by row with Newton.
+
+The polish is batched the same way: each simplex step costs every point it
+might need (reflection, expansion and both contractions, or the N points of a
+shrink) in one `population_costs` call, then takes the costs in the order a
+one-point-at-a-time Nelder-Mead evaluates them, so it reaches the same points.
+`objective`, the one-row case of `population_costs`, is no longer on the
+search path; it serves callers that cost one candidate.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     BudgetTooSmallError,
@@ -272,6 +278,94 @@ def objective(x: np.ndarray, space: DesignSpace, spec: GaitSpec,
     return float(population_costs(space, spec, np.asarray(x, dtype=float)[None], samples, settings)[0])
 
 
+def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxfev: int,
+                 xatol: float, fatol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nelder-Mead simplex search from x0 that costs each step's points in one call.
+
+    `costs` maps a (B, N) block of points to their B costs. The search is
+    scipy's `minimize(method="Nelder-Mead")` without bounds or adaptive
+    parameters (as of scipy 1.17), operation for operation: the same simplex
+    and trial-point arithmetic, the same argsorts and the same xatol/fatol
+    stop. Where scipy evaluates one point at a time, this costs every point a
+    step might need at once: the initial simplex, then reflection, expansion,
+    outside and inside contraction together (all four depend only on the
+    centroid and the worst vertex), then a shrink's N points. It then
+    consumes the costs in the order scipy would evaluate them, up to maxfev.
+    Returns the consumed points (n, N) and their costs (n,), in that order.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    seen_x: list[np.ndarray] = []
+    seen_f: list[np.ndarray] = []
+    room = maxfev
+
+    def consume(X: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Take the leading points of X that fit under maxfev; their costs."""
+        nonlocal room
+        seen_x.append(X[:room].copy())
+        seen_f.append(f[:room])
+        room -= len(seen_f[-1])
+        return seen_f[-1]
+
+    fsim = np.full(N + 1, np.inf)
+    f = consume(sim, costs(sim[:room]))
+    fsim[:len(f)] = f
+    for _ in range(2):  # scipy sorts twice here
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while room:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        trial = np.stack([(1 + rho) * xbar - rho * sim[-1],                 # reflection
+                          (1 + rho * chi) * xbar - rho * chi * sim[-1],     # expansion
+                          (1 + psi * rho) * xbar - psi * rho * sim[-1],     # outside contraction
+                          (1 - psi) * xbar + psi * sim[-1]])                # inside contraction
+        fxr, fxe, fxc, fxcc = ftrial = costs(trial)
+        consume(trial[:1], ftrial[:1])
+        # the second point to consume, and the point that replaces the worst
+        # vertex (None: shrink)
+        if fxr < fsim[0]:
+            second, pick = 1, (1 if fxe < fxr else 0)
+        elif fxr < fsim[-2]:
+            second, pick = None, 0
+        elif fxr < fsim[-1]:
+            second, pick = 2, (2 if fxc <= fxr else None)
+        else:
+            second, pick = 3, (3 if fxcc < fsim[-1] else None)
+        if second is not None:
+            if not room:
+                break
+            consume(trial[second:second + 1], ftrial[second:second + 1])
+        if pick is not None:
+            sim[-1] = trial[pick]
+            fsim[-1] = ftrial[pick]
+        elif not room:
+            break
+        else:  # shrink towards the best vertex
+            sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+            f = consume(sim[1:], costs(sim[1:]))
+            fsim[1:1 + len(f)] = f
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return np.concatenate(seen_x), np.concatenate(seen_f)
+
+
 def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
                samples: int = OBJECTIVE_SAMPLES,
                settings: SolveSettings = DEFAULT_SETTINGS) -> SynthesisResult:
@@ -311,19 +405,12 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
     best_x, best_cost = pop[best_idx].copy(), float(costs[best_idx])
 
     # simplex polish on the DE winner, capped overhead
-    polish_evals = 0
-
-    def polished(x):
-        nonlocal polish_evals, best_x, best_cost
-        polish_evals += 1
-        c = objective(np.clip(x, lo, hi), space, spec, samples, settings)
+    xs, fs = _nelder_mead(lambda X: population_costs(space, spec, np.clip(X, lo, hi), samples, settings),
+                          best_x, maxfev=200, xatol=1e-12, fatol=1e-14)
+    for x, c in zip(xs, fs):
         if c < best_cost:
-            best_cost, best_x = c, np.clip(np.asarray(x, dtype=float), lo, hi)
-        return c
-
-    minimize(polished, best_x, method="Nelder-Mead",
-             options={"maxfev": 200, "xatol": 1e-12, "fatol": 1e-14})
-    evals += polish_evals
+            best_cost, best_x = float(c), np.clip(x, lo, hi)
+    evals += len(fs)
 
     mech = space.apply(best_x)
     report = feasibility_report(mech, spec, space.transmission_joints, samples, settings)

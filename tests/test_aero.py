@@ -145,3 +145,14 @@ class TestConfig:
     def test_bad_chord_profile(self):
         with pytest.raises(ValueError):
             AeroConfig(freestream=1.0, chord_profile=(0.1,))
+
+    @pytest.mark.parametrize("field", ["freestream", "air_density", "span", "lift_slope", "cl_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, field, value):
+        with pytest.raises(ValueError):
+            AeroConfig(**{"freestream": 1.0, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_chord(self, value):
+        with pytest.raises(ValueError):
+            AeroConfig(freestream=1.0, chord_profile=(0.1, value, 0.1))

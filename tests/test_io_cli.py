@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flapkin
 from flapkin.aero import AeroConfig, quasi_steady_forces
 from flapkin.cli import _load_spec
 from flapkin.errors import MechanismValidationError, ParseError, SchemaError
@@ -162,6 +166,16 @@ class TestCli:
         code, out, _ = run_cli(["validate", str(p)])
         assert code == 1 and "MOBILITY_NOT_ONE" in out
 
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test dependency only: the package and its CLI run on numpy
+        package_root = str(Path(flapkin.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+        r = subprocess.run([sys.executable, "-c", "import sys, flapkin, flapkin.cli; print('scipy' in sys.modules)"],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
     def test_sweep_csv(self, shipped_path):
         code, out, _ = run_cli(["sweep", str(shipped_path), "--steps", "16"])
         assert code == 0
@@ -181,6 +195,10 @@ class TestCli:
         ["aero", "--period", "0.1", "--freestream", "3", "--strips", "2"],
         ["aero", "--period", "0.1", "--freestream", "3", "--chord", "a,b"],
         ["aero", "--period", "0.1", "--freestream", "3", "--samples", "4"],
+        ["aero", "--period", "0.1", "--freestream", "nan", "--samples", "16"],
+        ["aero", "--period", "0.1", "--freestream", "inf", "--samples", "16"],
+        ["aero", "--period", "0.1", "--freestream", "3", "--density", "nan", "--samples", "16"],
+        ["aero", "--period", "0.1", "--freestream", "3", "--span", "inf", "--samples", "16"],
         ["gait", "--period", "-1", "--samples", "16"],
         ["gait", "--period", "nan", "--samples", "16"],
         ["gait", "--period", "inf", "--samples", "16"],
@@ -188,7 +206,8 @@ class TestCli:
         ["gait", "--period", "0.1", "--samples", "16", "--metrics", "--transmission-joint", "nope"],
         ["sweep", "--steps", "3"],
         ["animate", "--frames", "0", "--out-dir", "frames"],
-    ], ids=["aero --strips 2", "aero --chord a,b", "aero --samples 4", "gait --period -1",
+    ], ids=["aero --strips 2", "aero --chord a,b", "aero --samples 4", "aero --freestream nan",
+            "aero --freestream inf", "aero --density nan", "aero --span inf", "gait --period -1",
             "gait --period nan", "gait --period inf", "gait --tol 0", "gait --transmission-joint nope",
             "sweep --steps 3", "animate --frames 0"])
     def test_rejected_argument_usage_error(self, shipped_path, tmp_path, monkeypatch, argv):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import flapkin
+from flapkin.cli import _load_space, _load_spec
 from flapkin.designs import ARMWING_TRANSMISSION_JOINTS, two_stage_armwing
 from flapkin.errors import (
     BudgetTooSmallError,
@@ -32,6 +34,7 @@ from flapkin.synthesis import (
     GaitSpec,
     Parameter,
     _area_ratio,
+    _nelder_mead,
     feasibility_report,
     objective,
     population_costs,
@@ -231,6 +234,127 @@ class TestPopulationCosts:
         for b in np.flatnonzero(use):  # the per-row loop the grouped reduction replaces
             want[b] = area[b][up[b]].mean() / area[b][~up[b]].mean()
         assert np.array_equal(_area_ratio(area, up, use), want)
+
+
+def scipy_nelder_mead(cost, x0: np.ndarray, maxfev: int, xatol: float = 1e-12,
+                      fatol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
+    """The points scipy's Nelder-Mead evaluates one at a time, and their costs."""
+    xs, fs = [], []
+
+    def recorded(x):
+        xs.append(np.array(x))
+        fs.append(cost(x))
+        return fs[-1]
+
+    minimize(recorded, x0, method="Nelder-Mead", options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+    return np.array(xs), np.array(fs)
+
+
+def row_wise(cost):
+    return lambda X: np.array([cost(x) for x in X])
+
+
+def quadratic(x: np.ndarray) -> float:
+    return float(np.sum((x - 0.3) ** 2))
+
+
+STAIRCASE_START = np.array([1.0, 2.0, 0.5])
+
+
+def staircase(x: np.ndarray) -> float:
+    """A quadratic rounded down to steps of 1/4: its plateaus tie costs and force shrinks."""
+    return float(np.floor(np.sum((x - 0.3) ** 2) * 4.0) / 4.0)
+
+
+class TestNelderMead:
+    """The batched simplex consumes the points scipy's Nelder-Mead evaluates, in its order."""
+
+    @pytest.mark.parametrize("problem,seed", [*(("recovery", s) for s in range(10)),
+                                              *(("armwing", s) for s in range(3)),
+                                              ("stiffness", 0)])
+    def test_polish_of_de_winners_matches_scipy(self, monkeypatch, problem, seed):
+        if problem == "recovery":
+            space, spec, _ = recovery_space()
+        elif problem == "armwing":
+            space = _load_space(str(DATA / "armwing_space.json"))
+            spec = _load_spec(str(DATA / "armwing_spec.json"))
+        else:  # a hinge stiffness moves no marker: every point costs the same
+            arm, spec = armwing_space()
+            space = DesignSpace(arm.template, (Parameter("joint.j_b.stiffness", 0.02, 0.08),),
+                                arm.transmission_joints)
+        lo, hi = space.bounds()
+        polishes = []
+
+        def recorded(costs, x0, **kwargs):
+            polishes.append((np.array(x0), *_nelder_mead(costs, x0, **kwargs)))
+            return polishes[-1][1:]
+
+        monkeypatch.setattr("flapkin.synthesis._nelder_mead", recorded)
+        result = synthesize(space, spec, budget=1500, seed=seed)
+        [(x0, xs, fs)] = polishes
+        sx, sf = scipy_nelder_mead(lambda x: objective(np.clip(x, lo, hi), space, spec), x0, 200)
+        assert np.array_equal(xs, sx) and np.array_equal(fs, sf)
+        # the best point as scipy's objective wrapper kept it: strict <, in evaluation order
+        best_x, best_cost = x0, objective(x0, space, spec)
+        for x, c in zip(sx, sf):
+            if c < best_cost:
+                best_x, best_cost = np.clip(x, lo, hi), c
+        assert np.array_equal(result.parameters, best_x) and result.cost == best_cost
+        pop_size = 15 * space.dim
+        assert result.evaluations == pop_size * (1500 // pop_size) + len(sf)
+
+    def test_tolerance_stop_before_the_cap(self):
+        x0 = np.array([1.0, 2.0])
+        xs, fs = _nelder_mead(row_wise(quadratic), x0, maxfev=200, xatol=1e-12, fatol=1e-14)
+        sx, sf = scipy_nelder_mead(quadratic, x0, 200)
+        assert len(sf) < 200
+        assert np.array_equal(xs, sx) and np.array_equal(fs, sf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(maxfev=st.integers(len(STAIRCASE_START) + 2, 200))
+    def test_any_cap_matches_scipy(self, maxfev):
+        x0 = STAIRCASE_START
+        xs, fs = _nelder_mead(row_wise(staircase), x0, maxfev=maxfev, xatol=1e-12, fatol=1e-14)
+        sx, sf = scipy_nelder_mead(staircase, x0, maxfev)
+        assert len(sf) == maxfev
+        assert np.array_equal(xs, sx) and np.array_equal(fs, sf)
+
+    def test_cap_inside_a_shrink_matches_scipy(self):
+        x0 = STAIRCASE_START
+        blocks = []
+
+        def costs(X):
+            blocks.append(X.copy())
+            return row_wise(staircase)(X)
+
+        xs, _ = _nelder_mead(costs, x0, maxfev=200, xatol=1e-12, fatol=1e-14)
+        # a shrink is the only 3-row block; find where its points were consumed
+        starts = [i for b in blocks if len(b) == 3
+                  for i in range(len(xs) - 2) if np.array_equal(xs[i:i + 3], b)]
+        caps = [start + k for start in starts for k in (1, 2) if start + k <= 200]
+        assert caps
+        for maxfev in caps:
+            xs, fs = _nelder_mead(row_wise(staircase), x0, maxfev=maxfev, xatol=1e-12, fatol=1e-14)
+            sx, sf = scipy_nelder_mead(staircase, x0, maxfev)
+            assert np.array_equal(xs, sx) and np.array_equal(fs, sf)
+
+    def test_synthesize_makes_no_one_row_calls(self, monkeypatch):
+        space, spec, _ = recovery_space()
+        calls, costs = [], population_costs
+
+        def counted(space, spec, X, *args, **kwargs):
+            calls.append(len(X))
+            return costs(space, spec, X, *args, **kwargs)
+
+        monkeypatch.setattr("flapkin.synthesis.population_costs", counted)
+        synthesize(space, spec, budget=1500, seed=0)
+        n, pop_size = space.dim, 15 * space.dim
+        generations = 1500 // pop_size
+        assert calls[:generations] == [pop_size] * generations
+        # the polish: the initial simplex, then four trial points per step or a shrink
+        assert calls[generations] == n + 1
+        assert set(calls[generations + 1:]) <= {4, n}
+        assert len(calls) < 150  # one call per point made 220
 
 
 class TestSynthesize:
