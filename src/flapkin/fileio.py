@@ -220,27 +220,25 @@ def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv(header: str, columns) -> str:
+    """CSV of equal-length columns: the header, then one row per sample, each
+    cell with 12 significant digits as `_num` writes it; LF endings."""
+    fmt = ",".join(["%.12g"] * len(columns))
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "\n".join([header, *(fmt % row for row in rows)]) + "\n"
+
+
 def trajectory_csv(gt: GaitTrajectory) -> str:
     """Render a gait as CSV: fixed header, 12 significant digits, LF endings."""
-    lines = [TRAJECTORY_HEADER]
-    for k in range(gt.samples):
-        lines.append(",".join([
-            _num(gt.t[k]), _num(gt.crank[k]), _num(gt.plunge[k]),
-            _num(gt.extension[k]), _num(gt.area[k]),
-            _num(gt.wingtip[k, 0]), _num(gt.wingtip[k, 1]),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(TRAJECTORY_HEADER, (gt.t, gt.crank, gt.plunge, gt.extension, gt.area,
+                                    gt.wingtip[:, 0], gt.wingtip[:, 1]))
 
 
 AERO_HEADER = "t_s,vertical_force_n,horizontal_force_n"
 
 
 def aero_csv(report) -> str:
-    lines = [AERO_HEADER]
-    for k in range(len(report.t)):
-        lines.append(",".join([_num(report.t[k]), _num(report.vertical_force[k]),
-                               _num(report.horizontal_force[k])]))
-    return "\n".join(lines) + "\n"
+    return _csv(AERO_HEADER, (report.t, report.vertical_force, report.horizontal_force))
 
 
 # ---------------------------------------------------------------------------

@@ -68,39 +68,41 @@ def polygon_area(points: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def wingbeat_series(tip, shoulder, polygon):
-    """Plunge, extension and membrane area along the last axis.
+def wingbeat_series(m: Mechanism, pb: PoseBatch):
+    """Wingtip path, plunge, extension and membrane area of the sweeps in pb.
 
-    tip, shoulder and each vertex of `polygon` are world paths (x, y), each
-    of shape (..., N). Returns (plunge, extension, area, min reach, max
-    reach), the reach extremes with the sample axis kept as size one: a
-    wingbeat needs a positive maximum and a minimum of at least 1e-12.
+    Each distinct marker path of m's wingtip, shoulder and wing polygon is
+    taken from pb once. Returns (tip, plunge, extension, area, min reach, max
+    reach): tip is (x, y), each (B, N), the series are (B, N), and the reach
+    extremes keep the sample axis as size one: a wingbeat needs a positive
+    maximum and a minimum of at least 1e-12.
     """
+    paths = {ref: pb.marker_world(ref) for ref in dict.fromkeys((m.wingtip, m.shoulder, *m.wing_polygon))}
+    tip, shoulder = paths[m.wingtip], paths[m.shoulder]
     dx, dy = tip[0] - shoulder[0], tip[1] - shoulder[1]
     reach = np.hypot(dx, dy)
     lo, hi = reach.min(axis=-1, keepdims=True), reach.max(axis=-1, keepdims=True)
     plunge = np.unwrap(np.arctan2(dy, dx), axis=-1)
-    x, y = [v[0] for v in polygon], [v[1] for v in polygon]
+    x, y = [paths[ref][0] for ref in m.wing_polygon], [paths[ref][1] for ref in m.wing_polygon]
 
     def cross(a, b):  # sum of a_v * b_(v+1) over the vertices, in vertex order
         return sum(a[v] * b[(v + 1) % len(a)] for v in range(len(a)))
 
     area = 0.5 * np.abs(cross(x, y) - cross(y, x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return plunge, reach / hi, area, lo, hi
+        return tip, plunge, reach / hi, area, lo, hi
 
 
 def gait_from_pose_arrays(m: Mechanism, pb: PoseBatch, period: float,
                           t: np.ndarray) -> GaitTrajectory:
     """Gait series of row 0 of a sweep that closes there, sampled at times t."""
-    tip = pb.marker_world(m.wingtip)
-    plunge, extension, area, lo, hi = (v[0] for v in wingbeat_series(
-        tip, pb.marker_world(m.shoulder), [pb.marker_world(ref) for ref in m.wing_polygon]))
+    tip, plunge, extension, area, lo, hi = wingbeat_series(m, pb)
     if hi[0] <= 0.0:
         raise ZeroReachError("maximum reach over the sweep is zero")
     if lo[0] < 1e-12:
         raise DegenerateGeometryError("shoulder and wingtip coincide during the sweep")
-    return GaitTrajectory(period, t, pb.thetas, plunge, extension, area, np.stack(tip, axis=-1)[0], pb)
+    return GaitTrajectory(period, t, pb.thetas, plunge[0], extension[0], area[0],
+                          np.stack(tip, axis=-1)[0], pb)
 
 
 def generate_gait(m: Mechanism, period: float, samples: int,

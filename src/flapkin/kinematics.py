@@ -10,8 +10,16 @@ step with the previous solution, and `assemble` always polishes with Newton.
 Either way a sweep is a `PoseBatch`: the poses of B mechanisms that share one
 topology (a marker table) at the same crank angles, one mechanism being B = 1.
 
+A pose in a sweep is an origin and a rotation stored as its unit vector
+(cos, sin). The dyad plan builds each link's rotation from the directions it
+already has (pin to joint in the world, the same two markers in the link
+frame), so a sweep takes no arctan2, cos or sin per link. Link angles are
+derived from the rotations only when asked for (`PoseBatch.angles`); every
+physical output is read off the rotations, so none depends on a whole turn
+added to a link angle.
+
 The crank coordinate theta is the world orientation of the crank link frame,
-measured counter-clockwise; sweeps keep all angles unwrapped so they stay
+measured counter-clockwise; derived angles are unwrapped so they stay
 continuous across +-pi.
 """
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -72,11 +81,10 @@ class SolveSettings:
 DEFAULT_SETTINGS = SolveSettings()
 
 
-def _world_path(origins: np.ndarray, angles: np.ndarray, px, py) -> tuple[np.ndarray, np.ndarray]:
-    """World (x, y) of the link-frame point (px, py) of a link whose origin
-    follows origins (..., N, 2) and orientation angles (..., N)."""
-    c, s = np.cos(angles), np.sin(angles)
-    return origins[..., 0] + c * px - s * py, origins[..., 1] + s * px + c * py
+def _complex(a: np.ndarray) -> np.ndarray:
+    """An (..., 2) float array of (x, y) or (cos, sin) pairs, viewed as (...)
+    complex numbers x + iy: rotating a point is multiplying by its rotation."""
+    return a.view(np.complex128)[..., 0]
 
 
 Markers = dict[tuple[str, str], tuple[float | np.ndarray, float | np.ndarray]]
@@ -90,6 +98,12 @@ def marker_table(m: Mechanism) -> Markers:
     return {(l.id, k): (float(p.x), float(p.y)) for l in m.links for k, p in l.markers.items()}
 
 
+def _point(markers: Markers, lid: str, marker: str):
+    """A marker's link-frame position x + iy: complex, or (B, 1) complex."""
+    x, y = markers[lid, marker]
+    return x + 1j * y
+
+
 def _rows(markers: Markers) -> int:
     """B of a marker table: the length of its array entries, 1 if it has none."""
     return max((len(v) for xy in markers.values() for v in xy if isinstance(v, np.ndarray)), default=1)
@@ -98,19 +112,29 @@ def _rows(markers: Markers) -> int:
 @dataclass
 class PoseBatch:
     """Sweeps of the B mechanisms of a marker table, all at the same crank
-    angles: origins (B, L, N, 2) and angles (B, L, N). Row b closes at its first
-    failed_at[b] samples (N if at every angle; zeros past them), and errors[b] is
-    its failure code or None. One mechanism is B = 1: `configuration(s)` read row 0."""
+    angles: link origins (B, L, N, 2) and link rotations (B, L, N, 2), each a
+    unit vector (cos, sin). Row b closes at its first failed_at[b] samples (N if
+    at every angle; past them origins are zero and rotations the identity), and
+    errors[b] is its failure code or None. One mechanism is B = 1:
+    `configuration(s)` read row 0.
+
+    The rotations are the poses; `angles` is derived from them on first
+    access. Marker paths, gait series and transmission angles read the
+    rotations alone, so they do not depend on a whole turn added to any link
+    angle (by a guess, say); only the derived angles do.
+    """
 
     ids: list[str]
     thetas: np.ndarray
     origins: np.ndarray
-    angles: np.ndarray
+    rotations: np.ndarray
     failed_at: np.ndarray
     errors: list[str | None]
     markers: Markers
     branches: list[Branch | None]
     solver: str = "dyad"  # "dyad" (closed-form plan) or "newton"
+    crank: str | None = None  # the driven link, whose angle is theta
+    guess: Configuration | None = None  # angles take their whole turns from it
 
     def index(self, link_id: str) -> int:
         return self.ids.index(link_id)
@@ -118,7 +142,25 @@ class PoseBatch:
     def marker_world(self, ref: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
         """World path (x, y), each (B, N), of one marker across the sweeps."""
         i = self.index(ref[0])
-        return _world_path(self.origins[:, i], self.angles[:, i], *self.markers[ref])
+        z = _complex(self.origins[:, i]) + _complex(self.rotations[:, i]) * _point(self.markers, *ref)
+        return z.real, z.imag
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """(B, L, N) link orientations: the crank's is theta exactly; every
+        other link's is the arctan2 of its rotation, unwrapped along the sweep
+        and moved by whole turns to the nearest of its angle in `guess` at
+        the first sample. Zero past failed_at."""
+        angles = np.unwrap(np.angle(_complex(self.rotations)), axis=-1)
+        n = len(self.thetas)
+        if self.guess is not None and n:
+            ref = np.array([0.0 if lid in (self.ids[0], self.crank) else self.guess.pose(lid).angle
+                            for lid in self.ids])
+            angles += 2.0 * math.pi * np.round((ref - angles[..., 0]) / (2.0 * math.pi))[..., None]
+        if self.crank is not None:
+            angles[:, self.index(self.crank)] = self.thetas
+        angles[np.broadcast_to((np.arange(n) >= self.failed_at[:, None])[:, None], angles.shape)] = 0.0
+        return angles
 
     def configuration(self, k: int) -> Configuration:
         poses = {
@@ -204,11 +246,35 @@ def _decompose(m: Mechanism) -> list[_Step]:
     return steps
 
 
-def _is_dyadic(m: Mechanism, steps: list[_Step]) -> bool:
-    """The plan solves the whole chain: crank and dyads only, square system."""
-    return (bool(steps) and steps[0].kind == "crank"
-            and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
-            and all(st.kind in ("crank", "dyad") for st in steps))
+@dataclass(frozen=True)
+class _Plan:
+    """What a mechanism's topology alone fixes: the dyad plan's steps, whether
+    they solve the whole chain (crank and dyads only, square system), and the
+    sides of the four-bar loop it is (`fourbar_sides`), if it is one."""
+
+    steps: tuple[_Step, ...]
+    dyadic: bool
+    sides: tuple[tuple[str, str, str], ...] | None
+
+
+_PLANS: dict[tuple, _Plan] = {}
+
+
+def _plan(m: Mechanism) -> _Plan:
+    """m's `_Plan`, built once per topology (the links, and the joints with
+    their markers and drive) and then reused; at most 64 are kept."""
+    key = (m.ground, tuple(l.id for l in m.links),
+           tuple((j.id, j.link_a, j.marker_a, j.link_b, j.marker_b, j.actuated) for j in m.joints))
+    plan = _PLANS.get(key)
+    if plan is None:
+        steps = tuple(_decompose(m))
+        dyadic = (bool(steps) and steps[0].kind == "crank"
+                  and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
+                  and all(st.kind in ("crank", "dyad") for st in steps))
+        if len(_PLANS) >= 64:
+            _PLANS.clear()
+        plan = _PLANS[key] = _Plan(steps, dyadic, fourbar_sides(m))
+    return plan
 
 
 def _row(v, b: int) -> float:
@@ -216,82 +282,95 @@ def _row(v, b: int) -> float:
     return float(np.ravel(v)[b if np.size(v) > 1 else 0])
 
 
-def _per_row(f, u, v):
-    """f(u, v) one row at a time for table entries (floats or (B, 1) arrays),
-    with the `math` function the scalar geometry uses (numpy's hypot and
-    arctan2 may differ from it in the last bit)."""
-    if isinstance(u, float) and isinstance(v, float):
-        return f(u, v)
-    u, v = np.ravel(u).tolist(), np.ravel(v).tolist()
-    rows = max(len(u), len(v))
-    return np.array(list(map(f, u * (rows // len(u)), v * (rows // len(v)))))[:, None]
-
-
-def _local_length(markers: Markers, lid: str, m1: str, m2: str) -> np.ndarray:
-    """Per-row distance between two markers of a link."""
+def _local_length(markers: Markers, lid: str, m1: str, m2: str):
+    """Per-row distance between two markers of a link: a float, or (B, 1) when
+    the table has rows. Taken row by row with `math.hypot`, as the scalar
+    geometry (`Point2.norm`, `as_fourbar`) takes it; numpy's hypot may differ
+    from it in the last bit."""
     (x1, y1), (x2, y2) = markers[lid, m1], markers[lid, m2]
-    return _per_row(math.hypot, x2 - x1, y2 - y1)
+    dx, dy = x2 - x1, y2 - y1
+    if isinstance(dx, float) and isinstance(dy, float):
+        return math.hypot(dx, dy)
+    dx, dy = np.ravel(dx).tolist(), np.ravel(dy).tolist()
+    rows = max(len(dx), len(dy))  # a float entry is one value for every row
+    return np.array(list(map(math.hypot, dx * (rows // len(dx)), dy * (rows // len(dy)))))[:, None]
 
 
-def _local_direction(markers: Markers, lid: str, m1: str, m2: str) -> np.ndarray:
-    """Per-row direction, in the link frame, of the vector from marker m1 to m2."""
-    (x1, y1), (x2, y2) = markers[lid, m1], markers[lid, m2]
-    return _per_row(math.atan2, y2 - y1, x2 - x1)
+def _unit(v, length, floor: float = 0.0):
+    """Per-row v / length for a link-frame vector v (complex, 0-d or (B, 1))
+    of the given length; 1, the link's x axis, where the length is 0 or below
+    floor."""
+    keep = (length > 0.0) & (length >= floor)
+    return np.where(keep, v / np.where(keep, length, 1.0), 1.0)
 
 
-def _place_steps(m: Mechanism, steps: list[_Step], markers: Markers, thetas: np.ndarray, pick):
+def _place_steps(m: Mechanism, steps: tuple[_Step, ...], markers: Markers, thetas: np.ndarray, pick):
     """Place every link of the B mechanisms of `markers` at every crank angle
     of `thetas` at once; m supplies the topology.
 
-    Returns link id -> (x, y, angle, cos, sin) arrays broadcasting to (B, N),
-    and the (B, N) mask of samples at which every dyad closes. The i-th
-    dyad's roots are base +- offset; `pick(i, base, offset, n_ok)` returns its
-    root sign per sample, given that each row's first n_ok[b] samples (and
-    all earlier dyads') close. Circles that miss are clamped to their
-    nearest approach.
+    Returns the link ids (the ground, then the moving links), their origins
+    and rotations, each (B, L, N, 2) as (x, y) and (cos, sin), and the (B, N)
+    mask of samples at which every dyad closes. A link pinned at a placed
+    point takes the rotation that turns its local direction from that pin to
+    its other pin onto the world one; only the crank's comes from an angle
+    (theta). Points and rotations are worked with as complex numbers x + iy
+    and cos + i sin. The i-th dyad's roots are base +- offset, each given as
+    (x, y); `pick(i, base, offset, n_ok)` returns its root sign per sample,
+    given that each row's first n_ok[b] samples (and all earlier dyads')
+    close. Circles that miss are clamped to their nearest approach.
     """
     n = len(thetas)
     rows = _rows(markers)
-    zero = np.zeros((rows, n))
-    poses = {m.ground: (zero, zero, zero, np.ones((rows, n)), zero)}
+    ids = [m.ground, *m.moving_link_ids()]
+    origins, rotations = np.empty((rows, len(ids), n, 2)), np.empty((rows, len(ids), n, 2))
+    poses = {lid: (_complex(origins)[:, i], _complex(rotations)[:, i]) for i, lid in enumerate(ids)}
     ok = np.ones((rows, n), dtype=bool)
 
     def world(lid, marker):
-        x, y, _, c, s = poses[lid]
-        px, py = markers[lid, marker]
-        return x + c * px - s * py, y + s * px + c * py
+        origin, rotation = poses[lid]
+        return origin + rotation * _point(markers, lid, marker)
 
-    def place(lid, marker, at, angle):
-        qx, qy = markers[lid, marker]
-        c, s = np.cos(angle), np.sin(angle)
-        poses[lid] = (at[0] - (c * qx - s * qy), at[1] - (s * qx + c * qy), angle, c, s)
+    def place(lid, marker, at, rotation):
+        """Link lid at `rotation`, its marker on the world point `at`."""
+        poses[lid][0][...] = at - rotation * _point(markers, lid, marker)
+        poses[lid][1][...] = rotation
 
-    def place_two(lid, m1, p1, m2, p2):
-        """Local marker m1 on p1 and m2 on the ray from p1 toward p2."""
-        angle = np.arctan2(p2[1] - p1[1], p2[0] - p1[0]) - _local_direction(markers, lid, m1, m2)
-        place(lid, m1, p1, angle)
+    def fix(lid):
+        """Link lid at the identity pose, as the ground is."""
+        poses[lid][0][...], poses[lid][1][...] = 0.0, 1.0
 
+    def place_along(lid, m1, at, m2, local_length, w, length):
+        """Local marker m1 on `at`, and the link-frame vector from m1 to marker
+        m2 (of length local_length) turned onto the world vector w (of the
+        given length); onto the x axis where w is 0, as arctan2(0, 0) = 0
+        would have it."""
+        local = _unit(_point(markers, lid, m2) - _point(markers, lid, m1), local_length)
+        zero_w = length == 0.0
+        place(lid, m1, at, (w + zero_w) * np.conj(local) / (length + zero_w))
+
+    fix(m.ground)
     n_dyads = 0
     for st in steps:
         if st.kind == "free":
-            poses[st.links[0]] = poses[m.ground]
+            fix(st.links[0])
             continue
         (own, other, other_marker), *more = st.pins
         p1 = world(other, other_marker)
         if st.kind == "crank":
-            place(st.links[0], own, p1, thetas)
+            place(st.links[0], own, p1, np.cos(thetas) + 1j * np.sin(thetas))
         elif st.kind == "hang":
-            place(st.links[0], own, p1, zero)
+            place(st.links[0], own, p1, 1.0)
         elif st.kind == "rigid":
             own2, other2, marker2 = more[0]
-            place_two(st.links[0], own, p1, own2, world(other2, marker2))
+            w = world(other2, marker2) - p1
+            place_along(st.links[0], own, p1, own2, _local_length(markers, st.links[0], own, own2), w, np.abs(w))
         else:
             own2, other2, marker2 = more[0]
             p2 = world(other2, marker2)
             ra = _local_length(markers, st.links[0], own, st.shared[0])
             rb = _local_length(markers, st.links[1], own2, st.shared[1])
-            dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-            d = np.hypot(dx, dy)
+            span = p2 - p1
+            d = np.abs(span)
             # Heron's factors: the circles meet where none is negative
             f1, f2, f3, f4 = ra + rb - d, d - ra + rb, d + ra - rb, d + ra + rb
             eps = 1e-12 * f4
@@ -299,15 +378,19 @@ def _place_steps(m: Mechanism, steps: list[_Step], markers: Markers, thetas: np.
             d = np.where(d > 0.0, d, 1.0)
             h = np.sqrt(np.maximum(f1 * f2 * f3 * f4, 0.0)) / (2.0 * d)
             a = (ra * ra - rb * rb + d * d) / (2.0 * d)
-            ux, uy = dx / d, dy / d
-            base = (p1[0] + a * ux, p1[1] + a * uy)
-            offset = (-h * uy, h * ux)
-            sign = pick(n_dyads, base, offset, np.logical_and.accumulate(ok, axis=1).sum(axis=1))
+            u = span / d
+            along = a * u
+            base, offset = p1 + along, 1j * (h * u)
+            sign = pick(n_dyads, (base.real, base.imag), (offset.real, offset.imag),
+                        np.logical_and.accumulate(ok, axis=1).sum(axis=1))
             n_dyads += 1
-            x = (base[0] + sign * offset[0], base[1] + sign * offset[1])
-            place_two(st.links[0], own, p1, st.shared[0], x)
-            place_two(st.links[1], own2, p2, st.shared[1], x)
-    return poses, ok
+            # the joint from each pin: `a` along the center line p1 -> p2 and
+            # sign * h across it from p1, and span less from p2
+            to_joint = along + sign * offset
+            hh = h * h
+            place_along(st.links[0], own, p1, st.shared[0], ra, to_joint, np.sqrt(a * a + hh))
+            place_along(st.links[1], own2, p2, st.shared[1], rb, to_joint - span, np.sqrt((a - d) ** 2 + hh))
+    return ids, origins, rotations, ok
 
 
 def _continue_roots(base, offset, n: int, s: float) -> list[float]:
@@ -346,13 +429,13 @@ def _follow_roots(base, offset, n_ok: np.ndarray, s: np.ndarray) -> np.ndarray:
     return sign
 
 
-def _dyad_sweep_arrays(m: Mechanism, steps: list[_Step], markers: Markers, thetas: np.ndarray,
+def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.ndarray,
                        guess: Configuration | None, branch: Branch) -> PoseBatch:
     """Closed-form sweeps of the mechanisms of a marker table that share m's
     dyad plan, all B rows in one pass, root continuation included."""
     n = len(thetas)
+    steps, sides = plan.steps, plan.sides
     dyads = [st for st in steps if st.kind == "dyad"]
-    sides = fourbar_sides(m)
     rows = _rows(markers)
     is_fourbar = np.zeros(rows, dtype=bool) if sides is None else fourbar_lengths_valid(np.hstack(
         [np.broadcast_to(_local_length(markers, *side), (rows, 1)) for side in sides]))
@@ -382,27 +465,17 @@ def _dyad_sweep_arrays(m: Mechanism, steps: list[_Step], markers: Markers, theta
             first[:] = np.where(n_ok > 0, s, 0.0)
         return _follow_roots(base, offset, n_ok, s)
 
-    poses, ok = _place_steps(m, steps, markers, thetas, pick)
-    ids = [m.ground, *m.moving_link_ids()]
-    origins = np.empty((rows, len(ids), n, 2))
-    angles = np.empty((rows, len(ids), n))
-    for i, lid in enumerate(ids):
-        origins[:, i, :, 0], origins[:, i, :, 1], angles[:, i] = poses[lid][:3]
-    turning = [i for i, lid in enumerate(ids) if lid not in (m.ground, steps[0].links[0])]
-    angles[:, turning] = np.unwrap(angles[:, turning], axis=-1)
-    if guess is not None and n:
-        turns = np.round((np.array([guess.pose(ids[i]).angle for i in turning])
-                          - angles[:, turning, 0]) / (2.0 * math.pi))
-        angles[:, turning] += 2.0 * math.pi * turns[..., None]
+    ids, origins, rotations, ok = _place_steps(m, steps, markers, thetas, pick)
     failed_at = np.logical_and.accumulate(ok, axis=1).sum(axis=1)  # leading closed samples
     if (failed_at < n).any():
-        after = np.broadcast_to((np.arange(n) >= failed_at[:, None])[:, None], angles.shape)
+        after = np.broadcast_to((np.arange(n) >= failed_at[:, None])[:, None], origins.shape[:3])
         origins[after] = 0.0
-        angles[after] = 0.0
+        rotations[after] = (1.0, 0.0)
     branches = [(branch if not s else Branch.OPEN if s == open_sign else Branch.CROSSED) if fb
                 else guess.branch if guess else None for s, fb in zip(first, is_fourbar)]
     errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
-    return PoseBatch(ids, thetas, origins, angles, failed_at, errors, markers, branches)
+    return PoseBatch(ids, thetas, origins, rotations, failed_at, errors, markers, branches,
+                     crank=steps[0].links[0], guess=guess)
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
@@ -501,7 +574,7 @@ def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -
     and a tangent dyad gives one root; links the plan can only hang sit at
     orientation zero for Newton to sort out.
     """
-    steps = _decompose(m)
+    steps = _plan(m).steps
     k = sum(st.kind == "dyad" for st in steps)
     kv = min(k, 10)  # only the last kv dyads vary; max_candidates never reaches further
     bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
@@ -512,11 +585,13 @@ def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -
         repeated[(offset[0][0] == 0.0) & (offset[1][0] == 0.0) & (signs[:, i] < 0.0)] = True
         return signs[:, i]
 
-    poses, _ = _place_steps(m, steps, marker_table(m), np.full(len(signs), float(theta)), pick)
-    poses = {lid: (x[0], y[0], np.ravel(a)) for lid, (x, y, a, _, _) in poses.items()}
-    return [Configuration(theta, {lid: Pose(Point2(float(x[r]), float(y[r])), float(a[r]))
-                                  for lid, (x, y, a) in poses.items()})
-            for r in np.flatnonzero(~repeated)[:max_candidates]]
+    ids, origins, rotations, _ = _place_steps(m, steps, marker_table(m), np.full(len(signs), float(theta)), pick)
+    angles = np.angle(_complex(rotations)[0])
+    if steps and steps[0].kind == "crank":
+        angles[ids.index(steps[0].links[0])] = theta
+    xy, angles = origins[0].tolist(), angles.tolist()
+    return [Configuration(theta, {lid: Pose(Point2(*xy[i][r]), angles[i][r]) for i, lid in enumerate(ids)})
+            for r in np.flatnonzero(~repeated)[:max_candidates].tolist()]
 
 
 def assemble(m: Mechanism, theta: float, guess: Configuration | None = None,
@@ -604,8 +679,10 @@ def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, set
                 break
             xya = q.reshape(-1, 3)
             origins[b, 1:, k], angles[b, 1:, k] = xya[:, :2], xya[:, 2]
-    return PoseBatch(ids, thetas, origins, angles, failed_at, errors, markers,
-                     [guess.branch if guess else None] * rows, "newton")
+    act = m.actuated_joint()
+    return PoseBatch(ids, thetas, origins, np.stack([np.cos(angles), np.sin(angles)], axis=-1),
+                     failed_at, errors, markers, [guess.branch if guess else None] * rows, "newton",
+                     act.other(m.ground) if act is not None else None, guess)
 
 
 def _row_mechanism(m: Mechanism, markers: Markers, b: int) -> Mechanism:
@@ -633,9 +710,9 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
     """
     thetas = np.asarray(thetas, dtype=float)
     markers = marker_table(m) if markers is None else markers
-    steps = _decompose(m)
-    if _is_dyadic(m, steps):
-        return _dyad_sweep_arrays(m, steps, markers, thetas, guess, branch)
+    plan = _plan(m)
+    if plan.dyadic:
+        return _dyad_sweep_arrays(m, plan, markers, thetas, guess, branch)
     return _newton_sweep_arrays(m, markers, thetas, settings, guess)
 
 
@@ -665,17 +742,18 @@ def velocities(m: Mechanism, c: Configuration, crank_rate: float,
 
 
 def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.ndarray:
-    """(B, N) transmission angle series at a joint of m's topology: the
-    difference of the two link directions folded into [0, pi/2]. A link's
-    direction is its angle plus the per-row direction from its origin marker
-    to the joint marker (zero when they coincide)."""
+    """(B, N) transmission angle series at a joint of m's topology: the angle
+    between the two link directions as lines, in [0, pi/2]. A link's direction
+    is its rotation applied to the per-row unit vector from its origin marker to
+    the joint marker (its x axis when they coincide)."""
     j = m.joint(joint_id)
 
     def direction(link_id, marker):
-        length = _local_length(pb.markers, link_id, "origin", marker)
-        return pb.angles[:, pb.index(link_id)] + np.where(
-            length < 1e-12, 0.0, _local_direction(pb.markers, link_id, "origin", marker))
+        local = _point(pb.markers, link_id, marker) - _point(pb.markers, link_id, "origin")
+        return (_complex(pb.rotations[:, pb.index(link_id)])
+                * _unit(local, _local_length(pb.markers, link_id, "origin", marker), floor=1e-12))
 
-    diff = direction(j.link_b, j.marker_b) - direction(j.link_a, j.marker_a)
-    folded = np.abs(diff) % math.pi
-    return np.where(folded > math.pi / 2, math.pi - folded, folded)
+    # the relative rotation b over a; folding its angle into [0, pi/2] takes
+    # its cos and sin to their absolute values
+    rel = direction(j.link_b, j.marker_b) * np.conj(direction(j.link_a, j.marker_a))
+    return np.arctan2(np.abs(rel.imag), np.abs(rel.real))

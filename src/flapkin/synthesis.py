@@ -247,9 +247,7 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
         return costs
     cost = ASSEMBLY_FAILURE_COST + (1.0 - pb.failed_at / samples)
     closed = pb.failed_at == samples
-    plunge, extension, area, lo, hi = wingbeat_series(
-        pb.marker_world(m.wingtip), pb.marker_world(m.shoulder),
-        [pb.marker_world(ref) for ref in m.wing_polygon])
+    _, plunge, extension, area, lo, hi = wingbeat_series(m, pb)
     up = stroke_phases(plunge) > 0
     degenerate = (hi[:, 0] <= 0.0) | (lo[:, 0] < 1e-12) | up.all(axis=-1) | ~up.any(axis=-1)
     ratio = _area_ratio(area, up, closed & ~degenerate)

@@ -1,0 +1,55 @@
+"""Write the pinned results that `tests/test_pinned_results.py` compares against.
+
+    PYTHONPATH=<tree>/src python tests/data/make_pinned_results.py
+
+Costs `population_costs` on seeded rows of three boxes and records the `gait`
+and `aero` CSVs of the shipped armwing, all with the flapkin on the path. The
+files in this directory were written at commit 099b888, the last one that
+placed dyad links by angle (arctan2, then cos and sin). Run it again only to
+pin a deliberate change of results.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from flapkin import cli
+from flapkin.kinematics import sweep_arrays
+from flapkin.synthesis import OBJECTIVE_SAMPLES, population_costs
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+from test_pinned_results import ARMWING, BOXES, CLI_CASES, ROWS, boxes  # noqa: E402
+
+
+def main() -> int:
+    doc = {"note": "population_costs of seeded rows (seed, X) of each box of "
+                   "tests/test_pinned_results.py, and the failed_at of their sweeps",
+           "rows": ROWS, "boxes": {}}
+    spaces = boxes()
+    for name, seed in BOXES.items():
+        space, spec = spaces[name]
+        lo, hi = space.bounds()
+        X = lo + np.random.default_rng(seed).random((ROWS, space.dim)) * (hi - lo)
+        thetas = 2.0 * math.pi * np.arange(OBJECTIVE_SAMPLES) / OBJECTIVE_SAMPLES
+        failed_at = sweep_arrays(space.template, thetas, markers=space.markers(X)).failed_at
+        doc["boxes"][name] = {"seed": seed, "X": X.tolist(),
+                              "costs": population_costs(space, spec, X).tolist(),
+                              "failed_at": failed_at.tolist()}
+    (HERE / "pinned_costs.json").write_text(json.dumps(doc, indent=1) + "\n")
+    for name, argv in CLI_CASES.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([argv[0], str(ARMWING), *argv[1:]]) == 0
+        (HERE / f"pinned_{name}.csv").write_text(out.getvalue())
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flapkin
-from flapkin.aero import AeroConfig, quasi_steady_forces
+from flapkin.aero import AeroConfig, AeroReport, quasi_steady_forces
 from flapkin.cli import _load_spec
 from flapkin.errors import MechanismValidationError, ParseError, SchemaError
 from flapkin.fileio import (
     AERO_HEADER,
     TRAJECTORY_HEADER,
+    _num,
     aero_csv,
     mechanism_to_doc,
     parse_mechanism,
@@ -29,7 +30,7 @@ from flapkin.fileio import (
     serialize_mechanism,
     trajectory_csv,
 )
-from flapkin.gait import gait_metrics, generate_gait
+from flapkin.gait import GaitTrajectory, gait_metrics, generate_gait
 from flapkin.geometry import Point2
 from flapkin.kinematics import sweep_arrays
 from flapkin.mechanism import FourBar, fourbar_mechanism
@@ -113,6 +114,20 @@ class TestTrajectoryCsv:
     def test_aero_csv_header(self):
         rep = quasi_steady_forces(make_plunge_gait(samples=32), AeroConfig(freestream=2.0))
         assert aero_csv(rep).split("\n")[0] == AERO_HEADER
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL)),
+                             min_size=10, max_size=10), max_size=12))
+    def test_writers_match_per_cell_formatter(self, rows):
+        """One `%` per row over `.tolist()` columns writes what `_num` writes cell by cell."""
+        cells = np.array(rows + [self.SPECIAL], dtype=float)
+        gt = GaitTrajectory(1.0, *cells.T[:5], cells[:, 5:7])
+        rep = AeroReport(1.0, *cells.T[7:10], 0.0, 0.0)
+        for text, header, table in ((trajectory_csv(gt), TRAJECTORY_HEADER, cells[:, :7]),
+                                    (aero_csv(rep), AERO_HEADER, cells[:, 7:10])):
+            assert text == "\n".join([header, *(",".join(map(_num, row)) for row in table)]) + "\n"
 
 
 class TestRenderSvg:
@@ -247,6 +262,17 @@ class TestCli:
         assert code == 0
         assert out.split("\n")[0] == AERO_HEADER
         assert "net_vertical_impulse_ns" in err
+
+    @pytest.mark.xfail(strict=True, reason="the default span is the wingtip's largest distance from the "
+                                           "world origin (0.0522 m on the shipped armwing), not from the "
+                                           "shoulder (0.1004 m)")
+    def test_aero_default_span_is_the_reach_from_the_shoulder(self, shipped_path, armwing):
+        # AeroConfig.span is the reach at extension ratio 1: shoulder to wingtip
+        pb = generate_gait(armwing, 0.1, 64).poses
+        (tx, ty), (sx, sy) = pb.marker_world(armwing.wingtip), pb.marker_world(armwing.shoulder)
+        span = float(np.hypot(tx - sx, ty - sy).max())
+        argv = ["aero", str(shipped_path), "--period", "0.1", "--freestream", "3", "--samples", "64"]
+        assert run_cli(argv) == run_cli([*argv, "--span", repr(span)])
 
     def test_animate_writes_frames(self, shipped_path, tmp_path):
         out_dir = tmp_path / "anim"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flapkin import kinematics
+from flapkin.cli import _load_space, _load_spec
 from flapkin.designs import two_stage_armwing
 from flapkin.errors import BranchAmbiguousError, NotAssemblableError
 from flapkin.geometry import Point2, Pose
@@ -25,10 +27,10 @@ from flapkin.kinematics import (
     velocities,
 )
 from flapkin.mechanism import FourBar, Joint, Link, LinkRole, Mechanism, fourbar_mechanism
-from flapkin.synthesis import DesignSpace, Parameter
+from flapkin.synthesis import DesignSpace, Parameter, population_costs
 
 from conftest import (coincidence_residual, loop_residual, marker_world, random_crank_rocker, recovery_space,
-                      transmission_angle, transmission_angle_at, triad_eight_bar)
+                      run_cli, transmission_angle, transmission_angle_at, triad_eight_bar)
 
 # law-of-cosines oracle for (6, 2, 5, 5) at theta = 0: d = 4,
 # beta = arccos((c^2 + d^2 - b^2) / (2cd)) = arccos(0.4), rocker = pi - beta
@@ -458,6 +460,65 @@ class TestDyadPlan:
             assert np.all(sign[b, n_ok[b]:] == 1.0)
 
 
+class TestRotationForm:
+    """Sweeps store link rotations; link angles are derived only when asked for."""
+
+    def test_a_whole_turn_in_the_guess_moves_only_the_angles(self, armwing):
+        thetas = 2 * math.pi * np.arange(64) / 64
+        guess = sweep_arrays(armwing, thetas[:1]).configuration(0)
+        fixed = (armwing.ground, armwing.actuated_joint().other(armwing.ground))
+        turned = Configuration(guess.crank_angle, {
+            lid: Pose(p.origin, p.angle + (0.0 if lid in fixed else 2 * math.pi)) for lid, p in guess.poses.items()})
+        a, b = sweep_arrays(armwing, thetas, guess=guess), sweep_arrays(armwing, thetas, guess=turned)
+        assert a.errors == b.errors == [None]
+        assert np.array_equal(a.origins, b.origins) and np.array_equal(a.rotations, b.rotations)
+        for l in armwing.links:
+            for k in l.markers:
+                assert np.array_equal(a.marker_world((l.id, k)), b.marker_world((l.id, k)))
+        turn = (b.angles - a.angles) / (2 * math.pi)
+        moving = [i for i, lid in enumerate(a.ids) if lid not in fixed]
+        assert np.abs(turn[:, moving] - 1.0).max() <= 1e-14
+        assert not turn[:, [a.index(lid) for lid in fixed]].any()
+
+    def test_ground_sits_at_the_identity_wherever_its_origin_marker_is(self, armwing):
+        # every ground marker moved by the same offset: the chain moves with it
+        ground, shift = armwing.link(armwing.ground), Point2(0.01, -0.02)
+        moved = dataclasses.replace(ground, markers={k: p + shift for k, p in ground.markers.items()})
+        m = dataclasses.replace(armwing, links=tuple(moved if l.id == ground.id else l for l in armwing.links))
+        thetas = 2 * math.pi * np.arange(16) / 16
+        pb, ref = sweep_arrays(m, thetas), sweep_arrays(armwing, thetas)
+        assert pb.errors == [None]
+        assert not pb.origins[:, 0].any() and (pb.rotations[:, 0] == (1.0, 0.0)).all()
+        assert np.abs(pb.origins[:, 1:] - ref.origins[:, 1:] - (shift.x, shift.y)).max() <= 1e-15
+        assert all(c.pose(m.ground) == Pose(Point2(0.0, 0.0), 0.0) for c in bootstrap_candidates(m, 0.3))
+
+    def test_derived_angles_turn_the_rotations(self, armwing):
+        pb = sweep_arrays(armwing, 2 * math.pi * np.arange(256) / 256)
+        c, s = pb.rotations[..., 0], pb.rotations[..., 1]
+        assert np.abs(np.hypot(c, s) - 1.0).max() <= 1e-15  # unit to a few ulps
+        assert np.abs(np.cos(pb.angles) - c).max() <= 1e-14 and np.abs(np.sin(pb.angles) - s).max() <= 1e-14
+        assert np.array_equal(pb.angles[0, pb.index("crank")], pb.thetas)
+        assert np.abs(np.diff(pb.angles, axis=-1)).max() < 0.5  # unwrapped
+
+    def test_costs_gait_and_aero_never_derive_angles(self, monkeypatch):
+        def derived(self):
+            raise AssertionError("PoseBatch.angles was computed")
+
+        monkeypatch.setattr(kinematics.PoseBatch, "angles", property(derived))
+        data = Path(kinematics.__file__).parent / "data"
+        space, spec, x = recovery_space()
+        lo, hi = space.bounds()
+        X = np.vstack([x, lo + np.random.default_rng(0).random((7, space.dim)) * 3 * (hi - lo)])
+        assert (population_costs(space, spec, X) >= 1e6).any()  # failed rows included
+        arm_space = _load_space(str(data / "armwing_space.json"))
+        lo, hi = arm_space.bounds()
+        assert population_costs(arm_space, _load_spec(str(data / "armwing_spec.json")), 0.5 * (lo + hi)[None]) < 1e5
+        path = str(data / "armwing.json")
+        assert run_cli(["gait", path, "--period", "0.1", "--samples", "64", "--metrics",
+                        "--transmission-joint", "j_b", "--transmission-joint", "j_d"])[0] == 0
+        assert run_cli(["aero", path, "--period", "0.1", "--freestream", "3", "--samples", "64"])[0] == 0
+
+
 class TestBatchRows:
     """Row b of a batch sweep is the sweep of the b-th mechanism alone, bit for bit."""
 
@@ -474,6 +535,7 @@ class TestBatchRows:
         assert pb.solver == solver and (pb.failed_at < n).any() == (box > 1.0)  # about a third at 3x
         for b, x in enumerate(X):
             one = sweep_arrays(space.apply(x), thetas)
-            assert np.array_equal(pb.origins[b], one.origins[0]) and np.array_equal(pb.angles[b], one.angles[0])
+            assert np.array_equal(pb.origins[b], one.origins[0]) and np.array_equal(pb.rotations[b], one.rotations[0])
+            assert np.array_equal(pb.angles[b], one.angles[0])
             assert (pb.failed_at[b], pb.errors[b], pb.branches[b]) == \
                 (one.failed_at[0], one.errors[0], one.branches[0])
