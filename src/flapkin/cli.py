@@ -24,6 +24,9 @@ from .mechanism import Mechanism, validate_mechanism
 from .synthesis import DesignSpace, GaitSpec, Parameter, synthesize
 
 
+_MAX_SAMPLES = 2 ** 16  # crank angles per sweep; far more than any gait needs
+
+
 def _read_mechanism(path: str) -> Mechanism:
     return parse_mechanism(Path(path).read_bytes())
 
@@ -231,6 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    for opt in ("samples", "steps", "frames"):  # checked before any sweep array is allocated
+        if getattr(args, opt, 0) > _MAX_SAMPLES:
+            ap.error(f"--{opt} must be <= {_MAX_SAMPLES}, got {getattr(args, opt)}")
     try:
         return args.fn(args)
     except FlapkinError as e:

@@ -63,7 +63,7 @@ class LoadCase:
 
 
 def _hinges(m: Mechanism):
-    return [(j, j.kind) for j in m.joints if isinstance(j.kind, CompliantHinge)]
+    return [j for j in m.joints if isinstance(j.kind, CompliantHinge)]
 
 
 def hinge_deflection(angle_a: float, angle_b: float, rest_angle: float) -> float:
@@ -75,96 +75,78 @@ def hinge_deflection(angle_a: float, angle_b: float, rest_angle: float) -> float
 
 def elastic_energy(m: Mechanism, c: Configuration) -> float:
     """Sum of 0.5*k*(deflection)^2 over compliant hinges; pins contribute 0."""
-    total = 0.0
-    for j, hinge in _hinges(m):
-        d = hinge_deflection(c.pose(j.link_a).angle, c.pose(j.link_b).angle, hinge.rest_angle)
-        total += 0.5 * hinge.stiffness * d * d
-    return total
+    return total_potential(m, LoadCase(), c)
 
 
 class _Potential:
     """Total potential V(q) = elastic - load work, over moving-link poses,
-    with the Hessian of the Lagrangian V + lam.c of the constraints c of `sys`."""
+    with the Hessian of the Lagrangian V + lam.c of the constraints c of `sys`.
+    A link is the column of its x in q padded with the ground's pose (0, 0, 0),
+    whose entries the gradient and the Hessian then drop."""
 
     def __init__(self, m: Mechanism, load: LoadCase, sys: ConstraintSystem):
-        self.springs = []
-        for j, hinge in _hinges(m):
-            self.springs.append((sys.index.get(j.link_a), sys.index.get(j.link_b),
-                                 hinge.stiffness, hinge.rest_angle))
-        self.forces = []
-        for lid, marker, f in load.forces:
-            self.forces.append((sys.index.get(lid), m.link(lid).marker(marker).as_array(),
-                                f.as_array()))
-        self.moments = []
-        for jid, mom in load.moments:
-            j = m.joint(jid)
-            self.moments.append((sys.index.get(j.link_a), sys.index.get(j.link_b), mom))
-        self.joints = sys.joints
+        col = {lid: 3 * i for i, lid in enumerate(sys.moving)}
+        self.springs = [(col.get(j.link_a, sys.n), col.get(j.link_b, sys.n), j.kind.stiffness, j.kind.rest_angle)
+                        for j in _hinges(m)]
+        self.forces = [(col.get(lid, sys.n), m.link(lid).marker(mk).as_array(), f.as_array())
+                       for lid, mk, f in load.forces]
+        self.moments = [(col.get(m.joint(jid).link_a, sys.n), col.get(m.joint(jid).link_b, sys.n), mom)
+                        for jid, mom in load.moments]
+        self.sys = sys
         self.k_max = max((s[2] for s in self.springs), default=1.0)
 
-    def _angle(self, q, idx):
-        return 0.0 if idx is None else q[idx + 2]
-
-    def _rotated(self, q, idx, p):
-        """R(angle) p for the link at idx; p itself on the ground."""
-        a = self._angle(q, idx)
-        c, s = math.cos(a), math.sin(a)
+    @staticmethod
+    def _rotated(qp, idx, p):
+        """R(angle) p for the link at column idx of the padded q."""
+        c, s = math.cos(qp[idx + 2]), math.sin(qp[idx + 2])
         return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1]])
 
     def value(self, q: np.ndarray) -> float:
-        v = 0.0
+        qp, v = np.append(q, (0.0, 0.0, 0.0)), 0.0
         for ia, ib, k, rest in self.springs:
-            d = hinge_deflection(self._angle(q, ia), self._angle(q, ib), rest)
+            d = hinge_deflection(qp[ia + 2], qp[ib + 2], rest)
             v += 0.5 * k * d * d
         for idx, p, f in self.forces:
-            w = p if idx is None else q[idx:idx + 2] + self._rotated(q, idx, p)
-            v -= float(f @ w)
+            v -= float(f @ (qp[idx:idx + 2] + self._rotated(qp, idx, p)))
         for ia, ib, mom in self.moments:
-            v -= mom * (self._angle(q, ib) - self._angle(q, ia))
+            v -= mom * (qp[ib + 2] - qp[ia + 2])
         return v
 
     def grad(self, q: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(q)
+        qp = np.append(q, (0.0, 0.0, 0.0))
+        g = np.zeros_like(qp)
         for ia, ib, k, rest in self.springs:
-            d = hinge_deflection(self._angle(q, ia), self._angle(q, ib), rest)
-            if ib is not None:
-                g[ib + 2] += k * d
-            if ia is not None:
-                g[ia + 2] -= k * d
+            d = hinge_deflection(qp[ia + 2], qp[ib + 2], rest)
+            g[ib + 2] += k * d
+            g[ia + 2] -= k * d
         for idx, p, f in self.forces:
-            if idx is None:
-                continue
-            rp = self._rotated(q, idx, p)  # d(R p)/d angle = (-rp_y, rp_x)
-            g[idx] -= f[0]
-            g[idx + 1] -= f[1]
-            g[idx + 2] -= f[1] * rp[0] - f[0] * rp[1]
+            rp = self._rotated(qp, idx, p)  # d(R p)/d angle = (-rp_y, rp_x)
+            g[idx:idx + 3] -= (f[0], f[1], f[1] * rp[0] - f[0] * rp[1])
         for ia, ib, mom in self.moments:
-            if ib is not None:
-                g[ib + 2] -= mom
-            if ia is not None:
-                g[ia + 2] += mom
-        return g
+            g[ib + 2] -= mom
+            g[ia + 2] += mom
+        return g[:-3]
 
     def hessian(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Hessian of V + lam.c. Only the angle block is nonzero: positions
         enter linearly, d^2(R p)/d angle^2 = -R p, and moments and the drive
         row are linear in the angles."""
-        H = np.zeros((len(q), len(q)))
-        for ia, ib, k, _ in self.springs:
-            ends = [(idx + 2, sign) for idx, sign in ((ia, -1.0), (ib, 1.0)) if idx is not None]
-            for u, su in ends:
-                for v, sv in ends:
-                    H[u, v] += su * sv * k
+        qp = np.append(q, (0.0, 0.0, 0.0))
+        T = np.zeros((len(self.springs), len(qp)))  # each spring's deflection as a row over qp
+        ends = np.array([s[:2] for s in self.springs], dtype=np.intp).reshape(-1, 2)
+        T[np.arange(len(T))[:, None], ends + 2] = (-1.0, 1.0)
+        H = T.T @ (np.array([s[2] for s in self.springs]).reshape(-1, 1) * T)
         for idx, p, f in self.forces:
-            if idx is not None:
-                H[idx + 2, idx + 2] += float(f @ self._rotated(q, idx, p))
-        for r, (ia, pa, ib, pb) in enumerate(self.joints):
-            lr = lam[2 * r:2 * r + 2]
-            if ia is not None:
-                H[ia + 2, ia + 2] -= float(lr @ self._rotated(q, ia, pa))
-            if ib is not None:
-                H[ib + 2, ib + 2] += float(lr @ self._rotated(q, ib, pb))
-        return H
+            H[idx + 2, idx + 2] += float(f @ self._rotated(qp, idx, p))
+        # joint r's rows are its world gap, + R_a p_a - R_b p_b plus the
+        # origins: each end adds -+lam_r.(R p) to the diagonal at its angle,
+        # the padded q's angle columns being `sys`'s pose slots
+        sys, angles = self.sys, np.arange(2, len(H), 3)
+        rp = sys.rotations(q[None])[0, sys.slots] * sys.points[0]
+        lr = lam[:2 * len(sys.slots)].reshape(-1, 1, 2)
+        H[angles, angles] += np.bincount(sys.slots.ravel(), ([-1.0, 1.0] * (
+            lr[..., 0] * rp.real + lr[..., 1] * rp.imag)).ravel(), len(angles))
+        return H[:-3, :-3]
 
 
 def projected_gradient(gradient: np.ndarray, J: np.ndarray | None) -> np.ndarray:
@@ -185,12 +167,12 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
     tol_c = settings.tolerance
     tol_g = settings.tolerance * pot.k_max
 
-    def kkt(qv, lam):
-        J = sys.jacobian(qv)
+    def kkt(qv, lam, J):
         return np.concatenate([pot.grad(qv) + J.T @ lam, sys.residual(qv, theta)]), J
 
-    lam = np.linalg.lstsq(sys.jacobian(q).T, -pot.grad(q), rcond=None)[0]
-    F, J = kkt(q, lam)
+    J = sys.jacobian(q)
+    lam = np.linalg.lstsq(J.T, -pot.grad(q), rcond=None)[0]
+    F, J = kkt(q, lam, J)
     for _ in range(settings.max_iterations):
         if np.linalg.norm(F[:n]) <= tol_g and np.linalg.norm(F[n:]) <= tol_c:
             return q
@@ -207,7 +189,7 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
         t = 1.0
         for _ in range(20):
             q_new, lam_new = q + t * step[:n], lam + t * step[n:]
-            F_new, J_new = kkt(q_new, lam_new)
+            F_new, J_new = kkt(q_new, lam_new, sys.jacobian(q_new))
             if np.linalg.norm(F_new) < fn:
                 break
             t *= 0.5
@@ -248,21 +230,18 @@ def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase,
     else:
         raise error
 
-    config = sys.config_from(q, theta)
-    for j, hinge in _hinges(m):
-        d = hinge_deflection(config.pose(j.link_a).angle, config.pose(j.link_b).angle,
-                             hinge.rest_angle)
-        if abs(d) > math.pi / 2:
+    qp = np.append(q, (0.0, 0.0, 0.0))
+    for j, (ia, ib, _, rest) in zip(_hinges(m), pot.springs):
+        if abs(d := hinge_deflection(qp[ia + 2], qp[ib + 2], rest)) > math.pi / 2:
             warnings.warn(f"hinge {j.id!r} deflection {d:.3f} rad exceeds pi/2",
                           LargeDeflectionWarning)
-    return config
+    return sys.config_from(q, theta)
 
 
 def total_potential(m: Mechanism, load: LoadCase, c: Configuration) -> float:
     """Elastic energy minus work done by the load at configuration c."""
     sys = ConstraintSystem(m)
-    pot = _Potential(m, load, sys)
-    return pot.value(sys.q_from(c))
+    return _Potential(m, load, sys).value(sys.q_from(c))
 
 
 def stationarity(m: Mechanism, load: LoadCase, c: Configuration, theta: float) -> tuple[float, float]:
@@ -270,6 +249,5 @@ def stationarity(m: Mechanism, load: LoadCase, c: Configuration, theta: float) -
     sys = ConstraintSystem(m)
     pot = _Potential(m, load, sys)
     q = sys.q_from(c)
-    J = sys.jacobian(q)
-    pg = projected_gradient(pot.grad(q), J)
+    pg = projected_gradient(pot.grad(q), sys.jacobian(q))
     return float(np.linalg.norm(pg)), float(np.linalg.norm(sys.residual(q, theta)))

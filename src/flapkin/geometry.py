@@ -47,9 +47,3 @@ class Pose:
 
 
 IDENTITY_POSE = Pose(Point2(0.0, 0.0), 0.0)
-
-
-def drot(angle: float) -> np.ndarray:
-    """Derivative of the rotation matrix with respect to the angle."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[-s, -c], [c, -s]])

@@ -5,10 +5,11 @@ dyad (two links sharing a pin, each pinned once to a link already placed) by
 circle intersection, for all crank angles and all rows of a batch at once,
 each dyad keeping one of its two roots by continuation; the four-bar is the
 one-dyad case. Chains the plan cannot decompose (triads) fall back to damped
-Newton iteration on the stacked joint-coincidence residuals, seeded step by
-step with the previous solution, and `assemble` always polishes with Newton.
-Either way a sweep is a `PoseBatch`: the poses of B mechanisms that share one
-topology (a marker table) at the same crank angles, one mechanism being B = 1.
+Newton iteration on the joint-coincidence residuals, seeded step by step with
+the previous solution and run on all rows of a batch together; `assemble` is
+its one-row, one-angle case. Either way a sweep is a `PoseBatch`: the poses of
+B mechanisms that share one topology (a marker table) at the same crank
+angles, one mechanism being B = 1.
 
 A pose in a sweep is an origin and a rotation stored as its unit vector
 (cos, sin). The dyad plan builds each link's rotation from the directions it
@@ -25,7 +26,7 @@ continuous across +-pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -38,7 +39,7 @@ from .errors import (
     NotAssemblableError,
     SingularJacobianError,
 )
-from .geometry import IDENTITY_POSE, Point2, Pose, drot
+from .geometry import IDENTITY_POSE, Point2, Pose
 from .mechanism import (
     FourBar,
     Joint,
@@ -249,12 +250,14 @@ def _decompose(m: Mechanism) -> list[_Step]:
 @dataclass(frozen=True)
 class _Plan:
     """What a mechanism's topology alone fixes: the dyad plan's steps, whether
-    they solve the whole chain (crank and dyads only, square system), and the
-    sides of the four-bar loop it is (`fourbar_sides`), if it is one."""
+    they solve the whole chain (crank and dyads only, square system), the
+    sides of the four-bar loop it is (`fourbar_sides`), if it is one, and the
+    index arrays of its constraint system."""
 
     steps: tuple[_Step, ...]
     dyadic: bool
     sides: tuple[tuple[str, str, str], ...] | None
+    constraints: dict  # the index arrays of `ConstraintSystem`
 
 
 _PLANS: dict[tuple, _Plan] = {}
@@ -273,13 +276,8 @@ def _plan(m: Mechanism) -> _Plan:
                   and all(st.kind in ("crank", "dyad") for st in steps))
         if len(_PLANS) >= 64:
             _PLANS.clear()
-        plan = _PLANS[key] = _Plan(steps, dyadic, fourbar_sides(m))
+        plan = _PLANS[key] = _Plan(steps, dyadic, fourbar_sides(m), _constraint_arrays(m))
     return plan
-
-
-def _row(v, b: int) -> float:
-    """Row b of a table entry (a float or a (B, 1) array)."""
-    return float(np.ravel(v)[b if np.size(v) > 1 else 0])
 
 
 def _local_length(markers: Markers, lid: str, m1: str, m2: str):
@@ -450,7 +448,7 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
                           float(offset[0][b, 0]), float(offset[1][b, 0]))
         d_plus = math.hypot(bx + ox - g.x, by + oy - g.y)
         d_minus = math.hypot(bx - ox - g.x, by - oy - g.y)
-        scale = sum(_row(_local_length(markers, lid, pin[0], mk), b)
+        scale = sum(float(np.broadcast_to(_local_length(markers, lid, pin[0], mk), (rows, 1))[b, 0])
                     for lid, pin, mk in zip(st.links, st.pins, st.shared))
         if abs(d_plus - d_minus) <= 1e-12 * scale:
             raise BranchAmbiguousError(
@@ -493,203 +491,236 @@ def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Co
 # General Newton solver
 
 
+def _constraint_arrays(m: Mechanism) -> dict:
+    """The attributes of m's `ConstraintSystem` that its topology fixes."""
+    moving = m.moving_link_ids()
+    slot = {lid: i for i, lid in enumerate(moving)}  # the ground's slot is last, at the identity pose
+    act = m.actuated_joint()
+    crank = act.other(m.ground) if act is not None else None
+    n, rows = 3 * len(moving), 2 * len(m.joints) + (act is not None)
+    ends = tuple(end for j in m.joints for end in ((j.link_a, j.marker_a), (j.link_b, j.marker_b)))
+    slots = np.array([slot.get(lid, len(moving)) for lid, _ in ends], dtype=np.intp).reshape(-1, 2)
+    r, x = 2 * np.arange(len(slots))[:, None], 3 * slots  # each joint's first row, its ends' x columns
+    template = np.zeros((rows, n + 3))  # columns past n: the ground's pose, dropped
+    template[r, x], template[r + 1, x + 1] = (1.0, -1.0), (1.0, -1.0)  # the gap: link a's marker less b's
+    drive = 3 * slot[crank] + 2 if crank else None
+    if crank:
+        template[-1, drive] = 1.0
+    return dict(moving=moving, n=n, rows=rows, crank_link=crank, drive=drive, ends=ends, slots=slots,
+                _template=template, _flat=np.stack([r * (n + 3) + x + 2, (r + 1) * (n + 3) + x + 2], -1).ravel(),
+                _xy=np.flatnonzero(np.arange(n) % 3 != 2))
+
+
 class ConstraintSystem:
-    """Stacked joint-coincidence constraints plus the crank drive row.
+    """Joint-coincidence constraints and the crank drive row, Phi(q, theta) = 0
+    (Haug 1989, ch. 3), of the B mechanisms of a marker table (m's own by
+    default) sharing m's topology: rows 2r, 2r + 1 are joint r's world gap (its
+    marker on link a less its marker on link b), the last the crank angle less
+    theta. q holds the (x, y, angle) of each link of `moving`; `residual` and
+    `jacobian` take a (B, n) block of table rows (`rows`, all by default) or
+    one row as a 1-D q, and do the same arithmetic on every row. They read
+    `points` (B, J, 2), the joints' markers as x + iy, and the attributes
+    `_constraint_arrays` builds once per topology: `slots` (J, 2), each
+    joint's links as pose slots (the moving links, then the ground's identity
+    pose), and a constant +-1 Jacobian whose angle columns are filled in."""
 
-    Unknowns are the (x, y, angle) of every non-ground link; the system is
-    square exactly when the rigid skeleton has Gruebler mobility one.
-    """
-
-    def __init__(self, m: Mechanism):
+    def __init__(self, m: Mechanism, markers: Markers | None = None):
         self.m = m
-        self.moving = list(m.moving_link_ids())
-        self.index = {lid: 3 * i for i, lid in enumerate(self.moving)}
-        self.n = 3 * len(self.moving)
-        act = m.actuated_joint()
-        self.crank_link = act.other(m.ground) if act is not None else None
-        self.rows = 2 * len(m.joints) + (1 if act is not None else 0)
-        # (index a, marker a, index b, marker b) of residual rows 2r, 2r+1
-        self.joints = []
-        for j in m.joints:
-            pa = m.link(j.link_a).marker(j.marker_a).as_array()
-            pb = m.link(j.link_b).marker(j.marker_b).as_array()
-            ia = self.index.get(j.link_a)
-            ib = self.index.get(j.link_b)
-            self.joints.append((ia, pa, ib, pb))
+        self.markers = marker_table(m) if markers is None else markers
+        vars(self).update(_plan(m).constraints)
+        coords = [v for end in self.ends for v in self.markers[end]]
+        points = (np.array(coords)[None] if all(isinstance(v, float) for v in coords) else
+                  np.hstack([np.broadcast_to(v, (_rows(self.markers), 1)) for v in coords]))
+        self.points = points.view(complex).reshape(len(points), -1, 2)
+        self._turned = self.points * np.array([1j, -1j])  # an end's d(+-R p)/d angle is R times this
 
     def q_from(self, c: Configuration) -> np.ndarray:
-        q = np.zeros(self.n)
-        for lid, base in self.index.items():
-            p = c.pose(lid)
-            q[base] = p.origin.x
-            q[base + 1] = p.origin.y
-            q[base + 2] = p.angle
-        return q
+        return np.array([(p.origin.x, p.origin.y, p.angle) for p in map(c.pose, self.moving)], float).reshape(-1)
 
     def config_from(self, q: np.ndarray, theta: float, branch: Branch | None = None) -> Configuration:
-        poses = {self.m.ground: IDENTITY_POSE}
-        for lid, base in self.index.items():
-            poses[lid] = Pose(Point2(float(q[base]), float(q[base + 1])), float(q[base + 2]))
-        return Configuration(float(theta), poses, branch)
+        xya = np.reshape(q, (-1, 3)).tolist()
+        return Configuration(float(theta), {self.m.ground: IDENTITY_POSE, **{
+            lid: Pose(Point2(x, y), a) for lid, (x, y, a) in zip(self.moving, xya)}}, branch)
 
-    def _world(self, q, idx, p):
-        if idx is None:
-            return p
-        a = q[idx + 2]
-        c, s = math.cos(a), math.sin(a)
-        return np.array([q[idx] + c * p[0] - s * p[1], q[idx + 1] + s * p[0] + c * p[1]])
+    def rotations(self, q: np.ndarray) -> np.ndarray:
+        """(B, L + 1) link rotations cos + i sin of a (B, n) block, the identity slot last."""
+        angles = np.zeros((len(q), len(self.moving) + 1))
+        angles[:, :-1] = q[:, 2::3]
+        return np.exp(1j * angles)
 
-    def residual(self, q: np.ndarray, theta: float) -> np.ndarray:
-        out = np.zeros(self.rows)
-        r = 0
-        for ia, pa, ib, pb in self.joints:
-            out[r:r + 2] = self._world(q, ia, pa) - self._world(q, ib, pb)
-            r += 2
-        if self.crank_link is not None:
-            out[r] = q[self.index[self.crank_link] + 2] - theta
-        return out
+    def residual(self, q: np.ndarray, theta: float, rows=slice(None)) -> np.ndarray:
+        q2 = np.atleast_2d(q)
+        origin = np.zeros((len(q2), len(self.moving) + 1), dtype=complex)
+        origin.view(float)[:, :-2] = q2.take(self._xy, axis=1)
+        world = origin.take(self.slots, axis=1) + self.rotations(q2).take(self.slots, axis=1) * self.points[rows]
+        out = np.empty((len(q2), self.rows))
+        out[:, :2 * len(self.slots)] = (world[..., 0] - world[..., 1]).view(float)
+        if self.drive is not None:
+            np.subtract(q2[:, self.drive], theta, out=out[:, -1])
+        return out if q.ndim == 2 else out[0]
 
-    def jacobian(self, q: np.ndarray) -> np.ndarray:
-        J = np.zeros((self.rows, self.n))
-        r = 0
-        for ia, pa, ib, pb in self.joints:
-            if ia is not None:
-                J[r, ia] = 1.0
-                J[r + 1, ia + 1] = 1.0
-                J[r:r + 2, ia + 2] = drot(q[ia + 2]) @ pa
-            if ib is not None:
-                J[r, ib] = -1.0
-                J[r + 1, ib + 1] = -1.0
-                J[r:r + 2, ib + 2] = -(drot(q[ib + 2]) @ pb)
-            r += 2
-        if self.crank_link is not None:
-            J[r, self.index[self.crank_link] + 2] = 1.0
-        return J
+    def jacobian(self, q: np.ndarray, rows=slice(None)) -> np.ndarray:
+        q2 = np.atleast_2d(q)
+        J = np.empty((len(q2), self.rows, self.n + 3))
+        J[:] = self._template
+        turned = self.rotations(q2).take(self.slots, axis=1) * self._turned[rows]
+        J.reshape(len(q2), -1)[:, self._flat] = turned.view(float).reshape(len(q2), -1)
+        return J[..., :self.n] if q.ndim == 2 else J[0, :, :self.n]
 
 
-def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -> list[Configuration]:
-    """Closed-form starting guesses from the dyad plan at one crank angle:
-    one per combination of dyad roots, '+' root first and earlier dyads
-    varying slowest. Circles that miss are clamped to their nearest approach
-    and a tangent dyad gives one root; links the plan can only hang sit at
-    orientation zero for Newton to sort out.
-    """
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x of A x = b per stacked system, as solved alone; NaN where A is exactly singular."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return (np.full_like(b, np.nan) if len(A) == 1 else
+                np.concatenate([_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(A))]))
+
+
+def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveSettings,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton at crank angle theta on table rows `rows` of sys from
+    guesses q, all together: one stacked solve per step, each row's step
+    halved (at most 20 times) until its residual norm falls, and a row dropped
+    where it fails. Returns the roots, the drive held at theta exactly where a
+    step reached one, and each row's error code (None where it converged)."""
+    def norms(F):  # bit for bit `np.linalg.norm` of each row alone
+        return np.sqrt((F[:, None] @ F[..., None])[:, 0, 0])
+
+    tol, q, codes = settings.tolerance, np.array(q, dtype=float), np.full(len(q), None, dtype=object)
+    F = sys.residual(q, theta, rows)
+    fn = norms(F)
+    live = np.flatnonzero(fn > tol)
+    for _ in range(settings.max_iterations):
+        if not len(live):
+            break
+        J = sys.jacobian(q[live], rows[live])
+        dq = _solve(J, -F[live])
+        ok = np.isfinite(dq).all(axis=1)
+        codes[live[~ok]] = SingularJacobianError.code
+        trying, step = np.flatnonzero(ok), 1.0
+        for _ in range(20):
+            i = live[trying]
+            qn = q[i] + step * dq[trying]
+            Fn = sys.residual(qn, theta, rows[i])
+            fnn = norms(Fn)
+            down = fnn < fn[i]
+            q[i[down]], F[i[down]], fn[i[down]] = qn[down], Fn[down], fnn[down]
+            trying, step = trying[~down], step * 0.5
+            if not len(trying):
+                break
+        else:  # stalled: a dead center, or no descent along the step
+            sv = np.linalg.svd(J[trying], compute_uv=False)
+            codes[live[trying]] = [SingularJacobianError.code if singular else ConvergenceError.code
+                                   for singular in (sv[:, -1] <= 1e-12 * sv[:, 0]).tolist()]
+            ok[trying] = False
+        done = ok & (fn[live] <= tol)
+        if sys.drive is not None:
+            q[live[done], sys.drive] = theta  # hold the drive coordinate exactly
+        live = live[ok & ~done]
+    codes[live] = ConvergenceError.code
+    return q, codes
+
+
+def _candidates(m: Mechanism, markers: Markers, theta: float,
+                max_candidates: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """`bootstrap_candidates` of every row of a marker table: the unknowns
+    (B, C, n) of each combination of dyad roots, and which ones a row tries."""
     steps = _plan(m).steps
     k = sum(st.kind == "dyad" for st in steps)
     kv = min(k, 10)  # only the last kv dyads vary; max_candidates never reaches further
     bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
     signs = np.hstack([np.ones((2 ** kv, k - kv)), 1.0 - 2.0 * bits])
-    repeated = np.zeros(len(signs), dtype=bool)
+    new = np.ones((_rows(markers), len(signs)), dtype=bool)
 
     def pick(i, base, offset, n_ok):
-        repeated[(offset[0][0] == 0.0) & (offset[1][0] == 0.0) & (signs[:, i] < 0.0)] = True
+        new[...] &= (offset[0] != 0.0) | (offset[1] != 0.0) | (signs[:, i] > 0.0)
         return signs[:, i]
 
-    ids, origins, rotations, _ = _place_steps(m, steps, marker_table(m), np.full(len(signs), float(theta)), pick)
-    angles = np.angle(_complex(rotations)[0])
+    ids, origins, rotations, _ = _place_steps(m, steps, markers, np.full(len(signs), float(theta)), pick)
+    angles = np.angle(_complex(rotations))
     if steps and steps[0].kind == "crank":
-        angles[ids.index(steps[0].links[0])] = theta
-    xy, angles = origins[0].tolist(), angles.tolist()
-    return [Configuration(theta, {lid: Pose(Point2(*xy[i][r]), angles[i][r]) for i, lid in enumerate(ids)})
-            for r in np.flatnonzero(~repeated)[:max_candidates].tolist()]
+        angles[:, ids.index(steps[0].links[0])] = theta
+    q = np.concatenate([origins[:, 1:], angles[:, 1:, :, None]], axis=-1).transpose(0, 2, 1, 3)
+    return q.reshape(len(q), len(signs), -1), new & (np.cumsum(new, axis=1) <= max_candidates)
+
+
+def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -> list[Configuration]:
+    """Closed-form starting guesses from the dyad plan at one crank angle:
+    one per combination of dyad roots, '+' root first and earlier dyads
+    varying slowest, repeats dropped. Circles that miss are clamped to their
+    nearest approach and a tangent dyad gives one root; links the plan can
+    only hang sit at orientation zero for Newton to sort out.
+    """
+    q, tried = _candidates(m, marker_table(m), theta, max_candidates)
+    moving = m.moving_link_ids()
+    return [Configuration(theta, {m.ground: IDENTITY_POSE, **{lid: Pose(Point2(x, y), a) for lid, (x, y, a)
+                                                              in zip(moving, row)}})
+            for row in q[0, tried[0]].reshape(-1, len(moving), 3).tolist()]
+
+
+def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
+    if sys.rows != sys.n:
+        raise KinematicsError(
+            f"constraint system is not square ({sys.rows} equations, {sys.n} unknowns); "
+            "mechanism must be single-DOF with one actuated joint", code="MOBILITY_NOT_ONE")
+    return sys
+
+
+def _first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None,
+                 settings: SolveSettings) -> tuple[np.ndarray, np.ndarray]:
+    """`_newton` on all rows at theta as `assemble` runs it: from guess, or else
+    from each row's bootstrap candidates in turn until one converges; a row
+    none converges on takes the last one's error code."""
+    todo = np.arange(len(sys.points))
+    starts, tried = ((np.broadcast_to(sys.q_from(guess), (len(todo), 1, sys.n)), np.ones((len(todo), 1), bool))
+                     if guess is not None else _candidates(sys.m, sys.markers, theta))
+    q, codes = np.empty((len(todo), sys.n)), np.full(len(todo), None, dtype=object)
+    for c in range(starts.shape[1]):
+        if len(rows := todo[tried[todo, c]]):
+            q[rows], codes[rows] = _newton(sys, starts[rows, c], theta, settings, rows)
+        if not len(todo := todo[np.not_equal(codes[todo], None) | ~tried[todo, c]]):
+            break
+    return q, codes
 
 
 def assemble(m: Mechanism, theta: float, guess: Configuration | None = None,
              settings: SolveSettings = DEFAULT_SETTINGS) -> Configuration:
-    """Newton-Raphson on the joint-coincidence residuals at fixed crank angle.
-
-    Returns the root continuously reachable from the guess. Step halving (at
-    most 20 times per iteration) guards against overshoot.
-    """
-    sys = ConstraintSystem(m)
-    if sys.rows != sys.n:
-        raise KinematicsError(
-            f"constraint system is not square ({sys.rows} equations, {sys.n} unknowns); "
-            "mechanism must be single-DOF with one actuated joint",
-            code="MOBILITY_NOT_ONE")
-    if guess is None:
-        last_error: KinematicsError | None = None
-        for candidate in bootstrap_candidates(m, theta):
-            try:
-                return assemble(m, theta, candidate, settings)
-            except (ConvergenceError, SingularJacobianError) as e:
-                last_error = e
-        raise last_error or ConvergenceError(f"no bootstrap candidate converged at theta={theta:.6g}")
-    return sys.config_from(_newton(sys, sys.q_from(guess), theta, settings), theta, guess.branch)
-
-
-def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveSettings) -> np.ndarray:
-    """`assemble`'s iteration on the unknowns q of a guess; returns the root
-    it converges to, the drive coordinate then held at theta exactly."""
-    fn = np.linalg.norm(sys.residual(q, theta))
-    if fn <= settings.tolerance:
-        return q
-    for _ in range(settings.max_iterations):
-        J = sys.jacobian(q)
-        F = sys.residual(q, theta)
-        try:
-            with np.errstate(all="ignore"):
-                dq = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as e:
-            raise SingularJacobianError(f"singular constraint Jacobian at theta={theta:.6g}") from e
-        if not np.all(np.isfinite(dq)):
-            raise SingularJacobianError(f"ill-conditioned constraint Jacobian at theta={theta:.6g}")
-        step = 1.0
-        for _ in range(20):
-            qn = q + step * dq
-            fn_new = np.linalg.norm(sys.residual(qn, theta))
-            if fn_new < fn:
-                break
-            step *= 0.5
-        else:
-            sv = np.linalg.svd(J, compute_uv=False)
-            if sv[-1] <= 1e-12 * sv[0]:
-                raise SingularJacobianError(f"dead-center configuration at theta={theta:.6g}")
-            raise ConvergenceError(f"Newton stalled at theta={theta:.6g}, residual {fn:.3e}")
-        q, fn = qn, fn_new
-        if fn <= settings.tolerance:
-            base = sys.index.get(sys.crank_link) if sys.crank_link else None
-            if base is not None:
-                q[base + 2] = theta  # hold the drive coordinate exactly
-            return q
-    raise ConvergenceError(
-        f"no convergence after {settings.max_iterations} iterations at theta={theta:.6g}, "
-        f"residual {fn:.3e}")
+    """Newton-Raphson on the joint-coincidence residuals at fixed crank angle:
+    the root continuously reachable from the guess, or without one from the
+    first bootstrap candidate that converges. Step halving (at most 20 times
+    per iteration) guards against overshoot."""
+    sys = _require_square(ConstraintSystem(m))
+    q, (code,) = _first_roots(sys, float(theta), guess, settings)
+    if code is not None:
+        raise {e.code: e for e in (ConvergenceError, SingularJacobianError)}[code](
+            f"Newton failed at theta={theta:.6g} ({code})")
+    return sys.config_from(q[0], theta, guess.branch if guess else None)
 
 
 def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, settings: SolveSettings,
                          guess: Configuration | None) -> PoseBatch:
-    """Newton continuation of each row of a marker table in turn: `assemble`
-    at the first crank angle, then each step seeded with the previous root."""
-    rows, n = _rows(markers), len(thetas)
-    ids = [m.ground, *m.moving_link_ids()]
-    origins = np.zeros((rows, len(ids), n, 2))
-    angles = np.zeros((rows, len(ids), n))
-    failed_at = np.full(rows, n)
-    errors: list[str | None] = [None] * rows
-    for b in range(rows):
-        mb = _row_mechanism(m, markers, b)
-        sys = ConstraintSystem(mb)
-        for k, theta in enumerate(thetas.tolist()):
-            try:
-                q = (_newton(sys, q, theta, settings) if k else
-                     sys.q_from(assemble(mb, theta, guess, settings)))
-            except (NotAssemblableError, ConvergenceError, SingularJacobianError) as e:
-                failed_at[b], errors[b] = k, e.code
-                break
-            xya = q.reshape(-1, 3)
-            origins[b, 1:, k], angles[b, 1:, k] = xya[:, :2], xya[:, 2]
-    act = m.actuated_joint()
-    return PoseBatch(ids, thetas, origins, np.stack([np.cos(angles), np.sin(angles)], axis=-1),
-                     failed_at, errors, markers, [guess.branch if guess else None] * rows, "newton",
-                     act.other(m.ground) if act is not None else None, guess)
-
-
-def _row_mechanism(m: Mechanism, markers: Markers, b: int) -> Mechanism:
-    """m with the marker coordinates of row b of a marker table."""
-    return replace(m, links=tuple(
-        replace(l, markers={k: Point2(*(_row(v, b) for v in markers[l.id, k])) for k in l.markers})
-        for l in m.links))
+    """Newton continuation of all rows of a marker table together: each row's
+    root at the first crank angle as `assemble` finds it, then each step
+    seeded with the previous root; a row stops where it fails."""
+    sys = ConstraintSystem(m, markers)
+    rows, n = len(sys.points), len(thetas)
+    q, failed_at, errors = np.zeros((rows, n, sys.n)), np.full(rows, n), np.full(rows, None, dtype=object)
+    live = np.arange(rows)
+    for k, theta in enumerate(thetas.tolist()):
+        qk, codes = (_newton(sys, q[live, k - 1], theta, settings, live) if k else
+                     _first_roots(_require_square(sys), theta, guess, settings))
+        ok = np.equal(codes, None)
+        failed_at[live[~ok]], errors[live[~ok]] = k, codes[~ok]
+        live = live[ok]
+        q[live, k] = qk[ok]
+        if not len(live):
+            break
+    xya = np.zeros((rows, len(sys.moving) + 1, n, 3))
+    xya[:, 1:] = q.reshape(rows, n, len(sys.moving), 3).transpose(0, 2, 1, 3)
+    return PoseBatch([m.ground, *sys.moving], thetas, xya[..., :2].copy(),
+                     np.stack([np.cos(xya[..., 2]), np.sin(xya[..., 2])], axis=-1), failed_at, errors.tolist(),
+                     markers, [guess.branch if guess else None] * rows, "newton", sys.crank_link, guess)
 
 
 def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEFAULT_SETTINGS,
@@ -701,12 +732,10 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
     at once. Each dyad starts on the root nearest `guess`, or without one on
     the root `bootstrap_candidates` tries first (`branch` for a four-bar),
     and follows it by continuation. Any other chain runs Newton seeded step
-    by step with the previous solution.
-
-    With a marker table of B rows, m supplies only the topology and the B
-    mechanisms are swept together: the dyad plan solves all rows in one array
-    pass, Newton sweeps them one by one. Without one, m is swept alone, as
-    the one-row table `marker_table(m)`.
+    by step with the previous solution. With a marker table of B rows, m
+    supplies only the topology and the B mechanisms are swept together, by
+    the dyad plan in one array pass or by Newton with one stacked solve per
+    step; without one, m is swept alone, as the table `marker_table(m)`.
     """
     thetas = np.asarray(thetas, dtype=float)
     markers = marker_table(m) if markers is None else markers
@@ -718,27 +747,18 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
 
 def velocities(m: Mechanism, c: Configuration, crank_rate: float,
                rcond_floor: float = 1e-10) -> dict[str, tuple[Point2, float]]:
-    """Link velocities from the time-differentiated constraints.
-
-    Returns link id -> (origin linear velocity, angular velocity); the crank
-    angular velocity equals crank_rate by construction.
+    """Link velocities from the time-differentiated constraints, Phi_q qdot =
+    -Phi_t, whose only time term is the drive row's crank rate: link id ->
+    (origin linear velocity, angular velocity), the crank's being crank_rate.
     """
-    sys = ConstraintSystem(m)
-    if sys.rows != sys.n:
-        raise KinematicsError("velocity analysis needs a square constraint system",
-                              code="MOBILITY_NOT_ONE")
-    q = sys.q_from(c)
-    J = sys.jacobian(q)
+    sys = _require_square(ConstraintSystem(m))
+    J = sys.jacobian(sys.q_from(c))
     sv = np.linalg.svd(J, compute_uv=False)
     if sv[-1] <= rcond_floor * sv[0]:
         raise SingularJacobianError("constraint Jacobian is singular (dead center)")
-    b = np.zeros(sys.rows)
-    b[-1] = crank_rate
-    qdot = np.linalg.solve(J, b)
-    out = {m.ground: (Point2(0.0, 0.0), 0.0)}
-    for lid, base in sys.index.items():
-        out[lid] = (Point2(float(qdot[base]), float(qdot[base + 1])), float(qdot[base + 2]))
-    return out
+    qdot = np.linalg.solve(J, np.append(np.zeros(sys.n - 1), crank_rate)).reshape(-1, 3).tolist()
+    return {m.ground: (Point2(0.0, 0.0), 0.0),
+            **{lid: (Point2(x, y), w) for lid, (x, y, w) in zip(sys.moving, qdot)}}
 
 
 def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.ndarray:

@@ -10,7 +10,7 @@ space maps the (B, dim) block of candidates onto a marker table of the
 template, the dyad plan sweeps all B mechanisms at once, and the gait series
 and metrics run along the sample axis of (B, N) arrays; only a dyad root that
 switches at a change point is followed row by row. Templates the dyad plan
-cannot decompose are swept row by row with Newton.
+cannot decompose are swept by Newton, all rows together.
 
 The polish is batched the same way: each simplex step costs every point it
 might need (reflection, expansion and both contractions, or the N points of a

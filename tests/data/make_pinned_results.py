@@ -1,12 +1,14 @@
 """Write the pinned results that `tests/test_pinned_results.py` compares against.
 
-    PYTHONPATH=<tree>/src python tests/data/make_pinned_results.py
+    PYTHONPATH=<tree>/src python tests/data/make_pinned_results.py [costs|cli|triad ...]
 
-Costs `population_costs` on seeded rows of three boxes and records the `gait`
-and `aero` CSVs of the shipped armwing, all with the flapkin on the path. The
-files in this directory were written at commit 099b888, the last one that
-placed dyad links by angle (arctan2, then cos and sin). Run it again only to
-pin a deliberate change of results.
+Costs `population_costs` on seeded rows of three boxes, records the `gait`
+and `aero` CSVs of the shipped armwing and sweeps a block of triad eight-bar
+rows with Newton, all with the flapkin on the path. `pinned_costs.json` and
+the CSVs were written at commit 099b888, the last one that placed dyad links
+by angle (arctan2, then cos and sin); `pinned_triad.npz` at commit 7b6bf05,
+the last one that swept Newton rows one by one. Run it again only to pin a
+deliberate change of results, naming only the files that change.
 """
 from __future__ import annotations
 
@@ -25,10 +27,11 @@ from flapkin.synthesis import OBJECTIVE_SAMPLES, population_costs
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
-from test_pinned_results import ARMWING, BOXES, CLI_CASES, ROWS, boxes  # noqa: E402
+from test_pinned_results import (  # noqa: E402
+    ARMWING, BOXES, CLI_CASES, ROWS, TRIAD_HAND_ROWS, TRIAD_SEED, boxes, triad_space, triad_thetas)
 
 
-def main() -> int:
+def write_costs() -> None:
     doc = {"note": "population_costs of seeded rows (seed, X) of each box of "
                    "tests/test_pinned_results.py, and the failed_at of their sweeps",
            "rows": ROWS, "boxes": {}}
@@ -43,13 +46,34 @@ def main() -> int:
                               "costs": population_costs(space, spec, X).tolist(),
                               "failed_at": failed_at.tolist()}
     (HERE / "pinned_costs.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def write_cli() -> None:
     for name, argv in CLI_CASES.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main([argv[0], str(ARMWING), *argv[1:]]) == 0
         (HERE / f"pinned_{name}.csv").write_text(out.getvalue())
+
+
+def write_triad() -> None:
+    space = triad_space()
+    lo, hi = space.bounds()
+    X = np.vstack([lo + np.random.default_rng(TRIAD_SEED).random((6, space.dim)) * (hi - lo), TRIAD_HAND_ROWS])
+    pb = sweep_arrays(space.template, triad_thetas(), markers=space.markers(X))
+    np.savez_compressed(HERE / "pinned_triad.npz", X=X, failed_at=pb.failed_at,
+                        errors=np.array([e or "" for e in pb.errors]),
+                        origins=pb.origins, rotations=pb.rotations)
+
+
+WRITERS = {"costs": write_costs, "cli": write_cli, "triad": write_triad}
+
+
+def main(argv: list[str]) -> int:
+    for name in argv or list(WRITERS):
+        WRITERS[name]()
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

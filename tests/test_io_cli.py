@@ -206,6 +206,23 @@ class TestCli:
         assert code == 2
         assert err.splitlines()[-1] == "flapkin: error: --steps must be >= 8, got 3"
 
+    @pytest.mark.parametrize("command, opt, args", [
+        ("gait", "--samples", ["--period", "0.1"]),
+        ("aero", "--samples", ["--period", "0.1", "--freestream", "3"]),
+        ("sweep", "--steps", []),
+        ("animate", "--frames", ["--out-dir", "frames"]),
+    ], ids=["gait", "aero", "sweep", "animate"])
+    def test_sample_count_above_the_ceiling_is_a_usage_error(self, shipped_path, tmp_path, monkeypatch,
+                                                             command, opt, args):
+        # rejected before the sweep allocates its arrays (8.9 GiB for 1e8 samples)
+        monkeypatch.chdir(tmp_path)
+        for value in (65537, 100000000):
+            code, out, err = run_cli([command, str(shipped_path), *args, opt, str(value)])
+            assert code == 2 and out == "" and "Traceback" not in err
+            assert [line for line in err.splitlines() if "error" in line] == \
+                [f"flapkin: error: {opt} must be <= 65536, got {value}"]
+        assert not (tmp_path / "frames").exists()
+
     @pytest.mark.parametrize("argv", [
         ["aero", "--period", "0.1", "--freestream", "3", "--strips", "2"],
         ["aero", "--period", "0.1", "--freestream", "3", "--chord", "a,b"],

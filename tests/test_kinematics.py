@@ -31,6 +31,7 @@ from flapkin.synthesis import DesignSpace, Parameter, population_costs
 
 from conftest import (coincidence_residual, loop_residual, marker_world, random_crank_rocker, recovery_space,
                       run_cli, transmission_angle, transmission_angle_at, triad_eight_bar)
+from test_pinned_results import PINNED, triad_space, triad_thetas
 
 # law-of-cosines oracle for (6, 2, 5, 5) at theta = 0: d = 4,
 # beta = arccos((c^2 + d^2 - b^2) / (2cd)) = arccos(0.4), rocker = pi - beta
@@ -184,6 +185,22 @@ class TestVelocities:
                 w_fd = (cp.pose(lid).angle - cm.pose(lid).angle) / (2 * h)
                 if abs(w_fd) > 1e-6:
                     assert vel[lid][1] == pytest.approx(w_fd, rel=1e-4)
+
+    def test_finite_difference_on_the_shipped_armwing(self, armwing):
+        # ground-attached links and links in several joints, against closed-form sweeps at theta +- h
+        h = 1e-6
+        thetas = 2 * math.pi * np.arange(16) / 16 + 0.1
+        pb, lo, hi = (sweep_arrays(armwing, thetas + d) for d in (0.0, -h, h))
+        (c_lo, s_lo), (c_hi, s_hi) = np.moveaxis(lo.rotations[0], -1, 0), np.moveaxis(hi.rotations[0], -1, 0)
+        w_fd = np.arctan2(s_hi * c_lo - c_hi * s_lo, c_hi * c_lo + s_hi * s_lo) / (2 * h)  # (L, N)
+        v_fd = (hi.origins[0] - lo.origins[0]) / (2 * h)  # (L, N, 2)
+        assert np.abs(w_fd).max() > 0.5 and np.abs(v_fd).max() > 0.01
+        for k in range(len(thetas)):
+            vel = velocities(armwing, pb.configuration(k), 1.0)
+            for i, lid in enumerate(pb.ids):
+                v, w = vel[lid]
+                assert w == pytest.approx(w_fd[i, k], rel=1e-6, abs=1e-7)
+                assert (v.x, v.y) == pytest.approx(tuple(v_fd[i, k]), rel=1e-6, abs=1e-8)
 
 
 class TestTransmission:
@@ -521,6 +538,23 @@ class TestRotationForm:
 
 class TestBatchRows:
     """Row b of a batch sweep is the sweep of the b-th mechanism alone, bit for bit."""
+
+    def test_newton_rows_that_fail_are_rows_swept_alone(self):
+        # the pinned triad block holds rows that close, stop partway, and fail at the first
+        # sample, one of them (l3 with both pins on its origin) with an exactly singular
+        # Jacobian, which makes the stacked solve of the whole block raise
+        X, thetas, space = np.load(PINNED / "pinned_triad.npz")["X"], triad_thetas(), triad_space()
+        pb = sweep_arrays(space.template, thetas, markers=space.markers(X))
+        assert {None, "NO_CONVERGENCE", "SINGULAR_JACOBIAN"} == set(pb.errors)
+        assert {0, len(thetas)} < set(pb.failed_at.tolist())
+        alone = [sweep_arrays(space.apply(x), thetas) for x in X]
+        for b, one in enumerate(alone):
+            assert np.array_equal(pb.origins[b], one.origins[0]) and np.array_equal(pb.rotations[b], one.rotations[0])
+            assert (pb.failed_at[b], pb.errors[b]) == (one.failed_at[0], one.errors[0])
+        rows = [7, 1, 6, 0]  # the singular row, then rows stopping at 82 and 70, then a closed one
+        sub = sweep_arrays(space.template, thetas, markers=space.markers(X[rows]))
+        assert np.array_equal(sub.origins, pb.origins[rows]) and np.array_equal(sub.rotations, pb.rotations[rows])
+        assert sub.failed_at.tolist() == pb.failed_at[rows].tolist()
 
     @pytest.mark.parametrize("solver, box, rows, n", [("dyad", 1.0, 300, 128), ("dyad", 3.0, 300, 128),
                                                       ("newton", 1.0, 4, 32)])

@@ -1,11 +1,14 @@
-"""Results pinned at the commit before link rotations replaced link angles.
+"""Results pinned at earlier commits, which later changes may move in their
+last bits only.
 
 `tests/data/make_pinned_results.py` recorded `population_costs` on seeded
 rows of three boxes (the four-bar recovery box, the same box three times as
 wide, where many rows fail to assemble, and the shipped armwing design
-space) and the `gait` and `aero` CSVs of the shipped armwing. Placing links
-by rotation instead of by angle may move these results in their last bits
-only.
+space) and the `gait` and `aero` CSVs of the shipped armwing, at the commit
+before link rotations replaced link angles. It also recorded Newton sweeps of
+a block of triad eight-bar rows (`triad_space`), some of which stop partway
+or fail at the first sample, at the last commit that swept Newton rows one by
+one.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import recovery_space, run_cli
+from conftest import recovery_space, run_cli, triad_eight_bar
 from flapkin.cli import _load_space, _load_spec
 from flapkin.kinematics import sweep_arrays
 from flapkin.synthesis import (
@@ -36,6 +39,12 @@ ROWS = 64
 BOXES = {"recovery": 0, "recovery_3x": 1, "armwing": 2}  # box -> seed of its rows
 CLI_CASES = {"gait": ["gait", "--period", "0.1", "--samples", "256"],
              "aero": ["aero", "--period", "0.1", "--freestream", "3"]}
+TRIAD_SEED, TRIAD_SAMPLES = 11, 128
+# hand rows after the seeded ones: the nominal triad, which stops at sample
+# 70; l3 with both pins on its origin, whose Jacobian is exactly singular; a
+# crank too long to turn; an l3 too long to close at all
+TRIAD_HAND_ROWS = [[1.0, 1.0, 2.5, 3.5, 5.5], [1.0, 0.0, 0.0, 0.0, 5.5],
+                   [3.0, 3.0, 2.5, 3.5, 5.5], [1.0, 1.0, 20.0, 20.0, 5.5]]
 COST_RTOL = 1e-12
 CSV_ATOL = 1e-12  # SI units; a relative bound means nothing for cells near zero
 
@@ -49,6 +58,18 @@ def boxes() -> dict[str, tuple[DesignSpace, GaitSpec]]:
                        space.transmission_joints)
     armwing = _load_space(str(DATA / "armwing_space.json")), _load_spec(str(DATA / "armwing_spec.json"))
     return {"recovery": (space, spec), "recovery_3x": (wide, spec), "armwing": armwing}
+
+
+def triad_space() -> DesignSpace:
+    """The triad eight-bar with its crank tip, both pins of l3 and one pin of
+    d1 as parameters."""
+    return DesignSpace(triad_eight_bar(), tuple(Parameter(f"link.{path}", lo, hi) for path, lo, hi in (
+        ("crank.marker.tip.x", 0.5, 1.1), ("l3.marker.a.x", 0.5, 1.1), ("l3.marker.b.x", 2.3, 2.7),
+        ("l3.marker.b.y", 3.3, 3.7), ("d1.marker.b.y", 5.3, 5.7))))
+
+
+def triad_thetas() -> np.ndarray:
+    return 2.0 * math.pi * np.arange(TRIAD_SAMPLES) / TRIAD_SAMPLES
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +103,17 @@ def test_cli_csv_matches_pinned(case):
     assert got[0] == want[0] and len(got) == len(want)
     cells = [np.array([[float(v) for v in line.split(",")] for line in lines[1:]]) for lines in (got, want)]
     assert np.abs(cells[0] - cells[1]).max() <= CSV_ATOL
+
+
+def test_triad_newton_sweeps_match_pinned():
+    want = np.load(PINNED / "pinned_triad.npz")
+    space = triad_space()
+    pb = sweep_arrays(space.template, triad_thetas(), markers=space.markers(want["X"]))
+    assert pb.solver == "newton"
+    assert pb.failed_at.tolist() == want["failed_at"].tolist()
+    assert [e or "" for e in pb.errors] == want["errors"].tolist()
+    # rows that close, stop partway and fail at the first sample, with both codes
+    assert {"NO_CONVERGENCE", "SINGULAR_JACOBIAN", ""} <= set(want["errors"].tolist())
+    assert {0, TRIAD_SAMPLES} < set(want["failed_at"].tolist())
+    for got, pinned_values in ((pb.origins, want["origins"]), (pb.rotations, want["rotations"])):
+        assert np.abs(got - pinned_values).max() <= 1e-12
