@@ -86,12 +86,17 @@ class _Potential:
 
     def __init__(self, m: Mechanism, load: LoadCase, sys: ConstraintSystem):
         col = {lid: 3 * i for i, lid in enumerate(sys.moving)}
-        self.springs = [(col.get(j.link_a, sys.n), col.get(j.link_b, sys.n), j.kind.stiffness, j.kind.rest_angle)
-                        for j in _hinges(m)]
-        self.forces = [(col.get(lid, sys.n), m.link(lid).marker(mk).as_array(), f.as_array())
-                       for lid, mk, f in load.forces]
-        self.moments = [(col.get(m.joint(jid).link_a, sys.n), col.get(m.joint(jid).link_b, sys.n), mom)
-                        for jid, mom in load.moments]
+        self.springs = []
+        for j in _hinges(m):
+            self.springs.append((col.get(j.link_a, sys.n), col.get(j.link_b, sys.n),
+                                 j.kind.stiffness, j.kind.rest_angle))
+        self.forces = []
+        for lid, marker, f in load.forces:
+            self.forces.append((col.get(lid, sys.n), m.link(lid).marker(marker).as_array(), f.as_array()))
+        self.moments = []
+        for jid, mom in load.moments:
+            j = m.joint(jid)
+            self.moments.append((col.get(j.link_a, sys.n), col.get(j.link_b, sys.n), mom))
         self.sys = sys
         self.k_max = max((s[2] for s in self.springs), default=1.0)
 
@@ -138,14 +143,8 @@ class _Potential:
         H = T.T @ (np.array([s[2] for s in self.springs]).reshape(-1, 1) * T)
         for idx, p, f in self.forces:
             H[idx + 2, idx + 2] += float(f @ self._rotated(qp, idx, p))
-        # joint r's rows are its world gap, + R_a p_a - R_b p_b plus the
-        # origins: each end adds -+lam_r.(R p) to the diagonal at its angle,
-        # the padded q's angle columns being `sys`'s pose slots
-        sys, angles = self.sys, np.arange(2, len(H), 3)
-        rp = sys.rotations(q[None])[0, sys.slots] * sys.points[0]
-        lr = lam[:2 * len(sys.slots)].reshape(-1, 1, 2)
-        H[angles, angles] += np.bincount(sys.slots.ravel(), ([-1.0, 1.0] * (
-            lr[..., 0] * rp.real + lr[..., 1] * rp.imag)).ravel(), len(angles))
+        angles = np.arange(2, len(H), 3)  # the padded q's angle columns are `sys`'s pose slots
+        H[angles, angles] += self.sys._angle_curvature(q, lam)
         return H[:-3, :-3]
 
 
@@ -168,11 +167,11 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
     tol_g = settings.tolerance * pot.k_max
 
     def kkt(qv, lam, J):
-        return np.concatenate([pot.grad(qv) + J.T @ lam, sys.residual(qv, theta)]), J
+        return np.concatenate([pot.grad(qv) + J.T @ lam, sys.residual(qv, theta)])
 
     J = sys.jacobian(q)
     lam = np.linalg.lstsq(J.T, -pot.grad(q), rcond=None)[0]
-    F, J = kkt(q, lam, J)
+    F = kkt(q, lam, J)
     for _ in range(settings.max_iterations):
         if np.linalg.norm(F[:n]) <= tol_g and np.linalg.norm(F[n:]) <= tol_c:
             return q
@@ -189,7 +188,8 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
         t = 1.0
         for _ in range(20):
             q_new, lam_new = q + t * step[:n], lam + t * step[n:]
-            F_new, J_new = kkt(q_new, lam_new, sys.jacobian(q_new))
+            J_new = sys.jacobian(q_new)
+            F_new = kkt(q_new, lam_new, J_new)
             if np.linalg.norm(F_new) < fn:
                 break
             t *= 0.5

@@ -250,34 +250,39 @@ def _decompose(m: Mechanism) -> list[_Step]:
 @dataclass(frozen=True)
 class _Plan:
     """What a mechanism's topology alone fixes: the dyad plan's steps, whether
-    they solve the whole chain (crank and dyads only, square system), the
-    sides of the four-bar loop it is (`fourbar_sides`), if it is one, and the
-    index arrays of its constraint system."""
+    they solve the whole chain (crank and dyads only, square system), and the
+    sides of the four-bar loop it is (`fourbar_sides`), if it is one."""
 
     steps: tuple[_Step, ...]
     dyadic: bool
     sides: tuple[tuple[str, str, str], ...] | None
-    constraints: dict  # the index arrays of `ConstraintSystem`
 
 
-_PLANS: dict[tuple, _Plan] = {}
+def _per_topology(build):
+    """build(m), made once per topology (the links, and the joints with their
+    markers and drive) and then reused; at most 64 are kept."""
+    cache: dict[tuple, object] = {}
+
+    def cached(m: Mechanism):
+        key = (m.ground, tuple(l.id for l in m.links),
+               tuple((j.id, j.link_a, j.marker_a, j.link_b, j.marker_b, j.actuated) for j in m.joints))
+        value = cache.get(key)
+        if value is None:
+            if len(cache) >= 64:
+                cache.clear()
+            value = cache[key] = build(m)
+        return value
+
+    return cached
 
 
+@_per_topology
 def _plan(m: Mechanism) -> _Plan:
-    """m's `_Plan`, built once per topology (the links, and the joints with
-    their markers and drive) and then reused; at most 64 are kept."""
-    key = (m.ground, tuple(l.id for l in m.links),
-           tuple((j.id, j.link_a, j.marker_a, j.link_b, j.marker_b, j.actuated) for j in m.joints))
-    plan = _PLANS.get(key)
-    if plan is None:
-        steps = tuple(_decompose(m))
-        dyadic = (bool(steps) and steps[0].kind == "crank"
-                  and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
-                  and all(st.kind in ("crank", "dyad") for st in steps))
-        if len(_PLANS) >= 64:
-            _PLANS.clear()
-        plan = _PLANS[key] = _Plan(steps, dyadic, fourbar_sides(m), _constraint_arrays(m))
-    return plan
+    steps = tuple(_decompose(m))
+    dyadic = (bool(steps) and steps[0].kind == "crank"
+              and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
+              and all(st.kind in ("crank", "dyad") for st in steps))
+    return _Plan(steps, dyadic, fourbar_sides(m))
 
 
 def _local_length(markers: Markers, lid: str, m1: str, m2: str):
@@ -491,24 +496,43 @@ def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Co
 # General Newton solver
 
 
-def _constraint_arrays(m: Mechanism) -> dict:
-    """The attributes of m's `ConstraintSystem` that its topology fixes."""
+@dataclass(frozen=True)
+class _Constraints:
+    """What a topology fixes of its `ConstraintSystem`. q holds the (x, y,
+    angle) of each link of `moving`; a joint's two ends, (link, marker) on
+    link a then link b, sit in pose slots, a moving link's index or the last
+    slot, the ground's, at the identity pose. The Jacobian is a constant +-1
+    `template` over q and the ground's slot whose angle entries, at the flat
+    indices `angle_cells`, `jacobian` fills in."""
+
+    moving: tuple[str, ...]
+    crank_link: str | None
+    drive: int | None  # the crank's angle column of q
+    ends: tuple[tuple[str, str], ...]  # (2J,)
+    slots: np.ndarray  # (J, 2)
+    template: np.ndarray  # (rows, n + 3)
+    angle_cells: np.ndarray  # (4J,)
+
+
+@_per_topology
+def _constraints(m: Mechanism) -> _Constraints:
     moving = m.moving_link_ids()
-    slot = {lid: i for i, lid in enumerate(moving)}  # the ground's slot is last, at the identity pose
+    slot = {lid: i for i, lid in enumerate(moving)}
     act = m.actuated_joint()
     crank = act.other(m.ground) if act is not None else None
-    n, rows = 3 * len(moving), 2 * len(m.joints) + (act is not None)
+    n = 3 * len(moving)
     ends = tuple(end for j in m.joints for end in ((j.link_a, j.marker_a), (j.link_b, j.marker_b)))
     slots = np.array([slot.get(lid, len(moving)) for lid, _ in ends], dtype=np.intp).reshape(-1, 2)
-    r, x = 2 * np.arange(len(slots))[:, None], 3 * slots  # each joint's first row, its ends' x columns
-    template = np.zeros((rows, n + 3))  # columns past n: the ground's pose, dropped
-    template[r, x], template[r + 1, x + 1] = (1.0, -1.0), (1.0, -1.0)  # the gap: link a's marker less b's
+    r = 2 * np.arange(len(slots))[:, None]  # each joint's first row
+    x = 3 * slots  # its ends' x columns
+    template = np.zeros((2 * len(slots) + (act is not None), n + 3))
+    template[r, x] = (1.0, -1.0)  # the gap: link a's marker less link b's
+    template[r + 1, x + 1] = (1.0, -1.0)
     drive = 3 * slot[crank] + 2 if crank else None
     if crank:
         template[-1, drive] = 1.0
-    return dict(moving=moving, n=n, rows=rows, crank_link=crank, drive=drive, ends=ends, slots=slots,
-                _template=template, _flat=np.stack([r * (n + 3) + x + 2, (r + 1) * (n + 3) + x + 2], -1).ravel(),
-                _xy=np.flatnonzero(np.arange(n) % 3 != 2))
+    angle_cells = np.stack([r * (n + 3) + x + 2, (r + 1) * (n + 3) + x + 2], axis=-1).ravel()
+    return _Constraints(moving, crank, drive, ends, slots, template, angle_cells)
 
 
 class ConstraintSystem:
@@ -518,54 +542,70 @@ class ConstraintSystem:
     marker on link a less its marker on link b), the last the crank angle less
     theta. q holds the (x, y, angle) of each link of `moving`; `residual` and
     `jacobian` take a (B, n) block of table rows (`rows`, all by default) or
-    one row as a 1-D q, and do the same arithmetic on every row. They read
-    `points` (B, J, 2), the joints' markers as x + iy, and the attributes
-    `_constraint_arrays` builds once per topology: `slots` (J, 2), each
-    joint's links as pose slots (the moving links, then the ground's identity
-    pose), and a constant +-1 Jacobian whose angle columns are filled in."""
+    one row as a 1-D q, and do the same arithmetic on every row."""
 
     def __init__(self, m: Mechanism, markers: Markers | None = None):
         self.m = m
-        self.markers = marker_table(m) if markers is None else markers
-        vars(self).update(_plan(m).constraints)
-        coords = [v for end in self.ends for v in self.markers[end]]
-        points = (np.array(coords)[None] if all(isinstance(v, float) for v in coords) else
-                  np.hstack([np.broadcast_to(v, (_rows(self.markers), 1)) for v in coords]))
-        self.points = points.view(complex).reshape(len(points), -1, 2)
-        self._turned = self.points * np.array([1j, -1j])  # an end's d(+-R p)/d angle is R times this
+        self._markers = marker_table(m) if markers is None else markers
+        self._c = c = _constraints(m)
+        self.moving, self.crank_link = c.moving, c.crank_link
+        self.n, self.rows = 3 * len(c.moving), len(c.template)
+        rows = 1 if markers is None else _rows(markers)
+        coords = [v for end in c.ends for v in self._markers[end]]
+        if all(isinstance(v, float) for v in coords):  # the rows share the joints' markers
+            xy = np.array([coords]).repeat(rows, axis=0)
+        else:
+            xy = np.hstack([np.broadcast_to(v, (rows, 1)) for v in coords])
+        self._points = xy.view(complex).reshape(rows, -1, 2)  # (B, J, 2): each joint's markers, x + iy
+        self._turned = self._points * np.array([1j, -1j])  # an end's d(+-R p)/d angle is R times this
 
     def q_from(self, c: Configuration) -> np.ndarray:
-        return np.array([(p.origin.x, p.origin.y, p.angle) for p in map(c.pose, self.moving)], float).reshape(-1)
+        poses = [c.pose(lid) for lid in self.moving]
+        return np.array([(p.origin.x, p.origin.y, p.angle) for p in poses], dtype=float).reshape(-1)
 
     def config_from(self, q: np.ndarray, theta: float, branch: Branch | None = None) -> Configuration:
-        xya = np.reshape(q, (-1, 3)).tolist()
-        return Configuration(float(theta), {self.m.ground: IDENTITY_POSE, **{
-            lid: Pose(Point2(x, y), a) for lid, (x, y, a) in zip(self.moving, xya)}}, branch)
+        poses = {self.m.ground: IDENTITY_POSE}
+        for lid, (x, y, a) in zip(self.moving, np.reshape(q, (-1, 3)).tolist()):
+            poses[lid] = Pose(Point2(x, y), a)
+        return Configuration(float(theta), poses, branch)
 
-    def rotations(self, q: np.ndarray) -> np.ndarray:
-        """(B, L + 1) link rotations cos + i sin of a (B, n) block, the identity slot last."""
+    def _rotations(self, q: np.ndarray) -> np.ndarray:
+        """(B, L + 1) rotations cos + i sin of the pose slots of a (B, n) block."""
         angles = np.zeros((len(q), len(self.moving) + 1))
         angles[:, :-1] = q[:, 2::3]
         return np.exp(1j * angles)
 
     def residual(self, q: np.ndarray, theta: float, rows=slice(None)) -> np.ndarray:
-        q2 = np.atleast_2d(q)
+        c, q2 = self._c, np.atleast_2d(q)
         origin = np.zeros((len(q2), len(self.moving) + 1), dtype=complex)
-        origin.view(float)[:, :-2] = q2.take(self._xy, axis=1)
-        world = origin.take(self.slots, axis=1) + self.rotations(q2).take(self.slots, axis=1) * self.points[rows]
+        origin.real[:, :-1] = q2[:, 0::3]
+        origin.imag[:, :-1] = q2[:, 1::3]
+        rotations = self._rotations(q2).take(c.slots, axis=1)
+        world = origin.take(c.slots, axis=1) + rotations * self._points[rows]
         out = np.empty((len(q2), self.rows))
-        out[:, :2 * len(self.slots)] = (world[..., 0] - world[..., 1]).view(float)
-        if self.drive is not None:
-            np.subtract(q2[:, self.drive], theta, out=out[:, -1])
+        out[:, :2 * len(c.slots)] = (world[..., 0] - world[..., 1]).view(float)
+        if c.drive is not None:
+            np.subtract(q2[:, c.drive], theta, out=out[:, -1])
         return out if q.ndim == 2 else out[0]
 
     def jacobian(self, q: np.ndarray, rows=slice(None)) -> np.ndarray:
-        q2 = np.atleast_2d(q)
+        c, q2 = self._c, np.atleast_2d(q)
         J = np.empty((len(q2), self.rows, self.n + 3))
-        J[:] = self._template
-        turned = self.rotations(q2).take(self.slots, axis=1) * self._turned[rows]
-        J.reshape(len(q2), -1)[:, self._flat] = turned.view(float).reshape(len(q2), -1)
+        J[:] = c.template
+        turned = self._rotations(q2).take(c.slots, axis=1) * self._turned[rows]
+        J.reshape(len(q2), -1)[:, c.angle_cells] = turned.view(float).reshape(len(q2), -1)
         return J[..., :self.n] if q.ndim == 2 else J[0, :, :self.n]
+
+    def _angle_curvature(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """d^2(lam . Phi)/d angle^2 of each pose slot at a 1-D q, the ground's
+        last: joint r's rows are + R_a p_a - R_b p_b plus the origins, and
+        d^2(R p)/d angle^2 = -R p. Phi is linear in the positions and its
+        drive row, so these are the only nonzero second derivatives."""
+        c = self._c
+        rp = self._rotations(q[None])[0, c.slots] * self._points[0]
+        lr = lam[:2 * len(c.slots)].reshape(-1, 1, 2)
+        terms = [-1.0, 1.0] * (lr[..., 0] * rp.real + lr[..., 1] * rp.imag)
+        return np.bincount(c.slots.ravel(), terms.ravel(), len(self.moving) + 1)
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -587,10 +627,12 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveS
     def norms(F):  # bit for bit `np.linalg.norm` of each row alone
         return np.sqrt((F[:, None] @ F[..., None])[:, 0, 0])
 
-    tol, q, codes = settings.tolerance, np.array(q, dtype=float), np.full(len(q), None, dtype=object)
+    tol = settings.tolerance
+    q = np.array(q, dtype=float)
+    codes = np.full(len(q), None, dtype=object)
     F = sys.residual(q, theta, rows)
     fn = norms(F)
-    live = np.flatnonzero(fn > tol)
+    live = np.flatnonzero(~(fn <= tol))  # a NaN residual iterates, and fails
     for _ in range(settings.max_iterations):
         if not len(live):
             break
@@ -605,8 +647,11 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveS
             Fn = sys.residual(qn, theta, rows[i])
             fnn = norms(Fn)
             down = fnn < fn[i]
-            q[i[down]], F[i[down]], fn[i[down]] = qn[down], Fn[down], fnn[down]
-            trying, step = trying[~down], step * 0.5
+            q[i[down]] = qn[down]
+            F[i[down]] = Fn[down]
+            fn[i[down]] = fnn[down]
+            trying = trying[~down]
+            step *= 0.5
             if not len(trying):
                 break
         else:  # stalled: a dead center, or no descent along the step
@@ -615,8 +660,8 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveS
                                    for singular in (sv[:, -1] <= 1e-12 * sv[:, 0]).tolist()]
             ok[trying] = False
         done = ok & (fn[live] <= tol)
-        if sys.drive is not None:
-            q[live[done], sys.drive] = theta  # hold the drive coordinate exactly
+        if sys._c.drive is not None:
+            q[live[done], sys._c.drive] = theta  # hold the drive coordinate exactly
         live = live[ok & ~done]
     codes[live] = ConvergenceError.code
     return q, codes
@@ -637,7 +682,8 @@ def _candidates(m: Mechanism, markers: Markers, theta: float,
         new[...] &= (offset[0] != 0.0) | (offset[1] != 0.0) | (signs[:, i] > 0.0)
         return signs[:, i]
 
-    ids, origins, rotations, _ = _place_steps(m, steps, markers, np.full(len(signs), float(theta)), pick)
+    thetas = np.full(len(signs), float(theta))
+    ids, origins, rotations, _ = _place_steps(m, steps, markers, thetas, pick)
     angles = np.angle(_complex(rotations))
     if steps and steps[0].kind == "crank":
         angles[:, ids.index(steps[0].links[0])] = theta
@@ -653,10 +699,8 @@ def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -
     only hang sit at orientation zero for Newton to sort out.
     """
     q, tried = _candidates(m, marker_table(m), theta, max_candidates)
-    moving = m.moving_link_ids()
-    return [Configuration(theta, {m.ground: IDENTITY_POSE, **{lid: Pose(Point2(x, y), a) for lid, (x, y, a)
-                                                              in zip(moving, row)}})
-            for row in q[0, tried[0]].reshape(-1, len(moving), 3).tolist()]
+    sys = ConstraintSystem(m)
+    return [sys.config_from(row, theta) for row in q[0, tried[0]]]
 
 
 def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
@@ -672,14 +716,21 @@ def _first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | Non
     """`_newton` on all rows at theta as `assemble` runs it: from guess, or else
     from each row's bootstrap candidates in turn until one converges; a row
     none converges on takes the last one's error code."""
-    todo = np.arange(len(sys.points))
-    starts, tried = ((np.broadcast_to(sys.q_from(guess), (len(todo), 1, sys.n)), np.ones((len(todo), 1), bool))
-                     if guess is not None else _candidates(sys.m, sys.markers, theta))
-    q, codes = np.empty((len(todo), sys.n)), np.full(len(todo), None, dtype=object)
+    rows = len(sys._points)
+    if guess is not None:
+        starts = np.broadcast_to(sys.q_from(guess), (rows, 1, sys.n))
+        tried = np.ones((rows, 1), dtype=bool)
+    else:
+        starts, tried = _candidates(sys.m, sys._markers, theta)
+    q = np.empty((rows, sys.n))
+    codes = np.full(rows, None, dtype=object)
+    todo = np.arange(rows)
     for c in range(starts.shape[1]):
-        if len(rows := todo[tried[todo, c]]):
-            q[rows], codes[rows] = _newton(sys, starts[rows, c], theta, settings, rows)
-        if not len(todo := todo[np.not_equal(codes[todo], None) | ~tried[todo, c]]):
+        now = todo[tried[todo, c]]
+        if len(now):
+            q[now], codes[now] = _newton(sys, starts[now, c], theta, settings, now)
+        todo = todo[np.not_equal(codes[todo], None) | ~tried[todo, c]]
+        if not len(todo):
             break
     return q, codes
 
@@ -704,23 +755,29 @@ def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, set
     root at the first crank angle as `assemble` finds it, then each step
     seeded with the previous root; a row stops where it fails."""
     sys = ConstraintSystem(m, markers)
-    rows, n = len(sys.points), len(thetas)
-    q, failed_at, errors = np.zeros((rows, n, sys.n)), np.full(rows, n), np.full(rows, None, dtype=object)
+    rows, n = len(sys._points), len(thetas)
+    q = np.zeros((rows, n, sys.n))
+    failed_at = np.full(rows, n)
+    errors = np.full(rows, None, dtype=object)
     live = np.arange(rows)
     for k, theta in enumerate(thetas.tolist()):
-        qk, codes = (_newton(sys, q[live, k - 1], theta, settings, live) if k else
-                     _first_roots(_require_square(sys), theta, guess, settings))
+        if k:
+            qk, codes = _newton(sys, q[live, k - 1], theta, settings, live)
+        else:
+            qk, codes = _first_roots(_require_square(sys), theta, guess, settings)
         ok = np.equal(codes, None)
-        failed_at[live[~ok]], errors[live[~ok]] = k, codes[~ok]
+        failed_at[live[~ok]] = k
+        errors[live[~ok]] = codes[~ok]
         live = live[ok]
         q[live, k] = qk[ok]
         if not len(live):
             break
     xya = np.zeros((rows, len(sys.moving) + 1, n, 3))
     xya[:, 1:] = q.reshape(rows, n, len(sys.moving), 3).transpose(0, 2, 1, 3)
-    return PoseBatch([m.ground, *sys.moving], thetas, xya[..., :2].copy(),
-                     np.stack([np.cos(xya[..., 2]), np.sin(xya[..., 2])], axis=-1), failed_at, errors.tolist(),
-                     markers, [guess.branch if guess else None] * rows, "newton", sys.crank_link, guess)
+    rotations = np.stack([np.cos(xya[..., 2]), np.sin(xya[..., 2])], axis=-1)
+    return PoseBatch([m.ground, *sys.moving], thetas, xya[..., :2].copy(), rotations, failed_at,
+                     errors.tolist(), markers, [guess.branch if guess else None] * rows, "newton",
+                     sys.crank_link, guess)
 
 
 def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEFAULT_SETTINGS,

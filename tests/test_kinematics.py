@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from flapkin import kinematics
 from flapkin.cli import _load_space, _load_spec
 from flapkin.designs import two_stage_armwing
-from flapkin.errors import BranchAmbiguousError, NotAssemblableError
+from flapkin.errors import BranchAmbiguousError, NotAssemblableError, SingularJacobianError
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Branch,
@@ -27,7 +27,7 @@ from flapkin.kinematics import (
     velocities,
 )
 from flapkin.mechanism import FourBar, Joint, Link, LinkRole, Mechanism, fourbar_mechanism
-from flapkin.synthesis import DesignSpace, Parameter, population_costs
+from flapkin.synthesis import DesignSpace, GaitSpec, Parameter, population_costs
 
 from conftest import (coincidence_residual, loop_residual, marker_world, random_crank_rocker, recovery_space,
                       run_cli, transmission_angle, transmission_angle_at, triad_eight_bar)
@@ -122,6 +122,13 @@ class TestAssemble:
     def test_two_stage_chain_residual(self, armwing):
         c = assemble(armwing, math.radians(30.0))
         assert np.linalg.norm(loop_residual(armwing, c)) <= 1e-10
+
+    def test_nan_guess_is_a_singular_jacobian(self):
+        m = triad_eight_bar()
+        guess = assemble(m, 0.3)
+        nan_t = Pose(guess.pose("t").origin, math.nan)
+        with pytest.raises(SingularJacobianError):
+            assemble(m, 0.3, guess=Configuration(0.3, {**guess.poses, "t": nan_t}))
 
 
 class TestSweep:
@@ -555,6 +562,27 @@ class TestBatchRows:
         sub = sweep_arrays(space.template, thetas, markers=space.markers(X[rows]))
         assert np.array_equal(sub.origins, pb.origins[rows]) and np.array_equal(sub.rotations, pb.rotations[rows])
         assert sub.failed_at.tolist() == pb.failed_at[rows].tolist()
+
+    def test_newton_rows_that_differ_only_off_the_joints(self):
+        # a wingtip no joint uses: the joints' markers are one float for every row
+        closing = DesignSpace(triad_eight_bar(), (Parameter("link.crank.marker.tip.x", 0.5, 0.7),)).apply([0.6])
+        t = closing.link("t")
+        m = dataclasses.replace(
+            closing, links=tuple(dataclasses.replace(l, markers={**l.markers, "w": Point2(6.0, 4.0)})
+                                 if l is t else l for l in closing.links),
+            shoulder=("ground", "origin"), wingtip=("t", "w"), wing_polygon=(("ground", "origin"), ("t", "w"), ("t", "p")))
+        space = DesignSpace(m, (Parameter("link.t.marker.w.x", 5.0, 7.0), Parameter("link.t.marker.w.y", 3.0, 5.0)))
+        X = np.array([[5.0, 3.0], [6.0, 4.0], [7.0, 5.0], [5.5, 4.5]])
+        thetas = 2 * math.pi * np.arange(32) / 32
+        pb = sweep_arrays(m, thetas, markers=space.markers(X))
+        assert pb.solver == "newton" and pb.origins.shape[0] == len(X) and (pb.failed_at == len(thetas)).all()
+        for b, x in enumerate(X):
+            one = sweep_arrays(space.apply(x), thetas)
+            assert np.array_equal(pb.origins[b], one.origins[0]) and np.array_equal(pb.rotations[b], one.rotations[0])
+        spec = GaitSpec(plunge_amplitude=0.5, extension_range=(0.6, 1.0))
+        costs = population_costs(space, spec, X, samples=32)
+        assert len(set(costs.tolist())) == len(X)
+        assert costs.tolist() == [population_costs(space, spec, x[None], samples=32)[0] for x in X]
 
     @pytest.mark.parametrize("solver, box, rows, n", [("dyad", 1.0, 300, 128), ("dyad", 3.0, 300, 128),
                                                       ("newton", 1.0, 4, 32)])
