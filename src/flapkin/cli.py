@@ -119,6 +119,8 @@ def _load_space(path: str) -> DesignSpace:
 
 
 def cmd_synthesize(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     space = _load_space(args.space)
     spec = _load_spec(args.spec)
     result = synthesize(space, spec, args.budget, args.seed)
@@ -136,6 +138,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_aero(args) -> int:
+    try:
+        chord = tuple(float(c) for c in args.chord.split(","))
+    except ValueError:
+        raise ValueError(f"--chord must be comma-separated numbers, got {args.chord!r}") from None
     m = _read_mechanism(args.mechanism)
     gt = _gait_for(m, args.period, args.samples, args.tol)
     span = args.span
@@ -144,7 +150,6 @@ def cmd_aero(args) -> int:
         tip = gt.wingtip
         d = tip - np.array([[0.0, 0.0]])
         span = float(np.hypot(d[:, 0], d[:, 1]).max())
-    chord = tuple(float(c) for c in args.chord.split(","))
     cfg = AeroConfig(freestream=args.freestream, span=span, air_density=args.density,
                      strip_count=args.strips, chord_profile=chord)
     report = quasi_steady_forces(gt, cfg)
@@ -156,6 +161,8 @@ def cmd_aero(args) -> int:
 
 
 def cmd_animate(args) -> int:
+    if args.frames < 1:
+        raise ValueError(f"--frames must be >= 1, got {args.frames}")
     m = _read_mechanism(args.mechanism)
     samples = max(args.frames, 8)
     gt = _gait_for(m, args.period, samples, args.tol)

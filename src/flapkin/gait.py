@@ -138,11 +138,11 @@ def stroke_phases(plunge: np.ndarray) -> np.ndarray:
     Uses periodic central differences with single-sample flickers removed by a
     3-sample majority filter. Works along the last axis.
     """
-    dp = np.roll(plunge, -1, axis=-1) - np.roll(plunge, 1, axis=-1)
-    sign = np.where(dp >= 0.0, 1, -1)
-    prev_s, next_s = np.roll(sign, 1, axis=-1), np.roll(sign, -1, axis=-1)
-    flicker = (sign != prev_s) & (sign != next_s)
-    return np.where(flicker, prev_s, sign)
+    p = np.concatenate([plunge[..., -1:], plunge, plunge[..., :1]], axis=-1)  # wrapped one sample each way
+    sign = np.where(p[..., 2:] - p[..., :-2] >= 0.0, 1, -1)
+    s = np.concatenate([sign[..., -1:], sign, sign[..., :1]], axis=-1)
+    prev_s, sign, next_s = s[..., :-2], s[..., 1:-1], s[..., 2:]
+    return np.where((sign != prev_s) & (sign != next_s), prev_s, sign)
 
 
 def gait_metrics(gt: GaitTrajectory, transmission: np.ndarray | None = None) -> GaitMetrics:

@@ -88,15 +88,20 @@ def _complex(a: np.ndarray) -> np.ndarray:
     return a.view(np.complex128)[..., 0]
 
 
-Markers = dict[tuple[str, str], tuple[float | np.ndarray, float | np.ndarray]]
-"""Marker table of B mechanisms sharing one topology: (link, marker) -> (x, y)
-in the link frame, each an array of shape (B, 1), or a float where all rows
-agree. It broadcasts against (B, N) arrays over N crank angles."""
+class Markers(dict[tuple[str, str], tuple[float | np.ndarray, float | np.ndarray]]):
+    """Marker table of B mechanisms sharing one topology: (link, marker) -> (x, y)
+    in the link frame, each an array of shape (B, 1), or a float where all rows
+    agree. It broadcasts against (B, N) arrays over N crank angles. It keeps the
+    link-frame distances `_local_length` takes, so it is not edited once swept."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lengths: dict[tuple[str, str, str], float | np.ndarray] = {}
 
 
 def marker_table(m: Mechanism) -> Markers:
     """The one-row marker table of a mechanism."""
-    return {(l.id, k): (float(p.x), float(p.y)) for l in m.links for k, p in l.markers.items()}
+    return Markers({(l.id, k): (float(p.x), float(p.y)) for l in m.links for k, p in l.markers.items()})
 
 
 def _point(markers: Markers, lid: str, marker: str):
@@ -289,14 +294,19 @@ def _local_length(markers: Markers, lid: str, m1: str, m2: str):
     """Per-row distance between two markers of a link: a float, or (B, 1) when
     the table has rows. Taken row by row with `math.hypot`, as the scalar
     geometry (`Point2.norm`, `as_fourbar`) takes it; numpy's hypot may differ
-    from it in the last bit."""
-    (x1, y1), (x2, y2) = markers[lid, m1], markers[lid, m2]
-    dx, dy = x2 - x1, y2 - y1
-    if isinstance(dx, float) and isinstance(dy, float):
-        return math.hypot(dx, dy)
-    dx, dy = np.ravel(dx).tolist(), np.ravel(dy).tolist()
-    rows = max(len(dx), len(dy))  # a float entry is one value for every row
-    return np.array(list(map(math.hypot, dx * (rows // len(dx)), dy * (rows // len(dy)))))[:, None]
+    from it in the last bit. Taken once per `Markers` table."""
+    lengths = getattr(markers, "lengths", {})
+    key = (lid, m1, m2)
+    if key not in lengths:
+        (x1, y1), (x2, y2) = markers[lid, m1], markers[lid, m2]
+        dx, dy = x2 - x1, y2 - y1
+        if isinstance(dx, float) and isinstance(dy, float):
+            lengths[key] = math.hypot(dx, dy)
+        else:
+            dx, dy = np.ravel(dx).tolist(), np.ravel(dy).tolist()
+            rows = max(len(dx), len(dy))  # a float entry is one value for every row
+            lengths[key] = np.array(list(map(math.hypot, dx * (rows // len(dx)), dy * (rows // len(dy)))))[:, None]
+    return lengths[key]
 
 
 def _unit(v, length, floor: float = 0.0):
@@ -419,7 +429,8 @@ def _continue_roots(base, offset, n: int, s: float) -> list[float]:
 def _follow_roots(base, offset, n_ok: np.ndarray, s: np.ndarray) -> np.ndarray:
     """`_continue_roots` of B rows from roots s, 1.0 past n_ok. The loop's test t (same float
     ops) on each row's constant-sign path: a row it never flips keeps s; the rest run the loop."""
-    b, o = np.split(np.stack(np.broadcast_arrays(*base, *offset)), 2)  # (x, y) by (B, N)
+    bo = np.stack(np.broadcast_arrays(*base, *offset))
+    b, o = bo[:2], bo[2:]  # (x, y) by (B, N)
     s, k = s[:, None], np.arange(b.shape[-1])
     p = b + s * o
     v = np.zeros_like(p[..., 1:])  # the loop's last step: none before sample 1
@@ -440,8 +451,10 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
     steps, sides = plan.steps, plan.sides
     dyads = [st for st in steps if st.kind == "dyad"]
     rows = _rows(markers)
-    is_fourbar = np.zeros(rows, dtype=bool) if sides is None else fourbar_lengths_valid(np.hstack(
-        [np.broadcast_to(_local_length(markers, *side), (rows, 1)) for side in sides]))
+    lengths = np.empty((rows, len(sides or ())))
+    for i, side in enumerate(sides or ()):
+        lengths[:, i:i + 1] = _local_length(markers, *side)
+    is_fourbar = np.zeros(rows, dtype=bool) if sides is None else fourbar_lengths_valid(lengths)
     # sign of the open branch's root: the coupler-rocker triangle keeps its orientation
     open_sign = -1.0 if sides is not None and dyads[0].links[0] == sides[3][0] else 1.0
     start = np.where(is_fourbar, open_sign if branch is Branch.OPEN else -open_sign, 1.0)

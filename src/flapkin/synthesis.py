@@ -4,13 +4,17 @@ Global search by differential evolution (rand/1/bin, F=0.7, CR=0.9) over a
 bounded parameter box mapped onto a fixed mechanism topology, followed by a
 Nelder-Mead polish of the best candidate. Fully deterministic given the seed.
 
-The trial vectors of one generation are independent, so each generation (and
-the initial population) is costed in one `population_costs` call: the design
-space maps the (B, dim) block of candidates onto a marker table of the
-template, the dyad plan sweeps all B mechanisms at once, and the gait series
-and metrics run along the sample axis of (B, N) arrays; only a dyad root that
-switches at a change point is followed row by row. Templates the dyad plan
-cannot decompose are swept by Newton, all rows together.
+The trial vectors of one generation are independent, so each generation is
+built as one block: only the random draws run row by row, in the order of a
+one-row-at-a-time loop, and mutation, clipping and crossover act on the
+(P, dim) population at once. Each generation (and the initial population) is
+costed in one `population_costs` call: the design space maps the (B, dim)
+block of candidates onto a marker table of the template, the dyad plan sweeps
+all B mechanisms at once, and the gait series and metrics run along the sample
+axis of (B, N) arrays; only a dyad root that switches at a change point is
+followed row by row. Templates the dyad plan cannot decompose are swept by
+Newton, all rows together. What a call needs but X does not change (the
+template's marker table, the columns to check, the crank angles) is built once.
 
 The polish is batched the same way: each simplex step costs every point it
 might need (reflection, expansion and both contractions, or the N points of a
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -155,29 +159,31 @@ class DesignSpace:
                        if (edits := joint_edits.get(j.id)) else j for j in self.template.joints)
         return replace(self.template, links=tuple(links), joints=joints)
 
+    @cached_property
+    def _checked(self) -> tuple[list[int], list[int]]:
+        """Columns `admissible` needs finite (the template's edited marker
+        coordinates and hinge fields) and, of those, positive (stiffnesses)."""
+        link_edits, joint_edits = self._edits
+        edits = [joint_edits[j.id] for j in self.template.joints if j.id in joint_edits]
+        return ([i for l in self.template.links for comps in link_edits.get(l.id, {}).values()
+                 for comp, i in comps.items() if comp in ("x", "y")] + [i for e in edits for i in e.values()],
+                [e["stiffness"] for e in edits if "stiffness" in e])
+
+    @cached_property
+    def _table(self) -> Markers:
+        return marker_table(self.template)
+
     def admissible(self, X: np.ndarray) -> np.ndarray:
         """Rows of X (B, dim) that `apply` accepts: finite marker coordinates,
         positive finite hinge stiffnesses, finite rest angles."""
-        link_edits, joint_edits = self._edits
-        ok = np.ones(len(X), dtype=bool)
-        for l in self.template.links:
-            for comps in link_edits.get(l.id, {}).values():
-                for comp in ("x", "y"):
-                    if comp in comps:
-                        ok &= np.isfinite(X[:, comps[comp]])
-        for j in self.template.joints:
-            edits = joint_edits.get(j.id, {})
-            if "stiffness" in edits:
-                k = X[:, edits["stiffness"]]
-                ok &= (k > 0.0) & np.isfinite(k)
-            if "rest_angle" in edits:
-                ok &= np.isfinite(X[:, edits["rest_angle"]])
-        return ok
+        finite, positive = self._checked
+        ok = np.isfinite(X[:, finite]).all(axis=1)
+        return ok & (X[:, positive] > 0.0).all(axis=1) if positive else ok
 
     def markers(self, X: np.ndarray) -> Markers:
         """Marker table of the B mechanisms `apply` builds from the rows of X
         (B, dim), without building them: edited coordinates are columns of X."""
-        table = marker_table(self.template)
+        table = Markers(self._table)
 
         def column(i):  # a float when there is one row: all rows agree
             return X[:, i, None] if len(X) > 1 else float(X[0, i])
@@ -206,16 +212,25 @@ def _positive_part(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
+@lru_cache(maxsize=8)
+def _crank_angles(samples: int) -> np.ndarray:
+    """The `samples` crank angles 2 pi k / samples of a cost, as a read-only view."""
+    return np.broadcast_to(2.0 * math.pi * np.arange(samples) / samples, (samples,))
+
+
 def _area_ratio(area: np.ndarray, up: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Mean up over mean down area of the (B, N) series on the masked rows, 0.0
-    elsewhere. Rows with equal up count k form (rows, k) and (rows, N - k) blocks,
-    summed row-pairwise as `area[b][up[b]].mean()` does (a masked sum does not)."""
+    elsewhere. Each row is ordered once, its up samples first, both in sample
+    order; rows with equal up count k then sum their first k and last N - k
+    samples, row-pairwise as `area[b][up[b]].mean()` does (a masked sum does not)."""
     ratio = np.zeros(len(area))
     counts = up.sum(axis=-1)
+    ordered = np.take_along_axis(area, np.argsort(~up, axis=-1, kind="stable"), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in np.unique(counts[rows]).tolist():
-            g = np.flatnonzero(rows & (counts == k))
-            up_sum, down_sum = (np.add.reduce(area[g][u].reshape(len(g), -1), axis=-1) for u in (up[g], ~up[g]))
+            g = rows & (counts == k)
+            block = ordered[g]
+            up_sum, down_sum = np.add.reduce(block[:, :k], axis=-1), np.add.reduce(block[:, k:], axis=-1)
             ratio[g] = (up_sum / k) / (down_sum / (area.shape[-1] - k))
     return ratio
 
@@ -237,7 +252,7 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     costs = np.full(len(X), ASSEMBLY_FAILURE_COST + 1.0)
     m = space.template
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
+    thetas = _crank_angles(samples)
     try:
         rows = np.flatnonzero(space.admissible(X))
         if not len(rows):
@@ -364,6 +379,21 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
     return np.concatenate(seen_x), np.concatenate(seen_f)
 
 
+def _trial_block(rng: np.random.Generator, pop: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 f_weight: float = 0.7, crossover: float = 0.9) -> np.ndarray:
+    """One generation's rand/1/bin trial vectors, a row per member of pop (P, dim). Row i
+    draws, in this order, three distinct members other than i, dim crossover uniforms and
+    the component it always takes from its mutant; the rest acts on the whole block."""
+    size, dim = pop.shape
+    draws = [(rng.choice(size - 1, size=3, replace=False), rng.random(dim), rng.integers(dim)) for _ in range(size)]
+    picks, uniform, forced = map(np.array, zip(*draws))
+    r1, r2, r3 = (picks + (picks >= np.arange(size)[:, None])).T  # picks of the members less i, past i
+    mutant = np.clip(pop[r1] + f_weight * (pop[r2] - pop[r3]), lo, hi)
+    cross = uniform < crossover
+    cross[np.arange(size), forced] = True
+    return np.where(cross, mutant, pop)
+
+
 def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
                samples: int = OBJECTIVE_SAMPLES,
                settings: SolveSettings = DEFAULT_SETTINGS) -> SynthesisResult:
@@ -377,22 +407,12 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
             f"budget {budget} is below the population size {pop_size} (15 x dim)")
     lo, hi = space.bounds()
     rng = np.random.default_rng(seed)
-    evals = 0
 
     pop = lo + rng.random((pop_size, dim)) * (hi - lo)
     costs = population_costs(space, spec, pop, samples, settings)
-    evals += pop_size
-    others = [np.delete(np.arange(pop_size), i) for i in range(pop_size)]
-    f_weight, crossover = 0.7, 0.9
+    evals = pop_size
     while evals + pop_size <= budget:
-        trials = np.empty_like(pop)
-        for i in range(pop_size):
-            r1, r2, r3 = rng.choice(others[i], size=3, replace=False)
-            mutant = pop[r1] + f_weight * (pop[r2] - pop[r3])
-            mutant = np.clip(mutant, lo, hi)
-            cross = rng.random(dim) < crossover
-            cross[rng.integers(dim)] = True
-            trials[i] = np.where(cross, mutant, pop[i])
+        trials = _trial_block(rng, pop, lo, hi)
         trial_costs = population_costs(space, spec, trials, samples, settings)
         evals += pop_size
         better = trial_costs <= costs
@@ -442,7 +462,7 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
     if dof != 1:
         out.append(ConstraintViolation("mobility", abs((dof or 0) - 1),
                                        f"Gruebler mobility is {dof}, expected 1"))
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
+    thetas = _crank_angles(samples)
     pb = sweep_arrays(m, thetas, settings)
     if error := pb.errors[0]:
         failed_at = int(pb.failed_at[0])

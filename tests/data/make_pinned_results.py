@@ -1,13 +1,16 @@
 """Write the pinned results that `tests/test_pinned_results.py` compares against.
 
-    PYTHONPATH=<tree>/src python tests/data/make_pinned_results.py [costs|cli|triad ...]
+    PYTHONPATH=<tree>/src python tests/data/make_pinned_results.py [costs|cli|triad|winners ...]
 
 Costs `population_costs` on seeded rows of three boxes, records the `gait`
 and `aero` CSVs of the shipped armwing and sweeps a block of triad eight-bar
-rows with Newton, all with the flapkin on the path. `pinned_costs.json` and
-the CSVs were written at commit 099b888, the last one that placed dyad links
-by angle (arctan2, then cos and sin); `pinned_triad.npz` at commit 7b6bf05,
-the last one that swept Newton rows one by one. Run it again only to pin a
+rows with Newton, all with the flapkin on the path; it also runs `synthesize`
+on two design spaces for a few seeds and keeps the winners.
+`pinned_costs.json` and the CSVs were written at commit 099b888, the last one
+that placed dyad links by angle (arctan2, then cos and sin);
+`pinned_triad.npz` at commit 7b6bf05, the last one that swept Newton rows one
+by one; `pinned_winners.json` at commit 1555f38, the last one that built the
+differential evolution's trial vectors row by row. Run it again only to pin a
 deliberate change of results, naming only the files that change.
 """
 from __future__ import annotations
@@ -28,7 +31,8 @@ from flapkin.synthesis import OBJECTIVE_SAMPLES, population_costs
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 from test_pinned_results import (  # noqa: E402
-    ARMWING, BOXES, CLI_CASES, ROWS, TRIAD_HAND_ROWS, TRIAD_SEED, boxes, triad_space, triad_thetas)
+    ARMWING, BOXES, CLI_CASES, ROWS, TRIAD_HAND_ROWS, TRIAD_SEED, WINNER_BUDGET, WINNER_SEEDS, boxes,
+    triad_space, triad_thetas, winner_record)
 
 
 def write_costs() -> None:
@@ -66,7 +70,15 @@ def write_triad() -> None:
                         origins=pb.origins, rotations=pb.rotations)
 
 
-WRITERS = {"costs": write_costs, "cli": write_cli, "triad": write_triad}
+def write_winners() -> None:
+    doc = {"note": "synthesize winners (parameters and cost as hex floats) of each box of "
+                   "tests/test_pinned_results.py at the budget below",
+           "budget": WINNER_BUDGET,
+           "winners": {box: [winner_record(box, seed) for seed in seeds] for box, seeds in WINNER_SEEDS.items()}}
+    (HERE / "pinned_winners.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+
+WRITERS = {"costs": write_costs, "cli": write_cli, "triad": write_triad, "winners": write_winners}
 
 
 def main(argv: list[str]) -> int:

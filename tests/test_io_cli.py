@@ -248,6 +248,23 @@ class TestCli:
         assert code == 2
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["animate", "{mechanism}", "--frames", "0", "--out-dir", "frames"], "--frames must be >= 1, got 0"),
+        (["synthesize", "{space}", "{spec}", "--budget", "200", "--seed", "-1", "--out", "out.json"],
+         "--seed must be >= 0, got -1"),
+        (["aero", "{mechanism}", "--period", "0.1", "--freestream", "3", "--chord", "abc"],
+         "--chord must be comma-separated numbers, got 'abc'"),
+    ], ids=["animate --frames 0", "synthesize --seed -1", "aero --chord abc"])
+    def test_usage_error_names_the_option(self, shipped_path, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        data = resources.files("flapkin.data")
+        paths = {"mechanism": str(shipped_path), "space": str(data / "armwing_space.json"),
+                 "spec": str(data / "armwing_spec.json")}
+        code, out, err = run_cli([a.format(**paths) for a in argv])
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [f"flapkin: error: {message}"]
+        assert list(tmp_path.iterdir()) == [shipped_path]
+
     def test_gait_metrics_json(self, shipped_path):
         code, out, err = run_cli(["gait", str(shipped_path), "--period", "0.1",
                                   "--samples", "64", "--metrics",

@@ -8,7 +8,10 @@ space) and the `gait` and `aero` CSVs of the shipped armwing, at the commit
 before link rotations replaced link angles. It also recorded Newton sweeps of
 a block of triad eight-bar rows (`triad_space`), some of which stop partway
 or fail at the first sample, at the last commit that swept Newton rows one by
-one.
+one. And it recorded the winners of `synthesize` runs on the recovery box and
+the shipped armwing design space (`WINNER_SEEDS`), at the commit before the
+differential evolution built its trial vectors as one block; those must hold
+bit for bit.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from flapkin.synthesis import (
     GaitSpec,
     Parameter,
     population_costs,
+    synthesize,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "flapkin" / "data"
@@ -45,6 +49,8 @@ TRIAD_SEED, TRIAD_SAMPLES = 11, 128
 # crank too long to turn; an l3 too long to close at all
 TRIAD_HAND_ROWS = [[1.0, 1.0, 2.5, 3.5, 5.5], [1.0, 0.0, 0.0, 0.0, 5.5],
                    [3.0, 3.0, 2.5, 3.5, 5.5], [1.0, 1.0, 20.0, 20.0, 5.5]]
+WINNER_BUDGET = 1500
+WINNER_SEEDS = {"recovery": range(10), "armwing": range(3)}  # box -> seeds of `synthesize` runs
 COST_RTOL = 1e-12
 CSV_ATOL = 1e-12  # SI units; a relative bound means nothing for cells near zero
 
@@ -117,3 +123,18 @@ def test_triad_newton_sweeps_match_pinned():
     assert {0, TRIAD_SAMPLES} < set(want["failed_at"].tolist())
     for got, pinned_values in ((pb.origins, want["origins"]), (pb.rotations, want["rotations"])):
         assert np.abs(got - pinned_values).max() <= 1e-12
+
+
+def winner_record(box: str, seed: int) -> dict:
+    """The winner of one pinned `synthesize` run, its floats as hex strings."""
+    space, spec = boxes()[box]
+    result = synthesize(space, spec, WINNER_BUDGET, seed)
+    return {"seed": seed, "parameters": [float(v).hex() for v in result.parameters],
+            "cost": result.cost.hex(), "evaluations": result.evaluations}
+
+
+@pytest.mark.parametrize("box", list(WINNER_SEEDS))
+def test_synthesis_winners_match_pinned(box):
+    want = json.loads((PINNED / "pinned_winners.json").read_text())["winners"][box]
+    assert [w["seed"] for w in want] == list(WINNER_SEEDS[box])
+    assert [winner_record(box, w["seed"]) for w in want] == want

@@ -35,6 +35,7 @@ from flapkin.synthesis import (
     Parameter,
     _area_ratio,
     _nelder_mead,
+    _trial_block,
     feasibility_report,
     objective,
     population_costs,
@@ -218,11 +219,12 @@ class TestPopulationCosts:
         np.testing.assert_allclose(costs, want, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 40), st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=8),
+    @given(st.integers(2, 300), st.lists(st.tuples(st.integers(0, 300), st.booleans()), min_size=1, max_size=8),
            st.integers(0, 2 ** 32 - 1))
     def test_area_ratio_equals_per_row_means(self, n, rows, seed):
         # up counts below 8, at 8 and above 8 on either side of the stroke,
-        # rows sharing a count, and rows left out; magnitudes vary so that the
+        # and past 128, where numpy's pairwise summation splits a sum; rows
+        # sharing a count, and rows left out; magnitudes vary so that the
         # summation order shows in the last bits
         rng = np.random.default_rng(seed)
         area = rng.standard_normal((len(rows), n)) * 10.0 ** rng.uniform(-3, 3, (len(rows), 1)) + 1.0
@@ -357,7 +359,39 @@ class TestNelderMead:
         assert len(calls) < 150  # one call per point made 220
 
 
+def trial_block_reference(rng: np.random.Generator, pop: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                          f_weight: float = 0.7, crossover: float = 0.9) -> np.ndarray:
+    """The per-row rand/1/bin loop `_trial_block` replaces."""
+    pop_size, dim = pop.shape
+    others = [np.delete(np.arange(pop_size), i) for i in range(pop_size)]
+    trials = np.empty_like(pop)
+    for i in range(pop_size):
+        r1, r2, r3 = rng.choice(others[i], size=3, replace=False)
+        mutant = np.clip(pop[r1] + f_weight * (pop[r2] - pop[r3]), lo, hi)
+        cross = rng.random(dim) < crossover
+        cross[rng.integers(dim)] = True
+        trials[i] = np.where(cross, mutant, pop[i])
+    return trials
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("dim", [1, 5, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_trial_block_equals_per_row_loop(self, dim, seed):
+        lo, hi = -np.arange(1.0, dim + 1.0), np.linspace(0.5, 3.0, dim)
+        rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        pop = lo + rngs[0].random((15 * dim, dim)) * (hi - lo)
+        rngs[1].random((15 * dim, dim))
+        clipped = 0
+        for _ in range(4):  # generations, each from the trials of the last
+            want = trial_block_reference(rngs[0], pop, lo, hi)
+            got = _trial_block(rngs[1], pop, lo, hi)
+            assert np.array_equal(got, want)
+            assert rngs[1].bit_generator.state == rngs[0].bit_generator.state  # the same draws
+            clipped += int(((got == lo) | (got == hi)).sum())
+            pop = got
+        assert clipped
+
     def test_recovery_single_seed(self):
         space, spec, x_hidden = recovery_space()
         result = synthesize(space, spec, budget=6000, seed=42)
