@@ -8,7 +8,9 @@ e.g. "E_FORMAT VALIDATION_ERROR: ...".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +27,24 @@ from .synthesis import DesignSpace, GaitSpec, Parameter, synthesize
 
 
 _MAX_SAMPLES = 2 ** 16  # crank angles per sweep; far more than any gait needs
+
+# (option, test, requirement) for each option value a command would reject only
+# after reading its input files, or not at all (a sample count that allocates
+# gigabytes); `main` checks them in this order before any command runs and
+# skips the options a command lacks
+_OPTION_CHECKS = (
+    *((opt, lambda v: v <= _MAX_SAMPLES, f"<= {_MAX_SAMPLES}") for opt in ("samples", "steps", "frames")),
+    ("samples", lambda v: v >= 8, ">= 8"),
+    ("steps", lambda v: v >= 8, ">= 8"),  # the gait's own minimum
+    ("frames", lambda v: v >= 1, ">= 1"),
+    ("seed", lambda v: v >= 0, ">= 0"),
+    ("period", lambda v: 0.0 < v < math.inf, "positive and finite"),
+    ("tol", lambda v: v > 0.0, "positive"),
+    ("freestream", math.isfinite, "finite"),
+    ("density", lambda v: 0.0 < v < math.inf, "positive and finite"),
+    ("span", lambda v: 0.0 < v < math.inf, "positive and finite"),
+    ("strips", lambda v: v >= 4, ">= 4"),
+)
 
 
 def _read_mechanism(path: str) -> Mechanism:
@@ -48,8 +68,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 8:  # the gait's own minimum, named by this command's option
-        raise ValueError(f"--steps must be >= 8, got {args.steps}")
     m = _read_mechanism(args.mechanism)
     gt = _gait_for(m, args.period, args.steps, args.tol)
     sys.stdout.write(trajectory_csv(gt))
@@ -119,8 +137,6 @@ def _load_space(path: str) -> DesignSpace:
 
 
 def cmd_synthesize(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     space = _load_space(args.space)
     spec = _load_spec(args.spec)
     result = synthesize(space, spec, args.budget, args.seed)
@@ -142,6 +158,8 @@ def cmd_aero(args) -> int:
         chord = tuple(float(c) for c in args.chord.split(","))
     except ValueError:
         raise ValueError(f"--chord must be comma-separated numbers, got {args.chord!r}") from None
+    if len(chord) < 2 or not all(0.0 <= c < math.inf for c in chord):
+        raise ValueError(f"--chord must be at least 2 nonnegative finite numbers, got {args.chord!r}")
     m = _read_mechanism(args.mechanism)
     gt = _gait_for(m, args.period, args.samples, args.tol)
     span = args.span
@@ -161,8 +179,6 @@ def cmd_aero(args) -> int:
 
 
 def cmd_animate(args) -> int:
-    if args.frames < 1:
-        raise ValueError(f"--frames must be >= 1, got {args.frames}")
     m = _read_mechanism(args.mechanism)
     samples = max(args.frames, 8)
     gt = _gait_for(m, args.period, samples, args.tol)
@@ -186,14 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a mechanism file")
     p.add_argument("mechanism")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("sweep", help="sweep one crank revolution, CSV to stdout")
     p.add_argument("mechanism")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--period", type=float, default=1.0, help="seconds per revolution for the t column")
     add_common(p)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("gait", help="generate a wingbeat gait, CSV to stdout")
     p.add_argument("mechanism")
@@ -204,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transmission-joint", action="append", default=[],
                    help="joint id to track for the transmission-angle metric (repeatable)")
     add_common(p)
-    p.set_defaults(fn=cmd_gait)
 
     p = sub.add_parser("synthesize", help="fit link dimensions to a gait spec")
     p.add_argument("space", help="design space JSON (template + parameters)")
@@ -214,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output mechanism JSON")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("aero", help="quasi-steady force history, CSV to stdout")
     p.add_argument("mechanism")
@@ -226,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", type=float, default=None, help="reach at full extension, m (default: from gait)")
     p.add_argument("--chord", default="0.08,0.075,0.06,0.03", help="root-to-tip chord samples, m")
     add_common(p)
-    p.set_defaults(fn=cmd_aero)
 
     p = sub.add_parser("animate", help="render SVG frames of the wingbeat")
     p.add_argument("mechanism")
@@ -234,18 +245,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=float, default=1.0)
     p.add_argument("--out-dir", required=True)
     add_common(p)
-    p.set_defaults(fn=cmd_animate)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, then reused. Parsing
+    leaves it as it was, so every call parses as a fresh parser would."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    """Run one command; may be called repeatedly in one process."""
+    ap = _parser()
     args = ap.parse_args(argv)
-    for opt in ("samples", "steps", "frames"):  # checked before any sweep array is allocated
-        if getattr(args, opt, 0) > _MAX_SAMPLES:
-            ap.error(f"--{opt} must be <= {_MAX_SAMPLES}, got {getattr(args, opt)}")
+    for opt, ok, need in _OPTION_CHECKS:
+        if (value := getattr(args, opt, None)) is not None and not ok(value):
+            ap.error(f"--{opt} must be {need}, got {value}")
+    # looked up by name at call time, so a replaced `cmd_*` is the one called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except FlapkinError as e:
         sys.stderr.write(f"{e.family} {e.code}: {e}\n")
         return 1

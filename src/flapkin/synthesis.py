@@ -55,6 +55,7 @@ ASSEMBLY_FAILURE_COST = 1.0e6
 METRIC_FAILURE_COST = 1.0e5
 PENALTY = 1.0e3
 OBJECTIVE_SAMPLES = 128
+WEIGHT_KEYS = frozenset({"plunge_amplitude", "extension_min", "extension_max"})  # the metric terms
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ class GaitSpec:
             raise ValueError("plunge amplitude and minimum transmission angle must be finite")
         if not (0.0 < self.area_ratio_max < math.inf):
             raise ValueError("area ratio bound must be positive and finite")
+        if unknown := sorted(set(self.weights) - WEIGHT_KEYS):
+            raise ValueError(f"unknown weight {unknown[0]!r}; weights are {', '.join(sorted(WEIGHT_KEYS))}")
         w = self.weights.values()
         if not all(0.0 <= v < math.inf for v in w) or not any(w):
             raise ValueError("weights must be finite, nonnegative and not all zero")
@@ -115,29 +118,40 @@ class DesignSpace:
         hi = np.array([p.upper for p in self.parameters])
         return lo, hi
 
+    def __post_init__(self):
+        self._edits  # every parameter path is checked before anything is costed
+
     @cached_property
     def _edits(self) -> tuple[dict, dict]:
         """The parameter paths as columns: link id -> marker -> component ->
-        column, and joint id -> field -> column. Paths naming a link or joint
-        the template lacks are kept and ignored; a path that cannot be
-        followed raises SynthesisError."""
+        column, and joint id -> field -> column. A path that is malformed,
+        repeated, or names a link, marker or joint the template lacks (or a
+        joint that is not a compliant hinge) raises SynthesisError."""
         link_edits: dict[str, dict[str, dict[str, int]]] = {}
         joint_edits: dict[str, dict[str, int]] = {}
         for i, p in enumerate(self.parameters):
             parts = p.name.split(".")
-            if parts[0] == "link" and len(parts) == 5 and parts[2] == "marker":
-                link_edits.setdefault(parts[1], {}).setdefault(parts[3], {})[parts[4]] = i
+            if parts[0] == "link" and len(parts) == 5 and parts[2] == "marker" and parts[4] in ("x", "y"):
+                comps = link_edits.setdefault(parts[1], {}).setdefault(parts[3], {})
             elif parts[0] == "joint" and len(parts) == 3 and parts[2] in ("stiffness", "rest_angle"):
-                joint_edits.setdefault(parts[1], {})[parts[2]] = i
+                comps = joint_edits.setdefault(parts[1], {})
             else:
                 raise SynthesisError(f"unknown parameter path {p.name!r}", code="BAD_PARAMETER")
-        for l in self.template.links:
-            for mname in link_edits.get(l.id, {}):
-                if mname not in l.markers:
-                    raise SynthesisError(f"link {l.id!r} has no marker {mname!r}", code="BAD_PARAMETER")
-        for j in self.template.joints:
-            if j.id in joint_edits and not isinstance(j.kind, CompliantHinge):
-                raise SynthesisError(f"joint {j.id!r} is not a compliant hinge", code="BAD_PARAMETER")
+            if parts[-1] in comps:
+                raise SynthesisError(f"parameter path {p.name!r} appears twice", code="BAD_PARAMETER")
+            comps[parts[-1]] = i
+        links, joints = {l.id: l for l in self.template.links}, {j.id: j for j in self.template.joints}
+        for lid, edits in link_edits.items():
+            if lid not in links:
+                raise SynthesisError(f"template has no link {lid!r}", code="BAD_PARAMETER")
+            for mname in edits:
+                if mname not in links[lid].markers:
+                    raise SynthesisError(f"link {lid!r} has no marker {mname!r}", code="BAD_PARAMETER")
+        for jid in joint_edits:
+            if jid not in joints:
+                raise SynthesisError(f"template has no joint {jid!r}", code="BAD_PARAMETER")
+            if not isinstance(joints[jid].kind, CompliantHinge):
+                raise SynthesisError(f"joint {jid!r} is not a compliant hinge", code="BAD_PARAMETER")
         return link_edits, joint_edits
 
     def apply(self, x: np.ndarray) -> Mechanism:
@@ -160,24 +174,14 @@ class DesignSpace:
         return replace(self.template, links=tuple(links), joints=joints)
 
     @cached_property
-    def _checked(self) -> tuple[list[int], list[int]]:
-        """Columns `admissible` needs finite (the template's edited marker
-        coordinates and hinge fields) and, of those, positive (stiffnesses)."""
-        link_edits, joint_edits = self._edits
-        edits = [joint_edits[j.id] for j in self.template.joints if j.id in joint_edits]
-        return ([i for l in self.template.links for comps in link_edits.get(l.id, {}).values()
-                 for comp, i in comps.items() if comp in ("x", "y")] + [i for e in edits for i in e.values()],
-                [e["stiffness"] for e in edits if "stiffness" in e])
-
-    @cached_property
     def _table(self) -> Markers:
         return marker_table(self.template)
 
     def admissible(self, X: np.ndarray) -> np.ndarray:
-        """Rows of X (B, dim) that `apply` accepts: finite marker coordinates,
-        positive finite hinge stiffnesses, finite rest angles."""
-        finite, positive = self._checked
-        ok = np.isfinite(X[:, finite]).all(axis=1)
+        """Rows of X (B, dim) that `apply` accepts: every column (a marker
+        coordinate or a hinge field) finite, hinge stiffnesses positive."""
+        ok = np.isfinite(X).all(axis=1)
+        positive = [e["stiffness"] for e in self._edits[1].values() if "stiffness" in e]
         return ok & (X[:, positive] > 0.0).all(axis=1) if positive else ok
 
     def markers(self, X: np.ndarray) -> Markers:
@@ -190,10 +194,9 @@ class DesignSpace:
 
         for lid, edits in self._edits[0].items():
             for mname, comps in edits.items():
-                if (lid, mname) in table:
-                    x, y = table[lid, mname]
-                    table[lid, mname] = (column(comps["x"]) if "x" in comps else x,
-                                         column(comps["y"]) if "y" in comps else y)
+                x, y = table[lid, mname]
+                table[lid, mname] = (column(comps["x"]) if "x" in comps else x,
+                                     column(comps["y"]) if "y" in comps else y)
         return table
 
 

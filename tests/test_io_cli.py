@@ -43,6 +43,15 @@ def shipped_bytes() -> bytes:
     return (resources.files("flapkin.data") / "armwing.json").read_bytes()
 
 
+def package_env() -> dict[str, str]:
+    """The environment with the imported flapkin package first on PYTHONPATH,
+    so a child process runs the code under test from any working directory."""
+    package_root = str(Path(flapkin.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.fixture
 def shipped_path(tmp_path) -> Path:
     p = tmp_path / "armwing.json"
@@ -183,11 +192,8 @@ class TestCli:
 
     def test_import_leaves_scipy_out(self):
         # scipy is a test dependency only: the package and its CLI run on numpy
-        package_root = str(Path(flapkin.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
         r = subprocess.run([sys.executable, "-c", "import sys, flapkin, flapkin.cli; print('scipy' in sys.modules)"],
-                           capture_output=True, text=True, env=env)
+                           capture_output=True, text=True, env=package_env())
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
 
@@ -254,16 +260,77 @@ class TestCli:
          "--seed must be >= 0, got -1"),
         (["aero", "{mechanism}", "--period", "0.1", "--freestream", "3", "--chord", "abc"],
          "--chord must be comma-separated numbers, got 'abc'"),
-    ], ids=["animate --frames 0", "synthesize --seed -1", "aero --chord abc"])
+        # {missing} names no file: each of these is a usage error before the mechanism is read
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--strips", "2"],
+         "--strips must be >= 4, got 2"),
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--chord", "0.1"],
+         "--chord must be at least 2 nonnegative finite numbers, got '0.1'"),
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--chord", "nan,1"],
+         "--chord must be at least 2 nonnegative finite numbers, got 'nan,1'"),
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "nan"], "--freestream must be finite, got nan"),
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--density", "0"],
+         "--density must be positive and finite, got 0.0"),
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--span", "-1"],
+         "--span must be positive and finite, got -1.0"),
+        (["aero", "{missing}", "--period", "0", "--freestream", "3"], "--period must be positive and finite, got 0.0"),
+        (["gait", "{missing}", "--period", "-1", "--samples", "16"], "--period must be positive and finite, got -1.0"),
+        (["sweep", "{missing}", "--steps", "16", "--period", "inf"], "--period must be positive and finite, got inf"),
+        (["animate", "{missing}", "--frames", "2", "--out-dir", "frames", "--period", "nan"],
+         "--period must be positive and finite, got nan"),
+        (["gait", "{missing}", "--period", "0.1", "--samples", "4"], "--samples must be >= 8, got 4"),
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--samples", "7"],
+         "--samples must be >= 8, got 7"),
+        (["sweep", "{missing}", "--steps", "3"], "--steps must be >= 8, got 3"),
+        (["gait", "{missing}", "--period", "0.1", "--samples", "16", "--tol", "0"], "--tol must be positive, got 0.0"),
+        (["sweep", "{missing}", "--steps", "16", "--tol", "0"], "--tol must be positive, got 0.0"),
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--tol", "0"], "--tol must be positive, got 0.0"),
+        (["animate", "{missing}", "--frames", "2", "--out-dir", "frames", "--tol", "0"],
+         "--tol must be positive, got 0.0"),
+    ], ids=["animate --frames 0", "synthesize --seed -1", "aero --chord abc", "aero --strips 2",
+            "aero --chord 0.1", "aero --chord nan,1", "aero --freestream nan", "aero --density 0",
+            "aero --span -1", "aero --period 0", "gait --period -1", "sweep --period inf",
+            "animate --period nan", "gait --samples 4", "aero --samples 7", "sweep --steps 3",
+            "gait --tol 0", "sweep --tol 0", "aero --tol 0", "animate --tol 0"])
     def test_usage_error_names_the_option(self, shipped_path, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         data = resources.files("flapkin.data")
         paths = {"mechanism": str(shipped_path), "space": str(data / "armwing_space.json"),
-                 "spec": str(data / "armwing_spec.json")}
+                 "spec": str(data / "armwing_spec.json"), "missing": str(tmp_path / "missing.json")}
         code, out, err = run_cli([a.format(**paths) for a in argv])
         assert code == 2 and out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [f"flapkin: error: {message}"]
         assert list(tmp_path.iterdir()) == [shipped_path]
+
+    def test_repeated_calls_match_fresh_processes(self, shipped_path, tmp_path):
+        # main reuses one parser per process: no call may see another's options
+        gait = ["gait", str(shipped_path), "--period", "0.1", "--samples", "32", "--metrics"]
+        aero = ["aero", str(shipped_path), "--period", "0.1", "--freestream", "3", "--samples", "32"]
+        calls = [
+            [*gait, "--transmission-joint", "j_b", "--transmission-joint", "j_d"],
+            gait,
+            ["gait", str(shipped_path), "--period", "0.1", "--samples", "4"],
+            ["validate", str(shipped_path)],
+            ["--version"],
+            [*aero, "--strips", "8", "--chord", "0.05,0.02"],
+            aero,
+        ]
+        in_process = [run_cli(argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 0]
+        assert json.loads(in_process[0][2])["min_transmission_angle_rad"] is not None
+        assert json.loads(in_process[1][2])["min_transmission_angle_rad"] is None
+        assert in_process[5][1] != in_process[6][1]
+        for argv, expected in zip(calls, in_process):
+            r = subprocess.run([sys.executable, "-m", "flapkin.cli", *argv],
+                               capture_output=True, text=True, env=package_env(), cwd=tmp_path)
+            assert (r.returncode, r.stdout, r.stderr) == expected, argv
+
+    def test_replaced_command_is_called(self, shipped_path, monkeypatch):
+        # commands are looked up by name on each call, after the parser is built
+        run_cli(["validate", str(shipped_path)])
+        seen = []
+        monkeypatch.setattr("flapkin.cli.cmd_validate", lambda args: seen.append(args.mechanism) or 0)
+        assert run_cli(["validate", str(shipped_path)]) == (0, "", "")
+        assert seen == [str(shipped_path)]
 
     def test_gait_metrics_json(self, shipped_path):
         code, out, err = run_cli(["gait", str(shipped_path), "--period", "0.1",
@@ -333,7 +400,8 @@ class TestCli:
                                                ("bounds", "SCHEMA_ERROR"), ("weights", "SCHEMA_ERROR"),
                                                ("plunge_amplitude_rad", "SCHEMA_ERROR"),
                                                ("area_ratio_max", "SCHEMA_ERROR"),
-                                               ("min_transmission_angle_rad", "SCHEMA_ERROR")])
+                                               ("min_transmission_angle_rad", "SCHEMA_ERROR"),
+                                               ("weight key", "SCHEMA_ERROR")])
     def test_synthesize_format_error(self, tmp_path, broken, error):
         space_doc = {
             "template": mechanism_to_doc(fourbar_mechanism(FourBar(6, 2, 5, 5))),
@@ -352,6 +420,8 @@ class TestCli:
             space_doc["parameters"][0]["lower"] = 3.0
         elif broken in ("weights", "plunge_amplitude_rad", "area_ratio_max", "min_transmission_angle_rad"):
             spec_doc[broken] = {"plunge_amplitude": math.nan} if broken == "weights" else math.nan
+        elif broken == "weight key":  # the spec file's key, not a weight's
+            spec_doc["weights"] = {"plunge_amplitude_rad": 1.0}
         space_p, spec_p = tmp_path / "space.json", tmp_path / "spec.json"
         space_p.write_text(json.dumps(space_doc)[:-1] if broken == "json" else json.dumps(space_doc))
         spec_p.write_text(json.dumps(spec_doc))
@@ -367,8 +437,23 @@ class TestCli:
         p.write_text(json.dumps(doc))
         assert _load_spec(str(p)) == GaitSpec(plunge_amplitude=0.3, extension_range=(0.5, 1.0))
         p.write_text(json.dumps({**doc, "area_ratio_max": 0.8, "min_transmission_angle_rad": 0.6,
-                                 "weights": {"x": 2.0}}))
-        assert _load_spec(str(p)) == GaitSpec(0.3, (0.5, 1.0), 0.8, 0.6, {"x": 2.0})
+                                 "weights": {"extension_min": 2.0}}))
+        assert _load_spec(str(p)) == GaitSpec(0.3, (0.5, 1.0), 0.8, 0.6, {"extension_min": 2.0})
+
+    def test_synthesize_bad_parameter_path(self, tmp_path):
+        space_doc = {
+            "template": mechanism_to_doc(fourbar_mechanism(FourBar(6, 2, 5, 5))),
+            "parameters": [{"name": "link.crank.marker.tip.z", "lower": 1.6, "upper": 2.4}],
+        }
+        spec_doc = {"plunge_amplitude_rad": 0.3, "extension_range": [0.5, 1.0]}
+        space_p, spec_p, out_p = tmp_path / "space.json", tmp_path / "spec.json", tmp_path / "out.json"
+        space_p.write_text(json.dumps(space_doc))
+        spec_p.write_text(json.dumps(spec_doc))
+        code, out, err = run_cli(["synthesize", str(space_p), str(spec_p), "--budget", "60",
+                                  "--seed", "1", "--out", str(out_p)])
+        assert code == 1 and out == "" and not out_p.exists()
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_SYNTHESIS BAD_PARAMETER")
 
     def test_synthesize_deterministic_output(self, tmp_path):
         template = fourbar_mechanism(FourBar(6, 2, 5, 5, coupler_point=Point2(2.5, 1.5)))

@@ -525,6 +525,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GaitSpec(**{"plunge_amplitude": 0.5, "extension_range": (0.2, 1.0), field: value})
 
+    def test_unknown_weight_rejected(self):
+        # the spec file's key name: accepted, it would weight every metric term 0
+        with pytest.raises(ValueError, match="plunge_amplitude_rad"):
+            GaitSpec(plunge_amplitude=0.5, extension_range=(0.2, 1.0),
+                     weights={"plunge_amplitude_rad": 1.0})
+
+    @pytest.mark.parametrize("name", [
+        "link.crank.marker.tip.z", "link.crank.marker.nope.x", "link.nope.marker.tip.x",
+        "link.crank.tip.x", "joint.j_b.stiffness", "joint.nope.stiffness", "link.crank.marker.tip.x",
+    ], ids=["component z", "unknown marker", "unknown link", "malformed", "rigid joint",
+            "unknown joint", "repeated"])
+    def test_bad_parameter_path_fails_when_the_space_is_built(self, monkeypatch, name):
+        # before any cost is taken: a path that edits nothing is no dimension
+        space, _, _ = recovery_space()
+        monkeypatch.setattr("flapkin.synthesis.sweep_arrays", None)
+        with pytest.raises(SynthesisError) as e:
+            DesignSpace(space.template, (*space.parameters, Parameter(name, 0.5, 1.0)))
+        assert e.value.code == "BAD_PARAMETER"
+
     def test_bad_parameter_bounds(self):
         with pytest.raises(ValueError):
             Parameter("link.crank.marker.tip.x", 2.0, 1.0)
