@@ -39,7 +39,7 @@ _OPTION_CHECKS = (
     ("frames", lambda v: v >= 1, ">= 1"),
     ("seed", lambda v: v >= 0, ">= 0"),
     ("period", lambda v: 0.0 < v < math.inf, "positive and finite"),
-    ("tol", lambda v: v > 0.0, "positive"),
+    ("tol", lambda v: 0.0 < v < math.inf, "positive and finite"),
     ("freestream", math.isfinite, "finite"),
     ("density", lambda v: 0.0 < v < math.inf, "positive and finite"),
     ("span", lambda v: 0.0 < v < math.inf, "positive and finite"),

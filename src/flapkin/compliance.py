@@ -7,7 +7,7 @@ equilibrium of a chain with sprung hinges is a stationary point of the total
 potential (elastic energy minus load work) subject to joint coincidence, with
 the crank held at a fixed angle when an actuated joint exists. It is found by
 Newton's method on the KKT conditions, with the Hessian of the Lagrangian in
-closed form, started from the dyad plan of `kinematics`.
+closed form, started from the dyad-plan starts of `kinematics.start_block`.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .kinematics import (
     Configuration,
     ConstraintSystem,
     SolveSettings,
-    bootstrap_candidates,
+    start_block,
 )
 from .mechanism import CompliantHinge, Mechanism
 
@@ -166,12 +166,12 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
     tol_c = settings.tolerance
     tol_g = settings.tolerance * pot.k_max
 
-    def kkt(qv, lam, J):
-        return np.concatenate([pot.grad(qv) + J.T @ lam, sys.residual(qv, theta)])
+    def kkt(qv, lam, J, g):
+        return np.concatenate([g + J.T @ lam, sys.residual(qv, theta)])
 
-    J = sys.jacobian(q)
-    lam = np.linalg.lstsq(J.T, -pot.grad(q), rcond=None)[0]
-    F = kkt(q, lam, J)
+    J, g = sys.jacobian(q), pot.grad(q)
+    lam = np.linalg.lstsq(J.T, -g, rcond=None)[0]
+    F = kkt(q, lam, J, g)
     for _ in range(settings.max_iterations):
         if np.linalg.norm(F[:n]) <= tol_g and np.linalg.norm(F[n:]) <= tol_c:
             return q
@@ -189,7 +189,7 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
         for _ in range(20):
             q_new, lam_new = q + t * step[:n], lam + t * step[n:]
             J_new = sys.jacobian(q_new)
-            F_new = kkt(q_new, lam_new, J_new)
+            F_new = kkt(q_new, lam_new, J_new, pot.grad(q_new))
             if np.linalg.norm(F_new) < fn:
                 break
             t *= 0.5
@@ -212,18 +212,19 @@ def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase,
     One Lagrange-Newton solve on the KKT conditions with the analytic Hessian
     of the Lagrangian. The actuated joint, when present, is locked at theta;
     every other joint is a free pin, sprung when compliant. The solve starts
-    from `guess`, or else from each of `bootstrap_candidates` in turn until
-    one converges, as `assemble` does: for a mobility-one chain the dyad plan
-    already closes, and open-chain links start at orientation zero. Raises
-    ConvergenceError when no start reaches stationarity and closure within
-    100x the tolerance; warns LargeDeflectionWarning past pi/2 of deflection.
+    from each of the `start_block` starts (`guess`, or else the dyad plan's)
+    in turn until one converges, as `assemble` does: for a mobility-one chain
+    the dyad plan already closes, and open-chain links start at orientation
+    zero. Raises ConvergenceError when no start reaches stationarity and
+    closure within 100x the tolerance; warns LargeDeflectionWarning past pi/2
+    of deflection.
     """
     sys = ConstraintSystem(m)
     pot = _Potential(m, load, sys)
-    starts = [guess] if guess is not None else bootstrap_candidates(m, theta)
-    for start in starts:
+    starts, tried = start_block(sys, theta, guess)
+    for start in starts[0, tried[0]]:
         try:
-            q = _lagrange_newton(sys, pot, sys.q_from(start), theta, settings)
+            q = _lagrange_newton(sys, pot, start, theta, settings)
             break
         except ConvergenceError as e:
             error = e

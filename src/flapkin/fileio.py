@@ -222,10 +222,11 @@ def _num(x: float) -> str:
 
 def _csv(header: str, columns) -> str:
     """CSV of equal-length columns: the header, then one row per sample, each
-    cell with 12 significant digits as `_num` writes it; LF endings."""
-    fmt = ",".join(["%.12g"] * len(columns))
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return "\n".join([header, *(fmt % row for row in rows)]) + "\n"
+    cell with 12 significant digits as `_num` writes it, all by one `%` over
+    the row template repeated once per row; LF endings."""
+    table = np.column_stack(columns)  # row-major, as the cells follow in the text
+    row = "\n" + ",".join(["%.12g"] * len(columns))
+    return header + (row * len(table)) % tuple(table.ravel().tolist()) + "\n"
 
 
 def trajectory_csv(gt: GaitTrajectory) -> str:

@@ -73,8 +73,8 @@ class SolveSettings:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -680,40 +680,36 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveS
     return q, codes
 
 
-def _candidates(m: Mechanism, markers: Markers, theta: float,
-                max_candidates: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """`bootstrap_candidates` of every row of a marker table: the unknowns
-    (B, C, n) of each combination of dyad roots, and which ones a row tries."""
-    steps = _plan(m).steps
+def start_block(sys: ConstraintSystem, theta: float,
+                guess: Configuration | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Where Newton starts on each row of sys at one crank angle: the unknowns
+    (B, C, n) of each start and the (B, C) mask of the starts a row tries, in
+    turn. From `guess` alone, or else one start per combination of dyad roots
+    from the dyad plan, '+' root first and earlier dyads varying slowest,
+    repeats dropped, at most 16 per row. Circles that miss are clamped to
+    their nearest approach and a tangent dyad gives one root; links the plan
+    can only hang sit at orientation zero for Newton to sort out."""
+    rows = len(sys._points)
+    if guess is not None:
+        return np.broadcast_to(sys.q_from(guess), (rows, 1, sys.n)), np.ones((rows, 1), dtype=bool)
+    steps = _plan(sys.m).steps
     k = sum(st.kind == "dyad" for st in steps)
-    kv = min(k, 10)  # only the last kv dyads vary; max_candidates never reaches further
+    kv = min(k, 10)  # only the last kv dyads vary; 16 starts never reach further
     bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
     signs = np.hstack([np.ones((2 ** kv, k - kv)), 1.0 - 2.0 * bits])
-    new = np.ones((_rows(markers), len(signs)), dtype=bool)
+    new = np.ones((rows, len(signs)), dtype=bool)
 
     def pick(i, base, offset, n_ok):
         new[...] &= (offset[0] != 0.0) | (offset[1] != 0.0) | (signs[:, i] > 0.0)
         return signs[:, i]
 
     thetas = np.full(len(signs), float(theta))
-    ids, origins, rotations, _ = _place_steps(m, steps, markers, thetas, pick)
+    ids, origins, rotations, _ = _place_steps(sys.m, steps, sys._markers, thetas, pick)
     angles = np.angle(_complex(rotations))
     if steps and steps[0].kind == "crank":
         angles[:, ids.index(steps[0].links[0])] = theta
     q = np.concatenate([origins[:, 1:], angles[:, 1:, :, None]], axis=-1).transpose(0, 2, 1, 3)
-    return q.reshape(len(q), len(signs), -1), new & (np.cumsum(new, axis=1) <= max_candidates)
-
-
-def bootstrap_candidates(m: Mechanism, theta: float, max_candidates: int = 16) -> list[Configuration]:
-    """Closed-form starting guesses from the dyad plan at one crank angle:
-    one per combination of dyad roots, '+' root first and earlier dyads
-    varying slowest, repeats dropped. Circles that miss are clamped to their
-    nearest approach and a tangent dyad gives one root; links the plan can
-    only hang sit at orientation zero for Newton to sort out.
-    """
-    q, tried = _candidates(m, marker_table(m), theta, max_candidates)
-    sys = ConstraintSystem(m)
-    return [sys.config_from(row, theta) for row in q[0, tried[0]]]
+    return q.reshape(len(q), len(signs), -1), new & (np.cumsum(new, axis=1) <= 16)
 
 
 def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
@@ -726,15 +722,11 @@ def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
 
 def _first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None,
                  settings: SolveSettings) -> tuple[np.ndarray, np.ndarray]:
-    """`_newton` on all rows at theta as `assemble` runs it: from guess, or else
-    from each row's bootstrap candidates in turn until one converges; a row
-    none converges on takes the last one's error code."""
-    rows = len(sys._points)
-    if guess is not None:
-        starts = np.broadcast_to(sys.q_from(guess), (rows, 1, sys.n))
-        tried = np.ones((rows, 1), dtype=bool)
-    else:
-        starts, tried = _candidates(sys.m, sys._markers, theta)
+    """`_newton` on all rows at theta as `assemble` runs it: from each row's
+    `start_block` starts in turn until one converges; a row none converges on
+    takes the last one's error code."""
+    starts, tried = start_block(sys, theta, guess)
+    rows = len(starts)
     q = np.empty((rows, sys.n))
     codes = np.full(rows, None, dtype=object)
     todo = np.arange(rows)
@@ -752,7 +744,7 @@ def assemble(m: Mechanism, theta: float, guess: Configuration | None = None,
              settings: SolveSettings = DEFAULT_SETTINGS) -> Configuration:
     """Newton-Raphson on the joint-coincidence residuals at fixed crank angle:
     the root continuously reachable from the guess, or without one from the
-    first bootstrap candidate that converges. Step halving (at most 20 times
+    first `start_block` start that converges. Step halving (at most 20 times
     per iteration) guards against overshoot."""
     sys = _require_square(ConstraintSystem(m))
     q, (code,) = _first_roots(sys, float(theta), guess, settings)
@@ -800,7 +792,7 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
 
     A chain the dyad plan decomposes is solved in closed form at every angle
     at once. Each dyad starts on the root nearest `guess`, or without one on
-    the root `bootstrap_candidates` tries first (`branch` for a four-bar),
+    the root `start_block` tries first (`branch` for a four-bar),
     and follows it by continuation. Any other chain runs Newton seeded step
     by step with the previous solution. With a marker table of B rows, m
     supplies only the topology and the B mechanisms are swept together, by

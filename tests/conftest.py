@@ -13,7 +13,7 @@ from flapkin.designs import two_stage_armwing
 from flapkin.errors import DegenerateGeometryError, GaitError
 from flapkin.gait import GaitTrajectory, gait_metrics, generate_gait, polygon_area
 from flapkin.geometry import Point2
-from flapkin.kinematics import Configuration, transmission_angle_series
+from flapkin.kinematics import Configuration, ConstraintSystem, start_block, transmission_angle_series
 from flapkin.mechanism import (
     CompliantHinge,
     FourBar,
@@ -47,6 +47,14 @@ def armwing() -> Mechanism:
 def marker_world(m: Mechanism, c: Configuration, link_id: str, marker: str) -> Point2:
     """Rigid transform of a link-local marker by the solved link pose."""
     return c.pose(link_id).transform(m.link(link_id).marker(marker))
+
+
+def bootstrap_candidates(m: Mechanism, theta: float) -> list[Configuration]:
+    """The dyad-plan starts `start_block` gives one mechanism at one crank
+    angle, in the order they are tried, each as a Configuration."""
+    sys = ConstraintSystem(m)
+    q, tried = start_block(sys, theta)
+    return [sys.config_from(row, theta) for row in q[0, tried[0]]]
 
 
 def loop_residual(m: Mechanism, c: Configuration) -> np.ndarray:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,19 @@ import pytest
 from flapkin.compliance import (
     HingeGeometry,
     LoadCase,
+    _lagrange_newton,
+    _Potential,
     elastic_energy,
+    hinge_deflection,
     hinge_stiffness,
     solve_equilibrium,
     stationarity,
     total_potential,
 )
-from flapkin.errors import LargeDeflectionWarning
+from flapkin.errors import ConvergenceError, LargeDeflectionWarning
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
+    DEFAULT_SETTINGS,
     Configuration,
     ConstraintSystem,
     assemble,
@@ -25,7 +30,7 @@ from flapkin.kinematics import (
 )
 from flapkin.mechanism import CompliantHinge, Joint, Link, LinkRole, Mechanism
 
-from conftest import relative_joint_angle, two_hinge_chain
+from conftest import bootstrap_candidates, relative_joint_angle, two_hinge_chain
 
 
 def single_hinge_chain(k: float = 0.144, arm: float = 0.05) -> Mechanism:
@@ -171,8 +176,6 @@ class TestEquilibrium:
             assert closure <= 1e-8, theta
 
     def test_lagrangian_hessian_matches_finite_differences(self, armwing):
-        from flapkin.compliance import _Potential
-
         load = LoadCase(forces=(("forearm", "tip", Point2(0.3, -0.4)),), moments=(("j_b", 0.01),))
         sys = ConstraintSystem(armwing)
         pot = _Potential(armwing, load, sys)
@@ -212,3 +215,59 @@ class TestEquilibrium:
             }
             cp = Configuration(0.0, poses, c.branch)
             assert total_potential(m, load, cp) >= v0 - 1e-12
+
+
+def reference_equilibrium(m: Mechanism, theta: float, load: LoadCase) -> Configuration:
+    """`solve_equilibrium` without a guess, run from Configuration starts: each
+    `bootstrap_candidates` entry in turn through `q_from` and
+    `_lagrange_newton`, then a LargeDeflectionWarning per hinge past pi/2."""
+    sys = ConstraintSystem(m)
+    pot = _Potential(m, load, sys)
+    for start in bootstrap_candidates(m, theta):
+        try:
+            q = _lagrange_newton(sys, pot, sys.q_from(start), theta, DEFAULT_SETTINGS)
+            break
+        except ConvergenceError as e:
+            error = e
+    else:
+        raise error
+    c = sys.config_from(q, theta)
+    for j in m.joints:
+        if isinstance(j.kind, CompliantHinge):
+            d = hinge_deflection(c.pose(j.link_a).angle, c.pose(j.link_b).angle, j.kind.rest_angle)
+            if abs(d) > math.pi / 2:
+                warnings.warn(f"hinge {j.id!r} deflection {d:.3f} rad exceeds pi/2", LargeDeflectionWarning)
+    return c
+
+
+def _outcome(solve) -> tuple:
+    """(pose bytes or the error, warnings) of one solve."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            c = solve()
+            result = np.array([(p.origin.x, p.origin.y, p.angle) for p in c.poses.values()]).tobytes()
+        except ConvergenceError as e:
+            result = repr(e)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _pinned_cases(armwing: Mechanism):
+    rng = np.random.default_rng(14)
+    for theta, a in zip(2 * math.pi * np.arange(64) / 64, rng.uniform(0.0, 2 * math.pi, 64)):
+        tip = Point2(0.5 * math.cos(a), 0.5 * math.sin(a))
+        yield armwing, float(theta), LoadCase(forces=(("forearm", "tip", tip),))
+    yield single_hinge_chain(k=0.144), 0.0, LoadCase(moments=(("h", 0.0144),))
+    yield single_hinge_chain(k=0.1), 0.0, LoadCase(moments=(("h", 0.2),))
+    for force in ((0.0, 0.15), (0.0, 0.02), (0.0, 0.04), (0.01, 0.1), (0.0, 0.1)):
+        yield two_hinge_chain(), 0.0, LoadCase(forces=(("fore", "tip", Point2(*force)),))
+
+
+def test_equilibria_pinned_to_configuration_starts(armwing):
+    """Bit for bit the equilibria, errors and warnings of the Configuration-start loop."""
+    warned = 0
+    for m, theta, load in _pinned_cases(armwing):
+        got = _outcome(lambda: solve_equilibrium(m, theta, load))
+        assert got == _outcome(lambda: reference_equilibrium(m, theta, load)), (theta, load)
+        warned += bool(got[1])
+    assert warned  # the large-deflection case is among them

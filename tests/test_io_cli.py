@@ -130,7 +130,7 @@ class TestTrajectoryCsv:
     @given(st.lists(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL)),
                              min_size=10, max_size=10), max_size=12))
     def test_writers_match_per_cell_formatter(self, rows):
-        """One `%` per row over `.tolist()` columns writes what `_num` writes cell by cell."""
+        """One `%` over the whole table's `.tolist()` values writes what `_num` writes cell by cell."""
         cells = np.array(rows + [self.SPECIAL], dtype=float)
         gt = GaitTrajectory(1.0, *cells.T[:5], cells[:, 5:7])
         rep = AeroReport(1.0, *cells.T[7:10], 0.0, 0.0)
@@ -281,16 +281,18 @@ class TestCli:
         (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--samples", "7"],
          "--samples must be >= 8, got 7"),
         (["sweep", "{missing}", "--steps", "3"], "--steps must be >= 8, got 3"),
-        (["gait", "{missing}", "--period", "0.1", "--samples", "16", "--tol", "0"], "--tol must be positive, got 0.0"),
-        (["sweep", "{missing}", "--steps", "16", "--tol", "0"], "--tol must be positive, got 0.0"),
-        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--tol", "0"], "--tol must be positive, got 0.0"),
+        (["gait", "{missing}", "--period", "0.1", "--samples", "16", "--tol", "0"], "--tol must be positive and finite, got 0.0"),
+        (["sweep", "{missing}", "--steps", "16", "--tol", "0"], "--tol must be positive and finite, got 0.0"),
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--tol", "0"], "--tol must be positive and finite, got 0.0"),
         (["animate", "{missing}", "--frames", "2", "--out-dir", "frames", "--tol", "0"],
-         "--tol must be positive, got 0.0"),
+         "--tol must be positive and finite, got 0.0"),
+        (["gait", "{missing}", "--period", "0.1", "--samples", "16", "--tol", "inf"],
+         "--tol must be positive and finite, got inf"),
     ], ids=["animate --frames 0", "synthesize --seed -1", "aero --chord abc", "aero --strips 2",
             "aero --chord 0.1", "aero --chord nan,1", "aero --freestream nan", "aero --density 0",
             "aero --span -1", "aero --period 0", "gait --period -1", "sweep --period inf",
             "animate --period nan", "gait --samples 4", "aero --samples 7", "sweep --steps 3",
-            "gait --tol 0", "sweep --tol 0", "aero --tol 0", "animate --tol 0"])
+            "gait --tol 0", "sweep --tol 0", "aero --tol 0", "animate --tol 0", "gait --tol inf"])
     def test_usage_error_names_the_option(self, shipped_path, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         data = resources.files("flapkin.data")

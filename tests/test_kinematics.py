@@ -20,7 +20,6 @@ from flapkin.kinematics import (
     Configuration,
     SolveSettings,
     assemble,
-    bootstrap_candidates,
     solve_fourbar,
     sweep_arrays,
     transmission_angle_series,
@@ -29,8 +28,8 @@ from flapkin.kinematics import (
 from flapkin.mechanism import FourBar, Joint, Link, LinkRole, Mechanism, fourbar_mechanism
 from flapkin.synthesis import DesignSpace, GaitSpec, Parameter, population_costs
 
-from conftest import (coincidence_residual, loop_residual, marker_world, random_crank_rocker, recovery_space,
-                      run_cli, transmission_angle, transmission_angle_at, triad_eight_bar)
+from conftest import (bootstrap_candidates, coincidence_residual, loop_residual, marker_world, random_crank_rocker,
+                      recovery_space, run_cli, transmission_angle, transmission_angle_at, triad_eight_bar)
 from test_pinned_results import PINNED, triad_space, triad_thetas
 
 # law-of-cosines oracle for (6, 2, 5, 5) at theta = 0: d = 4,
@@ -308,6 +307,11 @@ class TestSettings:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             SolveSettings(tolerance=0.0)
+
+    def test_infinite_tolerance_rejected(self):
+        # Newton would take any start as converged
+        with pytest.raises(ValueError):
+            SolveSettings(tolerance=math.inf)
 
     def test_bad_iterations_rejected(self):
         with pytest.raises(ValueError):
