@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AeroError, PeriodMismatchError
-from .gait import GaitTrajectory
+from .gait import GaitTrajectory, check_samples
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def strip_kinematics(gt: GaitTrajectory, cfg: AeroConfig) -> StripKinematics:
     extension * span along the plunge ray (shoulder fixed at the origin);
     velocities come from periodic central differences of the strip positions.
     """
-    if gt.samples < 8:
-        raise ValueError("gait needs >= 8 samples")
+    check_samples(gt.samples)
     frac = (np.arange(cfg.strip_count) + 0.5) / cfg.strip_count
     r = gt.extension[:, None] * cfg.span * frac[None, :]          # (N, S)
     direction = np.stack([np.cos(gt.plunge), np.sin(gt.plunge)], axis=-1)  # (N, 2)

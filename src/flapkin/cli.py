@@ -20,8 +20,8 @@ from . import __version__
 from .aero import AeroConfig, quasi_steady_forces
 from .errors import FlapkinError, ParseError, SchemaError
 from .fileio import aero_csv, mechanism_to_doc, parse_mechanism, render_svg, trajectory_csv
-from .gait import gait_metrics, generate_gait
-from .kinematics import SolveSettings, transmission_angle_series
+from .gait import MIN_SAMPLES, gait_metrics, generate_gait, min_transmission_angle
+from .kinematics import SolveSettings
 from .mechanism import Mechanism, validate_mechanism
 from .synthesis import DesignSpace, GaitSpec, Parameter, synthesize
 
@@ -34,8 +34,7 @@ _MAX_SAMPLES = 2 ** 16  # crank angles per sweep; far more than any gait needs
 # skips the options a command lacks
 _OPTION_CHECKS = (
     *((opt, lambda v: v <= _MAX_SAMPLES, f"<= {_MAX_SAMPLES}") for opt in ("samples", "steps", "frames")),
-    ("samples", lambda v: v >= 8, ">= 8"),
-    ("steps", lambda v: v >= 8, ">= 8"),  # the gait's own minimum
+    *((opt, lambda v: v >= MIN_SAMPLES, f">= {MIN_SAMPLES}") for opt in ("samples", "steps")),
     ("frames", lambda v: v >= 1, ">= 1"),
     ("seed", lambda v: v >= 0, ">= 0"),
     ("period", lambda v: 0.0 < v < math.inf, "positive and finite"),
@@ -81,10 +80,7 @@ def cmd_gait(args) -> int:
     gt = _gait_for(m, args.period, args.samples, args.tol)
     sys.stdout.write(trajectory_csv(gt))
     if args.metrics or args.metrics_out:
-        mu = None
-        if args.transmission_joint:
-            mu = np.minimum.reduce([transmission_angle_series(m, gt.poses, j)
-                                    for j in args.transmission_joint])
+        mu = min_transmission_angle(m, gt.poses, args.transmission_joint) if args.transmission_joint else None
         mts = gait_metrics(gt, mu)
         doc = {
             "plunge_amplitude_rad": mts.plunge_amplitude,
@@ -128,11 +124,17 @@ def _load_spec(path: str) -> GaitSpec:
     ))
 
 
+def _joint_ids(value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(j, str) for j in value)):
+        raise TypeError(f"transmission_joints must be a list of joint ids, got {value!r}")
+    return tuple(value)
+
+
 def _load_space(path: str) -> DesignSpace:
     return _load_doc(path, lambda doc: DesignSpace(
         parse_mechanism(json.dumps(doc["template"])),
         tuple(Parameter(p["name"], float(p["lower"]), float(p["upper"])) for p in doc["parameters"]),
-        tuple(doc.get("transmission_joints", [])),
+        _joint_ids(doc.get("transmission_joints", [])),
     ))
 
 
@@ -180,7 +182,7 @@ def cmd_aero(args) -> int:
 
 def cmd_animate(args) -> int:
     m = _read_mechanism(args.mechanism)
-    samples = max(args.frames, 8)
+    samples = max(args.frames, MIN_SAMPLES)
     gt = _gait_for(m, args.period, samples, args.tol)
     docs = render_svg(gt, m, args.frames)
     out_dir = Path(args.out_dir)

@@ -1,10 +1,12 @@
-"""Wingbeat gait generation and phase metrics.
+"""Wingbeat gait generation and the wingbeat rules.
 
 One wingbeat is one full crank revolution at constant rate 2*pi/period. The
 gait is the time series of plunge angle (shoulder-to-wingtip ray above the
 ground axis, unwrapped), extension ratio (reach normalized by the sweep
-maximum), and membrane area (shoelace over the wing polygon markers), all
-read off row 0 of the one-mechanism `PoseBatch` the revolution is swept into.
+maximum), and membrane area (shoelace over the wing polygon markers).
+
+Each wingbeat rule is defined here once, along the last axis of (B, N) series:
+one gait and a synthesis population are measured by the same code.
 """
 from __future__ import annotations
 
@@ -13,27 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometryError,
-    GaitError,
-    NoStrokeReversalError,
-    ZeroReachError,
-)
-from .kinematics import (
-    Branch,
-    Configuration,
-    DEFAULT_SETTINGS,
-    PoseBatch,
-    SolveSettings,
-    sweep_arrays,
-)
+from .errors import DegenerateGeometryError, GaitError, NoStrokeReversalError, ZeroReachError
+from .kinematics import DEFAULT_SETTINGS, PoseBatch, SolveSettings, sweep_arrays, transmission_angle_series
 from .mechanism import Mechanism
+
+MIN_SAMPLES = 8  # fewest crank angles a wingbeat is sampled at
 
 
 @dataclass(frozen=True)
 class GaitTrajectory:
     """Sampled wingbeat, columnar. Samples are endpoint-exclusive: t_k = k*T/N,
-    crank_k = theta0 + 2*pi*k/N, so the series is periodic."""
+    crank_k = 2*pi*k/N, so the series is periodic."""
 
     period: float
     t: np.ndarray
@@ -68,20 +60,32 @@ def polygon_area(points: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
+def check_samples(samples: int) -> None:
+    """The wingbeat's sample minimum: ValueError below MIN_SAMPLES."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need >= {MIN_SAMPLES} samples for a wingbeat")
+
+
+def require_wingbeat(m: Mechanism) -> None:
+    """GaitError DEGENERATE unless m declares shoulder, wingtip and a wing polygon of >= 3 markers."""
+    if m.shoulder is None or m.wingtip is None or len(m.wing_polygon) < 3:
+        raise GaitError("mechanism must declare shoulder, wingtip and wing polygon", code="DEGENERATE")
+
+
 def wingbeat_series(m: Mechanism, pb: PoseBatch):
     """Wingtip path, plunge, extension and membrane area of the sweeps in pb.
 
     Each distinct marker path of m's wingtip, shoulder and wing polygon is
-    taken from pb once. Returns (tip, plunge, extension, area, min reach, max
-    reach): tip is (x, y), each (B, N), the series are (B, N), and the reach
-    extremes keep the sample axis as size one: a wingbeat needs a positive
-    maximum and a minimum of at least 1e-12.
+    taken from pb once. Returns (tip, plunge, extension, area, zero_reach,
+    coincident): tip is (x, y), each (B, N), the series are (B, N), and the
+    reach rule's (B,) masks flag a maximum reach that is not positive and a
+    minimum below 1e-12 (shoulder on the wingtip); a wingbeat has neither.
     """
     paths = {ref: pb.marker_world(ref) for ref in dict.fromkeys((m.wingtip, m.shoulder, *m.wing_polygon))}
     tip, shoulder = paths[m.wingtip], paths[m.shoulder]
     dx, dy = tip[0] - shoulder[0], tip[1] - shoulder[1]
     reach = np.hypot(dx, dy)
-    lo, hi = reach.min(axis=-1, keepdims=True), reach.max(axis=-1, keepdims=True)
+    lo, hi = reach.min(axis=-1), reach.max(axis=-1)
     plunge = np.unwrap(np.arctan2(dy, dx), axis=-1)
     x, y = [paths[ref][0] for ref in m.wing_polygon], [paths[ref][1] for ref in m.wing_polygon]
 
@@ -90,41 +94,35 @@ def wingbeat_series(m: Mechanism, pb: PoseBatch):
 
     area = 0.5 * np.abs(cross(x, y) - cross(y, x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return tip, plunge, reach / hi, area, lo, hi
+        return tip, plunge, reach / hi[:, None], area, hi <= 0.0, lo < 1e-12
 
 
 def gait_from_pose_arrays(m: Mechanism, pb: PoseBatch, period: float,
                           t: np.ndarray) -> GaitTrajectory:
     """Gait series of row 0 of a sweep that closes there, sampled at times t."""
-    tip, plunge, extension, area, lo, hi = wingbeat_series(m, pb)
-    if hi[0] <= 0.0:
+    tip, plunge, extension, area, zero_reach, coincident = wingbeat_series(m, pb)
+    if zero_reach[0]:
         raise ZeroReachError("maximum reach over the sweep is zero")
-    if lo[0] < 1e-12:
+    if coincident[0]:
         raise DegenerateGeometryError("shoulder and wingtip coincide during the sweep")
     return GaitTrajectory(period, t, pb.thetas, plunge[0], extension[0], area[0],
                           np.stack(tip, axis=-1)[0], pb)
 
 
 def generate_gait(m: Mechanism, period: float, samples: int,
-                  settings: SolveSettings = DEFAULT_SETTINGS,
-                  guess: Configuration | None = None,
-                  branch: Branch = Branch.OPEN,
-                  theta0: float = 0.0) -> GaitTrajectory:
-    """Sweep one crank revolution at constant rate and extract gait series.
+                  settings: SolveSettings = DEFAULT_SETTINGS) -> GaitTrajectory:
+    """Sweep one crank revolution from theta = 0 at constant rate and extract gait series.
 
     Raises on sweep failure (the mechanism must assemble over the whole
     revolution to have a wingbeat).
     """
-    if samples < 8:
-        raise ValueError("samples must be >= 8")
+    check_samples(samples)
     if not (period > 0.0 and math.isfinite(period)):
         raise ValueError("period must be positive and finite")
-    if m.shoulder is None or m.wingtip is None or len(m.wing_polygon) < 3:
-        raise GaitError("mechanism must declare shoulder, wingtip and wing polygon",
-                        code="DEGENERATE")
+    require_wingbeat(m)
     t = np.arange(samples) * (period / samples)
-    thetas = theta0 + 2.0 * math.pi * np.arange(samples) / samples
-    pb = sweep_arrays(m, thetas, settings, guess, branch)
+    thetas = 2.0 * math.pi * np.arange(samples) / samples
+    pb = sweep_arrays(m, thetas, settings)
     if error := pb.errors[0]:
         raise GaitError(
             f"sweep failed at step {pb.failed_at[0]} ({error}); "
@@ -145,35 +143,61 @@ def stroke_phases(plunge: np.ndarray) -> np.ndarray:
     return np.where((sign != prev_s) & (sign != next_s), prev_s, sign)
 
 
+def _area_ratio(area: np.ndarray, up: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mean up over mean down area of the (B, N) series on the masked rows, 0.0
+    elsewhere. Each row is ordered once, its up samples first, both in sample
+    order; rows with equal up count k then sum their first k and last N - k
+    samples, row-pairwise as `area[b][up[b]].mean()` does (a masked sum does not)."""
+    ratio = np.zeros(len(area))
+    counts = up.sum(axis=-1)
+    ordered = np.take_along_axis(area, np.argsort(~up, axis=-1, kind="stable"), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in set(counts[rows].tolist()):  # np.unique would import numpy.ma
+            g = rows & (counts == k)
+            block = ordered[g]
+            up_sum, down_sum = np.add.reduce(block[:, :k], axis=-1), np.add.reduce(block[:, k:], axis=-1)
+            ratio[g] = (up_sum / k) / (down_sum / (area.shape[-1] - k))
+    return ratio
+
+
+def stroke_metrics(plunge: np.ndarray, extension: np.ndarray, area: np.ndarray,
+                   rows: np.ndarray | None = None):
+    """(plunge amplitude, extension min, extension max, up, reverses, area ratio) of (B, N)
+    gait series: up (B, N) marks upstroke samples, reverses (B,) rows with both strokes; the
+    area ratio (mean up / mean down area) is 0.0 except on the rows that reverse among `rows`."""
+    up = stroke_phases(plunge) > 0
+    reverses = up.any(axis=-1) & ~up.all(axis=-1)
+    return (0.5 * (plunge.max(axis=-1) - plunge.min(axis=-1)), extension.min(axis=-1),
+            extension.max(axis=-1), up, reverses,
+            _area_ratio(area, up, reverses if rows is None else rows & reverses))
+
+
+def min_transmission_angle(m: Mechanism, pb: PoseBatch, joints) -> np.ndarray:
+    """(B,) smallest transmission angle of each sweep in pb, over its samples and the joint ids given."""
+    return np.minimum.reduce([transmission_angle_series(m, pb, jid).min(axis=-1) for jid in joints])
+
+
 def gait_metrics(gt: GaitTrajectory, transmission: np.ndarray | None = None) -> GaitMetrics:
-    """Phase metrics of a sampled wingbeat.
+    """Phase metrics of a sampled wingbeat: the one-row `stroke_metrics`, the
+    phase lag, and the smallest of the given transmission angles.
 
     area_ratio_up_down is mean membrane area over the upstroke divided by the
     mean over the downstroke; phase_lag is the crank angle from mid-upstroke
     to the extension minimum, wrapped to (-pi, pi].
     """
-    if gt.samples < 8:
-        raise ValueError("need >= 8 samples for metrics")
-    plunge = gt.plunge
-    amp = 0.5 * float(plunge.max() - plunge.min())
-    sign = stroke_phases(plunge)
-    up = sign > 0
-    down = ~up
-    if up.all() or down.all():
+    check_samples(gt.samples)
+    amp, ext_min, ext_max, up, reverses, ratio = stroke_metrics(gt.plunge[None], gt.extension[None], gt.area[None])
+    if not reverses[0]:
         raise NoStrokeReversalError("plunge is monotone over the wingbeat; not a flapping gait")
-    ratio = float(gt.area[up].mean() / gt.area[down].mean())
-
     ext_min_idx = int(np.argmin(gt.extension))
     # mid-upstroke: middle sample of the longest contiguous upstroke run
-    # (the series is periodic, so scan doubled indices)
-    runs = _contiguous_runs(up)
-    start, length = max(runs, key=lambda r: r[1])
+    # (the series is periodic, so a run may wrap past the end)
+    start, length = max(_contiguous_runs(up[0]), key=lambda r: r[1])
     mid_idx = (start + length // 2) % gt.samples
     lag = gt.crank[ext_min_idx] - gt.crank[mid_idx]
     lag = (lag + math.pi) % (2.0 * math.pi) - math.pi
     mu_min = float(np.min(transmission)) if transmission is not None else None
-    return GaitMetrics(amp, (float(gt.extension.min()), float(gt.extension.max())),
-                       ratio, float(lag), mu_min)
+    return GaitMetrics(float(amp[0]), (float(ext_min[0]), float(ext_max[0])), float(ratio[0]), float(lag), mu_min)
 
 
 def _contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:

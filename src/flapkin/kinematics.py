@@ -122,7 +122,7 @@ class PoseBatch:
     unit vector (cos, sin). Row b closes at its first failed_at[b] samples (N if
     at every angle; past them origins are zero and rotations the identity), and
     errors[b] is its failure code or None. One mechanism is B = 1:
-    `configuration(s)` read row 0.
+    `configuration(s)` read row 0 at the samples it closes at (IndexError past them).
 
     The rotations are the poses; `angles` is derived from them on first
     access. Marker paths, gait series and transmission angles read the
@@ -169,10 +169,10 @@ class PoseBatch:
         return angles
 
     def configuration(self, k: int) -> Configuration:
-        poses = {
-            lid: Pose(Point2(self.origins[0, i, k, 0], self.origins[0, i, k, 1]), float(self.angles[0, i, k]))
-            for i, lid in enumerate(self.ids)
-        }
+        if not 0 <= k < self.failed_at[0]:  # row 0 has no poses past its failure
+            raise IndexError(f"sample {k} is outside the {self.failed_at[0]} samples row 0 closes at")
+        origins, angles = self.origins[0, :, k].tolist(), self.angles[0, :, k].tolist()
+        poses = {lid: Pose(Point2(x, y), a) for lid, (x, y), a in zip(self.ids, origins, angles)}
         return Configuration(float(self.thetas[k]), poses, self.branches[0])
 
     def configurations(self) -> list[Configuration]:

@@ -10,11 +10,12 @@ one-row-at-a-time loop, and mutation, clipping and crossover act on the
 (P, dim) population at once. Each generation (and the initial population) is
 costed in one `population_costs` call: the design space maps the (B, dim)
 block of candidates onto a marker table of the template, the dyad plan sweeps
-all B mechanisms at once, and the gait series and metrics run along the sample
+all B mechanisms at once, and `gait` measures the B wingbeats along the sample
 axis of (B, N) arrays; only a dyad root that switches at a change point is
 followed row by row. Templates the dyad plan cannot decompose are swept by
 Newton, all rows together. What a call needs but X does not change (the
 template's marker table, the columns to check, the crank angles) is built once.
+The wingbeat rules and metrics are `gait`'s; the cost only weighs them.
 
 The polish is batched the same way: each simplex step costs every point it
 might need (reflection, expansion and both contractions, or the N points of a
@@ -39,16 +40,10 @@ from .errors import (
     GaitError,
     SynthesisError,
 )
-from .gait import gait_from_pose_arrays, stroke_phases, wingbeat_series
+from .gait import (check_samples, gait_from_pose_arrays, min_transmission_angle, require_wingbeat,
+                   stroke_metrics, wingbeat_series)
 from .geometry import Point2
-from .kinematics import (
-    DEFAULT_SETTINGS,
-    Markers,
-    SolveSettings,
-    marker_table,
-    sweep_arrays,
-    transmission_angle_series,
-)
+from .kinematics import Markers, marker_table, sweep_arrays
 from .mechanism import CompliantHinge, Mechanism, as_fourbar, mobility
 
 ASSEMBLY_FAILURE_COST = 1.0e6
@@ -119,14 +114,16 @@ class DesignSpace:
         return lo, hi
 
     def __post_init__(self):
-        self._edits  # every parameter path is checked before anything is costed
+        require_wingbeat(self.template)
+        self._edits  # every parameter path and transmission joint is checked before anything is costed
 
     @cached_property
     def _edits(self) -> tuple[dict, dict]:
         """The parameter paths as columns: link id -> marker -> component ->
         column, and joint id -> field -> column. A path that is malformed,
         repeated, or names a link, marker or joint the template lacks (or a
-        joint that is not a compliant hinge) raises SynthesisError."""
+        joint that is not a compliant hinge), or a transmission joint the
+        template lacks, raises SynthesisError."""
         link_edits: dict[str, dict[str, dict[str, int]]] = {}
         joint_edits: dict[str, dict[str, int]] = {}
         for i, p in enumerate(self.parameters):
@@ -152,6 +149,9 @@ class DesignSpace:
                 raise SynthesisError(f"template has no joint {jid!r}", code="BAD_PARAMETER")
             if not isinstance(joints[jid].kind, CompliantHinge):
                 raise SynthesisError(f"joint {jid!r} is not a compliant hinge", code="BAD_PARAMETER")
+        for jid in self.transmission_joints:
+            if jid not in joints:
+                raise SynthesisError(f"template has no transmission joint {jid!r}", code="BAD_PARAMETER")
         return link_edits, joint_edits
 
     def apply(self, x: np.ndarray) -> Mechanism:
@@ -221,37 +221,18 @@ def _crank_angles(samples: int) -> np.ndarray:
     return np.broadcast_to(2.0 * math.pi * np.arange(samples) / samples, (samples,))
 
 
-def _area_ratio(area: np.ndarray, up: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Mean up over mean down area of the (B, N) series on the masked rows, 0.0
-    elsewhere. Each row is ordered once, its up samples first, both in sample
-    order; rows with equal up count k then sum their first k and last N - k
-    samples, row-pairwise as `area[b][up[b]].mean()` does (a masked sum does not)."""
-    ratio = np.zeros(len(area))
-    counts = up.sum(axis=-1)
-    ordered = np.take_along_axis(area, np.argsort(~up, axis=-1, kind="stable"), axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in np.unique(counts[rows]).tolist():
-            g = rows & (counts == k)
-            block = ordered[g]
-            up_sum, down_sum = np.add.reduce(block[:, :k], axis=-1), np.add.reduce(block[:, k:], axis=-1)
-            ratio[g] = (up_sum / k) / (down_sum / (area.shape[-1] - k))
-    return ratio
-
-
 def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
-                     samples: int = OBJECTIVE_SAMPLES,
-                     settings: SolveSettings = DEFAULT_SETTINGS) -> np.ndarray:
+                     samples: int = OBJECTIVE_SAMPLES) -> np.ndarray:
     """Synthesis cost of every row of X (B, dim) in one array pass.
 
     All B candidates are swept together (`sweep_arrays` with their marker
-    table), then their gait series and metrics are taken along the sample
-    axis. A row's cost depends on that row alone. Failures come back as large
+    table), then this weighs the metrics `gait` takes along the sample axis.
+    A row's cost depends on that row alone. Failures come back as large
     finite penalties: 1e6 + 1 for a candidate that cannot be built, 1e6 + 1 -
     k/N for a sweep that fails at sample k of N, 1e5 for a degenerate gait
-    (no reach, shoulder on the wingtip, or no stroke reversal).
+    (one that breaks the reach rule or has no stroke reversal).
     """
-    if samples < 8:
-        raise ValueError("need >= 8 samples for metrics")
+    check_samples(samples)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     costs = np.full(len(X), ASSEMBLY_FAILURE_COST + 1.0)
     m = space.template
@@ -260,38 +241,34 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
         rows = np.flatnonzero(space.admissible(X))
         if not len(rows):
             return costs
-        pb = sweep_arrays(m, thetas, settings, markers=space.markers(X[rows]))
+        pb = sweep_arrays(m, thetas, markers=space.markers(X[rows]))
     except (FlapkinError, np.linalg.LinAlgError):
         return costs
     cost = ASSEMBLY_FAILURE_COST + (1.0 - pb.failed_at / samples)
     closed = pb.failed_at == samples
-    _, plunge, extension, area, lo, hi = wingbeat_series(m, pb)
-    up = stroke_phases(plunge) > 0
-    degenerate = (hi[:, 0] <= 0.0) | (lo[:, 0] < 1e-12) | up.all(axis=-1) | ~up.any(axis=-1)
-    ratio = _area_ratio(area, up, closed & ~degenerate)
-    metric = 0.0
+    _, plunge, extension, area, zero_reach, coincident = wingbeat_series(m, pb)
+    amp, ext_min, ext_max, _, reverses, ratio = stroke_metrics(plunge, extension, area,
+                                                                closed & ~zero_reach & ~coincident)
+    degenerate = zero_reach | coincident | ~reverses
     w = spec.weights
-    metric += w.get("plunge_amplitude", 0.0) * (0.5 * (plunge.max(axis=-1) - plunge.min(axis=-1))
-                                                - spec.plunge_amplitude) ** 2
-    metric += w.get("extension_min", 0.0) * (extension.min(axis=-1) - spec.extension_range[0]) ** 2
-    metric += w.get("extension_max", 0.0) * (extension.max(axis=-1) - spec.extension_range[1]) ** 2
+    metric = (w.get("plunge_amplitude", 0.0) * (amp - spec.plunge_amplitude) ** 2
+              + w.get("extension_min", 0.0) * (ext_min - spec.extension_range[0]) ** 2
+              + w.get("extension_max", 0.0) * (ext_max - spec.extension_range[1]) ** 2)
     # hard constraints as graded penalties; scaled by the largest weight so the
     # whole cost is homogeneous of degree one in the weights
     pen = PENALTY * max(w.values())
     metric += pen * _positive_part(ratio - spec.area_ratio_max)
     if space.transmission_joints:
-        mu = np.minimum.reduce([transmission_angle_series(m, pb, jid) for jid in space.transmission_joints])
-        metric += pen * _positive_part(spec.min_transmission_angle - mu.min(axis=-1))
+        mu = min_transmission_angle(m, pb, space.transmission_joints)
+        metric += pen * _positive_part(spec.min_transmission_angle - mu)
     cost[closed] = np.where(degenerate, METRIC_FAILURE_COST, metric)[closed]
     costs[rows] = cost
     return costs
 
 
-def objective(x: np.ndarray, space: DesignSpace, spec: GaitSpec,
-              samples: int = OBJECTIVE_SAMPLES,
-              settings: SolveSettings = DEFAULT_SETTINGS) -> float:
+def objective(x: np.ndarray, space: DesignSpace, spec: GaitSpec) -> float:
     """Scalar synthesis cost: the one-row case of `population_costs`."""
-    return float(population_costs(space, spec, np.asarray(x, dtype=float)[None], samples, settings)[0])
+    return float(population_costs(space, spec, np.asarray(x, dtype=float)[None])[0])
 
 
 def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxfev: int,
@@ -397,10 +374,8 @@ def _trial_block(rng: np.random.Generator, pop: np.ndarray, lo: np.ndarray, hi: 
     return np.where(cross, mutant, pop)
 
 
-def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
-               samples: int = OBJECTIVE_SAMPLES,
-               settings: SolveSettings = DEFAULT_SETTINGS) -> SynthesisResult:
-    """Differential evolution plus Nelder-Mead polish, deterministic per seed."""
+def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int) -> SynthesisResult:
+    """Differential evolution plus Nelder-Mead polish at OBJECTIVE_SAMPLES, deterministic per seed."""
     if space.dim == 0:
         raise EmptyDesignSpaceError("design space has no parameters")
     dim = space.dim
@@ -412,11 +387,11 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
     rng = np.random.default_rng(seed)
 
     pop = lo + rng.random((pop_size, dim)) * (hi - lo)
-    costs = population_costs(space, spec, pop, samples, settings)
+    costs = population_costs(space, spec, pop)
     evals = pop_size
     while evals + pop_size <= budget:
         trials = _trial_block(rng, pop, lo, hi)
-        trial_costs = population_costs(space, spec, trials, samples, settings)
+        trial_costs = population_costs(space, spec, trials)
         evals += pop_size
         better = trial_costs <= costs
         pop[better] = trials[better]
@@ -426,7 +401,7 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
     best_x, best_cost = pop[best_idx].copy(), float(costs[best_idx])
 
     # simplex polish on the DE winner, capped overhead
-    xs, fs = _nelder_mead(lambda X: population_costs(space, spec, np.clip(X, lo, hi), samples, settings),
+    xs, fs = _nelder_mead(lambda X: population_costs(space, spec, np.clip(X, lo, hi)),
                           best_x, maxfev=200, xatol=1e-12, fatol=1e-14)
     for x, c in zip(xs, fs):
         if c < best_cost:
@@ -434,7 +409,7 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int,
     evals += len(fs)
 
     mech = space.apply(best_x)
-    report = feasibility_report(mech, spec, space.transmission_joints, samples, settings)
+    report = feasibility_report(mech, spec, space.transmission_joints)
     return SynthesisResult(mech, best_x, best_cost, not report, evals, seed)
 
 
@@ -449,11 +424,10 @@ EXTENSION_ATTAIN_TOL = 0.02
 
 
 def feasibility_report(m: Mechanism, spec: GaitSpec,
-                       transmission_joints: tuple[str, ...] = (),
-                       samples: int = OBJECTIVE_SAMPLES,
-                       settings: SolveSettings = DEFAULT_SETTINGS) -> list[ConstraintViolation]:
-    """Hard-constraint check: full-revolution assemblability, mobility one,
-    minimum transmission angle, extension-range attainment. Empty = feasible.
+                       transmission_joints: tuple[str, ...] = ()) -> list[ConstraintViolation]:
+    """Hard-constraint check at OBJECTIVE_SAMPLES: full-revolution assemblability,
+    mobility one, minimum transmission angle, extension-range attainment, and
+    `gait`'s reach rule. Empty = feasible.
 
     Margins are positive amounts by which a constraint is violated.
     """
@@ -465,12 +439,12 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
     if dof != 1:
         out.append(ConstraintViolation("mobility", abs((dof or 0) - 1),
                                        f"Gruebler mobility is {dof}, expected 1"))
-    thetas = _crank_angles(samples)
-    pb = sweep_arrays(m, thetas, settings)
+    thetas = _crank_angles(OBJECTIVE_SAMPLES)
+    pb = sweep_arrays(m, thetas)
     if error := pb.errors[0]:
         failed_at = int(pb.failed_at[0])
         out.append(ConstraintViolation(
-            "full_revolution", 1.0 - failed_at / samples,
+            "full_revolution", 1.0 - failed_at / OBJECTIVE_SAMPLES,
             f"not assemblable from theta={float(thetas[failed_at]):.4f} rad onward ({error})"))
         return out
 
@@ -480,14 +454,14 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
         if view is not None:
             joints = (view.follower_joint,)
     if joints:
-        mu_min = min(float(transmission_angle_series(m, pb, jid).min()) for jid in joints)
+        mu_min = float(min_transmission_angle(m, pb, joints)[0])
         if mu_min < spec.min_transmission_angle:
             out.append(ConstraintViolation(
                 "min_transmission_angle", spec.min_transmission_angle - mu_min,
                 f"minimum transmission angle {math.degrees(mu_min):.2f} deg is below "
                 f"{math.degrees(spec.min_transmission_angle):.2f} deg"))
 
-    t = np.arange(samples) / samples
+    t = np.arange(OBJECTIVE_SAMPLES) / OBJECTIVE_SAMPLES
     try:
         gt = gait_from_pose_arrays(m, pb, 1.0, t)
         lo, hi = float(gt.extension.min()), float(gt.extension.max())

@@ -10,8 +10,8 @@ import pytest
 
 from flapkin.cli import main
 from flapkin.designs import two_stage_armwing
-from flapkin.errors import DegenerateGeometryError, GaitError
-from flapkin.gait import GaitTrajectory, gait_metrics, generate_gait, polygon_area
+from flapkin.errors import DegenerateGeometryError, GaitError, NoStrokeReversalError
+from flapkin.gait import GaitMetrics, GaitTrajectory, gait_metrics, generate_gait, polygon_area
 from flapkin.geometry import Point2
 from flapkin.kinematics import Configuration, ConstraintSystem, start_block, transmission_angle_series
 from flapkin.mechanism import (
@@ -177,6 +177,39 @@ def random_crank_rocker(rng: np.random.Generator) -> FourBar:
             return fb
 
 
+def reference_metrics(gt: GaitTrajectory, transmission: np.ndarray | None = None) -> GaitMetrics:
+    """`gait_metrics` as scalar arithmetic on one wingbeat, apart from the
+    library's batched rules: loop-built stroke signs (periodic central
+    differences, one-sample flickers taken from the previous sample),
+    boolean-mask means for the area ratio, `up.all() or down.all()` for stroke
+    reversal, and 0.5 * (max - min) for the amplitude."""
+    if gt.samples < 8:
+        raise ValueError("need >= 8 samples")
+    n, plunge = gt.samples, gt.plunge
+    raw = [1 if plunge[(k + 1) % n] - plunge[k - 1] >= 0.0 else -1 for k in range(n)]
+    sign = [raw[k - 1] if raw[k] != raw[k - 1] and raw[k] != raw[(k + 1) % n] else raw[k] for k in range(n)]
+    up = np.array(sign) > 0
+    down = ~up
+    if up.all() or down.all():
+        raise NoStrokeReversalError("plunge is monotone over the wingbeat")
+    amp = 0.5 * float(plunge.max() - plunge.min())
+    ratio = float(gt.area[up].mean() / gt.area[down].mean())
+
+    def run(start):  # length of the upstroke run from start, which may wrap past the end
+        length = 0
+        while length < n and up[(start + length) % n]:
+            length += 1
+        return length
+
+    # the first longest upstroke run, in order of start
+    start = max((k for k in range(n) if up[k] and not up[k - 1]), key=run)
+    mid_idx = (start + run(start) // 2) % n
+    lag = gt.crank[int(np.argmin(gt.extension))] - gt.crank[mid_idx]
+    lag = (lag + math.pi) % (2.0 * math.pi) - math.pi
+    mu_min = float(np.min(transmission)) if transmission is not None else None
+    return GaitMetrics(amp, (float(gt.extension.min()), float(gt.extension.max())), ratio, float(lag), mu_min)
+
+
 def make_plunge_gait(period: float = 1.0, samples: int = 128, amplitude: float = 0.5,
                      mod_depth: float = 0.0, mod_sign: float = 1.0,
                      area0: float = 0.02, reach: float = 1.0) -> GaitTrajectory:
@@ -217,7 +250,8 @@ def two_hinge_chain(k1: float = 0.12, k2: float = 0.12,
 def triad_eight_bar() -> Mechanism:
     """Crank, a class-III Assur group (ternary link "t" held by three binary
     links) and a dyad hung on it. Every link frame is the world frame at
-    crank angle 0, so local markers are the world points of that pose."""
+    crank angle 0, so local markers are the world points of that pose. It
+    declares a wing (shoulder, wingtip, polygon), so design spaces take it."""
     P = Point2
     links = (
         Link("ground", {"origin": P(0, 0), "g1": P(4, -1), "g2": P(6, 1), "g3": P(8, 3)},
@@ -239,7 +273,8 @@ def triad_eight_bar() -> Mechanism:
         Joint("j7", "t", "s", "d1", "a"), Joint("j8", "d1", "b", "d2", "b"),
         Joint("j9", "d2", "a", "ground", "g3"),
     )
-    return Mechanism(links, joints, "ground")
+    return Mechanism(links, joints, "ground", wing_polygon=(("ground", "origin"), ("t", "s"), ("d1", "b")),
+                     shoulder=("ground", "origin"), wingtip=("d1", "b"))
 
 
 def recovery_space(noise: float = 0.0):

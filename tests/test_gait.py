@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flapkin.designs import ARMWING_TRANSMISSION_JOINTS
 from flapkin.errors import GaitError, NoStrokeReversalError
 from flapkin.gait import (
     GaitTrajectory,
+    _area_ratio,
     _contiguous_runs,
     gait_metrics,
     generate_gait,
+    min_transmission_angle,
     polygon_area,
     retraction_time,
     stroke_phases,
@@ -23,7 +26,7 @@ from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import Branch, Configuration, sweep_arrays
 from flapkin.mechanism import FourBar, Link, LinkRole, Mechanism, fourbar_mechanism
 
-from conftest import make_plunge_gait, marker_world, plunge_angle, wing_area
+from conftest import make_plunge_gait, marker_world, plunge_angle, reference_metrics, wing_area
 
 
 def parallelogram_wing() -> Mechanism:
@@ -174,6 +177,54 @@ class TestMetrics:
         rocker = pa.angles[0, pa.index("rocker")]
         half_swing = 0.5 * (rocker.max() - rocker.min())
         assert gait_metrics(gt).plunge_amplitude == pytest.approx(half_swing, rel=1e-6)
+
+
+def metric_bits(mts) -> list[str]:
+    """Every float of a GaitMetrics, as its exact hex form."""
+    lo, hi = mts.extension_range
+    return [float.hex(v) if v is not None else "None" for v in (
+        mts.plunge_amplitude, lo, hi, mts.area_ratio_up_down, mts.phase_lag, mts.min_transmission_angle)]
+
+
+class TestStrokeMetrics:
+    @pytest.mark.parametrize("samples", [64, 128, 256, 512])
+    def test_armwing_metrics_match_scalar_reference(self, armwing, samples):
+        gt = generate_gait(armwing, 0.1, samples)
+        mu = min_transmission_angle(armwing, gt.poses, ARMWING_TRANSMISSION_JOINTS)
+        assert metric_bits(gait_metrics(gt)) == metric_bits(reference_metrics(gt))
+        assert metric_bits(gait_metrics(gt, mu)) == metric_bits(reference_metrics(gt, mu))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(8, 300), st.floats(0.0, 2.0), st.floats(0.0, 0.9), st.sampled_from([1.0, -1.0]),
+           st.floats(1e-4, 1.0))
+    def test_plunge_gait_metrics_match_scalar_reference(self, samples, amplitude, depth, sign, area0):
+        gt = make_plunge_gait(samples=samples, amplitude=amplitude, mod_depth=depth, mod_sign=sign, area0=area0)
+        try:
+            want = metric_bits(reference_metrics(gt))
+        except NoStrokeReversalError:
+            with pytest.raises(NoStrokeReversalError):
+                gait_metrics(gt)
+        else:
+            assert metric_bits(gait_metrics(gt)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300), st.lists(st.tuples(st.integers(0, 300), st.booleans()), min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_area_ratio_equals_per_row_means(self, n, rows, seed):
+        # up counts below 8, at 8 and above 8 on either side of the stroke,
+        # and past 128, where numpy's pairwise summation splits a sum; rows
+        # sharing a count, and rows left out; magnitudes vary so that the
+        # summation order shows in the last bits
+        rng = np.random.default_rng(seed)
+        area = rng.standard_normal((len(rows), n)) * 10.0 ** rng.uniform(-3, 3, (len(rows), 1)) + 1.0
+        up = np.zeros((len(rows), n), dtype=bool)
+        for b, (k, _) in enumerate(rows):
+            up[b, rng.permutation(n)[:min(k, n)]] = True
+        use = np.array([u for _, u in rows]) & up.any(axis=-1) & ~up.all(axis=-1)
+        want = np.zeros(len(rows))
+        for b in np.flatnonzero(use):  # the per-row loop the grouped reduction replaces
+            want[b] = area[b][up[b]].mean() / area[b][~up[b]].mean()
+        assert np.array_equal(_area_ratio(area, up, use), want)
 
 
 class TestStrokePhases:

@@ -39,6 +39,9 @@ from flapkin.synthesis import GaitSpec
 from conftest import make_plunge_gait, marker_world, run_cli
 
 
+DATA = Path(flapkin.__file__).parent / "data"
+
+
 def shipped_bytes() -> bytes:
     return (resources.files("flapkin.data") / "armwing.json").read_bytes()
 
@@ -457,6 +460,25 @@ class TestCli:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("E_SYNTHESIS BAD_PARAMETER")
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda doc: doc.update(transmission_joints=["j_nope"]), "E_SYNTHESIS BAD_PARAMETER"),
+        (lambda doc: doc.update(transmission_joints="j_b"), "E_FORMAT SCHEMA_ERROR"),
+        (lambda doc: doc.update(transmission_joints=["j_b", 4]), "E_FORMAT SCHEMA_ERROR"),
+        (lambda doc: doc["template"].pop("shoulder"), "E_GAIT DEGENERATE"),
+    ], ids=["unknown joint", "string", "not a string", "template without shoulder"])
+    def test_synthesize_bad_design_space(self, tmp_path, edit, error):
+        # the shipped armwing input pair with one fault in the space
+        space_doc = json.loads((DATA / "armwing_space.json").read_text())
+        edit(space_doc)
+        space_p, out_p = tmp_path / "space.json", tmp_path / "out.json"
+        space_p.write_text(json.dumps(space_doc))
+        code, out, err = run_cli(["synthesize", str(space_p), str(DATA / "armwing_spec.json"),
+                                  "--budget", "1500", "--seed", "0", "--out", str(out_p)])
+        assert code == 1 and out == "" and not out_p.exists()
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(error)
+
     def test_synthesize_deterministic_output(self, tmp_path):
         template = fourbar_mechanism(FourBar(6, 2, 5, 5, coupler_point=Point2(2.5, 1.5)))
         mts = gait_metrics(generate_gait(template, 1.0, 128))
@@ -544,3 +566,14 @@ class TestCliFuzz:
         code, _, err = run_cli(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+def test_compare_gait_phases_script_ranks_as_built_between_phasings():
+    # the script's own claim: the shipped gait's lift lies between the gaits
+    # with the larger membrane area on the downstroke and on the upstroke
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_gait_phases.py"
+    r = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=package_env(),
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    ranks = {label: int(rank) for rank, label in re.findall(r"#(\d) (in-phase|as built|anti-phase)", r.stdout)}
+    assert ranks == {"in-phase": 1, "as built": 2, "anti-phase": 3}

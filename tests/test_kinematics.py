@@ -146,6 +146,19 @@ class TestSweep:
         assert pb.errors[0] is not None
         assert len(pb.configurations()) == pb.failed_at[0]
 
+    def test_configuration_only_at_closed_samples(self):
+        m = fourbar_mechanism(FourBar(6, 3, 2, 4))
+        pb = sweep_arrays(m, np.linspace(0.0, 2 * math.pi, 360))
+        n = int(pb.failed_at[0])
+        assert n == 76
+        for k in (-1, n, 200, 359):
+            with pytest.raises(IndexError):
+                pb.configuration(k)
+        c = pb.configuration(n - 1)
+        assert c.crank_angle == pb.thetas[n - 1] and c.pose("crank").angle == pb.thetas[n - 1]
+        values = [v for p in c.poses.values() for v in (p.origin.x, p.origin.y, p.angle)]
+        assert all(type(v) is float for v in values)
+
     def test_degenerate_range(self, fb_mech):
         a, b = sweep_arrays(fb_mech, np.linspace(0.0, 0.0, 2)).configurations()
         for lid in fb_mech.link_ids:

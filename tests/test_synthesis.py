@@ -33,7 +33,6 @@ from flapkin.synthesis import (
     DesignSpace,
     GaitSpec,
     Parameter,
-    _area_ratio,
     _nelder_mead,
     _trial_block,
     feasibility_report,
@@ -42,7 +41,7 @@ from flapkin.synthesis import (
     synthesize,
 )
 
-from conftest import recovery_space, run_cli, triad_eight_bar
+from conftest import recovery_space, reference_metrics, run_cli, triad_eight_bar
 
 DATA = Path(flapkin.__file__).parent / "data"
 
@@ -108,7 +107,8 @@ class TestObjective:
 def oracle_cost(space: DesignSpace, spec: GaitSpec, x: np.ndarray,
                 samples: int = OBJECTIVE_SAMPLES) -> float:
     """One candidate at a time through the mechanism it builds: `apply`, a
-    sweep, the gait of that sweep and its metrics, summed term by term."""
+    sweep, the gait of that sweep and its metrics by the scalar reference of
+    conftest (not the library's), summed term by term."""
     try:
         m = space.apply(x)
     except (ValueError, SynthesisError):
@@ -126,7 +126,7 @@ def oracle_cost(space: DesignSpace, spec: GaitSpec, x: np.ndarray,
         if space.transmission_joints:
             mu = np.minimum.reduce([transmission_angle_series(m, pa, jid)
                                     for jid in space.transmission_joints])
-        mts = gait_metrics(gt, mu)
+        mts = reference_metrics(gt, mu)
     except GaitError:
         return 1.0e5
     w = spec.weights
@@ -203,8 +203,7 @@ class TestPopulationCosts:
         np.testing.assert_allclose(costs[~bad], want, rtol=1e-12, atol=0.0)
 
     def test_triad_template_takes_newton_rows(self):
-        m = dataclasses.replace(triad_eight_bar(), shoulder=("ground", "origin"), wingtip=("d1", "b"),
-                                wing_polygon=(("ground", "origin"), ("t", "s"), ("d1", "b")))
+        m = triad_eight_bar()
         space = DesignSpace(m, (Parameter("link.crank.marker.tip.x", 0.5, 0.7),
                                 Parameter("link.d1.marker.b.y", 5.3, 5.7)))
         spec = GaitSpec(plunge_amplitude=0.1, extension_range=(0.8, 1.0))
@@ -217,25 +216,6 @@ class TestPopulationCosts:
         want = np.array([oracle_cost(space, spec, x) for x in X])
         assert np.all(want < 1e5)
         np.testing.assert_allclose(costs, want, rtol=1e-12, atol=0.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 300), st.lists(st.tuples(st.integers(0, 300), st.booleans()), min_size=1, max_size=8),
-           st.integers(0, 2 ** 32 - 1))
-    def test_area_ratio_equals_per_row_means(self, n, rows, seed):
-        # up counts below 8, at 8 and above 8 on either side of the stroke,
-        # and past 128, where numpy's pairwise summation splits a sum; rows
-        # sharing a count, and rows left out; magnitudes vary so that the
-        # summation order shows in the last bits
-        rng = np.random.default_rng(seed)
-        area = rng.standard_normal((len(rows), n)) * 10.0 ** rng.uniform(-3, 3, (len(rows), 1)) + 1.0
-        up = np.zeros((len(rows), n), dtype=bool)
-        for b, (k, _) in enumerate(rows):
-            up[b, rng.permutation(n)[:min(k, n)]] = True
-        use = np.array([u for _, u in rows]) & up.any(axis=-1) & ~up.all(axis=-1)
-        want = np.zeros(len(rows))
-        for b in np.flatnonzero(use):  # the per-row loop the grouped reduction replaces
-            want[b] = area[b][up[b]].mean() / area[b][~up[b]].mean()
-        assert np.array_equal(_area_ratio(area, up, use), want)
 
 
 def scipy_nelder_mead(cost, x0: np.ndarray, maxfev: int, xatol: float = 1e-12,
@@ -543,6 +523,24 @@ class TestSpecValidation:
         with pytest.raises(SynthesisError) as e:
             DesignSpace(space.template, (*space.parameters, Parameter(name, 0.5, 1.0)))
         assert e.value.code == "BAD_PARAMETER"
+
+    @pytest.mark.parametrize("joints", [("j_nope",), ("j_b", "j_nope"), tuple("j_b")],
+                             ids=["unknown joint", "one of two", "string split into characters"])
+    def test_unknown_transmission_joint_fails_when_the_space_is_built(self, monkeypatch, joints):
+        space, _, _ = recovery_space()
+        monkeypatch.setattr("flapkin.synthesis.sweep_arrays", None)
+        with pytest.raises(SynthesisError) as e:
+            DesignSpace(space.template, space.parameters, joints)
+        assert e.value.code == "BAD_PARAMETER"
+
+    @pytest.mark.parametrize("field, value", [("shoulder", None), ("wingtip", None),
+                                              ("wing_polygon", (("ground", "origin"), ("coupler", "cp")))])
+    def test_template_without_a_wingbeat_fails_when_the_space_is_built(self, monkeypatch, field, value):
+        space, _, _ = recovery_space()
+        monkeypatch.setattr("flapkin.synthesis.sweep_arrays", None)
+        with pytest.raises(GaitError) as e:
+            DesignSpace(dataclasses.replace(space.template, **{field: value}), space.parameters)
+        assert e.value.code == "DEGENERATE"
 
     def test_bad_parameter_bounds(self):
         with pytest.raises(ValueError):
