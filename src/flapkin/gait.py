@@ -75,26 +75,33 @@ def require_wingbeat(m: Mechanism) -> None:
 def wingbeat_series(m: Mechanism, pb: PoseBatch):
     """Wingtip path, plunge, extension and membrane area of the sweeps in pb.
 
-    Each distinct marker path of m's wingtip, shoulder and wing polygon is
-    taken from pb once. Returns (tip, plunge, extension, area, zero_reach,
+    The paths of m's wing polygon, wingtip and shoulder markers are taken
+    from pb in one block. Returns (tip, plunge, extension, area, zero_reach,
     coincident): tip is (x, y), each (B, N), the series are (B, N), and the
     reach rule's (B,) masks flag a maximum reach that is not positive and a
     minimum below 1e-12 (shoulder on the wingtip); a wingbeat has neither.
+    The plunge is unwrapped as `np.unwrap` does it, which only rows with a
+    step of pi or more need; on the others it adds zeros.
     """
-    paths = {ref: pb.marker_world(ref) for ref in dict.fromkeys((m.wingtip, m.shoulder, *m.wing_polygon))}
-    tip, shoulder = paths[m.wingtip], paths[m.shoulder]
-    dx, dy = tip[0] - shoulder[0], tip[1] - shoulder[1]
-    reach = np.hypot(dx, dy)
+    refs = list(dict.fromkeys((*m.wing_polygon, m.wingtip, m.shoulder)))
+    z = pb.marker_paths(refs)
+    tip = z[:, refs.index(m.wingtip)]
+    arm = tip - z[:, refs.index(m.shoulder)]
+    reach = np.hypot(arm.real, arm.imag)
     lo, hi = reach.min(axis=-1), reach.max(axis=-1)
-    plunge = np.unwrap(np.arctan2(dy, dx), axis=-1)
-    x, y = [paths[ref][0] for ref in m.wing_polygon], [paths[ref][1] for ref in m.wing_polygon]
+    plunge = np.arctan2(arm.imag, arm.real)
+    turns = (~(np.abs(plunge[:, 1:] - plunge[:, :-1]) < math.pi).all(axis=-1)).nonzero()[0]
+    plunge[:, 1:] += 0.0  # np.unwrap's zero corrections: they turn -0.0 into 0.0
+    if len(turns):
+        plunge[turns] = np.unwrap(plunge[turns], axis=-1)
+    x, y = ([part[:, refs.index(ref)] for ref in m.wing_polygon] for part in (z.real, z.imag))
 
     def cross(a, b):  # sum of a_v * b_(v+1) over the vertices, in vertex order
         return sum(a[v] * b[(v + 1) % len(a)] for v in range(len(a)))
 
     area = 0.5 * np.abs(cross(x, y) - cross(y, x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return tip, plunge, reach / hi[:, None], area, hi <= 0.0, lo < 1e-12
+        return (tip.real, tip.imag), plunge, reach / hi[:, None], area, hi <= 0.0, lo < 1e-12
 
 
 def gait_from_pose_arrays(m: Mechanism, pb: PoseBatch, period: float,
@@ -137,26 +144,33 @@ def stroke_phases(plunge: np.ndarray) -> np.ndarray:
     3-sample majority filter. Works along the last axis.
     """
     p = np.concatenate([plunge[..., -1:], plunge, plunge[..., :1]], axis=-1)  # wrapped one sample each way
-    sign = np.where(p[..., 2:] - p[..., :-2] >= 0.0, 1, -1)
-    s = np.concatenate([sign[..., -1:], sign, sign[..., :1]], axis=-1)
-    prev_s, sign, next_s = s[..., :-2], s[..., 1:-1], s[..., 2:]
-    return np.where((sign != prev_s) & (sign != next_s), prev_s, sign)
+    up = p[..., 2:] - p[..., :-2] >= 0.0
+    s = np.concatenate([up[..., -1:], up, up[..., :1]], axis=-1)
+    # a sample unlike both its neighbours takes theirs
+    return np.where(np.where(s[..., :-2] == s[..., 2:], s[..., :-2], up), 1, -1)
 
 
 def _area_ratio(area: np.ndarray, up: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Mean up over mean down area of the (B, N) series on the masked rows, 0.0
-    elsewhere. Each row is ordered once, its up samples first, both in sample
-    order; rows with equal up count k then sum their first k and last N - k
-    samples, row-pairwise as `area[b][up[b]].mean()` does (a masked sum does not)."""
+    elsewhere. The rows are ordered by up count k and their up and down samples
+    laid out row after row, each in sample order; rows with equal k then sum
+    their k and N - k samples row-pairwise, as `area[b][up[b]].mean()` does (a
+    masked sum does not)."""
     ratio = np.zeros(len(area))
     counts = up.sum(axis=-1)
-    ordered = np.take_along_axis(area, np.argsort(~up, axis=-1, kind="stable"), axis=-1)
+    order = rows.nonzero()[0]
+    order = order[np.argsort(counts[order], kind="stable")]
+    a, u, k, n = area[order], up[order], counts[order], area.shape[-1]
+    ks, sums = k.tolist(), np.empty((2, len(order)))
+    starts = [i for i in range(len(ks)) if not i or ks[i] != ks[i - 1]]  # each group's first row
+    for side, samples in enumerate((a[u], a[~u])):
+        at = 0  # where the group's samples start
+        for i, j in zip(starts, starts[1:] + [len(ks)]):
+            width = n - ks[i] if side else ks[i]
+            np.add.reduce(samples[at:at + (j - i) * width].reshape(j - i, width), axis=-1, out=sums[side, i:j])
+            at += (j - i) * width
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in set(counts[rows].tolist()):  # np.unique would import numpy.ma
-            g = rows & (counts == k)
-            block = ordered[g]
-            up_sum, down_sum = np.add.reduce(block[:, :k], axis=-1), np.add.reduce(block[:, k:], axis=-1)
-            ratio[g] = (up_sum / k) / (down_sum / (area.shape[-1] - k))
+        ratio[order] = (sums[0] / k) / (sums[1] / (n - k))
     return ratio
 
 
@@ -189,7 +203,7 @@ def gait_metrics(gt: GaitTrajectory, transmission: np.ndarray | None = None) -> 
     amp, ext_min, ext_max, up, reverses, ratio = stroke_metrics(gt.plunge[None], gt.extension[None], gt.area[None])
     if not reverses[0]:
         raise NoStrokeReversalError("plunge is monotone over the wingbeat; not a flapping gait")
-    ext_min_idx = int(np.argmin(gt.extension))
+    ext_min_idx = int(gt.extension.argmin())
     # mid-upstroke: middle sample of the longest contiguous upstroke run
     # (the series is periodic, so a run may wrap past the end)
     start, length = max(_contiguous_runs(up[0]), key=lambda r: r[1])
@@ -206,11 +220,12 @@ def _contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     n = len(mask)
     if mask.all():
         return [(0, n)]
-    step = np.diff(mask.astype(np.int8), prepend=mask[-1])
-    starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)  # stop: first False after a run
-    if len(stops) and stops[0] < starts[0]:  # the last run wraps past the end
-        stops = np.roll(stops, -1)
-    return list(zip(starts.tolist(), ((stops - starts) % n).tolist()))
+    step = mask.view(np.int8) - np.concatenate((mask[-1:], mask[:-1])).view(np.int8)
+    # a stop is the first False after a run
+    starts, stops = (step == 1).nonzero()[0].tolist(), (step == -1).nonzero()[0].tolist()
+    if stops and stops[0] < starts[0]:  # the last run wraps past the end
+        stops = stops[1:] + stops[:1]
+    return [(start, (stop - start) % n) for start, stop in zip(starts, stops)]
 
 
 def retraction_time(gt: GaitTrajectory, tol: float = 1e-12) -> float:

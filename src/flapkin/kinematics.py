@@ -1,23 +1,26 @@
 """Pose solvers for planar linkages: closed-form dyad plan, Newton fallback.
 
-A mechanism is compiled into a dyad plan: place the crank, then solve each RR
-dyad (two links sharing a pin, each pinned once to a link already placed) by
-circle intersection, for all crank angles and all rows of a batch at once,
-each dyad keeping one of its two roots by continuation; the four-bar is the
-one-dyad case. Chains the plan cannot decompose (triads) fall back to damped
-Newton iteration on the joint-coincidence residuals, seeded step by step with
-the previous solution and run on all rows of a batch together; `assemble` is
-its one-row, one-angle case. Either way a sweep is a `PoseBatch`: the poses of
-B mechanisms that share one topology (a marker table) at the same crank
-angles, one mechanism being B = 1.
+A mechanism's topology is compiled once into a dyad plan in index form: place
+the crank, then solve each RR dyad (two links sharing a pin, each pinned once
+to a link already placed) by circle intersection, keeping one of its two roots
+by continuation; the four-bar is the one-dyad case. A sweep reads the markers
+the plan needs into one (B, M) block of link-frame points, and their lengths,
+then runs each step as a few array operations on slots of one pose block, for
+all rows of a batch and all crank angles at once. Chains the plan cannot
+decompose (triads) fall back to damped Newton iteration on the joint-
+coincidence residuals, seeded step by step with the previous solution and run
+on all rows of a batch together; `assemble` is its one-row, one-angle case.
+Either way a sweep is a `PoseBatch`: the poses of B mechanisms that share one
+topology (a marker table) at the same crank angles, one mechanism being B = 1.
 
 A pose in a sweep is an origin and a rotation stored as its unit vector
-(cos, sin). The dyad plan builds each link's rotation from the directions it
-already has (pin to joint in the world, the same two markers in the link
-frame), so a sweep takes no arctan2, cos or sin per link. Link angles are
-derived from the rotations only when asked for (`PoseBatch.angles`); every
-physical output is read off the rotations, so none depends on a whole turn
-added to a link angle.
+(cos, sin), built from directions the plan already has (pin to joint in the
+world, the same two markers in the link frame): a sweep takes no arctan2, cos
+or sin per link. Link angles are derived from the rotations only when asked
+for (`PoseBatch.angles`); every physical output is read off the rotations, so
+none depends on a whole turn added to a link angle. Nor does a Newton solve
+from a guess depend on a whole turn in theta: its crank starts at the guess's
+angle plus the whole turns nearest theta.
 
 The crank coordinate theta is the world orientation of the crank link frame,
 measured counter-clockwise; derived angles are unwrapped so they stay
@@ -91,12 +94,8 @@ def _complex(a: np.ndarray) -> np.ndarray:
 class Markers(dict[tuple[str, str], tuple[float | np.ndarray, float | np.ndarray]]):
     """Marker table of B mechanisms sharing one topology: (link, marker) -> (x, y)
     in the link frame, each an array of shape (B, 1), or a float where all rows
-    agree. It broadcasts against (B, N) arrays over N crank angles. It keeps the
-    link-frame distances `_local_length` takes, so it is not edited once swept."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.lengths: dict[tuple[str, str, str], float | np.ndarray] = {}
+    agree. A sweep reads the markers its plan needs into one (B, M) block
+    (`_points`) when it starts, so a table may be edited between sweeps."""
 
 
 def marker_table(m: Mechanism) -> Markers:
@@ -104,15 +103,30 @@ def marker_table(m: Mechanism) -> Markers:
     return Markers({(l.id, k): (float(p.x), float(p.y)) for l in m.links for k, p in l.markers.items()})
 
 
-def _point(markers: Markers, lid: str, marker: str):
-    """A marker's link-frame position x + iy: complex, or (B, 1) complex."""
-    x, y = markers[lid, marker]
-    return x + 1j * y
-
-
 def _rows(markers: Markers) -> int:
     """B of a marker table: the length of its array entries, 1 if it has none."""
     return max((len(v) for xy in markers.values() for v in xy if isinstance(v, np.ndarray)), default=1)
+
+
+def _points(markers: Markers, refs, rows: int) -> np.ndarray:
+    """(B, R) link-frame positions x + iy of the markers refs of a table of B rows."""
+    xy = [markers[ref] for ref in refs]
+    block = np.empty((rows, len(xy)), dtype=complex)
+    block[:] = [x + 1j * y if isinstance(x, float) and isinstance(y, float) else 0j for x, y in xy]
+    for i, (x, y) in enumerate(xy):
+        if not (isinstance(x, float) and isinstance(y, float)):
+            block[:, i:i + 1] = x + 1j * y
+    return block
+
+
+def _spans(points: np.ndarray, spans: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and unit vectors, each (B, K), of the link-frame vectors from column
+    spans[k, 0] to column spans[k, 1] of a (B, M) point block. Lengths are taken row by row
+    with `math.hypot`, as the scalar geometry (`Point2.norm`, `as_fourbar`) takes them (numpy's
+    hypot may differ in the last bit); a unit vector is 1, the x axis, below floor or at 0."""
+    v = points[:, spans[:, 1]] - points[:, spans[:, 0]]
+    lengths = np.array(list(map(math.hypot, v.real.ravel().tolist(), v.imag.ravel().tolist()))).reshape(v.shape)
+    return lengths, np.divide(v, lengths, out=np.ones_like(v), where=lengths >= max(floor, math.ulp(0.0)))
 
 
 @dataclass
@@ -124,11 +138,9 @@ class PoseBatch:
     errors[b] is its failure code or None. One mechanism is B = 1:
     `configuration(s)` read row 0 at the samples it closes at (IndexError past them).
 
-    The rotations are the poses; `angles` is derived from them on first
-    access. Marker paths, gait series and transmission angles read the
-    rotations alone, so they do not depend on a whole turn added to any link
-    angle (by a guess, say); only the derived angles do.
-    """
+    The rotations are the poses: marker paths (`marker_paths`, one (B, R, N)
+    block for many markers), gait series and transmission angles read them
+    alone, and `angles` is derived from them on first access."""
 
     ids: list[str]
     thetas: np.ndarray
@@ -145,10 +157,18 @@ class PoseBatch:
     def index(self, link_id: str) -> int:
         return self.ids.index(link_id)
 
+    def marker_paths(self, refs) -> np.ndarray:
+        """(B, R, N) world paths x + iy of the markers refs across the sweeps."""
+        origins, rotations = _complex(self.origins), _complex(self.rotations)
+        z = np.empty((len(refs), len(origins), len(self.thetas)), dtype=complex)  # a path per block
+        for path, (lid, _), p in zip(z, refs, _points(self.markers, refs, len(origins)).T):
+            i = self.index(lid)
+            np.add(origins[:, i], np.multiply(rotations[:, i], p[:, None], out=path), out=path)
+        return z.transpose(1, 0, 2)
+
     def marker_world(self, ref: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
         """World path (x, y), each (B, N), of one marker across the sweeps."""
-        i = self.index(ref[0])
-        z = _complex(self.origins[:, i]) + _complex(self.rotations[:, i]) * _point(self.markers, *ref)
+        z = self.marker_paths([ref])[:, 0]
         return z.real, z.imag
 
     @cached_property
@@ -183,39 +203,25 @@ class PoseBatch:
 # Dyad plan: the crank, then RR dyads by circle intersection
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One placement of a dyad plan. A pin is (own marker, placed link, its marker).
-
-    kind "crank": the driven link, pinned to ground. "dyad": two links sharing
-    a joint (their `shared` markers), each pinned once to a placed link.
-    "rigid": one link pinned to two placed links. "hang": one link pinned
-    once, left at orientation zero. "free": an unreachable link, left at the
-    identity.
-    """
-
-    kind: str
-    links: tuple[str, ...]
-    pins: tuple[tuple[str, str, str], ...] = ()
-    shared: tuple[str, ...] = ()
-
-
 def _pin(j: Joint, lid: str) -> tuple[str, str, str]:
     if j.link_a == lid:
         return j.marker_a, j.link_b, j.marker_b
     return j.marker_b, j.link_a, j.marker_a
 
 
-def _decompose(m: Mechanism) -> list[_Step]:
+def _decompose(m: Mechanism) -> list[tuple]:
     """Placement order from the topology alone: the crank, then repeatedly
-    (1) a link pinned to two placed links, (2) an RR dyad, (3) a link hung
-    from one placed link; unreachable links last."""
+    (1) a link pinned to two placed links ("rigid"), (2) an RR dyad, two links
+    sharing a joint (their `shared` markers), each pinned once to a placed
+    link ("dyad"), (3) a link hung from one placed link at orientation zero
+    ("hang"); unreachable links last, at the identity ("free"). A step is
+    (kind, links, pins, shared); a pin is (own marker, placed link, its marker)."""
     placed = {m.ground}
     steps = []
     act = m.actuated_joint()
     if act is not None:
         crank = act.other(m.ground)
-        steps.append(_Step("crank", (crank,), (_pin(act, crank),)))
+        steps.append(("crank", (crank,), (_pin(act, crank),), ()))
         placed.add(crank)
 
     def pins(lid, skip=None):
@@ -225,7 +231,7 @@ def _decompose(m: Mechanism) -> list[_Step]:
     def rigid():
         for l in m.links:
             if l.id not in placed and len(anchors := pins(l.id)) >= 2:
-                return _Step("rigid", (l.id,), tuple(anchors[:2]))
+                return "rigid", (l.id,), tuple(anchors[:2]), ()
 
     def dyad():
         for j in m.joints:
@@ -233,34 +239,43 @@ def _decompose(m: Mechanism) -> list[_Step]:
                 continue
             sides = [pins(lid, skip=j) for lid in (j.link_a, j.link_b)]
             if all(sides):
-                return _Step("dyad", (j.link_a, j.link_b), (sides[0][0], sides[1][0]),
-                             (j.marker_a, j.marker_b))
+                return "dyad", (j.link_a, j.link_b), (sides[0][0], sides[1][0]), (j.marker_a, j.marker_b)
 
     def hang():
         for j in m.joints:
             for lid in (j.link_a, j.link_b):
                 if lid not in placed and j.other(lid) in placed:
-                    return _Step("hang", (lid,), (_pin(j, lid),))
+                    return "hang", (lid,), (_pin(j, lid),), ()
 
     while len(placed) < len(m.links):
         step = rigid() or dyad() or hang()
         if step is None:
-            steps.extend(_Step("free", (l.id,)) for l in m.links if l.id not in placed)
+            steps.extend(("free", (l.id,), (), ()) for l in m.links if l.id not in placed)
             break
         steps.append(step)
-        placed.update(step.links)
+        placed.update(step[1])
     return steps
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """What a mechanism's topology alone fixes: the dyad plan's steps, whether
-    they solve the whole chain (crank and dyads only, square system), and the
-    sides of the four-bar loop it is (`fourbar_sides`), if it is one."""
+    """A topology's `_decompose` steps in index form. Pose slots are positions
+    in `ids`, the ground first; a sweep reads the markers `refs` into the
+    columns of a `_points` block, and `_spans` of the column pairs `spans`.
+    A step is (kind, slots, pins, owns, spans): its links' pose slots, each
+    pin's placed (slot, column), the column of each link's own pinned marker,
+    and the span from it to the link's second pin (rigid) or shared joint
+    (dyad). `dyadic`: crank and dyads solve the whole chain (a square system);
+    `sides`: the spans of the four-bar loop it is, if it is one, whose open
+    branch (coupler-rocker triangle keeping its orientation) is `open_sign`."""
 
-    steps: tuple[_Step, ...]
+    ids: tuple[str, ...]
+    refs: tuple[tuple[str, str], ...]
+    spans: np.ndarray  # (K, 2)
+    steps: tuple[tuple, ...]
     dyadic: bool
-    sides: tuple[tuple[str, str, str], ...] | None
+    sides: list[int] | None
+    open_sign: float
 
 
 def _per_topology(build):
@@ -271,147 +286,132 @@ def _per_topology(build):
     def cached(m: Mechanism):
         key = (m.ground, tuple(l.id for l in m.links),
                tuple((j.id, j.link_a, j.marker_a, j.link_b, j.marker_b, j.actuated) for j in m.joints))
-        value = cache.get(key)
-        if value is None:
+        if key not in cache:
             if len(cache) >= 64:
                 cache.clear()
-            value = cache[key] = build(m)
-        return value
+            cache[key] = build(m)
+        return cache[key]
 
     return cached
 
 
 @_per_topology
 def _plan(m: Mechanism) -> _Plan:
-    steps = tuple(_decompose(m))
-    dyadic = (bool(steps) and steps[0].kind == "crank"
-              and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
-              and all(st.kind in ("crank", "dyad") for st in steps))
-    return _Plan(steps, dyadic, fourbar_sides(m))
+    steps, ids = _decompose(m), (m.ground, *m.moving_link_ids())
+    refs: dict[tuple[str, str], int] = {}
+    spans: dict[tuple[int, int], int] = {}
+
+    def span(lid, m1, m2):
+        return spans.setdefault(tuple(refs.setdefault((lid, mk), len(refs)) for mk in (m1, m2)), len(spans))
+
+    program = tuple((kind, tuple(map(ids.index, links)),
+                     tuple((ids.index(lid), refs.setdefault((lid, mk), len(refs))) for _, lid, mk in pins),
+                     tuple(refs.setdefault((lid, own), len(refs)) for lid, (own, _, _) in zip(links, pins)),
+                     tuple(span(lid, own, end) for lid, (own, _, _), end
+                           in zip(links, pins, shared or [own for own, _, _ in pins[1:]])))
+                    for kind, links, pins, shared in steps)
+    sides = fourbar_sides(m)
+    sides = None if sides is None else ([span(*side) for side in sides], sides[3][0])
+    dyadic = (bool(steps) and steps[0][0] == "crank" and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
+              and all(step[0] in ("crank", "dyad") for step in steps))
+    first_dyad = next((links[0] for kind, links, _, _ in steps if kind == "dyad"), None)
+    return _Plan(ids, tuple(refs), np.array(list(spans), dtype=np.intp).reshape(-1, 2), program, dyadic,
+                 sides and sides[0], -1.0 if sides and first_dyad == sides[1] else 1.0)
 
 
-def _local_length(markers: Markers, lid: str, m1: str, m2: str):
-    """Per-row distance between two markers of a link: a float, or (B, 1) when
-    the table has rows. Taken row by row with `math.hypot`, as the scalar
-    geometry (`Point2.norm`, `as_fourbar`) takes it; numpy's hypot may differ
-    from it in the last bit. Taken once per `Markers` table."""
-    lengths = getattr(markers, "lengths", {})
-    key = (lid, m1, m2)
-    if key not in lengths:
-        (x1, y1), (x2, y2) = markers[lid, m1], markers[lid, m2]
-        dx, dy = x2 - x1, y2 - y1
-        if isinstance(dx, float) and isinstance(dy, float):
-            lengths[key] = math.hypot(dx, dy)
-        else:
-            dx, dy = np.ravel(dx).tolist(), np.ravel(dy).tolist()
-            rows = max(len(dx), len(dy))  # a float entry is one value for every row
-            lengths[key] = np.array(list(map(math.hypot, dx * (rows // len(dx)), dy * (rows // len(dy)))))[:, None]
-    return lengths[key]
+def _turn(w: np.ndarray, length, unit_conj, out: np.ndarray) -> np.ndarray:
+    """The rotation (into out) that turns a link-frame unit vector, given conjugated, onto the
+    world vector w of the given length; onto the x axis where w is 0. No complex product here
+    is taken in place: numpy takes one on a single element without fusing its multiply-add."""
+    zero = length == 0.0
+    return np.divide((w + zero) * unit_conj, length + zero, out=out)
 
 
-def _unit(v, length, floor: float = 0.0):
-    """Per-row v / length for a link-frame vector v (complex, 0-d or (B, 1))
-    of the given length; 1, the link's x axis, where the length is 0 or below
-    floor."""
-    keep = (length > 0.0) & (length >= floor)
-    return np.where(keep, v / np.where(keep, length, 1.0), 1.0)
+def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np.ndarray,
+                 thetas: np.ndarray, pick):
+    """Place every link of the B mechanisms whose link-frame markers are the
+    (B, M) block `points` (`_points` of plan.refs; `lengths` and `units` are
+    `_spans` of plan.spans) at every crank angle of `thetas` at once.
 
-
-def _place_steps(m: Mechanism, steps: tuple[_Step, ...], markers: Markers, thetas: np.ndarray, pick):
-    """Place every link of the B mechanisms of `markers` at every crank angle
-    of `thetas` at once; m supplies the topology.
-
-    Returns the link ids (the ground, then the moving links), their origins
-    and rotations, each (B, L, N, 2) as (x, y) and (cos, sin), and the (B, N)
-    mask of samples at which every dyad closes. A link pinned at a placed
-    point takes the rotation that turns its local direction from that pin to
-    its other pin onto the world one; only the crank's comes from an angle
-    (theta). Points and rotations are worked with as complex numbers x + iy
-    and cos + i sin. The i-th dyad's roots are base +- offset, each given as
-    (x, y); `pick(i, base, offset, n_ok)` returns its root sign per sample,
-    given that each row's first n_ok[b] samples (and all earlier dyads')
-    close. Circles that miss are clamped to their nearest approach.
+    Returns the origins and rotations of the links of plan.ids, each (B, L,
+    N, 2) as (x, y) and (cos, sin), and the (B,) count of each row's leading
+    samples at which every dyad closes. A link pinned at a placed point takes
+    the rotation that turns its local direction from that pin to its other
+    pin onto the world one; only the crank's comes from an angle (theta).
+    Points and rotations are complex, x + iy and cos + i sin; the ground's
+    points are (B, 1) columns. The i-th dyad's roots are base +- offset;
+    `pick(i, base, offset, n_ok)` returns its root sign per sample, given that
+    each row's first n_ok[b] samples (and all earlier dyads') close. Circles
+    that miss are clamped to their nearest approach.
     """
-    n = len(thetas)
-    rows = _rows(markers)
-    ids = [m.ground, *m.moving_link_ids()]
-    origins, rotations = np.empty((rows, len(ids), n, 2)), np.empty((rows, len(ids), n, 2))
-    poses = {lid: (_complex(origins)[:, i], _complex(rotations)[:, i]) for i, lid in enumerate(ids)}
-    ok = np.ones((rows, n), dtype=bool)
-
-    def world(lid, marker):
-        origin, rotation = poses[lid]
-        return origin + rotation * _point(markers, lid, marker)
-
-    def place(lid, marker, at, rotation):
-        """Link lid at `rotation`, its marker on the world point `at`."""
-        poses[lid][0][...] = at - rotation * _point(markers, lid, marker)
-        poses[lid][1][...] = rotation
-
-    def fix(lid):
-        """Link lid at the identity pose, as the ground is."""
-        poses[lid][0][...], poses[lid][1][...] = 0.0, 1.0
-
-    def place_along(lid, m1, at, m2, local_length, w, length):
-        """Local marker m1 on `at`, and the link-frame vector from m1 to marker
-        m2 (of length local_length) turned onto the world vector w (of the
-        given length); onto the x axis where w is 0, as arctan2(0, 0) = 0
-        would have it."""
-        local = _unit(_point(markers, lid, m2) - _point(markers, lid, m1), local_length)
-        zero_w = length == 0.0
-        place(lid, m1, at, (w + zero_w) * np.conj(local) / (length + zero_w))
-
-    fix(m.ground)
-    n_dyads = 0
-    for st in steps:
-        if st.kind == "free":
-            fix(st.links[0])
-            continue
-        (own, other, other_marker), *more = st.pins
-        p1 = world(other, other_marker)
-        if st.kind == "crank":
-            place(st.links[0], own, p1, np.cos(thetas) + 1j * np.sin(thetas))
-        elif st.kind == "hang":
-            place(st.links[0], own, p1, 1.0)
-        elif st.kind == "rigid":
-            own2, other2, marker2 = more[0]
-            w = world(other2, marker2) - p1
-            place_along(st.links[0], own, p1, own2, _local_length(markers, st.links[0], own, own2), w, np.abs(w))
+    rows, n, units = len(points), len(thetas), np.conj(units)
+    # one allocation: as two, glibc gave back and faulted in their pages afresh on every call
+    origins, rotations = np.empty((2, rows, len(plan.ids), n, 2))
+    org, rot = _complex(origins), _complex(rotations)
+    org[:, 0], rot[:, 0] = 0.0, 1.0
+    poses = [(0j, 1 + 0j), *((org[:, i], rot[:, i]) for i in range(1, len(plan.ids)))]
+    ok, closed, n_dyads = np.ones((rows, n), dtype=bool), np.full(rows, n), 0
+    for kind, slots, pins, owns, ends in plan.steps:
+        at = [poses[s][0] + poses[s][1] * points[:, c:c + 1] for s, c in pins]
+        turns = [rot[:, s] for s in slots]
+        if kind == "free":
+            org[:, slots[0]], turns[0][...] = 0.0, 1.0
+        elif kind == "crank":
+            turns[0][...] = np.cos(thetas) + 1j * np.sin(thetas)
+        elif kind == "hang":
+            turns[0][...] = 1.0
+        elif kind == "rigid":
+            w = at[1] - at[0]
+            _turn(w, np.abs(w), units[:, ends[0], None], turns[0])
         else:
-            own2, other2, marker2 = more[0]
-            p2 = world(other2, marker2)
-            ra = _local_length(markers, st.links[0], own, st.shared[0])
-            rb = _local_length(markers, st.links[1], own2, st.shared[1])
+            (p1, p2), ra, rb = at, lengths[:, ends[0], None], lengths[:, ends[1], None]
             span = p2 - p1
             d = np.abs(span)
             # Heron's factors: the circles meet where none is negative
-            f1, f2, f3, f4 = ra + rb - d, d - ra + rb, d + ra - rb, d + ra + rb
+            f1, f2, f3 = ra + rb - d, d - ra, d + ra
+            f2 += rb
+            f4 = f3 + rb
+            f3 -= rb
             eps = 1e-12 * f4
-            ok &= (f1 >= -eps) & (f2 >= -eps) & (f3 >= -eps) & (d > eps)
+            ok &= (np.minimum(np.minimum(f1, f2), f3) >= -eps) & (d > eps)
             d = np.where(d > 0.0, d, 1.0)
-            h = np.sqrt(np.maximum(f1 * f2 * f3 * f4, 0.0)) / (2.0 * d)
-            a = (ra * ra - rb * rb + d * d) / (2.0 * d)
+            # the roots: `a` along the center line p1 -> p2 from p1, and
+            # +-h across it; h is 0 where the circles miss
+            h = np.multiply(f1, f2, out=f1)
+            h *= f3
+            h *= f4
+            del f2, f3, f4, eps
+            h = np.sqrt(np.maximum(h, 0.0, out=h), out=h)
+            d2 = 2.0 * d
+            h /= d2
+            a = d * d
+            a += ra * ra - rb * rb
+            a /= d2
             u = span / d
+            offset = 1j * (h * u)
             along = a * u
-            base, offset = p1 + along, 1j * (h * u)
-            sign = pick(n_dyads, (base.real, base.imag), (offset.real, offset.imag),
-                        np.logical_and.accumulate(ok, axis=1).sum(axis=1))
+            closed = np.logical_and.accumulate(ok, axis=1).sum(axis=1)
+            sign = pick(n_dyads, p1 + along, offset, closed)
             n_dyads += 1
-            # the joint from each pin: `a` along the center line p1 -> p2 and
-            # sign * h across it from p1, and span less from p2
-            to_joint = along + sign * offset
-            hh = h * h
-            place_along(st.links[0], own, p1, st.shared[0], ra, to_joint, np.sqrt(a * a + hh))
-            place_along(st.links[1], own2, p2, st.shared[1], rb, to_joint - span, np.sqrt((a - d) ** 2 + hh))
-    return ids, origins, rotations, ok
+            # the joint from p1, and from p2 (span less); the links' lengths
+            # to it are |(a, h)| and |(a - d, h)|
+            to_joint = along + sign * offset  # sign may have more columns than a dyad on the ground
+            hh = np.multiply(h, h, out=h)
+            length_b = np.add(np.square(np.subtract(a, d, out=d), out=d), hh, out=d)
+            _turn(to_joint - span, np.sqrt(length_b, out=length_b), units[:, ends[1], None], turns[1])
+            length_a = np.add(np.multiply(a, a, out=a), hh, out=a)
+            _turn(to_joint, np.sqrt(length_a, out=length_a), units[:, ends[0], None], turns[0])
+        for s, c, p, r in zip(slots, owns, at, turns):
+            np.subtract(p, np.multiply(r, points[:, c:c + 1], out=org[:, s]), out=org[:, s])
+    return origins, rotations, closed
 
 
-def _continue_roots(base, offset, n: int, s: float) -> list[float]:
-    """Root signs along a sweep: start on root s, then take the root nearest the linear
-    extrapolation of the joint's last two positions (at a change point, the root whose step
-    is closest to the previous step). Plain floats, for the rows `_follow_roots` passes on."""
-    bx, by = base[0][:n].tolist(), base[1][:n].tolist()
-    ox, oy = offset[0][:n].tolist(), offset[1][:n].tolist()
+def _continue_roots(base: np.ndarray, offset: np.ndarray, n: int, s: float) -> list[float]:
+    """Root signs along a sweep of complex roots base +- offset: start on root s, then take the
+    root nearest the linear extrapolation of the joint's last two positions (at a change point,
+    the root whose step is closest to the previous). Plain floats, for `_follow_roots`' rows."""
+    bx, by = base.real[:n].tolist(), base.imag[:n].tolist()
+    ox, oy = offset.real[:n].tolist(), offset.imag[:n].tolist()
     signs = [s]
     px, py = bx[0] + s * ox[0], by[0] + s * oy[0]
     vx = vy = 0.0
@@ -426,20 +426,24 @@ def _continue_roots(base, offset, n: int, s: float) -> list[float]:
     return signs
 
 
-def _follow_roots(base, offset, n_ok: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """`_continue_roots` of B rows from roots s, 1.0 past n_ok. The loop's test t (same float
-    ops) on each row's constant-sign path: a row it never flips keeps s; the rest run the loop."""
-    bo = np.stack(np.broadcast_arrays(*base, *offset))
-    b, o = bo[:2], bo[2:]  # (x, y) by (B, N)
-    s, k = s[:, None], np.arange(b.shape[-1])
-    p = b + s * o
-    v = np.zeros_like(p[..., 1:])  # the loop's last step: none before sample 1
-    v[..., 1:] = np.diff(p[..., :-1])
-    t = (o[..., 1:] * (p[..., :-1] + v - b[..., 1:])).sum(axis=0)  # ox * (..) + oy * (..)
-    switch = np.where(s > 0.0, ~(t >= 0.0), t > 0.0) & (k[1:] < n_ok[:, None])  # NaN: root -1
-    sign = np.where(k < n_ok[:, None], s, 1.0)
-    for r in np.flatnonzero(switch.any(axis=1)).tolist():
-        sign[r, :n_ok[r]] = _continue_roots(b[:, r], o[:, r], int(n_ok[r]), float(s[r, 0]))
+def _follow_roots(base: np.ndarray, offset: np.ndarray, n_ok: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """`_continue_roots` of B rows of complex (B, N) roots base +- offset from roots s, 1.0
+    past n_ok. The loop's test t (same float ops) on each row's constant-sign path: a row it
+    never flips keeps s; the rest run the loop."""
+    b, o = (z.view(float).reshape(z.shape + (2,)) for z in (base, offset))  # (x, y) pairs
+    p = o * s[:, None, None]
+    p += b
+    pred = p[:, :-1].copy()  # the loop's prediction: the last root plus its last step
+    pred[:, 1:] += p[:, 1:-1] - p[:, :-2]
+    pred -= b[:, 1:]
+    pred *= o[:, 1:]
+    t = (pred[..., 0] + pred[..., 1]) * s[:, None]
+    live = np.arange(p.shape[1]) < n_ok[:, None]
+    flips = ~(t >= 0.0)  # a NaN t flips a root -1 too: that row only runs the loop
+    flips &= live[:, 1:]
+    sign = np.where(live, s[:, None], 1.0)
+    for r in flips.any(axis=1).nonzero()[0].tolist():
+        sign[r, :n_ok[r]] = _continue_roots(base[r], offset[r], int(n_ok[r]), float(s[r]))
     return sign
 
 
@@ -447,32 +451,25 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
                        guess: Configuration | None, branch: Branch) -> PoseBatch:
     """Closed-form sweeps of the mechanisms of a marker table that share m's
     dyad plan, all B rows in one pass, root continuation included."""
-    n = len(thetas)
-    steps, sides = plan.steps, plan.sides
-    dyads = [st for st in steps if st.kind == "dyad"]
-    rows = _rows(markers)
-    lengths = np.empty((rows, len(sides or ())))
-    for i, side in enumerate(sides or ()):
-        lengths[:, i:i + 1] = _local_length(markers, *side)
-    is_fourbar = np.zeros(rows, dtype=bool) if sides is None else fourbar_lengths_valid(lengths)
-    # sign of the open branch's root: the coupler-rocker triangle keeps its orientation
-    open_sign = -1.0 if sides is not None and dyads[0].links[0] == sides[3][0] else 1.0
-    start = np.where(is_fourbar, open_sign if branch is Branch.OPEN else -open_sign, 1.0)
+    n, rows = len(thetas), _rows(markers)
+    points = _points(markers, plan.refs, rows)
+    lengths, units = _spans(points, plan.spans)
+    is_fourbar = np.zeros(rows, dtype=bool) if plan.sides is None else fourbar_lengths_valid(lengths[:, plan.sides])
+    start = np.where(is_fourbar, plan.open_sign if branch is Branch.OPEN else -plan.open_sign, 1.0)
     first = np.zeros(rows)  # root sign each row's first dyad starts on; 0 if none
 
-    def start_sign(st: _Step, b: int, base, offset) -> float:
-        g = guess.pose(st.links[0]).transform(m.link(st.links[0]).marker(st.shared[0]))
-        bx, by, ox, oy = (float(base[0][b, 0]), float(base[1][b, 0]),
-                          float(offset[0][b, 0]), float(offset[1][b, 0]))
-        d_plus = math.hypot(bx + ox - g.x, by + oy - g.y)
-        d_minus = math.hypot(bx - ox - g.x, by - oy - g.y)
-        scale = sum(float(np.broadcast_to(_local_length(markers, lid, pin[0], mk), (rows, 1))[b, 0])
-                    for lid, pin, mk in zip(st.links, st.pins, st.shared))
-        if abs(d_plus - d_minus) <= 1e-12 * scale:
+    def start_sign(step: tuple, b: int, base: np.ndarray, offset: np.ndarray) -> float:
+        radii, (lid, shared) = list(step[4]), plan.refs[plan.spans[step[4][0], 1]]  # link a, its joint marker
+        g = guess.pose(lid).transform(m.link(lid).marker(shared))
+        (bx, by), (ox, oy) = (base[b, 0].real, base[b, 0].imag), (offset[b, 0].real, offset[b, 0].imag)
+        d_plus, d_minus = (math.hypot(bx + s * ox - g.x, by + s * oy - g.y) for s in (1.0, -1.0))
+        if abs(d_plus - d_minus) <= 1e-12 * sum(lengths[b, radii].tolist()):
             raise BranchAmbiguousError(
-                f"both roots of the {st.links[0]}-{st.links[1]} dyad are equidistant from the "
+                f"both roots of the {lid}-{plan.ids[step[1][1]]} dyad are equidistant from the "
                 "guess (change point); pass an explicit branch")
         return 1.0 if d_plus < d_minus else -1.0
+
+    dyads = [step for step in plan.steps if step[0] == "dyad"]
 
     def pick(i, base, offset, n_ok):
         s = start if guess is None else np.array(
@@ -481,17 +478,16 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
             first[:] = np.where(n_ok > 0, s, 0.0)
         return _follow_roots(base, offset, n_ok, s)
 
-    ids, origins, rotations, ok = _place_steps(m, steps, markers, thetas, pick)
-    failed_at = np.logical_and.accumulate(ok, axis=1).sum(axis=1)  # leading closed samples
+    origins, rotations, failed_at = _place_steps(plan, points, lengths, units, thetas, pick)
     if (failed_at < n).any():
         after = np.broadcast_to((np.arange(n) >= failed_at[:, None])[:, None], origins.shape[:3])
         origins[after] = 0.0
         rotations[after] = (1.0, 0.0)
-    branches = [(branch if not s else Branch.OPEN if s == open_sign else Branch.CROSSED) if fb
-                else guess.branch if guess else None for s, fb in zip(first, is_fourbar)]
+    branches = [(branch if not s else Branch.OPEN if s == plan.open_sign else Branch.CROSSED) if fb
+                else guess.branch if guess else None for s, fb in zip(first.tolist(), is_fourbar.tolist())]
     errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
-    return PoseBatch(ids, thetas, origins, rotations, failed_at, errors, markers, branches,
-                     crank=steps[0].links[0], guess=guess)
+    return PoseBatch(list(plan.ids), thetas, origins, rotations, failed_at, errors, markers, branches,
+                     crank=plan.ids[plan.steps[0][1][0]], guess=guess)
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
@@ -500,8 +496,7 @@ def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Co
     center."""
     pb = sweep_arrays(fourbar_mechanism(fb), np.array([float(theta)]), branch=branch)
     if pb.errors[0]:
-        raise NotAssemblableError(
-            f"four-bar {fb.lengths} cannot close at crank angle {theta:.6g} rad")
+        raise NotAssemblableError(f"four-bar {fb.lengths} cannot close at crank angle {theta:.6g} rad")
     return pb.configuration(0)
 
 
@@ -684,30 +679,34 @@ def start_block(sys: ConstraintSystem, theta: float,
                 guess: Configuration | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Where Newton starts on each row of sys at one crank angle: the unknowns
     (B, C, n) of each start and the (B, C) mask of the starts a row tries, in
-    turn. From `guess` alone, or else one start per combination of dyad roots
-    from the dyad plan, '+' root first and earlier dyads varying slowest,
-    repeats dropped, at most 16 per row. Circles that miss are clamped to
-    their nearest approach and a tangent dyad gives one root; links the plan
-    can only hang sit at orientation zero for Newton to sort out."""
+    turn. From `guess` alone (its crank moved by the whole turns nearest
+    theta), or else one start per combination of dyad-plan roots, '+' root
+    first and earlier dyads varying slowest, repeats dropped, at most 16 per
+    row; circles that miss are clamped to their nearest approach, a tangent
+    dyad gives one root, and links the plan can only hang sit at angle zero."""
     rows = len(sys._points)
     if guess is not None:
-        return np.broadcast_to(sys.q_from(guess), (rows, 1, sys.n)), np.ones((rows, 1), dtype=bool)
-    steps = _plan(sys.m).steps
-    k = sum(st.kind == "dyad" for st in steps)
+        q, drive = sys.q_from(guess), sys._c.drive
+        if drive is not None and (turns := round((theta - q[drive]) / (2.0 * math.pi))):
+            q[drive] += 2.0 * math.pi * turns
+        return np.broadcast_to(q, (rows, 1, sys.n)), np.ones((rows, 1), dtype=bool)
+    plan = _plan(sys.m)
+    k = sum(step[0] == "dyad" for step in plan.steps)
     kv = min(k, 10)  # only the last kv dyads vary; 16 starts never reach further
     bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
     signs = np.hstack([np.ones((2 ** kv, k - kv)), 1.0 - 2.0 * bits])
     new = np.ones((rows, len(signs)), dtype=bool)
 
     def pick(i, base, offset, n_ok):
-        new[...] &= (offset[0] != 0.0) | (offset[1] != 0.0) | (signs[:, i] > 0.0)
+        new[...] &= (offset != 0.0) | (signs[:, i] > 0.0)
         return signs[:, i]
 
+    points = _points(sys._markers, plan.refs, rows)
     thetas = np.full(len(signs), float(theta))
-    ids, origins, rotations, _ = _place_steps(sys.m, steps, sys._markers, thetas, pick)
+    origins, rotations, _ = _place_steps(plan, points, *_spans(points, plan.spans), thetas, pick)
     angles = np.angle(_complex(rotations))
-    if steps and steps[0].kind == "crank":
-        angles[:, ids.index(steps[0].links[0])] = theta
+    if plan.steps and plan.steps[0][0] == "crank":
+        angles[:, plan.steps[0][1][0]] = theta
     q = np.concatenate([origins[:, 1:], angles[:, 1:, :, None]], axis=-1).transpose(0, 2, 1, 3)
     return q.reshape(len(q), len(signs), -1), new & (np.cumsum(new, axis=1) <= 16)
 
@@ -829,13 +828,11 @@ def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.
     is its rotation applied to the per-row unit vector from its origin marker to
     the joint marker (its x axis when they coincide)."""
     j = m.joint(joint_id)
-
-    def direction(link_id, marker):
-        local = _point(pb.markers, link_id, marker) - _point(pb.markers, link_id, "origin")
-        return (_complex(pb.rotations[:, pb.index(link_id)])
-                * _unit(local, _local_length(pb.markers, link_id, "origin", marker), floor=1e-12))
-
+    refs = ((j.link_a, "origin"), (j.link_a, j.marker_a), (j.link_b, "origin"), (j.link_b, j.marker_b))
+    units = _spans(_points(pb.markers, refs, len(pb.origins)), np.array([[0, 1], [2, 3]]), floor=1e-12)[1]
+    rotations = _complex(pb.rotations)
+    a = np.conj(rotations[:, pb.index(j.link_a)] * units[:, :1])
     # the relative rotation b over a; folding its angle into [0, pi/2] takes
     # its cos and sin to their absolute values
-    rel = direction(j.link_b, j.marker_b) * np.conj(direction(j.link_a, j.marker_a))
+    rel = rotations[:, pb.index(j.link_b)] * units[:, 1:] * a
     return np.arctan2(np.abs(rel.imag), np.abs(rel.real))

@@ -428,9 +428,9 @@ def fourbar_lengths_valid(lengths) -> np.ndarray:
     """Whether side lengths (g, a, b, c) along the last axis make a `FourBar`: all
     positive and finite, the longest shorter than the in-order sum of the rest."""
     lengths = np.asarray(lengths, dtype=float)
-    longest, (g, a, b, c) = lengths.max(axis=-1), np.moveaxis(lengths, -1, 0)
+    longest, g, a, b, c = lengths.max(axis=-1), *(lengths[..., i] for i in range(4))
     with np.errstate(invalid="ignore"):
-        return (lengths > 0.0).all(axis=-1) & np.isfinite(longest) & (longest < g + a + b + c - longest)
+        return (lengths.min(axis=-1) > 0.0) & np.isfinite(longest) & (longest < g + a + b + c - longest)
 
 
 def as_fourbar(m: Mechanism) -> FourBarView | None:

@@ -238,7 +238,7 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
     m = space.template
     thetas = _crank_angles(samples)
     try:
-        rows = np.flatnonzero(space.admissible(X))
+        rows = space.admissible(X).nonzero()[0]
         if not len(rows):
             return costs
         pb = sweep_arrays(m, thetas, markers=space.markers(X[rows]))

@@ -118,6 +118,21 @@ class TestAssemble:
             for lid in ("crank", "coupler", "rocker"):
                 assert abs(c.pose(lid).angle - ref.pose(lid).angle) <= 1e-8
 
+    def test_whole_turn_in_theta_keeps_the_guess_branch(self, armwing):
+        # theta just short of a whole turn, from the theta = 0 pose: the crank
+        # must not be turned a whole turn back to the guess, which lands on
+        # another assembly mode
+        theta = 6.2796
+        wingbeat = sweep_arrays(armwing, np.linspace(0.0, theta, 512))
+        guess = wingbeat.configuration(0)
+        want = wingbeat.configuration(511)
+        for c in (assemble(armwing, theta, guess), assemble(armwing, theta - 2 * math.pi, guess)):
+            assert c.crank_angle == c.pose("crank").angle
+            for lid in wingbeat.ids:
+                turn = c.pose(lid).angle - want.pose(lid).angle
+                assert abs((turn + math.pi) % (2 * math.pi) - math.pi) <= 1e-9
+                assert (c.pose(lid).origin - want.pose(lid).origin).norm() <= 1e-9
+
     def test_two_stage_chain_residual(self, armwing):
         c = assemble(armwing, math.radians(30.0))
         assert np.linalg.norm(loop_residual(armwing, c)) <= 1e-10
@@ -493,10 +508,10 @@ class TestDyadPlan:
             base, offset = rng.integers(-2, 3, (2, 2, rows, n)).astype(float)
         n_ok = np.array(data.draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows)))
         s = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rows, max_size=rows)))
-        sign = kinematics._follow_roots(tuple(base), offset, n_ok, s)
+        base, offset = base[0] + 1j * base[1], offset[0] + 1j * offset[1]
+        sign = kinematics._follow_roots(base, offset, n_ok, s)
         for b in range(rows):
-            want = kinematics._continue_roots((base[0][b], base[1][b]), (offset[0][b], offset[1][b]),
-                                              int(n_ok[b]), float(s[b])) if n_ok[b] else []
+            want = kinematics._continue_roots(base[b], offset[b], int(n_ok[b]), float(s[b])) if n_ok[b] else []
             assert sign[b, :n_ok[b]].tolist() == want
             assert np.all(sign[b, n_ok[b]:] == 1.0)
 
@@ -601,17 +616,40 @@ class TestBatchRows:
         assert len(set(costs.tolist())) == len(X)
         assert costs.tolist() == [population_costs(space, spec, x[None], samples=32)[0] for x in X]
 
-    @pytest.mark.parametrize("solver, box, rows, n", [("dyad", 1.0, 300, 128), ("dyad", 3.0, 300, 128),
-                                                      ("newton", 1.0, 4, 32)])
-    def test_rows_are_one_mechanism_sweeps(self, solver, box, rows, n):
-        space = recovery_space()[0] if solver == "dyad" else DesignSpace(triad_eight_bar(), (
-            Parameter("link.crank.marker.tip.x", 0.5, 0.7), Parameter("link.d1.marker.b.y", 5.3, 5.7)))
+    @pytest.mark.parametrize("mechanism", ["armwing", "fourbar"])
+    def test_samples_are_one_sample_sweeps(self, mechanism, armwing, fb_mech):
+        # the same arithmetic whatever the block shape: numpy takes an in-place
+        # complex product on a single element without fusing its multiply-add
+        m = armwing if mechanism == "armwing" else fb_mech
+        thetas = np.sort(np.random.default_rng(5).uniform(0.0, 2 * math.pi, 24))
+        pb = sweep_arrays(m, thetas)
+        assert pb.errors == [None]
+        for k, theta in enumerate(thetas):
+            one = sweep_arrays(m, np.array([theta]))
+            assert pb.origins[:, :, k].tobytes() == one.origins[:, :, 0].tobytes()
+            assert pb.rotations[:, :, k].tobytes() == one.rotations[:, :, 0].tobytes()
+
+    @pytest.mark.parametrize("space, solver, box, rows, n, fails", [
+        pytest.param("recovery", "dyad", 1.0, 300, 128, False, id="dyad-1.0-300-128"),
+        pytest.param("recovery", "dyad", 3.0, 300, 128, True, id="dyad-3.0-300-128"),  # about a third fail
+        pytest.param("triad", "newton", 1.0, 4, 32, False, id="newton-1.0-4-32"),
+        # the shipped armwing's two-dyad plan, where half the rows of its box fail
+        pytest.param("armwing", "dyad", 1.0, 60, 64, True, id="armwing-dyad-1.0-60-64"),
+        pytest.param("recovery", "dyad", 1.0, 1, 1, False, id="dyad-1.0-1-1"),
+    ])
+    def test_rows_are_one_mechanism_sweeps(self, space, solver, box, rows, n, fails):
+        if space == "triad":
+            space = DesignSpace(triad_eight_bar(), (Parameter("link.crank.marker.tip.x", 0.5, 0.7),
+                                                    Parameter("link.d1.marker.b.y", 5.3, 5.7)))
+        else:
+            space = recovery_space()[0] if space == "recovery" else \
+                _load_space(str(Path(kinematics.__file__).parent / "data" / "armwing_space.json"))
         lo, hi = space.bounds()
         half = 0.5 * box * (hi - lo)
         X = 0.5 * (lo + hi) - half + np.random.default_rng(4).random((rows, space.dim)) * 2 * half
         thetas = 2 * math.pi * np.arange(n) / n
         pb = sweep_arrays(space.template, thetas, markers=space.markers(X))
-        assert pb.solver == solver and (pb.failed_at < n).any() == (box > 1.0)  # about a third at 3x
+        assert pb.solver == solver and (pb.failed_at < n).any() == fails
         for b, x in enumerate(X):
             one = sweep_arrays(space.apply(x), thetas)
             assert np.array_equal(pb.origins[b], one.origins[0]) and np.array_equal(pb.rotations[b], one.rotations[0])

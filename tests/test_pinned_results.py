@@ -54,6 +54,10 @@ WINNER_SEEDS = {"recovery": range(10), "armwing": range(3)}  # box -> seeds of `
 COST_RTOL = 1e-12
 CSV_ATOL = 1e-12  # SI units; a relative bound means nothing for cells near zero
 
+# every input here is fixed, so a floating-point warning (a division by zero
+# on the rows of `recovery_3x` whose circles miss, say) is a change of behaviour
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def boxes() -> dict[str, tuple[DesignSpace, GaitSpec]]:
     space, spec, _ = recovery_space()
