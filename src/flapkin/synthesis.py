@@ -21,6 +21,8 @@ The polish is batched the same way: each simplex step costs every point it
 might need (reflection, expansion and both contractions, or the N points of a
 shrink) in one `population_costs` call, then takes the costs in the order a
 one-point-at-a-time Nelder-Mead evaluates them, so it reaches the same points.
+Calls are nearly all fixed cost, so a step's call also costs the points of the
+likeliest next step, which that step takes if they are its own, bit for bit.
 `objective`, the one-row case of `population_costs`, is no longer on the
 search path; it serves callers that cost one candidate.
 """
@@ -284,6 +286,9 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
     outside and inside contraction together (all four depend only on the
     centroid and the worst vertex), then a shrink's N points. It then
     consumes the costs in the order scipy would evaluate them, up to maxfev.
+    Each call also costs the next step's points should the inside contraction
+    replace the worst vertex and sort first or second (the centroid's sum adds
+    those two first: the same bits); that step looks its points up by bytes.
     Returns the consumed points (n, N) and their costs (n,), in that order.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
@@ -311,6 +316,13 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
         room -= len(seen_f[-1])
         return seen_f[-1]
 
+    def trials(sim: np.ndarray) -> np.ndarray:  # a step's points, from the sorted simplex
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        return np.stack([(1 + rho) * xbar - rho * sim[-1],                 # reflection
+                         (1 + rho * chi) * xbar - rho * chi * sim[-1],     # expansion
+                         (1 + psi * rho) * xbar - psi * rho * sim[-1],     # outside contraction
+                         (1 - psi) * xbar + psi * sim[-1]])                # inside contraction
+
     fsim = np.full(N + 1, np.inf)
     f = consume(sim, costs(sim[:room]))
     fsim[:len(f)] = f
@@ -319,16 +331,18 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
 
+    ahead: dict[bytes, np.ndarray] = {}  # the look-ahead trial block's bytes -> its costs
     while room:
         if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
                 np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        trial = np.stack([(1 + rho) * xbar - rho * sim[-1],                 # reflection
-                          (1 + rho * chi) * xbar - rho * chi * sim[-1],     # expansion
-                          (1 + psi * rho) * xbar - psi * rho * sim[-1],     # outside contraction
-                          (1 - psi) * xbar + psi * sim[-1]])                # inside contraction
-        fxr, fxe, fxc, fxcc = ftrial = costs(trial)
+        trial = trials(sim)
+        ftrial = ahead.get(trial.tobytes())
+        if ftrial is None:  # also cost the next block if the inside contraction sorts first
+            guess = trials(np.insert(sim[:-1], 0, trial[3], axis=0))
+            f = costs(np.concatenate([trial, guess]))
+            ftrial, ahead = f[:4], {guess.tobytes(): f[4:]}
+        fxr, fxe, fxc, fxcc = ftrial
         consume(trial[:1], ftrial[:1])
         # the second point to consume, and the point that replaces the worst
         # vertex (None: shrink)

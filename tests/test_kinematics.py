@@ -373,6 +373,14 @@ PERTURBED = ("crank.tip.x", "ground.shoulder.x", "ground.shoulder.y", "humerus.b
              "forearm.d_pin.y", "forearm.tip.x", "ground.trail.x", "ground.trail.y")
 
 
+def perturbed_armwing(rel) -> Mechanism:
+    """The shipped armwing with each PERTURBED coordinate scaled by 1 + rel[i]."""
+    m, paths = two_stage_armwing(), [p.split(".") for p in PERTURBED]
+    space = DesignSpace(m, tuple(Parameter(f"link.{lid}.marker.{mk}.{c}", -1.0, 1.0) for lid, mk, c in paths))
+    nominal = np.array([getattr(m.link(lid).marker(mk), c) for lid, mk, c in paths])
+    return space.apply(nominal * (1 + np.array(rel[:len(PERTURBED)])))
+
+
 class TestDyadPlan:
     @pytest.mark.parametrize("samples", [256, 360])
     def test_shipped_armwing_matches_newton(self, armwing, samples):
@@ -382,11 +390,19 @@ class TestDyadPlan:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-0.15, 0.15), min_size=19, max_size=19))
     def test_perturbed_armwings_match_newton(self, rel):
-        m, paths = two_stage_armwing(), [p.split(".") for p in PERTURBED]
-        space = DesignSpace(m, tuple(Parameter(f"link.{lid}.marker.{mk}.{c}", -1.0, 1.0) for lid, mk, c in paths))
-        nominal = np.array([getattr(m.link(lid).marker(mk), c) for lid, mk, c in paths])
-        assert_matches_newton(space.apply(nominal * (1 + np.array(rel[:len(PERTURBED)]))),
-                              2 * math.pi * np.arange(64) / 64)
+        assert_matches_newton(perturbed_armwing(rel), 2 * math.pi * np.arange(64) / 64)
+
+    @pytest.mark.xfail(strict=True, reason="the 64-sample dyad sweep follows the other (coupler2, forearm) "
+                       "root from sample 50 on; the 1024- and 4096-sample dyad sweeps and the 64-sample "
+                       "Newton sweep agree to 1e-10 rad")
+    def test_coarse_sweep_keeps_the_fine_sweeps_root(self):
+        # a `rel` hypothesis found for test_perturbed_armwings_match_newton
+        m = perturbed_armwing([0, 0.078125, 0, 0.034977578223443745, 0.10424828342412615, 0, 0, 0.015625]
+                              + [0] * 11)
+        coarse, fine = (sweep_arrays(m, 2 * math.pi * np.arange(n) / n) for n in (64, 1024))
+        forearm = coarse.ids.index("forearm")
+        assert coarse.errors == fine.errors == [None]
+        assert np.abs(coarse.angles[0, forearm] - fine.angles[0, forearm, ::16]).max() <= 1e-9
 
     @pytest.mark.parametrize("fb", [FourBar(6, 2, 5, 5), FourBar(4, 2, 4, 2)])
     def test_fourbars_take_the_dyad_path(self, fb):

@@ -328,15 +328,37 @@ class TestNelderMead:
             calls.append(len(X))
             return costs(space, spec, X, *args, **kwargs)
 
+        blocks, consumed = [], []
+
+        def recorded(costs, x0, **kwargs):
+            def logged(X):
+                blocks.append(X.copy())
+                return costs(X)
+            consumed.append(_nelder_mead(logged, x0, **kwargs))
+            return consumed[-1]
+
         monkeypatch.setattr("flapkin.synthesis.population_costs", counted)
+        monkeypatch.setattr("flapkin.synthesis._nelder_mead", recorded)
         synthesize(space, spec, budget=1500, seed=0)
         n, pop_size = space.dim, 15 * space.dim
         generations = 1500 // pop_size
         assert calls[:generations] == [pop_size] * generations
-        # the polish: the initial simplex, then four trial points per step or a shrink
+        # the polish: the initial simplex, then a step's four trial points with the next
+        # step's likeliest four, or a shrink
         assert calls[generations] == n + 1
-        assert set(calls[generations + 1:]) <= {4, n}
-        assert len(calls) < 150  # one call per point made 220
+        assert set(calls[generations + 1:]) <= {8, n}
+        assert len(calls) < 100  # one call per point made 220, one per step 127
+        # both paths run: a step takes its costs from an earlier call's look-ahead rows
+        # (a hit), and a step after a call whose look-ahead it did not take calls again
+        first: dict[bytes, tuple[int, int]] = {}
+        for k, X in enumerate(blocks):
+            for r, x in enumerate(X):
+                first.setdefault(x.tobytes(), (k, r))
+        [(xs, _)] = consumed
+        hits = {k for k, r in map(first.get, (x.tobytes() for x in xs)) if r >= 4 and len(blocks[k]) == 8}
+        misses = [k for k in range(1, len(blocks) - 1)
+                  if len(blocks[k]) == len(blocks[k + 1]) == 8 and k not in hits]
+        assert hits and misses
 
 
 def trial_block_reference(rng: np.random.Generator, pop: np.ndarray, lo: np.ndarray, hi: np.ndarray,
