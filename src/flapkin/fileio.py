@@ -46,14 +46,15 @@ _JOINT_KEYS = {"id", "link_a", "marker_a", "link_b", "marker_b", "actuated",
 _HINGE_KEYS = {"joint", "width_m", "thickness_m", "length_m", "modulus_pa", "rest_angle_rad"}
 
 
-def _require(cond: bool, msg: str):
+def _require(cond: bool, msg: str, *args):
+    """SchemaError(msg.format(*args)) unless cond: the message is formatted only on failure."""
     if not cond:
-        raise SchemaError(msg)
+        raise SchemaError(msg.format(*args))
 
 
 def _marker_ref(value: Any, where: str) -> tuple[str, str]:
     _require(isinstance(value, (list, tuple)) and len(value) == 2
-             and all(isinstance(v, str) for v in value), f"{where}: expected [link, marker]")
+             and all(isinstance(v, str) for v in value), "{}: expected [link, marker]", where)
     return (value[0], value[1])
 
 
@@ -74,26 +75,26 @@ def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
         raise ParseError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     _require(isinstance(doc, dict), "top level must be an object")
     unknown = set(doc) - _TOP_KEYS
-    _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
+    _require(not unknown, "unknown top-level keys: {}", sorted(unknown))
     _require(doc.get("version") == SCHEMA_VERSION,
-             f"unsupported version {doc.get('version')!r}, expected {SCHEMA_VERSION}")
+             "unsupported version {!r}, expected {}", doc.get("version"), SCHEMA_VERSION)
     for key in ("links", "joints", "ground"):
-        _require(key in doc, f"missing required key {key!r}")
+        _require(key in doc, "missing required key {!r}", key)
 
     links = []
     _require(isinstance(doc["links"], list), "'links' must be a list")
     for entry in doc["links"]:
         _require(isinstance(entry, dict), "link entries must be objects")
         unknown = set(entry) - _LINK_KEYS
-        _require(not unknown, f"link: unknown keys {sorted(unknown)}")
+        _require(not unknown, "link: unknown keys {}", sorted(unknown))
         _require(isinstance(entry.get("id"), str), "link 'id' must be a string")
         markers = entry.get("markers")
-        _require(isinstance(markers, dict) and markers, f"link {entry['id']!r}: 'markers' must be a non-empty object")
+        _require(isinstance(markers, dict) and markers, "link {!r}: 'markers' must be a non-empty object", entry["id"])
         parsed_markers = {}
         for name, xy in markers.items():
             _require(isinstance(xy, (list, tuple)) and len(xy) == 2
                      and all(isinstance(v, (int, float)) for v in xy),
-                     f"link {entry['id']!r} marker {name!r}: expected [x, y]")
+                     "link {!r} marker {!r}: expected [x, y]", entry["id"], name)
             try:
                 parsed_markers[name] = Point2(float(xy[0]), float(xy[1]))
             except ValueError as e:
@@ -114,10 +115,10 @@ def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
     for entry in hinges_doc:
         _require(isinstance(entry, dict), "hinge entries must be objects")
         unknown = set(entry) - _HINGE_KEYS
-        _require(not unknown, f"hinge: unknown keys {sorted(unknown)}")
+        _require(not unknown, "hinge: unknown keys {}", sorted(unknown))
         _require(isinstance(entry.get("joint"), str), "hinge 'joint' must be a string")
         for k in ("width_m", "thickness_m", "length_m", "modulus_pa"):
-            _require(isinstance(entry.get(k), (int, float)), f"hinge {entry['joint']!r}: missing numeric {k!r}")
+            _require(isinstance(entry.get(k), (int, float)), "hinge {!r}: missing numeric {!r}", entry["joint"], k)
         try:
             geom = HingeGeometry(float(entry["width_m"]), float(entry["thickness_m"]),
                                  float(entry["length_m"]), float(entry["modulus_pa"]))
@@ -131,19 +132,19 @@ def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
     for entry in doc["joints"]:
         _require(isinstance(entry, dict), "joint entries must be objects")
         unknown = set(entry) - _JOINT_KEYS
-        _require(not unknown, f"joint: unknown keys {sorted(unknown)}")
+        _require(not unknown, "joint: unknown keys {}", sorted(unknown))
         for k in ("id", "link_a", "marker_a", "link_b", "marker_b"):
-            _require(isinstance(entry.get(k), str), f"joint: {k!r} must be a string")
+            _require(isinstance(entry.get(k), str), "joint: {!r} must be a string", k)
         actuated = entry.get("actuated", False)
-        _require(isinstance(actuated, bool), f"joint {entry['id']!r}: 'actuated' must be a boolean")
+        _require(isinstance(actuated, bool), "joint {!r}: 'actuated' must be a boolean", entry["id"])
         kind = RigidPin()
         if entry["id"] in hinge_specs:
             _require("stiffness_nm_per_rad" not in entry,
-                     f"joint {entry['id']!r}: give stiffness either inline or via 'hinges', not both")
+                     "joint {!r}: give stiffness either inline or via 'hinges', not both", entry["id"])
             kind = hinge_specs.pop(entry["id"])[0]
         elif "stiffness_nm_per_rad" in entry:
             _require(isinstance(entry["stiffness_nm_per_rad"], (int, float)),
-                     f"joint {entry['id']!r}: stiffness must be numeric")
+                     "joint {!r}: stiffness must be numeric", entry["id"])
             try:
                 kind = CompliantHinge(float(entry["stiffness_nm_per_rad"]),
                                       float(entry.get("rest_angle_rad", 0.0)))
@@ -154,7 +155,7 @@ def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
                                 entry["link_b"], entry["marker_b"], kind, actuated))
         except ValueError as e:
             raise SchemaError(f"joint {entry['id']!r}: {e}") from e
-    _require(not hinge_specs, f"hinges reference unknown joints: {sorted(hinge_specs)}")
+    _require(not hinge_specs, "hinges reference unknown joints: {}", sorted(hinge_specs))
 
     _require(isinstance(doc["ground"], str), "'ground' must be a link id string")
     polygon = tuple(_marker_ref(r, "wing_polygon") for r in doc.get("wing_polygon", []))

@@ -87,7 +87,7 @@ def wingbeat_series(m: Mechanism, pb: PoseBatch):
     z = pb.marker_paths(refs)
     tip = z[:, refs.index(m.wingtip)]
     arm = tip - z[:, refs.index(m.shoulder)]
-    reach = np.hypot(arm.real, arm.imag)
+    reach = np.abs(arm)
     lo, hi = reach.min(axis=-1), reach.max(axis=-1)
     plunge = np.arctan2(arm.imag, arm.real)
     turns = (~(np.abs(plunge[:, 1:] - plunge[:, :-1]) < math.pi).all(axis=-1)).nonzero()[0]
@@ -141,9 +141,14 @@ def stroke_phases(plunge: np.ndarray) -> np.ndarray:
     """Per-sample stroke sign: +1 upstroke (plunge increasing), -1 downstroke.
 
     Uses periodic central differences with single-sample flickers removed by a
-    3-sample majority filter. Works along the last axis.
+    3-sample majority filter. Works along the last axis. The plunge is
+    unwrapped, so the wrapped neighbours are shifted by the series' net whole
+    turns: a wing that turns a whole revolution is all upstroke (or all
+    downstroke), and a flapping wing, with no net turn, is shifted by 0.0.
     """
-    p = np.concatenate([plunge[..., -1:], plunge, plunge[..., :1]], axis=-1)  # wrapped one sample each way
+    turn = 2.0 * math.pi * np.round((plunge[..., -1:] - plunge[..., :1]) / (2.0 * math.pi))
+    # wrapped one sample each way
+    p = np.concatenate([plunge[..., -1:] - turn, plunge, plunge[..., :1] + turn], axis=-1)
     up = p[..., 2:] - p[..., :-2] >= 0.0
     s = np.concatenate([up[..., -1:], up, up[..., :1]], axis=-1)
     # a sample unlike both its neighbours takes theirs

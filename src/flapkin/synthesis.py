@@ -5,17 +5,18 @@ bounded parameter box mapped onto a fixed mechanism topology, followed by a
 Nelder-Mead polish of the best candidate. Fully deterministic given the seed.
 
 The trial vectors of one generation are independent, so each generation is
-built as one block: only the random draws run row by row, in the order of a
-one-row-at-a-time loop, and mutation, clipping and crossover act on the
-(P, dim) population at once. Each generation (and the initial population) is
-costed in one `population_costs` call: the design space maps the (B, dim)
-block of candidates onto a marker table of the template, the dyad plan sweeps
-all B mechanisms at once, and `gait` measures the B wingbeats along the sample
-axis of (B, N) arrays; only a dyad root that switches at a change point is
-followed row by row. Templates the dyad plan cannot decompose are swept by
-Newton, all rows together. What a call needs but X does not change (the
-template's marker table, the columns to check, the crank angles) is built once.
-The wingbeat rules and metrics are `gait`'s; the cost only weighs them.
+built as one block: its random draws are five block calls (the three picks of
+every row, the crossover uniforms, the forced components), and mutation,
+clipping and crossover act on the (P, dim) population at once. Each
+generation (and the initial population) is costed in one `population_costs`
+call: the design space maps the (B, dim) block of candidates onto a marker
+table of the template, the dyad plan sweeps all B mechanisms at once, and
+`gait` measures the B wingbeats along the sample axis of (B, N) arrays; only
+a dyad root that switches at a change point is followed row by row. Templates
+the dyad plan cannot decompose are swept by Newton, all rows together. What a
+call needs but X does not change (the template's marker table, the columns to
+check, the crank angles) is built once. The wingbeat rules and metrics are
+`gait`'s; the cost only weighs them.
 
 The polish is batched the same way: each simplex step costs every point it
 might need (reflection, expansion and both contractions, or the N points of a
@@ -375,16 +376,29 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
 
 def _trial_block(rng: np.random.Generator, pop: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  f_weight: float = 0.7, crossover: float = 0.9) -> np.ndarray:
-    """One generation's rand/1/bin trial vectors, a row per member of pop (P, dim). Row i
-    draws, in this order, three distinct members other than i, dim crossover uniforms and
-    the component it always takes from its mutant; the rest acts on the whole block."""
+    """One generation's rand/1/bin trial vectors, a row per member of pop (P, dim).
+
+    The draws are five block calls, in this order: each row's first, second
+    and third pick among the P - 1, P - 2 and P - 3 members left (shifted past
+    the picks before it, then past the row itself), the (P, dim) crossover
+    uniforms and the component each row always takes from its mutant. Every
+    row's three picks are thus uniform over the ordered triples of distinct
+    members other than the row.
+    """
     size, dim = pop.shape
-    draws = [(rng.choice(size - 1, size=3, replace=False), rng.random(dim), rng.integers(dim)) for _ in range(size)]
-    picks, uniform, forced = map(np.array, zip(*draws))
-    r1, r2, r3 = (picks + (picks >= np.arange(size)[:, None])).T  # picks of the members less i, past i
+    r1 = rng.integers(size - 1, size=size)
+    r2 = rng.integers(size - 2, size=size)
+    r2 += r2 >= r1
+    r3 = rng.integers(size - 3, size=size)
+    r3 += r3 >= np.minimum(r1, r2)
+    r3 += r3 >= np.maximum(r1, r2)
+    uniform = rng.random((size, dim))
+    forced = rng.integers(dim, size=size)
+    rows = np.arange(size)
+    r1, r2, r3 = (r + (r >= rows) for r in (r1, r2, r3))
     mutant = np.clip(pop[r1] + f_weight * (pop[r2] - pop[r3]), lo, hi)
     cross = uniform < crossover
-    cross[np.arange(size), forced] = True
+    cross[rows, forced] = True
     return np.where(cross, mutant, pop)
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import math
 
@@ -42,6 +43,15 @@ def fb_mech(fb_example) -> Mechanism:
 @pytest.fixture
 def armwing() -> Mechanism:
     return two_stage_armwing()
+
+
+def parallelogram_wing() -> Mechanism:
+    """The (4, 2, 4, 2) parallelogram with its rocker as the wing: the plunge
+    tracks the crank through a whole revolution."""
+    m = fourbar_mechanism(FourBar(4, 2, 4, 2))
+    return dataclasses.replace(
+        m, shoulder=("ground", "tip"), wingtip=("rocker", "tip"),
+        wing_polygon=(("ground", "origin"), ("ground", "tip"), ("rocker", "tip")))
 
 
 def marker_world(m: Mechanism, c: Configuration, link_id: str, marker: str) -> Point2:
@@ -182,11 +192,17 @@ def reference_metrics(gt: GaitTrajectory, transmission: np.ndarray | None = None
     library's batched rules: loop-built stroke signs (periodic central
     differences, one-sample flickers taken from the previous sample),
     boolean-mask means for the area ratio, `up.all() or down.all()` for stroke
-    reversal, and 0.5 * (max - min) for the amplitude."""
+    reversal, and 0.5 * (max - min) for the amplitude. The unwrapped plunge
+    continues past either end by the wingbeat's net whole turns."""
     if gt.samples < 8:
         raise ValueError("need >= 8 samples")
     n, plunge = gt.samples, gt.plunge
-    raw = [1 if plunge[(k + 1) % n] - plunge[k - 1] >= 0.0 else -1 for k in range(n)]
+    turns = round(float(plunge[-1] - plunge[0]) / (2.0 * math.pi))
+
+    def at(k):  # plunge at sample k of the periodic series, whole turns added past either end
+        return plunge[k % n] + 2.0 * math.pi * turns * (k // n)
+
+    raw = [1 if at(k + 1) - at(k - 1) >= 0.0 else -1 for k in range(n)]
     sign = [raw[k - 1] if raw[k] != raw[k - 1] and raw[k] != raw[(k + 1) % n] else raw[k] for k in range(n)]
     up = np.array(sign) > 0
     down = ~up

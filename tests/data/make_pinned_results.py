@@ -9,8 +9,12 @@ on two design spaces for a few seeds and keeps the winners.
 `pinned_costs.json` and the CSVs were written at commit 099b888, the last one
 that placed dyad links by angle (arctan2, then cos and sin);
 `pinned_triad.npz` at commit 7b6bf05, the last one that swept Newton rows one
-by one; `pinned_winners.json` at commit 1555f38, the last one that built the
-differential evolution's trial vectors row by row. Run it again only to pin a
+by one; `pinned_winners.json` at the child of commit cfbe9a8, the first one
+that draws each differential evolution generation in five block calls and
+takes the reach as a complex modulus. Four rows of the recovery_3x box in
+`pinned_costs.json` turn a whole revolution; their costs were set to the
+no-reversal sentinel 1e5 by hand when `gait.stroke_phases` began to continue
+the plunge past the seam by its net whole turns. Run it again only to pin a
 deliberate change of results, naming only the files that change.
 """
 from __future__ import annotations
@@ -72,7 +76,8 @@ def write_triad() -> None:
 
 def write_winners() -> None:
     doc = {"note": "synthesize winners (parameters and cost as hex floats) of each box of "
-                   "tests/test_pinned_results.py at the budget below",
+                   "tests/test_pinned_results.py at the budget below, pinned at the child of "
+                   "commit cfbe9a8, which draws each DE generation in five block calls",
            "budget": WINNER_BUDGET,
            "winners": {box: [winner_record(box, seed) for seed in seeds] for box, seeds in WINNER_SEEDS.items()}}
     (HERE / "pinned_winners.json").write_text(json.dumps(doc, indent=1) + "\n")

@@ -24,16 +24,9 @@ from flapkin.gait import (
 )
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import Branch, Configuration, sweep_arrays
-from flapkin.mechanism import FourBar, Link, LinkRole, Mechanism, fourbar_mechanism
+from flapkin.mechanism import Link, LinkRole, Mechanism, fourbar_mechanism
 
-from conftest import make_plunge_gait, marker_world, plunge_angle, reference_metrics, wing_area
-
-
-def parallelogram_wing() -> Mechanism:
-    m = fourbar_mechanism(FourBar(4, 2, 4, 2))
-    return dataclasses.replace(
-        m, shoulder=("ground", "tip"), wingtip=("rocker", "tip"),
-        wing_polygon=(("ground", "origin"), ("ground", "tip"), ("rocker", "tip")))
+from conftest import make_plunge_gait, marker_world, parallelogram_wing, plunge_angle, reference_metrics, wing_area
 
 
 class TestPolygonArea:
@@ -167,6 +160,16 @@ class TestMetrics:
                             np.full(samples, 0.01), np.ones((samples, 2)))
         with pytest.raises(NoStrokeReversalError):
             gait_metrics(gt)
+
+    @pytest.mark.parametrize("samples", [64, 128])
+    def test_whole_turn_is_no_stroke_reversal(self, samples):
+        # the parallelogram's plunge turns one revolution: upstroke at the seam too
+        gt = generate_gait(parallelogram_wing(), 1.0, samples)
+        assert (stroke_phases(gt.plunge) == 1).all()
+        with pytest.raises(NoStrokeReversalError):
+            gait_metrics(gt)
+        with pytest.raises(NoStrokeReversalError):
+            reference_metrics(gt)
 
     def test_crank_rocker_amplitude_half_rocker_swing(self, fb_example):
         m = fourbar_mechanism(fb_example)

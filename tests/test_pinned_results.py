@@ -9,9 +9,9 @@ before link rotations replaced link angles. It also recorded Newton sweeps of
 a block of triad eight-bar rows (`triad_space`), some of which stop partway
 or fail at the first sample, at the last commit that swept Newton rows one by
 one. And it recorded the winners of `synthesize` runs on the recovery box and
-the shipped armwing design space (`WINNER_SEEDS`), at the commit before the
-differential evolution built its trial vectors as one block; those must hold
-bit for bit.
+the shipped armwing design space (`WINNER_SEEDS`), at the commit that began to
+draw each differential evolution generation in five block calls; those must
+hold bit for bit.
 """
 from __future__ import annotations
 
