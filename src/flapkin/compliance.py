@@ -144,7 +144,7 @@ class _Potential:
         for idx, p, f in self.forces:
             H[idx + 2, idx + 2] += float(f @ self._rotated(qp, idx, p))
         angles = np.arange(2, len(H), 3)  # the padded q's angle columns are `sys`'s pose slots
-        H[angles, angles] += self.sys._angle_curvature(q, lam)
+        H[angles, angles] += self.sys.angle_curvature(q, lam)
         return H[:-3, :-3]
 
 

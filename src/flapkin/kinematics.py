@@ -310,8 +310,8 @@ def _plan(m: Mechanism) -> _Plan:
                      tuple(span(lid, own, end) for lid, (own, _, _), end
                            in zip(links, pins, shared or [own for own, _, _ in pins[1:]])))
                     for kind, links, pins, shared in steps)
-    sides = fourbar_sides(m)
-    sides = None if sides is None else ([span(*side) for side in sides], sides[3][0])
+    loop = fourbar_sides(m)
+    sides = None if loop is None else ([span(*side) for side in loop[0]], loop[0][3][0])
     dyadic = (bool(steps) and steps[0][0] == "crank" and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
               and all(step[0] in ("crank", "dyad") for step in steps))
     first_dyad = next((links[0] for kind, links, _, _ in steps if kind == "dyad"), None)
@@ -604,7 +604,7 @@ class ConstraintSystem:
         J.reshape(len(q2), -1)[:, c.angle_cells] = turned.view(float).reshape(len(q2), -1)
         return J[..., :self.n] if q.ndim == 2 else J[0, :, :self.n]
 
-    def _angle_curvature(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def angle_curvature(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """d^2(lam . Phi)/d angle^2 of each pose slot at a 1-D q, the ground's
         last: joint r's rows are + R_a p_a - R_b p_b plus the origins, and
         d^2(R p)/d angle^2 = -R p. Phi is linear in the positions and its

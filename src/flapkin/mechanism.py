@@ -357,71 +357,37 @@ def fourbar_mechanism(fb: FourBar) -> Mechanism:
 
 @dataclass(frozen=True)
 class FourBarView:
-    """A four-bar loop recognized inside a Mechanism, with link/joint naming."""
+    """A four-bar loop recognized inside a Mechanism."""
 
     fourbar: FourBar
-    ground: str
-    crank: str
-    coupler: str
-    rocker: str
-    crank_joint: str       # ground-crank pin
-    coupler_joint: str     # crank-coupler pin
     follower_joint: str    # coupler-rocker pin (transmission joint)
-    rocker_joint: str      # ground-rocker pin
 
 
-def _joint_between(m: Mechanism, a: str, b: str) -> Joint | None:
-    found = [j for j in m.joints if {j.link_a, j.link_b} == {a, b}]
-    return found[0] if len(found) == 1 else None
-
-
-def _marker_on(j: Joint, link_id: str) -> str:
-    return j.marker_a if j.link_a == link_id else j.marker_b
-
-
-def _fourbar_loop(m: Mechanism) -> tuple[Joint, Joint, Joint, Joint] | None:
-    """Crank, coupler, follower and ground-rocker joints of a mechanism that is
-    exactly one four-bar loop, by topology alone; else None."""
-    if len(m.links) != 4 or len(m.joints) != 4:
+def fourbar_sides(m: Mechanism) -> tuple[tuple[tuple[str, str, str], ...], str] | None:
+    """The ground, crank, coupler and rocker sides, each (link, marker, marker),
+    and the coupler-rocker joint of a mechanism that is exactly one four-bar
+    loop, by topology alone; else None. One walk goes ground -> crank ->
+    coupler -> rocker -> ground. A side's length is the distance between its
+    two markers; the ground side runs from the crank pivot, the crank and
+    rocker sides from their ground pins and the coupler side from the crank."""
+    adj, joint = m.adjacency(), m.actuated_joint()
+    if (len(m.links) != 4 or len(m.joints) != 4 or [len(js) for js in adj.values()] != [2] * 4
+            or joint is None or m.ground not in (joint.link_a, joint.link_b)):
         return None
-    act = m.actuated_joint()
-    if act is None or m.ground not in (act.link_a, act.link_b):
+    walk = [(m.ground, joint)]  # every link has two joints, so the walk returns to the ground
+    while (lid := joint.other(walk[-1][0])) != m.ground:
+        joint = next(j for j in adj[lid] if j is not joint)
+        walk.append((lid, joint))
+    if len(walk) != 4:
         return None
-    crank = act.other(m.ground)
-    adj = m.adjacency()
-    if any(len(js) != 2 for js in adj.values()):
-        return None
-    coupler_joints = [j for j in adj[crank] if j is not act]
-    if len(coupler_joints) != 1:
-        return None
-    j_a = coupler_joints[0]
-    coupler = j_a.other(crank)
-    follower_candidates = [j for j in adj[coupler] if j is not j_a]
-    if len(follower_candidates) != 1:
-        return None
-    j_b = follower_candidates[0]
-    rocker = j_b.other(coupler)
-    j_g = _joint_between(m, m.ground, rocker)
-    if j_g is None or rocker == m.ground or rocker == crank:
-        return None
-    return act, j_a, j_b, j_g
+    (ground, j_crank), (crank, j_a), (coupler, j_b), (rocker, j_g) = walk
 
+    def marker(j: Joint, lid: str) -> str:
+        return j.marker_a if j.link_a == lid else j.marker_b
 
-def _loop_sides(m: Mechanism, loop: tuple[Joint, Joint, Joint, Joint]) -> tuple[tuple[str, str, str], ...]:
-    act, j_a, j_b, j_g = loop
-    crank = act.other(m.ground)
-    coupler, rocker = j_a.other(crank), j_g.other(m.ground)
-    return tuple((lid, _marker_on(j1, lid), _marker_on(j2, lid))
-                 for lid, j1, j2 in ((m.ground, act, j_g), (crank, act, j_a),
-                                     (coupler, j_a, j_b), (rocker, j_g, j_b)))
-
-
-def fourbar_sides(m: Mechanism) -> tuple[tuple[str, str, str], ...] | None:
-    """(link, marker, marker) of the ground, crank, coupler and rocker sides of
-    a mechanism that is exactly one four-bar loop, by topology alone; else None.
-    A side's length is the distance between its two markers."""
-    loop = _fourbar_loop(m)
-    return None if loop is None else _loop_sides(m, loop)
+    return tuple((lid, marker(j1, lid), marker(j2, lid))
+                 for lid, j1, j2 in ((ground, j_crank, j_g), (crank, j_crank, j_a),
+                                     (coupler, j_a, j_b), (rocker, j_g, j_b))), j_b.id
 
 
 def fourbar_lengths_valid(lengths) -> np.ndarray:
@@ -435,14 +401,14 @@ def fourbar_lengths_valid(lengths) -> np.ndarray:
 
 def as_fourbar(m: Mechanism) -> FourBarView | None:
     """Recognize a mechanism that is exactly one four-bar loop, else None."""
-    loop = _fourbar_loop(m)
+    loop = fourbar_sides(m)
     if loop is None:
         return None
-    sides = _loop_sides(m, loop)
+    sides, follower = loop
     lengths = tuple((m.link(lid).marker(m2) - m.link(lid).marker(m1)).norm() for lid, m1, m2 in sides)
     if not fourbar_lengths_valid(lengths):
         return None
-    return FourBarView(FourBar(*lengths), *(lid for lid, _, _ in sides), *(j.id for j in loop))
+    return FourBarView(FourBar(*lengths), follower)
 
 
 def scale_mechanism(m: Mechanism, factor: float) -> Mechanism:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from flapkin.mechanism import (
     Mechanism,
     as_fourbar,
     fourbar_mechanism,
+    fourbar_sides,
     grashof_classify,
     mobility,
     scale_mechanism,
@@ -141,6 +143,45 @@ class TestRecognizer:
 
     def test_sixbar_not_recognized(self, armwing):
         assert as_fourbar(armwing) is None
+
+    @pytest.mark.parametrize("relabel", [
+        lambda js: js,
+        lambda js: js[::-1],
+        lambda js: tuple(replace(j, link_a=j.link_b, marker_a=j.marker_b, link_b=j.link_a, marker_b=j.marker_a)
+                         for j in js),
+    ], ids=["as-declared", "joints-in-another-order", "link-a-b-swapped"])
+    def test_relabelled_fourbar_recognized(self, fb_mech, relabel):
+        m = replace(fb_mech, joints=relabel(fb_mech.joints))
+        # the ground side runs from the crank pivot, the coupler's from the crank pin
+        # and the crank's and rocker's from their ground pins: origin to tip on each
+        assert fourbar_sides(m) == (tuple((lid, "origin", "tip") for lid in ("ground", "crank", "coupler", "rocker")),
+                                    "j_b")
+        assert as_fourbar(m).fourbar.lengths == as_fourbar(fb_mech).fourbar.lengths
+        assert as_fourbar(m).follower_joint == "j_b"
+
+    @pytest.mark.parametrize("joints", [
+        # ground-crank and coupler-rocker double joints: two 2-cycles
+        (Joint("j0", "ground", "origin", "crank", "origin", actuated=True),
+         Joint("j1", "ground", "tip", "crank", "tip"),
+         Joint("j2", "coupler", "origin", "rocker", "origin"),
+         Joint("j3", "coupler", "tip", "rocker", "tip")),
+        # the loop of the canonical four-bar, driven at the crank-coupler pin
+        (Joint("j_crank", "ground", "origin", "crank", "origin"),
+         Joint("j_a", "crank", "tip", "coupler", "origin", actuated=True),
+         Joint("j_b", "coupler", "tip", "rocker", "tip"),
+         Joint("j_ground_rocker", "ground", "tip", "rocker", "origin")),
+        # a ground-crank-coupler triangle with the rocker hung from the coupler
+        (Joint("j0", "ground", "origin", "crank", "origin", actuated=True),
+         Joint("j1", "crank", "tip", "coupler", "origin"),
+         Joint("j2", "coupler", "cp", "rocker", "origin"),
+         Joint("j3", "coupler", "tip", "ground", "tip")),
+        # the canonical four-bar plus a fifth pin
+        (*fourbar_mechanism(FourBar(6.0, 2.0, 5.0, 5.0)).joints, Joint("j5", "crank", "tip", "rocker", "tip")),
+    ], ids=["double-joints", "actuator-off-ground", "triangle-plus-one", "five-joints"])
+    def test_not_one_fourbar_loop(self, fb_mech, joints):
+        m = replace(fb_mech, joints=joints)
+        assert fourbar_sides(m) is None
+        assert as_fourbar(m) is None
 
 
 class TestScaleMechanism:
