@@ -11,7 +11,9 @@ or fail at the first sample, at the last commit that swept Newton rows one by
 one. And it recorded the winners of `synthesize` runs on the recovery box and
 the shipped armwing design space (`WINNER_SEEDS`), at the commit that began to
 draw each differential evolution generation in five block calls; those must
-hold bit for bit.
+hold bit for bit. Last, it recorded the equilibria (poses or error, and the
+number of warnings) of the compliance tests' `_pinned_cases`, at the last
+commit that compiled the Newton constraint system apart from the dyad plan.
 """
 from __future__ import annotations
 
@@ -23,7 +25,10 @@ import numpy as np
 import pytest
 
 from conftest import recovery_space, run_cli, triad_eight_bar
+from test_compliance import _outcome, _pinned_cases
 from flapkin.cli import _load_space, _load_spec
+from flapkin.compliance import solve_equilibrium
+from flapkin.designs import two_stage_armwing
 from flapkin.kinematics import sweep_arrays
 from flapkin.synthesis import (
     ASSEMBLY_FAILURE_COST,
@@ -142,3 +147,21 @@ def test_synthesis_winners_match_pinned(box):
     want = json.loads((PINNED / "pinned_winners.json").read_text())["winners"][box]
     assert [w["seed"] for w in want] == list(WINNER_SEEDS[box])
     assert [winner_record(box, w["seed"]) for w in want] == want
+
+
+def test_equilibria_match_pinned():
+    want = np.load(PINNED / "pinned_equilibria.npz")
+    cases = list(_pinned_cases(two_stage_armwing()))
+    assert len(cases) == len(want["errors"]) == 71
+    for (m, theta, load), poses, error, warned in zip(cases, want["poses"], want["errors"], want["warnings"]):
+        result, caught = _outcome(lambda: solve_equilibrium(m, theta, load))
+        assert len(caught) == warned, (theta, load)
+        if error:
+            assert result == error, (theta, load)
+            continue
+        assert not isinstance(result, str), (theta, result)
+        got = np.frombuffer(result).reshape(-1, 3)
+        assert np.isnan(poses[len(got):]).all()
+        assert np.abs(got - poses[:len(got)]).max() <= 1e-12, (theta, load)
+    # the large-deflection warnings are among them
+    assert want["warnings"].any()
