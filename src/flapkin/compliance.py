@@ -21,6 +21,7 @@ from .errors import ConvergenceError, LargeDeflectionWarning
 from .geometry import Point2
 from .kinematics import (
     DEFAULT_SETTINGS,
+    MAX_ITERATIONS,
     Configuration,
     ConstraintSystem,
     SolveSettings,
@@ -81,22 +82,19 @@ def elastic_energy(m: Mechanism, c: Configuration) -> float:
 class _Potential:
     """Total potential V(q) = elastic - load work, over moving-link poses,
     with the Hessian of the Lagrangian V + lam.c of the constraints c of `sys`.
-    A link is the column of its x in q padded with the ground's pose (0, 0, 0),
-    whose entries the gradient and the Hessian then drop."""
+    A link is the column of its x in q led by the ground's pose (0, 0, 0), 3
+    times its slot in sys.plan.ids; the gradient and the Hessian then drop the
+    ground's entries."""
 
     def __init__(self, m: Mechanism, load: LoadCase, sys: ConstraintSystem):
-        col = {lid: 3 * i for i, lid in enumerate(sys.moving)}
-        self.springs = []
-        for j in _hinges(m):
-            self.springs.append((col.get(j.link_a, sys.n), col.get(j.link_b, sys.n),
-                                 j.kind.stiffness, j.kind.rest_angle))
-        self.forces = []
-        for lid, marker, f in load.forces:
-            self.forces.append((col.get(lid, sys.n), m.link(lid).marker(marker).as_array(), f.as_array()))
+        col = {lid: 3 * i for i, lid in enumerate(sys.plan.ids)}
+        self.springs = [(col[j.link_a], col[j.link_b], j.kind.stiffness, j.kind.rest_angle) for j in _hinges(m)]
+        self.forces = [(col[lid], m.link(lid).marker(marker).as_array(), f.as_array())
+                       for lid, marker, f in load.forces]
         self.moments = []
         for jid, mom in load.moments:
             j = m.joint(jid)
-            self.moments.append((col.get(j.link_a, sys.n), col.get(j.link_b, sys.n), mom))
+            self.moments.append((col[j.link_a], col[j.link_b], mom))
         self.sys = sys
         self.k_max = max((s[2] for s in self.springs), default=1.0)
 
@@ -107,7 +105,7 @@ class _Potential:
         return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1]])
 
     def value(self, q: np.ndarray) -> float:
-        qp, v = np.append(q, (0.0, 0.0, 0.0)), 0.0
+        qp, v = np.append((0.0, 0.0, 0.0), q), 0.0
         for ia, ib, k, rest in self.springs:
             d = hinge_deflection(qp[ia + 2], qp[ib + 2], rest)
             v += 0.5 * k * d * d
@@ -118,7 +116,7 @@ class _Potential:
         return v
 
     def grad(self, q: np.ndarray) -> np.ndarray:
-        qp = np.append(q, (0.0, 0.0, 0.0))
+        qp = np.append((0.0, 0.0, 0.0), q)
         g = np.zeros_like(qp)
         for ia, ib, k, rest in self.springs:
             d = hinge_deflection(qp[ia + 2], qp[ib + 2], rest)
@@ -130,13 +128,13 @@ class _Potential:
         for ia, ib, mom in self.moments:
             g[ib + 2] -= mom
             g[ia + 2] += mom
-        return g[:-3]
+        return g[3:]
 
     def hessian(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Hessian of V + lam.c. Only the angle block is nonzero: positions
         enter linearly, d^2(R p)/d angle^2 = -R p, and moments and the drive
         row are linear in the angles."""
-        qp = np.append(q, (0.0, 0.0, 0.0))
+        qp = np.append((0.0, 0.0, 0.0), q)
         T = np.zeros((len(self.springs), len(qp)))  # each spring's deflection as a row over qp
         ends = np.array([s[:2] for s in self.springs], dtype=np.intp).reshape(-1, 2)
         T[np.arange(len(T))[:, None], ends + 2] = (-1.0, 1.0)
@@ -145,7 +143,7 @@ class _Potential:
             H[idx + 2, idx + 2] += float(f @ self._rotated(qp, idx, p))
         angles = np.arange(2, len(H), 3)  # the padded q's angle columns are `sys`'s pose slots
         H[angles, angles] += self.sys.angle_curvature(q, lam)
-        return H[:-3, :-3]
+        return H[3:, 3:]
 
 
 def projected_gradient(gradient: np.ndarray, J: np.ndarray | None) -> np.ndarray:
@@ -172,7 +170,7 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
     J, g = sys.jacobian(q), pot.grad(q)
     lam = np.linalg.lstsq(J.T, -g, rcond=None)[0]
     F = kkt(q, lam, J, g)
-    for _ in range(settings.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if np.linalg.norm(F[:n]) <= tol_g and np.linalg.norm(F[n:]) <= tol_c:
             return q
         rows = len(lam)
@@ -204,16 +202,14 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
     return q
 
 
-def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase,
-                      settings: SolveSettings = DEFAULT_SETTINGS,
-                      guess: Configuration | None = None) -> Configuration:
+def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase) -> Configuration:
     """Quasi-static equilibrium of the compliant chain under a load case.
 
     One Lagrange-Newton solve on the KKT conditions with the analytic Hessian
     of the Lagrangian. The actuated joint, when present, is locked at theta;
     every other joint is a free pin, sprung when compliant. The solve starts
-    from each of the `start_block` starts (`guess`, or else the dyad plan's)
-    in turn until one converges, as `assemble` does: for a mobility-one chain
+    from each of the dyad plan's `start_block` starts in turn until one
+    converges, as `assemble` does without a guess: for a mobility-one chain
     the dyad plan already closes, and open-chain links start at orientation
     zero. Raises ConvergenceError when no start reaches stationarity and
     closure within 100x the tolerance; warns LargeDeflectionWarning past pi/2
@@ -221,17 +217,17 @@ def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase,
     """
     sys = ConstraintSystem(m)
     pot = _Potential(m, load, sys)
-    starts, tried = start_block(sys, theta, guess)
+    starts, tried = start_block(sys, theta)
     for start in starts[0, tried[0]]:
         try:
-            q = _lagrange_newton(sys, pot, start, theta, settings)
+            q = _lagrange_newton(sys, pot, start, theta, DEFAULT_SETTINGS)
             break
         except ConvergenceError as e:
             error = e
     else:
         raise error
 
-    qp = np.append(q, (0.0, 0.0, 0.0))
+    qp = np.append((0.0, 0.0, 0.0), q)
     for j, (ia, ib, _, rest) in zip(_hinges(m), pot.springs):
         if abs(d := hinge_deflection(qp[ia + 2], qp[ib + 2], rest)) > math.pi / 2:
             warnings.warn(f"hinge {j.id!r} deflection {d:.3f} rad exceeds pi/2",

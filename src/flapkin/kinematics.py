@@ -73,16 +73,15 @@ class Configuration:
 @dataclass(frozen=True)
 class SolveSettings:
     tolerance: float = 1e-10
-    max_iterations: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 DEFAULT_SETTINGS = SolveSettings()
+MAX_ITERATIONS = 50  # Newton steps per solve, here and in the compliance layer
+RCOND_FLOOR = 1e-10  # `velocities` calls a Jacobian singular below this ratio of singular values
 
 
 def _complex(a: np.ndarray) -> np.ndarray:
@@ -91,16 +90,16 @@ def _complex(a: np.ndarray) -> np.ndarray:
     return a.view(np.complex128)[..., 0]
 
 
-class Markers(dict[tuple[str, str], tuple[float | np.ndarray, float | np.ndarray]]):
-    """Marker table of B mechanisms sharing one topology: (link, marker) -> (x, y)
-    in the link frame, each an array of shape (B, 1), or a float where all rows
-    agree. A sweep reads the markers its plan needs into one (B, M) block
-    (`_points`) when it starts, so a table may be edited between sweeps."""
+# Marker table of B mechanisms sharing one topology: (link, marker) -> (x, y)
+# in the link frame, each an array of shape (B, 1), or a float where all rows
+# agree. A sweep reads the markers its plan needs into one (B, M) block
+# (`_points`) when it starts, so a table may be edited between sweeps.
+Markers = dict[tuple[str, str], tuple[float | np.ndarray, float | np.ndarray]]
 
 
 def marker_table(m: Mechanism) -> Markers:
     """The one-row marker table of a mechanism."""
-    return Markers({(l.id, k): (float(p.x), float(p.y)) for l in m.links for k, p in l.markers.items()})
+    return {(l.id, k): (float(p.x), float(p.y)) for l in m.links for k, p in l.markers.items()}
 
 
 def _rows(markers: Markers) -> int:
@@ -259,15 +258,21 @@ def _decompose(m: Mechanism) -> list[tuple]:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A topology's `_decompose` steps in index form. Pose slots are positions
-    in `ids`, the ground first; a sweep reads the markers `refs` into the
-    columns of a `_points` block, and `_spans` of the column pairs `spans`.
-    A step is (kind, slots, pins, owns, spans): its links' pose slots, each
-    pin's placed (slot, column), the column of each link's own pinned marker,
-    and the span from it to the link's second pin (rigid) or shared joint
-    (dyad). `dyadic`: crank and dyads solve the whole chain (a square system);
-    `sides`: the spans of the four-bar loop it is, if it is one, whose open
-    branch (coupler-rocker triangle keeping its orientation) is `open_sign`."""
+    """A topology compiled once, for the dyad plan and Newton alike. Pose slots
+    are positions in `ids`, the ground first; a sweep reads the markers `refs`
+    into the columns of a `_points` block, and `_spans` of the column pairs
+    `spans`. A step is (kind, slots, pins, owns, spans): its links' pose
+    slots, each pin's placed (slot, column), the column of each link's own
+    pinned marker, and the span from it to the link's second pin (rigid) or
+    shared joint (dyad). `dyadic`: crank and dyads solve the whole chain (a
+    square system); `sides`: the spans of the four-bar loop it is, if it is
+    one, whose open branch (coupler-rocker triangle keeping its orientation)
+    is `open_sign`. The Newton system's q holds the (x, y, angle) of each link
+    of ids[1:], `crank`'s angle at column `drive`; joint r's ends, (link,
+    marker) on link a then link b, are ends[2r:2r + 2] in slots[r]. Its
+    Jacobian is a constant +-1 `template` over the slots' columns (the
+    ground's three first) whose angle entries, at the flat indices
+    `angle_cells`, `ConstraintSystem.jacobian` fills in."""
 
     ids: tuple[str, ...]
     refs: tuple[tuple[str, str], ...]
@@ -276,6 +281,12 @@ class _Plan:
     dyadic: bool
     sides: list[int] | None
     open_sign: float
+    crank: str | None
+    drive: int | None
+    ends: tuple[tuple[str, str], ...]  # (2J,)
+    slots: np.ndarray  # (J, 2)
+    template: np.ndarray  # (2J, 3L), and the drive row with a crank
+    angle_cells: np.ndarray  # (4J,)
 
 
 def _per_topology(build):
@@ -315,8 +326,20 @@ def _plan(m: Mechanism) -> _Plan:
     dyadic = (bool(steps) and steps[0][0] == "crank" and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
               and all(step[0] in ("crank", "dyad") for step in steps))
     first_dyad = next((links[0] for kind, links, _, _ in steps if kind == "dyad"), None)
+    crank = steps[0][1][0] if steps and steps[0][0] == "crank" else None
+    slot = {lid: i for i, lid in enumerate(ids)}  # a link not in ids is pinned at the ground's slot
+    ends = tuple(end for j in m.joints for end in ((j.link_a, j.marker_a), (j.link_b, j.marker_b)))
+    slots = np.array([slot.get(lid, 0) for lid, _ in ends], dtype=np.intp).reshape(-1, 2)
+    r, x, width = 2 * np.arange(len(slots))[:, None], 3 * slots, 3 * len(ids)  # joints' first rows, ends' x
+    template = np.zeros((2 * len(slots) + (crank is not None), width))
+    template[r, x] = (1.0, -1.0)  # the gap: link a's marker less link b's
+    template[r + 1, x + 1] = (1.0, -1.0)
+    if crank is not None:
+        template[-1, 3 * slot[crank] + 2] = 1.0
+    angle_cells = np.stack([r * width + x + 2, (r + 1) * width + x + 2], axis=-1).ravel()
     return _Plan(ids, tuple(refs), np.array(list(spans), dtype=np.intp).reshape(-1, 2), program, dyadic,
-                 sides and sides[0], -1.0 if sides and first_dyad == sides[1] else 1.0)
+                 sides and sides[0], -1.0 if sides and first_dyad == sides[1] else 1.0,
+                 crank, None if crank is None else 3 * slot[crank] - 1, ends, slots, template, angle_cells)
 
 
 def _turn(w: np.ndarray, length, unit_conj, out: np.ndarray) -> np.ndarray:
@@ -487,7 +510,7 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
                 else guess.branch if guess else None for s, fb in zip(first.tolist(), is_fourbar.tolist())]
     errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
     return PoseBatch(list(plan.ids), thetas, origins, rotations, failed_at, errors, markers, branches,
-                     crank=plan.ids[plan.steps[0][1][0]], guess=guess)
+                     crank=plan.crank, guess=guess)
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
@@ -504,116 +527,73 @@ def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Co
 # General Newton solver
 
 
-@dataclass(frozen=True)
-class _Constraints:
-    """What a topology fixes of its `ConstraintSystem`. q holds the (x, y,
-    angle) of each link of `moving`; a joint's two ends, (link, marker) on
-    link a then link b, sit in pose slots, a moving link's index or the last
-    slot, the ground's, at the identity pose. The Jacobian is a constant +-1
-    `template` over q and the ground's slot whose angle entries, at the flat
-    indices `angle_cells`, `jacobian` fills in."""
-
-    moving: tuple[str, ...]
-    crank_link: str | None
-    drive: int | None  # the crank's angle column of q
-    ends: tuple[tuple[str, str], ...]  # (2J,)
-    slots: np.ndarray  # (J, 2)
-    template: np.ndarray  # (rows, n + 3)
-    angle_cells: np.ndarray  # (4J,)
-
-
-@_per_topology
-def _constraints(m: Mechanism) -> _Constraints:
-    moving = m.moving_link_ids()
-    slot = {lid: i for i, lid in enumerate(moving)}
-    act = m.actuated_joint()
-    crank = act.other(m.ground) if act is not None else None
-    n = 3 * len(moving)
-    ends = tuple(end for j in m.joints for end in ((j.link_a, j.marker_a), (j.link_b, j.marker_b)))
-    slots = np.array([slot.get(lid, len(moving)) for lid, _ in ends], dtype=np.intp).reshape(-1, 2)
-    r = 2 * np.arange(len(slots))[:, None]  # each joint's first row
-    x = 3 * slots  # its ends' x columns
-    template = np.zeros((2 * len(slots) + (act is not None), n + 3))
-    template[r, x] = (1.0, -1.0)  # the gap: link a's marker less link b's
-    template[r + 1, x + 1] = (1.0, -1.0)
-    drive = 3 * slot[crank] + 2 if crank else None
-    if crank:
-        template[-1, drive] = 1.0
-    angle_cells = np.stack([r * (n + 3) + x + 2, (r + 1) * (n + 3) + x + 2], axis=-1).ravel()
-    return _Constraints(moving, crank, drive, ends, slots, template, angle_cells)
-
-
 class ConstraintSystem:
     """Joint-coincidence constraints and the crank drive row, Phi(q, theta) = 0
     (Haug 1989, ch. 3), of the B mechanisms of a marker table (m's own by
-    default) sharing m's topology: rows 2r, 2r + 1 are joint r's world gap (its
-    marker on link a less its marker on link b), the last the crank angle less
-    theta. q holds the (x, y, angle) of each link of `moving`; `residual` and
-    `jacobian` take a (B, n) block of table rows (`rows`, all by default) or
-    one row as a 1-D q, and do the same arithmetic on every row."""
+    default) sharing m's topology, as its `plan` compiles them: rows 2r,
+    2r + 1 are joint r's world gap (its marker on link a less its marker on
+    link b), the last the crank angle less theta. q holds the (x, y, angle) of
+    each link of plan.ids[1:]; `residual` and `jacobian` take a (B, n) block of
+    table rows (`rows`, all by default) or one row as a 1-D q, and do the same
+    arithmetic on every row."""
 
     def __init__(self, m: Mechanism, markers: Markers | None = None):
-        self.m = m
+        self.plan = plan = _plan(m)
         self._markers = marker_table(m) if markers is None else markers
-        self._c = c = _constraints(m)
-        self.moving, self.crank_link = c.moving, c.crank_link
-        self.n, self.rows = 3 * len(c.moving), len(c.template)
+        self.n, self.rows = 3 * len(plan.ids) - 3, len(plan.template)
         rows = 1 if markers is None else _rows(markers)
-        coords = [v for end in c.ends for v in self._markers[end]]
-        if all(isinstance(v, float) for v in coords):  # the rows share the joints' markers
-            xy = np.array([coords]).repeat(rows, axis=0)
-        else:
-            xy = np.hstack([np.broadcast_to(v, (rows, 1)) for v in coords])
-        self._points = xy.view(complex).reshape(rows, -1, 2)  # (B, J, 2): each joint's markers, x + iy
-        self._turned = self._points * np.array([1j, -1j])  # an end's d(+-R p)/d angle is R times this
+        # (B, J, 2): each joint's markers, x + iy; an end's d(+-R p)/d angle is R times `_turned`
+        self._points = _points(self._markers, plan.ends, rows).reshape(rows, -1, 2)
+        self._turned = self._points * np.array([1j, -1j])
 
     def q_from(self, c: Configuration) -> np.ndarray:
-        poses = [c.pose(lid) for lid in self.moving]
+        poses = [c.pose(lid) for lid in self.plan.ids[1:]]
         return np.array([(p.origin.x, p.origin.y, p.angle) for p in poses], dtype=float).reshape(-1)
 
     def config_from(self, q: np.ndarray, theta: float, branch: Branch | None = None) -> Configuration:
-        poses = {self.m.ground: IDENTITY_POSE}
-        for lid, (x, y, a) in zip(self.moving, np.reshape(q, (-1, 3)).tolist()):
+        ground, *moving = self.plan.ids
+        poses = {ground: IDENTITY_POSE}
+        for lid, (x, y, a) in zip(moving, np.reshape(q, (-1, 3)).tolist()):
             poses[lid] = Pose(Point2(x, y), a)
         return Configuration(float(theta), poses, branch)
 
     def _rotations(self, q: np.ndarray) -> np.ndarray:
-        """(B, L + 1) rotations cos + i sin of the pose slots of a (B, n) block."""
-        angles = np.zeros((len(q), len(self.moving) + 1))
-        angles[:, :-1] = q[:, 2::3]
+        """(B, L) rotations cos + i sin of the pose slots of a (B, n) block."""
+        angles = np.zeros((len(q), len(self.plan.ids)))
+        angles[:, 1:] = q[:, 2::3]
         return np.exp(1j * angles)
 
     def residual(self, q: np.ndarray, theta: float, rows=slice(None)) -> np.ndarray:
-        c, q2 = self._c, np.atleast_2d(q)
-        origin = np.zeros((len(q2), len(self.moving) + 1), dtype=complex)
-        origin.real[:, :-1] = q2[:, 0::3]
-        origin.imag[:, :-1] = q2[:, 1::3]
-        rotations = self._rotations(q2).take(c.slots, axis=1)
-        world = origin.take(c.slots, axis=1) + rotations * self._points[rows]
+        plan, q2 = self.plan, np.atleast_2d(q)
+        origin = np.zeros((len(q2), len(plan.ids)), dtype=complex)
+        origin.real[:, 1:] = q2[:, 0::3]
+        origin.imag[:, 1:] = q2[:, 1::3]
+        rotations = self._rotations(q2).take(plan.slots, axis=1)
+        world = origin.take(plan.slots, axis=1) + rotations * self._points[rows]
         out = np.empty((len(q2), self.rows))
-        out[:, :2 * len(c.slots)] = (world[..., 0] - world[..., 1]).view(float)
-        if c.drive is not None:
-            np.subtract(q2[:, c.drive], theta, out=out[:, -1])
+        out[:, :2 * len(plan.slots)] = (world[..., 0] - world[..., 1]).view(float)
+        if plan.drive is not None:
+            np.subtract(q2[:, plan.drive], theta, out=out[:, -1])
         return out if q.ndim == 2 else out[0]
 
     def jacobian(self, q: np.ndarray, rows=slice(None)) -> np.ndarray:
-        c, q2 = self._c, np.atleast_2d(q)
+        plan, q2 = self.plan, np.atleast_2d(q)
         J = np.empty((len(q2), self.rows, self.n + 3))
-        J[:] = c.template
-        turned = self._rotations(q2).take(c.slots, axis=1) * self._turned[rows]
-        J.reshape(len(q2), -1)[:, c.angle_cells] = turned.view(float).reshape(len(q2), -1)
-        return J[..., :self.n] if q.ndim == 2 else J[0, :, :self.n]
+        J[:] = plan.template
+        turned = self._rotations(q2).take(plan.slots, axis=1) * self._turned[rows]
+        J.reshape(len(q2), -1)[:, plan.angle_cells] = turned.view(float).reshape(len(q2), -1)
+        return J[..., 3:] if q.ndim == 2 else J[0, :, 3:]
 
     def angle_curvature(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """d^2(lam . Phi)/d angle^2 of each pose slot at a 1-D q, the ground's
-        last: joint r's rows are + R_a p_a - R_b p_b plus the origins, and
+        first: joint r's rows are + R_a p_a - R_b p_b plus the origins, and
         d^2(R p)/d angle^2 = -R p. Phi is linear in the positions and its
         drive row, so these are the only nonzero second derivatives."""
-        c = self._c
-        rp = self._rotations(q[None])[0, c.slots] * self._points[0]
-        lr = lam[:2 * len(c.slots)].reshape(-1, 1, 2)
+        slots = self.plan.slots
+        rp = self._rotations(q[None])[0, slots] * self._points[0]
+        lr = lam[:2 * len(slots)].reshape(-1, 1, 2)
         terms = [-1.0, 1.0] * (lr[..., 0] * rp.real + lr[..., 1] * rp.imag)
-        return np.bincount(c.slots.ravel(), terms.ravel(), len(self.moving) + 1)
+        return np.bincount(slots.ravel(), terms.ravel(), len(self.plan.ids))
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -641,7 +621,7 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveS
     F = sys.residual(q, theta, rows)
     fn = norms(F)
     live = np.flatnonzero(~(fn <= tol))  # a NaN residual iterates, and fails
-    for _ in range(settings.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if not len(live):
             break
         J = sys.jacobian(q[live], rows[live])
@@ -668,8 +648,8 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveS
                                    for singular in (sv[:, -1] <= 1e-12 * sv[:, 0]).tolist()]
             ok[trying] = False
         done = ok & (fn[live] <= tol)
-        if sys._c.drive is not None:
-            q[live[done], sys._c.drive] = theta  # hold the drive coordinate exactly
+        if sys.plan.drive is not None:
+            q[live[done], sys.plan.drive] = theta  # hold the drive coordinate exactly
         live = live[ok & ~done]
     codes[live] = ConvergenceError.code
     return q, codes
@@ -684,13 +664,12 @@ def start_block(sys: ConstraintSystem, theta: float,
     first and earlier dyads varying slowest, repeats dropped, at most 16 per
     row; circles that miss are clamped to their nearest approach, a tangent
     dyad gives one root, and links the plan can only hang sit at angle zero."""
-    rows = len(sys._points)
+    rows, plan = len(sys._points), sys.plan
     if guess is not None:
-        q, drive = sys.q_from(guess), sys._c.drive
+        q, drive = sys.q_from(guess), plan.drive
         if drive is not None and (turns := round((theta - q[drive]) / (2.0 * math.pi))):
             q[drive] += 2.0 * math.pi * turns
         return np.broadcast_to(q, (rows, 1, sys.n)), np.ones((rows, 1), dtype=bool)
-    plan = _plan(sys.m)
     k = sum(step[0] == "dyad" for step in plan.steps)
     kv = min(k, 10)  # only the last kv dyads vary; 16 starts never reach further
     bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
@@ -705,8 +684,8 @@ def start_block(sys: ConstraintSystem, theta: float,
     thetas = np.full(len(signs), float(theta))
     origins, rotations, _ = _place_steps(plan, points, *_spans(points, plan.spans), thetas, pick)
     angles = np.angle(_complex(rotations))
-    if plan.steps and plan.steps[0][0] == "crank":
-        angles[:, plan.steps[0][1][0]] = theta
+    if plan.crank is not None:
+        angles[:, plan.ids.index(plan.crank)] = theta
     q = np.concatenate([origins[:, 1:], angles[:, 1:, :, None]], axis=-1).transpose(0, 2, 1, 3)
     return q.reshape(len(q), len(signs), -1), new & (np.cumsum(new, axis=1) <= 16)
 
@@ -739,14 +718,13 @@ def _first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | Non
     return q, codes
 
 
-def assemble(m: Mechanism, theta: float, guess: Configuration | None = None,
-             settings: SolveSettings = DEFAULT_SETTINGS) -> Configuration:
+def assemble(m: Mechanism, theta: float, guess: Configuration | None = None) -> Configuration:
     """Newton-Raphson on the joint-coincidence residuals at fixed crank angle:
     the root continuously reachable from the guess, or without one from the
     first `start_block` start that converges. Step halving (at most 20 times
     per iteration) guards against overshoot."""
     sys = _require_square(ConstraintSystem(m))
-    q, (code,) = _first_roots(sys, float(theta), guess, settings)
+    q, (code,) = _first_roots(sys, float(theta), guess, DEFAULT_SETTINGS)
     if code is not None:
         raise {e.code: e for e in (ConvergenceError, SingularJacobianError)}[code](
             f"Newton failed at theta={theta:.6g} ({code})")
@@ -776,12 +754,12 @@ def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, set
         q[live, k] = qk[ok]
         if not len(live):
             break
-    xya = np.zeros((rows, len(sys.moving) + 1, n, 3))
-    xya[:, 1:] = q.reshape(rows, n, len(sys.moving), 3).transpose(0, 2, 1, 3)
+    ids = sys.plan.ids
+    xya = np.zeros((rows, len(ids), n, 3))
+    xya[:, 1:] = q.reshape(rows, n, len(ids) - 1, 3).transpose(0, 2, 1, 3)
     rotations = np.stack([np.cos(xya[..., 2]), np.sin(xya[..., 2])], axis=-1)
-    return PoseBatch([m.ground, *sys.moving], thetas, xya[..., :2].copy(), rotations, failed_at,
-                     errors.tolist(), markers, [guess.branch if guess else None] * rows, "newton",
-                     sys.crank_link, guess)
+    return PoseBatch(list(ids), thetas, xya[..., :2].copy(), rotations, failed_at, errors.tolist(),
+                     markers, [guess.branch if guess else None] * rows, "newton", sys.plan.crank, guess)
 
 
 def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEFAULT_SETTINGS,
@@ -806,8 +784,7 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
     return _newton_sweep_arrays(m, markers, thetas, settings, guess)
 
 
-def velocities(m: Mechanism, c: Configuration, crank_rate: float,
-               rcond_floor: float = 1e-10) -> dict[str, tuple[Point2, float]]:
+def velocities(m: Mechanism, c: Configuration, crank_rate: float) -> dict[str, tuple[Point2, float]]:
     """Link velocities from the time-differentiated constraints, Phi_q qdot =
     -Phi_t, whose only time term is the drive row's crank rate: link id ->
     (origin linear velocity, angular velocity), the crank's being crank_rate.
@@ -815,11 +792,11 @@ def velocities(m: Mechanism, c: Configuration, crank_rate: float,
     sys = _require_square(ConstraintSystem(m))
     J = sys.jacobian(sys.q_from(c))
     sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] <= rcond_floor * sv[0]:
+    if sv[-1] <= RCOND_FLOOR * sv[0]:
         raise SingularJacobianError("constraint Jacobian is singular (dead center)")
     qdot = np.linalg.solve(J, np.append(np.zeros(sys.n - 1), crank_rate)).reshape(-1, 3).tolist()
-    return {m.ground: (Point2(0.0, 0.0), 0.0),
-            **{lid: (Point2(x, y), w) for lid, (x, y, w) in zip(sys.moving, qdot)}}
+    ground, *moving = sys.plan.ids
+    return {ground: (Point2(0.0, 0.0), 0.0), **{lid: (Point2(x, y), w) for lid, (x, y, w) in zip(moving, qdot)}}
 
 
 def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.ndarray:

@@ -190,7 +190,7 @@ class DesignSpace:
     def markers(self, X: np.ndarray) -> Markers:
         """Marker table of the B mechanisms `apply` builds from the rows of X
         (B, dim), without building them: edited coordinates are columns of X."""
-        table = Markers(self._table)
+        table = dict(self._table)
 
         def column(i):  # a float when there is one row: all rows agree
             return X[:, i, None] if len(X) > 1 else float(X[0, i])

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from flapkin import kinematics
 from flapkin.cli import _load_space, _load_spec
+from flapkin.compliance import LoadCase, solve_equilibrium
 from flapkin.designs import two_stage_armwing
-from flapkin.errors import BranchAmbiguousError, NotAssemblableError, SingularJacobianError
+from flapkin.errors import BranchAmbiguousError, FlapkinError, NotAssemblableError, SingularJacobianError
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Branch,
@@ -29,7 +30,8 @@ from flapkin.mechanism import FourBar, Joint, Link, LinkRole, Mechanism, fourbar
 from flapkin.synthesis import DesignSpace, GaitSpec, Parameter, population_costs
 
 from conftest import (bootstrap_candidates, coincidence_residual, loop_residual, marker_world, random_crank_rocker,
-                      recovery_space, run_cli, transmission_angle, transmission_angle_at, triad_eight_bar)
+                      recovery_space, run_cli, transmission_angle, transmission_angle_at, triad_eight_bar,
+                      two_hinge_chain)
 from test_pinned_results import PINNED, triad_space, triad_thetas
 
 # law-of-cosines oracle for (6, 2, 5, 5) at theta = 0: d = 4,
@@ -340,10 +342,6 @@ class TestSettings:
         # Newton would take any start as converged
         with pytest.raises(ValueError):
             SolveSettings(tolerance=math.inf)
-
-    def test_bad_iterations_rejected(self):
-        with pytest.raises(ValueError):
-            SolveSettings(max_iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -672,3 +670,49 @@ class TestBatchRows:
             assert np.array_equal(pb.angles[b], one.angles[0])
             assert (pb.failed_at[b], pb.errors[b], pb.branches[b]) == \
                 (one.failed_at[0], one.errors[0], one.branches[0])
+
+
+def solver_outputs(m: Mechanism, theta: float, load: LoadCase) -> list:
+    """The bytes, or the error, of m's Newton sweep from theta, `assemble` at
+    theta without and then with a guess, `velocities` at the equilibrium and
+    `solve_equilibrium` under load, with the link ids they are keyed by."""
+    def poses(c):
+        return list(c.poses), np.array([(p.origin.x, p.origin.y, p.angle) for p in c.poses.values()]).tobytes()
+
+    def newton_sweep():
+        thetas = theta + 2 * math.pi * np.arange(32) / 32
+        pb = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, kinematics.DEFAULT_SETTINGS, None)
+        return pb.ids, pb.crank, pb.origins.tobytes(), pb.rotations.tobytes(), pb.failed_at.tolist(), pb.errors
+
+    def velocity():
+        v = velocities(m, solve_equilibrium(m, theta, load), 1.5)
+        return [(lid, p.x, p.y, w) for lid, (p, w) in v.items()]
+
+    outputs = []
+    for solve in (newton_sweep, lambda: poses(assemble(m, theta)),
+                  lambda: poses(assemble(m, theta + 0.05, assemble(m, theta))), velocity,
+                  lambda: poses(solve_equilibrium(m, theta, load))):
+        try:
+            outputs.append(solve())
+        except FlapkinError as e:
+            outputs.append(repr(e))
+    return outputs
+
+
+class TestGroundOrder:
+    """Where the ground is declared in `links` changes no result: the solvers
+    compile every topology with the ground's pose slot first."""
+
+    @pytest.mark.parametrize("name", ["triad", "armwing", "two-hinge-chain"])
+    def test_ground_declared_last(self, name):
+        m, theta, load = {
+            "triad": (triad_eight_bar(), 0.3, LoadCase(forces=(("d1", "b", Point2(0.0, -1.0)),))),
+            "armwing": (two_stage_armwing(), 0.7, LoadCase(forces=(("forearm", "tip", Point2(0.3, -0.2)),))),
+            "two-hinge-chain": (two_hinge_chain(), 0.0, LoadCase(forces=(("fore", "tip", Point2(0.0, 0.1)),))),
+        }[name]
+        last = dataclasses.replace(m, links=(*(l for l in m.links if l.id != m.ground), m.link(m.ground)))
+        assert last.links[-1].id == m.ground != m.links[-1].id
+        got, want = solver_outputs(last, theta, load), solver_outputs(m, theta, load)
+        assert got == want
+        # the open chain has no crank to sweep, assemble or differentiate; both closed chains solve everything
+        assert sum(isinstance(o, str) for o in want) == (4 if name == "two-hinge-chain" else 0)
