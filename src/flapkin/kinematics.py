@@ -2,16 +2,19 @@
 
 A mechanism's topology is compiled once into a dyad plan in index form: place
 the crank, then solve each RR dyad (two links sharing a pin, each pinned once
-to a link already placed) by circle intersection, keeping one of its two roots
-by continuation; the four-bar is the one-dyad case. A sweep reads the markers
-the plan needs into one (B, M) block of link-frame points, and their lengths,
-then runs each step as a few array operations on slots of one pose block, for
-all rows of a batch and all crank angles at once. Chains the plan cannot
-decompose (triads) fall back to damped Newton iteration on the joint-
-coincidence residuals, seeded step by step with the previous solution and run
-on all rows of a batch together; `assemble` is its one-row, one-angle case.
-Either way a sweep is a `PoseBatch`: the poses of B mechanisms that share one
-topology (a marker table) at the same crank angles, one mechanism being B = 1.
+to a link already placed) by circle intersection; the four-bar is the one-dyad
+case. A dyad's root sign is its orientation, its assembly mode, which can only
+change where its two roots meet (its half-chord h is 0): a sweep keeps the
+sign but at samples where h may reach 0, and there takes the continuous root.
+A sweep reads the markers the plan needs into one (B, M) block of link-frame
+points, and their lengths, then runs each step as a few array operations on
+slots of one pose block, for all rows of a batch and all crank angles at once.
+Chains the plan cannot decompose (triads) fall back to damped Newton iteration
+on the joint-coincidence residuals, seeded step by step with the previous
+solution and run on all rows of a batch together; `assemble` is its one-row,
+one-angle case. Either way a sweep is a `PoseBatch`: the poses of B mechanisms
+that share one topology (a marker table) at the same crank angles, one
+mechanism being B = 1.
 
 A pose in a sweep is an origin and a rotation stored as its unit vector
 (cos, sin), built from directions the plan already has (pin to joint in the
@@ -362,10 +365,11 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
     the rotation that turns its local direction from that pin to its other
     pin onto the world one; only the crank's comes from an angle (theta).
     Points and rotations are complex, x + iy and cos + i sin; the ground's
-    points are (B, 1) columns. The i-th dyad's roots are base +- offset;
-    `pick(i, base, offset, n_ok)` returns its root sign per sample, given that
-    each row's first n_ok[b] samples (and all earlier dyads') close. Circles
-    that miss are clamped to their nearest approach.
+    points are (B, 1) columns. The i-th dyad's roots are base +- offset, the
+    offset being i h (h >= 0) times the unit vector from its first pin to its
+    second; `pick(i, base, offset, hh, n_ok)` returns its root sign per sample,
+    given h^2 = hh and that each row's first n_ok[b] samples (and all earlier
+    dyads') close. Circles that miss are clamped to their nearest approach.
     """
     rows, n, units = len(points), len(thetas), np.conj(units)
     # one allocation: as two, glibc gave back and faulted in their pages afresh on every call
@@ -413,13 +417,13 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
             u = span / d
             offset = 1j * (h * u)
             along = a * u
+            hh = np.multiply(h, h, out=h)
             closed = np.logical_and.accumulate(ok, axis=1).sum(axis=1)
-            sign = pick(n_dyads, p1 + along, offset, closed)
+            sign = pick(n_dyads, p1 + along, offset, hh, closed)
             n_dyads += 1
             # the joint from p1, and from p2 (span less); the links' lengths
             # to it are |(a, h)| and |(a - d, h)|
             to_joint = along + sign * offset  # sign may have more columns than a dyad on the ground
-            hh = np.multiply(h, h, out=h)
             length_b = np.add(np.square(np.subtract(a, d, out=d), out=d), hh, out=d)
             _turn(to_joint - span, np.sqrt(length_b, out=length_b), units[:, ends[1], None], turns[1])
             length_a = np.add(np.multiply(a, a, out=a), hh, out=a)
@@ -429,51 +433,41 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
     return origins, rotations, closed
 
 
-def _continue_roots(base: np.ndarray, offset: np.ndarray, n: int, s: float) -> list[float]:
-    """Root signs along a sweep of complex roots base +- offset: start on root s, then take the
-    root nearest the linear extrapolation of the joint's last two positions (at a change point,
-    the root whose step is closest to the previous). Plain floats, for `_follow_roots`' rows."""
-    bx, by = base.real[:n].tolist(), base.imag[:n].tolist()
-    ox, oy = offset.real[:n].tolist(), offset.imag[:n].tolist()
-    signs = [s]
-    px, py = bx[0] + s * ox[0], by[0] + s * oy[0]
-    vx = vy = 0.0
-    for k in range(1, n):
-        # |base + o - pred|^2 - |base - o - pred|^2 = -4 o.(pred - base)
-        t = ox[k] * (px + vx - bx[k]) + oy[k] * (py + vy - by[k])
-        if t != 0.0:
-            s = 1.0 if t > 0.0 else -1.0
-        x, y = bx[k] + s * ox[k], by[k] + s * oy[k]
-        vx, vy, px, py = x - px, y - py, x, y
-        signs.append(s)
-    return signs
-
-
-def _follow_roots(base: np.ndarray, offset: np.ndarray, n_ok: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """`_continue_roots` of B rows of complex (B, N) roots base +- offset from roots s, 1.0
-    past n_ok. The loop's test t (same float ops) on each row's constant-sign path: a row it
-    never flips keeps s; the rest run the loop."""
-    b, o = (z.view(float).reshape(z.shape + (2,)) for z in (base, offset))  # (x, y) pairs
-    p = o * s[:, None, None]
-    p += b
-    pred = p[:, :-1].copy()  # the loop's prediction: the last root plus its last step
-    pred[:, 1:] += p[:, 1:-1] - p[:, :-2]
-    pred -= b[:, 1:]
-    pred *= o[:, 1:]
-    t = (pred[..., 0] + pred[..., 1]) * s[:, None]
-    live = np.arange(p.shape[1]) < n_ok[:, None]
-    flips = ~(t >= 0.0)  # a NaN t flips a root -1 too: that row only runs the loop
-    flips &= live[:, 1:]
+def _follow_roots(base: np.ndarray, offset: np.ndarray, hh: np.ndarray, n_ok: np.ndarray,
+                  s: np.ndarray) -> np.ndarray:
+    """Root signs of B rows of complex (B, N) roots base +- offset, h^2 = hh, from roots s;
+    1.0 past n_ok. A sign is the dyad's orientation, which can change only where h reaches 0
+    (Chase & Mirth 1993): a row keeps s but at each candidate, an interior sample k at which
+    h^2 has a local minimum whose three-point parabola reaches 0, and k + 1 closes. At k and
+    then k + 1 the root nearest the linear extrapolation of the joint's last two positions
+    (at k = 1, its last position) is taken, and holds to the row's end. A meeting between
+    samples that the parabola misses keeps the sign, as a near-parallelogram's smooth minimum
+    of h must; coarse samples do not tell it from the exact parallelogram's change point."""
+    live = np.arange(hh.shape[1]) < n_ok[:, None]
     sign = np.where(live, s[:, None], 1.0)
-    for r in flips.any(axis=1).nonzero()[0].tolist():
-        sign[r, :n_ok[r]] = _continue_roots(base[r], offset[r], int(n_ok[r]), float(s[r]))
+    lo, mid, hi = hh[:, :-2], hh[:, 1:-1], hh[:, 2:]
+    rise = hi - lo
+    rise *= rise
+    candidate = 8.0 * (lo + hi - 2.0 * mid) * mid < rise
+    candidate |= mid <= 0.0
+    candidate &= (mid <= lo) & (mid <= hi) & live[:, 2:]
+    for r, c in zip(*(i.tolist() for i in candidate.nonzero())):
+        for k in (c + 1, c + 2):
+            last = slice(max(k - 2, 0), k)
+            p = base[r, last] + sign[r, last] * offset[r, last]
+            pred = p[-1] + (p[-1] - p[0])  # the last root plus its last step
+            # |base + o - pred|^2 - |base - o - pred|^2 = -4 o.(pred - base)
+            t = (offset[r, k] * np.conj(pred - base[r, k])).real
+            if t != 0.0:
+                sign[r, k:n_ok[r]] = 1.0 if t > 0.0 else -1.0
     return sign
 
 
 def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.ndarray,
                        guess: Configuration | None, branch: Branch) -> PoseBatch:
     """Closed-form sweeps of the mechanisms of a marker table that share m's
-    dyad plan, all B rows in one pass, root continuation included."""
+    dyad plan, all B rows in one pass: each dyad keeps its start root but where
+    `_follow_roots` finds its roots meeting."""
     n, rows = len(thetas), _rows(markers)
     points = _points(markers, plan.refs, rows)
     lengths, units = _spans(points, plan.spans)
@@ -494,12 +488,12 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
 
     dyads = [step for step in plan.steps if step[0] == "dyad"]
 
-    def pick(i, base, offset, n_ok):
+    def pick(i, base, offset, hh, n_ok):
         s = start if guess is None else np.array(
             [start_sign(dyads[i], b, base, offset) if n_ok[b] else 1.0 for b in range(rows)])
         if i == 0:
             first[:] = np.where(n_ok > 0, s, 0.0)
-        return _follow_roots(base, offset, n_ok, s)
+        return _follow_roots(base, offset, hh, n_ok, s)
 
     origins, rotations, failed_at = _place_steps(plan, points, lengths, units, thetas, pick)
     if (failed_at < n).any():
@@ -676,7 +670,7 @@ def start_block(sys: ConstraintSystem, theta: float,
     signs = np.hstack([np.ones((2 ** kv, k - kv)), 1.0 - 2.0 * bits])
     new = np.ones((rows, len(signs)), dtype=bool)
 
-    def pick(i, base, offset, n_ok):
+    def pick(i, base, offset, hh, n_ok):
         new[...] &= (offset != 0.0) | (signs[:, i] > 0.0)
         return signs[:, i]
 
@@ -769,8 +763,10 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
 
     A chain the dyad plan decomposes is solved in closed form at every angle
     at once. Each dyad starts on the root nearest `guess`, or without one on
-    the root `start_block` tries first (`branch` for a four-bar),
-    and follows it by continuation. Any other chain runs Newton seeded step
+    the root `start_block` tries first (`branch` for a four-bar), and keeps
+    that assembly mode, except where its roots meet between samples, at a
+    minimum of h^2 whose three-point parabola reaches 0; there it takes the
+    root continuous with the last two. Any other chain runs Newton seeded step
     by step with the previous solution. With a marker table of B rows, m
     supplies only the topology and the B mechanisms are swept together, by
     the dyad plan in one array pass or by Newton with one stacked solve per

@@ -45,10 +45,11 @@ def armwing() -> Mechanism:
     return two_stage_armwing()
 
 
-def parallelogram_wing() -> Mechanism:
-    """The (4, 2, 4, 2) parallelogram with its rocker as the wing: the plunge
-    tracks the crank through a whole revolution."""
-    m = fourbar_mechanism(FourBar(4, 2, 4, 2))
+def parallelogram_wing(rocker: float = 2.0) -> Mechanism:
+    """The (4, 2, 4, rocker) four-bar with its rocker as the wing. At rocker = 2
+    it is the parallelogram, whose plunge tracks the crank through a whole
+    revolution; any longer rocker makes a crank-rocker."""
+    m = fourbar_mechanism(FourBar(4, 2, 4, rocker))
     return dataclasses.replace(
         m, shoulder=("ground", "tip"), wingtip=("rocker", "tip"),
         wing_polygon=(("ground", "origin"), ("ground", "tip"), ("rocker", "tip")))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flapkin import kinematics
@@ -379,6 +379,11 @@ def perturbed_armwing(rel) -> Mechanism:
     return space.apply(nominal * (1 + np.array(rel[:len(PERTURBED)])))
 
 
+# a `rel` hypothesis found for test_perturbed_armwings_match_newton: the (coupler2,
+# forearm) dyad's h has a smooth minimum of 4.8e-4 near sample 783 of 1024
+NEAR_TANGENT_REL = [0, 0.078125, 0, 0.034977578223443745, 0.10424828342412615, 0, 0, 0.015625] + [0] * 11
+
+
 class TestDyadPlan:
     @pytest.mark.parametrize("samples", [256, 360])
     def test_shipped_armwing_matches_newton(self, armwing, samples):
@@ -387,20 +392,23 @@ class TestDyadPlan:
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-0.15, 0.15), min_size=19, max_size=19))
+    @example(NEAR_TANGENT_REL)
     def test_perturbed_armwings_match_newton(self, rel):
         assert_matches_newton(perturbed_armwing(rel), 2 * math.pi * np.arange(64) / 64)
 
-    @pytest.mark.xfail(strict=True, reason="the 64-sample dyad sweep follows the other (coupler2, forearm) "
-                       "root from sample 50 on; the 1024- and 4096-sample dyad sweeps and the 64-sample "
-                       "Newton sweep agree to 1e-10 rad")
-    def test_coarse_sweep_keeps_the_fine_sweeps_root(self):
-        # a `rel` hypothesis found for test_perturbed_armwings_match_newton
-        m = perturbed_armwing([0, 0.078125, 0, 0.034977578223443745, 0.10424828342412615, 0, 0, 0.015625]
-                              + [0] * 11)
-        coarse, fine = (sweep_arrays(m, 2 * math.pi * np.arange(n) / n) for n in (64, 1024))
-        forearm = coarse.ids.index("forearm")
-        assert coarse.errors == fine.errors == [None]
-        assert np.abs(coarse.angles[0, forearm] - fine.angles[0, forearm, ::16]).max() <= 1e-9
+    @pytest.mark.parametrize("m, lid, coarse", [
+        (perturbed_armwing(NEAR_TANGENT_REL), "forearm", (64,)),
+        (fourbar_mechanism(FourBar(4, 2, 4, 2.0001)), "rocker", (64, 128)),
+    ], ids=["armwing", "near_parallelogram"])
+    def test_coarse_sweep_keeps_the_fine_sweeps_root(self, m, lid, coarse):
+        # a dyad's h has a smooth minimum near 0 that coarse samples straddle
+        fine = sweep_arrays(m, 2 * math.pi * np.arange(1024) / 1024)
+        assert fine.errors == [None]
+        for n in coarse:
+            pa = sweep_arrays(m, 2 * math.pi * np.arange(n) / n)
+            assert pa.errors == [None]
+            i = pa.index(lid)
+            assert np.abs(pa.angles[0, i] - fine.angles[0, i, ::1024 // n]).max() <= 1e-9
 
     @pytest.mark.parametrize("fb", [FourBar(6, 2, 5, 5), FourBar(4, 2, 4, 2)])
     def test_fourbars_take_the_dyad_path(self, fb):
@@ -492,42 +500,61 @@ class TestDyadPlan:
         with pytest.raises(BranchAmbiguousError):
             sweep_arrays(fourbar_mechanism(fb), np.linspace(0.0, 1.0, 8), guess=guess)
 
-    def test_change_point_row_takes_the_scalar_loop(self, monkeypatch):
-        # the parallelogram's roots meet at theta = pi, and the loop switches
-        # to the other root there: the constant-sign check must send it back
-        calls, loop = [], kinematics._continue_roots
+    def test_parallelogram_flips_at_its_change_point(self, monkeypatch):
+        # h = 0 at sample 0 and at theta = pi, where the coupler-rocker triangle
+        # turns inside out: the rocker tracks the crank only if the root flips there
+        signs, follow = [], kinematics._follow_roots
 
-        def counted(*args):
-            calls.append(loop(*args))
-            return calls[-1]
+        def recorded(*args):
+            signs.append(follow(*args))
+            return signs[-1]
 
-        monkeypatch.setattr(kinematics, "_continue_roots", counted)
+        monkeypatch.setattr(kinematics, "_follow_roots", recorded)
         thetas = np.arange(361) * math.pi / 180
         pa = sweep_arrays(fourbar_mechanism(FourBar(4, 2, 4, 2)), thetas)
-        assert len(calls) == 1 and calls[0][0] != calls[0][-1]
+        assert len(signs) == 1 and np.flatnonzero(np.diff(signs[0][0])).tolist() in ([179], [180])
         assert pa.errors == [None]
         assert np.abs(pa.angles[0, pa.index("rocker")] - thetas).max() <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans(), st.data())
-    def test_batched_signs_equal_the_scalar_loop(self, rows, n, seed, smooth, data):
+    def test_rows_keep_their_sign_between_candidates(self, rows, n, seed, smooth, data):
         rng = np.random.default_rng(seed)
         k = np.arange(n)
-        if smooth:  # slowly turning roots whose gap may close: few switches
+        if smooth:  # slowly turning roots whose gap may close: few minima near 0
             base = np.cumsum(0.1 * rng.standard_normal((2, rows, n)), axis=-1)
             r = rng.uniform(-1, 1, (rows, 1)) + rng.uniform(-0.1, 0.1, (rows, 1)) * k
             phi = rng.uniform(-3, 3, (rows, 1)) + rng.uniform(-0.2, 0.2, (rows, 1)) * k
             offset = (r * np.cos(phi), r * np.sin(phi))
-        else:  # small integers: ties (t == 0) and switches everywhere
+        else:  # small integers: zeros, ties and minima everywhere
             base, offset = rng.integers(-2, 3, (2, 2, rows, n)).astype(float)
         n_ok = np.array(data.draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows)))
         s = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rows, max_size=rows)))
         base, offset = base[0] + 1j * base[1], offset[0] + 1j * offset[1]
-        sign = kinematics._follow_roots(base, offset, n_ok, s)
+        hh = np.abs(offset) ** 2
+        sign = kinematics._follow_roots(base, offset, hh, n_ok, s)
         for b in range(rows):
-            want = kinematics._continue_roots(base[b], offset[b], int(n_ok[b]), float(s[b])) if n_ok[b] else []
-            assert sign[b, :n_ok[b]].tolist() == want
-            assert np.all(sign[b, n_ok[b]:] == 1.0)
+            h2, m = hh[b].tolist(), int(n_ok[b])
+            # interior minima of h^2 whose three-point parabola reaches 0, the next sample closing
+            candidates = [j for j in range(1, m - 1) if h2[j] <= min(h2[j - 1], h2[j + 1]) and (
+                h2[j] <= 0.0 or 8.0 * (h2[j - 1] + h2[j + 1] - 2.0 * h2[j]) * h2[j]
+                < (h2[j + 1] - h2[j - 1]) * (h2[j + 1] - h2[j - 1]))]
+            flips = set(np.flatnonzero(np.diff(sign[b, :m])) + 1)
+            assert flips <= {j + d for j in candidates for d in (0, 1)}
+            if m:
+                assert sign[b, 0] == s[b]
+            assert np.all(sign[b, m:] == 1.0)
+
+    def test_candidates_take_the_continuity_choice(self):
+        # joints at signed distance y from a centre line moving along x, roots +-i|y|:
+        # row 0 crosses the line at sample 3 (h = 0); row 1 comes within 0.1 of it at
+        # sample 3, a candidate, and turns back; row 2 is row 0 mirrored, starting on
+        # the + root and closing at its first 6 samples
+        k = np.arange(8)
+        y = np.array([(k - 3) / 4, [-0.5, -0.3, -0.19, -0.1, -0.4, -0.8, -1.2, -1.6], (3 - k) / 4])
+        base, offset = np.broadcast_to(0.1 * k, y.shape), 1j * np.abs(y)
+        sign = kinematics._follow_roots(base, offset, y * y, np.array([8, 8, 6]), np.array([-1.0, -1.0, 1.0]))
+        assert sign.tolist() == [[-1.0] * 4 + [1.0] * 4, [-1.0] * 8, [1.0] * 4 + [-1.0] * 2 + [1.0] * 2]
 
 
 class TestRotationForm:

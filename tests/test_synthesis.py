@@ -218,6 +218,17 @@ class TestPopulationCosts:
         assert np.all(want < METRIC_FAILURE_COST)
         np.testing.assert_allclose(np.delete(costs, 1), want, rtol=1e-12, atol=0.0)
 
+    def test_near_parallelogram_crank_rocker_is_costed(self):
+        # its dyad's h has a smooth minimum near 0 twice a turn: the 128-sample sweep
+        # keeps the assembly mode, so the rocker swings and does not turn a revolution
+        space = DesignSpace(parallelogram_wing(2.0001), (Parameter("link.rocker.marker.tip.x", 1.9, 2.1),))
+        spec = GaitSpec(plunge_amplitude=0.5, extension_range=(0.5, 1.0))
+        x = np.array([2.0001])
+        cost = population_costs(space, spec, x[None])[0]
+        assert cost < METRIC_FAILURE_COST
+        assert cost == pytest.approx(oracle_cost(space, spec, x), rel=1e-12, abs=0.0)
+        assert cost == pytest.approx(oracle_cost(space, spec, x, 1024), rel=0.05)
+
     def test_triad_template_takes_newton_rows(self):
         m = triad_eight_bar()
         space = DesignSpace(m, (Parameter("link.crank.marker.tip.x", 0.5, 0.7),
