@@ -417,6 +417,7 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
             u = span / d
             offset = 1j * (h * u)
             along = a * u
+            del u, d2  # a 75-row cost call peaks in this step: free each block once it is dead
             hh = np.multiply(h, h, out=h)
             closed = np.logical_and.accumulate(ok, axis=1).sum(axis=1)
             sign = pick(n_dyads, p1 + along, offset, hh, closed)
@@ -424,10 +425,12 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
             # the joint from p1, and from p2 (span less); the links' lengths
             # to it are |(a, h)| and |(a - d, h)|
             to_joint = along + sign * offset  # sign may have more columns than a dyad on the ground
+            del along, offset, sign
             length_b = np.add(np.square(np.subtract(a, d, out=d), out=d), hh, out=d)
-            _turn(to_joint - span, np.sqrt(length_b, out=length_b), units[:, ends[1], None], turns[1])
             length_a = np.add(np.multiply(a, a, out=a), hh, out=a)
             _turn(to_joint, np.sqrt(length_a, out=length_a), units[:, ends[0], None], turns[0])
+            to_joint -= span
+            _turn(to_joint, np.sqrt(length_b, out=length_b), units[:, ends[1], None], turns[1])
         for s, c, p, r in zip(slots, owns, at, turns):
             np.subtract(p, np.multiply(r, points[:, c:c + 1], out=org[:, s]), out=org[:, s])
     return origins, rotations, closed
@@ -446,12 +449,10 @@ def _follow_roots(base: np.ndarray, offset: np.ndarray, hh: np.ndarray, n_ok: np
     live = np.arange(hh.shape[1]) < n_ok[:, None]
     sign = np.where(live, s[:, None], 1.0)
     lo, mid, hi = hh[:, :-2], hh[:, 1:-1], hh[:, 2:]
-    rise = hi - lo
-    rise *= rise
-    candidate = 8.0 * (lo + hi - 2.0 * mid) * mid < rise
-    candidate |= mid <= 0.0
-    candidate &= (mid <= lo) & (mid <= hi) & live[:, 2:]
-    for r, c in zip(*(i.tolist() for i in candidate.nonzero())):
+    rows, cols = ((mid <= lo) & (mid <= hi) & live[:, 2:]).nonzero()  # the local minima
+    lo, mid, hi = lo[rows, cols], mid[rows, cols], hi[rows, cols]
+    candidate = (mid <= 0.0) | (8.0 * (lo + hi - 2.0 * mid) * mid < (hi - lo) ** 2)
+    for r, c in zip(rows[candidate].tolist(), cols[candidate].tolist()):
         for k in (c + 1, c + 2):
             last = slice(max(k - 2, 0), k)
             p = base[r, last] + sign[r, last] * offset[r, last]
