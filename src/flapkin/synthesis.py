@@ -13,10 +13,10 @@ call: the design space maps the (B, dim) block of candidates onto a marker
 table of the template, the dyad plan sweeps all B mechanisms at once, and
 `gait` measures the B wingbeats along the sample axis of (B, N) arrays; a
 dyad keeps its assembly mode, and only samples where its roots may meet are
-looked at one by one. Templates
-the dyad plan cannot decompose are swept by Newton, all rows together. What a
-call needs but X does not change (the template's marker table, the columns to
-check, the crank angles) is built once. The wingbeat rules and metrics are
+looked at one by one. Templates the dyad plan cannot decompose are swept by
+Newton, all rows together. What a call needs but X does not change (the
+template's marker table, the columns to check, the crank angles) is built
+once. The wingbeat rules and metrics are
 `gait`'s; the cost only weighs them.
 
 The polish is batched the same way: each simplex step costs every point it

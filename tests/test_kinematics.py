@@ -516,6 +516,17 @@ class TestDyadPlan:
         assert pa.errors == [None]
         assert np.abs(pa.angles[0, pa.index("rocker")] - thetas).max() <= 1e-12
 
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_change_point_fourbar_keeps_the_requested_branch(self, branch):
+        # (4, 2, 5, 3) lies folded flat at theta = 0 (h = 0), its only meeting, at the
+        # sweep's ends: each sample is the requested branch's one-sample sweep
+        m, thetas = fourbar_mechanism(FourBar(4, 2, 5, 3)), np.linspace(0.0, 2 * math.pi, 90)
+        pa = sweep_arrays(m, thetas, branch=branch)
+        assert pa.errors == [None] and pa.branches == [branch]
+        for k in range(90):
+            one = sweep_arrays(m, thetas[k:k + 1], branch=branch)
+            assert np.array_equal(pa.rotations[0, :, k], one.rotations[0, :, 0])
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans(), st.data())
     def test_rows_keep_their_sign_between_candidates(self, rows, n, seed, smooth, data):
