@@ -417,7 +417,8 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
             u = span / d
             offset = 1j * (h * u)
             along = a * u
-            del u, d2  # a 75-row cost call peaks in this step: free each block once it is dead
+            del u, d2  # a 75-row cost call peaks in this step: free each block once it is dead, as the peak
+            # must stay under glibc's trim threshold (BENCH_21.json earlier_series; re-run fourbar_synthesis)
             hh = np.multiply(h, h, out=h)
             closed = np.logical_and.accumulate(ok, axis=1).sum(axis=1)
             sign = pick(n_dyads, p1 + along, offset, hh, closed)
@@ -437,23 +438,24 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
 
 
 def _follow_roots(base: np.ndarray, offset: np.ndarray, hh: np.ndarray, n_ok: np.ndarray,
-                  s: np.ndarray) -> np.ndarray:
+                  s: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """Root signs of B rows of complex (B, N) roots base +- offset, h^2 = hh, from roots s;
     1.0 past n_ok. A sign is the dyad's orientation, which can change only where h reaches 0
-    (Chase & Mirth 1993): a row keeps s but at each candidate, an interior sample k at which
-    h^2 has a local minimum whose three-point parabola reaches 0, and k + 1 closes. At k and
-    then k + 1 the root nearest the linear extrapolation of the joint's last two positions
-    (at k = 1, its last position) is taken, and holds to the row's end. A meeting between
-    samples that the parabola misses keeps the sign, as a near-parallelogram's smooth minimum
-    of h must; coarse samples do not tell it from the exact parallelogram's change point."""
+    (Chase & Mirth 1993): a row keeps s but at each candidate k, an interior local minimum of
+    h^2 whose three-point parabola reaches 0, k + 1 closing; there, at k and then k + 1, the
+    root nearest the linear extrapolation of the joint's last two positions (at k = 1, its
+    last one) is taken and holds to the row's end. On a `flat` row, a change-point four-bar
+    (s + l = p + q), h^2 is least only where crank and ground line up, so every minimum is a
+    candidate, the last sample's too: samples alone miss an h = 0 that falls between them."""
     live = np.arange(hh.shape[1]) < n_ok[:, None]
     sign = np.where(live, s[:, None], 1.0)
     lo, mid, hi = hh[:, :-2], hh[:, 1:-1], hh[:, 2:]
-    rows, cols = ((mid <= lo) & (mid <= hi) & live[:, 2:]).nonzero()  # the local minima
-    lo, mid, hi = lo[rows, cols], mid[rows, cols], hi[rows, cols]
-    candidate = (mid <= 0.0) | (8.0 * (lo + hi - 2.0 * mid) * mid < (hi - lo) ** 2)
+    end = (hh[:, -1:] <= hh[:, -2:-1]) & live[:, -1:] & flat[:, None]
+    rows, cols = np.hstack([(mid <= lo) & (mid <= hi) & live[:, 2:], end]).nonzero()  # minima at cols + 1
+    lo, mid, hi = hh[rows, cols], hh[rows, cols + 1], hh[rows, np.minimum(cols + 2, hh.shape[1] - 1)]
+    candidate = flat[rows] | (mid <= 0.0) | (8.0 * (lo + hi - 2.0 * mid) * mid < (hi - lo) ** 2)
     for r, c in zip(rows[candidate].tolist(), cols[candidate].tolist()):
-        for k in (c + 1, c + 2):
+        for k in range(c + 1, min(c + 3, n_ok[r])):
             last = slice(max(k - 2, 0), k)
             p = base[r, last] + sign[r, last] * offset[r, last]
             pred = p[-1] + (p[-1] - p[0])  # the last root plus its last step
@@ -466,13 +468,14 @@ def _follow_roots(base: np.ndarray, offset: np.ndarray, hh: np.ndarray, n_ok: np
 
 def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.ndarray,
                        guess: Configuration | None, branch: Branch) -> PoseBatch:
-    """Closed-form sweeps of the mechanisms of a marker table that share m's
-    dyad plan, all B rows in one pass: each dyad keeps its start root but where
-    `_follow_roots` finds its roots meeting."""
+    """Closed-form sweeps of the mechanisms of a marker table that share m's dyad plan,
+    all B rows in one pass: each dyad keeps its start root but where `_follow_roots` flips it."""
     n, rows = len(thetas), _rows(markers)
     points = _points(markers, plan.refs, rows)
     lengths, units = _spans(points, plan.spans)
-    is_fourbar = np.zeros(rows, dtype=bool) if plan.sides is None else fourbar_lengths_valid(lengths[:, plan.sides])
+    loop = lengths[:, plan.sides] if plan.sides else np.zeros((rows, 4))  # a four-bar's sides; flat: s + l = p + q
+    is_fourbar = fourbar_lengths_valid(loop)
+    flat = is_fourbar & (np.abs(np.sort(loop) @ (1.0, -1.0, -1.0, 1.0)) <= 1e-12 * loop.sum(axis=1))
     start = np.where(is_fourbar, plan.open_sign if branch is Branch.OPEN else -plan.open_sign, 1.0)
     first = np.zeros(rows)  # root sign each row's first dyad starts on; 0 if none
 
@@ -494,7 +497,7 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
             [start_sign(dyads[i], b, base, offset) if n_ok[b] else 1.0 for b in range(rows)])
         if i == 0:
             first[:] = np.where(n_ok > 0, s, 0.0)
-        return _follow_roots(base, offset, hh, n_ok, s)
+        return _follow_roots(base, offset, hh, n_ok, s, flat)
 
     origins, rotations, failed_at = _place_steps(plan, points, lengths, units, thetas, pick)
     if (failed_at < n).any():
@@ -762,16 +765,15 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
                  markers: Markers | None = None) -> PoseBatch:
     """Continuation sweeps over an array of crank angles, columnar output.
 
-    A chain the dyad plan decomposes is solved in closed form at every angle
-    at once. Each dyad starts on the root nearest `guess`, or without one on
-    the root `start_block` tries first (`branch` for a four-bar), and keeps
-    that assembly mode, except where its roots meet between samples, at a
-    minimum of h^2 whose three-point parabola reaches 0; there it takes the
-    root continuous with the last two. Any other chain runs Newton seeded step
-    by step with the previous solution. With a marker table of B rows, m
-    supplies only the topology and the B mechanisms are swept together, by
-    the dyad plan in one array pass or by Newton with one stacked solve per
-    step; without one, m is swept alone, as the table `marker_table(m)`.
+    A chain the dyad plan decomposes is solved in closed form at every angle at
+    once. Each dyad starts on the root nearest `guess`, or without one on the root
+    `start_block` tries first (`branch` for a four-bar), and keeps that assembly mode
+    but where its roots may meet between samples (`_follow_roots`); there it takes the
+    root continuous with the last two. Any other chain runs Newton seeded step by step
+    with the previous solution. With a marker table of B rows, m supplies only the
+    topology and the B mechanisms are swept together, by the dyad plan in one array
+    pass or by Newton with one stacked solve per step; without one, m is swept alone,
+    as the table `marker_table(m)`.
     """
     thetas = np.asarray(thetas, dtype=float)
     markers = marker_table(m) if markers is None else markers

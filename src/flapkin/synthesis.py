@@ -16,8 +16,7 @@ dyad keeps its assembly mode, and only samples where its roots may meet are
 looked at one by one. Templates the dyad plan cannot decompose are swept by
 Newton, all rows together. What a call needs but X does not change (the
 template's marker table, the columns to check, the crank angles) is built
-once. The wingbeat rules and metrics are
-`gait`'s; the cost only weighs them.
+once. The wingbeat rules and metrics are `gait`'s; the cost only weighs them.
 
 The polish is batched the same way: each simplex step costs every point it
 might need (reflection, expansion and both contractions, or the N points of a

@@ -500,9 +500,12 @@ class TestDyadPlan:
         with pytest.raises(BranchAmbiguousError):
             sweep_arrays(fourbar_mechanism(fb), np.linspace(0.0, 1.0, 8), guess=guess)
 
-    def test_parallelogram_flips_at_its_change_point(self, monkeypatch):
-        # h = 0 at sample 0 and at theta = pi, where the coupler-rocker triangle
-        # turns inside out: the rocker tracks the crank only if the root flips there
+    @pytest.mark.parametrize("thetas", [np.arange(361) * math.pi / 180, 2 * math.pi * np.arange(63) / 63,
+                                        2 * math.pi * np.arange(129) / 129], ids=["361", "63", "129"])
+    def test_parallelogram_flips_at_its_change_point(self, monkeypatch, thetas):
+        # h = 0 at theta = 0 and pi, where the coupler-rocker triangle turns inside
+        # out: the rocker tracks the crank only if the root flips there, a sample at pi
+        # or not (an odd grid's samples near pi do not show h^2 reaching 0)
         signs, follow = [], kinematics._follow_roots
 
         def recorded(*args):
@@ -510,9 +513,10 @@ class TestDyadPlan:
             return signs[-1]
 
         monkeypatch.setattr(kinematics, "_follow_roots", recorded)
-        thetas = np.arange(361) * math.pi / 180
         pa = sweep_arrays(fourbar_mechanism(FourBar(4, 2, 4, 2)), thetas)
-        assert len(signs) == 1 and np.flatnonzero(np.diff(signs[0][0])).tolist() in ([179], [180])
+        assert len(signs) == 1
+        [k] = np.flatnonzero(np.diff(signs[0][0])) + 1
+        assert thetas[k - 2] < math.pi < thetas[k + 1]
         assert pa.errors == [None]
         assert np.abs(pa.angles[0, pa.index("rocker")] - thetas).max() <= 1e-12
 
@@ -542,14 +546,17 @@ class TestDyadPlan:
         n_ok = np.array(data.draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows)))
         s = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rows, max_size=rows)))
         base, offset = base[0] + 1j * base[1], offset[0] + 1j * offset[1]
+        flat = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
         hh = np.abs(offset) ** 2
-        sign = kinematics._follow_roots(base, offset, hh, n_ok, s)
+        sign = kinematics._follow_roots(base, offset, hh, n_ok, s, flat)
         for b in range(rows):
             h2, m = hh[b].tolist(), int(n_ok[b])
-            # interior minima of h^2 whose three-point parabola reaches 0, the next sample closing
+            # interior minima of h^2 whose three-point parabola reaches 0 (any, on a flat
+            # row), the next sample closing; and a flat row's last sample, if lowest
             candidates = [j for j in range(1, m - 1) if h2[j] <= min(h2[j - 1], h2[j + 1]) and (
-                h2[j] <= 0.0 or 8.0 * (h2[j - 1] + h2[j + 1] - 2.0 * h2[j]) * h2[j]
+                flat[b] or h2[j] <= 0.0 or 8.0 * (h2[j - 1] + h2[j + 1] - 2.0 * h2[j]) * h2[j]
                 < (h2[j + 1] - h2[j - 1]) * (h2[j + 1] - h2[j - 1]))]
+            candidates += [n - 1] if flat[b] and m == n > 1 and h2[-1] <= h2[-2] else []
             flips = set(np.flatnonzero(np.diff(sign[b, :m])) + 1)
             assert flips <= {j + d for j in candidates for d in (0, 1)}
             if m:
@@ -560,12 +567,18 @@ class TestDyadPlan:
         # joints at signed distance y from a centre line moving along x, roots +-i|y|:
         # row 0 crosses the line at sample 3 (h = 0); row 1 comes within 0.1 of it at
         # sample 3, a candidate, and turns back; row 2 is row 0 mirrored, starting on
-        # the + root and closing at its first 6 samples
+        # the + root and closing at its first 6 samples. Rows 3 and 4 cross between
+        # samples 3 and 4, where the parabola of h^2 only touches 0, and rows 5 and 6
+        # between samples 6 and 7: only the flat rows 3 and 5 see these crossings
         k = np.arange(8)
-        y = np.array([(k - 3) / 4, [-0.5, -0.3, -0.19, -0.1, -0.4, -0.8, -1.2, -1.6], (3 - k) / 4])
+        y = np.array([(k - 3) / 4, [-0.5, -0.3, -0.19, -0.1, -0.4, -0.8, -1.2, -1.6], (3 - k) / 4,
+                      (k - 3.5) / 4, (k - 3.5) / 4, (k - 6.6) / 4, (k - 6.6) / 4])
         base, offset = np.broadcast_to(0.1 * k, y.shape), 1j * np.abs(y)
-        sign = kinematics._follow_roots(base, offset, y * y, np.array([8, 8, 6]), np.array([-1.0, -1.0, 1.0]))
-        assert sign.tolist() == [[-1.0] * 4 + [1.0] * 4, [-1.0] * 8, [1.0] * 4 + [-1.0] * 2 + [1.0] * 2]
+        flat = np.array([False] * 3 + [True, False] * 2)
+        sign = kinematics._follow_roots(base, offset, y * y, np.array([8, 8, 6, 8, 8, 8, 8]),
+                                        np.array([-1.0, -1.0, 1.0, -1.0, -1.0, -1.0, -1.0]), flat)
+        assert sign.tolist() == [[-1.0] * 4 + [1.0] * 4, [-1.0] * 8, [1.0] * 4 + [-1.0] * 2 + [1.0] * 2,
+                                 [-1.0] * 4 + [1.0] * 4, [-1.0] * 8, [-1.0] * 7 + [1.0], [-1.0] * 8]
 
 
 class TestRotationForm:
