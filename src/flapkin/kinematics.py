@@ -439,23 +439,23 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
 
 def _follow_roots(base: np.ndarray, offset: np.ndarray, hh: np.ndarray, n_ok: np.ndarray,
                   s: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Root signs of B rows of complex (B, N) roots base +- offset, h^2 = hh, from roots s;
-    1.0 past n_ok. A sign is the dyad's orientation, which can change only where h reaches 0
-    (Chase & Mirth 1993): a row keeps s but at each candidate k, an interior local minimum of
-    h^2 whose three-point parabola reaches 0, k + 1 closing; there, at k and then k + 1, the
-    root nearest the linear extrapolation of the joint's last two positions (at k = 1, its
-    last one) is taken and holds to the row's end. On a `flat` row, a change-point four-bar
-    (s + l = p + q), h^2 is least only where crank and ground line up, so every minimum is a
-    candidate, the last sample's too: samples alone miss an h = 0 that falls between them."""
+    """Root signs of B rows of complex (B, N) roots base +- offset, h^2 = hh, from roots s; 1.0
+    past n_ok. A sign is the dyad's orientation, which changes only where h reaches 0 (Chase &
+    Mirth 1993): a row keeps s but at each candidate k, an interior local minimum of h^2 whose
+    three-point parabola reaches 0, k + 1 closing; there, at k and then k + 1, the root nearest
+    the linear extrapolation of the joint's last two positions (at k = 1, its last) holds to the
+    row's end. A `flat` row, a change-point four-bar, has h^2 least only where crank and ground
+    line up: each minimum is a candidate, a last sample's as k = N - 2."""
     live = np.arange(hh.shape[1]) < n_ok[:, None]
     sign = np.where(live, s[:, None], 1.0)
     lo, mid, hi = hh[:, :-2], hh[:, 1:-1], hh[:, 2:]
-    end = (hh[:, -1:] <= hh[:, -2:-1]) & live[:, -1:] & flat[:, None]
-    rows, cols = np.hstack([(mid <= lo) & (mid <= hi) & live[:, 2:], end]).nonzero()  # minima at cols + 1
-    lo, mid, hi = hh[rows, cols], hh[rows, cols + 1], hh[rows, np.minimum(cols + 2, hh.shape[1] - 1)]
+    low = (mid <= lo) & (mid <= hi) & live[:, 2:]  # the interior minima, at samples cols + 1
+    low[:, -1:] |= (hh[:, -1:] <= hh[:, -2:-1]) & live[:, -1:] & flat[:, None]  # a flat row's last sample
+    rows, cols = low.nonzero()
+    lo, mid, hi = lo[rows, cols], mid[rows, cols], hi[rows, cols]
     candidate = flat[rows] | (mid <= 0.0) | (8.0 * (lo + hi - 2.0 * mid) * mid < (hi - lo) ** 2)
     for r, c in zip(rows[candidate].tolist(), cols[candidate].tolist()):
-        for k in range(c + 1, min(c + 3, n_ok[r])):
+        for k in (c + 1, c + 2):
             last = slice(max(k - 2, 0), k)
             p = base[r, last] + sign[r, last] * offset[r, last]
             pred = p[-1] + (p[-1] - p[0])  # the last root plus its last step
@@ -473,9 +473,9 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
     n, rows = len(thetas), _rows(markers)
     points = _points(markers, plan.refs, rows)
     lengths, units = _spans(points, plan.spans)
-    loop = lengths[:, plan.sides] if plan.sides else np.zeros((rows, 4))  # a four-bar's sides; flat: s + l = p + q
-    is_fourbar = fourbar_lengths_valid(loop)
-    flat = is_fourbar & (np.abs(np.sort(loop) @ (1.0, -1.0, -1.0, 1.0)) <= 1e-12 * loop.sum(axis=1))
+    loop = lengths[:, plan.sides] if plan.sides else None  # a four-bar's sides; flat: s + l = p + q
+    is_fourbar = fourbar_lengths_valid(loop) if plan.sides else np.zeros(rows, dtype=bool)
+    flat = is_fourbar & (abs(np.sort(loop) @ (1, -1, -1, 1)) <= 1e-12 * loop.sum(1)) if plan.sides else is_fourbar
     start = np.where(is_fourbar, plan.open_sign if branch is Branch.OPEN else -plan.open_sign, 1.0)
     first = np.zeros(rows)  # root sign each row's first dyad starts on; 0 if none
 

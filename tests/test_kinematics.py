@@ -552,11 +552,11 @@ class TestDyadPlan:
         for b in range(rows):
             h2, m = hh[b].tolist(), int(n_ok[b])
             # interior minima of h^2 whose three-point parabola reaches 0 (any, on a flat
-            # row), the next sample closing; and a flat row's last sample, if lowest
+            # row), the next sample closing; and a flat row's last sample, if lowest, as N - 2
             candidates = [j for j in range(1, m - 1) if h2[j] <= min(h2[j - 1], h2[j + 1]) and (
                 flat[b] or h2[j] <= 0.0 or 8.0 * (h2[j - 1] + h2[j + 1] - 2.0 * h2[j]) * h2[j]
                 < (h2[j + 1] - h2[j - 1]) * (h2[j + 1] - h2[j - 1]))]
-            candidates += [n - 1] if flat[b] and m == n > 1 and h2[-1] <= h2[-2] else []
+            candidates += [n - 2] if flat[b] and m == n > 2 and h2[-1] <= h2[-2] else []
             flips = set(np.flatnonzero(np.diff(sign[b, :m])) + 1)
             assert flips <= {j + d for j in candidates for d in (0, 1)}
             if m:
