@@ -200,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance, meters")
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="Newton tolerance, meters; read only by chains the dyad plan cannot decompose (triads)")
 
     p = sub.add_parser("validate", help="validate a mechanism file")
     p.add_argument("mechanism")

@@ -257,14 +257,6 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int) -> list[str]:
     if frames < 1 or frames > gt.samples:
         raise ValueError(f"frames must be in [1, {gt.samples}]")
     idx = np.linspace(0, gt.samples - 1, frames).astype(int)
-    paths: dict[tuple[str, str], list[list[float]]] = {}
-
-    def at(ref: tuple[str, str]) -> list[list[float]]:
-        """World points of a marker at the frame samples."""
-        if ref not in paths:
-            paths[ref] = np.stack(gt.poses.marker_world(ref), axis=-1)[0, idx].tolist()
-        return paths[ref]
-
     # per link, its joint markers in joint declaration order (a lone marker
     # draws as a short stub at the origin so the link is visible)
     link_refs = {}
@@ -272,27 +264,15 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int) -> list[str]:
         refs = [(l.id, j.marker_a if j.link_a == l.id else j.marker_b)
                 for j in m.joints if l.id in (j.link_a, j.link_b)]
         link_refs[l.id] = refs if len(refs) >= 2 else [(l.id, "origin")]
+    joints = [((j.link_a, j.marker_a), isinstance(j.kind, CompliantHinge)) for j in m.joints]
+    drawn = list(dict.fromkeys([*(ref for refs in link_refs.values() for ref in refs),
+                                *(ref for ref, _ in joints), *m.wing_polygon]))
+    z = gt.poses.marker_paths(drawn)[0][:, idx]  # (R, frames): every marker drawn, at every frame
+    col = {ref: i for i, ref in enumerate(drawn)}
+    poly = [col[ref] for ref in m.wing_polygon]
+    areas = polygon_area(z.real[poly], z.imag[poly]) if len(poly) >= 3 else np.zeros(frames)
 
-    frame_data = []
-    all_pts: list[tuple[float, float]] = []
-    for f in range(frames):
-        polylines = {}
-        for lid, refs in link_refs.items():
-            pts = [tuple(at(ref)[f]) for ref in refs]
-            polylines[lid] = pts
-            all_pts.extend(pts)
-        joints = []
-        for j in m.joints:
-            x, y = at((j.link_a, j.marker_a))[f]
-            joints.append((x, y, isinstance(j.kind, CompliantHinge)))
-            all_pts.append((x, y))
-        poly = [tuple(at(ref)[f]) for ref in m.wing_polygon]
-        all_pts.extend(poly)
-        frame_data.append((polylines, joints, poly))
-
-    xs = [p[0] for p in all_pts]
-    ys = [p[1] for p in all_pts]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    x0, x1, y0, y1 = z.real.min(), z.real.max(), z.imag.min(), z.imag.max()
     w, h = max(x1 - x0, 1e-9), max(y1 - y0, 1e-9)
     mx, my = 0.05 * w, 0.05 * h
     view_box = f"{_num(x0 - mx)} {_num(-(y1 + my))} {_num(w + 2 * mx)} {_num(h + 2 * my)}"
@@ -300,23 +280,23 @@ def render_svg(gt: GaitTrajectory, m: Mechanism, frames: int) -> list[str]:
     r_pin = _num(0.015 * max(w, h))
 
     docs = []
-    for polylines, joints, poly in frame_data:
+    for x, y, area in zip(z.real.T.tolist(), z.imag.T.tolist(), areas):
+        xy = [f"{_num(a)},{_num(b)}" for a, b in zip(x, y)]  # each marker's vertex text
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view_box}">',
             f'<g transform="scale(1,-1)" stroke="#222" stroke-width="{stroke}" '
             'stroke-linecap="round" fill="none">',
         ]
-        area = polygon_area(np.asarray(poly)) if len(poly) >= 3 else 0.0
         if area >= 1e-12:
-            pts_attr = " ".join(f"{_num(x)},{_num(y)}" for x, y in poly)
+            pts_attr = " ".join(xy[c] for c in poly)
             parts.append(f'<polygon points="{pts_attr}" fill="#9ecae1" fill-opacity="0.5" stroke="none"/>')
-        for lid, pts in polylines.items():
-            if len(pts) >= 2:
-                attr = " ".join(f"{_num(x)},{_num(y)}" for x, y in pts)
+        for refs in link_refs.values():
+            if len(refs) >= 2:
+                attr = " ".join(xy[col[ref]] for ref in refs)
                 parts.append(f'<polyline points="{attr}"/>')
-        for x, y, compliant in joints:
+        for ref, compliant in joints:
             fill = "#222" if compliant else "#fff"
-            parts.append(f'<circle cx="{_num(x)}" cy="{_num(y)}" r="{r_pin}" fill="{fill}"/>')
+            parts.append(f'<circle cx="{_num(x[col[ref]])}" cy="{_num(y[col[ref]])}" r="{r_pin}" fill="{fill}"/>')
         parts.append("</g></svg>")
         docs.append("\n".join(parts) + "\n")
     return docs

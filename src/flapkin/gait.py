@@ -3,10 +3,13 @@
 One wingbeat is one full crank revolution at constant rate 2*pi/period. The
 gait is the time series of plunge angle (shoulder-to-wingtip ray above the
 ground axis, unwrapped), extension ratio (reach normalized by the sweep
-maximum), and membrane area (shoelace over the wing polygon markers).
+maximum), and membrane area (`polygon_area`, the shoelace over the wing
+polygon markers).
 
 Each wingbeat rule is defined here once, along the last axis of (B, N) series:
-one gait and a synthesis population are measured by the same code.
+one gait and a synthesis population are measured by the same code. The
+longest periodic run of a (B, N) mask (`longest_runs`) places mid-upstroke
+for the phase lag and gives `retraction_time`, its one-row case.
 """
 from __future__ import annotations
 
@@ -54,10 +57,14 @@ class GaitMetrics:
     min_transmission_angle: float | None = None
 
 
-def polygon_area(points: np.ndarray) -> float:
-    """Unsigned shoelace area of a polygon given as an (V, 2) array."""
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+def polygon_area(x, y):
+    """Unsigned shoelace area of the polygon with vertices (x[v], y[v]), in
+    vertex order. The entries are floats or arrays of one shape (a vertex's
+    coordinate in each of many polygons), and the area has their shape."""
+    def cross(a, b):  # sum of a_v * b_(v+1) over the vertices, in vertex order
+        return sum(a[v] * b[(v + 1) % len(a)] for v in range(len(a)))
+
+    return 0.5 * np.abs(cross(x, y) - cross(y, x))
 
 
 def check_samples(samples: int) -> None:
@@ -95,11 +102,7 @@ def wingbeat_series(m: Mechanism, pb: PoseBatch):
     if len(turns):
         plunge[turns] = np.unwrap(plunge[turns], axis=-1)
     x, y = ([part[:, refs.index(ref)] for ref in m.wing_polygon] for part in (z.real, z.imag))
-
-    def cross(a, b):  # sum of a_v * b_(v+1) over the vertices, in vertex order
-        return sum(a[v] * b[(v + 1) % len(a)] for v in range(len(a)))
-
-    area = 0.5 * np.abs(cross(x, y) - cross(y, x))
+    area = polygon_area(x, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (tip.real, tip.imag), plunge, reach / hi[:, None], area, hi <= 0.0, lo < 1e-12
 
@@ -210,34 +213,29 @@ def gait_metrics(gt: GaitTrajectory, transmission: np.ndarray | None = None) -> 
         raise NoStrokeReversalError("plunge is monotone over the wingbeat; not a flapping gait")
     ext_min_idx = int(gt.extension.argmin())
     # mid-upstroke: middle sample of the longest contiguous upstroke run
-    # (the series is periodic, so a run may wrap past the end)
-    start, length = max(_contiguous_runs(up[0]), key=lambda r: r[1])
-    mid_idx = (start + length // 2) % gt.samples
+    start, length = longest_runs(up)
+    mid_idx = (start[0] + length[0] // 2) % gt.samples
     lag = gt.crank[ext_min_idx] - gt.crank[mid_idx]
     lag = (lag + math.pi) % (2.0 * math.pi) - math.pi
     mu_min = float(np.min(transmission)) if transmission is not None else None
     return GaitMetrics(float(amp[0]), (float(ext_min[0]), float(ext_max[0])), float(ratio[0]), float(lag), mu_min)
 
 
-def _contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(start, length) of every True run in a periodic boolean series, in
-    order of start; a run that wraps past the end starts before it."""
-    n = len(mask)
-    if mask.all():
-        return [(0, n)]
-    step = mask.view(np.int8) - np.concatenate((mask[-1:], mask[:-1])).view(np.int8)
-    # a stop is the first False after a run
-    starts, stops = (step == 1).nonzero()[0].tolist(), (step == -1).nonzero()[0].tolist()
-    if stops and stops[0] < starts[0]:  # the last run wraps past the end
-        stops = stops[1:] + stops[:1]
-    return [(start, (stop - start) % n) for start, stop in zip(starts, stops)]
+def longest_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, length), each (B,), of the longest True run of each periodic row
+    of a (B, N) boolean mask. Ties go to the earliest start; a run that wraps
+    past the end starts before it; a row with no True run has length 0 (and
+    start 0), and an all-True row gives (0, N)."""
+    n = mask.shape[-1]
+    k, twice = np.arange(2 * n), np.concatenate((mask, mask), axis=-1)
+    # over two periods, the length of the True run ending at each sample
+    ends = np.minimum(k - np.maximum.accumulate(np.where(twice, -1, k), axis=-1), n)
+    length = ends.max(axis=-1)
+    return np.where(ends == length[:, None], (k - ends + 1) % n, n).min(axis=-1), length
 
 
 def retraction_time(gt: GaitTrajectory, tol: float = 1e-12) -> float:
     """Duration of the longest contiguous phase with extension decreasing."""
     d_ext = np.roll(gt.extension, -1) - gt.extension
     retracting = d_ext < -tol
-    runs = _contiguous_runs(retracting)
-    if not runs:
-        return 0.0
-    return max(length for _, length in runs) * gt.dt
+    return int(longest_runs(retracting[None])[1][0]) * gt.dt

@@ -160,21 +160,12 @@ class DesignSpace:
     def apply(self, x: np.ndarray) -> Mechanism:
         """Instantiate the template with parameter vector x."""
         link_edits, joint_edits = self._edits
-        links = []
-        for l in self.template.links:
-            edits = link_edits.get(l.id)
-            if not edits:
-                links.append(l)
-                continue
-            markers = dict(l.markers)
-            for mname, comps in edits.items():
-                old = markers[mname]
-                markers[mname] = Point2(float(x[comps["x"]]) if "x" in comps else old.x,
-                                        float(x[comps["y"]]) if "y" in comps else old.y)
-            links.append(replace(l, markers=markers))
+        table = self.markers(np.atleast_2d(x))
+        links = tuple(replace(l, markers={**l.markers, **{name: Point2(*table[l.id, name]) for name in edits}})
+                      if (edits := link_edits.get(l.id)) else l for l in self.template.links)
         joints = tuple(replace(j, kind=replace(j.kind, **{f: float(x[i]) for f, i in edits.items()}))
                        if (edits := joint_edits.get(j.id)) else j for j in self.template.joints)
-        return replace(self.template, links=tuple(links), joints=joints)
+        return replace(self.template, links=links, joints=joints)
 
     @cached_property
     def _table(self) -> Markers:
@@ -455,7 +446,8 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
                        transmission_joints: tuple[str, ...] = ()) -> list[ConstraintViolation]:
     """Hard-constraint check at OBJECTIVE_SAMPLES: full-revolution assemblability,
     mobility one, minimum transmission angle, extension-range attainment, and
-    `gait`'s reach rule. Empty = feasible.
+    `gait`'s reach rule. Empty = feasible. A mobility other than one is the
+    whole report, since a sweep needs a mobility-one chain.
 
     Margins are positive amounts by which a constraint is violated.
     """
@@ -467,6 +459,7 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
     if dof != 1:
         out.append(ConstraintViolation("mobility", abs((dof or 0) - 1),
                                        f"Gruebler mobility is {dof}, expected 1"))
+        return out
     thetas = _crank_angles(OBJECTIVE_SAMPLES)
     pb = sweep_arrays(m, thetas)
     if error := pb.errors[0]:

@@ -139,8 +139,8 @@ def wing_area(m: Mechanism, c: Configuration) -> float:
     """Membrane area traced by the wing-polygon markers in the world frame."""
     if len(m.wing_polygon) < 3:
         raise GaitError("mechanism has no wing polygon", code="BAD_WING_POLYGON")
-    pts = np.array([marker_world(m, c, lid, mk).as_array() for lid, mk in m.wing_polygon])
-    return polygon_area(pts)
+    pts = [marker_world(m, c, lid, mk) for lid, mk in m.wing_polygon]
+    return polygon_area([p.x for p in pts], [p.y for p in pts])
 
 
 def plunge_angle(m: Mechanism, c: Configuration) -> float:

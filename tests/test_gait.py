@@ -14,9 +14,9 @@ from flapkin.errors import GaitError, NoStrokeReversalError
 from flapkin.gait import (
     GaitTrajectory,
     _area_ratio,
-    _contiguous_runs,
     gait_metrics,
     generate_gait,
+    longest_runs,
     min_transmission_angle,
     polygon_area,
     retraction_time,
@@ -31,16 +31,13 @@ from conftest import make_plunge_gait, marker_world, parallelogram_wing, plunge_
 
 class TestPolygonArea:
     def test_unit_square(self):
-        sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-        assert polygon_area(sq) == 1.0
+        assert polygon_area([0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]) == 1.0
 
     def test_triangle(self):
-        tri = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
-        assert polygon_area(tri) == 0.5
+        assert polygon_area([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]) == 0.5
 
     def test_collinear_zero(self):
-        line = np.array([[0, 0], [1, 1], [2, 2]], dtype=float)
-        assert polygon_area(line) == 0.0
+        assert polygon_area([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]) == 0.0
 
     def test_wing_area_matches_fan_triangulation(self, armwing):
         thetas = np.linspace(0, 2 * math.pi, 24)
@@ -261,23 +258,32 @@ def loop_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
-class TestContiguousRuns:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=64))
-    def test_matches_loop(self, bits):
-        mask = np.array(bits)
-        assert _contiguous_runs(mask) == loop_runs(mask)
+class TestLongestRuns:
+    @staticmethod
+    def oracle(row: np.ndarray) -> tuple[int, int]:
+        """The first longest of `loop_runs`, (0, 0) when there is none."""
+        return max(loop_runs(row), key=lambda r: r[1], default=(0, 0))
 
-    @pytest.mark.parametrize("bits, runs", [
-        ([True] * 5, [(0, 5)]),
-        ([False] * 5, []),
-        ([True, False, False, True, True], [(3, 3)]),           # wraps past the end
-        ([True, True, False, True, False, True], [(3, 1), (5, 3)]),
-        ([False, True, True, False], [(1, 2)]),
-    ])
-    def test_edge_cases(self, bits, runs):
-        mask = np.array(bits)
-        assert _contiguous_runs(mask) == runs == loop_runs(mask)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda b: st.integers(1, 64).flatmap(
+        lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=b, max_size=b))))
+    def test_matches_loop(self, rows):
+        mask = np.array(rows)
+        start, length = longest_runs(mask)
+        for row, s, n in zip(mask, start.tolist(), length.tolist()):
+            want = self.oracle(row)
+            assert n == want[1] and (n == 0 or s == want[0])
+
+    @pytest.mark.parametrize("bits, run", [
+        ([True] * 5, (0, 5)),
+        ([False] * 5, (0, 0)),
+        ([True, False, False, True, True], (3, 3)),          # wraps past the end
+        ([True, True, False, True, False, True], (5, 3)),    # the wrapping run is the longest
+        ([True, False, True, True, False, True], (2, 2)),    # a tie with the wrapping run: earliest start
+    ], ids=["all", "none", "wraps", "wraps-longest", "tie"])
+    def test_edge_cases(self, bits, run):
+        mask = np.array([bits])
+        assert tuple(int(v[0]) for v in longest_runs(mask)) == run == self.oracle(mask[0])
 
 
 class TestRetraction:

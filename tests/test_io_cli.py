@@ -161,6 +161,18 @@ class TestRenderSvg:
             assert float(cx) == pytest.approx(p.x, abs=1e-9)
             assert float(cy) == pytest.approx(p.y, abs=1e-9)
 
+    def test_vertices_are_the_marker_paths(self, armwing):
+        gt = generate_gait(armwing, 1.0, 32)
+        docs = render_svg(gt, armwing, 5)
+        link_refs = [[(l.id, j.marker_a if j.link_a == l.id else j.marker_b)
+                      for j in armwing.joints if l.id in (j.link_a, j.link_b)] for l in armwing.links]
+        for doc, k in zip(docs, np.linspace(0, gt.samples - 1, 5).astype(int)):
+            def points(refs):  # each marker's path at this frame's sample, as the SVG writes it
+                return " ".join(f"{x[0, k]:.12g},{y[0, k]:.12g}" for x, y in map(gt.poses.marker_world, refs))
+
+            assert re.findall(r'<polygon points="([^"]+)"', doc) == [points(armwing.wing_polygon)]
+            assert re.findall(r'<polyline points="([^"]+)"', doc) == [points(r) for r in link_refs if len(r) >= 2]
+
     def test_degenerate_polygon_omitted(self, armwing):
         import dataclasses
 

@@ -32,6 +32,7 @@ from flapkin.synthesis import (
     METRIC_FAILURE_COST,
     OBJECTIVE_SAMPLES,
     PENALTY,
+    ConstraintViolation,
     DesignSpace,
     GaitSpec,
     Parameter,
@@ -593,6 +594,13 @@ class TestFeasibilityReport:
         report = feasibility_report(m, spec)
         viol = [v for v in report if v.constraint == "full_revolution"]
         assert viol and "theta" in viol[0].detail
+
+    def test_mobility_violation_is_the_whole_report(self):
+        m = fourbar_mechanism(FourBar(6, 2, 5, 5))
+        m = dataclasses.replace(m, joints=tuple(j for j in m.joints if j.id != "j_ground_rocker"))
+        spec = GaitSpec(plunge_amplitude=0.5, extension_range=(0.2, 1.0))
+        report = feasibility_report(m, spec)
+        assert report == [ConstraintViolation("mobility", 2, "Gruebler mobility is 3, expected 1")]
 
 
 class TestSpecValidation:
