@@ -30,7 +30,6 @@ from .geometry import Point2, Pose
 from .kinematics import (
     Branch,
     Configuration,
-    SolveSettings,
     assemble,
     solve_fourbar,
     sweep_arrays,

@@ -21,7 +21,7 @@ from .aero import AeroConfig, quasi_steady_forces
 from .errors import FlapkinError, ParseError, SchemaError
 from .fileio import aero_csv, mechanism_to_doc, parse_mechanism, render_svg, trajectory_csv
 from .gait import MIN_SAMPLES, gait_metrics, generate_gait, min_transmission_angle
-from .kinematics import SolveSettings
+from .kinematics import TOLERANCE
 from .mechanism import Mechanism, validate_mechanism
 from .synthesis import DesignSpace, GaitSpec, Parameter, synthesize
 
@@ -50,11 +50,6 @@ def _read_mechanism(path: str) -> Mechanism:
     return parse_mechanism(Path(path).read_bytes())
 
 
-def _gait_for(m: Mechanism, period: float, samples: int, tolerance: float):
-    settings = SolveSettings(tolerance=tolerance)
-    return generate_gait(m, period, samples, settings)
-
-
 def cmd_validate(args) -> int:
     m = parse_mechanism(Path(args.mechanism).read_bytes(), validate=False)
     report = validate_mechanism(m)
@@ -68,7 +63,7 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     m = _read_mechanism(args.mechanism)
-    gt = _gait_for(m, args.period, args.steps, args.tol)
+    gt = generate_gait(m, args.period, args.steps, args.tol)
     sys.stdout.write(trajectory_csv(gt))
     return 0
 
@@ -77,7 +72,7 @@ def cmd_gait(args) -> int:
     m = _read_mechanism(args.mechanism)
     if unknown := sorted(set(args.transmission_joint) - {j.id for j in m.joints}):
         raise ValueError(f"--transmission-joint {unknown[0]!r}: no such joint in {args.mechanism}")
-    gt = _gait_for(m, args.period, args.samples, args.tol)
+    gt = generate_gait(m, args.period, args.samples, args.tol)
     sys.stdout.write(trajectory_csv(gt))
     if args.metrics or args.metrics_out:
         mu = min_transmission_angle(m, gt.poses, args.transmission_joint) if args.transmission_joint else None
@@ -163,7 +158,7 @@ def cmd_aero(args) -> int:
     if len(chord) < 2 or not all(0.0 <= c < math.inf for c in chord):
         raise ValueError(f"--chord must be at least 2 nonnegative finite numbers, got {args.chord!r}")
     m = _read_mechanism(args.mechanism)
-    gt = _gait_for(m, args.period, args.samples, args.tol)
+    gt = generate_gait(m, args.period, args.samples, args.tol)
     span = args.span
     if span is None:
         # reach at full extension
@@ -183,7 +178,7 @@ def cmd_aero(args) -> int:
 def cmd_animate(args) -> int:
     m = _read_mechanism(args.mechanism)
     samples = max(args.frames, MIN_SAMPLES)
-    gt = _gait_for(m, args.period, samples, args.tol)
+    gt = generate_gait(m, args.period, samples, args.tol)
     docs = render_svg(gt, m, args.frames)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--tol", type=float, default=TOLERANCE,
                        help="Newton tolerance, meters; read only by chains the dyad plan cannot decompose (triads)")
 
     p = sub.add_parser("validate", help="validate a mechanism file")

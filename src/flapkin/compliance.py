@@ -19,14 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, LargeDeflectionWarning
 from .geometry import Point2
-from .kinematics import (
-    DEFAULT_SETTINGS,
-    MAX_ITERATIONS,
-    Configuration,
-    ConstraintSystem,
-    SolveSettings,
-    start_block,
-)
+from .kinematics import MAX_ITERATIONS, TOLERANCE, Configuration, ConstraintSystem, start_block
 from .mechanism import CompliantHinge, Mechanism
 
 
@@ -146,29 +139,30 @@ class _Potential:
         return H[3:, 3:]
 
 
-def projected_gradient(gradient: np.ndarray, J: np.ndarray | None) -> np.ndarray:
-    """Component of the gradient tangent to the constraint manifold."""
-    if J is None or J.size == 0:
-        return gradient
-    JJt = J @ J.T
-    lam = np.linalg.lstsq(JJt, J @ gradient, rcond=None)[0]
-    return gradient - J.T @ lam
+def _multipliers(gradient: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The least-squares multipliers lam of J^T lam = -gradient."""
+    return np.linalg.lstsq(J.T, -gradient, rcond=None)[0]
 
 
-def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, theta: float,
-                     settings: SolveSettings) -> np.ndarray:
+def projected_gradient(gradient: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Component of the gradient tangent to the constraint manifold: the
+    gradient plus J^T lam at its least-squares `_multipliers`."""
+    return gradient + J.T @ _multipliers(gradient, J)
+
+
+def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, theta: float) -> np.ndarray:
     """Newton on the KKT conditions grad V + J^T lam = 0, c = 0 from q, with
-    least-squares multipliers to start; each step is halved (at most 20
+    least-squares `_multipliers` to start; each step is halved (at most 20
     times) until the KKT residual norm decreases."""
     n = len(q)
-    tol_c = settings.tolerance
-    tol_g = settings.tolerance * pot.k_max
+    tol_c = TOLERANCE
+    tol_g = TOLERANCE * pot.k_max
 
     def kkt(qv, lam, J, g):
         return np.concatenate([g + J.T @ lam, sys.residual(qv, theta)])
 
     J, g = sys.jacobian(q), pot.grad(q)
-    lam = np.linalg.lstsq(J.T, -g, rcond=None)[0]
+    lam = _multipliers(g, J)
     F = kkt(q, lam, J, g)
     for _ in range(MAX_ITERATIONS):
         if np.linalg.norm(F[:n]) <= tol_g and np.linalg.norm(F[n:]) <= tol_c:
@@ -220,7 +214,7 @@ def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase) -> Configurati
     starts, tried = start_block(sys, theta)
     for start in starts[0, tried[0]]:
         try:
-            q = _lagrange_newton(sys, pot, start, theta, DEFAULT_SETTINGS)
+            q = _lagrange_newton(sys, pot, start, theta)
             break
         except ConvergenceError as e:
             error = e

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, GaitError, NoStrokeReversalError, ZeroReachError
-from .kinematics import DEFAULT_SETTINGS, PoseBatch, SolveSettings, sweep_arrays, transmission_angle_series
+from .kinematics import TOLERANCE, PoseBatch, sweep_arrays, transmission_angle_series
 from .mechanism import Mechanism
 
 MIN_SAMPLES = 8  # fewest crank angles a wingbeat is sampled at
@@ -119,8 +119,7 @@ def gait_from_pose_arrays(m: Mechanism, pb: PoseBatch, period: float,
                           np.stack(tip, axis=-1)[0], pb)
 
 
-def generate_gait(m: Mechanism, period: float, samples: int,
-                  settings: SolveSettings = DEFAULT_SETTINGS) -> GaitTrajectory:
+def generate_gait(m: Mechanism, period: float, samples: int, tol: float = TOLERANCE) -> GaitTrajectory:
     """Sweep one crank revolution from theta = 0 at constant rate and extract gait series.
 
     Raises on sweep failure (the mechanism must assemble over the whole
@@ -132,7 +131,7 @@ def generate_gait(m: Mechanism, period: float, samples: int,
     require_wingbeat(m)
     t = np.arange(samples) * (period / samples)
     thetas = 2.0 * math.pi * np.arange(samples) / samples
-    pb = sweep_arrays(m, thetas, settings)
+    pb = sweep_arrays(m, thetas, tol)
     if error := pb.errors[0]:
         raise GaitError(
             f"sweep failed at step {pb.failed_at[0]} ({error}); "
@@ -205,7 +204,7 @@ def gait_metrics(gt: GaitTrajectory, transmission: np.ndarray | None = None) -> 
 
     area_ratio_up_down is mean membrane area over the upstroke divided by the
     mean over the downstroke; phase_lag is the crank angle from mid-upstroke
-    to the extension minimum, wrapped to (-pi, pi].
+    to the extension minimum, wrapped to [-pi, pi).
     """
     check_samples(gt.samples)
     amp, ext_min, ext_max, up, reverses, ratio = stroke_metrics(gt.plunge[None], gt.extension[None], gt.area[None])

@@ -1,20 +1,24 @@
 """Pose solvers for planar linkages: closed-form dyad plan, Newton fallback.
 
-A mechanism's topology is compiled once into a dyad plan in index form: place
-the crank, then solve each RR dyad (two links sharing a pin, each pinned once
-to a link already placed) by circle intersection; the four-bar is the one-dyad
-case. A dyad's root sign is its orientation, its assembly mode, which can only
-change where its two roots meet (its half-chord h is 0): a sweep keeps the
-sign but at samples where h may reach 0, and there takes the continuous root.
-A sweep reads the markers the plan needs into one (B, M) block of link-frame
-points, and their lengths, then runs each step as a few array operations on
-slots of one pose block, for all rows of a batch and all crank angles at once.
-Chains the plan cannot decompose (triads) fall back to damped Newton iteration
-on the joint-coincidence residuals, seeded step by step with the previous
-solution and run on all rows of a batch together; `assemble` is its one-row,
-one-angle case. Either way a sweep is a `PoseBatch`: the poses of B mechanisms
-that share one topology (a marker table) at the same crank angles, one
-mechanism being B = 1.
+A marker table (`Markers`) is one (B, M) complex block of link-frame marker
+positions x + iy, a row per mechanism and a named column per (link, marker),
+for B mechanisms that share one topology; one mechanism is B = 1. Every
+reader takes the columns it needs with `Markers.take`.
+
+A topology is compiled once into a dyad plan in index form: place the crank,
+then solve each RR dyad (two links sharing a pin, each pinned once to a link
+already placed) by circle intersection; the four-bar is the one-dyad case. A
+dyad's root sign is its orientation, its assembly mode, which can only change
+where its two roots meet (its half-chord h is 0): a sweep keeps the sign but
+at samples where h may reach 0, and there takes the continuous root. A sweep
+takes the plan's markers from the table, and their lengths, then runs each
+step as a few array operations on slots of one pose block, for all rows of
+the table and all crank angles at once. Chains the plan cannot decompose
+(triads) fall back to damped Newton iteration on the joint-coincidence
+residuals, seeded step by step with the previous solution and run on all rows
+of the table together; `assemble` is its one-row, one-angle case. Either way
+a sweep is a `PoseBatch`: the poses of the table's B mechanisms at the same
+crank angles.
 
 A pose in a sweep is an origin and a rotation stored as its unit vector
 (cos, sin), built from directions the plan already has (pin to joint in the
@@ -73,16 +77,7 @@ class Configuration:
         return self.poses[link_id]
 
 
-@dataclass(frozen=True)
-class SolveSettings:
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-
-
-DEFAULT_SETTINGS = SolveSettings()
+TOLERANCE = 1e-10  # Newton's residual norm at a root, here and in the compliance layer
 MAX_ITERATIONS = 50  # Newton steps per solve, here and in the compliance layer
 RCOND_FLOOR = 1e-10  # `velocities` calls a Jacobian singular below this ratio of singular values
 
@@ -93,32 +88,25 @@ def _complex(a: np.ndarray) -> np.ndarray:
     return a.view(np.complex128)[..., 0]
 
 
-# Marker table of B mechanisms sharing one topology: (link, marker) -> (x, y)
-# in the link frame, each an array of shape (B, 1), or a float where all rows
-# agree. A sweep reads the markers its plan needs into one (B, M) block
-# (`_points`) when it starts, so a table may be edited between sweeps.
-Markers = dict[tuple[str, str], tuple[float | np.ndarray, float | np.ndarray]]
+@dataclass(frozen=True)
+class Markers:
+    """Marker table of B mechanisms sharing one topology: the (B, M) block
+    `points` of link-frame positions x + iy, whose column for each (link,
+    marker) is `columns[link, marker]`."""
+
+    columns: dict[tuple[str, str], int]
+    points: np.ndarray
+
+    def take(self, refs) -> np.ndarray:
+        """(B, R) positions of the markers refs, a new block."""
+        return self.points[:, [self.columns[ref] for ref in refs]]
 
 
 def marker_table(m: Mechanism) -> Markers:
     """The one-row marker table of a mechanism."""
-    return {(l.id, k): (float(p.x), float(p.y)) for l in m.links for k, p in l.markers.items()}
-
-
-def _rows(markers: Markers) -> int:
-    """B of a marker table: the length of its array entries, 1 if it has none."""
-    return max((len(v) for xy in markers.values() for v in xy if isinstance(v, np.ndarray)), default=1)
-
-
-def _points(markers: Markers, refs, rows: int) -> np.ndarray:
-    """(B, R) link-frame positions x + iy of the markers refs of a table of B rows."""
-    xy = [markers[ref] for ref in refs]
-    block = np.empty((rows, len(xy)), dtype=complex)
-    block[:] = [x + 1j * y if isinstance(x, float) and isinstance(y, float) else 0j for x, y in xy]
-    for i, (x, y) in enumerate(xy):
-        if not (isinstance(x, float) and isinstance(y, float)):
-            block[:, i:i + 1] = x + 1j * y
-    return block
+    refs = [(l.id, k) for l in m.links for k in l.markers]
+    return Markers({ref: i for i, ref in enumerate(refs)},
+                   np.array([[float(p.x) + 1j * float(p.y) for l in m.links for p in l.markers.values()]]))
 
 
 def _spans(points: np.ndarray, spans: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +151,7 @@ class PoseBatch:
         """(B, R, N) world paths x + iy of the markers refs across the sweeps."""
         origins, rotations = _complex(self.origins), _complex(self.rotations)
         z = np.empty((len(refs), len(origins), len(self.thetas)), dtype=complex)  # a path per block
-        for path, (lid, _), p in zip(z, refs, _points(self.markers, refs, len(origins)).T):
+        for path, (lid, _), p in zip(z, refs, self.markers.take(refs).T):
             i = self.index(lid)
             np.add(origins[:, i], np.multiply(rotations[:, i], p[:, None], out=path), out=path)
         return z.transpose(1, 0, 2)
@@ -262,12 +250,12 @@ def _decompose(m: Mechanism) -> list[tuple]:
 @dataclass(frozen=True)
 class _Plan:
     """A topology compiled once, for the dyad plan and Newton alike. Pose slots
-    are positions in `ids`, the ground first; a sweep reads the markers `refs`
-    into the columns of a `_points` block, and `_spans` of the column pairs
-    `spans`. A step is (kind, slots, pins, owns, spans): its links' pose
-    slots, each pin's placed (slot, column), the column of each link's own
-    pinned marker, and the span from it to the link's second pin (rigid) or
-    shared joint (dyad). `dyadic`: crank and dyads solve the whole chain (a
+    are positions in `ids`, the ground first; a sweep takes the markers `refs`
+    from its marker table as the columns of one block, and `_spans` of the
+    column pairs `spans`. A step is (kind, slots, pins, owns, spans): its
+    links' pose slots, each pin's placed (slot, column), the column of each
+    link's own pinned marker, and the span from it to the link's second pin
+    (rigid) or shared joint (dyad). `dyadic`: crank and dyads solve the whole chain (a
     square system); `sides`: the spans of the four-bar loop it is, if it is
     one, whose open branch (coupler-rocker triangle keeping its orientation)
     is `open_sign`. The Newton system's q holds the (x, y, angle) of each link
@@ -356,8 +344,8 @@ def _turn(w: np.ndarray, length, unit_conj, out: np.ndarray) -> np.ndarray:
 def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np.ndarray,
                  thetas: np.ndarray, pick):
     """Place every link of the B mechanisms whose link-frame markers are the
-    (B, M) block `points` (`_points` of plan.refs; `lengths` and `units` are
-    `_spans` of plan.spans) at every crank angle of `thetas` at once.
+    (B, M) block `points` (plan.refs, taken from a marker table; `lengths` and
+    `units` are `_spans` of plan.spans) at every crank angle of `thetas` at once.
 
     Returns the origins and rotations of the links of plan.ids, each (B, L,
     N, 2) as (x, y) and (cos, sin), and the (B,) count of each row's leading
@@ -466,12 +454,12 @@ def _follow_roots(base: np.ndarray, offset: np.ndarray, hh: np.ndarray, n_ok: np
     return sign
 
 
-def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.ndarray,
+def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
                        guess: Configuration | None, branch: Branch) -> PoseBatch:
-    """Closed-form sweeps of the mechanisms of a marker table that share m's dyad plan,
+    """Closed-form sweeps of the mechanisms of a marker table by their dyad plan,
     all B rows in one pass: each dyad keeps its start root but where `_follow_roots` flips it."""
-    n, rows = len(thetas), _rows(markers)
-    points = _points(markers, plan.refs, rows)
+    points = markers.take(plan.refs)
+    n, rows = len(thetas), len(points)
     lengths, units = _spans(points, plan.spans)
     loop = lengths[:, plan.sides] if plan.sides else None  # a four-bar's sides; flat: s + l = p + q
     is_fourbar = fourbar_lengths_valid(loop) if plan.sides else np.zeros(rows, dtype=bool)
@@ -480,8 +468,9 @@ def _dyad_sweep_arrays(m: Mechanism, plan: _Plan, markers: Markers, thetas: np.n
     first = np.zeros(rows)  # root sign each row's first dyad starts on; 0 if none
 
     def start_sign(step: tuple, b: int, base: np.ndarray, offset: np.ndarray) -> float:
-        radii, (lid, shared) = list(step[4]), plan.refs[plan.spans[step[4][0], 1]]  # link a, its joint marker
-        g = guess.pose(lid).transform(m.link(lid).marker(shared))
+        radii, shared = list(step[4]), plan.spans[step[4][0], 1]  # link a's joint marker, a column
+        lid, p = plan.refs[shared][0], points[b, shared].item()
+        g = guess.pose(lid).transform(Point2(p.real, p.imag))
         (bx, by), (ox, oy) = (base[b, 0].real, base[b, 0].imag), (offset[b, 0].real, offset[b, 0].imag)
         d_plus, d_minus = (math.hypot(bx + s * ox - g.x, by + s * oy - g.y) for s in (1.0, -1.0))
         if abs(d_plus - d_minus) <= 1e-12 * sum(lengths[b, radii].tolist()):
@@ -537,12 +526,11 @@ class ConstraintSystem:
 
     def __init__(self, m: Mechanism, markers: Markers | None = None):
         self.plan = plan = _plan(m)
-        self._markers = marker_table(m) if markers is None else markers
+        self.markers = marker_table(m) if markers is None else markers
         self.n, self.rows = 3 * len(plan.ids) - 3, len(plan.template)
-        rows = 1 if markers is None else _rows(markers)
         # (B, J, 2): each joint's markers, x + iy; an end's d(+-R p)/d angle is R times `_turned`
-        self._points = _points(self._markers, plan.ends, rows).reshape(rows, -1, 2)
-        self._turned = self._points * np.array([1j, -1j])
+        self._ends = self.markers.take(plan.ends).reshape(len(self.markers.points), -1, 2)
+        self._turned = self._ends * np.array([1j, -1j])
 
     def q_from(self, c: Configuration) -> np.ndarray:
         poses = [c.pose(lid) for lid in self.plan.ids[1:]]
@@ -567,7 +555,7 @@ class ConstraintSystem:
         origin.real[:, 1:] = q2[:, 0::3]
         origin.imag[:, 1:] = q2[:, 1::3]
         rotations = self._rotations(q2).take(plan.slots, axis=1)
-        world = origin.take(plan.slots, axis=1) + rotations * self._points[rows]
+        world = origin.take(plan.slots, axis=1) + rotations * self._ends[rows]
         out = np.empty((len(q2), self.rows))
         out[:, :2 * len(plan.slots)] = (world[..., 0] - world[..., 1]).view(float)
         if plan.drive is not None:
@@ -588,7 +576,7 @@ class ConstraintSystem:
         d^2(R p)/d angle^2 = -R p. Phi is linear in the positions and its
         drive row, so these are the only nonzero second derivatives."""
         slots = self.plan.slots
-        rp = self._rotations(q[None])[0, slots] * self._points[0]
+        rp = self._rotations(q[None])[0, slots] * self._ends[0]
         lr = lam[:2 * len(slots)].reshape(-1, 1, 2)
         terms = [-1.0, 1.0] * (lr[..., 0] * rp.real + lr[..., 1] * rp.imag)
         return np.bincount(slots.ravel(), terms.ravel(), len(self.plan.ids))
@@ -603,7 +591,7 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
                 np.concatenate([_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(A))]))
 
 
-def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveSettings,
+def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float,
             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton at crank angle theta on table rows `rows` of sys from
     guesses q, all together: one stacked solve per step, each row's step
@@ -613,7 +601,6 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, settings: SolveS
     def norms(F):  # bit for bit `np.linalg.norm` of each row alone
         return np.sqrt((F[:, None] @ F[..., None])[:, 0, 0])
 
-    tol = settings.tolerance
     q = np.array(q, dtype=float)
     codes = np.full(len(q), None, dtype=object)
     F = sys.residual(q, theta, rows)
@@ -662,7 +649,7 @@ def start_block(sys: ConstraintSystem, theta: float,
     first and earlier dyads varying slowest, repeats dropped, at most 16 per
     row; circles that miss are clamped to their nearest approach, a tangent
     dyad gives one root, and links the plan can only hang sit at angle zero."""
-    rows, plan = len(sys._points), sys.plan
+    rows, plan = len(sys.markers.points), sys.plan
     if guess is not None:
         q, drive = sys.q_from(guess), plan.drive
         if drive is not None and (turns := round((theta - q[drive]) / (2.0 * math.pi))):
@@ -678,7 +665,7 @@ def start_block(sys: ConstraintSystem, theta: float,
         new[...] &= (offset != 0.0) | (signs[:, i] > 0.0)
         return signs[:, i]
 
-    points = _points(sys._markers, plan.refs, rows)
+    points = sys.markers.take(plan.refs)
     thetas = np.full(len(signs), float(theta))
     origins, rotations, _ = _place_steps(plan, points, *_spans(points, plan.spans), thetas, pick)
     angles = np.angle(_complex(rotations))
@@ -697,7 +684,7 @@ def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
 
 
 def _first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None,
-                 settings: SolveSettings) -> tuple[np.ndarray, np.ndarray]:
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
     """`_newton` on all rows at theta as `assemble` runs it: from each row's
     `start_block` starts in turn until one converges; a row none converges on
     takes the last one's error code."""
@@ -709,7 +696,7 @@ def _first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | Non
     for c in range(starts.shape[1]):
         now = todo[tried[todo, c]]
         if len(now):
-            q[now], codes[now] = _newton(sys, starts[now, c], theta, settings, now)
+            q[now], codes[now] = _newton(sys, starts[now, c], theta, tol, now)
         todo = todo[np.not_equal(codes[todo], None) | ~tried[todo, c]]
         if not len(todo):
             break
@@ -722,29 +709,29 @@ def assemble(m: Mechanism, theta: float, guess: Configuration | None = None) -> 
     first `start_block` start that converges. Step halving (at most 20 times
     per iteration) guards against overshoot."""
     sys = _require_square(ConstraintSystem(m))
-    q, (code,) = _first_roots(sys, float(theta), guess, DEFAULT_SETTINGS)
+    q, (code,) = _first_roots(sys, float(theta), guess, TOLERANCE)
     if code is not None:
         raise {e.code: e for e in (ConvergenceError, SingularJacobianError)}[code](
             f"Newton failed at theta={theta:.6g} ({code})")
     return sys.config_from(q[0], theta, guess.branch if guess else None)
 
 
-def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, settings: SolveSettings,
+def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol: float,
                          guess: Configuration | None) -> PoseBatch:
     """Newton continuation of all rows of a marker table together: each row's
     root at the first crank angle as `assemble` finds it, then each step
     seeded with the previous root; a row stops where it fails."""
     sys = ConstraintSystem(m, markers)
-    rows, n = len(sys._points), len(thetas)
+    rows, n = len(markers.points), len(thetas)
     q = np.zeros((rows, n, sys.n))
     failed_at = np.full(rows, n)
     errors = np.full(rows, None, dtype=object)
     live = np.arange(rows)
     for k, theta in enumerate(thetas.tolist()):
         if k:
-            qk, codes = _newton(sys, q[live, k - 1], theta, settings, live)
+            qk, codes = _newton(sys, q[live, k - 1], theta, tol, live)
         else:
-            qk, codes = _first_roots(_require_square(sys), theta, guess, settings)
+            qk, codes = _first_roots(_require_square(sys), theta, guess, tol)
         ok = np.equal(codes, None)
         failed_at[live[~ok]] = k
         errors[live[~ok]] = codes[~ok]
@@ -760,7 +747,7 @@ def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, set
                      markers, [guess.branch if guess else None] * rows, "newton", sys.plan.crank, guess)
 
 
-def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEFAULT_SETTINGS,
+def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,
                  guess: Configuration | None = None, branch: Branch = Branch.OPEN,
                  markers: Markers | None = None) -> PoseBatch:
     """Continuation sweeps over an array of crank angles, columnar output.
@@ -770,17 +757,19 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, settings: SolveSettings = DEF
     `start_block` tries first (`branch` for a four-bar), and keeps that assembly mode
     but where its roots may meet between samples (`_follow_roots`); there it takes the
     root continuous with the last two. Any other chain runs Newton seeded step by step
-    with the previous solution. With a marker table of B rows, m supplies only the
+    with the previous solution, to a residual norm of `tol`. With a marker table of B rows, m supplies only the
     topology and the B mechanisms are swept together, by the dyad plan in one array
     pass or by Newton with one stacked solve per step; without one, m is swept alone,
     as the table `marker_table(m)`.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     thetas = np.asarray(thetas, dtype=float)
     markers = marker_table(m) if markers is None else markers
     plan = _plan(m)
     if plan.dyadic:
-        return _dyad_sweep_arrays(m, plan, markers, thetas, guess, branch)
-    return _newton_sweep_arrays(m, markers, thetas, settings, guess)
+        return _dyad_sweep_arrays(plan, markers, thetas, guess, branch)
+    return _newton_sweep_arrays(m, markers, thetas, tol, guess)
 
 
 def velocities(m: Mechanism, c: Configuration, crank_rate: float) -> dict[str, tuple[Point2, float]]:
@@ -805,7 +794,7 @@ def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.
     the joint marker (its x axis when they coincide)."""
     j = m.joint(joint_id)
     refs = ((j.link_a, "origin"), (j.link_a, j.marker_a), (j.link_b, "origin"), (j.link_b, j.marker_b))
-    units = _spans(_points(pb.markers, refs, len(pb.origins)), np.array([[0, 1], [2, 3]]), floor=1e-12)[1]
+    units = _spans(pb.markers.take(refs), np.array([[0, 1], [2, 3]]), floor=1e-12)[1]
     rotations = _complex(pb.rotations)
     a = np.conj(rotations[:, pb.index(j.link_a)] * units[:, :1])
     # the relative rotation b over a; folding its angle into [0, pi/2] takes

@@ -157,19 +157,26 @@ class DesignSpace:
                 raise SynthesisError(f"template has no transmission joint {jid!r}", code="BAD_PARAMETER")
         return link_edits, joint_edits
 
+    @cached_property
+    def _table(self) -> tuple[Markers, np.ndarray, np.ndarray]:
+        """The template's marker table, and the (2, K) pairs (parameter column,
+        table column) of the edited x and of the edited y coordinates."""
+        table = marker_table(self.template)
+        pairs = ([(comps[c], table.columns[lid, mname]) for lid, edits in self._edits[0].items()
+                  for mname, comps in edits.items() if c in comps] for c in "xy")
+        return (table, *(np.array(p, dtype=np.intp).reshape(-1, 2).T for p in pairs))
+
     def apply(self, x: np.ndarray) -> Mechanism:
         """Instantiate the template with parameter vector x."""
         link_edits, joint_edits = self._edits
         table = self.markers(np.atleast_2d(x))
-        links = tuple(replace(l, markers={**l.markers, **{name: Point2(*table[l.id, name]) for name in edits}})
+        row = table.points[0].tolist()
+        at = {ref: Point2(row[i].real, row[i].imag) for ref, i in table.columns.items()}
+        links = tuple(replace(l, markers={**l.markers, **{name: at[l.id, name] for name in edits}})
                       if (edits := link_edits.get(l.id)) else l for l in self.template.links)
         joints = tuple(replace(j, kind=replace(j.kind, **{f: float(x[i]) for f, i in edits.items()}))
                        if (edits := joint_edits.get(j.id)) else j for j in self.template.joints)
         return replace(self.template, links=links, joints=joints)
-
-    @cached_property
-    def _table(self) -> Markers:
-        return marker_table(self.template)
 
     def admissible(self, X: np.ndarray) -> np.ndarray:
         """Rows of X (B, dim) that `apply` accepts: every column (a marker
@@ -180,18 +187,13 @@ class DesignSpace:
 
     def markers(self, X: np.ndarray) -> Markers:
         """Marker table of the B mechanisms `apply` builds from the rows of X
-        (B, dim), without building them: edited coordinates are columns of X."""
-        table = dict(self._table)
-
-        def column(i):  # a float when there is one row: all rows agree
-            return X[:, i, None] if len(X) > 1 else float(X[0, i])
-
-        for lid, edits in self._edits[0].items():
-            for mname, comps in edits.items():
-                x, y = table[lid, mname]
-                table[lid, mname] = (column(comps["x"]) if "x" in comps else x,
-                                     column(comps["y"]) if "y" in comps else y)
-        return table
+        (B, dim), without building them: the template's row B times, with the
+        edited coordinates written from the columns of X."""
+        table, (px, cx), (py, cy) = self._table
+        points = np.repeat(table.points, len(X), axis=0)
+        points.real[:, cx] = X[:, px]
+        points.imag[:, cy] = X[:, py]
+        return Markers(table.columns, points)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from flapkin.compliance import (
 from flapkin.errors import ConvergenceError, LargeDeflectionWarning
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
-    DEFAULT_SETTINGS,
     Configuration,
     ConstraintSystem,
     assemble,
@@ -225,7 +224,7 @@ def reference_equilibrium(m: Mechanism, theta: float, load: LoadCase) -> Configu
     pot = _Potential(m, load, sys)
     for start in bootstrap_candidates(m, theta):
         try:
-            q = _lagrange_newton(sys, pot, sys.q_from(start), theta, DEFAULT_SETTINGS)
+            q = _lagrange_newton(sys, pot, sys.q_from(start), theta)
             break
         except ConvergenceError as e:
             error = e

@@ -116,6 +116,22 @@ class TestGenerateGait:
 
 
 class TestMetrics:
+    def test_half_turn_phase_lag_wraps_to_minus_pi(self):
+        # a triangle plunge rising over the 129 samples from -64 to 64, so
+        # mid-upstroke is sample 0, and the extension minimum at sample 128
+        n = 256
+        u = (np.arange(n) + 128) % n - 128
+        plunge = 0.005 * np.where(u > 64, 128 - u, np.where(u < -64, -128 - u, u))
+        extension = np.ones(n)
+        extension[128] = 0.5
+        crank = 2.0 * math.pi * np.arange(n) / n
+        assert crank[128] - crank[0] == math.pi
+        gt = GaitTrajectory(1.0, crank / (2.0 * math.pi), crank, plunge, extension, np.full(n, 0.02),
+                            np.stack([np.cos(plunge), np.sin(plunge)], axis=-1))
+        start, length = longest_runs(stroke_phases(plunge)[None] > 0)
+        assert (start.tolist(), length.tolist()) == ([192], [129])
+        assert gait_metrics(gt).phase_lag == reference_metrics(gt).phase_lag == -math.pi
+
     def test_period_invariance(self, armwing):
         a = gait_metrics(generate_gait(armwing, 0.1, 128))
         b = gait_metrics(generate_gait(armwing, 1.0, 128))

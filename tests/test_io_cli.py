@@ -580,6 +580,73 @@ class TestCliFuzz:
         assert "Traceback" not in err
 
 
+
+def _leaves(doc, path=()):
+    """(key or index path, value) of each leaf (number, string, boolean, null) of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path, doc
+
+
+def _mutated(doc, path, mutation):
+    """A copy of doc with the leaf at path deleted, or replaced by the value mutation."""
+    out = json.loads(json.dumps(doc))
+    *parents, last = path
+    holder = out
+    for key in parents:
+        holder = holder[key]
+    if mutation == "delete":
+        del holder[last]
+    else:
+        holder[last] = mutation
+    return out
+
+
+def test_mutated_shipped_files_end_in_a_documented_exit_code(tmp_path):
+    """One leaf of a shipped input file deleted, or made NaN, inf or a value of
+    the wrong type, fails or passes through each command that reads the file
+    with exit code 0-3, no traceback and at most one E_ line."""
+    rng = np.random.default_rng(23)
+    names = {"mechanism": "armwing.json", "space": "armwing_space.json", "spec": "armwing_spec.json"}
+    docs = {role: json.loads((DATA / name).read_text()) for role, name in names.items()}
+    good = {role: tmp_path / name for role, name in names.items()}
+    for role, doc in docs.items():
+        good[role].write_text(json.dumps(doc))
+    cases = []
+    for role, take in (("mechanism", 60), ("space", 60), ("spec", None)):
+        all_cases = [(role, path, mutation) for path, value in _leaves(docs[role])
+                     for mutation in ("delete", math.nan, math.inf, 0.5 if isinstance(value, str) else "x")]
+        picks = range(len(all_cases)) if take is None else sorted(rng.choice(len(all_cases), take, replace=False))
+        cases += [all_cases[i] for i in picks]
+    for role, path, mutation in cases:
+        bad = tmp_path / f"bad_{names[role]}"
+        bad.write_text(json.dumps(_mutated(docs[role], path, mutation)))
+        if role == "mechanism":
+            runs = [["validate", str(bad)], ["gait", str(bad), "--period", "0.1", "--samples", "64"],
+                    ["aero", str(bad), "--period", "0.1", "--freestream", "3", "--samples", "64"]]
+        else:
+            files = {**good, role: bad}
+            runs = [["synthesize", str(files["space"]), str(files["spec"]), "--budget", "30", "--seed", "0",
+                     "--out", str(tmp_path / "out.json")]]
+        for argv in runs:
+            code, _, err = run_cli(argv)
+            assert code in (0, 1, 2, 3), (argv[0], path, mutation)
+            assert "Traceback" not in err, (argv[0], path, mutation)
+            assert sum(line.startswith("E_") for line in err.splitlines()) <= 1, (argv[0], path, mutation)
+
+
+def test_runtime_modules_import_no_test_dependency():
+    # scipy and hypothesis are test dependencies only
+    code = ("import importlib, pkgutil, sys, flapkin\n"
+            "for info in pkgutil.walk_packages(flapkin.__path__, 'flapkin.'):\n"
+            "    importlib.import_module(info.name)\n"
+            "print(sorted({name.split('.')[0] for name in sys.modules} & {'scipy', 'hypothesis'}))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
 def test_compare_gait_phases_script_ranks_as_built_between_phasings():
     # the script's own claim: the shipped gait's lift lies between the gaits
     # with the larger membrane area on the downstroke and on the upstroke

@@ -19,7 +19,7 @@ from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Branch,
     Configuration,
-    SolveSettings,
+    TOLERANCE,
     assemble,
     solve_fourbar,
     sweep_arrays,
@@ -326,22 +326,21 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         fb = random_crank_rocker(rng)
         m = fourbar_mechanism(fb)
-        settings_ = SolveSettings(tolerance=1e-10)
-        pb = sweep_arrays(m, np.linspace(0.0, 2 * math.pi, 64), settings_)
+        pb = sweep_arrays(m, np.linspace(0.0, 2 * math.pi, 64), TOLERANCE)
         assert pb.errors == [None]
         for c in pb.configurations()[::8]:
-            assert np.linalg.norm(loop_residual(m, c)) <= settings_.tolerance * sum(fb.lengths)
+            assert np.linalg.norm(loop_residual(m, c)) <= TOLERANCE * sum(fb.lengths)
 
 
 class TestSettings:
-    def test_bad_tolerance_rejected(self):
+    def test_bad_tolerance_rejected(self, fb_mech):
         with pytest.raises(ValueError):
-            SolveSettings(tolerance=0.0)
+            sweep_arrays(fb_mech, np.zeros(1), 0.0)
 
-    def test_infinite_tolerance_rejected(self):
+    def test_infinite_tolerance_rejected(self, fb_mech):
         # Newton would take any start as converged
         with pytest.raises(ValueError):
-            SolveSettings(tolerance=math.inf)
+            sweep_arrays(fb_mech, np.zeros(1), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +348,7 @@ class TestSettings:
 
 # Newton's default tolerance (1e-10 m of residual) allows ~2e-9 rad of angle
 # error on the shipped armwing's short links; the reference is held tighter.
-NEWTON_REF = SolveSettings(tolerance=1e-13)
+NEWTON_REF = 1e-13
 
 
 def assert_matches_newton(m, thetas):
@@ -681,6 +680,21 @@ class TestBatchRows:
         assert len(set(costs.tolist())) == len(X)
         assert costs.tolist() == [population_costs(space, spec, x[None], samples=32)[0] for x in X]
 
+    def test_rows_from_a_guess_are_one_mechanism_sweeps_from_it(self, fb_mech):
+        # a row's own joint marker, placed by the guess, picks its start root: the coupler
+        # frames of rows 2 and 4 are turned so far that it lies nearer the crossed root
+        space = DesignSpace(fb_mech, (Parameter("link.coupler.marker.tip.x", -5.5, 5.5),
+                                      Parameter("link.coupler.marker.tip.y", -5.5, 5.5)))
+        thetas = 0.3 + 2 * math.pi * np.arange(16) / 16
+        guess = sweep_arrays(fb_mech, thetas[:1]).configuration(0)
+        X = np.array([[5.0, 0.0], [0.0, 5.0], [-3.0, 4.0], [3.0, -4.0], [0.0, -5.0]])
+        pb = sweep_arrays(fb_mech, thetas, guess=guess, markers=space.markers(X))
+        assert pb.branches == [Branch.OPEN, Branch.OPEN, Branch.CROSSED, Branch.OPEN, Branch.CROSSED]
+        for b, x in enumerate(X):
+            one = sweep_arrays(space.apply(x), thetas, guess=guess)
+            assert np.array_equal(pb.origins[b], one.origins[0]) and np.array_equal(pb.rotations[b], one.rotations[0])
+            assert pb.branches[b] == one.branches[0]
+
     @pytest.mark.parametrize("mechanism", ["armwing", "fourbar"])
     def test_samples_are_one_sample_sweeps(self, mechanism, armwing, fb_mech):
         # the same arithmetic whatever the block shape: numpy takes an in-place
@@ -732,7 +746,7 @@ def solver_outputs(m: Mechanism, theta: float, load: LoadCase) -> list:
 
     def newton_sweep():
         thetas = theta + 2 * math.pi * np.arange(32) / 32
-        pb = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, kinematics.DEFAULT_SETTINGS, None)
+        pb = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, TOLERANCE, None)
         return pb.ids, pb.crank, pb.origins.tobytes(), pb.rotations.tobytes(), pb.failed_at.tolist(), pb.errors
 
     def velocity():
