@@ -119,13 +119,15 @@ def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
         _require(isinstance(entry.get("joint"), str), "hinge 'joint' must be a string")
         for k in ("width_m", "thickness_m", "length_m", "modulus_pa"):
             _require(isinstance(entry.get(k), (int, float)), "hinge {!r}: missing numeric {!r}", entry["joint"], k)
+        _require(isinstance(entry.get("rest_angle_rad", 0.0), (int, float)),
+                 "hinge {!r}: 'rest_angle_rad' must be a number", entry["joint"])
         try:
             geom = HingeGeometry(float(entry["width_m"]), float(entry["thickness_m"]),
                                  float(entry["length_m"]), float(entry["modulus_pa"]))
+            rest = float(entry.get("rest_angle_rad", 0.0))
+            hinge_specs[entry["joint"]] = (CompliantHinge(hinge_stiffness(geom), rest, geom), entry)
         except ValueError as e:
             raise SchemaError(f"hinge {entry['joint']!r}: {e}") from e
-        rest = float(entry.get("rest_angle_rad", 0.0))
-        hinge_specs[entry["joint"]] = (CompliantHinge(hinge_stiffness(geom), rest, geom), entry)
 
     joints = []
     _require(isinstance(doc["joints"], list), "'joints' must be a list")
@@ -143,8 +145,9 @@ def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
                      "joint {!r}: give stiffness either inline or via 'hinges', not both", entry["id"])
             kind = hinge_specs.pop(entry["id"])[0]
         elif "stiffness_nm_per_rad" in entry:
-            _require(isinstance(entry["stiffness_nm_per_rad"], (int, float)),
-                     "joint {!r}: stiffness must be numeric", entry["id"])
+            _require(isinstance(entry["stiffness_nm_per_rad"], (int, float))
+                     and isinstance(entry.get("rest_angle_rad", 0.0), (int, float)),
+                     "joint {!r}: stiffness and rest angle must be numeric", entry["id"])
             try:
                 kind = CompliantHinge(float(entry["stiffness_nm_per_rad"]),
                                       float(entry.get("rest_angle_rad", 0.0)))

@@ -61,8 +61,8 @@ def polygon_area(x, y):
     """Unsigned shoelace area of the polygon with vertices (x[v], y[v]), in
     vertex order. The entries are floats or arrays of one shape (a vertex's
     coordinate in each of many polygons), and the area has their shape."""
-    def cross(a, b):  # sum of a_v * b_(v+1) over the vertices, in vertex order
-        return sum(a[v] * b[(v + 1) % len(a)] for v in range(len(a)))
+    def cross(a, b):  # sum of a_v * b_(v+1) over the vertices, in vertex order, from the first
+        return sum((a[v] * b[(v + 1) % len(a)] for v in range(1, len(a))), a[0] * b[1 % len(a)])
 
     return 0.5 * np.abs(cross(x, y) - cross(y, x))
 

@@ -36,7 +36,7 @@ continuous across +-pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -130,7 +130,8 @@ class PoseBatch:
 
     The rotations are the poses: marker paths (`marker_paths`, one (B, R, N)
     block for many markers), gait series and transmission angles read them
-    alone, and `angles` is derived from them on first access."""
+    alone, and `angles` is derived from them on first access. A dyad sweep keeps
+    the link-frame `spans` its plan took, for transmission angles; Newton keeps none."""
 
     ids: list[str]
     thetas: np.ndarray
@@ -143,6 +144,7 @@ class PoseBatch:
     solver: str = "dyad"  # "dyad" (closed-form plan) or "newton"
     crank: str | None = None  # the driven link, whose angle is theta
     guess: Configuration | None = None  # angles take their whole turns from it
+    spans: dict = field(default_factory=dict)  # ((link, marker), (link, marker)) -> (B,) lengths, (B,) units
 
     def index(self, link_id: str) -> int:
         return self.ids.index(link_id)
@@ -333,12 +335,21 @@ def _plan(m: Mechanism) -> _Plan:
                  crank, None if crank is None else 3 * slot[crank] - 1, ends, slots, template, angle_cells)
 
 
+def _over(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """z / r for complex z and positive real r, into out or a new block of r's shape. Numpy divides
+    as (z.real + z.imag * 0, z.imag - z.real * 0) * (1/r); z times 1/r - 0j gives the same bits,
+    signed zeros too (but where a part of z / r underflows), at half the cost."""
+    inv = np.full(np.shape(r), -0.0j)
+    np.reciprocal(r, out=inv.real)
+    return np.multiply(z, inv, out=inv if out is None else out)
+
+
 def _turn(w: np.ndarray, length, unit_conj, out: np.ndarray) -> np.ndarray:
     """The rotation (into out) that turns a link-frame unit vector, given conjugated, onto the
     world vector w of the given length; onto the x axis where w is 0. No complex product here
     is taken in place: numpy takes one on a single element without fusing its multiply-add."""
     zero = length == 0.0
-    return np.divide((w + zero) * unit_conj, length + zero, out=out)
+    return _over((w + zero) * unit_conj, length + zero, out)
 
 
 def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np.ndarray,
@@ -402,7 +413,7 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
             a = d * d
             a += ra * ra - rb * rb
             a /= d2
-            u = span / d
+            u = _over(span, d)
             offset = 1j * (h * u)
             along = a * u
             del u, d2  # a 75-row cost call peaks in this step: free each block once it is dead, as the peak
@@ -438,10 +449,13 @@ def _follow_roots(base: np.ndarray, offset: np.ndarray, hh: np.ndarray, n_ok: np
     sign = np.where(live, s[:, None], 1.0)
     lo, mid, hi = hh[:, :-2], hh[:, 1:-1], hh[:, 2:]
     low = (mid <= lo) & (mid <= hi) & live[:, 2:]  # the interior minima, at samples cols + 1
-    low[:, -1:] |= (hh[:, -1:] <= hh[:, -2:-1]) & live[:, -1:] & flat[:, None]  # a flat row's last sample
-    rows, cols = low.nonzero()
+    if flat.any():
+        low[:, -1:] |= (hh[:, -1:] <= hh[:, -2:-1]) & live[:, -1:] & flat[:, None]  # a flat row's last sample
+    rows, cols = divmod(np.flatnonzero(low), low.shape[1])  # low.nonzero(), at a fifth of its cost
     lo, mid, hi = lo[rows, cols], mid[rows, cols], hi[rows, cols]
     candidate = flat[rows] | (mid <= 0.0) | (8.0 * (lo + hi - 2.0 * mid) * mid < (hi - lo) ** 2)
+    if not candidate.any():  # the usual case
+        return sign
     for r, c in zip(rows[candidate].tolist(), cols[candidate].tolist()):
         for k in (c + 1, c + 2):
             last = slice(max(k - 2, 0), k)
@@ -496,8 +510,10 @@ def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
     branches = [(branch if not s else Branch.OPEN if s == plan.open_sign else Branch.CROSSED) if fb
                 else guess.branch if guess else None for s, fb in zip(first.tolist(), is_fourbar.tolist())]
     errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
+    spans = {(plan.refs[a], plan.refs[b]): (lengths[:, k], units[:, k])
+             for k, (a, b) in enumerate(plan.spans.tolist())}
     return PoseBatch(list(plan.ids), thetas, origins, rotations, failed_at, errors, markers, branches,
-                     crank=plan.crank, guess=guess)
+                     crank=plan.crank, guess=guess, spans=spans)
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
@@ -791,10 +807,15 @@ def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.
     """(B, N) transmission angle series at a joint of m's topology: the angle
     between the two link directions as lines, in [0, pi/2]. A link's direction
     is its rotation applied to the per-row unit vector from its origin marker to
-    the joint marker (its x axis when they coincide)."""
+    the joint marker (its x axis when they are under 1e-12 apart), taken from
+    the sweep's own `spans` where it carries both and none is that short."""
     j = m.joint(joint_id)
     refs = ((j.link_a, "origin"), (j.link_a, j.marker_a), (j.link_b, "origin"), (j.link_b, j.marker_b))
-    units = _spans(pb.markers.take(refs), np.array([[0, 1], [2, 3]]), floor=1e-12)[1]
+    carried = [pb.spans.get(pair, (0.0, None)) for pair in (refs[:2], refs[2:])]  # one not kept: length 0
+    if all(np.all(length >= 1e-12) for length, _ in carried):
+        units = np.stack([unit for _, unit in carried], axis=1)
+    else:
+        units = _spans(pb.markers.take(refs), np.array([[0, 1], [2, 3]]), floor=1e-12)[1]
     rotations = _complex(pb.rotations)
     a = np.conj(rotations[:, pb.index(j.link_a)] * units[:, :1])
     # the relative rotation b over a; folding its angle into [0, pi/2] takes

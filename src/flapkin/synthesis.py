@@ -19,11 +19,13 @@ template's marker table, the columns to check, the crank angles) is built
 once. The wingbeat rules and metrics are `gait`'s; the cost only weighs them.
 
 The polish is batched the same way: each simplex step costs every point it
-might need (reflection, expansion and both contractions, or the N points of a
-shrink) in one `population_costs` call, then takes the costs in the order a
-one-point-at-a-time Nelder-Mead evaluates them, so it reaches the same points.
-Calls are nearly all fixed cost, so a step's call also costs the points of the
-likeliest next step, which that step takes if they are its own, bit for bit.
+might need (reflection, expansion and both contractions, one block computed as
+scipy computes each, or the N points of a shrink) in one `population_costs`
+call, then takes the costs in the order a one-point-at-a-time Nelder-Mead
+evaluates them, so it reaches the same points. Calls are nearly all fixed
+cost, so a step's call also costs the points of the likeliest next step, which
+that step takes if they are its own, bit for bit; between calls a step is a few
+block operations on the simplex and comparisons of Python floats.
 `objective`, the one-row case of `population_costs`, is no longer on the
 search path; it serves callers that cost one candidate.
 """
@@ -267,6 +269,16 @@ def objective(x: np.ndarray, space: DesignSpace, spec: GaitSpec) -> float:
     return float(population_costs(space, spec, np.asarray(x, dtype=float)[None])[0])
 
 
+_TRIAL_A, _TRIAL_B = np.array([[2.0], [3.0], [1.5], [0.5]]), np.array([[1.0], [2.0], [0.5], [-0.5]])
+
+
+def _trial_points(sim: np.ndarray) -> np.ndarray:
+    """The (4, N) trial points of a step from the sorted (N + 1, N) simplex sim: scipy's reflection,
+    expansion, outside and inside contraction (rho, chi, psi = 1, 2, 0.5) as one block A xbar - B w, by
+    the same IEEE operations ((1 - psi) xbar + psi w as 0.5 xbar - (-0.5 w): x - (-y) is x + y)."""
+    return _TRIAL_A * (np.add.reduce(sim[:-1], 0) / (len(sim) - 1)) - _TRIAL_B * sim[-1]
+
+
 def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxfev: int,
                  xatol: float, fatol: float) -> tuple[np.ndarray, np.ndarray]:
     """Nelder-Mead simplex search from x0 that costs each step's points in one call.
@@ -274,8 +286,8 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
     `costs` maps a (B, N) block of points to their B costs. The search is
     scipy's `minimize(method="Nelder-Mead")` without bounds or adaptive
     parameters (as of scipy 1.17), operation for operation: the same simplex
-    and trial-point arithmetic, the same argsorts and the same xatol/fatol
-    stop. Where scipy evaluates one point at a time, this costs every point a
+    and trial-point arithmetic (`_trial_points`, one block), the same argsorts
+    and the same xatol/fatol stop. Where scipy evaluates one point at a time, this costs every point a
     step might need at once: the initial simplex, then reflection, expansion,
     outside and inside contraction together (all four depend only on the
     centroid and the worst vertex), then a shrink's N points. It then
@@ -285,19 +297,11 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
     those two first: the same bits); that step looks its points up by bytes.
     Returns the consumed points (n, N) and their costs (n,), in that order.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
+    sigma, nonzdelt, zdelt = 0.5, 0.05, 0.00025
     x0 = np.asarray(x0, dtype=float)
     N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
+    sim, k = np.tile(x0, (N + 1, 1)), np.arange(N)  # vertex k + 1 moves coordinate k
+    sim[k + 1, k] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
     seen_x: list[np.ndarray] = []
     seen_f: list[np.ndarray] = []
     room = maxfev
@@ -310,44 +314,36 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
         room -= len(seen_f[-1])
         return seen_f[-1]
 
-    def trials(sim: np.ndarray) -> np.ndarray:  # a step's points, from the sorted simplex
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        return np.stack([(1 + rho) * xbar - rho * sim[-1],                 # reflection
-                         (1 + rho * chi) * xbar - rho * chi * sim[-1],     # expansion
-                         (1 + psi * rho) * xbar - psi * rho * sim[-1],     # outside contraction
-                         (1 - psi) * xbar + psi * sim[-1]])                # inside contraction
-
     fsim = np.full(N + 1, np.inf)
     f = consume(sim, costs(sim[:room]))
     fsim[:len(f)] = f
     for _ in range(2):  # scipy sorts twice here
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
 
     ahead: dict[bytes, np.ndarray] = {}  # the look-ahead trial block's bytes -> its costs
     while room:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
             break
-        trial = trials(sim)
+        trial = _trial_points(sim)
         ftrial = ahead.get(trial.tobytes())
         if ftrial is None:  # also cost the next block if the inside contraction sorts first
-            guess = trials(np.insert(sim[:-1], 0, trial[3], axis=0))
-            f = costs(np.concatenate([trial, guess]))
+            guess = _trial_points(np.concatenate((trial[3:], sim[:-1])))
+            f = costs(np.concatenate((trial, guess)))
             ftrial, ahead = f[:4], {guess.tobytes(): f[4:]}
-        fxr, fxe, fxc, fxcc = ftrial
+        fxr, fxe, fxc, fxcc = ftrial.tolist()
+        f_best, f_second_worst, f_worst = fsim[[0, -2, -1]].tolist()
         consume(trial[:1], ftrial[:1])
         # the second point to consume, and the point that replaces the worst
         # vertex (None: shrink)
-        if fxr < fsim[0]:
+        if fxr < f_best:
             second, pick = 1, (1 if fxe < fxr else 0)
-        elif fxr < fsim[-2]:
+        elif fxr < f_second_worst:
             second, pick = None, 0
-        elif fxr < fsim[-1]:
+        elif fxr < f_worst:
             second, pick = 2, (2 if fxc <= fxr else None)
         else:
-            second, pick = 3, (3 if fxcc < fsim[-1] else None)
+            second, pick = 3, (3 if fxcc < f_worst else None)
         if second is not None:
             if not room:
                 break
@@ -361,9 +357,8 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
             sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
             f = consume(sim[1:], costs(sim[1:]))
             fsim[1:1 + len(f)] = f
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
     return np.concatenate(seen_x), np.concatenate(seen_f)
 
 

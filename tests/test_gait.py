@@ -39,6 +39,22 @@ class TestPolygonArea:
     def test_collinear_zero(self):
         assert polygon_area([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]) == 0.0
 
+    def test_equals_the_sum_from_integer_zero(self):
+        # the cross sums start from their first product: bit for bit the `sum()` form after abs
+        def area_from_zero(x, y):
+            def cross(a, b):
+                return sum(a[v] * b[(v + 1) % len(a)] for v in range(len(a)))
+            return 0.5 * np.abs(cross(x, y) - cross(y, x))
+
+        rng = np.random.default_rng(24)
+        for n in range(1, 10):
+            x, y = rng.standard_normal((2, n, 200))
+            for part in (x, y):
+                part[rng.random(part.shape) < 0.3] = 0.0
+                part[rng.random(part.shape) < 0.3] = -0.0
+            assert polygon_area(x, y).tobytes() == area_from_zero(x, y).tobytes()
+            assert polygon_area(list(x[:, 0]), list(y[:, 0])) == area_from_zero(list(x[:, 0]), list(y[:, 0]))
+
     def test_wing_area_matches_fan_triangulation(self, armwing):
         thetas = np.linspace(0, 2 * math.pi, 24)
         pa = sweep_arrays(armwing, thetas)

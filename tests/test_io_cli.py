@@ -656,3 +656,25 @@ def test_compare_gait_phases_script_ranks_as_built_between_phasings():
     assert r.returncode == 0, r.stderr
     ranks = {label: int(rank) for rank, label in re.findall(r"#(\d) (in-phase|as built|anti-phase)", r.stdout)}
     assert ranks == {"in-phase": 1, "as built": 2, "anti-phase": 3}
+
+
+@pytest.mark.parametrize("command", ["validate", "gait", "aero"])
+@pytest.mark.parametrize("where", ["hinge j_b", "hinge j_d", "inline j_b"])
+@pytest.mark.parametrize("value", [None, [1], {}, "x", math.nan, math.inf],
+                         ids=["null", "list", "object", "string", "nan", "inf"])
+def test_bad_hinge_rest_angle_is_a_schema_error(tmp_path, command, where, value):
+    # a rest angle must be a finite number, in a `hinges` entry or on a joint with an inline stiffness
+    doc = json.loads(shipped_bytes())
+    kind, jid = where.split()
+    if kind == "hinge":
+        next(h for h in doc["hinges"] if h["joint"] == jid)["rest_angle_rad"] = value
+    else:
+        doc["hinges"] = [h for h in doc["hinges"] if h["joint"] != jid]
+        next(j for j in doc["joints"] if j["id"] == jid).update(stiffness_nm_per_rad=0.05, rest_angle_rad=value)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    options = {"validate": [], "gait": ["--period", "0.1", "--samples", "64"],
+               "aero": ["--period", "0.1", "--freestream", "3", "--samples", "64"]}
+    code, _, err = run_cli([command, str(p), *options[command]])
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {kind if kind == 'hinge' else 'joint'}")

@@ -259,6 +259,41 @@ class TestTransmission:
             assert transmission_angle_at(fb_mech, c, "j_b") == pytest.approx(mu, abs=1e-9)
             assert mu_series == pytest.approx(mu, abs=1e-9)
 
+    @pytest.mark.parametrize("problem", ["recovery", "armwing"])
+    def test_carried_spans_give_the_recomputed_angles(self, problem):
+        # a dyad sweep's own spans, against the `_spans` path a sweep without them takes
+        data = Path(kinematics.__file__).parent / "data"
+        space = recovery_space()[0] if problem == "recovery" else _load_space(str(data / "armwing_space.json"))
+        lo, hi = space.bounds()
+        X = 0.5 * (lo + hi) + (np.random.default_rng(24).random((75, space.dim)) - 0.5) * 1.4 * (hi - lo)
+        m = space.template
+        pb = sweep_arrays(m, 2 * math.pi * np.arange(128) / 128, markers=space.markers(X))
+        assert (pb.failed_at < 128).any() and (pb.failed_at == 128).any()
+        bare = dataclasses.replace(pb, spans={})
+        for jid in space.transmission_joints:
+            j = m.joint(jid)
+            assert {((lid, "origin"), (lid, mk)) for lid, mk in ((j.link_a, j.marker_a), (j.link_b, j.marker_b))
+                    } <= set(pb.spans)
+            assert transmission_angle_series(m, pb, jid).tobytes() == transmission_angle_series(m, bare, jid).tobytes()
+
+    def test_a_coincident_joint_marker_takes_the_x_axis(self, fb_mech):
+        # row 1's coupler joint marker sits 1e-13 above the coupler origin: the sweep carries that
+        # span with its own direction (up), but the angle reads the link's x axis, as without spans
+        table = kinematics.marker_table(fb_mech)
+        points = np.repeat(table.points, 2, axis=0)
+        points[1, table.columns["coupler", "tip"]] = 1e-13j
+        pb = sweep_arrays(fb_mech, 2 * math.pi * np.arange(16) / 16,
+                          markers=kinematics.Markers(table.columns, points))
+        length, unit = pb.spans[("coupler", "origin"), ("coupler", "tip")]
+        assert length[1] < 1e-12 and unit[1] == 1j
+        mu = transmission_angle_series(fb_mech, pb, "j_b")
+        assert mu.tobytes() == transmission_angle_series(fb_mech, dataclasses.replace(pb, spans={}), "j_b").tobytes()
+        rot = kinematics._complex(pb.rotations[1])
+        rel = rot[pb.index("rocker")] * np.conj(rot[pb.index("coupler")])  # the rocker's span is its x axis
+        assert np.array_equal(mu[1], np.arctan2(np.abs(rel.imag), np.abs(rel.real)))
+        alone = sweep_arrays(fb_mech, pb.thetas)
+        assert pb.errors[0] is None and np.array_equal(mu[0], transmission_angle_series(fb_mech, alone, "j_b")[0])
+
 
 class TestMarkerWorld:
     def test_ground_marker_unchanged(self, fb_mech, fb_example):
@@ -611,6 +646,27 @@ class TestRotationForm:
         assert not pb.origins[:, 0].any() and (pb.rotations[:, 0] == (1.0, 0.0)).all()
         assert np.abs(pb.origins[:, 1:] - ref.origins[:, 1:] - (shift.x, shift.y)).max() <= 1e-15
         assert all(c.pose(m.ground) == Pose(Point2(0.0, 0.0), 0.0) for c in bootstrap_candidates(m, 0.3))
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (3, 7), (75, 128)])
+    def test_turn_and_over_divide_bit_for_bit(self, rows, n):
+        # numpy's complex / real division, signed zeros included, on draws with zeros of both signs
+        rng = np.random.default_rng(rows * 1000 + n)
+
+        def draw(shape):
+            part = rng.standard_normal((2, *shape)) * 10.0 ** rng.integers(-8, 9, (2, *shape))
+            part[rng.random(part.shape) < 0.25] = 0.0
+            part[rng.random(part.shape) < 0.25] = -0.0
+            return part[0] + 1j * part[1]
+
+        for _ in range(20):
+            w, z, unit_conj = draw((rows, n)), draw((rows, n)), np.conj(draw((rows, 1)))
+            length = np.abs(w)  # 0 where w is a zero of either sign
+            zero = length == 0.0
+            block = np.empty((rows, 3, n), dtype=complex)  # `_turn` writes a strided slot of a pose block
+            kinematics._turn(w, length, unit_conj, block[:, 1])
+            assert block[:, 1].tobytes() == np.divide((w + zero) * unit_conj, length + zero).tobytes()
+            r = np.abs(z) + rng.random((rows, n))  # positive, as the dyad step's d is
+            assert kinematics._over(z, r).tobytes() == np.divide(z, r).tobytes()
 
     def test_derived_angles_turn_the_rotations(self, armwing):
         pb = sweep_arrays(armwing, 2 * math.pi * np.arange(256) / 256)

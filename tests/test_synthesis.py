@@ -38,6 +38,7 @@ from flapkin.synthesis import (
     Parameter,
     _nelder_mead,
     _trial_block,
+    _trial_points,
     feasibility_report,
     objective,
     population_costs,
@@ -312,6 +313,19 @@ class TestNelderMead:
         assert np.array_equal(result.parameters, best_x) and result.cost == best_cost
         pop_size = 15 * space.dim
         assert result.evaluations == pop_size * (1500 // pop_size) + len(sf)
+
+    def test_block_trial_points_equal_the_four_scipy_formulas(self):
+        rho, chi, psi = 1, 2, 0.5  # scipy's non-adaptive coefficients
+        rng = np.random.default_rng(24)
+        for k in range(2000):
+            n = 2 + k % 39
+            sim = rng.standard_normal((n + 1, n)) * 10.0 ** rng.integers(-6, 7, (n + 1, n))
+            sim[rng.random(sim.shape) < 0.1] = 0.0
+            sim[rng.random(sim.shape) < 0.1] = -0.0
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            scipy_trials = np.stack([(1 + rho) * xbar - rho * sim[-1], (1 + rho * chi) * xbar - rho * chi * sim[-1],
+                                     (1 + psi * rho) * xbar - psi * rho * sim[-1], (1 - psi) * xbar + psi * sim[-1]])
+            assert _trial_points(sim).tobytes() == scipy_trials.tobytes()
 
     def test_tolerance_stop_before_the_cap(self):
         x0 = np.array([1.0, 2.0])
