@@ -115,7 +115,8 @@ def _spans(points: np.ndarray, spans: np.ndarray, floor: float = 0.0) -> tuple[n
     with `math.hypot`, as the scalar geometry (`Point2.norm`, `as_fourbar`) takes them (numpy's
     hypot may differ in the last bit); a unit vector is 1, the x axis, below floor or at 0."""
     v = points[:, spans[:, 1]] - points[:, spans[:, 0]]
-    lengths = np.array(list(map(math.hypot, v.real.ravel().tolist(), v.imag.ravel().tolist()))).reshape(v.shape)
+    hypot = map(math.hypot, v.real.ravel().tolist(), v.imag.ravel().tolist())
+    lengths = np.fromiter(hypot, float, v.size).reshape(v.shape)
     return lengths, np.divide(v, lengths, out=np.ones_like(v), where=lengths >= max(floor, math.ulp(0.0)))
 
 
@@ -154,8 +155,8 @@ class PoseBatch:
         origins, rotations = _complex(self.origins), _complex(self.rotations)
         z = np.empty((len(refs), len(origins), len(self.thetas)), dtype=complex)  # a path per block
         for path, (lid, _), p in zip(z, refs, self.markers.take(refs).T):
-            i = self.index(lid)
-            np.add(origins[:, i], np.multiply(rotations[:, i], p[:, None], out=path), out=path)
+            i = self.index(lid)  # the ground's slot 0 is 0 + 1 p: 0 + p is the same bits, for finite p
+            np.add(origins[:, i], np.multiply(rotations[:, i], p[:, None], out=path) if i else p[:, None], out=path)
         return z.transpose(1, 0, 2)
 
     def marker_world(self, ref: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +350,9 @@ def _turn(w: np.ndarray, length, unit_conj, out: np.ndarray) -> np.ndarray:
     world vector w of the given length; onto the x axis where w is 0. No complex product here
     is taken in place: numpy takes one on a single element without fusing its multiply-add."""
     zero = length == 0.0
-    return _over((w + zero) * unit_conj, length + zero, out)
+    if zero.any():
+        return _over((w + zero) * unit_conj, length + zero, out)
+    return _over((w + 0.0) * unit_conj, length, out)  # the same bits, without casting a bool block
 
 
 def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np.ndarray,
@@ -419,7 +422,7 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
             del u, d2  # a 75-row cost call peaks in this step: free each block once it is dead, as the peak
             # must stay under glibc's trim threshold (BENCH_21.json earlier_series; re-run fourbar_synthesis)
             hh = np.multiply(h, h, out=h)
-            closed = np.logical_and.accumulate(ok, axis=1).sum(axis=1)
+            closed = np.where(ok.all(axis=1), n, ok.argmin(axis=1)) if n else closed  # leading closed samples
             sign = pick(n_dyads, p1 + along, offset, hh, closed)
             n_dyads += 1
             # the joint from p1, and from p2 (span less); the links' lengths
@@ -503,10 +506,8 @@ def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
         return _follow_roots(base, offset, hh, n_ok, s, flat)
 
     origins, rotations, failed_at = _place_steps(plan, points, lengths, units, thetas, pick)
-    if (failed_at < n).any():
-        after = np.broadcast_to((np.arange(n) >= failed_at[:, None])[:, None], origins.shape[:3])
-        origins[after] = 0.0
-        rotations[after] = (1.0, 0.0)
+    for b in np.flatnonzero(failed_at < n).tolist():  # a row's poses past its failure
+        origins[b, :, failed_at[b]:], rotations[b, :, failed_at[b]:] = 0.0, (1.0, 0.0)
     branches = [(branch if not s else Branch.OPEN if s == plan.open_sign else Branch.CROSSED) if fb
                 else guess.branch if guess else None for s, fb in zip(first.tolist(), is_fourbar.tolist())]
     errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
