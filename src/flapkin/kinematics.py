@@ -36,7 +36,7 @@ continuous across +-pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -131,8 +131,8 @@ class PoseBatch:
 
     The rotations are the poses: marker paths (`marker_paths`, one (B, R, N)
     block for many markers), gait series and transmission angles read them
-    alone, and `angles` is derived from them on first access. A dyad sweep keeps
-    the link-frame `spans` its plan took, for transmission angles; Newton keeps none."""
+    alone, and `angles` is derived from them on first access; transmission
+    angles also read the link-frame `spans` a dyad sweep took."""
 
     ids: list[str]
     thetas: np.ndarray
@@ -145,7 +145,7 @@ class PoseBatch:
     solver: str = "dyad"  # "dyad" (closed-form plan) or "newton"
     crank: str | None = None  # the driven link, whose angle is theta
     guess: Configuration | None = None  # angles take their whole turns from it
-    spans: dict = field(default_factory=dict)  # ((link, marker), (link, marker)) -> (B,) lengths, (B,) units
+    spans: tuple = ()  # a dyad sweep's (plan.span_of, lengths, units), each (B, K), of its plan's spans
 
     def index(self, link_id: str) -> int:
         return self.ids.index(link_id)
@@ -271,6 +271,7 @@ class _Plan:
     ids: tuple[str, ...]
     refs: tuple[tuple[str, str], ...]
     spans: np.ndarray  # (K, 2)
+    span_of: dict  # ((link, marker), (link, marker)) -> its row of spans
     steps: tuple[tuple, ...]
     dyadic: bool
     sides: list[int] | None
@@ -331,15 +332,18 @@ def _plan(m: Mechanism) -> _Plan:
     if crank is not None:
         template[-1, 3 * slot[crank] + 2] = 1.0
     angle_cells = np.stack([r * width + x + 2, (r + 1) * width + x + 2], axis=-1).ravel()
-    return _Plan(ids, tuple(refs), np.array(list(spans), dtype=np.intp).reshape(-1, 2), program, dyadic,
+    refs = tuple(refs)
+    return _Plan(ids, refs, np.array(list(spans), dtype=np.intp).reshape(-1, 2),
+                 {(refs[a], refs[b]): k for (a, b), k in spans.items()}, program, dyadic,
                  sides and sides[0], -1.0 if sides and first_dyad == sides[1] else 1.0,
                  crank, None if crank is None else 3 * slot[crank] - 1, ends, slots, template, angle_cells)
 
 
 def _over(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """z / r for complex z and positive real r, into out or a new block of r's shape. Numpy divides
-    as (z.real + z.imag * 0, z.imag - z.real * 0) * (1/r); z times 1/r - 0j gives the same bits,
-    signed zeros too (but where a part of z / r underflows), at half the cost."""
+    """z / r for complex z and positive real r, into out. On a large block, z times 1/r - 0j at half the
+    cost: numpy's (z.real + z.imag * 0, z.imag - z.real * 0) * (1/r) bit for bit, unless z / r underflows."""
+    if np.size(r) < 2048:  # numpy's division is the cheaper call below about a thousand elements
+        return np.divide(z, r, out=out)
     inv = np.full(np.shape(r), -0.0j)
     np.reciprocal(r, out=inv.real)
     return np.multiply(z, inv, out=inv if out is None else out)
@@ -511,10 +515,8 @@ def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
     branches = [(branch if not s else Branch.OPEN if s == plan.open_sign else Branch.CROSSED) if fb
                 else guess.branch if guess else None for s, fb in zip(first.tolist(), is_fourbar.tolist())]
     errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
-    spans = {(plan.refs[a], plan.refs[b]): (lengths[:, k], units[:, k])
-             for k, (a, b) in enumerate(plan.spans.tolist())}
     return PoseBatch(list(plan.ids), thetas, origins, rotations, failed_at, errors, markers, branches,
-                     crank=plan.crank, guess=guess, spans=spans)
+                     crank=plan.crank, guess=guess, spans=(plan.span_of, lengths, units))
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
@@ -807,16 +809,14 @@ def velocities(m: Mechanism, c: Configuration, crank_rate: float) -> dict[str, t
 def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.ndarray:
     """(B, N) transmission angle series at a joint of m's topology: the angle
     between the two link directions as lines, in [0, pi/2]. A link's direction
-    is its rotation applied to the per-row unit vector from its origin marker to
-    the joint marker (its x axis when they are under 1e-12 apart), taken from
-    the sweep's own `spans` where it carries both and none is that short."""
+    is its rotation applied to the per-row unit vector from its origin marker to the joint
+    marker (the x axis under 1e-12 apart), from the sweep's `spans` where it keeps both."""
     j = m.joint(joint_id)
     refs = ((j.link_a, "origin"), (j.link_a, j.marker_a), (j.link_b, "origin"), (j.link_b, j.marker_b))
-    carried = [pb.spans.get(pair, (0.0, None)) for pair in (refs[:2], refs[2:])]  # one not kept: length 0
-    if all(np.all(length >= 1e-12) for length, _ in carried):
-        units = np.stack([unit for _, unit in carried], axis=1)
-    else:
-        units = _spans(pb.markers.take(refs), np.array([[0, 1], [2, 3]]), floor=1e-12)[1]
+    span_of, lengths, units = pb.spans or ({}, None, None)
+    cols = [span_of.get(pair) for pair in (refs[:2], refs[2:])]
+    units = (units[:, cols] if None not in cols and (lengths[:, cols] >= 1e-12).all()
+             else _spans(pb.markers.take(refs), np.array([[0, 1], [2, 3]]), floor=1e-12)[1])
     rotations = _complex(pb.rotations)
     a = np.conj(rotations[:, pb.index(j.link_a)] * units[:, :1])
     # the relative rotation b over a; folding its angle into [0, pi/2] takes

@@ -287,11 +287,11 @@ def _nelder_mead(costs: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, maxf
     scipy's `minimize(method="Nelder-Mead")` without bounds or adaptive
     parameters (as of scipy 1.17), operation for operation: the same simplex
     and trial-point arithmetic (`_trial_points`, one block), the same argsorts
-    and the same xatol/fatol stop. Where scipy evaluates one point at a time, this costs every point a
-    step might need at once: the initial simplex, then reflection, expansion,
-    outside and inside contraction together (all four depend only on the
-    centroid and the worst vertex), then a shrink's N points. It then
-    consumes the costs in the order scipy would evaluate them, up to maxfev.
+    and the same xatol/fatol stop. Where scipy evaluates one point at a time,
+    this costs every point a step might need at once: the initial simplex, then
+    reflection, expansion, outside and inside contraction together (all four
+    depend only on the centroid and the worst vertex), then a shrink's N points.
+    It then consumes the costs in the order scipy would evaluate them, up to maxfev.
     Each call also costs the next step's points should the inside contraction
     replace the worst vertex and sort first or second (the centroid's sum adds
     those two first: the same bits); that step looks its points up by bytes.

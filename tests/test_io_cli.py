@@ -677,4 +677,5 @@ def test_bad_hinge_rest_angle_is_a_schema_error(tmp_path, command, where, value)
                "aero": ["--period", "0.1", "--freestream", "3", "--samples", "64"]}
     code, _, err = run_cli([command, str(p), *options[command]])
     assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {kind if kind == 'hinge' else 'joint'}")
+    owner = kind if kind == "hinge" else "joint"
+    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {owner}")
