@@ -155,8 +155,8 @@ class PoseBatch:
         origins, rotations = _complex(self.origins), _complex(self.rotations)
         z = np.empty((len(refs), len(origins), len(self.thetas)), dtype=complex)  # a path per block
         for path, (lid, _), p in zip(z, refs, self.markers.take(refs).T):
-            i = self.index(lid)  # the ground's slot 0 is 0 + 1 p: 0 + p is the same bits, for finite p
-            np.add(origins[:, i], np.multiply(rotations[:, i], p[:, None], out=path) if i else p[:, None], out=path)
+            i = self.index(lid)
+            np.add(origins[:, i], np.multiply(rotations[:, i], p[:, None], out=path), out=path)
         return z.transpose(1, 0, 2)
 
     def marker_world(self, ref: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
@@ -340,10 +340,9 @@ def _plan(m: Mechanism) -> _Plan:
 
 
 def _over(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """z / r for complex z and positive real r, into out. On a large block, z times 1/r - 0j at half the
-    cost: numpy's (z.real + z.imag * 0, z.imag - z.real * 0) * (1/r) bit for bit, unless z / r underflows."""
-    if np.size(r) < 2048:  # numpy's division is the cheaper call below about a thousand elements
-        return np.divide(z, r, out=out)
+    """z / r for complex z and positive real r, into out, as z times 1/r - 0j at about half the cost of a
+    75 x 128 division: numpy's (z.real + z.imag * 0, z.imag - z.real * 0) * (1/r) bit for bit, unless
+    z / r underflows."""
     inv = np.full(np.shape(r), -0.0j)
     np.reciprocal(r, out=inv.real)
     return np.multiply(z, inv, out=inv if out is None else out)
@@ -354,9 +353,7 @@ def _turn(w: np.ndarray, length, unit_conj, out: np.ndarray) -> np.ndarray:
     world vector w of the given length; onto the x axis where w is 0. No complex product here
     is taken in place: numpy takes one on a single element without fusing its multiply-add."""
     zero = length == 0.0
-    if zero.any():
-        return _over((w + zero) * unit_conj, length + zero, out)
-    return _over((w + 0.0) * unit_conj, length, out)  # the same bits, without casting a bool block
+    return _over((w + zero) * unit_conj, length + zero, out)
 
 
 def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np.ndarray,
