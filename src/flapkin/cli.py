@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .aero import AeroConfig, quasi_steady_forces
 from .errors import FlapkinError, ParseError, SchemaError
-from .fileio import aero_csv, mechanism_to_doc, parse_mechanism, render_svg, trajectory_csv
+from .fileio import (aero_csv, mechanism_from_doc, parse_mechanism, read_number, render_svg,
+                     serialize_mechanism, trajectory_csv)
 from .gait import MIN_SAMPLES, gait_metrics, generate_gait, min_transmission_angle
 from .kinematics import TOLERANCE
 from .mechanism import Mechanism, validate_mechanism
@@ -103,19 +104,20 @@ def _load_doc(path: str, build):
         return build(doc)
     except KeyError as e:
         raise SchemaError(f"{path}: missing field {e}") from e
-    except (TypeError, AttributeError, ValueError) as e:
+    except (SchemaError, TypeError, AttributeError, ValueError) as e:
         raise SchemaError(f"{path}: {e}") from e
 
 
 def _load_spec(path: str) -> GaitSpec:
     """The gait spec at path; keys the document omits take GaitSpec's defaults."""
     return _load_doc(path, lambda doc: GaitSpec(
-        plunge_amplitude=float(doc["plunge_amplitude_rad"]),
-        extension_range=tuple(doc["extension_range"]),
-        **{field: convert(doc[key]) for key, field, convert in (
-            ("area_ratio_max", "area_ratio_max", float),
-            ("min_transmission_angle_rad", "min_transmission_angle", float),
-            ("weights", "weights", lambda w: w)) if key in doc},
+        plunge_amplitude=read_number(doc["plunge_amplitude_rad"], "'plunge_amplitude_rad'"),
+        extension_range=tuple(read_number(v, "'extension_range'") for v in doc["extension_range"]),
+        **{field: convert(doc[key], repr(key)) for key, field, convert in (
+            ("area_ratio_max", "area_ratio_max", read_number),
+            ("min_transmission_angle_rad", "min_transmission_angle", read_number),
+            ("weights", "weights", lambda w, _: {k: read_number(v, "weight {!r}", k) for k, v in w.items()}),
+        ) if key in doc},
     ))
 
 
@@ -127,8 +129,9 @@ def _joint_ids(value) -> tuple[str, ...]:
 
 def _load_space(path: str) -> DesignSpace:
     return _load_doc(path, lambda doc: DesignSpace(
-        parse_mechanism(json.dumps(doc["template"])),
-        tuple(Parameter(p["name"], float(p["lower"]), float(p["upper"])) for p in doc["parameters"]),
+        mechanism_from_doc(doc["template"]),
+        tuple(Parameter(p["name"], *(read_number(p[k], "parameter {!r} {!r}", p["name"], k)
+                                     for k in ("lower", "upper"))) for p in doc["parameters"]),
         _joint_ids(doc.get("transmission_joints", [])),
     ))
 
@@ -137,8 +140,7 @@ def cmd_synthesize(args) -> int:
     space = _load_space(args.space)
     spec = _load_spec(args.spec)
     result = synthesize(space, spec, args.budget, args.seed)
-    out_doc = mechanism_to_doc(result.mechanism)
-    Path(args.out).write_text(json.dumps(out_doc, indent=2, sort_keys=True) + "\n")
+    Path(args.out).write_text(serialize_mechanism(result.mechanism))
     summary = {
         "cost": result.cost,
         "feasible": result.feasible,

@@ -14,12 +14,14 @@ The mechanism document is deliberately small and hand-authorable:
 
 A joint becomes a compliant hinge either through an entry in "hinges"
 (stiffness derived from the flexure dimensions) or through an explicit
-"stiffness_nm_per_rad". All numbers are SI; angles are radians.
+"stiffness_nm_per_rad". Numbers are SI, angles radians. Every number here, in a design
+space or in a gait spec must be a JSON int or float with a finite float value (`read_number`).
 """
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from typing import Any
 
 import numpy as np
@@ -39,17 +41,53 @@ from .mechanism import (
 )
 
 SCHEMA_VERSION = 1
+_PIN = RigidPin()  # frozen, so every rigid joint may share it
 _TOP_KEYS = {"version", "links", "joints", "ground", "wing_polygon", "shoulder", "wingtip", "hinges"}
 _LINK_KEYS = {"id", "role", "markers"}
-_JOINT_KEYS = {"id", "link_a", "marker_a", "link_b", "marker_b", "actuated",
-               "stiffness_nm_per_rad", "rest_angle_rad"}
-_HINGE_KEYS = {"joint", "width_m", "thickness_m", "length_m", "modulus_pa", "rest_angle_rad"}
+_JOINT_REFS = ("id", "link_a", "marker_a", "link_b", "marker_b")  # Joint's first five fields
+_INLINE_HINGE = ("stiffness_nm_per_rad", "rest_angle_rad")  # CompliantHinge's first two fields
+_JOINT_KEYS = {*_JOINT_REFS, "actuated", *_INLINE_HINGE}
+_HINGE_DIMS = ("width_m", "thickness_m", "length_m", "modulus_pa")  # HingeGeometry's fields
+_HINGE_KEYS = {"joint", *_HINGE_DIMS, "rest_angle_rad"}
 
 
 def _require(cond: bool, msg: str, *args):
     """SchemaError(msg.format(*args)) unless cond: the message is formatted only on failure."""
     if not cond:
         raise SchemaError(msg.format(*args))
+
+
+def read_number(value: Any, where: str, *args) -> float:
+    """A number field of an input document as a float: a JSON int or float whose float value is
+    finite. Anything else is a SchemaError at where.format(*args), formatted only on failure."""
+    try:
+        if type(value) is not bool and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number; an int beyond the float range
+        pass
+    raise SchemaError(f"{where.format(*args)}: expected a finite number, got {reprlib.repr(value)}")
+
+
+def _build(where: str, ident: str, make):
+    """make(), which builds a mechanism part; a value that it rejects (ValueError)
+    or that overflows is a SchemaError at where.format(ident)."""
+    try:
+        return make()
+    except (ValueError, OverflowError) as e:
+        raise SchemaError(f"{where.format(ident)}: {e}") from e
+
+
+def _entries(doc: dict, key: str, kind: str, keys: set[str], strings: tuple[str, ...]):
+    """The entries of the list doc[key] (if any), each an object of `keys` with a string at each of `strings`."""
+    _require(isinstance(doc.get(key, []), list), "{!r} must be a list", key)
+    for entry in doc.get(key, []):
+        _require(isinstance(entry, dict), "{} entries must be objects", kind)
+        if not keys.issuperset(entry):
+            raise SchemaError(f"{kind}: unknown keys {sorted(entry.keys() - keys)}")
+        for k in strings:
+            if not isinstance(entry.get(k), str):
+                raise SchemaError(f"{kind}: {k!r} must be a string")
+        yield entry
 
 
 def _marker_ref(value: Any, where: str) -> tuple[str, str]:
@@ -59,118 +97,70 @@ def _marker_ref(value: Any, where: str) -> tuple[str, str]:
 
 
 def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
-    """Parse and validate a mechanism document.
-
-    Raises ParseError (malformed JSON, with line/column), SchemaError
-    (unknown key or wrong type/version), or MechanismValidationError (a
-    structural invariant fails; the message carries the violation code).
-    With validate=False the structural gate is skipped so callers can
-    inspect the full validation report themselves.
-    """
+    """Parse and validate a mechanism document: `mechanism_from_doc` of its
+    JSON text. Malformed JSON is a ParseError, with line and column."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    return mechanism_from_doc(doc, validate)
+
+
+def mechanism_from_doc(doc: Any, validate: bool = True) -> Mechanism:
+    """The mechanism of a decoded document, the inverse of `mechanism_to_doc`.
+    Raises SchemaError (an unknown key, a wrong type or version, a number that
+    `read_number` rejects) or MechanismValidationError (a structural invariant
+    fails; its message carries the code). validate=False skips that gate."""
     _require(isinstance(doc, dict), "top level must be an object")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = doc.keys() - _TOP_KEYS
     _require(not unknown, "unknown top-level keys: {}", sorted(unknown))
-    _require(doc.get("version") == SCHEMA_VERSION,
+    _require(read_number(doc.get("version"), "'version'") == SCHEMA_VERSION,
              "unsupported version {!r}, expected {}", doc.get("version"), SCHEMA_VERSION)
     for key in ("links", "joints", "ground"):
         _require(key in doc, "missing required key {!r}", key)
 
     links = []
-    _require(isinstance(doc["links"], list), "'links' must be a list")
-    for entry in doc["links"]:
-        _require(isinstance(entry, dict), "link entries must be objects")
-        unknown = set(entry) - _LINK_KEYS
-        _require(not unknown, "link: unknown keys {}", sorted(unknown))
-        _require(isinstance(entry.get("id"), str), "link 'id' must be a string")
-        markers = entry.get("markers")
-        _require(isinstance(markers, dict) and markers, "link {!r}: 'markers' must be a non-empty object", entry["id"])
-        parsed_markers = {}
+    for entry in _entries(doc, "links", "link", _LINK_KEYS, ("id",)):
+        lid, markers = entry["id"], entry.get("markers")
+        _require(isinstance(markers, dict) and markers, "link {!r}: 'markers' must be a non-empty object", lid)
+        points = {}
         for name, xy in markers.items():
-            _require(isinstance(xy, (list, tuple)) and len(xy) == 2
-                     and all(isinstance(v, (int, float)) for v in xy),
-                     "link {!r} marker {!r}: expected [x, y]", entry["id"], name)
-            try:
-                parsed_markers[name] = Point2(float(xy[0]), float(xy[1]))
-            except ValueError as e:
-                raise SchemaError(f"link {entry['id']!r} marker {name!r}: {e}") from e
-        role = entry.get("role", "generic")
-        try:
-            role = LinkRole(role)
-        except ValueError:
-            raise SchemaError(f"link {entry['id']!r}: unknown role {role!r}")
-        try:
-            links.append(Link(entry["id"], parsed_markers, role))
-        except ValueError as e:
-            raise SchemaError(f"link {entry['id']!r}: {e}") from e
+            _require(isinstance(xy, (list, tuple)) and len(xy) == 2,
+                     "link {!r} marker {!r}: expected [x, y]", lid, name)
+            points[name] = Point2(read_number(xy[0], "link {!r} marker {!r}", lid, name),
+                                  read_number(xy[1], "link {!r} marker {!r}", lid, name))
+        links.append(_build("link {!r}", lid, lambda: Link(lid, points, LinkRole(entry.get("role", "generic")))))
 
-    hinge_specs: dict[str, tuple[CompliantHinge | None, dict]] = {}
-    hinges_doc = doc.get("hinges", [])
-    _require(isinstance(hinges_doc, list), "'hinges' must be a list")
-    for entry in hinges_doc:
-        _require(isinstance(entry, dict), "hinge entries must be objects")
-        unknown = set(entry) - _HINGE_KEYS
-        _require(not unknown, "hinge: unknown keys {}", sorted(unknown))
-        _require(isinstance(entry.get("joint"), str), "hinge 'joint' must be a string")
-        for k in ("width_m", "thickness_m", "length_m", "modulus_pa"):
-            _require(isinstance(entry.get(k), (int, float)), "hinge {!r}: missing numeric {!r}", entry["joint"], k)
-        _require(isinstance(entry.get("rest_angle_rad", 0.0), (int, float)),
-                 "hinge {!r}: 'rest_angle_rad' must be a number", entry["joint"])
-        try:
-            geom = HingeGeometry(float(entry["width_m"]), float(entry["thickness_m"]),
-                                 float(entry["length_m"]), float(entry["modulus_pa"]))
-            rest = float(entry.get("rest_angle_rad", 0.0))
-            hinge_specs[entry["joint"]] = (CompliantHinge(hinge_stiffness(geom), rest, geom), entry)
-        except ValueError as e:
-            raise SchemaError(f"hinge {entry['joint']!r}: {e}") from e
+    hinge_specs: dict[str, CompliantHinge] = {}
+    for entry in _entries(doc, "hinges", "hinge", _HINGE_KEYS, ("joint",)):
+        jid = entry["joint"]
+        dims = [read_number(entry.get(k), "hinge {!r} {!r}", jid, k) for k in _HINGE_DIMS]
+        rest = read_number(entry.get("rest_angle_rad", 0.0), "hinge {!r} 'rest_angle_rad'", jid)
+        geom = _build("hinge {!r}", jid, lambda: HingeGeometry(*dims))
+        hinge_specs[jid] = _build("hinge {!r}", jid, lambda: CompliantHinge(hinge_stiffness(geom), rest, geom))
 
     joints = []
-    _require(isinstance(doc["joints"], list), "'joints' must be a list")
-    for entry in doc["joints"]:
-        _require(isinstance(entry, dict), "joint entries must be objects")
-        unknown = set(entry) - _JOINT_KEYS
-        _require(not unknown, "joint: unknown keys {}", sorted(unknown))
-        for k in ("id", "link_a", "marker_a", "link_b", "marker_b"):
-            _require(isinstance(entry.get(k), str), "joint: {!r} must be a string", k)
-        actuated = entry.get("actuated", False)
-        _require(isinstance(actuated, bool), "joint {!r}: 'actuated' must be a boolean", entry["id"])
-        kind = RigidPin()
-        if entry["id"] in hinge_specs:
-            _require("stiffness_nm_per_rad" not in entry,
-                     "joint {!r}: give stiffness either inline or via 'hinges', not both", entry["id"])
-            kind = hinge_specs.pop(entry["id"])[0]
-        elif "stiffness_nm_per_rad" in entry:
-            _require(isinstance(entry["stiffness_nm_per_rad"], (int, float))
-                     and isinstance(entry.get("rest_angle_rad", 0.0), (int, float)),
-                     "joint {!r}: stiffness and rest angle must be numeric", entry["id"])
-            try:
-                kind = CompliantHinge(float(entry["stiffness_nm_per_rad"]),
-                                      float(entry.get("rest_angle_rad", 0.0)))
-            except ValueError as e:
-                raise SchemaError(f"joint {entry['id']!r}: {e}") from e
-        try:
-            joints.append(Joint(entry["id"], entry["link_a"], entry["marker_a"],
-                                entry["link_b"], entry["marker_b"], kind, actuated))
-        except ValueError as e:
-            raise SchemaError(f"joint {entry['id']!r}: {e}") from e
+    for entry in _entries(doc, "joints", "joint", _JOINT_KEYS, _JOINT_REFS):
+        jid, actuated = entry["id"], entry.get("actuated", False)
+        _require(isinstance(actuated, bool), "joint {!r}: 'actuated' must be a boolean", jid)
+        kind = hinge_specs.pop(jid, _PIN)
+        if "stiffness_nm_per_rad" in entry:
+            _require(isinstance(kind, RigidPin),
+                     "joint {!r}: give stiffness either inline or via 'hinges', not both", jid)
+            args = [read_number(entry.get(k, 0.0), "joint {!r} {!r}", jid, k) for k in _INLINE_HINGE]
+            kind = _build("joint {!r}", jid, lambda: CompliantHinge(*args))
+        joints.append(_build("joint {!r}", jid, lambda: Joint(*map(entry.get, _JOINT_REFS), kind, actuated)))
     _require(not hinge_specs, "hinges reference unknown joints: {}", sorted(hinge_specs))
 
     _require(isinstance(doc["ground"], str), "'ground' must be a link id string")
     polygon = tuple(_marker_ref(r, "wing_polygon") for r in doc.get("wing_polygon", []))
-    shoulder = _marker_ref(doc["shoulder"], "shoulder") if "shoulder" in doc else None
-    wingtip = _marker_ref(doc["wingtip"], "wingtip") if "wingtip" in doc else None
+    shoulder, wingtip = (_marker_ref(doc[key], key) if key in doc else None for key in ("shoulder", "wingtip"))
 
     m = Mechanism(tuple(links), tuple(joints), doc["ground"], polygon, shoulder, wingtip)
-    if validate:
-        report = validate_mechanism(m)
-        if not report.ok:
-            first = next(v for v in report if v.severity.value == "error")
-            raise MechanismValidationError(first.message, code=first.code)
+    if validate and (first := next((v for v in validate_mechanism(m) if v.severity.value == "error"), None)):
+        raise MechanismValidationError(first.message, code=first.code)
     return m
 
 

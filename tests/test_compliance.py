@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from flapkin import compliance
 from flapkin.compliance import (
     HingeGeometry,
     LoadCase,
@@ -26,6 +27,7 @@ from flapkin.kinematics import (
     ConstraintSystem,
     assemble,
     solve_fourbar,
+    start_block,
 )
 from flapkin.mechanism import CompliantHinge, Joint, Link, LinkRole, Mechanism
 
@@ -194,6 +196,56 @@ class TestEquilibrium:
         m = single_hinge_chain(k=0.1)
         with pytest.warns(LargeDeflectionWarning):
             solve_equilibrium(m, 0.0, LoadCase(moments=(("h", 0.2),)))
+
+    def test_a_failed_start_moves_on_to_the_next(self, armwing, monkeypatch):
+        starts = []
+
+        def first_start_fails(sys, pot, q, theta):
+            starts.append(q)
+            if len(starts) == 1:
+                raise ConvergenceError("the first start fails")
+            return _lagrange_newton(sys, pot, q, theta)
+
+        monkeypatch.setattr(compliance, "_lagrange_newton", first_start_fails)
+        load = LoadCase(forces=(("forearm", "tip", Point2(0.0, 0.5)),))
+        c = solve_equilibrium(armwing, 1.1, load)
+        assert len(starts) == 2 and not np.array_equal(starts[0], starts[1])
+        sys = ConstraintSystem(armwing)
+        q = _lagrange_newton(sys, _Potential(armwing, load, sys), starts[1], 1.1)
+        assert np.allclose(sys.q_from(c), q, rtol=0.0, atol=1e-12)
+
+    def test_every_start_failing_raises_the_last_error(self, armwing, monkeypatch):
+        starts = []
+
+        def every_start_fails(sys, pot, q, theta):
+            starts.append(q)
+            raise ConvergenceError(f"start {len(starts)} fails")
+
+        monkeypatch.setattr(compliance, "_lagrange_newton", every_start_fails)
+        tried = int(start_block(ConstraintSystem(armwing), 1.1)[1].sum())
+        assert tried > 1
+        with pytest.raises(ConvergenceError, match=f"^start {tried} fails$"):
+            solve_equilibrium(armwing, 1.1, LoadCase())
+        assert len(starts) == tried
+
+    def test_out_of_iterations_is_no_convergence(self, monkeypatch):
+        m = two_hinge_chain()
+        load = LoadCase(forces=(("fore", "tip", Point2(0.0, 0.15)),))
+        solve_equilibrium(m, 0.0, load)  # converges within the full iteration count
+        monkeypatch.setattr(compliance, "MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError, match="equilibrium did not converge"):
+            solve_equilibrium(m, 0.0, load)
+
+    def test_total_potential_of_a_pure_moment(self):
+        # elastic energy minus the moment times the relative angle of the joint's links
+        from flapkin.kinematics import Branch
+
+        k, moment, angle = 0.144, 0.0144, 0.1
+        m = single_hinge_chain(k=k)
+        c = Configuration(0.0, {"ground": Pose(Point2(0, 0), 0.0),
+                                "arm": Pose(Point2(0, 0), angle)}, Branch.OPEN)
+        v = total_potential(m, LoadCase(moments=(("h", moment),)), c)
+        assert v == pytest.approx(0.5 * k * angle ** 2 - moment * angle, rel=1e-12)
 
     def test_total_potential_at_equilibrium_is_minimal(self):
         m = two_hinge_chain()

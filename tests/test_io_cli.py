@@ -679,3 +679,125 @@ def test_bad_hinge_rest_angle_is_a_schema_error(tmp_path, command, where, value)
     assert code == 1
     owner = kind if kind == "hinge" else "joint"
     assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {owner}")
+
+
+def _entry(entries: list[dict], ident: str) -> dict:
+    """The entry of a shipped file's list whose id (or hinge joint) is ident."""
+    return next(e for e in entries if e.get("id", e.get("joint")) == ident)
+
+
+def _inline_stiffness(doc: dict) -> tuple[dict, str]:
+    # joint j_b with its stiffness on the joint instead of in a `hinges` entry
+    doc["hinges"] = [h for h in doc["hinges"] if h["joint"] != "j_b"]
+    return _entry(doc["joints"], "j_b"), "stiffness_nm_per_rad"
+
+
+SHIPPED = {"mechanism": "armwing.json", "space": "armwing_space.json", "spec": "armwing_spec.json"}
+NUMBER_FIELDS = {  # field -> (shipped file, the (holder, key) of that number in the file's document)
+    "marker coordinate": ("mechanism", lambda d: (_entry(d["links"], "crank")["markers"]["tip"], 0)),
+    "hinge width_m": ("mechanism", lambda d: (_entry(d["hinges"], "j_b"), "width_m")),
+    "hinge rest_angle_rad": ("mechanism", lambda d: (_entry(d["hinges"], "j_d"), "rest_angle_rad")),
+    "inline stiffness_nm_per_rad": ("mechanism", _inline_stiffness),
+    "version": ("mechanism", lambda d: (d, "version")),
+    "parameter lower": ("space", lambda d: (d["parameters"][0], "lower")),
+    "plunge_amplitude_rad": ("spec", lambda d: (d, "plunge_amplitude_rad")),
+    "extension_range entry": ("spec", lambda d: (d["extension_range"], 0)),
+    "area_ratio_max": ("spec", lambda d: (d, "area_ratio_max")),
+    "weight": ("spec", lambda d: (d.setdefault("weights", {}), "extension_min")),
+}
+
+
+@pytest.mark.parametrize("raw", ["true", '"0.5"', "1" + "0" * 400], ids=["true", "numeric string", "400-digit int"])
+@pytest.mark.parametrize("field", list(NUMBER_FIELDS))
+def test_a_number_field_takes_only_a_finite_json_number(tmp_path, field, raw):
+    # a boolean, a numeric string or an integer beyond the float range in any
+    # number field of the three input files is one schema error line, exit 1
+    role, locate = NUMBER_FIELDS[field]
+    docs = {r: json.loads((DATA / name).read_text()) for r, name in SHIPPED.items()}
+    holder, key = locate(docs[role])
+    holder[key] = "@number@"
+    paths = {r: tmp_path / name for r, name in SHIPPED.items()}
+    for r, doc in docs.items():
+        paths[r].write_text(json.dumps(doc).replace('"@number@"', raw))
+    if role == "mechanism":
+        runs = [["validate", str(paths["mechanism"])],
+                ["gait", str(paths["mechanism"]), "--period", "0.1", "--samples", "64"]]
+    else:  # the shipped space has 12 parameters: budget 180 is one population
+        runs = [["synthesize", str(paths["space"]), str(paths["spec"]), "--budget", "180", "--seed", "0",
+                 "--out", str(tmp_path / "out.json")]]
+    for argv in runs:
+        code, _, err = run_cli(argv)
+        lines = err.splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("E_FORMAT SCHEMA_ERROR"), (argv[0], err)
+
+
+def test_integral_numbers_read_as_the_floats_they_equal(tmp_path):
+    # [0, 0] for [0.0, 0.0], 1200000000 for 1200000000.0: the same objects, every number a float
+    doc = json.loads(shipped_bytes())
+    for link in doc["links"]:
+        link["markers"] = {name: [int(v) if v == int(v) else v for v in xy] for name, xy in link["markers"].items()}
+    for hinge in doc["hinges"]:
+        hinge.update(modulus_pa=int(hinge["modulus_pa"]), rest_angle_rad=int(hinge["rest_angle_rad"]))
+    text = json.dumps(doc)
+    assert "[0, 0]" in text and "1200000000," in text
+    m = parse_mechanism(text)
+    assert m == parse_mechanism(shipped_bytes()) and serialize_mechanism(m) == shipped_bytes().decode()
+    assert all(type(v) is float for link in m.links for p in link.markers.values() for v in (p.x, p.y))
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"plunge_amplitude_rad": 1, "extension_range": [0, 1], "weights": {"extension_min": 2}}))
+    spec = _load_spec(str(p))
+    assert spec == GaitSpec(1.0, (0.0, 1.0), weights={"extension_min": 2.0})
+    assert all(type(v) is float for v in (spec.plunge_amplitude, *spec.extension_range, *spec.weights.values()))
+
+
+VALIDATION_FAULTS = [  # (violation code, what its message names, edit of the shipped armwing document)
+    ("DUPLICATE_ID", "duplicate link id", lambda d: d["links"][-1].update(id=d["links"][-2]["id"])),
+    ("DUPLICATE_ID", "duplicate joint id", lambda d: _entry(d["joints"], "j_a").update(id="j_crank")),
+    ("NO_GROUND", "ground link 'nope'", lambda d: d.update(ground="nope")),
+    ("UNKNOWN_LINK", "unknown link 'nope'", lambda d: _entry(d["joints"], "j_a").update(link_b="nope")),
+    ("UNKNOWN_MARKER", "has no marker 'nope'", lambda d: _entry(d["joints"], "j_a").update(marker_b="nope")),
+    ("NO_ACTUATOR", "no actuated joint", lambda d: _entry(d["joints"], "j_crank").pop("actuated")),
+    ("ACTUATOR_NOT_GROUNDED", "'j_a' is not on the ground link",
+     lambda d: (_entry(d["joints"], "j_crank").pop("actuated"), _entry(d["joints"], "j_a").update(actuated=True))),
+    ("DISCONNECTED", "not reachable from ground: ['loose']",
+     lambda d: d["links"].append({"id": "loose", "role": "generic", "markers": {"origin": [0.0, 0.0]}})),
+]
+
+
+@pytest.mark.parametrize("code, message, edit", VALIDATION_FAULTS,
+                         ids=[f"{code} {message.split()[1]}" if code == "DUPLICATE_ID" else code
+                              for code, message, _ in VALIDATION_FAULTS])
+def test_validation_error_codes(tmp_path, code, message, edit):
+    # validate lists the violation and exits 1; gait stops at it with one E_VALIDATION line
+    doc = json.loads(shipped_bytes())
+    edit(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    status, out, _ = run_cli(["validate", str(p)])
+    assert status == 1
+    assert any(line.startswith(f"ERROR {code}: ") and message in line for line in out.splitlines()), out
+    status, out, err = run_cli(["gait", str(p), "--period", "0.1", "--samples", "64"])
+    assert status == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"E_VALIDATION {code}: ") and message in lines[0], err
+
+
+def test_change_point_fourbar_validates_with_a_warning(tmp_path):
+    # the (4, 2, 4, 2) parallelogram is a change-point linkage: a warning, not an error
+    p = tmp_path / "parallelogram.json"
+    p.write_text(serialize_mechanism(fourbar_mechanism(FourBar(4, 2, 4, 2))))
+    status, out, _ = run_cli(["validate", str(p)])
+    assert status == 0
+    assert out.splitlines() == ["WARNING CHANGE_POINT: four-bar loop is a change-point linkage (branch ambiguity)",
+                                "OK"]
+
+
+def test_hinge_stiffness_beyond_the_float_range_is_a_schema_error(tmp_path):
+    # a finite thickness whose cube overflows: E w t^3 / (12 l) cannot be formed
+    doc = json.loads(shipped_bytes())
+    _entry(doc["hinges"], "j_b")["thickness_m"] = 1e200
+    p = tmp_path / "thick.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run_cli(["validate", str(p)])
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("E_FORMAT SCHEMA_ERROR: hinge 'j_b': ")

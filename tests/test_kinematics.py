@@ -94,6 +94,11 @@ class TestClosedForm:
         r1 = np.linalg.norm(loop_residual(fb_mech, c2))
         assert abs(r1 - r0) <= 2e-3
 
+    def test_past_a_dead_center_is_not_assemblable(self):
+        # a non-Grashof triple rocker: its crank cannot reach 2 rad
+        with pytest.raises(NotAssemblableError, match="cannot close at crank angle 2 rad"):
+            solve_fourbar(FourBar(6, 3, 2, 4), 2.0)
+
 
 class TestAssemble:
     def test_exact_guess_returned_unchanged(self, fb_example, fb_mech):
@@ -203,6 +208,12 @@ class TestVelocities:
         vel = velocities(m, c, 2.5)
         assert vel["rocker"][1] == pytest.approx(2.5, abs=1e-9)
         assert vel["crank"][1] == pytest.approx(2.5, abs=1e-12)
+
+    def test_flat_parallelogram_is_singular(self):
+        # at theta = 0 all four links of (4, 2, 4, 2) lie on one line: a dead center
+        fb = FourBar(4, 2, 4, 2)
+        with pytest.raises(SingularJacobianError):
+            velocities(fourbar_mechanism(fb), solve_fourbar(fb, 0.0), 1.0)
 
     def test_zero_rate_zero_velocity(self, fb_example, fb_mech):
         c = solve_fourbar(fb_example, 1.1)
