@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .aero import AeroConfig, quasi_steady_forces
-from .errors import FlapkinError, ParseError, SchemaError
-from .fileio import (aero_csv, mechanism_from_doc, parse_mechanism, read_number, render_svg,
+from .errors import FlapkinError, SchemaError
+from .fileio import (aero_csv, decode_document, mechanism_from_doc, parse_mechanism, read_number, render_svg,
                      serialize_mechanism, trajectory_csv)
 from .gait import MIN_SAMPLES, gait_metrics, generate_gait, min_transmission_angle
 from .kinematics import TOLERANCE
@@ -94,12 +94,9 @@ def cmd_gait(args) -> int:
 
 
 def _load_doc(path: str, build):
-    """build(doc) for the JSON document at path. Malformed JSON is a
-    ParseError; a missing, mistyped or out-of-range field a SchemaError."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    """build(doc) for the JSON document at path. A file `decode_document` cannot
+    decode is a ParseError; a missing, mistyped or out-of-range field a SchemaError."""
+    doc = decode_document(Path(path).read_bytes(), f"{path}: ")
     try:
         return build(doc)
     except KeyError as e:

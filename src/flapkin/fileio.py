@@ -12,10 +12,10 @@ The mechanism document is deliberately small and hand-authorable:
      "hinges": [{"joint": ..., "width_m": ..., "thickness_m": ...,
                  "length_m": ..., "modulus_pa": ..., "rest_angle_rad": ...}]}
 
-A joint becomes a compliant hinge either through an entry in "hinges"
-(stiffness derived from the flexure dimensions) or through an explicit
-"stiffness_nm_per_rad". Numbers are SI, angles radians. Every number here, in a design
-space or in a gait spec must be a JSON int or float with a finite float value (`read_number`).
+A joint becomes a compliant hinge either through an entry in "hinges" (stiffness
+derived from the flexure dimensions) or through an explicit "stiffness_nm_per_rad",
+which a joint's "rest_angle_rad" needs. Numbers are SI, angles radians. Every number here,
+in a design space or in a gait spec must be a JSON int or float with a finite float value (`read_number`).
 """
 from __future__ import annotations
 
@@ -96,16 +96,19 @@ def _marker_ref(value: Any, where: str) -> tuple[str, str]:
     return (value[0], value[1])
 
 
-def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
-    """Parse and validate a mechanism document: `mechanism_from_doc` of its
-    JSON text. Malformed JSON is a ParseError, with line and column."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def decode_document(data: bytes | str, where: str = "") -> Any:
+    """The JSON document of an input file's bytes (UTF-8) or text. What `json.loads` cannot decode (bytes that
+    are not UTF-8, malformed JSON, an integer literal past the digit limit, nesting too deep) is a ParseError,
+    its message prefixed by `where`."""
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    return mechanism_from_doc(doc, validate)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ParseError(f"{where}malformed JSON: {e}") from e
+
+
+def parse_mechanism(data: bytes | str, validate: bool = True) -> Mechanism:
+    """Parse and validate a mechanism document: `mechanism_from_doc` of `decode_document(data)`."""
+    return mechanism_from_doc(decode_document(data), validate)
 
 
 def mechanism_from_doc(doc: Any, validate: bool = True) -> Mechanism:
@@ -146,11 +149,12 @@ def mechanism_from_doc(doc: Any, validate: bool = True) -> Mechanism:
         jid, actuated = entry["id"], entry.get("actuated", False)
         _require(isinstance(actuated, bool), "joint {!r}: 'actuated' must be a boolean", jid)
         kind = hinge_specs.pop(jid, _PIN)
-        if "stiffness_nm_per_rad" in entry:
+        if inline := [read_number(entry[k], "joint {!r} {!r}", jid, k) for k in _INLINE_HINGE if k in entry]:
+            _require("stiffness_nm_per_rad" in entry,
+                     "joint {!r}: 'rest_angle_rad' needs an inline 'stiffness_nm_per_rad'", jid)
             _require(isinstance(kind, RigidPin),
                      "joint {!r}: give stiffness either inline or via 'hinges', not both", jid)
-            args = [read_number(entry.get(k, 0.0), "joint {!r} {!r}", jid, k) for k in _INLINE_HINGE]
-            kind = _build("joint {!r}", jid, lambda: CompliantHinge(*args))
+            kind = _build("joint {!r}", jid, lambda: CompliantHinge(*inline))
         joints.append(_build("joint {!r}", jid, lambda: Joint(*map(entry.get, _JOINT_REFS), kind, actuated)))
     _require(not hinge_specs, "hinges reference unknown joints: {}", sorted(hinge_specs))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +72,12 @@ def check_samples(samples: int) -> None:
     """The wingbeat's sample minimum: ValueError below MIN_SAMPLES."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"need >= {MIN_SAMPLES} samples for a wingbeat")
+
+
+@lru_cache(maxsize=8)
+def crank_angles(samples: int) -> np.ndarray:
+    """The wingbeat's `samples` crank angles 2 pi k / samples, as a read-only view."""
+    return np.broadcast_to(2.0 * math.pi * np.arange(samples) / samples, (samples,))
 
 
 def require_wingbeat(m: Mechanism) -> None:
@@ -130,8 +137,7 @@ def generate_gait(m: Mechanism, period: float, samples: int, tol: float = TOLERA
         raise ValueError("period must be positive and finite")
     require_wingbeat(m)
     t = np.arange(samples) * (period / samples)
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
-    pb = sweep_arrays(m, thetas, tol)
+    pb = sweep_arrays(m, crank_angles(samples), tol)
     if error := pb.errors[0]:
         raise GaitError(
             f"sweep failed at step {pb.failed_at[0]} ({error}); "

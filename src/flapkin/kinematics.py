@@ -54,6 +54,7 @@ from .mechanism import (
     FourBar,
     Joint,
     Mechanism,
+    fourbar_change_point,
     fourbar_lengths_valid,
     fourbar_mechanism,
     fourbar_sides,
@@ -479,9 +480,9 @@ def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
     points = markers.take(plan.refs)
     n, rows = len(thetas), len(points)
     lengths, units = _spans(points, plan.spans)
-    loop = lengths[:, plan.sides] if plan.sides else None  # a four-bar's sides; flat: s + l = p + q
+    loop = lengths[:, plan.sides] if plan.sides else None  # a four-bar's sides
     is_fourbar = fourbar_lengths_valid(loop) if plan.sides else np.zeros(rows, dtype=bool)
-    flat = is_fourbar & (abs(np.sort(loop) @ (1, -1, -1, 1)) <= 1e-12 * loop.sum(1)) if plan.sides else is_fourbar
+    flat = is_fourbar & fourbar_change_point(loop) if plan.sides else is_fourbar
     start = np.where(is_fourbar, plan.open_sign if branch is Branch.OPEN else -plan.open_sign, 1.0)
     first = np.zeros(rows)  # root sign each row's first dyad starts on; 0 if none
 

@@ -315,19 +315,13 @@ def grashof_classify(fb: FourBar) -> FourBarClass:
     fully rotate.
     """
     lengths = fb.lengths
-    s, l = min(lengths), max(lengths)
-    pq = sum(lengths) - s - l
-    scale = sum(lengths)
-    if abs((s + l) - pq) <= 1e-12 * scale:
+    if fourbar_change_point(lengths):
         return FourBarClass.CHANGE_POINT
-    if s + l > pq:
+    s, l = min(lengths), max(lengths)
+    if s + l > sum(lengths) - s - l:
         return FourBarClass.NON_GRASHOF
-    shortest = lengths.index(s)
-    if shortest == 0:
-        return FourBarClass.DOUBLE_CRANK
-    if shortest == 2:
-        return FourBarClass.DOUBLE_ROCKER
-    return FourBarClass.CRANK_ROCKER
+    return {0: FourBarClass.DOUBLE_CRANK, 2: FourBarClass.DOUBLE_ROCKER}.get(lengths.index(s),
+                                                                            FourBarClass.CRANK_ROCKER)
 
 
 def fourbar_mechanism(fb: FourBar) -> Mechanism:
@@ -397,6 +391,13 @@ def fourbar_lengths_valid(lengths) -> np.ndarray:
     longest, g, a, b, c = lengths.max(axis=-1), *(lengths[..., i] for i in range(4))
     with np.errstate(invalid="ignore"):
         return (lengths.min(axis=-1) > 0.0) & np.isfinite(longest) & (longest < g + a + b + c - longest)
+
+
+def fourbar_change_point(lengths) -> np.ndarray:
+    """Whether side lengths along the last axis make a change-point four-bar: s + l = p + q within
+    1e-12 of the perimeter (s and l the shortest and longest side, p and q the other two)."""
+    lengths = np.asarray(lengths, dtype=float)
+    return abs(np.sort(lengths) @ (1, -1, -1, 1)) <= 1e-12 * lengths.sum(axis=-1)
 
 
 def as_fourbar(m: Mechanism) -> FourBarView | None:

@@ -34,27 +34,22 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BudgetTooSmallError,
-    EmptyDesignSpaceError,
-    FlapkinError,
-    GaitError,
-    SynthesisError,
-)
-from .gait import (check_samples, gait_from_pose_arrays, min_transmission_angle, require_wingbeat,
-                   stroke_metrics, wingbeat_series)
+from .errors import BudgetTooSmallError, EmptyDesignSpaceError, FlapkinError, SynthesisError
+from .gait import (check_samples, crank_angles, min_transmission_angle, require_wingbeat, stroke_metrics,
+                   wingbeat_series)
 from .geometry import Point2
-from .kinematics import Markers, marker_table, sweep_arrays
+from .kinematics import Markers, PoseBatch, marker_table, sweep_arrays
 from .mechanism import CompliantHinge, Mechanism, as_fourbar, mobility
 
 ASSEMBLY_FAILURE_COST = 1.0e6
 METRIC_FAILURE_COST = 1.0e5
 PENALTY = 1.0e3
 OBJECTIVE_SAMPLES = 128
+EXTENSION_ATTAIN_TOL = 0.02  # a feasible extension range reaches within this of each end of the target's
 WEIGHT_KEYS = frozenset({"plunge_amplitude", "extension_min", "extension_max"})  # the metric terms
 
 
@@ -213,10 +208,16 @@ def _positive_part(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
-@lru_cache(maxsize=8)
-def _crank_angles(samples: int) -> np.ndarray:
-    """The `samples` crank angles 2 pi k / samples of a cost, as a read-only view."""
-    return np.broadcast_to(2.0 * math.pi * np.arange(samples) / samples, (samples,))
+def _gait_terms(m: Mechanism, pb: PoseBatch, joints: tuple[str, ...]):
+    """The terms a cost weighs and a report checks, each (B,), of the sweeps in pb: whether a row closes at
+    every sample, `gait`'s reach-rule masks, stroke reversal, plunge amplitude, extension min and max, the area
+    ratio (on the rows that close and keep the reach rule) and the smallest transmission angle at `joints`."""
+    closed = pb.failed_at == len(pb.thetas)
+    _, plunge, extension, area, zero_reach, coincident = wingbeat_series(m, pb)
+    amp, ext_min, ext_max, _, reverses, ratio = stroke_metrics(plunge, extension, area,
+                                                                closed & ~zero_reach & ~coincident)
+    mu = min_transmission_angle(m, pb, joints) if joints else None
+    return closed, zero_reach, coincident, reverses, amp, ext_min, ext_max, ratio, mu
 
 
 def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
@@ -234,19 +235,16 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     costs = np.full(len(X), ASSEMBLY_FAILURE_COST + 1.0)
     m = space.template
-    thetas = _crank_angles(samples)
     try:
         rows = space.admissible(X).nonzero()[0]
         if not len(rows):
             return costs
-        pb = sweep_arrays(m, thetas, markers=space.markers(X[rows]))
+        pb = sweep_arrays(m, crank_angles(samples), markers=space.markers(X[rows]))
     except (FlapkinError, np.linalg.LinAlgError):
         return costs
     cost = ASSEMBLY_FAILURE_COST + (1.0 - pb.failed_at / samples)
-    closed = pb.failed_at == samples
-    _, plunge, extension, area, zero_reach, coincident = wingbeat_series(m, pb)
-    amp, ext_min, ext_max, _, reverses, ratio = stroke_metrics(plunge, extension, area,
-                                                                closed & ~zero_reach & ~coincident)
+    closed, zero_reach, coincident, reverses, amp, ext_min, ext_max, ratio, mu = _gait_terms(
+        m, pb, space.transmission_joints)
     degenerate = zero_reach | coincident | ~reverses
     w = spec.weights
     metric = (w.get("plunge_amplitude", 0.0) * (amp - spec.plunge_amplitude) ** 2
@@ -256,8 +254,7 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
     # whole cost is homogeneous of degree one in the weights
     pen = PENALTY * max(w.values())
     metric += pen * _positive_part(ratio - spec.area_ratio_max)
-    if space.transmission_joints:
-        mu = min_transmission_angle(m, pb, space.transmission_joints)
+    if mu is not None:
         metric += pen * _positive_part(spec.min_transmission_angle - mu)
     cost[closed] = np.where(degenerate, METRIC_FAILURE_COST, metric)[closed]
     costs[rows] = cost
@@ -436,60 +433,53 @@ class ConstraintViolation:
     detail: str
 
 
-EXTENSION_ATTAIN_TOL = 0.02
-
-
 def feasibility_report(m: Mechanism, spec: GaitSpec,
                        transmission_joints: tuple[str, ...] = ()) -> list[ConstraintViolation]:
-    """Hard-constraint check at OBJECTIVE_SAMPLES: full-revolution assemblability,
-    mobility one, minimum transmission angle, extension-range attainment, and
-    `gait`'s reach rule. Empty = feasible. A mobility other than one is the
-    whole report, since a sweep needs a mobility-one chain.
+    """Hard-constraint check at OBJECTIVE_SAMPLES, the one-row reading of the terms
+    `population_costs` weighs: mobility one, full revolution, minimum transmission
+    angle (at a four-bar's follower joint if no joints are given), `gait`'s reach
+    rule, extension-range attainment, stroke reversal and the area ratio. Empty =
+    feasible. A failed mobility, sweep or reach rule ends the report.
 
     Margins are positive amounts by which a constraint is violated.
     """
-    out: list[ConstraintViolation] = []
     try:
         dof = mobility(m)
     except (FlapkinError, np.linalg.LinAlgError):
         dof = None
     if dof != 1:
-        out.append(ConstraintViolation("mobility", abs((dof or 0) - 1),
-                                       f"Gruebler mobility is {dof}, expected 1"))
-        return out
-    thetas = _crank_angles(OBJECTIVE_SAMPLES)
-    pb = sweep_arrays(m, thetas)
-    if error := pb.errors[0]:
-        failed_at = int(pb.failed_at[0])
+        return [ConstraintViolation("mobility", abs((dof or 0) - 1), f"Gruebler mobility is {dof}, expected 1")]
+    pb = sweep_arrays(m, crank_angles(OBJECTIVE_SAMPLES))
+    if not transmission_joints and (view := as_fourbar(m)) is not None:
+        transmission_joints = (view.follower_joint,)
+    closed, zero_reach, coincident, reverses, _, lo, hi, ratio, mu = (
+        None if v is None else v[0].item() for v in _gait_terms(m, pb, transmission_joints))
+    if not closed:
+        k = int(pb.failed_at[0])
+        return [ConstraintViolation("full_revolution", 1.0 - k / OBJECTIVE_SAMPLES,
+                                    f"not assemblable from theta={pb.thetas[k]:.4f} rad onward ({pb.errors[0]})")]
+    out: list[ConstraintViolation] = []
+    if mu is not None and mu < spec.min_transmission_angle:
         out.append(ConstraintViolation(
-            "full_revolution", 1.0 - failed_at / OBJECTIVE_SAMPLES,
-            f"not assemblable from theta={float(thetas[failed_at]):.4f} rad onward ({error})"))
-        return out
-
-    joints = transmission_joints
-    if not joints:
-        view = as_fourbar(m)
-        if view is not None:
-            joints = (view.follower_joint,)
-    if joints:
-        mu_min = float(min_transmission_angle(m, pb, joints)[0])
-        if mu_min < spec.min_transmission_angle:
-            out.append(ConstraintViolation(
-                "min_transmission_angle", spec.min_transmission_angle - mu_min,
-                f"minimum transmission angle {math.degrees(mu_min):.2f} deg is below "
-                f"{math.degrees(spec.min_transmission_angle):.2f} deg"))
-
-    t = np.arange(OBJECTIVE_SAMPLES) / OBJECTIVE_SAMPLES
-    try:
-        gt = gait_from_pose_arrays(m, pb, 1.0, t)
-        lo, hi = float(gt.extension.min()), float(gt.extension.max())
-        lo_t, hi_t = spec.extension_range
-        miss = max(lo - (lo_t + EXTENSION_ATTAIN_TOL), (hi_t - EXTENSION_ATTAIN_TOL) - hi, 0.0)
-        if miss > 0.0:
-            out.append(ConstraintViolation(
-                "extension_range", miss,
-                f"attained extension range ({lo:.3f}, {hi:.3f}) cannot realize the target "
-                f"({lo_t:.3f}, {hi_t:.3f})"))
-    except GaitError as e:
-        out.append(ConstraintViolation("gait", 1.0, f"gait evaluation failed: {e}"))
+            "min_transmission_angle", spec.min_transmission_angle - mu,
+            f"minimum transmission angle {math.degrees(mu):.2f} deg is below "
+            f"{math.degrees(spec.min_transmission_angle):.2f} deg"))
+    if zero_reach or coincident:
+        return out + [ConstraintViolation("gait", 1.0, "gait evaluation failed: " + (
+            "maximum reach over the sweep is zero" if zero_reach
+            else "shoulder and wingtip coincide during the sweep"))]
+    lo_t, hi_t = spec.extension_range
+    miss = max(lo - (lo_t + EXTENSION_ATTAIN_TOL), (hi_t - EXTENSION_ATTAIN_TOL) - hi, 0.0)
+    if miss > 0.0:
+        out.append(ConstraintViolation(
+            "extension_range", miss,
+            f"attained extension range ({lo:.3f}, {hi:.3f}) cannot realize the target "
+            f"({lo_t:.3f}, {hi_t:.3f})"))
+    if not reverses:
+        out.append(ConstraintViolation("stroke_reversal", 1.0,
+                                       "plunge is monotone over the wingbeat; not a flapping gait"))
+    if ratio > spec.area_ratio_max:
+        out.append(ConstraintViolation(
+            "area_ratio", ratio - spec.area_ratio_max,
+            f"up/down area ratio {ratio:.3f} is above {spec.area_ratio_max:.3f}"))
     return out

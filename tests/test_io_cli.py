@@ -540,6 +540,13 @@ SUBCOMMAND_OPTIONS = {  # option -> value strategy; None for a flag
 }
 
 
+UNDECODABLE = {  # name -> the bytes of an input file that `json.loads` cannot decode
+    "integer of 4301 digits": b'{"version": 1' + b"0" * 4300 + b"}",
+    "byte not UTF-8": b'{"version": 1, "\xff": 0}',
+    "nesting too deep": b"[" * 100_000,
+}
+
+
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory) -> dict[str, list[str]]:
     """Input files for every positional argument: good, missing and broken."""
@@ -555,10 +562,13 @@ def cli_inputs(tmp_path_factory) -> dict[str, list[str]]:
     }
     for name, text in docs.items():
         (d / name).write_text(text)
+    for name, data in UNDECODABLE.items():
+        (d / f"{name}.json").write_bytes(data)
     missing, broken = str(d / "missing.json"), str(d / "broken.json")
-    return {"mechanism": [str(d / "armwing.json"), missing, broken],
-            "space": [str(d / "space.json"), missing, broken],
-            "spec": [str(d / "spec.json"), str(d / "bad_spec.json"), missing],
+    undecodable = [str(d / f"{name}.json") for name in UNDECODABLE]
+    return {"mechanism": [str(d / "armwing.json"), missing, broken, *undecodable],
+            "space": [str(d / "space.json"), missing, broken, *undecodable],
+            "spec": [str(d / "spec.json"), str(d / "bad_spec.json"), missing, *undecodable],
             "out": [str(d / "out")]}
 
 
@@ -801,3 +811,54 @@ def test_hinge_stiffness_beyond_the_float_range_is_a_schema_error(tmp_path):
     code, _, err = run_cli(["validate", str(p)])
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("E_FORMAT SCHEMA_ERROR: hinge 'j_b': ")
+
+
+def _runs(paths: dict[str, Path], role: str, out: Path) -> list[list[str]]:
+    """The commands that read the input file of `role`: validate for the mechanism, else synthesize."""
+    if role == "mechanism":
+        return [["validate", str(paths["mechanism"])]]
+    return [["synthesize", str(paths["space"]), str(paths["spec"]), "--budget", "180", "--seed", "0",
+             "--out", str(out)]]
+
+
+@pytest.mark.parametrize("raw", list(UNDECODABLE))
+@pytest.mark.parametrize("role", list(SHIPPED))
+def test_an_undecodable_input_file_is_a_parse_error(tmp_path, role, raw):
+    # every input file is decoded by one rule: what `json.loads` cannot decode
+    # is one parse error line, exit 1, not a usage error or a traceback
+    paths = {r: tmp_path / name for r, name in SHIPPED.items()}
+    for r, name in SHIPPED.items():
+        paths[r].write_bytes(UNDECODABLE[raw] if r == role else (DATA / name).read_bytes())
+    for argv in _runs(paths, role, tmp_path / "out.json"):
+        code, _, err = run_cli(argv)
+        lines = err.splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("E_FORMAT PARSE_ERROR"), (argv[0], err)
+
+
+@pytest.mark.parametrize("role", list(SHIPPED))
+def test_an_unreadable_input_file_is_an_io_error(tmp_path, role):
+    # a directory where the file should be cannot be read: exit 3
+    paths = {r: tmp_path / name for r, name in SHIPPED.items()}
+    for r, name in SHIPPED.items():
+        if r == role:
+            paths[r].mkdir()
+        else:
+            paths[r].write_bytes((DATA / name).read_bytes())
+    for argv in _runs(paths, role, tmp_path / "out.json"):
+        code, _, err = run_cli(argv)
+        lines = err.splitlines()
+        assert code == 3 and len(lines) == 1 and lines[0].startswith("E_IO"), (argv[0], err)
+
+
+@pytest.mark.parametrize("joint, value", [("j_a", "x"), ("j_a", 0.7), ("j_b", 0.7)],
+                         ids=["rigid joint, a string", "rigid joint", "joint sprung by a hinges entry"])
+def test_a_joint_rest_angle_needs_an_inline_stiffness(tmp_path, joint, value):
+    # a joint's rest angle is read as a number, and without an inline stiffness
+    # it would set nothing: either way a schema error that names the joint
+    doc = json.loads(shipped_bytes())
+    _entry(doc["joints"], joint)["rest_angle_rad"] = value
+    p = tmp_path / "rest.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run_cli(["validate", str(p)])
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: joint {joint!r}"), err

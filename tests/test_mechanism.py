@@ -20,6 +20,7 @@ from flapkin.mechanism import (
     LinkRole,
     Mechanism,
     as_fourbar,
+    fourbar_change_point,
     fourbar_mechanism,
     fourbar_sides,
     grashof_classify,
@@ -107,6 +108,14 @@ class TestGrashof:
 
     def test_coupler_shortest_double_rocker(self):
         assert grashof_classify(FourBar(5, 4, 2, 6)) is FourBarClass.DOUBLE_ROCKER
+
+    def test_change_point_rule_along_the_last_axis(self):
+        # s + l = p + q within 1e-12 of the perimeter, for a block of four-bars
+        # and for `grashof_classify`: 2e-13 off is a change point, 2e-11 off is not
+        lengths = np.array([[4, 2, 4, 2], [6, 2, 5, 5], [4, 2, 4, 2 + 2e-13], [4, 2, 4, 2 + 2e-11]])
+        want = [True, False, True, False]
+        assert fourbar_change_point(lengths).tolist() == want
+        assert [grashof_classify(FourBar(*row)) is FourBarClass.CHANGE_POINT for row in lengths.tolist()] == want
 
     @settings(max_examples=50, deadline=None)
     @given(lengths=st.tuples(*[st.floats(1.0, 10.0) for _ in range(4)]),

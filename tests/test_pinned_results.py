@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from flapkin.synthesis import (
     DesignSpace,
     GaitSpec,
     Parameter,
+    feasibility_report,
     population_costs,
     synthesize,
 )
@@ -107,6 +109,29 @@ def test_population_costs_match_pinned(pinned, box):
     np.testing.assert_allclose(got[~failed], want[~failed], rtol=COST_RTOL, atol=0.0)
     if box == "recovery_3x":
         assert failed.any() and (want >= ASSEMBLY_FAILURE_COST).sum() < len(want)
+
+
+@pytest.mark.parametrize("box", list(BOXES))
+def test_feasibility_report_reads_the_terms_the_cost_weighs(pinned, box):
+    # on every seeded row the report names full_revolution exactly when the
+    # cost is an assembly sentinel, the reach rule ("gait") or stroke_reversal
+    # exactly when it is the degenerate-gait sentinel, and, where the cost is
+    # the metric (a sentinel hides the penalties), area_ratio or
+    # min_transmission_angle exactly when that penalty is positive: when
+    # lifting its bound lowers the cost
+    space, spec = boxes()[box]
+    X = np.array(pinned[box]["X"])
+    costs = population_costs(space, spec, X)
+    lifted = {"area_ratio": replace(spec, area_ratio_max=1e300),
+              "min_transmission_angle": replace(spec, min_transmission_angle=-1.0)}
+    penalized = {name: costs > population_costs(space, s, X) for name, s in lifted.items()}
+    assert all(p.any() for p in penalized.values())
+    for x, cost, *penalties in zip(X, costs, *penalized.values()):
+        named = {v.constraint for v in feasibility_report(space.apply(x), spec, space.transmission_joints)}
+        assert ("full_revolution" in named) == (cost >= ASSEMBLY_FAILURE_COST)
+        assert bool(named & {"gait", "stroke_reversal"}) == (cost == METRIC_FAILURE_COST)
+        if cost < METRIC_FAILURE_COST:
+            assert [name in named for name in penalized] == penalties
 
 
 @pytest.mark.parametrize("case", list(CLI_CASES))

@@ -25,6 +25,7 @@ from flapkin.errors import (
     SynthesisError,
 )
 from flapkin.fileio import parse_mechanism, serialize_mechanism
+from flapkin.geometry import Point2
 from flapkin.gait import gait_from_pose_arrays, gait_metrics, generate_gait, retraction_time
 from flapkin.kinematics import sweep_arrays, transmission_angle_series
 from flapkin.mechanism import FourBar, fourbar_mechanism
@@ -615,6 +616,49 @@ class TestFeasibilityReport:
         spec = GaitSpec(plunge_amplitude=0.5, extension_range=(0.2, 1.0))
         report = feasibility_report(m, spec)
         assert report == [ConstraintViolation("mobility", 2, "Gruebler mobility is 3, expected 1")]
+
+    def test_area_ratio_bound_is_checked(self, armwing):
+        # the shipped armwing's up/down area ratio is 0.801: under a bound of 0.5
+        # that is the one violation, and the cost weighs the same margin
+        mts = gait_metrics(generate_gait(armwing, 1.0, OBJECTIVE_SAMPLES))
+        spec = GaitSpec(mts.plunge_amplitude, mts.extension_range, area_ratio_max=0.5)
+        report = feasibility_report(armwing, spec, ARMWING_TRANSMISSION_JOINTS)
+        assert [v.constraint for v in report] == ["area_ratio"]
+        assert report[0].margin == pytest.approx(mts.area_ratio_up_down - 0.5, rel=1e-12)
+        x = armwing.link("crank").marker("tip").x
+        space = DesignSpace(armwing, (Parameter("link.crank.marker.tip.x", 0.5 * x, 2.0 * x),),
+                            ARMWING_TRANSMISSION_JOINTS)
+        assert objective(np.array([x]), space, spec) == pytest.approx(PENALTY * report[0].margin, rel=1e-12)
+
+    @staticmethod
+    def _crank_tip_wing(shoulder: Point2):
+        """The (6, 2, 5, 5) crank-rocker with its wingtip on the crank tip and its shoulder on the ground."""
+        m = fourbar_mechanism(FourBar(6, 2, 5, 5))
+        links = tuple(dataclasses.replace(l, markers={**l.markers, "shoulder": shoulder})
+                      if l.id == "ground" else l for l in m.links)
+        return dataclasses.replace(m, links=links, shoulder=("ground", "shoulder"), wingtip=("crank", "tip"))
+
+    def test_a_wing_that_turns_full_circles_has_no_stroke_reversal(self):
+        # with the shoulder inside the crank circle the wing turns full circles:
+        # no flapping gait, which the cost prices at the degenerate sentinel
+        m = self._crank_tip_wing(Point2(0.5, 0.0))
+        spec = GaitSpec(plunge_amplitude=0.5, extension_range=(0.6, 1.0))
+        assert feasibility_report(m, spec) == [ConstraintViolation(
+            "stroke_reversal", 1.0, "plunge is monotone over the wingbeat; not a flapping gait")]
+        space = DesignSpace(m, (Parameter("link.crank.marker.tip.x", 1.5, 2.5),))
+        assert objective(np.array([2.0]), space, spec) == METRIC_FAILURE_COST
+
+    def test_a_broken_reach_rule_ends_the_report(self):
+        # the shoulder on the crank tip's path at theta = 0: the reach rule's
+        # violation is the last, though the extension range is missed as well
+        m = self._crank_tip_wing(Point2(2.0, 0.0))
+        spec = GaitSpec(plunge_amplitude=0.5, extension_range=(0.6, 1.0), min_transmission_angle=math.radians(80.0))
+        report = feasibility_report(m, spec)
+        assert [v.constraint for v in report] == ["min_transmission_angle", "gait"]
+        assert report[-1] == ConstraintViolation(
+            "gait", 1.0, "gait evaluation failed: shoulder and wingtip coincide during the sweep")
+        space = DesignSpace(m, (Parameter("link.crank.marker.tip.x", 1.5, 2.5),))
+        assert objective(np.array([2.0]), space, spec) == METRIC_FAILURE_COST
 
 
 class TestSpecValidation:
