@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .aero import AeroConfig, quasi_steady_forces
 from .errors import FlapkinError, SchemaError
-from .fileio import (aero_csv, decode_document, mechanism_from_doc, parse_mechanism, read_number, render_svg,
-                     serialize_mechanism, trajectory_csv)
+from .fileio import (aero_csv, decode_document, mechanism_from_doc, read_number, render_svg, serialize_mechanism,
+                     trajectory_csv)
 from .gait import MIN_SAMPLES, gait_metrics, generate_gait, min_transmission_angle
 from .kinematics import TOLERANCE
 from .mechanism import Mechanism, validate_mechanism
@@ -47,12 +47,12 @@ _OPTION_CHECKS = (
 )
 
 
-def _read_mechanism(path: str) -> Mechanism:
-    return parse_mechanism(Path(path).read_bytes())
+def _read_mechanism(path: str, validate: bool = True) -> Mechanism:
+    return _load_doc(path, lambda doc: mechanism_from_doc(doc, validate))
 
 
 def cmd_validate(args) -> int:
-    m = parse_mechanism(Path(args.mechanism).read_bytes(), validate=False)
+    m = _read_mechanism(args.mechanism, validate=False)
     report = validate_mechanism(m)
     for v in report:
         print(f"{v.severity.value.upper()} {v.code}: {v.message}")

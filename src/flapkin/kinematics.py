@@ -132,8 +132,7 @@ class PoseBatch:
 
     The rotations are the poses: marker paths (`marker_paths`, one (B, R, N)
     block for many markers), gait series and transmission angles read them
-    alone, and `angles` is derived from them on first access; transmission
-    angles also read the link-frame `spans` a dyad sweep took."""
+    alone, and `angles` is derived from them on first access."""
 
     ids: list[str]
     thetas: np.ndarray
@@ -146,7 +145,6 @@ class PoseBatch:
     solver: str = "dyad"  # "dyad" (closed-form plan) or "newton"
     crank: str | None = None  # the driven link, whose angle is theta
     guess: Configuration | None = None  # angles take their whole turns from it
-    spans: tuple = ()  # a dyad sweep's (plan.span_of, lengths, units), each (B, K), of its plan's spans
 
     def index(self, link_id: str) -> int:
         return self.ids.index(link_id)
@@ -272,7 +270,6 @@ class _Plan:
     ids: tuple[str, ...]
     refs: tuple[tuple[str, str], ...]
     spans: np.ndarray  # (K, 2)
-    span_of: dict  # ((link, marker), (link, marker)) -> its row of spans
     steps: tuple[tuple, ...]
     dyadic: bool
     sides: list[int] | None
@@ -333,9 +330,7 @@ def _plan(m: Mechanism) -> _Plan:
     if crank is not None:
         template[-1, 3 * slot[crank] + 2] = 1.0
     angle_cells = np.stack([r * width + x + 2, (r + 1) * width + x + 2], axis=-1).ravel()
-    refs = tuple(refs)
-    return _Plan(ids, refs, np.array(list(spans), dtype=np.intp).reshape(-1, 2),
-                 {(refs[a], refs[b]): k for (a, b), k in spans.items()}, program, dyadic,
+    return _Plan(ids, tuple(refs), np.array(list(spans), dtype=np.intp).reshape(-1, 2), program, dyadic,
                  sides and sides[0], -1.0 if sides and first_dyad == sides[1] else 1.0,
                  crank, None if crank is None else 3 * slot[crank] - 1, ends, slots, template, angle_cells)
 
@@ -486,23 +481,26 @@ def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
     start = np.where(is_fourbar, plan.open_sign if branch is Branch.OPEN else -plan.open_sign, 1.0)
     first = np.zeros(rows)  # root sign each row's first dyad starts on; 0 if none
 
-    def start_sign(step: tuple, b: int, base: np.ndarray, offset: np.ndarray) -> float:
-        radii, shared = list(step[4]), plan.spans[step[4][0], 1]  # link a's joint marker, a column
-        lid, p = plan.refs[shared][0], points[b, shared].item()
-        g = guess.pose(lid).transform(Point2(p.real, p.imag))
-        (bx, by), (ox, oy) = (base[b, 0].real, base[b, 0].imag), (offset[b, 0].real, offset[b, 0].imag)
-        d_plus, d_minus = (math.hypot(bx + s * ox - g.x, by + s * oy - g.y) for s in (1.0, -1.0))
-        if abs(d_plus - d_minus) <= 1e-12 * sum(lengths[b, radii].tolist()):
+    def start_sign(step: tuple, base: np.ndarray, offset: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Each row's root at the first sample nearest the guess's place for link a's joint marker;
+        1.0 on rows that do not close there."""
+        if not live.any():  # no first sample to read, as in a sweep of no angles
+            return np.ones(rows)
+        shared = plan.spans[step[4][0], 1]  # link a's joint marker, a column
+        pose = guess.pose(lid := plan.refs[shared][0])
+        g = (complex(pose.origin.x, pose.origin.y)
+             + complex(math.cos(pose.angle), math.sin(pose.angle)) * points[:, shared])
+        d_plus, d_minus = np.abs(base[:, 0] + offset[:, 0] - g), np.abs(base[:, 0] - offset[:, 0] - g)
+        if (live & (np.abs(d_plus - d_minus) <= 1e-12 * lengths[:, list(step[4])].sum(axis=1))).any():
             raise BranchAmbiguousError(
                 f"both roots of the {lid}-{plan.ids[step[1][1]]} dyad are equidistant from the "
                 "guess (change point); pass an explicit branch")
-        return 1.0 if d_plus < d_minus else -1.0
+        return np.where(~live | (d_plus < d_minus), 1.0, -1.0)
 
     dyads = [step for step in plan.steps if step[0] == "dyad"]
 
     def pick(i, base, offset, hh, n_ok):
-        s = start if guess is None else np.array(
-            [start_sign(dyads[i], b, base, offset) if n_ok[b] else 1.0 for b in range(rows)])
+        s = start if guess is None else start_sign(dyads[i], base, offset, n_ok > 0)
         if i == 0:
             first[:] = np.where(n_ok > 0, s, 0.0)
         return _follow_roots(base, offset, hh, n_ok, s, flat)
@@ -514,7 +512,7 @@ def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
                 else guess.branch if guess else None for s, fb in zip(first.tolist(), is_fourbar.tolist())]
     errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
     return PoseBatch(list(plan.ids), thetas, origins, rotations, failed_at, errors, markers, branches,
-                     crank=plan.crank, guess=guess, spans=(plan.span_of, lengths, units))
+                     crank=plan.crank, guess=guess)
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
@@ -808,13 +806,10 @@ def transmission_angle_series(m: Mechanism, pb: PoseBatch, joint_id: str) -> np.
     """(B, N) transmission angle series at a joint of m's topology: the angle
     between the two link directions as lines, in [0, pi/2]. A link's direction
     is its rotation applied to the per-row unit vector from its origin marker to the joint
-    marker (the x axis under 1e-12 apart), from the sweep's `spans` where it keeps both."""
+    marker (the x axis under 1e-12 apart)."""
     j = m.joint(joint_id)
     refs = ((j.link_a, "origin"), (j.link_a, j.marker_a), (j.link_b, "origin"), (j.link_b, j.marker_b))
-    span_of, lengths, units = pb.spans or ({}, None, None)
-    cols = [span_of.get(pair) for pair in (refs[:2], refs[2:])]
-    units = (units[:, cols] if None not in cols and (lengths[:, cols] >= 1e-12).all()
-             else _spans(pb.markers.take(refs), np.array([[0, 1], [2, 3]]), floor=1e-12)[1])
+    units = _spans(pb.markers.take(refs), np.array([[0, 1], [2, 3]]), floor=1e-12)[1]
     rotations = _complex(pb.rotations)
     a = np.conj(rotations[:, pb.index(j.link_a)] * units[:, :1])
     # the relative rotation b over a; folding its angle into [0, pi/2] takes

@@ -26,8 +26,8 @@ evaluates them, so it reaches the same points. Calls are nearly all fixed
 cost, so a step's call also costs the points of the likeliest next step, which
 that step takes if they are its own, bit for bit; between calls a step is a few
 block operations on the simplex and comparisons of Python floats.
-`objective`, the one-row case of `population_costs`, is no longer on the
-search path; it serves callers that cost one candidate.
+`objective`, the one-row case of `population_costs`, serves callers that cost
+one candidate.
 """
 from __future__ import annotations
 

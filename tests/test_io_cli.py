@@ -24,6 +24,7 @@ from flapkin.fileio import (
     TRAJECTORY_HEADER,
     _num,
     aero_csv,
+    mechanism_from_doc,
     mechanism_to_doc,
     parse_mechanism,
     render_svg,
@@ -33,7 +34,7 @@ from flapkin.fileio import (
 from flapkin.gait import GaitTrajectory, gait_metrics, generate_gait
 from flapkin.geometry import Point2
 from flapkin.kinematics import sweep_arrays
-from flapkin.mechanism import FourBar, fourbar_mechanism
+from flapkin.mechanism import CompliantHinge, FourBar, fourbar_mechanism
 from flapkin.synthesis import GaitSpec
 
 from conftest import make_plunge_gait, marker_world, run_cli
@@ -105,6 +106,29 @@ class TestMechanismFile:
         doc["joints"] = doc["joints"][:-1]
         m = parse_mechanism(json.dumps(doc), validate=False)
         assert len(m.joints) == 6
+
+    def test_inline_hinge_parses_and_round_trips(self):
+        # j_b sprung on the joint itself rather than by a `hinges` entry: no flexure geometry
+        doc = json.loads(shipped_bytes())
+        joint, key = _inline_stiffness(doc)
+        joint.update({key: 0.05, "rest_angle_rad": 0.3})
+        m = parse_mechanism(json.dumps(doc))
+        assert m.joint("j_b").kind == CompliantHinge(0.05, 0.3, None)
+        assert mechanism_from_doc(mechanism_to_doc(m)) == m
+
+    def test_inline_stiffness_beside_a_hinges_entry_rejected(self):
+        doc = json.loads(shipped_bytes())
+        _entry(doc["joints"], "j_b")["stiffness_nm_per_rad"] = 0.05
+        with pytest.raises(SchemaError, match="^joint 'j_b': give stiffness either inline or via 'hinges', not both$"):
+            parse_mechanism(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, ident, kind", [("links", "crank", "link"), ("joints", "j_b", "joint"),
+                                                  ("hinges", "j_b", "hinge")])
+    def test_unknown_entry_key_rejected(self, key, ident, kind):
+        doc = json.loads(shipped_bytes())
+        _entry(doc[key], ident)["color"] = "black"
+        with pytest.raises(SchemaError, match=rf"^{kind}: unknown keys \['color'\]$"):
+            parse_mechanism(json.dumps(doc))
 
 
 class TestTrajectoryCsv:
@@ -688,7 +712,7 @@ def test_bad_hinge_rest_angle_is_a_schema_error(tmp_path, command, where, value)
     code, _, err = run_cli([command, str(p), *options[command]])
     assert code == 1
     owner = kind if kind == "hinge" else "joint"
-    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {owner}")
+    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {p}: {owner}")
 
 
 def _entry(entries: list[dict], ident: str) -> dict:
@@ -810,7 +834,7 @@ def test_hinge_stiffness_beyond_the_float_range_is_a_schema_error(tmp_path):
     p.write_text(json.dumps(doc))
     code, _, err = run_cli(["validate", str(p)])
     assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("E_FORMAT SCHEMA_ERROR: hinge 'j_b': ")
+    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {p}: hinge 'j_b': ")
 
 
 def _runs(paths: dict[str, Path], role: str, out: Path) -> list[list[str]]:
@@ -825,7 +849,7 @@ def _runs(paths: dict[str, Path], role: str, out: Path) -> list[list[str]]:
 @pytest.mark.parametrize("role", list(SHIPPED))
 def test_an_undecodable_input_file_is_a_parse_error(tmp_path, role, raw):
     # every input file is decoded by one rule: what `json.loads` cannot decode
-    # is one parse error line, exit 1, not a usage error or a traceback
+    # is one parse error line naming the file, exit 1, not a usage error or a traceback
     paths = {r: tmp_path / name for r, name in SHIPPED.items()}
     for r, name in SHIPPED.items():
         paths[r].write_bytes(UNDECODABLE[raw] if r == role else (DATA / name).read_bytes())
@@ -833,6 +857,8 @@ def test_an_undecodable_input_file_is_a_parse_error(tmp_path, role, raw):
         code, _, err = run_cli(argv)
         lines = err.splitlines()
         assert code == 1 and len(lines) == 1 and lines[0].startswith("E_FORMAT PARSE_ERROR"), (argv[0], err)
+        if role == "mechanism":
+            assert lines[0].startswith(f"E_FORMAT PARSE_ERROR: {paths['mechanism']}: malformed JSON: "), err
 
 
 @pytest.mark.parametrize("role", list(SHIPPED))
@@ -861,4 +887,4 @@ def test_a_joint_rest_angle_needs_an_inline_stiffness(tmp_path, joint, value):
     p.write_text(json.dumps(doc))
     code, _, err = run_cli(["validate", str(p)])
     assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: joint {joint!r}"), err
+    assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {p}: joint {joint!r}"), err
