@@ -271,7 +271,7 @@ class TestTransmission:
             assert mu_series == pytest.approx(mu, abs=1e-9)
 
     def test_a_coincident_joint_marker_takes_the_x_axis(self, fb_mech):
-        # row 1's coupler joint marker sits 1e-13 above the coupler origin: its direction (up)
+        # row 1's coupler joint marker sits 1e-13 above the coupler origin: the span to it (up)
         # is under 1e-12 long, so the angle reads the link's x axis
         table = kinematics.marker_table(fb_mech)
         points = np.repeat(table.points, 2, axis=0)
