@@ -5,9 +5,11 @@ k = E*I/l with the rectangular second moment I = w*t^3/12, acting on the
 hinge deflection wrapped into (-pi, pi] about its rest angle. Quasi-static
 equilibrium of a chain with sprung hinges is a stationary point of the total
 potential (elastic energy minus load work) subject to joint coincidence, with
-the crank held at a fixed angle when an actuated joint exists. It is found by
-Newton's method on the KKT conditions, with the Hessian of the Lagrangian in
-closed form, started from the dyad-plan starts of `kinematics.start_block`.
+the crank held at a fixed angle when an actuated joint exists. A square chain
+(mobility one, drive row included) is rigid: its pose is `kinematics.assemble`'s
+and the load sets only the multipliers (reactions, crank torque), one linear
+solve. Any other chain takes Newton's method on the KKT conditions, with the
+Hessian of the Lagrangian in closed form, from the `start_block` starts.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ import numpy as np
 
 from .errors import ConvergenceError, LargeDeflectionWarning
 from .geometry import Point2
-from .kinematics import MAX_ITERATIONS, TOLERANCE, Configuration, ConstraintSystem, start_block
+from .kinematics import (MAX_ITERATIONS, RCOND_FLOOR, TOLERANCE, Configuration, ConstraintSystem, _first_roots,
+                         start_block)
 from .mechanism import CompliantHinge, Mechanism
 
 
@@ -196,30 +199,53 @@ def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, thet
     return q
 
 
+def _square_pose(sys: ConstraintSystem, pot: _Potential, theta: float) -> np.ndarray:
+    """`assemble`'s pose of a square chain at theta, where the multipliers lam of J^T lam = -gradient hold
+    it (within 100x the tolerance). ConvergenceError where no start closes, or J is singular: the solve
+    fails, or |lam| outgrows the gradient by more than 1 / (RCOND_FLOOR |J|)."""
+    (q,), (code,) = _first_roots(sys, theta, None, TOLERANCE)
+    if code is not None:
+        raise ConvergenceError(f"no start closes at theta={theta:.6g} ({code})")
+    g, J = pot.grad(q), sys.jacobian(q)
+    with np.errstate(all="ignore"):
+        try:
+            lam = np.linalg.solve(J.T, -g)
+        except np.linalg.LinAlgError:  # exactly singular: only lam = 0 may hold a zero gradient
+            lam = np.where(g, math.inf, 0.0)
+        size, pg = np.linalg.norm(lam), np.linalg.norm(g + J.T @ lam)
+        if not (size * RCOND_FLOOR * np.linalg.norm(J) <= np.linalg.norm(g) and pg <= 100 * TOLERANCE * pot.k_max):
+            raise ConvergenceError(f"no equilibrium at theta={theta:.6g}: singular constraint Jacobian "
+                                   f"(|lam|={size:.3e}, |proj grad|={pg:.3e})")
+    return q
+
+
 def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase) -> Configuration:
     """Quasi-static equilibrium of the compliant chain under a load case.
 
-    One Lagrange-Newton solve on the KKT conditions with the analytic Hessian
-    of the Lagrangian. The actuated joint, when present, is locked at theta;
-    every other joint is a free pin, sprung when compliant. The solve starts
-    from each of the dyad plan's `start_block` starts in turn until one
-    converges, as `assemble` does without a guess: for a mobility-one chain
-    the dyad plan already closes, and open-chain links start at orientation
-    zero. Raises ConvergenceError when no start reaches stationarity and
-    closure within 100x the tolerance; warns LargeDeflectionWarning past pi/2
-    of deflection.
+    The actuated joint, when present, is locked at theta; every other joint is
+    a free pin, sprung when compliant. A square chain (as many constraint rows,
+    the drive's included, as unknowns) takes `assemble`'s pose, and the load
+    sets only the multipliers: one linear solve (Haug 1989, ch. 3). Any other
+    chain (an open one) takes Lagrange-Newton on the KKT conditions with the
+    analytic Hessian, from each `start_block` start in turn until one converges.
+    Raises ConvergenceError where no pose is found, a square chain's Jacobian
+    is singular, or Newton ends outside 100x the tolerance; warns
+    LargeDeflectionWarning past pi/2 of deflection.
     """
     sys = ConstraintSystem(m)
     pot = _Potential(m, load, sys)
-    starts, tried = start_block(sys, theta)
-    for start in starts[0, tried[0]]:
-        try:
-            q = _lagrange_newton(sys, pot, start, theta)
-            break
-        except ConvergenceError as e:
-            error = e
+    if sys.rows == sys.n:
+        q = _square_pose(sys, pot, theta)
     else:
-        raise error
+        starts, tried = start_block(sys, theta)
+        for start in starts[0, tried[0]]:
+            try:
+                q = _lagrange_newton(sys, pot, start, theta)
+                break
+            except ConvergenceError as e:
+                error = e
+        else:
+            raise error
 
     qp = np.append((0.0, 0.0, 0.0), q)
     for j, (ia, ib, _, rest) in zip(_hinges(m), pot.springs):

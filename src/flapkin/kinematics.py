@@ -80,7 +80,7 @@ class Configuration:
 
 TOLERANCE = 1e-10  # Newton's residual norm at a root, here and in the compliance layer
 MAX_ITERATIONS = 50  # Newton steps per solve, here and in the compliance layer
-RCOND_FLOOR = 1e-10  # `velocities` calls a Jacobian singular below this ratio of singular values
+RCOND_FLOOR = 1e-10  # a Jacobian below this ratio of singular values is singular (`velocities`, statics)
 
 
 def _complex(a: np.ndarray) -> np.ndarray:
@@ -265,7 +265,7 @@ class _Plan:
     marker) on link a then link b, are ends[2r:2r + 2] in slots[r]. Its
     Jacobian is a constant +-1 `template` over the slots' columns (the
     ground's three first) whose angle entries, at the flat indices
-    `angle_cells`, `ConstraintSystem.jacobian` fills in."""
+    `angle_cells`, `ConstraintSystem.jacobian` fills in; `signs` are `start_block`'s dyad-root signs."""
 
     ids: tuple[str, ...]
     refs: tuple[tuple[str, str], ...]
@@ -280,6 +280,7 @@ class _Plan:
     slots: np.ndarray  # (J, 2)
     template: np.ndarray  # (2J, 3L), and the drive row with a crank
     angle_cells: np.ndarray  # (4J,)
+    signs: np.ndarray  # (2^min(D, 10), D) for D dyads
 
 
 def _per_topology(build):
@@ -330,9 +331,13 @@ def _plan(m: Mechanism) -> _Plan:
     if crank is not None:
         template[-1, 3 * slot[crank] + 2] = 1.0
     angle_cells = np.stack([r * width + x + 2, (r + 1) * width + x + 2], axis=-1).ravel()
+    k = sum(kind == "dyad" for kind, *_ in steps)
+    kv = min(k, 10)  # only the last kv dyads vary; 16 starts never reach further
+    bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
     return _Plan(ids, tuple(refs), np.array(list(spans), dtype=np.intp).reshape(-1, 2), program, dyadic,
                  sides and sides[0], -1.0 if sides and first_dyad == sides[1] else 1.0,
-                 crank, None if crank is None else 3 * slot[crank] - 1, ends, slots, template, angle_cells)
+                 crank, None if crank is None else 3 * slot[crank] - 1, ends, slots, template, angle_cells,
+                 np.hstack([np.ones((2 ** kv, k - kv)), 1.0 - 2.0 * bits]))
 
 
 def _over(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -606,6 +611,10 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
                 np.concatenate([_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(A))]))
 
 
+def _norms(F: np.ndarray) -> np.ndarray:  # bit for bit `np.linalg.norm` of each row alone
+    return np.sqrt((F[:, None] @ F[..., None])[:, 0, 0])
+
+
 def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float,
             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton at crank angle theta on table rows `rows` of sys from
@@ -613,13 +622,10 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float,
     halved (at most 20 times) until its residual norm falls, and a row dropped
     where it fails. Returns the roots, the drive held at theta exactly where a
     step reached one, and each row's error code (None where it converged)."""
-    def norms(F):  # bit for bit `np.linalg.norm` of each row alone
-        return np.sqrt((F[:, None] @ F[..., None])[:, 0, 0])
-
     q = np.array(q, dtype=float)
     codes = np.full(len(q), None, dtype=object)
     F = sys.residual(q, theta, rows)
-    fn = norms(F)
+    fn = _norms(F)
     live = np.flatnonzero(~(fn <= tol))  # a NaN residual iterates, and fails
     for _ in range(MAX_ITERATIONS):
         if not len(live):
@@ -633,7 +639,7 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float,
             i = live[trying]
             qn = q[i] + step * dq[trying]
             Fn = sys.residual(qn, theta, rows[i])
-            fnn = norms(Fn)
+            fnn = _norms(Fn)
             down = fnn < fn[i]
             q[i[down]] = qn[down]
             F[i[down]] = Fn[down]
@@ -670,10 +676,7 @@ def start_block(sys: ConstraintSystem, theta: float,
         if drive is not None and (turns := round((theta - q[drive]) / (2.0 * math.pi))):
             q[drive] += 2.0 * math.pi * turns
         return np.broadcast_to(q, (rows, 1, sys.n)), np.ones((rows, 1), dtype=bool)
-    k = sum(step[0] == "dyad" for step in plan.steps)
-    kv = min(k, 10)  # only the last kv dyads vary; 16 starts never reach further
-    bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
-    signs = np.hstack([np.ones((2 ** kv, k - kv)), 1.0 - 2.0 * bits])
+    signs = plan.signs
     new = np.ones((rows, len(signs)), dtype=bool)
 
     def pick(i, base, offset, hh, n_ok):
@@ -700,21 +703,20 @@ def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
 
 def _first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_newton` on all rows at theta as `assemble` runs it: from each row's
-    `start_block` starts in turn until one converges; a row none converges on
-    takes the last one's error code."""
+    """`_newton` on all rows at theta as `assemble` runs it: from each row's `start_block` starts in
+    turn until one converges (a first start that already closes is its own root, as on a dyadic chain);
+    a row none converges on takes the last one's error code."""
     starts, tried = start_block(sys, theta, guess)
-    rows = len(starts)
-    q = np.empty((rows, sys.n))
-    codes = np.full(rows, None, dtype=object)
-    todo = np.arange(rows)
+    q = starts[:, 0].copy()
+    codes = np.full(len(q), None, dtype=object)
+    todo = np.flatnonzero(~(_norms(sys.residual(q, theta)) <= tol))
     for c in range(starts.shape[1]):
+        if not len(todo):
+            break
         now = todo[tried[todo, c]]
         if len(now):
             q[now], codes[now] = _newton(sys, starts[now, c], theta, tol, now)
         todo = todo[np.not_equal(codes[todo], None) | ~tried[todo, c]]
-        if not len(todo):
-            break
     return q, codes
 
 

@@ -399,30 +399,31 @@ def synthesize(space: DesignSpace, spec: GaitSpec, budget: int, seed: int) -> Sy
     lo, hi = space.bounds()
     rng = np.random.default_rng(seed)
 
-    pop = lo + rng.random((pop_size, dim)) * (hi - lo)
-    costs = population_costs(space, spec, pop)
-    evals = pop_size
-    while evals + pop_size <= budget:
-        trials = _trial_block(rng, pop, lo, hi)
-        trial_costs = population_costs(space, spec, trials)
-        evals += pop_size
-        better = trial_costs <= costs
-        pop[better] = trials[better]
-        costs[better] = trial_costs[better]
+    with np.errstate(all="ignore"):  # a design whose numbers overflow fails its sweep: a cost, not a warning
+        pop = lo + rng.random((pop_size, dim)) * (hi - lo)
+        costs = population_costs(space, spec, pop)
+        evals = pop_size
+        while evals + pop_size <= budget:
+            trials = _trial_block(rng, pop, lo, hi)
+            trial_costs = population_costs(space, spec, trials)
+            evals += pop_size
+            better = trial_costs <= costs
+            pop[better] = trials[better]
+            costs[better] = trial_costs[better]
 
-    best_idx = int(np.argmin(costs))
-    best_x, best_cost = pop[best_idx].copy(), float(costs[best_idx])
+        best_idx = int(np.argmin(costs))
+        best_x, best_cost = pop[best_idx].copy(), float(costs[best_idx])
 
-    # simplex polish on the DE winner, capped overhead
-    xs, fs = _nelder_mead(lambda X: population_costs(space, spec, np.clip(X, lo, hi)),
-                          best_x, maxfev=200, xatol=1e-12, fatol=1e-14)
-    for x, c in zip(xs, fs):
-        if c < best_cost:
-            best_cost, best_x = float(c), np.clip(x, lo, hi)
-    evals += len(fs)
+        # simplex polish on the DE winner, capped overhead
+        xs, fs = _nelder_mead(lambda X: population_costs(space, spec, np.clip(X, lo, hi)),
+                              best_x, maxfev=200, xatol=1e-12, fatol=1e-14)
+        for x, c in zip(xs, fs):
+            if c < best_cost:
+                best_cost, best_x = float(c), np.clip(x, lo, hi)
+        evals += len(fs)
 
-    mech = space.apply(best_x)
-    report = feasibility_report(mech, spec, space.transmission_joints)
+        mech = space.apply(best_x)
+        report = feasibility_report(mech, spec, space.transmission_joints)
     return SynthesisResult(mech, best_x, best_cost, not report, evals, seed)
 
 

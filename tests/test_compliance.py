@@ -1,13 +1,14 @@
 """Pseudo-rigid-body hinges: stiffness, energy, quasi-static equilibrium."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from flapkin import compliance
+from flapkin import compliance, kinematics
 from flapkin.compliance import (
     HingeGeometry,
     LoadCase,
@@ -20,18 +21,19 @@ from flapkin.compliance import (
     stationarity,
     total_potential,
 )
-from flapkin.errors import ConvergenceError, LargeDeflectionWarning
+from flapkin.errors import ConvergenceError, LargeDeflectionWarning, SingularJacobianError
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
+    TOLERANCE,
     Configuration,
     ConstraintSystem,
     assemble,
     solve_fourbar,
     start_block,
 )
-from flapkin.mechanism import CompliantHinge, Joint, Link, LinkRole, Mechanism
+from flapkin.mechanism import CompliantHinge, FourBar, Joint, Link, LinkRole, Mechanism, fourbar_mechanism
 
-from conftest import bootstrap_candidates, relative_joint_angle, two_hinge_chain
+from conftest import bootstrap_candidates, relative_joint_angle, triad_eight_bar, two_hinge_chain
 
 
 def single_hinge_chain(k: float = 0.144, arm: float = 0.05) -> Mechanism:
@@ -39,6 +41,12 @@ def single_hinge_chain(k: float = 0.144, arm: float = 0.05) -> Mechanism:
     link = Link("arm", {"origin": Point2(0.0, 0.0), "tip": Point2(arm, 0.0)})
     j = Joint("h", "ground", "origin", "arm", "origin", CompliantHinge(stiffness=k))
     return Mechanism((ground, link), (j,), "ground")
+
+
+def free_crank(m: Mechanism) -> Mechanism:
+    """m with no actuated joint: its crank turns freely, one unknown more than
+    it has constraint rows."""
+    return dataclasses.replace(m, joints=tuple(dataclasses.replace(j, actuated=False) for j in m.joints))
 
 
 class TestHingeStiffness:
@@ -198,7 +206,8 @@ class TestEquilibrium:
             solve_equilibrium(m, 0.0, LoadCase(moments=(("h", 0.2),)))
 
     def test_a_failed_start_moves_on_to_the_next(self, armwing, monkeypatch):
-        starts = []
+        # the crank left free: not square, so each start runs Lagrange-Newton
+        m, starts = free_crank(armwing), []
 
         def first_start_fails(sys, pot, q, theta):
             starts.append(q)
@@ -207,26 +216,58 @@ class TestEquilibrium:
             return _lagrange_newton(sys, pot, q, theta)
 
         monkeypatch.setattr(compliance, "_lagrange_newton", first_start_fails)
-        load = LoadCase(forces=(("forearm", "tip", Point2(0.0, 0.5)),))
-        c = solve_equilibrium(armwing, 1.1, load)
+        c = solve_equilibrium(m, 1.1, LoadCase())
         assert len(starts) == 2 and not np.array_equal(starts[0], starts[1])
-        sys = ConstraintSystem(armwing)
-        q = _lagrange_newton(sys, _Potential(armwing, load, sys), starts[1], 1.1)
-        assert np.allclose(sys.q_from(c), q, rtol=0.0, atol=1e-12)
+        sys = ConstraintSystem(m)
+        q = _lagrange_newton(sys, _Potential(m, LoadCase(), sys), starts[1], 1.1)
+        assert np.array_equal(sys.q_from(c), q)
 
     def test_every_start_failing_raises_the_last_error(self, armwing, monkeypatch):
-        starts = []
+        m, starts = free_crank(armwing), []
 
         def every_start_fails(sys, pot, q, theta):
             starts.append(q)
             raise ConvergenceError(f"start {len(starts)} fails")
 
         monkeypatch.setattr(compliance, "_lagrange_newton", every_start_fails)
-        tried = int(start_block(ConstraintSystem(armwing), 1.1)[1].sum())
+        tried = int(start_block(ConstraintSystem(m), 1.1)[1].sum())
         assert tried > 1
         with pytest.raises(ConvergenceError, match=f"^start {tried} fails$"):
-            solve_equilibrium(armwing, 1.1, LoadCase())
+            solve_equilibrium(m, 1.1, LoadCase())
         assert len(starts) == tried
+
+    def test_a_square_chain_moves_on_from_a_start_newton_fails_on(self, monkeypatch):
+        # a triad's starts do not close, so each runs kinematic Newton as `assemble` runs it
+        m, load, calls = triad_eight_bar(), LoadCase(forces=(("d1", "b", Point2(0.0, -1.0)),)), []
+        newton = kinematics._newton
+
+        def first_start_fails(sys, q, theta, tol, rows):
+            calls.append(q)
+            if len(calls) == 1:
+                return q, np.array([ConvergenceError.code], dtype=object)
+            return newton(sys, q, theta, tol, rows)
+
+        monkeypatch.setattr(kinematics, "_newton", first_start_fails)
+        c = solve_equilibrium(m, 0.3, load)
+        sys = ConstraintSystem(m)
+        assert len(calls) == 2 and np.array_equal(calls[1], start_block(sys, 0.3)[0][0, 1:2])
+        root, _ = newton(sys, calls[1], 0.3, TOLERANCE, np.arange(1))
+        assert np.array_equal(sys.q_from(c), root[0])
+
+    def test_a_square_chain_with_every_start_failing_raises_the_last_code(self, monkeypatch):
+        m, calls = triad_eight_bar(), []
+
+        def every_start_fails(sys, q, theta, tol, rows):
+            calls.append(q)
+            return q, np.array([SingularJacobianError.code if len(calls) == tried else ConvergenceError.code],
+                               dtype=object)
+
+        monkeypatch.setattr(kinematics, "_newton", every_start_fails)
+        tried = int(start_block(ConstraintSystem(m), 0.3)[1].sum())
+        assert tried > 1
+        with pytest.raises(ConvergenceError, match=r"^no start closes at theta=0\.3 \(SINGULAR_JACOBIAN\)$"):
+            solve_equilibrium(m, 0.3, LoadCase())
+        assert len(calls) == tried
 
     def test_out_of_iterations_is_no_convergence(self, monkeypatch):
         m = two_hinge_chain()
@@ -322,3 +363,59 @@ def test_equilibria_pinned_to_configuration_starts(armwing):
         assert got == _outcome(lambda: reference_equilibrium(m, theta, load)), (theta, load)
         warned += bool(got[1])
     assert warned  # the large-deflection case is among them
+
+
+def test_square_chain_equilibria_are_lagrange_newtons_bit_for_bit(armwing, monkeypatch):
+    """The armwing with its drive row is square: over seeded draws of crank
+    angle and tip load, its equilibrium, errors and warnings are those of the
+    Lagrange-Newton start loop, which never runs on it."""
+    calls = []
+    monkeypatch.setattr(compliance, "_lagrange_newton", lambda *args: calls.append(args) or _lagrange_newton(*args))
+    for theta, a in np.random.default_rng(28).uniform(0.0, 2 * math.pi, (200, 2)).tolist():
+        load = LoadCase(forces=(("forearm", "tip", Point2(0.5 * math.cos(a), 0.5 * math.sin(a))),))
+        got = _outcome(lambda: solve_equilibrium(armwing, theta, load))
+        assert got == _outcome(lambda: reference_equilibrium(armwing, theta, load)), theta
+    assert not calls
+
+
+def test_lagrange_newton_runs_only_on_chains_that_are_not_square(monkeypatch):
+    calls = []
+    monkeypatch.setattr(compliance, "_lagrange_newton", lambda *args: calls.append(args) or _lagrange_newton(*args))
+    solve_equilibrium(triad_eight_bar(), 0.3, LoadCase(forces=(("d1", "b", Point2(0.0, -1.0)),)))
+    solve_equilibrium(fourbar_mechanism(FourBar(6, 2, 5, 5)), 1.0, LoadCase(moments=(("j_a", 0.1),)))
+    assert not calls
+    solve_equilibrium(two_hinge_chain(), 0.0, LoadCase(forces=(("fore", "tip", Point2(0.0, 0.1)),)))
+    assert len(calls) == 1
+
+
+def test_a_triad_equilibrium_is_the_assembled_pose():
+    """Square but not dyadic: the pose is Newton's, as `assemble` finds it,
+    and where `assemble` fails (crank angles 14-19 of 24) so does the solve."""
+    m, load = triad_eight_bar(), LoadCase(forces=(("d1", "b", Point2(0.0, -1.0)),))
+    failed = []
+    for k in range(24):
+        theta = 2 * math.pi * k / 24
+        try:
+            want = assemble(m, theta)
+        except ConvergenceError:
+            failed.append(k)
+            with pytest.raises(ConvergenceError, match="no start closes"):
+                solve_equilibrium(m, theta, load)
+            continue
+        c = solve_equilibrium(m, theta, load)
+        assert c == want, k
+        pg, closure = stationarity(m, load, c, theta)
+        assert pg <= 1e-8 and closure <= 1e-8, k
+    assert failed == list(range(14, 20))
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi])
+def test_a_loaded_chain_at_a_singular_pose_has_no_equilibrium(theta):
+    """The parallelogram's crank lies along its ground: J is singular (exactly
+    so at 0), so no multipliers hold a moment on the coupler pin, while the
+    unloaded pose stays an equilibrium."""
+    m = fourbar_mechanism(FourBar(4, 2, 4, 2))
+    with pytest.raises(ConvergenceError, match="singular constraint Jacobian"):
+        solve_equilibrium(m, theta, LoadCase(moments=(("j_a", 0.1),)))
+    c = solve_equilibrium(m, theta, LoadCase())
+    assert stationarity(m, LoadCase(), c, theta)[0] == 0.0

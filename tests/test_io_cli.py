@@ -37,7 +37,7 @@ from flapkin.kinematics import sweep_arrays
 from flapkin.mechanism import CompliantHinge, FourBar, fourbar_mechanism
 from flapkin.synthesis import GaitSpec
 
-from conftest import make_plunge_gait, marker_world, run_cli
+from conftest import make_plunge_gait, marker_world, recovery_space, run_cli
 
 
 DATA = Path(flapkin.__file__).parent / "data"
@@ -545,6 +545,23 @@ class TestCli:
             assert code == 0
             outs.append((out_p.read_bytes(), out))
         assert outs[0] == outs[1]
+
+    def test_synthesize_over_bounds_near_the_float_range_stays_quiet(self, tmp_path):
+        # every candidate's sweep overflows and fails: exit 1 (infeasible), and numpy warns of nothing
+        space, spec, _ = recovery_space()
+        space_p, spec_p = tmp_path / "space.json", tmp_path / "spec.json"
+        space_p.write_text(json.dumps({
+            "template": mechanism_to_doc(space.template),
+            "parameters": [{"name": p.name, "lower": -1e300, "upper": 1e300} for p in space.parameters],
+            "transmission_joints": list(space.transmission_joints)}))
+        spec_p.write_text(json.dumps({
+            "plunge_amplitude_rad": spec.plunge_amplitude, "extension_range": list(spec.extension_range),
+            "area_ratio_max": spec.area_ratio_max, "min_transmission_angle_rad": spec.min_transmission_angle}))
+        r = subprocess.run([sys.executable, "-m", "flapkin.cli", "synthesize", str(space_p), str(spec_p),
+                            "--budget", "75", "--seed", "0", "--out", str(tmp_path / "out.json")],
+                           capture_output=True, text=True, env=package_env(), timeout=120)
+        assert (r.returncode, r.stderr) == (1, "")
+        assert json.loads(r.stdout)["feasible"] is False
 
 
 NUMBER = st.one_of(st.sampled_from(["0.1", "1", "0", "-1", "nan", "inf", "-inf", "x"]),
