@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, LargeDeflectionWarning
 from .geometry import Point2
-from .kinematics import (MAX_ITERATIONS, RCOND_FLOOR, TOLERANCE, Configuration, ConstraintSystem, _first_roots,
+from .kinematics import (MAX_ITERATIONS, RCOND_FLOOR, TOLERANCE, Configuration, ConstraintSystem, first_roots,
                          start_block)
 from .mechanism import CompliantHinge, Mechanism
 
@@ -203,7 +203,7 @@ def _square_pose(sys: ConstraintSystem, pot: _Potential, theta: float) -> np.nda
     """`assemble`'s pose of a square chain at theta, where the multipliers lam of J^T lam = -gradient hold
     it (within 100x the tolerance). ConvergenceError where no start closes, or J is singular: the solve
     fails, or |lam| outgrows the gradient by more than 1 / (RCOND_FLOOR |J|)."""
-    (q,), (code,) = _first_roots(sys, theta, None, TOLERANCE)
+    (q,), (code,) = first_roots(sys, theta, None, TOLERANCE)
     if code is not None:
         raise ConvergenceError(f"no start closes at theta={theta:.6g} ({code})")
     g, J = pot.grad(q), sys.jacobian(q)

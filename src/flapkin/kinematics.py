@@ -701,8 +701,8 @@ def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
     return sys
 
 
-def _first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+def first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
     """`_newton` on all rows at theta as `assemble` runs it: from each row's `start_block` starts in
     turn until one converges (a first start that already closes is its own root, as on a dyadic chain);
     a row none converges on takes the last one's error code."""
@@ -726,7 +726,7 @@ def assemble(m: Mechanism, theta: float, guess: Configuration | None = None) -> 
     first `start_block` start that converges. Step halving (at most 20 times
     per iteration) guards against overshoot."""
     sys = _require_square(ConstraintSystem(m))
-    q, (code,) = _first_roots(sys, float(theta), guess, TOLERANCE)
+    q, (code,) = first_roots(sys, float(theta), guess, TOLERANCE)
     if code is not None:
         raise {e.code: e for e in (ConvergenceError, SingularJacobianError)}[code](
             f"Newton failed at theta={theta:.6g} ({code})")
@@ -748,7 +748,7 @@ def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol
         if k:
             qk, codes = _newton(sys, q[live, k - 1], theta, tol, live)
         else:
-            qk, codes = _first_roots(_require_square(sys), theta, guess, tol)
+            qk, codes = first_roots(_require_square(sys), theta, guess, tol)
         ok = np.equal(codes, None)
         failed_at[live[~ok]] = k
         errors[live[~ok]] = codes[~ok]

@@ -98,6 +98,8 @@ class DesignSpace:
       link.<id>.marker.<name>.x | .y      marker coordinate
       joint.<id>.stiffness                compliant hinge stiffness
       joint.<id>.rest_angle               compliant hinge rest angle
+    The cost weighs only the marker coordinates: a hinge path is accepted and
+    `apply` (hence `synthesize --out`) keeps its value, but no cost weighs it.
     """
 
     template: Mechanism
@@ -115,78 +117,68 @@ class DesignSpace:
 
     def __post_init__(self):
         require_wingbeat(self.template)
-        self._edits  # every parameter path and transmission joint is checked before anything is costed
+        self._paths  # every parameter path and transmission joint is checked before anything is costed
 
     @cached_property
-    def _edits(self) -> tuple[dict, dict]:
-        """The parameter paths as columns: link id -> marker -> component ->
-        column, and joint id -> field -> column. A path that is malformed,
-        repeated, or names a link, marker or joint the template lacks (or a
-        joint that is not a compliant hinge), or a transmission joint the
-        template lacks, raises SynthesisError."""
-        link_edits: dict[str, dict[str, dict[str, int]]] = {}
-        joint_edits: dict[str, dict[str, int]] = {}
+    def _paths(self) -> tuple[Markers, np.ndarray, np.ndarray, dict[str, dict[str, int]]]:
+        """The parameter paths, read once: the template's marker table, the (2, K) pairs (parameter column,
+        table column) of the edited x and of the edited y coordinates, and the hinge writes (joint id -> field
+        -> parameter column). Each path is checked as it is read, so the first bad one raises SynthesisError:
+        it is malformed or repeated, or names a link, marker or joint the template lacks, or a joint that is
+        not a compliant hinge. A transmission joint the template lacks raises it next."""
+        table = marker_table(self.template)
+        links, joints = {l.id for l in self.template.links}, {j.id: j for j in self.template.joints}
+        pairs, hinges = {"x": [], "y": []}, {}  # component -> (parameter, table column) pairs; the hinge writes
         for i, p in enumerate(self.parameters):
             parts = p.name.split(".")
-            if parts[0] == "link" and len(parts) == 5 and parts[2] == "marker" and parts[4] in ("x", "y"):
-                comps = link_edits.setdefault(parts[1], {}).setdefault(parts[3], {})
-            elif parts[0] == "joint" and len(parts) == 3 and parts[2] in ("stiffness", "rest_angle"):
-                comps = joint_edits.setdefault(parts[1], {})
-            else:
+            if not (parts[0] == "link" and len(parts) == 5 and parts[2] == "marker" and parts[4] in ("x", "y")
+                    or parts[0] == "joint" and len(parts) == 3 and parts[2] in ("stiffness", "rest_angle")):
                 raise SynthesisError(f"unknown parameter path {p.name!r}", code="BAD_PARAMETER")
-            if parts[-1] in comps:
+            if p.name in (q.name for q in self.parameters[:i]):
                 raise SynthesisError(f"parameter path {p.name!r} appears twice", code="BAD_PARAMETER")
-            comps[parts[-1]] = i
-        links, joints = {l.id: l for l in self.template.links}, {j.id: j for j in self.template.joints}
-        for lid, edits in link_edits.items():
-            if lid not in links:
-                raise SynthesisError(f"template has no link {lid!r}", code="BAD_PARAMETER")
-            for mname in edits:
-                if mname not in links[lid].markers:
-                    raise SynthesisError(f"link {lid!r} has no marker {mname!r}", code="BAD_PARAMETER")
-        for jid in joint_edits:
-            if jid not in joints:
-                raise SynthesisError(f"template has no joint {jid!r}", code="BAD_PARAMETER")
-            if not isinstance(joints[jid].kind, CompliantHinge):
-                raise SynthesisError(f"joint {jid!r} is not a compliant hinge", code="BAD_PARAMETER")
+            if parts[0] == "link":
+                if parts[1] not in links:
+                    raise SynthesisError(f"template has no link {parts[1]!r}", code="BAD_PARAMETER")
+                if (ref := (parts[1], parts[3])) not in table.columns:
+                    raise SynthesisError(f"link {parts[1]!r} has no marker {parts[3]!r}", code="BAD_PARAMETER")
+                pairs[parts[4]].append((i, table.columns[ref]))
+            elif parts[1] not in joints:
+                raise SynthesisError(f"template has no joint {parts[1]!r}", code="BAD_PARAMETER")
+            elif not isinstance(joints[parts[1]].kind, CompliantHinge):
+                raise SynthesisError(f"joint {parts[1]!r} is not a compliant hinge", code="BAD_PARAMETER")
+            else:
+                hinges.setdefault(parts[1], {})[parts[2]] = i
         for jid in self.transmission_joints:
             if jid not in joints:
                 raise SynthesisError(f"template has no transmission joint {jid!r}", code="BAD_PARAMETER")
-        return link_edits, joint_edits
-
-    @cached_property
-    def _table(self) -> tuple[Markers, np.ndarray, np.ndarray]:
-        """The template's marker table, and the (2, K) pairs (parameter column,
-        table column) of the edited x and of the edited y coordinates."""
-        table = marker_table(self.template)
-        pairs = ([(comps[c], table.columns[lid, mname]) for lid, edits in self._edits[0].items()
-                  for mname, comps in edits.items() if c in comps] for c in "xy")
-        return (table, *(np.array(p, dtype=np.intp).reshape(-1, 2).T for p in pairs))
+        return (table, *(np.array(pairs[c], dtype=np.intp).reshape(-1, 2).T for c in "xy"), hinges)
 
     def apply(self, x: np.ndarray) -> Mechanism:
-        """Instantiate the template with parameter vector x."""
-        link_edits, joint_edits = self._edits
-        table = self.markers(np.atleast_2d(x))
-        row = table.points[0].tolist()
-        at = {ref: Point2(row[i].real, row[i].imag) for ref, i in table.columns.items()}
-        links = tuple(replace(l, markers={**l.markers, **{name: at[l.id, name] for name in edits}})
-                      if (edits := link_edits.get(l.id)) else l for l in self.template.links)
-        joints = tuple(replace(j, kind=replace(j.kind, **{f: float(x[i]) for f, i in edits.items()}))
-                       if (edits := joint_edits.get(j.id)) else j for j in self.template.joints)
+        """Instantiate the template with parameter vector x. Each edited marker is read from the row
+        `markers` writes for x, so this is the design that row costed. An edited stiffness drops the
+        hinge's geometry, which no longer gives it."""
+        table, (_, cx), (_, cy), hinges = self._paths
+        row, edited = self.markers(np.atleast_2d(x)).points[0].tolist(), {*cx.tolist(), *cy.tolist()}
+        at = {ref: Point2(row[i].real, row[i].imag) for ref, i in table.columns.items() if i in edited}
+        links = tuple(replace(l, markers={k: at.get((l.id, k), p) for k, p in l.markers.items()})
+                      for l in self.template.links)
+        joints = tuple(replace(j, kind=replace(j.kind, **{f: float(x[i]) for f, i in edits.items()},
+                                               geometry=None if "stiffness" in edits else j.kind.geometry))
+                       if (edits := hinges.get(j.id)) else j for j in self.template.joints)
         return replace(self.template, links=links, joints=joints)
 
     def admissible(self, X: np.ndarray) -> np.ndarray:
         """Rows of X (B, dim) that `apply` accepts: every column (a marker
         coordinate or a hinge field) finite, hinge stiffnesses positive."""
         ok = np.isfinite(X).all(axis=1)
-        positive = [e["stiffness"] for e in self._edits[1].values() if "stiffness" in e]
+        positive = [e["stiffness"] for e in self._paths[3].values() if "stiffness" in e]
         return ok & (X[:, positive] > 0.0).all(axis=1) if positive else ok
 
     def markers(self, X: np.ndarray) -> Markers:
         """Marker table of the B mechanisms `apply` builds from the rows of X
         (B, dim), without building them: the template's row B times, with the
         edited coordinates written from the columns of X."""
-        table, (px, cx), (py, cy) = self._table
+        table, (px, cx), (py, cy), _ = self._paths
         points = np.repeat(table.points, len(X), axis=0)
         points.real[:, cx] = X[:, px]
         points.imag[:, cy] = X[:, py]

@@ -398,6 +398,22 @@ class TestCli:
         assert code == 0 and json.loads(err)["min_transmission_angle_rad"] > 0.0
         assert len(calls) == 1
 
+    def test_gait_metrics_out_writes_the_metrics_text(self, shipped_path, tmp_path):
+        argv = ["gait", str(shipped_path), "--period", "0.1", "--samples", "64", "--transmission-joint", "j_b"]
+        code, csv, text = run_cli([*argv, "--metrics"])
+        assert code == 0 and csv.startswith(TRAJECTORY_HEADER)
+        out_p = tmp_path / "metrics.json"
+        assert run_cli([*argv, "--metrics-out", str(out_p)]) == (0, csv, "")
+        assert out_p.read_bytes() == text.encode()
+
+    def test_gait_metrics_out_to_an_unwritable_path_is_an_io_error(self, shipped_path, tmp_path):
+        # a directory where the file should go; the CSV is written before the metrics, so stdout is not pinned
+        (tmp_path / "metrics.json").mkdir()
+        code, _, err = run_cli(["gait", str(shipped_path), "--period", "0.1", "--samples", "64",
+                                "--metrics-out", str(tmp_path / "metrics.json")])
+        lines = err.splitlines()
+        assert code == 3 and len(lines) == 1 and lines[0].startswith("E_IO"), err
+
     def test_aero_outputs(self, shipped_path):
         code, out, err = run_cli(["aero", str(shipped_path), "--period", "0.1",
                                   "--freestream", "3", "--samples", "64"])
@@ -514,6 +530,23 @@ class TestCli:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(error)
+
+    def test_synthesize_out_holds_the_summary_parameters(self, tmp_path):
+        # the shipped armwing space with a searched hinge stiffness, which a file with the
+        # flexure dimensions alone would lose
+        doc = json.loads((DATA / "armwing_space.json").read_text())
+        doc["parameters"].append({"name": "joint.j_b.stiffness", "lower": 0.02, "upper": 0.2})
+        space_p, out_p = tmp_path / "space.json", tmp_path / "out.json"
+        space_p.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["synthesize", str(space_p), str(DATA / "armwing_spec.json"),
+                                "--budget", "195", "--seed", "0", "--out", str(out_p)])
+        assert code in (0, 1)
+        m = parse_mechanism(out_p.read_bytes())
+        for name, value in json.loads(out)["parameters"].items():
+            part = name.split(".")
+            got = (m.joint(part[1]).kind.stiffness if part[0] == "joint"
+                   else getattr(m.link(part[1]).marker(part[3]), part[4]))
+            assert got == value, name
 
     def test_synthesize_deterministic_output(self, tmp_path):
         template = fourbar_mechanism(FourBar(6, 2, 5, 5, coupler_point=Point2(2.5, 1.5)))

@@ -193,6 +193,15 @@ class TestSweep:
         assert pb.origins.shape == (1, len(m.links), 0, 2) and pb.angles.shape == (1, len(m.links), 0)
         assert pb.failed_at.tolist() == [0] and pb.errors == [None] and pb.configurations() == []
 
+    @pytest.mark.parametrize("thetas, errors", [([], [None]), ([math.pi, 0.0], [NotAssemblableError.code])],
+                             ids=["no angles", "first sample open"])
+    def test_guessed_sweep_without_a_closed_first_sample(self, thetas, errors):
+        # no row has a first sample for the guess to pick a root at: the sweep is the unguessed one
+        m = fourbar_mechanism(FourBar(6, 3, 2, 4))  # its crank cannot reach pi
+        pb, free = sweep_arrays(m, np.array(thetas), guess=assemble(m, 0.0)), sweep_arrays(m, np.array(thetas))
+        assert pb.failed_at.tolist() == [0] and pb.errors == free.errors == errors
+        assert pb.origins.tobytes() == free.origins.tobytes() and pb.rotations.tobytes() == free.rotations.tobytes()
+
     def test_crank_angles_unwrapped(self, fb_mech):
         thetas = np.linspace(0, 2 * math.pi, 90)
         pa = sweep_arrays(fb_mech, thetas)
@@ -828,3 +837,32 @@ class TestGroundOrder:
         assert got == want
         # the open chain has no crank to sweep, assemble or differentiate; both closed chains solve everything
         assert sum(isinstance(o, str) for o in want) == (4 if name == "two-hinge-chain" else 0)
+
+
+class TestTopologyCache:
+    """A topology's compiled plan is kept, at most 64 at a time, and one built again is the same."""
+
+    @staticmethod
+    def renamed(k: int) -> Mechanism:
+        """The (6, 2, 5, 5) four-bar with its coupler-rocker joint renamed: a topology of its own."""
+        m = fourbar_mechanism(FourBar(6, 2, 5, 5))
+        return dataclasses.replace(m, joints=tuple(dataclasses.replace(j, id=f"j_b{k}") if j.id == "j_b" else j
+                                                   for j in m.joints))
+
+    def test_the_65th_topology_clears_the_cache(self):
+        built = []
+        cached = kinematics._per_topology(lambda m: built.append(m) or len(built))
+        ms = [self.renamed(k) for k in range(65)]
+        assert [cached(m) for m in ms] == list(range(1, 66))
+        assert [cached(ms[64]), cached(ms[0]), cached(ms[0])] == [65, 66, 66]
+
+    def test_a_plan_built_again_sweeps_the_same(self):
+        thetas = 2 * math.pi * np.arange(32) / 32
+        ms = [self.renamed(k) for k in range(65)]
+        first = sweep_arrays(ms[0], thetas)
+        for m in ms[1:]:  # more topologies than the cache keeps: the first one's plan is dropped
+            sweep_arrays(m, thetas)
+        again = sweep_arrays(ms[0], thetas)
+        assert again.errors == first.errors == [None]
+        assert again.origins.tobytes() == first.origins.tobytes()
+        assert again.rotations.tobytes() == first.rotations.tobytes()

@@ -27,8 +27,8 @@ from flapkin.errors import (
 from flapkin.fileio import parse_mechanism, serialize_mechanism
 from flapkin.geometry import Point2
 from flapkin.gait import gait_from_pose_arrays, gait_metrics, generate_gait, retraction_time
-from flapkin.kinematics import sweep_arrays, transmission_angle_series
-from flapkin.mechanism import FourBar, fourbar_mechanism
+from flapkin.kinematics import marker_table, sweep_arrays, transmission_angle_series
+from flapkin.mechanism import CompliantHinge, FourBar, fourbar_mechanism
 from flapkin.synthesis import (
     METRIC_FAILURE_COST,
     OBJECTIVE_SAMPLES,
@@ -47,6 +47,7 @@ from flapkin.synthesis import (
 )
 
 from conftest import parallelogram_wing, recovery_space, reference_metrics, run_cli, triad_eight_bar
+from test_pinned_results import triad_space
 
 DATA = Path(flapkin.__file__).parent / "data"
 
@@ -585,6 +586,37 @@ class TestArmwingDesignProblem:
         assert retraction_time(gt) <= 0.06
 
 
+class TestApply:
+    """`apply` builds the design its row of `markers` costed, and a mechanism file keeps every searched value."""
+
+    @pytest.mark.parametrize("case", ["recovery", "armwing", "shipped armwing", "triad"])
+    def test_the_design_built_has_the_costed_marker_row(self, case):
+        space = {"recovery": lambda: recovery_space()[0], "armwing": lambda: armwing_space()[0],
+                 "shipped armwing": lambda: _load_space(str(DATA / "armwing_space.json")),
+                 "triad": triad_space}[case]()
+        lo, hi = space.bounds()
+        X = lo + np.random.default_rng(11).random((16, space.dim)) * (hi - lo)
+        for x, row in zip(X, space.markers(X).points):
+            assert marker_table(space.apply(x)).points[0].tobytes() == row.tobytes()
+
+    def test_a_searched_stiffness_survives_the_file(self):
+        arm, _ = armwing_space()
+        space = DesignSpace(arm.template, (Parameter("joint.j_b.stiffness", 0.02, 0.8),
+                                           Parameter("joint.j_b.rest_angle", -1.0, 1.0)))
+        m = parse_mechanism(serialize_mechanism(space.apply([0.5, 0.3])))
+        # the stiffness no longer follows from the flexure dimensions, so they are dropped
+        assert m.joint("j_b").kind == CompliantHinge(0.5, 0.3)
+        assert m.joint("j_d").kind == arm.template.joint("j_d").kind
+
+    def test_a_rest_angle_edit_keeps_the_hinge_geometry(self):
+        arm, _ = armwing_space()
+        space = DesignSpace(arm.template, (Parameter("joint.j_d.rest_angle", -1.0, 1.0),))
+        m = space.apply([0.3])
+        hinge = arm.template.joint("j_d").kind
+        assert m.joint("j_d").kind == dataclasses.replace(hinge, rest_angle=0.3) and hinge.geometry is not None
+        assert parse_mechanism(serialize_mechanism(m)).joint("j_d").kind == m.joint("j_d").kind
+
+
 class TestFeasibilityReport:
     def test_shipped_example_feasible(self, armwing):
         gt = generate_gait(armwing, 1.0, 128)
@@ -687,18 +719,23 @@ class TestSpecValidation:
             GaitSpec(plunge_amplitude=0.5, extension_range=(0.2, 1.0),
                      weights={"plunge_amplitude_rad": 1.0})
 
-    @pytest.mark.parametrize("name", [
-        "link.crank.marker.tip.z", "link.crank.marker.nope.x", "link.nope.marker.tip.x",
-        "link.crank.tip.x", "joint.j_b.stiffness", "joint.nope.stiffness", "link.crank.marker.tip.x",
+    @pytest.mark.parametrize("name, message", [
+        ("link.crank.marker.tip.z", "unknown parameter path 'link.crank.marker.tip.z'"),
+        ("link.crank.marker.nope.x", "link 'crank' has no marker 'nope'"),
+        ("link.nope.marker.tip.x", "template has no link 'nope'"),
+        ("link.crank.tip.x", "unknown parameter path 'link.crank.tip.x'"),
+        ("joint.j_b.stiffness", "joint 'j_b' is not a compliant hinge"),
+        ("joint.nope.stiffness", "template has no joint 'nope'"),
+        ("link.crank.marker.tip.x", "parameter path 'link.crank.marker.tip.x' appears twice"),
     ], ids=["component z", "unknown marker", "unknown link", "malformed", "rigid joint",
             "unknown joint", "repeated"])
-    def test_bad_parameter_path_fails_when_the_space_is_built(self, monkeypatch, name):
+    def test_bad_parameter_path_fails_when_the_space_is_built(self, monkeypatch, name, message):
         # before any cost is taken: a path that edits nothing is no dimension
         space, _, _ = recovery_space()
         monkeypatch.setattr("flapkin.synthesis.sweep_arrays", None)
         with pytest.raises(SynthesisError) as e:
             DesignSpace(space.template, (*space.parameters, Parameter(name, 0.5, 1.0)))
-        assert e.value.code == "BAD_PARAMETER"
+        assert (e.value.code, str(e.value)) == ("BAD_PARAMETER", message)
 
     @pytest.mark.parametrize("joints", [("j_nope",), ("j_b", "j_nope"), tuple("j_b")],
                              ids=["unknown joint", "one of two", "string split into characters"])
@@ -717,6 +754,18 @@ class TestSpecValidation:
         with pytest.raises(GaitError) as e:
             DesignSpace(dataclasses.replace(space.template, **{field: value}), space.parameters)
         assert e.value.code == "DEGENERATE"
+
+    def test_of_several_bad_paths_the_first_is_reported(self, monkeypatch):
+        space, _, _ = recovery_space()
+        monkeypatch.setattr("flapkin.synthesis.sweep_arrays", None)
+        bad = (Parameter("joint.nope.stiffness", 0.5, 1.0), Parameter("link.nope.marker.tip.x", 0.5, 1.0),
+               Parameter("link.crank.marker.tip.z", 0.5, 1.0))
+        for k in range(len(bad)):
+            with pytest.raises(SynthesisError) as e:
+                DesignSpace(space.template, (*space.parameters, *bad[k:]), ("j_nope",))
+            assert (e.value.code, str(e.value)) == ("BAD_PARAMETER", [
+                "template has no joint 'nope'", "template has no link 'nope'",
+                "unknown parameter path 'link.crank.marker.tip.z'"][k])
 
     def test_bad_parameter_bounds(self):
         with pytest.raises(ValueError):
