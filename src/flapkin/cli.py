@@ -74,7 +74,7 @@ def cmd_gait(args) -> int:
     if unknown := sorted(set(args.transmission_joint) - {j.id for j in m.joints}):
         raise ValueError(f"--transmission-joint {unknown[0]!r}: no such joint in {args.mechanism}")
     gt = generate_gait(m, args.period, args.samples, args.tol)
-    sys.stdout.write(trajectory_csv(gt))
+    text = ""
     if args.metrics or args.metrics_out:
         mu = min_transmission_angle(m, gt.poses, args.transmission_joint) if args.transmission_joint else None
         mts = gait_metrics(gt, mu)
@@ -86,10 +86,11 @@ def cmd_gait(args) -> int:
             "min_transmission_angle_rad": mts.min_transmission_angle,
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if args.metrics_out:
-            Path(args.metrics_out).write_text(text)
-        else:
-            sys.stderr.write(text)
+    if args.metrics_out:  # before the CSV, so a path that cannot be written leaves stdout empty
+        Path(args.metrics_out).write_text(text)
+    sys.stdout.write(trajectory_csv(gt))
+    if not args.metrics_out:
+        sys.stderr.write(text)
     return 0
 
 

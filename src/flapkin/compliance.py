@@ -203,7 +203,7 @@ def _square_pose(sys: ConstraintSystem, pot: _Potential, theta: float) -> np.nda
     """`assemble`'s pose of a square chain at theta, where the multipliers lam of J^T lam = -gradient hold
     it (within 100x the tolerance). ConvergenceError where no start closes, or J is singular: the solve
     fails, or |lam| outgrows the gradient by more than 1 / (RCOND_FLOOR |J|)."""
-    (q,), (code,) = first_roots(sys, theta, None, TOLERANCE)
+    q, code = first_roots(sys, theta, None, TOLERANCE)
     if code is not None:
         raise ConvergenceError(f"no start closes at theta={theta:.6g} ({code})")
     g, J = pot.grad(q), sys.jacobian(q)
@@ -238,7 +238,7 @@ def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase) -> Configurati
         q = _square_pose(sys, pot, theta)
     else:
         starts, tried = start_block(sys, theta)
-        for start in starts[0, tried[0]]:
+        for start in starts[tried]:
             try:
                 q = _lagrange_newton(sys, pot, start, theta)
                 break

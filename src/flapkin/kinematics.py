@@ -15,8 +15,8 @@ takes the plan's markers from the table, and their lengths, then runs each
 step as a few array operations on slots of one pose block, for all rows of
 the table and all crank angles at once. Chains the plan cannot decompose
 (triads) fall back to damped Newton iteration on the joint-coincidence
-residuals, seeded step by step with the previous solution and run on all rows
-of the table together; `assemble` is its one-row, one-angle case. Either way
+residuals, seeded step by step with the previous solution, one row of the
+table at a time; `assemble` is its one-angle case. Either way
 a sweep is a `PoseBatch`: the poses of the table's B mechanisms at the same
 crank angles.
 
@@ -45,6 +45,7 @@ import numpy as np
 from .errors import (
     BranchAmbiguousError,
     ConvergenceError,
+    DisconnectedError,
     KinematicsError,
     NotAssemblableError,
     SingularJacobianError,
@@ -206,8 +207,9 @@ def _decompose(m: Mechanism) -> list[tuple]:
     (1) a link pinned to two placed links ("rigid"), (2) an RR dyad, two links
     sharing a joint (their `shared` markers), each pinned once to a placed
     link ("dyad"), (3) a link hung from one placed link at orientation zero
-    ("hang"); unreachable links last, at the identity ("free"). A step is
-    (kind, links, pins, shared); a pin is (own marker, placed link, its marker)."""
+    ("hang"). A step is (kind, links, pins, shared); a pin is (own marker,
+    placed link, its marker). Raises DisconnectedError, as `mobility` does,
+    where some link no chain of joints reaches from the ground."""
     placed = {m.ground}
     steps = []
     act = m.actuated_joint()
@@ -242,8 +244,8 @@ def _decompose(m: Mechanism) -> list[tuple]:
     while len(placed) < len(m.links):
         step = rigid() or dyad() or hang()
         if step is None:
-            steps.extend(("free", (l.id,), (), ()) for l in m.links if l.id not in placed)
-            break
+            missing = sorted(l.id for l in m.links if l.id not in placed)
+            raise DisconnectedError(f"links not reachable from ground: {missing}")
         steps.append(step)
         placed.update(step[1])
     return steps
@@ -385,9 +387,7 @@ def _place_steps(plan: _Plan, points: np.ndarray, lengths: np.ndarray, units: np
     for kind, slots, pins, owns, ends in plan.steps:
         at = [poses[s][0] + poses[s][1] * points[:, c:c + 1] for s, c in pins]
         turns = [rot[:, s] for s in slots]
-        if kind == "free":
-            org[:, slots[0]], turns[0][...] = 0.0, 1.0
-        elif kind == "crank":
+        if kind == "crank":
             turns[0][...] = np.cos(thetas) + 1j * np.sin(thetas)
         elif kind == "hang":
             turns[0][...] = 1.0
@@ -536,20 +536,18 @@ def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Co
 
 class ConstraintSystem:
     """Joint-coincidence constraints and the crank drive row, Phi(q, theta) = 0
-    (Haug 1989, ch. 3), of the B mechanisms of a marker table (m's own by
-    default) sharing m's topology, as its `plan` compiles them: rows 2r,
-    2r + 1 are joint r's world gap (its marker on link a less its marker on
-    link b), the last the crank angle less theta. q holds the (x, y, angle) of
-    each link of plan.ids[1:]; `residual` and `jacobian` take a (B, n) block of
-    table rows (`rows`, all by default) or one row as a 1-D q, and do the same
-    arithmetic on every row."""
+    (Haug 1989, ch. 3), of one mechanism of m's topology, as its `plan`
+    compiles them: rows 2r, 2r + 1 are joint r's world gap (its marker on link
+    a less its marker on link b), the last the crank angle less theta. q holds
+    the (x, y, angle) of each link of plan.ids[1:]. The link-frame markers are
+    those of a one-row marker table, m's own by default."""
 
     def __init__(self, m: Mechanism, markers: Markers | None = None):
         self.plan = plan = _plan(m)
         self.markers = marker_table(m) if markers is None else markers
         self.n, self.rows = 3 * len(plan.ids) - 3, len(plan.template)
-        # (B, J, 2): each joint's markers, x + iy; an end's d(+-R p)/d angle is R times `_turned`
-        self._ends = self.markers.take(plan.ends).reshape(len(self.markers.points), -1, 2)
+        # (J, 2): each joint's markers, x + iy; an end's d(+-R p)/d angle is R times `_turned`
+        self._ends = self.markers.take(plan.ends).reshape(-1, 2)
         self._turned = self._ends * np.array([1j, -1j])
 
     def q_from(self, c: Configuration) -> np.ndarray:
@@ -564,133 +562,108 @@ class ConstraintSystem:
         return Configuration(float(theta), poses, branch)
 
     def _rotations(self, q: np.ndarray) -> np.ndarray:
-        """(B, L) rotations cos + i sin of the pose slots of a (B, n) block."""
-        angles = np.zeros((len(q), len(self.plan.ids)))
-        angles[:, 1:] = q[:, 2::3]
-        return np.exp(1j * angles)
+        """(J, 2) rotations cos + i sin of the links at each joint's ends."""
+        angles = np.zeros(len(self.plan.ids))
+        angles[1:] = q[2::3]
+        return np.exp(1j * angles)[self.plan.slots]
 
-    def residual(self, q: np.ndarray, theta: float, rows=slice(None)) -> np.ndarray:
-        plan, q2 = self.plan, np.atleast_2d(q)
-        origin = np.zeros((len(q2), len(plan.ids)), dtype=complex)
-        origin.real[:, 1:] = q2[:, 0::3]
-        origin.imag[:, 1:] = q2[:, 1::3]
-        rotations = self._rotations(q2).take(plan.slots, axis=1)
-        world = origin.take(plan.slots, axis=1) + rotations * self._ends[rows]
-        out = np.empty((len(q2), self.rows))
-        out[:, :2 * len(plan.slots)] = (world[..., 0] - world[..., 1]).view(float)
+    def residual(self, q: np.ndarray, theta: float) -> np.ndarray:
+        plan = self.plan
+        origin = np.zeros(len(plan.ids), dtype=complex)
+        origin.real[1:] = q[0::3]
+        origin.imag[1:] = q[1::3]
+        world = origin[plan.slots] + self._rotations(q) * self._ends
+        out = np.empty(self.rows)
+        out[:2 * len(plan.slots)] = (world[:, 0] - world[:, 1]).view(float)
         if plan.drive is not None:
-            np.subtract(q2[:, plan.drive], theta, out=out[:, -1])
-        return out if q.ndim == 2 else out[0]
+            out[-1] = q[plan.drive] - theta
+        return out
 
-    def jacobian(self, q: np.ndarray, rows=slice(None)) -> np.ndarray:
-        plan, q2 = self.plan, np.atleast_2d(q)
-        J = np.empty((len(q2), self.rows, self.n + 3))
-        J[:] = plan.template
-        turned = self._rotations(q2).take(plan.slots, axis=1) * self._turned[rows]
-        J.reshape(len(q2), -1)[:, plan.angle_cells] = turned.view(float).reshape(len(q2), -1)
-        return J[..., 3:] if q.ndim == 2 else J[0, :, 3:]
+    def jacobian(self, q: np.ndarray) -> np.ndarray:
+        J = self.plan.template.copy()
+        J.reshape(-1)[self.plan.angle_cells] = (self._rotations(q) * self._turned).view(float).reshape(-1)
+        return J[:, 3:]
 
     def angle_curvature(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """d^2(lam . Phi)/d angle^2 of each pose slot at a 1-D q, the ground's
+        """d^2(lam . Phi)/d angle^2 of each pose slot at q, the ground's
         first: joint r's rows are + R_a p_a - R_b p_b plus the origins, and
         d^2(R p)/d angle^2 = -R p. Phi is linear in the positions and its
         drive row, so these are the only nonzero second derivatives."""
         slots = self.plan.slots
-        rp = self._rotations(q[None])[0, slots] * self._ends[0]
+        rp = self._rotations(q) * self._ends
         lr = lam[:2 * len(slots)].reshape(-1, 1, 2)
         terms = [-1.0, 1.0] * (lr[..., 0] * rp.real + lr[..., 1] * rp.imag)
         return np.bincount(slots.ravel(), terms.ravel(), len(self.plan.ids))
 
 
-def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x of A x = b per stacked system, as solved alone; NaN where A is exactly singular."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return (np.full_like(b, np.nan) if len(A) == 1 else
-                np.concatenate([_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(A))]))
-
-
-def _norms(F: np.ndarray) -> np.ndarray:  # bit for bit `np.linalg.norm` of each row alone
-    return np.sqrt((F[:, None] @ F[..., None])[:, 0, 0])
-
-
-def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton at crank angle theta on table rows `rows` of sys from
-    guesses q, all together: one stacked solve per step, each row's step
-    halved (at most 20 times) until its residual norm falls, and a row dropped
-    where it fails. Returns the roots, the drive held at theta exactly where a
-    step reached one, and each row's error code (None where it converged)."""
+def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float) -> tuple[np.ndarray, str | None]:
+    """Damped Newton on sys at crank angle theta from the guess q: each step
+    halved (at most 20 times) until the residual norm falls. Returns the root,
+    its drive held at theta exactly where a step reached it (a guess that
+    already closes comes back as it is), and the error code (None where it
+    converged). A NaN residual iterates, and fails."""
     q = np.array(q, dtype=float)
-    codes = np.full(len(q), None, dtype=object)
-    F = sys.residual(q, theta, rows)
-    fn = _norms(F)
-    live = np.flatnonzero(~(fn <= tol))  # a NaN residual iterates, and fails
+    F = sys.residual(q, theta)
+    fn = np.linalg.norm(F)
+    if fn <= tol:
+        return q, None
     for _ in range(MAX_ITERATIONS):
-        if not len(live):
-            break
-        J = sys.jacobian(q[live], rows[live])
-        dq = _solve(J, -F[live])
-        ok = np.isfinite(dq).all(axis=1)
-        codes[live[~ok]] = SingularJacobianError.code
-        trying, step = np.flatnonzero(ok), 1.0
+        J = sys.jacobian(q)
+        try:
+            dq = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            return q, SingularJacobianError.code
+        if not np.isfinite(dq).all():
+            return q, SingularJacobianError.code
+        step = 1.0
         for _ in range(20):
-            i = live[trying]
-            qn = q[i] + step * dq[trying]
-            Fn = sys.residual(qn, theta, rows[i])
-            fnn = _norms(Fn)
-            down = fnn < fn[i]
-            q[i[down]] = qn[down]
-            F[i[down]] = Fn[down]
-            fn[i[down]] = fnn[down]
-            trying = trying[~down]
-            step *= 0.5
-            if not len(trying):
+            qn = q + step * dq
+            Fn = sys.residual(qn, theta)
+            fnn = np.linalg.norm(Fn)
+            if fnn < fn:
                 break
+            step *= 0.5
         else:  # stalled: a dead center, or no descent along the step
-            sv = np.linalg.svd(J[trying], compute_uv=False)
-            codes[live[trying]] = [SingularJacobianError.code if singular else ConvergenceError.code
-                                   for singular in (sv[:, -1] <= 1e-12 * sv[:, 0]).tolist()]
-            ok[trying] = False
-        done = ok & (fn[live] <= tol)
-        if sys.plan.drive is not None:
-            q[live[done], sys.plan.drive] = theta  # hold the drive coordinate exactly
-        live = live[ok & ~done]
-    codes[live] = ConvergenceError.code
-    return q, codes
+            sv = np.linalg.svd(J, compute_uv=False)
+            return q, SingularJacobianError.code if sv[-1] <= 1e-12 * sv[0] else ConvergenceError.code
+        q, F, fn = qn, Fn, fnn
+        if fn <= tol:
+            if sys.plan.drive is not None:
+                q[sys.plan.drive] = theta  # hold the drive coordinate exactly
+            return q, None
+    return q, ConvergenceError.code
 
 
 def start_block(sys: ConstraintSystem, theta: float,
                 guess: Configuration | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Where Newton starts on each row of sys at one crank angle: the unknowns
-    (B, C, n) of each start and the (B, C) mask of the starts a row tries, in
-    turn. From `guess` alone (its crank moved by the whole turns nearest
-    theta), or else one start per combination of dyad-plan roots, '+' root
-    first and earlier dyads varying slowest, repeats dropped, at most 16 per
-    row; circles that miss are clamped to their nearest approach, a tangent
-    dyad gives one root, and links the plan can only hang sit at angle zero."""
-    rows, plan = len(sys.markers.points), sys.plan
+    """Where Newton starts on sys at one crank angle: the unknowns (C, n) of
+    each start and the (C,) mask of the starts it tries, in turn. From `guess`
+    alone (its crank moved by the whole turns nearest theta), or else one start
+    per combination of dyad-plan roots, '+' root first and earlier dyads
+    varying slowest, repeats dropped, at most 16; circles that miss are clamped
+    to their nearest approach, a tangent dyad gives one root, and links the
+    plan can only hang sit at angle zero."""
+    plan = sys.plan
     if guess is not None:
         q, drive = sys.q_from(guess), plan.drive
         if drive is not None and (turns := round((theta - q[drive]) / (2.0 * math.pi))):
             q[drive] += 2.0 * math.pi * turns
-        return np.broadcast_to(q, (rows, 1, sys.n)), np.ones((rows, 1), dtype=bool)
+        return q[None], np.ones(1, dtype=bool)
     signs = plan.signs
-    new = np.ones((rows, len(signs)), dtype=bool)
+    new = np.ones(len(signs), dtype=bool)
 
     def pick(i, base, offset, hh, n_ok):
-        new[...] &= (offset != 0.0) | (signs[:, i] > 0.0)
+        new[...] &= (offset[0] != 0.0) | (signs[:, i] > 0.0)
         return signs[:, i]
 
     points = sys.markers.take(plan.refs)
     thetas = np.full(len(signs), float(theta))
     origins, rotations, _ = _place_steps(plan, points, *_spans(points, plan.spans), thetas, pick)
-    angles = np.angle(_complex(rotations))
+    angles = np.angle(_complex(rotations[0]))
     if plan.crank is not None:
-        angles[:, plan.ids.index(plan.crank)] = theta
-    q = np.concatenate([origins[:, 1:], angles[:, 1:, :, None]], axis=-1).transpose(0, 2, 1, 3)
-    return q.reshape(len(q), len(signs), -1), new & (np.cumsum(new, axis=1) <= 16)
+        angles[plan.ids.index(plan.crank)] = theta
+    q = np.concatenate([origins[0, 1:], angles[1:, :, None]], axis=-1).transpose(1, 0, 2)
+    return q.reshape(len(signs), -1), new & (np.cumsum(new) <= 16)
 
 
 def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
@@ -702,22 +675,16 @@ def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
 
 
 def first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None,
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_newton` on all rows at theta as `assemble` runs it: from each row's `start_block` starts in
-    turn until one converges (a first start that already closes is its own root, as on a dyadic chain);
-    a row none converges on takes the last one's error code."""
+                tol: float) -> tuple[np.ndarray, str | None]:
+    """`_newton` at theta as `assemble` runs it: from each `start_block` start in turn until one converges
+    (a start that already closes is its own root, as the first is on a dyadic chain); where none
+    converges, the last one's error code."""
     starts, tried = start_block(sys, theta, guess)
-    q = starts[:, 0].copy()
-    codes = np.full(len(q), None, dtype=object)
-    todo = np.flatnonzero(~(_norms(sys.residual(q, theta)) <= tol))
-    for c in range(starts.shape[1]):
-        if not len(todo):
+    for start in starts[tried]:
+        q, code = _newton(sys, start, theta, tol)
+        if code is None:
             break
-        now = todo[tried[todo, c]]
-        if len(now):
-            q[now], codes[now] = _newton(sys, starts[now, c], theta, tol, now)
-        todo = todo[np.not_equal(codes[todo], None) | ~tried[todo, c]]
-    return q, codes
+    return q, code
 
 
 def assemble(m: Mechanism, theta: float, guess: Configuration | None = None) -> Configuration:
@@ -726,42 +693,33 @@ def assemble(m: Mechanism, theta: float, guess: Configuration | None = None) -> 
     first `start_block` start that converges. Step halving (at most 20 times
     per iteration) guards against overshoot."""
     sys = _require_square(ConstraintSystem(m))
-    q, (code,) = first_roots(sys, float(theta), guess, TOLERANCE)
+    q, code = first_roots(sys, float(theta), guess, TOLERANCE)
     if code is not None:
         raise {e.code: e for e in (ConvergenceError, SingularJacobianError)}[code](
             f"Newton failed at theta={theta:.6g} ({code})")
-    return sys.config_from(q[0], theta, guess.branch if guess else None)
+    return sys.config_from(q, theta, guess.branch if guess else None)
 
 
 def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol: float,
                          guess: Configuration | None) -> PoseBatch:
-    """Newton continuation of all rows of a marker table together: each row's
-    root at the first crank angle as `assemble` finds it, then each step
-    seeded with the previous root; a row stops where it fails."""
-    sys = ConstraintSystem(m, markers)
-    rows, n = len(markers.points), len(thetas)
-    q = np.zeros((rows, n, sys.n))
+    """Newton continuation of each row of a marker table in turn: its root at
+    the first crank angle as `assemble` finds it, then each step seeded with
+    the previous root; a row stops where it fails."""
+    plan, rows, n = _plan(m), len(markers.points), len(thetas)
+    xya = np.zeros((rows, len(plan.ids), n, 3))
     failed_at = np.full(rows, n)
-    errors = np.full(rows, None, dtype=object)
-    live = np.arange(rows)
-    for k, theta in enumerate(thetas.tolist()):
-        if k:
-            qk, codes = _newton(sys, q[live, k - 1], theta, tol, live)
-        else:
-            qk, codes = first_roots(_require_square(sys), theta, guess, tol)
-        ok = np.equal(codes, None)
-        failed_at[live[~ok]] = k
-        errors[live[~ok]] = codes[~ok]
-        live = live[ok]
-        q[live, k] = qk[ok]
-        if not len(live):
-            break
-    ids = sys.plan.ids
-    xya = np.zeros((rows, len(ids), n, 3))
-    xya[:, 1:] = q.reshape(rows, n, len(ids) - 1, 3).transpose(0, 2, 1, 3)
+    errors: list[str | None] = [None] * rows
+    for b in range(rows):
+        sys = ConstraintSystem(m, Markers(markers.columns, markers.points[b:b + 1]))
+        for k, theta in enumerate(thetas.tolist()):
+            q, code = _newton(sys, q, theta, tol) if k else first_roots(_require_square(sys), theta, guess, tol)
+            if code is not None:
+                failed_at[b], errors[b] = k, code
+                break
+            xya[b, 1:, k] = q.reshape(-1, 3)
     rotations = np.stack([np.cos(xya[..., 2]), np.sin(xya[..., 2])], axis=-1)
-    return PoseBatch(list(ids), thetas, xya[..., :2].copy(), rotations, failed_at, errors.tolist(),
-                     markers, [guess.branch if guess else None] * rows, "newton", sys.plan.crank, guess)
+    return PoseBatch(list(plan.ids), thetas, xya[..., :2].copy(), rotations, failed_at, errors,
+                     markers, [guess.branch if guess else None] * rows, "newton", plan.crank, guess)
 
 
 def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,
@@ -775,9 +733,9 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,
     but where its roots may meet between samples (`_follow_roots`); there it takes the
     root continuous with the last two. Any other chain runs Newton seeded step by step
     with the previous solution, to a residual norm of `tol`. With a marker table of B rows, m supplies only the
-    topology and the B mechanisms are swept together, by the dyad plan in one array
-    pass or by Newton with one stacked solve per step; without one, m is swept alone,
-    as the table `marker_table(m)`.
+    topology and the B mechanisms are swept, by the dyad plan together in one array
+    pass or by Newton one row after another; without one, m is swept alone, as the
+    table `marker_table(m)`.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")

@@ -14,7 +14,7 @@ table of the template, the dyad plan sweeps all B mechanisms at once, and
 `gait` measures the B wingbeats along the sample axis of (B, N) arrays; a
 dyad keeps its assembly mode, and only samples where its roots may meet are
 looked at one by one. Templates the dyad plan cannot decompose are swept by
-Newton, all rows together. What a call needs but X does not change (the
+Newton, one row after another. What a call needs but X does not change (the
 template's marker table, the columns to check, the crank angles) is built
 once. The wingbeat rules and metrics are `gait`'s; the cost only weighs them.
 
@@ -216,8 +216,8 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
                      samples: int = OBJECTIVE_SAMPLES) -> np.ndarray:
     """Synthesis cost of every row of X (B, dim) in one array pass.
 
-    All B candidates are swept together (`sweep_arrays` with their marker
-    table), then this weighs the metrics `gait` takes along the sample axis.
+    All B candidates are swept by one `sweep_arrays` call with their marker
+    table (by the dyad plan together, by Newton one row after another), then this weighs the metrics `gait` takes along the sample axis.
     A row's cost depends on that row alone. Failures come back as large
     finite penalties: 1e6 + 1 for a candidate that cannot be built, 1e6 + 1 -
     k/N for a sweep that fails at sample k of N, 1e5 for a degenerate gait

@@ -65,7 +65,7 @@ def bootstrap_candidates(m: Mechanism, theta: float) -> list[Configuration]:
     angle, in the order they are tried, each as a Configuration."""
     sys = ConstraintSystem(m)
     q, tried = start_block(sys, theta)
-    return [sys.config_from(row, theta) for row in q[0, tried[0]]]
+    return [sys.config_from(row, theta) for row in q[tried]]
 
 
 def loop_residual(m: Mechanism, c: Configuration) -> np.ndarray:

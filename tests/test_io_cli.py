@@ -407,12 +407,12 @@ class TestCli:
         assert out_p.read_bytes() == text.encode()
 
     def test_gait_metrics_out_to_an_unwritable_path_is_an_io_error(self, shipped_path, tmp_path):
-        # a directory where the file should go; the CSV is written before the metrics, so stdout is not pinned
+        # a directory where the file should go; the metrics are written before the CSV, so stdout stays empty
         (tmp_path / "metrics.json").mkdir()
-        code, _, err = run_cli(["gait", str(shipped_path), "--period", "0.1", "--samples", "64",
-                                "--metrics-out", str(tmp_path / "metrics.json")])
+        code, out, err = run_cli(["gait", str(shipped_path), "--period", "0.1", "--samples", "64",
+                                  "--metrics-out", str(tmp_path / "metrics.json")])
         lines = err.splitlines()
-        assert code == 3 and len(lines) == 1 and lines[0].startswith("E_IO"), err
+        assert code == 3 and len(lines) == 1 and lines[0].startswith("E_IO") and out == "", err
 
     def test_aero_outputs(self, shipped_path):
         code, out, err = run_cli(["aero", str(shipped_path), "--period", "0.1",

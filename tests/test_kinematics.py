@@ -14,7 +14,8 @@ from flapkin import kinematics
 from flapkin.cli import _load_space, _load_spec
 from flapkin.compliance import LoadCase, solve_equilibrium
 from flapkin.designs import two_stage_armwing
-from flapkin.errors import BranchAmbiguousError, FlapkinError, NotAssemblableError, SingularJacobianError
+from flapkin.errors import (BranchAmbiguousError, ConvergenceError, DisconnectedError, FlapkinError,
+                            NotAssemblableError, SingularJacobianError)
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Branch,
@@ -150,6 +151,37 @@ class TestAssemble:
         nan_t = Pose(guess.pose("t").origin, math.nan)
         with pytest.raises(SingularJacobianError):
             assemble(m, 0.3, guess=Configuration(0.3, {**guess.poses, "t": nan_t}))
+
+    def test_a_closing_guess_comes_back_bit_for_bit(self):
+        # the crank 1e-12 off theta is within the tolerance: no step is taken, so the
+        # drive is not moved onto theta either
+        m = triad_eight_bar()
+        closed = assemble(m, 0.3)
+        crank = closed.pose("crank")
+        guess = Configuration(0.3, {**closed.poses, "crank": Pose(crank.origin, 0.3 + 1e-12)})
+        c = assemble(m, 0.3, guess=guess)
+        assert c.poses == guess.poses and c.pose("crank").angle != 0.3
+
+    def test_the_last_allowed_step_may_converge(self, monkeypatch):
+        # closure is tested after every step, the last one included
+        m, steps = triad_eight_bar(), []
+        guess = assemble(m, 0.3)
+        jacobian = kinematics.ConstraintSystem.jacobian
+        monkeypatch.setattr(kinematics.ConstraintSystem, "jacobian", lambda sys, q: steps.append(q) or jacobian(sys, q))
+        want, taken = assemble(m, 0.5, guess), len(steps)
+        assert taken > 1 and want.pose("crank").angle == 0.5
+        monkeypatch.setattr(kinematics, "MAX_ITERATIONS", taken)
+        assert assemble(m, 0.5, guess) == want
+        monkeypatch.setattr(kinematics, "MAX_ITERATIONS", taken - 1)
+        with pytest.raises(ConvergenceError):
+            assemble(m, 0.5, guess)
+
+    def test_an_unjoined_link_is_disconnected(self, armwing):
+        m = dataclasses.replace(armwing, links=(*armwing.links, Link("loose", {"origin": Point2(0.0, 0.0)})))
+        for solve in (lambda: solve_equilibrium(m, 0.3, LoadCase()), lambda: sweep_arrays(m, np.array([0.3])),
+                      lambda: assemble(m, 0.3)):
+            with pytest.raises(DisconnectedError, match=r"^links not reachable from ground: \['loose'\]$"):
+                solve()
 
 
 class TestSweep:
@@ -701,7 +733,7 @@ class TestBatchRows:
     def test_newton_rows_that_fail_are_rows_swept_alone(self):
         # the pinned triad block holds rows that close, stop partway, and fail at the first
         # sample, one of them (l3 with both pins on its origin) with an exactly singular
-        # Jacobian, which makes the stacked solve of the whole block raise
+        # Jacobian, on which `np.linalg.solve` raises
         X, thetas, space = np.load(PINNED / "pinned_triad.npz")["X"], triad_thetas(), triad_space()
         pb = sweep_arrays(space.template, thetas, markers=space.markers(X))
         assert {None, "NO_CONVERGENCE", "SINGULAR_JACOBIAN"} == set(pb.errors)
