@@ -24,7 +24,7 @@ from .fileio import (aero_csv, decode_document, mechanism_from_doc, read_number,
 from .gait import MIN_SAMPLES, gait_metrics, generate_gait, min_transmission_angle
 from .kinematics import TOLERANCE
 from .mechanism import Mechanism, validate_mechanism
-from .synthesis import DesignSpace, GaitSpec, Parameter, synthesize
+from .synthesis import BOUNDS, DesignSpace, GaitSpec, Parameter, synthesize
 
 
 _MAX_SAMPLES = 2 ** 16  # crank angles per sweep; far more than any gait needs
@@ -107,16 +107,19 @@ def _load_doc(path: str, build):
 
 
 def _load_spec(path: str) -> GaitSpec:
-    """The gait spec at path; keys the document omits take GaitSpec's defaults."""
-    return _load_doc(path, lambda doc: GaitSpec(
-        plunge_amplitude=read_number(doc["plunge_amplitude_rad"], "'plunge_amplitude_rad'"),
-        extension_range=tuple(read_number(v, "'extension_range'") for v in doc["extension_range"]),
-        **{field: convert(doc[key], repr(key)) for key, field, convert in (
-            ("area_ratio_max", "area_ratio_max", read_number),
-            ("min_transmission_angle_rad", "min_transmission_angle", read_number),
-            ("weights", "weights", lambda w, _: {k: read_number(v, "weight {!r}", k) for k, v in w.items()}),
-        ) if key in doc},
-    ))
+    """The gait spec at path. It needs `plunge_amplitude_rad` and `extension_range`; a graded bound's key
+    (`BOUNDS`) or `weights` it omits takes GaitSpec's default, and any other key is a SchemaError."""
+    optional = (*((key, field, read_number) for _, field, key, *_ in BOUNDS),
+                ("weights", "weights", lambda w, _: {k: read_number(v, "weight {!r}", k) for k, v in w.items()}))
+    keys = ("plunge_amplitude_rad", "extension_range", *(key for key, _, _ in optional))
+
+    def build(doc) -> GaitSpec:
+        if unknown := sorted(set(doc) - set(keys)):
+            raise SchemaError(f"unknown top-level keys: {unknown}; a gait spec takes {', '.join(keys)}")
+        return GaitSpec(read_number(doc["plunge_amplitude_rad"], "'plunge_amplitude_rad'"),
+                        tuple(read_number(v, "'extension_range'") for v in doc["extension_range"]),
+                        **{field: convert(doc[key], repr(key)) for key, field, convert in optional if key in doc})
+    return _load_doc(path, build)
 
 
 def _joint_ids(value) -> tuple[str, ...]:

@@ -32,6 +32,7 @@ one candidate.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -43,7 +44,7 @@ from .gait import (check_samples, crank_angles, min_transmission_angle, require_
                    wingbeat_series)
 from .geometry import Point2
 from .kinematics import Markers, PoseBatch, marker_table, sweep_arrays
-from .mechanism import CompliantHinge, Mechanism, as_fourbar, mobility
+from .mechanism import CompliantHinge, Mechanism, fourbar_sides, mobility
 
 ASSEMBLY_FAILURE_COST = 1.0e6
 METRIC_FAILURE_COST = 1.0e5
@@ -52,10 +53,21 @@ OBJECTIVE_SAMPLES = 128
 EXTENSION_ATTAIN_TOL = 0.02  # a feasible extension range reaches within this of each end of the target's
 WEIGHT_KEYS = frozenset({"plunge_amplitude", "extension_min", "extension_max"})  # the metric terms
 
+GaitTerms = namedtuple("GaitTerms", "closed zero_reach coincident reverses amp ext_min ext_max area_ratio mu")
+# a GaitSpec's graded bounds, in the order the cost adds their penalties and the report names them: (violation,
+# field, spec-file key, test of the bound b, its text, margin of `GaitTerms` t over b (> 0: broken), detail)
+BOUNDS = (
+    ("area_ratio", "area_ratio_max", "area_ratio_max", lambda b: 0.0 < b < math.inf, "positive and finite",
+     lambda t, b: t.area_ratio - b, lambda t, b: f"up/down area ratio {t.area_ratio:.3f} is above {b:.3f}"),
+    ("min_transmission_angle", "min_transmission_angle", "min_transmission_angle_rad", math.isfinite, "finite",
+     lambda t, b: b - t.mu,
+     lambda t, b: f"minimum transmission angle {math.degrees(t.mu):.2f} deg is below {math.degrees(b):.2f} deg"),
+)
+
 
 @dataclass(frozen=True)
 class GaitSpec:
-    """Synthesis target: desired gait metrics plus hard constraints."""
+    """Synthesis target: desired gait metrics plus hard constraints, the graded ones one `BOUNDS` row each."""
 
     plunge_amplitude: float
     extension_range: tuple[float, float]
@@ -65,13 +77,13 @@ class GaitSpec:
         "plunge_amplitude": 1.0, "extension_min": 1.0, "extension_max": 1.0})
 
     def __post_init__(self):
-        lo, hi = self.extension_range
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError(f"extension range must satisfy 0 <= min < max <= 1, got {self.extension_range}")
-        if not (math.isfinite(self.plunge_amplitude) and math.isfinite(self.min_transmission_angle)):
-            raise ValueError("plunge amplitude and minimum transmission angle must be finite")
-        if not (0.0 < self.area_ratio_max < math.inf):
-            raise ValueError("area ratio bound must be positive and finite")
+        if len(self.extension_range) != 2 or not (0.0 <= self.extension_range[0] < self.extension_range[1] <= 1.0):
+            raise ValueError(f"extension_range must be (min, max), 0 <= min < max <= 1, got {self.extension_range}")
+        if not math.isfinite(self.plunge_amplitude):
+            raise ValueError("plunge amplitude must be finite")
+        for _, name, _, ok, need, _, _ in BOUNDS:
+            if not ok(bound := getattr(self, name)):
+                raise ValueError(f"{name} must be {need}, got {bound}")
         if unknown := sorted(set(self.weights) - WEIGHT_KEYS):
             raise ValueError(f"unknown weight {unknown[0]!r}; weights are {', '.join(sorted(WEIGHT_KEYS))}")
         w = self.weights.values()
@@ -195,33 +207,30 @@ class SynthesisResult:
     seed: int
 
 
-def _positive_part(v: np.ndarray) -> np.ndarray:
-    """max(0.0, v) elementwise, as Python's max does it: NaN gives 0."""
-    return np.where(v > 0.0, v, 0.0)
-
-
-def _gait_terms(m: Mechanism, pb: PoseBatch, joints: tuple[str, ...]):
+def _gait_terms(m: Mechanism, pb: PoseBatch, joints: tuple[str, ...]) -> GaitTerms:
     """The terms a cost weighs and a report checks, each (B,), of the sweeps in pb: whether a row closes at
     every sample, `gait`'s reach-rule masks, stroke reversal, plunge amplitude, extension min and max, the area
-    ratio (on the rows that close and keep the reach rule) and the smallest transmission angle at `joints`."""
+    ratio (on the rows that close and keep the reach rule) and the smallest transmission angle at `joints`:
+    none means a four-bar's follower joint (by topology alone), and +inf for a chain that is no four-bar."""
     closed = pb.failed_at == len(pb.thetas)
     _, plunge, extension, area, zero_reach, coincident = wingbeat_series(m, pb)
     amp, ext_min, ext_max, _, reverses, ratio = stroke_metrics(plunge, extension, area,
                                                                 closed & ~zero_reach & ~coincident)
-    mu = min_transmission_angle(m, pb, joints) if joints else None
-    return closed, zero_reach, coincident, reverses, amp, ext_min, ext_max, ratio, mu
+    joints = joints or ((loop[1],) if (loop := fourbar_sides(m)) else ())
+    mu = min_transmission_angle(m, pb, joints) if joints else np.full(len(closed), math.inf)
+    return GaitTerms(closed, zero_reach, coincident, reverses, amp, ext_min, ext_max, ratio, mu)
 
 
 def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
                      samples: int = OBJECTIVE_SAMPLES) -> np.ndarray:
     """Synthesis cost of every row of X (B, dim) in one array pass.
 
-    All B candidates are swept by one `sweep_arrays` call with their marker
-    table (by the dyad plan together, by Newton one row after another), then this weighs the metrics `gait` takes along the sample axis.
-    A row's cost depends on that row alone. Failures come back as large
-    finite penalties: 1e6 + 1 for a candidate that cannot be built, 1e6 + 1 -
-    k/N for a sweep that fails at sample k of N, 1e5 for a degenerate gait
-    (one that breaks the reach rule or has no stroke reversal).
+    All B candidates are swept by one `sweep_arrays` call with their marker table (by the dyad plan
+    together, by Newton one row after another), then this weighs the metrics `gait` takes along the sample
+    axis and adds the penalty of each `BOUNDS` row, in table order. A row's cost depends on that row alone.
+    Failures come back as large finite penalties: 1e6 + 1 for a candidate that cannot be built, 1e6 + 1 -
+    k/N for a sweep that fails at sample k of N, 1e5 for a degenerate gait (one that breaks the reach rule
+    or has no stroke reversal).
     """
     check_samples(samples)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -235,20 +244,18 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
     except (FlapkinError, np.linalg.LinAlgError):
         return costs
     cost = ASSEMBLY_FAILURE_COST + (1.0 - pb.failed_at / samples)
-    closed, zero_reach, coincident, reverses, amp, ext_min, ext_max, ratio, mu = _gait_terms(
-        m, pb, space.transmission_joints)
-    degenerate = zero_reach | coincident | ~reverses
+    t = _gait_terms(m, pb, space.transmission_joints)
+    degenerate = t.zero_reach | t.coincident | ~t.reverses
     w = spec.weights
-    metric = (w.get("plunge_amplitude", 0.0) * (amp - spec.plunge_amplitude) ** 2
-              + w.get("extension_min", 0.0) * (ext_min - spec.extension_range[0]) ** 2
-              + w.get("extension_max", 0.0) * (ext_max - spec.extension_range[1]) ** 2)
-    # hard constraints as graded penalties; scaled by the largest weight so the
-    # whole cost is homogeneous of degree one in the weights
+    metric = (w.get("plunge_amplitude", 0.0) * (t.amp - spec.plunge_amplitude) ** 2
+              + w.get("extension_min", 0.0) * (t.ext_min - spec.extension_range[0]) ** 2
+              + w.get("extension_max", 0.0) * (t.ext_max - spec.extension_range[1]) ** 2)
+    # hard constraints as graded penalties, scaled by the largest weight so the whole cost is homogeneous of
+    # degree one in the weights; a margin that is not positive (or NaN) adds 0.0, even where pen is inf
     pen = PENALTY * max(w.values())
-    metric += pen * _positive_part(ratio - spec.area_ratio_max)
-    if mu is not None:
-        metric += pen * _positive_part(spec.min_transmission_angle - mu)
-    cost[closed] = np.where(degenerate, METRIC_FAILURE_COST, metric)[closed]
+    for margin in (margin_of(t, getattr(spec, name)) for _, name, _, _, _, margin_of, _ in BOUNDS):
+        metric += np.where(margin > 0.0, pen * margin, 0.0)
+    cost[t.closed] = np.where(degenerate, METRIC_FAILURE_COST, metric)[t.closed]
     costs[rows] = cost
     return costs
 
@@ -429,10 +436,11 @@ class ConstraintViolation:
 def feasibility_report(m: Mechanism, spec: GaitSpec,
                        transmission_joints: tuple[str, ...] = ()) -> list[ConstraintViolation]:
     """Hard-constraint check at OBJECTIVE_SAMPLES, the one-row reading of the terms
-    `population_costs` weighs: mobility one, full revolution, minimum transmission
-    angle (at a four-bar's follower joint if no joints are given), `gait`'s reach
-    rule, extension-range attainment, stroke reversal and the area ratio. Empty =
-    feasible. A failed mobility, sweep or reach rule ends the report.
+    `population_costs` weighs, in this order: mobility one, full revolution, the
+    graded `BOUNDS` in table order (the transmission angle at a four-bar's
+    follower joint if no joints are given), `gait`'s reach rule, extension-range
+    attainment and stroke reversal. Empty = feasible. A failed mobility, sweep
+    or reach rule ends the report.
 
     Margins are positive amounts by which a constraint is violated.
     """
@@ -443,36 +451,24 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
     if dof != 1:
         return [ConstraintViolation("mobility", abs((dof or 0) - 1), f"Gruebler mobility is {dof}, expected 1")]
     pb = sweep_arrays(m, crank_angles(OBJECTIVE_SAMPLES))
-    if not transmission_joints and (view := as_fourbar(m)) is not None:
-        transmission_joints = (view.follower_joint,)
-    closed, zero_reach, coincident, reverses, _, lo, hi, ratio, mu = (
-        None if v is None else v[0].item() for v in _gait_terms(m, pb, transmission_joints))
-    if not closed:
+    t = GaitTerms._make(v[0].item() for v in _gait_terms(m, pb, transmission_joints))
+    if not t.closed:
         k = int(pb.failed_at[0])
         return [ConstraintViolation("full_revolution", 1.0 - k / OBJECTIVE_SAMPLES,
                                     f"not assemblable from theta={pb.thetas[k]:.4f} rad onward ({pb.errors[0]})")]
-    out: list[ConstraintViolation] = []
-    if mu is not None and mu < spec.min_transmission_angle:
-        out.append(ConstraintViolation(
-            "min_transmission_angle", spec.min_transmission_angle - mu,
-            f"minimum transmission angle {math.degrees(mu):.2f} deg is below "
-            f"{math.degrees(spec.min_transmission_angle):.2f} deg"))
-    if zero_reach or coincident:
+    out = [ConstraintViolation(constraint, margin, detail(t, getattr(spec, name)))
+           for constraint, name, _, _, _, margin_of, detail in BOUNDS
+           if (margin := margin_of(t, getattr(spec, name))) > 0.0]
+    if t.zero_reach or t.coincident:
         return out + [ConstraintViolation("gait", 1.0, "gait evaluation failed: " + (
-            "maximum reach over the sweep is zero" if zero_reach
+            "maximum reach over the sweep is zero" if t.zero_reach
             else "shoulder and wingtip coincide during the sweep"))]
-    lo_t, hi_t = spec.extension_range
+    lo, hi, (lo_t, hi_t) = t.ext_min, t.ext_max, spec.extension_range
     miss = max(lo - (lo_t + EXTENSION_ATTAIN_TOL), (hi_t - EXTENSION_ATTAIN_TOL) - hi, 0.0)
     if miss > 0.0:
-        out.append(ConstraintViolation(
-            "extension_range", miss,
-            f"attained extension range ({lo:.3f}, {hi:.3f}) cannot realize the target "
-            f"({lo_t:.3f}, {hi_t:.3f})"))
-    if not reverses:
+        out.append(ConstraintViolation("extension_range", miss, f"attained extension range ({lo:.3f}, {hi:.3f})"
+                                       f" cannot realize the target ({lo_t:.3f}, {hi_t:.3f})"))
+    if not t.reverses:
         out.append(ConstraintViolation("stroke_reversal", 1.0,
                                        "plunge is monotone over the wingbeat; not a flapping gait"))
-    if ratio > spec.area_ratio_max:
-        out.append(ConstraintViolation(
-            "area_ratio", ratio - spec.area_ratio_max,
-            f"up/down area ratio {ratio:.3f} is above {spec.area_ratio_max:.3f}"))
     return out

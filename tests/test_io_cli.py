@@ -35,7 +35,7 @@ from flapkin.gait import GaitTrajectory, gait_metrics, generate_gait
 from flapkin.geometry import Point2
 from flapkin.kinematics import sweep_arrays
 from flapkin.mechanism import CompliantHinge, FourBar, fourbar_mechanism
-from flapkin.synthesis import GaitSpec
+from flapkin.synthesis import BOUNDS, GaitSpec
 
 from conftest import make_plunge_gait, marker_world, recovery_space, run_cli
 
@@ -458,7 +458,10 @@ class TestCli:
                                                ("plunge_amplitude_rad", "SCHEMA_ERROR"),
                                                ("area_ratio_max", "SCHEMA_ERROR"),
                                                ("min_transmission_angle_rad", "SCHEMA_ERROR"),
-                                               ("weight key", "SCHEMA_ERROR")])
+                                               ("weight key", "SCHEMA_ERROR"),
+                                               ("min_transmission_angle", "SCHEMA_ERROR"),
+                                               ("area_ratio", "SCHEMA_ERROR"),
+                                               ("extension_range entries", "SCHEMA_ERROR")])
     def test_synthesize_format_error(self, tmp_path, broken, error):
         space_doc = {
             "template": mechanism_to_doc(fourbar_mechanism(FourBar(6, 2, 5, 5))),
@@ -479,6 +482,10 @@ class TestCli:
             spec_doc[broken] = {"plunge_amplitude": math.nan} if broken == "weights" else math.nan
         elif broken == "weight key":  # the spec file's key, not a weight's
             spec_doc["weights"] = {"plunge_amplitude_rad": 1.0}
+        elif broken in ("min_transmission_angle", "area_ratio"):  # a field's name and a key's stem: no spec key
+            spec_doc[broken] = 1.2 if broken == "min_transmission_angle" else 0.5
+        elif broken == "extension_range entries":
+            spec_doc["extension_range"] = [0.5, 0.8, 1.0]
         space_p, spec_p = tmp_path / "space.json", tmp_path / "spec.json"
         space_p.write_text(json.dumps(space_doc)[:-1] if broken == "json" else json.dumps(space_doc))
         spec_p.write_text(json.dumps(spec_doc))
@@ -488,6 +495,26 @@ class TestCli:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"E_FORMAT {error}")
+        named = {"min_transmission_angle": "['min_transmission_angle']", "area_ratio": "['area_ratio']",
+                 "extension_range entries": "extension_range must be (min, max)",
+                 "weight key": "'plunge_amplitude_rad'",
+                 **{k: repr(k) for k in ("plunge_amplitude_rad", "area_ratio_max", "min_transmission_angle_rad")}}
+        assert named.get(broken, "") in lines[0]
+
+    def test_synthesize_summary_is_strict_json_at_the_largest_weights(self, tmp_path):
+        # at weights of 1e308 the penalty scale overflows to inf; a bound that is
+        # met adds 0.0 (not inf * 0.0 = NaN, which JSON cannot hold)
+        doc = json.loads((DATA / "armwing_spec.json").read_text())
+        doc["weights"] = dict.fromkeys(("plunge_amplitude", "extension_min", "extension_max"), 1e308)
+        spec_p = tmp_path / "spec.json"
+        spec_p.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["synthesize", str(DATA / "armwing_space.json"), str(spec_p), "--budget", "180",
+                                "--seed", "0", "--out", str(tmp_path / "out.json")])
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        summary = json.loads(out, parse_constant=reject)
+        assert code in (0, 1) and math.isfinite(summary["cost"])
 
     def test_spec_file_omitting_keys_takes_gaitspec_defaults(self, tmp_path):
         p, doc = tmp_path / "spec.json", {"plunge_amplitude_rad": 0.3, "extension_range": [0.5, 1.0]}
@@ -496,6 +523,18 @@ class TestCli:
         p.write_text(json.dumps({**doc, "area_ratio_max": 0.8, "min_transmission_angle_rad": 0.6,
                                  "weights": {"extension_min": 2.0}}))
         assert _load_spec(str(p)) == GaitSpec(0.3, (0.5, 1.0), 0.8, 0.6, {"extension_min": 2.0})
+
+    def test_every_spec_file_key_is_in_the_readme(self, tmp_path):
+        # the keys `_load_spec` accepts are those its unknown-key error lists; a
+        # new `BOUNDS` row adds one, which the README's spec-file list must name
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"no such key": 0.0}))
+        with pytest.raises(SchemaError, match=r"\['no such key'\]; a gait spec takes ") as e:
+            _load_spec(str(p))
+        keys = str(e.value).split("a gait spec takes ")[1].split(", ")
+        assert {"plunge_amplitude_rad", "extension_range", "weights", *(key for _, _, key, *_ in BOUNDS)} == {*keys}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert [key for key in keys if f"`{key}`" not in readme] == []
 
     def test_synthesize_bad_parameter_path(self, tmp_path):
         space_doc = {
@@ -786,7 +825,7 @@ NUMBER_FIELDS = {  # field -> (shipped file, the (holder, key) of that number in
     "parameter lower": ("space", lambda d: (d["parameters"][0], "lower")),
     "plunge_amplitude_rad": ("spec", lambda d: (d, "plunge_amplitude_rad")),
     "extension_range entry": ("spec", lambda d: (d["extension_range"], 0)),
-    "area_ratio_max": ("spec", lambda d: (d, "area_ratio_max")),
+    **{key: ("spec", lambda d, key=key: (d, key)) for _, _, key, *_ in BOUNDS},  # the graded bounds' keys
     "weight": ("spec", lambda d: (d.setdefault("weights", {}), "extension_min")),
 }
 

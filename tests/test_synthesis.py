@@ -15,6 +15,7 @@ from scipy import stats
 from scipy.optimize import minimize
 
 import flapkin
+from flapkin import cli, synthesis
 from flapkin.cli import _load_space, _load_spec
 from flapkin.designs import ARMWING_TRANSMISSION_JOINTS, two_stage_armwing
 from flapkin.errors import (
@@ -28,7 +29,7 @@ from flapkin.fileio import parse_mechanism, serialize_mechanism
 from flapkin.geometry import Point2
 from flapkin.gait import gait_from_pose_arrays, gait_metrics, generate_gait, retraction_time
 from flapkin.kinematics import marker_table, sweep_arrays, transmission_angle_series
-from flapkin.mechanism import CompliantHinge, FourBar, fourbar_mechanism
+from flapkin.mechanism import CompliantHinge, FourBar, as_fourbar, fourbar_mechanism
 from flapkin.synthesis import (
     METRIC_FAILURE_COST,
     OBJECTIVE_SAMPLES,
@@ -114,7 +115,8 @@ def oracle_cost(space: DesignSpace, spec: GaitSpec, x: np.ndarray,
                 samples: int = OBJECTIVE_SAMPLES) -> float:
     """One candidate at a time through the mechanism it builds: `apply`, a
     sweep, the gait of that sweep and its metrics by the scalar reference of
-    conftest (not the library's), summed term by term."""
+    conftest (not the library's), summed term by term. With no transmission
+    joints in the space, a four-bar's follower joint is the one checked."""
     try:
         m = space.apply(x)
     except (ValueError, SynthesisError):
@@ -128,10 +130,9 @@ def oracle_cost(space: DesignSpace, spec: GaitSpec, x: np.ndarray,
         return 1.0e6 + (1.0 - pa.failed_at[0] / samples)
     try:
         gt = gait_from_pose_arrays(m, pa, 1.0, np.arange(samples) / samples)
-        mu = None
-        if space.transmission_joints:
-            mu = np.minimum.reduce([transmission_angle_series(m, pa, jid)
-                                    for jid in space.transmission_joints])
+        # no transmission joints: a four-bar's follower joint, as the cost takes them
+        joints = space.transmission_joints or ((view.follower_joint,) if (view := as_fourbar(m)) else ())
+        mu = np.minimum.reduce([transmission_angle_series(m, pa, jid) for jid in joints]) if joints else None
         mts = reference_metrics(gt, mu)
     except GaitError:
         return 1.0e5
@@ -691,6 +692,58 @@ class TestFeasibilityReport:
             "gait", 1.0, "gait evaluation failed: shoulder and wingtip coincide during the sweep")
         space = DesignSpace(m, (Parameter("link.crank.marker.tip.x", 1.5, 2.5),))
         assert objective(np.array([2.0]), space, spec) == METRIC_FAILURE_COST
+
+    def test_no_transmission_joints_means_the_follower_joint_in_cost_and_report(self):
+        # the hidden four-bar with its angle bound 0.02 rad above its smallest
+        # transmission angle: the cost weighs the follower joint j_b when the
+        # space names no joint, as the report checks it
+        space, spec, x = recovery_space()
+        mu = float(transmission_angle_series(space.template, generate_gait(space.template, 1.0, OBJECTIVE_SAMPLES)
+                                             .poses, "j_b").min())
+        spec = dataclasses.replace(spec, min_transmission_angle=mu + 0.02)
+        bare = dataclasses.replace(space, transmission_joints=())
+        assert objective(x, bare, spec) == objective(x, space, spec) == pytest.approx(PENALTY * 0.02, rel=1e-9)
+        m = space.apply(x)
+        assert feasibility_report(m, spec) == feasibility_report(m, spec, ("j_b",))
+        assert [v.constraint for v in feasibility_report(m, spec)] == ["min_transmission_angle"]
+
+
+class TestBoundsTable:
+    def test_a_bound_is_one_row_and_one_field(self, tmp_path, monkeypatch):
+        # a throwaway maximum plunge amplitude, added as one `BOUNDS` row plus one
+        # GaitSpec field: GaitSpec checks it, the cost weighs it, the report names
+        # it and the spec loader reads its key
+        space, spec, x = recovery_space()  # built and costed before the table grows a row GaitSpec lacks
+        cost = objective(x, space, spec)
+
+        @dataclasses.dataclass(frozen=True)
+        class CappedSpec(GaitSpec):
+            plunge_amplitude_max: float = math.pi
+
+        row = ("plunge_amplitude", "plunge_amplitude_max", "plunge_amplitude_max_rad",
+               lambda b: 0.0 < b < math.inf, "positive and finite", lambda t, b: t.amp - b,
+               lambda t, b: f"plunge amplitude {t.amp:.3f} rad is above {b:.3f} rad")
+        for module in (synthesis, cli):
+            monkeypatch.setattr(module, "BOUNDS", (*synthesis.BOUNDS, row))
+        monkeypatch.setattr(cli, "GaitSpec", CappedSpec)
+        loose = CappedSpec(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(GaitSpec)})
+        tight = dataclasses.replace(loose, plunge_amplitude_max=spec.plunge_amplitude - 0.01)
+        with pytest.raises(ValueError, match="plunge_amplitude_max must be positive and finite"):
+            dataclasses.replace(loose, plunge_amplitude_max=0.0)
+
+        assert objective(x, space, loose) == cost
+        assert objective(x, space, tight) - objective(x, space, loose) == pytest.approx(PENALTY * 0.01, rel=1e-9)
+        m = space.apply(x)
+        assert feasibility_report(m, loose, space.transmission_joints) == []
+        (v,) = feasibility_report(m, tight, space.transmission_joints)
+        assert v.constraint == "plunge_amplitude" and v.margin == pytest.approx(0.01, rel=1e-9)
+        assert v.detail.startswith("plunge amplitude ") and v.detail.endswith(" rad is above "
+                                                                              f"{tight.plunge_amplitude_max:.3f} rad")
+
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"plunge_amplitude_rad": 0.3, "extension_range": [0.5, 1.0],
+                                 "plunge_amplitude_max_rad": 0.4}))
+        assert cli._load_spec(str(p)) == CappedSpec(0.3, (0.5, 1.0), plunge_amplitude_max=0.4)
 
 
 class TestSpecValidation:
