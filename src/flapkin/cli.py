@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import reprlib
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .synthesis import BOUNDS, DesignSpace, GaitSpec, Parameter, synthesize
 
 
 _MAX_SAMPLES = 2 ** 16  # crank angles per sweep; far more than any gait needs
+_JSON_KINDS = {list: "a list", dict: "an object", str: "a string"}  # for `_typed`
 
 # (option, test, requirement) for each option value a command would reject only
 # after reading its input files, or not at all (a sample count that allocates
@@ -106,35 +108,46 @@ def _load_doc(path: str, build):
         raise SchemaError(f"{path}: {e}") from e
 
 
+def _typed(value, kind: type, where: str, keys: tuple[str, ...] = ()):
+    """value if it is the JSON kind (list, dict or str) with no key but keys, if given; else a SchemaError."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
+    if keys and (unknown := sorted(value.keys() - set(keys))):
+        raise SchemaError(f"unknown keys {unknown}; {where} takes {', '.join(keys)}")
+    return value
+
+
 def _load_spec(path: str) -> GaitSpec:
     """The gait spec at path. It needs `plunge_amplitude_rad` and `extension_range`; a graded bound's key
     (`BOUNDS`) or `weights` it omits takes GaitSpec's default, and any other key is a SchemaError."""
     optional = (*((key, field, read_number) for _, field, key, *_ in BOUNDS),
-                ("weights", "weights", lambda w, _: {k: read_number(v, "weight {!r}", k) for k, v in w.items()}))
+                ("weights", "weights", lambda w, at: {k: read_number(v, "weight {!r}", k)
+                                                      for k, v in _typed(w, dict, at).items()}))
     keys = ("plunge_amplitude_rad", "extension_range", *(key for key, _, _ in optional))
 
     def build(doc) -> GaitSpec:
-        if unknown := sorted(set(doc) - set(keys)):
-            raise SchemaError(f"unknown top-level keys: {unknown}; a gait spec takes {', '.join(keys)}")
+        doc = _typed(doc, dict, "a gait spec", keys)
+        ends = _typed(doc["extension_range"], list, "'extension_range'")
         return GaitSpec(read_number(doc["plunge_amplitude_rad"], "'plunge_amplitude_rad'"),
-                        tuple(read_number(v, "'extension_range'") for v in doc["extension_range"]),
+                        tuple(read_number(v, "'extension_range'") for v in ends),
                         **{field: convert(doc[key], repr(key)) for key, field, convert in optional if key in doc})
     return _load_doc(path, build)
 
 
-def _joint_ids(value) -> tuple[str, ...]:
-    if not (isinstance(value, list) and all(isinstance(j, str) for j in value)):
-        raise TypeError(f"transmission_joints must be a list of joint ids, got {value!r}")
-    return tuple(value)
-
-
 def _load_space(path: str) -> DesignSpace:
-    return _load_doc(path, lambda doc: DesignSpace(
-        mechanism_from_doc(doc["template"]),
-        tuple(Parameter(p["name"], *(read_number(p[k], "parameter {!r} {!r}", p["name"], k)
-                                     for k in ("lower", "upper"))) for p in doc["parameters"]),
-        _joint_ids(doc.get("transmission_joints", [])),
-    ))
+    """The design space at path; a key it does not take, at the top or in a parameter, is a SchemaError."""
+    def parameter(p) -> Parameter:
+        p = _typed(p, dict, "a parameter", ("name", "lower", "upper"))
+        name = _typed(p["name"], str, "a parameter's 'name'")
+        return Parameter(name, *(read_number(p[k], "parameter {!r} {!r}", name, k) for k in ("lower", "upper")))
+
+    def build(doc) -> DesignSpace:
+        doc = _typed(doc, dict, "a design space", ("template", "parameters", "transmission_joints"))
+        return DesignSpace(mechanism_from_doc(doc["template"]),
+                           tuple(map(parameter, _typed(doc["parameters"], list, "'parameters'"))),
+                           tuple(_typed(j, str, "a transmission joint")
+                                 for j in _typed(doc.get("transmission_joints", []), list, "'transmission_joints'")))
+    return _load_doc(path, build)
 
 
 def cmd_synthesize(args) -> int:

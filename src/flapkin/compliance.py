@@ -8,8 +8,8 @@ potential (elastic energy minus load work) subject to joint coincidence, with
 the crank held at a fixed angle when an actuated joint exists. A square chain
 (mobility one, drive row included) is rigid: its pose is `kinematics.assemble`'s
 and the load sets only the multipliers (reactions, crank torque), one linear
-solve. Any other chain takes Newton's method on the KKT conditions, with the
-Hessian of the Lagrangian in closed form, from the `start_block` starts.
+solve. Any other chain takes `kinematics.damped_newton` on the KKT conditions,
+with the Hessian of the Lagrangian in closed form, from the `start_block` starts.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, LargeDeflectionWarning
 from .geometry import Point2
-from .kinematics import (MAX_ITERATIONS, RCOND_FLOOR, TOLERANCE, Configuration, ConstraintSystem, first_roots,
+from .kinematics import (RCOND_FLOOR, TOLERANCE, Configuration, ConstraintSystem, damped_newton, first_roots,
                          start_block)
 from .mechanism import CompliantHinge, Mechanism
 
@@ -87,10 +87,8 @@ class _Potential:
         self.springs = [(col[j.link_a], col[j.link_b], j.kind.stiffness, j.kind.rest_angle) for j in _hinges(m)]
         self.forces = [(col[lid], m.link(lid).marker(marker).as_array(), f.as_array())
                        for lid, marker, f in load.forces]
-        self.moments = []
-        for jid, mom in load.moments:
-            j = m.joint(jid)
-            self.moments.append((col[j.link_a], col[j.link_b], mom))
+        joints = [(m.joint(jid), mom) for jid, mom in load.moments]
+        self.moments = [(col[j.link_a], col[j.link_b], mom) for j, mom in joints]
         self.sys = sys
         self.k_max = max((s[2] for s in self.springs), default=1.0)
 
@@ -154,48 +152,28 @@ def projected_gradient(gradient: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def _lagrange_newton(sys: ConstraintSystem, pot: _Potential, q: np.ndarray, theta: float) -> np.ndarray:
-    """Newton on the KKT conditions grad V + J^T lam = 0, c = 0 from q, with
-    least-squares `_multipliers` to start; each step is halved (at most 20
-    times) until the KKT residual norm decreases."""
-    n = len(q)
-    tol_c = TOLERANCE
-    tol_g = TOLERANCE * pot.k_max
+    """`damped_newton` on the KKT conditions grad V + J^T lam = 0, c = 0 in (q, lam) from q and least-squares
+    `_multipliers`, to gradient rows within TOLERANCE * k_max and constraint rows within TOLERANCE. Else a
+    ConvergenceError: a KKT solve fails or its step is not finite, or Newton ends outside 100x both."""
+    n, tol_g = len(q), TOLERANCE * pot.k_max
 
-    def kkt(qv, lam, J, g):
-        return np.concatenate([g + J.T @ lam, sys.residual(qv, theta)])
+    def kkt(z):
+        return np.concatenate([pot.grad(z[:n]) + sys.jacobian(z[:n]).T @ z[n:], sys.residual(z[:n], theta)])
 
-    J, g = sys.jacobian(q), pot.grad(q)
-    lam = _multipliers(g, J)
-    F = kkt(q, lam, J, g)
-    for _ in range(MAX_ITERATIONS):
-        if np.linalg.norm(F[:n]) <= tol_g and np.linalg.norm(F[n:]) <= tol_c:
-            return q
-        rows = len(lam)
-        K = np.block([[pot.hessian(q, lam), J.T], [J, np.zeros((rows, rows))]])
-        try:
-            with np.errstate(all="ignore"):
-                step = np.linalg.solve(K, -F)
-        except np.linalg.LinAlgError as e:
-            raise ConvergenceError(f"singular KKT system at theta={theta:.6g}") from e
-        if not np.all(np.isfinite(step)):
-            raise ConvergenceError(f"ill-conditioned KKT system at theta={theta:.6g}")
-        fn = np.linalg.norm(F)
-        t = 1.0
-        for _ in range(20):
-            q_new, lam_new = q + t * step[:n], lam + t * step[n:]
-            J_new = sys.jacobian(q_new)
-            F_new = kkt(q_new, lam_new, J_new, pot.grad(q_new))
-            if np.linalg.norm(F_new) < fn:
-                break
-            t *= 0.5
-        else:
-            break
-        q, lam, F, J = q_new, lam_new, F_new, J_new
-    pg = np.linalg.norm(projected_gradient(pot.grad(q), J))
-    c = np.linalg.norm(F[n:])
-    if pg > tol_g * 100 or c > tol_c * 100:
-        raise ConvergenceError(
-            f"equilibrium did not converge: |proj grad|={pg:.3e}, |closure|={c:.3e}")
+    def kkt_jacobian(z):
+        J = sys.jacobian(z[:n])
+        return np.block([[pot.hessian(z[:n], z[n:]), J.T], [J, np.zeros((len(J), len(J)))]])
+
+    z = np.concatenate([q, _multipliers(pot.grad(q), sys.jacobian(q))])
+    z, F, why = damped_newton(kkt, kkt_jacobian, z,
+                              lambda F: np.linalg.norm(F[:n]) <= tol_g and np.linalg.norm(F[n:]) <= TOLERANCE)
+    if why in ("singular", "ill-conditioned"):
+        raise ConvergenceError(f"{why} KKT system at theta={theta:.6g}")
+    q = z[:n]
+    if why != "converged":
+        pg, c = np.linalg.norm(projected_gradient(pot.grad(q), sys.jacobian(q))), np.linalg.norm(F[n:])
+        if pg > tol_g * 100 or c > TOLERANCE * 100:
+            raise ConvergenceError(f"equilibrium did not converge: |proj grad|={pg:.3e}, |closure|={c:.3e}")
     return q
 
 
@@ -250,8 +228,7 @@ def solve_equilibrium(m: Mechanism, theta: float, load: LoadCase) -> Configurati
     qp = np.append((0.0, 0.0, 0.0), q)
     for j, (ia, ib, _, rest) in zip(_hinges(m), pot.springs):
         if abs(d := hinge_deflection(qp[ia + 2], qp[ib + 2], rest)) > math.pi / 2:
-            warnings.warn(f"hinge {j.id!r} deflection {d:.3f} rad exceeds pi/2",
-                          LargeDeflectionWarning)
+            warnings.warn(f"hinge {j.id!r} deflection {d:.3f} rad exceeds pi/2", LargeDeflectionWarning)
     return sys.config_from(q, theta)
 
 

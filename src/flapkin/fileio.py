@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .compliance import HingeGeometry, hinge_stiffness
-from .errors import MechanismValidationError, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .gait import GaitTrajectory, polygon_area
 from .geometry import Point2
 from .mechanism import (
@@ -163,8 +163,8 @@ def mechanism_from_doc(doc: Any, validate: bool = True) -> Mechanism:
     shoulder, wingtip = (_marker_ref(doc[key], key) if key in doc else None for key in ("shoulder", "wingtip"))
 
     m = Mechanism(tuple(links), tuple(joints), doc["ground"], polygon, shoulder, wingtip)
-    if validate and (first := next((v for v in validate_mechanism(m) if v.severity.value == "error"), None)):
-        raise MechanismValidationError(first.message, code=first.code)
+    if validate:
+        validate_mechanism(m).raise_first_error()
     return m
 
 

@@ -14,11 +14,11 @@ at samples where h may reach 0, and there takes the continuous root. A sweep
 takes the plan's markers from the table, and their lengths, then runs each
 step as a few array operations on slots of one pose block, for all rows of
 the table and all crank angles at once. Chains the plan cannot decompose
-(triads) fall back to damped Newton iteration on the joint-coincidence
-residuals, seeded step by step with the previous solution, one row of the
-table at a time; `assemble` is its one-angle case. Either way
-a sweep is a `PoseBatch`: the poses of the table's B mechanisms at the same
-crank angles.
+(triads) fall back to `damped_newton`, the one Newton loop (the compliance
+layer runs it on its KKT conditions), on the joint-coincidence residuals,
+seeded step by step with the previous solution, one row of the table at a
+time; `assemble` is its one-angle case. Either way a sweep is a `PoseBatch`:
+the poses of the table's B mechanisms at the same crank angles.
 
 A pose in a sweep is an origin and a rotation stored as its unit vector
 (cos, sin), built from directions the plan already has (pin to joint in the
@@ -80,7 +80,7 @@ class Configuration:
 
 
 TOLERANCE = 1e-10  # Newton's residual norm at a root, here and in the compliance layer
-MAX_ITERATIONS = 50  # Newton steps per solve, here and in the compliance layer
+MAX_ITERATIONS = 50  # steps per `damped_newton` solve, for poses and equilibria alike
 RCOND_FLOOR = 1e-10  # a Jacobian below this ratio of singular values is singular (`velocities`, statics)
 
 
@@ -596,42 +596,50 @@ class ConstraintSystem:
         return np.bincount(slots.ravel(), terms.ravel(), len(self.plan.ids))
 
 
-def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float) -> tuple[np.ndarray, str | None]:
-    """Damped Newton on sys at crank angle theta from the guess q: each step
-    halved (at most 20 times) until the residual norm falls. Returns the root,
-    its drive held at theta exactly where a step reached it (a guess that
-    already closes comes back as it is), and the error code (None where it
-    converged). A NaN residual iterates, and fails."""
-    q = np.array(q, dtype=float)
-    F = sys.residual(q, theta)
+def damped_newton(residual, jacobian, x: np.ndarray, converged) -> tuple[np.ndarray, np.ndarray, str]:
+    """Damped Newton on residual(x) = 0 from x: each step solves jacobian(x) dx = -F, halved (at most 20
+    times) until the residual norm falls, for at most MAX_ITERATIONS steps; converged(F) is tested at the
+    start and after every step. Returns x, its residual F and why it stopped: "converged" (x the start
+    itself if it converges), "singular" (the solve raised), "ill-conditioned" (a step that is not finite),
+    "stall" (no halving lowered the norm) or "iterations". A NaN residual iterates, and fails."""
+    F = residual(x)
+    if converged(F):
+        return x, F, "converged"
     fn = np.linalg.norm(F)
-    if fn <= tol:
-        return q, None
     for _ in range(MAX_ITERATIONS):
-        J = sys.jacobian(q)
         try:
-            dq = np.linalg.solve(J, -F)
+            dx = np.linalg.solve(jacobian(x), -F)
         except np.linalg.LinAlgError:
-            return q, SingularJacobianError.code
-        if not np.isfinite(dq).all():
-            return q, SingularJacobianError.code
-        step = 1.0
-        for _ in range(20):
-            qn = q + step * dq
-            Fn = sys.residual(qn, theta)
-            fnn = np.linalg.norm(Fn)
-            if fnn < fn:
+            return x, F, "singular"
+        if not np.isfinite(dx).all():
+            return x, F, "ill-conditioned"
+        for step in 0.5 ** np.arange(20):
+            xn = x + step * dx
+            Fn = residual(xn)
+            if (fnn := np.linalg.norm(Fn)) < fn:
                 break
-            step *= 0.5
-        else:  # stalled: a dead center, or no descent along the step
-            sv = np.linalg.svd(J, compute_uv=False)
-            return q, SingularJacobianError.code if sv[-1] <= 1e-12 * sv[0] else ConvergenceError.code
-        q, F, fn = qn, Fn, fnn
-        if fn <= tol:
-            if sys.plan.drive is not None:
-                q[sys.plan.drive] = theta  # hold the drive coordinate exactly
-            return q, None
-    return q, ConvergenceError.code
+        else:
+            return x, F, "stall"
+        x, F, fn = xn, Fn, fnn
+        if converged(F):
+            return x, F, "converged"
+    return x, F, "iterations"
+
+
+def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float) -> tuple[np.ndarray, str | None]:
+    """`damped_newton` on sys at theta from the guess q to a residual norm of tol: the root, its drive held at
+    theta where a step reached it (a guess that already closes comes back as it is), and the error code (None
+    where it converged; a stall is SINGULAR_JACOBIAN only at a Jacobian singular to 1e-12)."""
+    x, _, why = damped_newton(lambda x: sys.residual(x, theta), sys.jacobian, q,
+                              lambda F: np.linalg.norm(F) <= tol)
+    if why == "converged":
+        if x is not q and sys.plan.drive is not None:
+            x[sys.plan.drive] = theta  # hold the drive coordinate exactly
+        return x, None
+    if why == "stall":  # a dead center, or no descent along the step
+        sv = np.linalg.svd(sys.jacobian(x), compute_uv=False)
+        why = "singular" if sv[-1] <= 1e-12 * sv[0] else why
+    return x, ConvergenceError.code if why in ("stall", "iterations") else SingularJacobianError.code
 
 
 def start_block(sys: ConstraintSystem, theta: float,
@@ -688,10 +696,9 @@ def first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None
 
 
 def assemble(m: Mechanism, theta: float, guess: Configuration | None = None) -> Configuration:
-    """Newton-Raphson on the joint-coincidence residuals at fixed crank angle:
+    """`damped_newton` on the joint-coincidence residuals at fixed crank angle:
     the root continuously reachable from the guess, or without one from the
-    first `start_block` start that converges. Step halving (at most 20 times
-    per iteration) guards against overshoot."""
+    first `start_block` start that converges."""
     sys = _require_square(ConstraintSystem(m))
     q, code = first_roots(sys, float(theta), guess, TOLERANCE)
     if code is not None:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DisconnectedError
+from .errors import DisconnectedError, MechanismValidationError
 from .geometry import Point2
 
 if TYPE_CHECKING:
@@ -170,6 +170,11 @@ class ValidationReport:
     @property
     def codes(self) -> list[str]:
         return [v.code for v in self.violations]
+
+    def raise_first_error(self) -> None:
+        """MechanismValidationError with the code and message of the first error, if there is one."""
+        if first := next((v for v in self.violations if v.severity is Severity.ERROR), None):
+            raise MechanismValidationError(first.message, code=first.code)
 
     def __iter__(self):
         return iter(self.violations)

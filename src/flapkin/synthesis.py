@@ -44,7 +44,7 @@ from .gait import (check_samples, crank_angles, min_transmission_angle, require_
                    wingbeat_series)
 from .geometry import Point2
 from .kinematics import Markers, PoseBatch, marker_table, sweep_arrays
-from .mechanism import CompliantHinge, Mechanism, fourbar_sides, mobility
+from .mechanism import CompliantHinge, Mechanism, fourbar_sides, mobility, validate_mechanism
 
 ASSEMBLY_FAILURE_COST = 1.0e6
 METRIC_FAILURE_COST = 1.0e5
@@ -129,6 +129,7 @@ class DesignSpace:
 
     def __post_init__(self):
         require_wingbeat(self.template)
+        validate_mechanism(self.template).raise_first_error()
         self._paths  # every parameter path and transmission joint is checked before anything is costed
 
     @cached_property
@@ -235,14 +236,10 @@ def population_costs(space: DesignSpace, spec: GaitSpec, X: np.ndarray,
     check_samples(samples)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     costs = np.full(len(X), ASSEMBLY_FAILURE_COST + 1.0)
-    m = space.template
-    try:
-        rows = space.admissible(X).nonzero()[0]
-        if not len(rows):
-            return costs
-        pb = sweep_arrays(m, crank_angles(samples), markers=space.markers(X[rows]))
-    except (FlapkinError, np.linalg.LinAlgError):
+    m, rows = space.template, space.admissible(X).nonzero()[0]
+    if not len(rows):
         return costs
+    pb = sweep_arrays(m, crank_angles(samples), markers=space.markers(X[rows]))
     cost = ASSEMBLY_FAILURE_COST + (1.0 - pb.failed_at / samples)
     t = _gait_terms(m, pb, space.transmission_joints)
     degenerate = t.zero_reach | t.coincident | ~t.reverses

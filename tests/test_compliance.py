@@ -272,9 +272,17 @@ class TestEquilibrium:
         m = two_hinge_chain()
         load = LoadCase(forces=(("fore", "tip", Point2(0.0, 0.15)),))
         solve_equilibrium(m, 0.0, load)  # converges within the full iteration count
-        monkeypatch.setattr(compliance, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(kinematics, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError, match="equilibrium did not converge"):
             solve_equilibrium(m, 0.0, load)
+
+    def test_an_unsprung_pin_under_a_moment_is_a_singular_kkt_system(self):
+        # nothing holds the arm's angle against the moment: the Hessian's angle row is zero
+        ground = Link("ground", {"origin": Point2(0.0, 0.0)}, LinkRole.GROUND)
+        arm = Link("arm", {"origin": Point2(0.0, 0.0), "tip": Point2(0.05, 0.0)})
+        m = Mechanism((ground, arm), (Joint("h", "ground", "origin", "arm", "origin"),), "ground")
+        with pytest.raises(ConvergenceError, match=r"^singular KKT system at theta=0$"):
+            solve_equilibrium(m, 0.0, LoadCase(moments=(("h", 0.01),)))
 
     def test_total_potential_of_a_pure_moment(self):
         # elastic energy minus the moment times the relative angle of the joint's links

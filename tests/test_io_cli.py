@@ -37,7 +37,7 @@ from flapkin.kinematics import sweep_arrays
 from flapkin.mechanism import CompliantHinge, FourBar, fourbar_mechanism
 from flapkin.synthesis import BOUNDS, GaitSpec
 
-from conftest import make_plunge_gait, marker_world, recovery_space, run_cli
+from conftest import make_plunge_gait, marker_world, recovery_space, run_cli, triad_eight_bar
 
 
 DATA = Path(flapkin.__file__).parent / "data"
@@ -461,7 +461,12 @@ class TestCli:
                                                ("weight key", "SCHEMA_ERROR"),
                                                ("min_transmission_angle", "SCHEMA_ERROR"),
                                                ("area_ratio", "SCHEMA_ERROR"),
-                                               ("extension_range entries", "SCHEMA_ERROR")])
+                                               ("extension_range entries", "SCHEMA_ERROR"),
+                                               ("extension_range number", "SCHEMA_ERROR"),
+                                               ("weights list", "SCHEMA_ERROR"),
+                                               ("spec top level", "SCHEMA_ERROR"),
+                                               ("parameters object", "SCHEMA_ERROR"),
+                                               ("parameter name", "SCHEMA_ERROR")])
     def test_synthesize_format_error(self, tmp_path, broken, error):
         space_doc = {
             "template": mechanism_to_doc(fourbar_mechanism(FourBar(6, 2, 5, 5))),
@@ -486,6 +491,16 @@ class TestCli:
             spec_doc[broken] = 1.2 if broken == "min_transmission_angle" else 0.5
         elif broken == "extension_range entries":
             spec_doc["extension_range"] = [0.5, 0.8, 1.0]
+        elif broken == "extension_range number":
+            spec_doc["extension_range"] = 0.5
+        elif broken == "weights list":
+            spec_doc["weights"] = [1, 2]
+        elif broken == "spec top level":
+            spec_doc = [1, 2]
+        elif broken == "parameters object":
+            space_doc["parameters"] = {"a": 1}
+        elif broken == "parameter name":
+            space_doc["parameters"][0]["name"] = 5
         space_p, spec_p = tmp_path / "space.json", tmp_path / "spec.json"
         space_p.write_text(json.dumps(space_doc)[:-1] if broken == "json" else json.dumps(space_doc))
         spec_p.write_text(json.dumps(spec_doc))
@@ -498,6 +513,9 @@ class TestCli:
         named = {"min_transmission_angle": "['min_transmission_angle']", "area_ratio": "['area_ratio']",
                  "extension_range entries": "extension_range must be (min, max)",
                  "weight key": "'plunge_amplitude_rad'",
+                 "extension_range number": "'extension_range' must be a list", "weights list": "'weights' must be",
+                 "spec top level": "a gait spec must be an object", "parameters object": "'parameters' must be",
+                 "parameter name": "'name' must be a string",
                  **{k: repr(k) for k in ("plunge_amplitude_rad", "area_ratio_max", "min_transmission_angle_rad")}}
         assert named.get(broken, "") in lines[0]
 
@@ -569,6 +587,32 @@ class TestCli:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(error)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: doc.update(transmission_joint=doc.pop("transmission_joints")), "transmission_joint"),
+        (lambda doc: doc["parameters"][0].update(lowr=0.0), "lowr"),
+    ], ids=["misspelt top-level key", "unknown parameter key"])
+    def test_synthesize_unknown_design_space_key(self, tmp_path, edit, key):
+        # with `transmission_joints` misspelt, the shipped pair ran to a feasible design
+        # on which no transmission-angle bound was checked
+        space_doc = json.loads((DATA / "armwing_space.json").read_text())
+        edit(space_doc)
+        space_p, out_p = tmp_path / "space.json", tmp_path / "out.json"
+        space_p.write_text(json.dumps(space_doc))
+        code, out, err = run_cli(["synthesize", str(space_p), str(DATA / "armwing_spec.json"),
+                                  "--budget", "180", "--seed", "0", "--out", str(out_p)])
+        assert code == 1 and out == "" and not out_p.exists()
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_FORMAT SCHEMA_ERROR") and f"[{key!r}]" in lines[0]
+
+    def test_gait_newton_failure_is_its_code(self, tmp_path):
+        # the triad's Newton sweep fails at crank angles 14-19 of 24: NO_CONVERGENCE carried to the CLI
+        p = tmp_path / "triad.json"
+        p.write_text(serialize_mechanism(triad_eight_bar()))
+        code, out, err = run_cli(["gait", str(p), "--period", "0.1", "--samples", "24"])
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_GAIT NO_CONVERGENCE: sweep failed at step 14 ")
 
     def test_synthesize_out_holds_the_summary_parameters(self, tmp_path):
         # the shipped armwing space with a searched hinge stiffness, which a file with the

@@ -184,6 +184,43 @@ class TestAssemble:
                 solve()
 
 
+class TestDampedNewton:
+    """The one Newton loop, on scalar problems whose every stop is known."""
+
+    @staticmethod
+    def solve(f, df, x0: float, tol: float = 1e-12):
+        return kinematics.damped_newton(f, lambda x: np.diag(df(x)), np.array([x0]),
+                                        lambda F: abs(F[0]) <= tol)
+
+    def test_converges(self):
+        x, F, why = self.solve(lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0)
+        assert why == "converged" and x[0] == pytest.approx(math.sqrt(2.0), abs=1e-12) and abs(F[0]) <= 1e-12
+
+    def test_a_start_that_converges_is_the_start_itself(self):
+        x0 = np.array([2.0])
+        x, F, why = kinematics.damped_newton(lambda x: x - 2.0, np.diag, x0, lambda F: abs(F[0]) <= 0.0)
+        assert why == "converged" and x is x0 and F[0] == 0.0
+
+    def test_a_singular_solve(self):
+        x, F, why = self.solve(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.0)
+        assert (why, x[0], F[0]) == ("singular", 0.0, 1.0)
+
+    def test_a_step_that_is_not_finite(self):
+        x, _, why = self.solve(lambda x: x + 1.0, lambda x: 1e-320 + 0.0 * x, 0.0)
+        assert (why, x[0]) == ("ill-conditioned", 0.0)
+
+    def test_a_stall(self):
+        # a Jacobian of the wrong sign: every halving of the step raises |F|
+        x, F, why = self.solve(lambda x: x, lambda x: -np.ones_like(x), 1.0)
+        assert (why, x[0], F[0]) == ("stall", 1.0, 1.0)
+
+    def test_out_of_iterations(self, monkeypatch):
+        # Newton on x^3 shrinks x by 2/3 a step: about 23 steps to |x^3| <= 1e-12 from 1
+        monkeypatch.setattr(kinematics, "MAX_ITERATIONS", 5)
+        x, F, why = self.solve(lambda x: x ** 3, lambda x: 3.0 * x * x, 1.0)
+        assert why == "iterations" and x[0] == pytest.approx((2.0 / 3.0) ** 5, rel=1e-12) and F[0] == x[0] ** 3
+
+
 class TestSweep:
     def test_crank_rocker_continuity(self, fb_mech):
         pb = sweep_arrays(fb_mech, np.linspace(0.0, 2 * math.pi, 360))

@@ -1,5 +1,6 @@
 """Every Python file of the project parses as the oldest Python it supports,
-and no module of the package imports another's private name.
+no module of the package imports another's private name, and only
+`kinematics.damped_newton`, the one Newton loop, reads the iteration cap.
 
 `ast.parse` with `feature_version` set to pyproject's `requires-python`
 floor rejects the grammar that later versions added (`except*`, type
@@ -49,3 +50,40 @@ def test_the_private_import_check_sees_relative_and_absolute_imports():
     assert _private_imports("from .kinematics import TOLERANCE, _first_roots\n") == [".kinematics._first_roots"]
     assert _private_imports("from flapkin.kinematics import _plan\n") == ["flapkin.kinematics._plan"]
     assert _private_imports("from . import __version__\nfrom numpy import _core\n") == []
+
+
+def _iteration_cap_readers(sources: dict[str, str]) -> list[str]:
+    """Where the sources (module name -> text) read MAX_ITERATIONS, each as "module.def.def": a load of
+    the name, or of an attribute so named, or an import of it."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)
+                    and getattr(child, "id", getattr(child, "attr", None)) == "MAX_ITERATIONS"
+                    or isinstance(child, ast.alias) and child.name == "MAX_ITERATIONS"):
+                found.append(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def _package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))}
+
+
+def test_only_damped_newton_reads_the_iteration_cap():
+    assert _iteration_cap_readers(_package_sources()) == ["kinematics.damped_newton"]
+
+
+def test_the_iteration_cap_check_fails_on_a_second_reader():
+    loop = "def _solve():\n    for _ in range(MAX_ITERATIONS):\n        pass\n"
+    for second, where in ((f"from .kinematics import MAX_ITERATIONS\n{loop}", ["compliance", "compliance._solve"]),
+                          ("class S:\n    def step(self):\n        return kinematics.MAX_ITERATIONS\n",
+                           ["compliance.S.step"])):
+        found = _iteration_cap_readers({**_package_sources(), "compliance": second})
+        assert found != ["kinematics.damped_newton"] and [f for f in found if f.startswith("compliance")] == where
+    assert _iteration_cap_readers({"kinematics": "MAX_ITERATIONS = 50\n"}) == []

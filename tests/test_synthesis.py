@@ -23,6 +23,7 @@ from flapkin.errors import (
     EmptyDesignSpaceError,
     FlapkinError,
     GaitError,
+    MechanismValidationError,
     SynthesisError,
 )
 from flapkin.fileio import parse_mechanism, serialize_mechanism
@@ -807,6 +808,15 @@ class TestSpecValidation:
         with pytest.raises(GaitError) as e:
             DesignSpace(dataclasses.replace(space.template, **{field: value}), space.parameters)
         assert e.value.code == "DEGENERATE"
+
+    def test_an_invalid_template_fails_when_the_space_is_built(self, monkeypatch):
+        # the crank left free: validation's first error, with its code, before any cost is taken
+        space, _, _ = recovery_space()
+        monkeypatch.setattr("flapkin.synthesis.sweep_arrays", None)
+        free = tuple(dataclasses.replace(j, actuated=False) for j in space.template.joints)
+        with pytest.raises(MechanismValidationError) as e:
+            DesignSpace(dataclasses.replace(space.template, joints=free), space.parameters)
+        assert (e.value.code, str(e.value)) == ("NO_ACTUATOR", "no actuated joint")
 
     def test_of_several_bad_paths_the_first_is_reported(self, monkeypatch):
         space, _, _ = recovery_space()
