@@ -5,20 +5,22 @@ positions x + iy, a row per mechanism and a named column per (link, marker),
 for B mechanisms that share one topology; one mechanism is B = 1. Every
 reader takes the columns it needs with `Markers.take`.
 
-A topology is compiled once into a dyad plan in index form: place the crank,
-then solve each RR dyad (two links sharing a pin, each pinned once to a link
-already placed) by circle intersection; the four-bar is the one-dyad case. A
-dyad's root sign is its orientation, its assembly mode, which can only change
-where its two roots meet (its half-chord h is 0): a sweep keeps the sign but
-at samples where h may reach 0, and there takes the continuous root. A sweep
-takes the plan's markers from the table, and their lengths, then runs each
-step as a few array operations on slots of one pose block, for all rows of
-the table and all crank angles at once. Chains the plan cannot decompose
-(triads) fall back to `damped_newton`, the one Newton loop (the compliance
-layer runs it on its KKT conditions), on the joint-coincidence residuals,
-seeded step by step with the previous solution, one row of the table at a
-time; `assemble` is its one-angle case. Either way a sweep is a `PoseBatch`:
-the poses of the table's B mechanisms at the same crank angles.
+A topology is compiled once into a dyad plan in index form, in the order of
+`mechanism.placement`: place the crank, then solve each RR dyad (two links
+sharing a pin, each pinned once to a link already placed) by circle
+intersection; the four-bar is the one-dyad case. A chain whose actuated joint
+is off the ground is a KinematicsError (ACTUATOR_NOT_GROUNDED) in every
+solver. A dyad's root sign is its orientation, its assembly mode, which can
+only change where its two roots meet (its half-chord h is 0): a sweep keeps
+the sign but at samples where h may reach 0, and there takes the continuous
+root. A sweep takes the plan's markers from the table, and their lengths, then
+runs each step as a few array operations on slots of one pose block, for all
+rows of the table and all crank angles at once. Chains the plan cannot
+decompose (triads) fall back to `damped_newton`, the one Newton loop (the
+compliance layer runs it on its KKT conditions), on the joint-coincidence
+residuals, seeded step by step with the previous solution, one row of the
+table at a time; `assemble` is its one-angle case. Either way a sweep is a
+`PoseBatch`: the poses of the table's B mechanisms at the same crank angles.
 
 A pose in a sweep is an origin and a rotation stored as its unit vector
 (cos, sin), built from directions the plan already has (pin to joint in the
@@ -45,7 +47,6 @@ import numpy as np
 from .errors import (
     BranchAmbiguousError,
     ConvergenceError,
-    DisconnectedError,
     KinematicsError,
     NotAssemblableError,
     SingularJacobianError,
@@ -53,12 +54,13 @@ from .errors import (
 from .geometry import IDENTITY_POSE, Point2, Pose
 from .mechanism import (
     FourBar,
-    Joint,
     Mechanism,
     fourbar_change_point,
     fourbar_lengths_valid,
     fourbar_mechanism,
     fourbar_sides,
+    per_topology,
+    placement,
 )
 
 
@@ -196,61 +198,6 @@ class PoseBatch:
 # Dyad plan: the crank, then RR dyads by circle intersection
 
 
-def _pin(j: Joint, lid: str) -> tuple[str, str, str]:
-    if j.link_a == lid:
-        return j.marker_a, j.link_b, j.marker_b
-    return j.marker_b, j.link_a, j.marker_a
-
-
-def _decompose(m: Mechanism) -> list[tuple]:
-    """Placement order from the topology alone: the crank, then repeatedly
-    (1) a link pinned to two placed links ("rigid"), (2) an RR dyad, two links
-    sharing a joint (their `shared` markers), each pinned once to a placed
-    link ("dyad"), (3) a link hung from one placed link at orientation zero
-    ("hang"). A step is (kind, links, pins, shared); a pin is (own marker,
-    placed link, its marker). Raises DisconnectedError, as `mobility` does,
-    where some link no chain of joints reaches from the ground."""
-    placed = {m.ground}
-    steps = []
-    act = m.actuated_joint()
-    if act is not None:
-        crank = act.other(m.ground)
-        steps.append(("crank", (crank,), (_pin(act, crank),), ()))
-        placed.add(crank)
-
-    def pins(lid, skip=None):
-        return [_pin(j, lid) for j in m.joints
-                if j is not skip and lid in (j.link_a, j.link_b) and j.other(lid) in placed]
-
-    def rigid():
-        for l in m.links:
-            if l.id not in placed and len(anchors := pins(l.id)) >= 2:
-                return "rigid", (l.id,), tuple(anchors[:2]), ()
-
-    def dyad():
-        for j in m.joints:
-            if j.link_a in placed or j.link_b in placed:
-                continue
-            sides = [pins(lid, skip=j) for lid in (j.link_a, j.link_b)]
-            if all(sides):
-                return "dyad", (j.link_a, j.link_b), (sides[0][0], sides[1][0]), (j.marker_a, j.marker_b)
-
-    def hang():
-        for j in m.joints:
-            for lid in (j.link_a, j.link_b):
-                if lid not in placed and j.other(lid) in placed:
-                    return "hang", (lid,), (_pin(j, lid),), ()
-
-    while len(placed) < len(m.links):
-        step = rigid() or dyad() or hang()
-        if step is None:
-            missing = sorted(l.id for l in m.links if l.id not in placed)
-            raise DisconnectedError(f"links not reachable from ground: {missing}")
-        steps.append(step)
-        placed.update(step[1])
-    return steps
-
-
 @dataclass(frozen=True)
 class _Plan:
     """A topology compiled once, for the dyad plan and Newton alike. Pose slots
@@ -285,26 +232,11 @@ class _Plan:
     signs: np.ndarray  # (2^min(D, 10), D) for D dyads
 
 
-def _per_topology(build):
-    """build(m), made once per topology (the links, and the joints with their
-    markers and drive) and then reused; at most 64 are kept."""
-    cache: dict[tuple, object] = {}
-
-    def cached(m: Mechanism):
-        key = (m.ground, tuple(l.id for l in m.links),
-               tuple((j.id, j.link_a, j.marker_a, j.link_b, j.marker_b, j.actuated) for j in m.joints))
-        if key not in cache:
-            if len(cache) >= 64:
-                cache.clear()
-            cache[key] = build(m)
-        return cache[key]
-
-    return cached
-
-
-@_per_topology
+@per_topology
 def _plan(m: Mechanism) -> _Plan:
-    steps, ids = _decompose(m), (m.ground, *m.moving_link_ids())
+    steps, ids = placement(m), (m.ground, *m.moving_link_ids())
+    if (act := m.actuated_joint()) is not None and m.ground not in (act.link_a, act.link_b):
+        raise KinematicsError(f"actuated joint {act.id!r} is not on the ground link", code="ACTUATOR_NOT_GROUNDED")
     refs: dict[tuple[str, str], int] = {}
     spans: dict[tuple[int, int], int] = {}
 
@@ -317,11 +249,10 @@ def _plan(m: Mechanism) -> _Plan:
                      tuple(span(lid, own, end) for lid, (own, _, _), end
                            in zip(links, pins, shared or [own for own, _, _ in pins[1:]])))
                     for kind, links, pins, shared in steps)
-    loop = fourbar_sides(m)
-    sides = None if loop is None else ([span(*side) for side in loop[0]], loop[0][3][0])
+    loop = fourbar_sides(m)  # then the steps are the crank and one dyad, the rocker's pin on the ground
+    sides = None if loop is None else [span(*side) for side in loop[0]]
     dyadic = (bool(steps) and steps[0][0] == "crank" and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
               and all(step[0] in ("crank", "dyad") for step in steps))
-    first_dyad = next((links[0] for kind, links, _, _ in steps if kind == "dyad"), None)
     crank = steps[0][1][0] if steps and steps[0][0] == "crank" else None
     slot = {lid: i for i, lid in enumerate(ids)}  # a link not in ids is pinned at the ground's slot
     ends = tuple(end for j in m.joints for end in ((j.link_a, j.marker_a), (j.link_b, j.marker_b)))
@@ -337,7 +268,7 @@ def _plan(m: Mechanism) -> _Plan:
     kv = min(k, 10)  # only the last kv dyads vary; 16 starts never reach further
     bits = (np.arange(2 ** kv)[:, None] >> np.arange(kv - 1, -1, -1)) & 1
     return _Plan(ids, tuple(refs), np.array(list(spans), dtype=np.intp).reshape(-1, 2), program, dyadic,
-                 sides and sides[0], -1.0 if sides and first_dyad == sides[1] else 1.0,
+                 sides, -1.0 if sides and steps[1][2][0][1] == m.ground else 1.0,
                  crank, None if crank is None else 3 * slot[crank] - 1, ends, slots, template, angle_cells,
                  np.hstack([np.ones((2 ** kv, k - kv)), 1.0 - 2.0 * bits]))
 

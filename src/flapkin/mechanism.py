@@ -4,7 +4,9 @@ A mechanism is a graph of rigid links connected by revolute joints. Joints are
 either rigid pins or compliant hinges (thin flexible segments modeled as a pin
 plus a torsional spring). Exactly one joint is actuated (the crank pin) and it
 must sit on the ground link. The rigid-pin skeleton must have Gruebler mobility
-one so a single motor determines the whole pose.
+one so a single motor determines the whole pose. One walk of the joint graph,
+`placement`, orders the links from the ground; `mobility`, `fourbar_sides` and
+the kinematics' dyad plan read it.
 """
 from __future__ import annotations
 
@@ -133,14 +135,90 @@ class Mechanism:
                 return j
         return None
 
-    def adjacency(self) -> dict[str, list[Joint]]:
-        adj: dict[str, list[Joint]] = {l.id: [] for l in self.links}
-        for j in self.joints:
-            if j.link_a in adj:
-                adj[j.link_a].append(j)
-            if j.link_b in adj:
-                adj[j.link_b].append(j)
-        return adj
+
+# ---------------------------------------------------------------------------
+# The joint graph: one walk gives mobility, the four-bar loop and the dyad plan
+
+
+def per_topology(build):
+    """build(m), made once per topology (the links, and the joints with their
+    markers and drive) and then reused; at most 64 are kept."""
+    cache: dict[tuple, object] = {}
+
+    def cached(m: Mechanism):
+        key = (m.ground, tuple(l.id for l in m.links),
+               tuple((j.id, j.link_a, j.marker_a, j.link_b, j.marker_b, j.actuated) for j in m.joints))
+        if key not in cache:
+            if len(cache) >= 64:
+                cache.clear()
+            cache[key] = build(m)
+        return cache[key]
+
+    return cached
+
+
+def _pin(j: Joint, lid: str) -> tuple[str, str, str]:
+    if j.link_a == lid:
+        return j.marker_a, j.link_b, j.marker_b
+    return j.marker_b, j.link_a, j.marker_a
+
+
+@per_topology
+def placement(m: Mechanism) -> tuple[tuple, ...]:
+    """The one walk of the joint graph: the order in which to place the links. The crank, if the
+    actuated joint is on the ground, then repeatedly (1) a link pinned to two placed links ("rigid"),
+    (2) an RR dyad, two links sharing a joint (their `shared` markers), each pinned once to a placed
+    link ("dyad"), (3) a link hung from one placed link at orientation zero ("hang"), until the set of
+    link ids is placed. A step is (kind, links, pins, shared); a pin is (own marker, placed link, its
+    marker). Raises DisconnectedError where the ground is no link, or the joints from it do not reach
+    every link, or reach a link that is not one of m's."""
+    ids = {l.id for l in m.links}
+    if m.ground not in ids:
+        raise DisconnectedError(f"ground link {m.ground!r} not among links")
+    placed, steps = {m.ground}, []
+    act = m.actuated_joint()
+    if act is not None and m.ground in (act.link_a, act.link_b):
+        crank = act.other(m.ground)
+        steps.append(("crank", (crank,), (_pin(act, crank),), ()))
+        placed.add(crank)
+
+    def pins(lid, skip=None):
+        return [_pin(j, lid) for j in m.joints
+                if j is not skip and lid in (j.link_a, j.link_b) and j.other(lid) in placed]
+
+    def rigid():
+        for l in m.links:
+            if l.id not in placed and len(anchors := pins(l.id)) >= 2:
+                return "rigid", (l.id,), tuple(anchors[:2]), ()
+
+    def dyad():
+        for j in m.joints:
+            if j.link_a in placed or j.link_b in placed:
+                continue
+            sides = [pins(lid, skip=j) for lid in (j.link_a, j.link_b)]
+            if all(sides):
+                return "dyad", (j.link_a, j.link_b), (sides[0][0], sides[1][0]), (j.marker_a, j.marker_b)
+
+    def hang():
+        for j in m.joints:
+            for lid in (j.link_a, j.link_b):
+                if lid not in placed and j.other(lid) in placed:
+                    return "hang", (lid,), (_pin(j, lid),), ()
+
+    while placed != ids:  # never, once a joint's unknown link is placed: the walk ends in the raise
+        step = rigid() or dyad() or hang()
+        if step is None:
+            raise DisconnectedError(f"links not reachable from ground: {sorted(ids - placed)}")
+        steps.append(step)
+        placed.update(step[1])
+    return tuple(steps)
+
+
+def mobility(m: Mechanism) -> int:
+    """Gruebler count 3*(n_links - 1) - 2*n_joints, all joints treated as pins. Raises
+    DisconnectedError, as `placement` does, where the joint graph does not reach every link."""
+    placement(m)
+    return 3 * (len(m.links) - 1) - 2 * len(m.joints)
 
 
 # ---------------------------------------------------------------------------
@@ -181,35 +259,6 @@ class ValidationReport:
 
     def __len__(self):
         return len(self.violations)
-
-
-def _connected_component(m: Mechanism, start: str) -> set[str]:
-    adj = m.adjacency()
-    seen: set[str] = set()
-    stack = [start]
-    while stack:
-        lid = stack.pop()
-        if lid in seen:
-            continue
-        seen.add(lid)
-        for j in adj.get(lid, []):
-            stack.append(j.other(lid))
-    return seen
-
-
-def mobility(m: Mechanism) -> int:
-    """Gruebler count 3*(n_links - 1) - 2*n_joints, all joints treated as pins.
-
-    Raises DisconnectedError when the joint graph does not reach every link.
-    """
-    known = {l.id for l in m.links}
-    if m.ground not in known:
-        raise DisconnectedError(f"ground link {m.ground!r} not among links")
-    component = _connected_component(m, m.ground)
-    if component != known:
-        missing = sorted(known - component)
-        raise DisconnectedError(f"links not reachable from ground: {missing}")
-    return 3 * (len(m.links) - 1) - 2 * len(m.joints)
 
 
 def validate_mechanism(m: Mechanism) -> ValidationReport:
@@ -365,28 +414,28 @@ class FourBarView:
 def fourbar_sides(m: Mechanism) -> tuple[tuple[tuple[str, str, str], ...], str] | None:
     """The ground, crank, coupler and rocker sides, each (link, marker, marker),
     and the coupler-rocker joint of a mechanism that is exactly one four-bar
-    loop, by topology alone; else None. One walk goes ground -> crank ->
-    coupler -> rocker -> ground. A side's length is the distance between its
-    two markers; the ground side runs from the crank pivot, the crank and
-    rocker sides from their ground pins and the coupler side from the crank."""
-    adj, joint = m.adjacency(), m.actuated_joint()
-    if (len(m.links) != 4 or len(m.joints) != 4 or [len(js) for js in adj.values()] != [2] * 4
-            or joint is None or m.ground not in (joint.link_a, joint.link_b)):
+    loop, by topology alone; else None. Four links on four joints are that loop
+    where their `placement` is the crank, then one dyad pinned to the crank (the
+    coupler) and to the ground (the rocker). A side's length is the distance
+    between its two markers; the ground side runs from the crank pivot, the
+    crank and rocker sides from their ground pins and the coupler side from
+    the crank."""
+    if len(m.links) != 4 or len(m.joints) != 4:
         return None
-    walk = [(m.ground, joint)]  # every link has two joints, so the walk returns to the ground
-    while (lid := joint.other(walk[-1][0])) != m.ground:
-        joint = next(j for j in adj[lid] if j is not joint)
-        walk.append((lid, joint))
-    if len(walk) != 4:
+    try:
+        steps = placement(m)
+    except DisconnectedError:
         return None
-    (ground, j_crank), (crank, j_a), (coupler, j_b), (rocker, j_g) = walk
-
-    def marker(j: Joint, lid: str) -> str:
-        return j.marker_a if j.link_a == lid else j.marker_b
-
-    return tuple((lid, marker(j1, lid), marker(j2, lid))
-                 for lid, j1, j2 in ((ground, j_crank, j_g), (crank, j_crank, j_a),
-                                     (coupler, j_a, j_b), (rocker, j_g, j_b))), j_b.id
+    if [step[0] for step in steps] != ["crank", "dyad"]:
+        return None
+    (_, (crank,), ((crank_own, _, pivot),), _), (_, links, pins, shared) = steps
+    if {at for _, at, _ in pins} != {crank, m.ground}:
+        return None
+    (coupler, (coupler_own, _, crank_tip), coupler_end), (rocker, (rocker_own, _, ground_tip), rocker_end) = sorted(
+        zip(links, pins, shared), key=lambda end: end[1][1] == m.ground)
+    follower = next(j.id for j in m.joints if {j.link_a, j.link_b} == {coupler, rocker})
+    return ((m.ground, pivot, ground_tip), (crank, crank_own, crank_tip), (coupler, coupler_own, coupler_end),
+            (rocker, rocker_own, rocker_end)), follower
 
 
 def fourbar_lengths_valid(lengths) -> np.ndarray:

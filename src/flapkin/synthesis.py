@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, EmptyDesignSpaceError, FlapkinError, SynthesisError
+from .errors import BudgetTooSmallError, DisconnectedError, EmptyDesignSpaceError, SynthesisError
 from .gait import (check_samples, crank_angles, min_transmission_angle, require_wingbeat, stroke_metrics,
                    wingbeat_series)
 from .geometry import Point2
@@ -443,10 +443,10 @@ def feasibility_report(m: Mechanism, spec: GaitSpec,
     """
     try:
         dof = mobility(m)
-    except (FlapkinError, np.linalg.LinAlgError):
-        dof = None
+    except DisconnectedError as e:
+        return [ConstraintViolation("mobility", 1.0, str(e))]
     if dof != 1:
-        return [ConstraintViolation("mobility", abs((dof or 0) - 1), f"Gruebler mobility is {dof}, expected 1")]
+        return [ConstraintViolation("mobility", abs(dof - 1), f"Gruebler mobility is {dof}, expected 1")]
     pb = sweep_arrays(m, crank_angles(OBJECTIVE_SAMPLES))
     t = GaitTerms._make(v[0].item() for v in _gait_terms(m, pb, transmission_joints))
     if not t.closed:

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flapkin import kinematics
+from flapkin import kinematics, mechanism
 from flapkin.cli import _load_space, _load_spec
 from flapkin.compliance import LoadCase, solve_equilibrium
 from flapkin.designs import two_stage_armwing
 from flapkin.errors import (BranchAmbiguousError, ConvergenceError, DisconnectedError, FlapkinError,
-                            NotAssemblableError, SingularJacobianError)
+                            KinematicsError, NotAssemblableError, SingularJacobianError)
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Branch,
@@ -182,6 +182,19 @@ class TestAssemble:
                       lambda: assemble(m, 0.3)):
             with pytest.raises(DisconnectedError, match=r"^links not reachable from ground: \['loose'\]$"):
                 solve()
+
+    def test_an_actuator_off_the_ground_is_a_typed_error(self):
+        # the (6, 2, 5, 5) four-bar driven at its crank-coupler pin: no crank turns on the ground, so no solver
+        # may place one there (its pin would read a pose slot never written), and each says so every time
+        fb = fourbar_mechanism(FourBar(6, 2, 5, 5))
+        m = dataclasses.replace(fb, joints=tuple(dataclasses.replace(j, actuated=j.id == "j_a") for j in fb.joints))
+        c = assemble(fb, 0.3)
+        for solve in (lambda: sweep_arrays(m, np.linspace(0.0, 1.0, 4)), lambda: assemble(m, 0.3),
+                      lambda: velocities(m, c, 1.0), lambda: solve_equilibrium(m, 0.3, LoadCase())):
+            for _ in range(3):
+                with pytest.raises(KinematicsError, match=r"^actuated joint 'j_a' is not on the ground link$") as e:
+                    solve()
+                assert e.value.code == "ACTUATOR_NOT_GROUNDED"
 
 
 class TestDampedNewton:
@@ -920,7 +933,7 @@ class TestTopologyCache:
 
     def test_the_65th_topology_clears_the_cache(self):
         built = []
-        cached = kinematics._per_topology(lambda m: built.append(m) or len(built))
+        cached = mechanism.per_topology(lambda m: built.append(m) or len(built))
         ms = [self.renamed(k) for k in range(65)]
         assert [cached(m) for m in ms] == list(range(1, 66))
         assert [cached(ms[64]), cached(ms[0]), cached(ms[0])] == [65, 66, 66]

@@ -63,6 +63,92 @@ class TestMobility:
             mobility(m)
 
 
+MARKERS = {"origin": Point2(0, 0), "tip": Point2(1, 0), "mid": Point2(0.5, 0.5)}
+END = st.sampled_from(sorted(MARKERS))
+
+
+@st.composite
+def joint_graphs(draw) -> Mechanism:
+    """4 to 6 links l0, l1, ..., one of them the ground, on 3 to 8 joints with random markers, at most
+    one of them actuated: any pairs of links, or else a loop through four of them in a random order."""
+    n = draw(st.integers(4, 6))
+    if draw(st.booleans()):
+        ends = st.tuples(st.integers(0, n - 1), END)
+        pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0][0] != e[1][0]), min_size=3, max_size=8))
+    else:
+        loop = draw(st.permutations(range(n)))[:4]
+        pairs = draw(st.permutations([((a, draw(END)), (b, draw(END)))[::draw(st.sampled_from((1, -1)))]
+                                      for a, b in zip(loop, loop[1:] + loop[:1])]))
+    drive = draw(st.none() | st.integers(0, len(pairs) - 1))
+    joints = tuple(Joint(f"j{k}", f"l{a}", ma, f"l{b}", mb, actuated=k == drive)
+                   for k, ((a, ma), (b, mb)) in enumerate(pairs))
+    return Mechanism(tuple(Link(f"l{i}", MARKERS) for i in range(n)), joints, f"l{draw(st.integers(0, n - 1))}")
+
+
+def bfs_reached(m: Mechanism) -> set[str]:
+    """The links a breadth-first search of the joints reaches from the ground."""
+    reached, queue = {m.ground}, [m.ground]
+    for lid in queue:
+        for j in m.joints:
+            if lid in (j.link_a, j.link_b) and j.other(lid) not in reached:
+                reached.add(j.other(lid))
+                queue.append(j.other(lid))
+    return reached
+
+
+def loop_walk(m: Mechanism):
+    """The four-bar sides and follower joint by a walk of the loop ground -> crank -> coupler -> rocker ->
+    ground from the actuated joint, where every one of four links has two of four joints; else None."""
+    adj, joint = {l.id: [j for j in m.joints if l.id in (j.link_a, j.link_b)] for l in m.links}, m.actuated_joint()
+    if (len(m.links) != 4 or len(m.joints) != 4 or [len(js) for js in adj.values()] != [2] * 4
+            or joint is None or m.ground not in (joint.link_a, joint.link_b)):
+        return None
+    walk = [(m.ground, joint)]
+    while (lid := joint.other(walk[-1][0])) != m.ground:
+        joint = next(j for j in adj[lid] if j is not joint)
+        walk.append((lid, joint))
+    if len(walk) != 4:
+        return None
+    (ground, j_crank), (crank, j_a), (coupler, j_b), (rocker, j_g) = walk
+
+    def marker(j: Joint, lid: str) -> str:
+        return j.marker_a if j.link_a == lid else j.marker_b
+
+    return tuple((lid, marker(j1, lid), marker(j2, lid))
+                 for lid, j1, j2 in ((ground, j_crank, j_g), (crank, j_crank, j_a),
+                                     (coupler, j_a, j_b), (rocker, j_g, j_b))), j_b.id
+
+
+class TestOneWalk:
+    """`placement`, the one walk of the joint graph, against reference definitions of what it answers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(joint_graphs())
+    def test_mobility_and_the_fourbar_loop_match_the_references(self, m):
+        unreached = sorted({l.id for l in m.links} - bfs_reached(m))
+        if unreached:
+            with pytest.raises(DisconnectedError) as e:
+                mobility(m)
+            assert str(e.value) == f"links not reachable from ground: {unreached}"
+        else:
+            assert mobility(m) == 3 * (len(m.links) - 1) - 2 * len(m.joints)
+        assert fourbar_sides(m) == loop_walk(m)
+
+    def test_the_references_see_a_fourbar_loop(self, fb_mech):
+        assert loop_walk(fb_mech) == fourbar_sides(fb_mech) is not None
+        assert bfs_reached(fb_mech) == {"ground", "crank", "coupler", "rocker"}
+
+    def test_a_missing_ground_is_disconnected(self, fb_mech):
+        with pytest.raises(DisconnectedError, match=r"^ground link 'nope' not among links$"):
+            mobility(replace(fb_mech, ground="nope"))
+        assert fourbar_sides(replace(fb_mech, ground="nope")) is None
+
+    def test_a_duplicate_link_id_is_not_disconnected(self, fb_mech):
+        m = replace(fb_mech, links=(*fb_mech.links, fb_mech.link("rocker")))
+        assert mobility(m) == 4
+        assert validate_mechanism(m).codes == ["DUPLICATE_ID", "MOBILITY_NOT_ONE"]
+
+
 class TestValidation:
     def test_well_formed_fourbar_empty_report(self, fb_mech):
         report = validate_mechanism(fb_mech)

@@ -1,6 +1,8 @@
 """Every Python file of the project parses as the oldest Python it supports,
-no module of the package imports another's private name, and only
-`kinematics.damped_newton`, the one Newton loop, reads the iteration cap.
+no module of the package imports another's private name, only
+`kinematics.damped_newton`, the one Newton loop, reads the iteration cap, and
+only `mechanism.placement`, the one walk of the joint graph, raises
+DisconnectedError.
 
 `ast.parse` with `feature_version` set to pyproject's `requires-python`
 floor rejects the grammar that later versions added (`except*`, type
@@ -52,16 +54,13 @@ def test_the_private_import_check_sees_relative_and_absolute_imports():
     assert _private_imports("from . import __version__\nfrom numpy import _core\n") == []
 
 
-def _iteration_cap_readers(sources: dict[str, str]) -> list[str]:
-    """Where the sources (module name -> text) read MAX_ITERATIONS, each as "module.def.def": a load of
-    the name, or of an attribute so named, or an import of it."""
+def _where(sources: dict[str, str], hit) -> list[str]:
+    """Where in the sources (module name -> text) a node is a hit, each as "module.def.def"."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)
-                    and getattr(child, "id", getattr(child, "attr", None)) == "MAX_ITERATIONS"
-                    or isinstance(child, ast.alias) and child.name == "MAX_ITERATIONS"):
+            if hit(child):
                 found.append(where)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{where}.{child.name}" if named else where)
@@ -69,6 +68,22 @@ def _iteration_cap_readers(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         visit(ast.parse(source), module)
     return found
+
+
+def _named(node) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _iteration_cap_readers(sources: dict[str, str]) -> list[str]:
+    """Where the sources read MAX_ITERATIONS: a load of the name, or of an attribute so named, or an import of it."""
+    return _where(sources, lambda node: isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                  and _named(node) == "MAX_ITERATIONS" or isinstance(node, ast.alias) and node.name == "MAX_ITERATIONS")
+
+
+def _disconnected_raisers(sources: dict[str, str]) -> list[str]:
+    """Where the sources raise DisconnectedError, by its name or an attribute so named, called or not."""
+    return _where(sources, lambda node: isinstance(node, ast.Raise) and node.exc is not None and _named(
+        node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "DisconnectedError")
 
 
 def _package_sources() -> dict[str, str]:
@@ -87,3 +102,16 @@ def test_the_iteration_cap_check_fails_on_a_second_reader():
         found = _iteration_cap_readers({**_package_sources(), "compliance": second})
         assert found != ["kinematics.damped_newton"] and [f for f in found if f.startswith("compliance")] == where
     assert _iteration_cap_readers({"kinematics": "MAX_ITERATIONS = 50\n"}) == []
+
+
+def test_only_placement_raises_disconnected():
+    assert set(_disconnected_raisers(_package_sources())) == {"mechanism.placement"}
+
+
+def test_the_disconnected_check_fails_on_a_second_raiser():
+    for second, where in (("def _reach(m):\n    raise DisconnectedError('links not reachable')\n",
+                           ["kinematics._reach"]),
+                          ("class P:\n    def walk(self):\n        raise errors.DisconnectedError\n", ["kinematics.P.walk"])):
+        found = _disconnected_raisers({**_package_sources(), "kinematics": second})
+        assert set(found) != {"mechanism.placement"} and [f for f in found if f.startswith("kinematics")] == where
+    assert _disconnected_raisers({"mechanism": "try:\n    pass\nexcept DisconnectedError:\n    raise\n"}) == []

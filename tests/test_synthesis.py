@@ -30,7 +30,7 @@ from flapkin.fileio import parse_mechanism, serialize_mechanism
 from flapkin.geometry import Point2
 from flapkin.gait import gait_from_pose_arrays, gait_metrics, generate_gait, retraction_time
 from flapkin.kinematics import marker_table, sweep_arrays, transmission_angle_series
-from flapkin.mechanism import CompliantHinge, FourBar, as_fourbar, fourbar_mechanism
+from flapkin.mechanism import CompliantHinge, FourBar, Link, as_fourbar, fourbar_mechanism
 from flapkin.synthesis import (
     METRIC_FAILURE_COST,
     OBJECTIVE_SAMPLES,
@@ -650,6 +650,12 @@ class TestFeasibilityReport:
         spec = GaitSpec(plunge_amplitude=0.5, extension_range=(0.2, 1.0))
         report = feasibility_report(m, spec)
         assert report == [ConstraintViolation("mobility", 2, "Gruebler mobility is 3, expected 1")]
+
+    def test_an_unjoined_link_is_a_mobility_violation_that_names_it(self):
+        m = fourbar_mechanism(FourBar(6, 2, 5, 5))
+        m = dataclasses.replace(m, links=(*m.links, Link("loose", {"origin": Point2(0.0, 0.0)})))
+        report = feasibility_report(m, GaitSpec(plunge_amplitude=0.5, extension_range=(0.2, 1.0)))
+        assert report == [ConstraintViolation("mobility", 1.0, "links not reachable from ground: ['loose']")]
 
     def test_area_ratio_bound_is_checked(self, armwing):
         # the shipped armwing's up/down area ratio is 0.801: under a bound of 0.5
