@@ -3,7 +3,9 @@
 Subcommands: validate, sweep, gait, synthesize, aero, animate. Exit codes:
 0 success (and feasible, for synthesize), 1 domain error, 2 usage error,
 3 I/O error. Domain errors print one line to stderr with a greppable prefix,
-e.g. "E_FORMAT VALIDATION_ERROR: ...".
+e.g. "E_FORMAT SCHEMA_ERROR: ...". The input files are read by `fileio`
+(`read_mechanism`, `read_space`, `read_spec`); this module parses the
+options, dispatches, and maps errors to exit codes.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import reprlib
 import sys
 from pathlib import Path
 
@@ -19,17 +20,16 @@ import numpy as np
 
 from . import __version__
 from .aero import AeroConfig, quasi_steady_forces
-from .errors import FlapkinError, SchemaError
-from .fileio import (aero_csv, decode_document, mechanism_from_doc, read_number, render_svg, serialize_mechanism,
+from .errors import FlapkinError
+from .fileio import (aero_csv, read_mechanism, read_space, read_spec, render_svg, serialize_mechanism,
                      trajectory_csv)
 from .gait import MIN_SAMPLES, gait_metrics, generate_gait, min_transmission_angle
 from .kinematics import TOLERANCE
-from .mechanism import Mechanism, validate_mechanism
-from .synthesis import BOUNDS, DesignSpace, GaitSpec, Parameter, synthesize
+from .mechanism import validate_mechanism
+from .synthesis import synthesize
 
 
 _MAX_SAMPLES = 2 ** 16  # crank angles per sweep; far more than any gait needs
-_JSON_KINDS = {list: "a list", dict: "an object", str: "a string"}  # for `_typed`
 
 # (option, test, requirement) for each option value a command would reject only
 # after reading its input files, or not at all (a sample count that allocates
@@ -49,12 +49,8 @@ _OPTION_CHECKS = (
 )
 
 
-def _read_mechanism(path: str, validate: bool = True) -> Mechanism:
-    return _load_doc(path, lambda doc: mechanism_from_doc(doc, validate))
-
-
 def cmd_validate(args) -> int:
-    m = _read_mechanism(args.mechanism, validate=False)
+    m = read_mechanism(args.mechanism, validate=False)
     report = validate_mechanism(m)
     for v in report:
         print(f"{v.severity.value.upper()} {v.code}: {v.message}")
@@ -65,14 +61,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    m = _read_mechanism(args.mechanism)
+    m = read_mechanism(args.mechanism)
     gt = generate_gait(m, args.period, args.steps, args.tol)
     sys.stdout.write(trajectory_csv(gt))
     return 0
 
 
 def cmd_gait(args) -> int:
-    m = _read_mechanism(args.mechanism)
+    m = read_mechanism(args.mechanism)
     if unknown := sorted(set(args.transmission_joint) - {j.id for j in m.joints}):
         raise ValueError(f"--transmission-joint {unknown[0]!r}: no such joint in {args.mechanism}")
     gt = generate_gait(m, args.period, args.samples, args.tol)
@@ -96,63 +92,9 @@ def cmd_gait(args) -> int:
     return 0
 
 
-def _load_doc(path: str, build):
-    """build(doc) for the JSON document at path. A file `decode_document` cannot
-    decode is a ParseError; a missing, mistyped or out-of-range field a SchemaError."""
-    doc = decode_document(Path(path).read_bytes(), f"{path}: ")
-    try:
-        return build(doc)
-    except KeyError as e:
-        raise SchemaError(f"{path}: missing field {e}") from e
-    except (SchemaError, TypeError, AttributeError, ValueError) as e:
-        raise SchemaError(f"{path}: {e}") from e
-
-
-def _typed(value, kind: type, where: str, keys: tuple[str, ...] = ()):
-    """value if it is the JSON kind (list, dict or str) with no key but keys, if given; else a SchemaError."""
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
-    if keys and (unknown := sorted(value.keys() - set(keys))):
-        raise SchemaError(f"unknown keys {unknown}; {where} takes {', '.join(keys)}")
-    return value
-
-
-def _load_spec(path: str) -> GaitSpec:
-    """The gait spec at path. It needs `plunge_amplitude_rad` and `extension_range`; a graded bound's key
-    (`BOUNDS`) or `weights` it omits takes GaitSpec's default, and any other key is a SchemaError."""
-    optional = (*((key, field, read_number) for _, field, key, *_ in BOUNDS),
-                ("weights", "weights", lambda w, at: {k: read_number(v, "weight {!r}", k)
-                                                      for k, v in _typed(w, dict, at).items()}))
-    keys = ("plunge_amplitude_rad", "extension_range", *(key for key, _, _ in optional))
-
-    def build(doc) -> GaitSpec:
-        doc = _typed(doc, dict, "a gait spec", keys)
-        ends = _typed(doc["extension_range"], list, "'extension_range'")
-        return GaitSpec(read_number(doc["plunge_amplitude_rad"], "'plunge_amplitude_rad'"),
-                        tuple(read_number(v, "'extension_range'") for v in ends),
-                        **{field: convert(doc[key], repr(key)) for key, field, convert in optional if key in doc})
-    return _load_doc(path, build)
-
-
-def _load_space(path: str) -> DesignSpace:
-    """The design space at path; a key it does not take, at the top or in a parameter, is a SchemaError."""
-    def parameter(p) -> Parameter:
-        p = _typed(p, dict, "a parameter", ("name", "lower", "upper"))
-        name = _typed(p["name"], str, "a parameter's 'name'")
-        return Parameter(name, *(read_number(p[k], "parameter {!r} {!r}", name, k) for k in ("lower", "upper")))
-
-    def build(doc) -> DesignSpace:
-        doc = _typed(doc, dict, "a design space", ("template", "parameters", "transmission_joints"))
-        return DesignSpace(mechanism_from_doc(doc["template"]),
-                           tuple(map(parameter, _typed(doc["parameters"], list, "'parameters'"))),
-                           tuple(_typed(j, str, "a transmission joint")
-                                 for j in _typed(doc.get("transmission_joints", []), list, "'transmission_joints'")))
-    return _load_doc(path, build)
-
-
 def cmd_synthesize(args) -> int:
-    space = _load_space(args.space)
-    spec = _load_spec(args.spec)
+    space = read_space(args.space)
+    spec = read_spec(args.spec)
     result = synthesize(space, spec, args.budget, args.seed)
     Path(args.out).write_text(serialize_mechanism(result.mechanism))
     summary = {
@@ -173,7 +115,7 @@ def cmd_aero(args) -> int:
         raise ValueError(f"--chord must be comma-separated numbers, got {args.chord!r}") from None
     if len(chord) < 2 or not all(0.0 <= c < math.inf for c in chord):
         raise ValueError(f"--chord must be at least 2 nonnegative finite numbers, got {args.chord!r}")
-    m = _read_mechanism(args.mechanism)
+    m = read_mechanism(args.mechanism)
     gt = generate_gait(m, args.period, args.samples, args.tol)
     span = args.span
     if span is None:
@@ -192,7 +134,7 @@ def cmd_aero(args) -> int:
 
 
 def cmd_animate(args) -> int:
-    m = _read_mechanism(args.mechanism)
+    m = read_mechanism(args.mechanism)
     samples = max(args.frames, MIN_SAMPLES)
     gt = generate_gait(m, args.period, samples, args.tol)
     docs = render_svg(gt, m, args.frames)

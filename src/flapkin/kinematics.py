@@ -234,6 +234,8 @@ class _Plan:
 
 @per_topology
 def _plan(m: Mechanism) -> _Plan:
+    if (dup := next((lid for i, lid in enumerate(m.link_ids) if lid in m.link_ids[:i]), None)) is not None:
+        raise KinematicsError(f"duplicate link id {dup!r}", code="DUPLICATE_ID")
     steps, ids = placement(m), (m.ground, *m.moving_link_ids())
     if (act := m.actuated_joint()) is not None and m.ground not in (act.link_a, act.link_b):
         raise KinematicsError(f"actuated joint {act.id!r} is not on the ground link", code="ACTUATOR_NOT_GROUNDED")
@@ -254,9 +256,9 @@ def _plan(m: Mechanism) -> _Plan:
     dyadic = (bool(steps) and steps[0][0] == "crank" and 2 * len(m.joints) + 1 == 3 * (len(m.links) - 1)
               and all(step[0] in ("crank", "dyad") for step in steps))
     crank = steps[0][1][0] if steps and steps[0][0] == "crank" else None
-    slot = {lid: i for i, lid in enumerate(ids)}  # a link not in ids is pinned at the ground's slot
+    slot = {lid: i for i, lid in enumerate(ids)}
     ends = tuple(end for j in m.joints for end in ((j.link_a, j.marker_a), (j.link_b, j.marker_b)))
-    slots = np.array([slot.get(lid, 0) for lid, _ in ends], dtype=np.intp).reshape(-1, 2)
+    slots = np.array([slot[lid] for lid, _ in ends], dtype=np.intp).reshape(-1, 2)
     r, x, width = 2 * np.arange(len(slots))[:, None], 3 * slots, 3 * len(ids)  # joints' first rows, ends' x
     template = np.zeros((2 * len(slots) + (crank is not None), width))
     template[r, x] = (1.0, -1.0)  # the gap: link a's marker less link b's

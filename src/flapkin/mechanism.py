@@ -170,11 +170,13 @@ def placement(m: Mechanism) -> tuple[tuple, ...]:
     (2) an RR dyad, two links sharing a joint (their `shared` markers), each pinned once to a placed
     link ("dyad"), (3) a link hung from one placed link at orientation zero ("hang"), until the set of
     link ids is placed. A step is (kind, links, pins, shared); a pin is (own marker, placed link, its
-    marker). Raises DisconnectedError where the ground is no link, or the joints from it do not reach
-    every link, or reach a link that is not one of m's."""
+    marker). Raises DisconnectedError where the ground is no link, or a joint names a link that is
+    not one of m's, or the joints from the ground do not reach every link."""
     ids = {l.id for l in m.links}
     if m.ground not in ids:
         raise DisconnectedError(f"ground link {m.ground!r} not among links")
+    if unknown := sorted({lid for j in m.joints for lid in (j.link_a, j.link_b)} - ids):
+        raise DisconnectedError(f"joints name links not among links: {unknown}")
     placed, steps = {m.ground}, []
     act = m.actuated_joint()
     if act is not None and m.ground in (act.link_a, act.link_b):
@@ -205,7 +207,7 @@ def placement(m: Mechanism) -> tuple[tuple, ...]:
                 if lid not in placed and j.other(lid) in placed:
                     return "hang", (lid,), (_pin(j, lid),), ()
 
-    while placed != ids:  # never, once a joint's unknown link is placed: the walk ends in the raise
+    while placed != ids:
         step = rigid() or dyad() or hang()
         if step is None:
             raise DisconnectedError(f"links not reachable from ground: {sorted(ids - placed)}")

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 import flapkin
 from flapkin.aero import AeroConfig, AeroReport, quasi_steady_forces
-from flapkin.cli import _load_spec
-from flapkin.errors import MechanismValidationError, ParseError, SchemaError
+from flapkin.errors import FlapkinError, MechanismValidationError, ParseError, SchemaError
 from flapkin.fileio import (
     AERO_HEADER,
     TRAJECTORY_HEADER,
@@ -27,14 +26,17 @@ from flapkin.fileio import (
     mechanism_from_doc,
     mechanism_to_doc,
     parse_mechanism,
+    read_spec,
     render_svg,
     serialize_mechanism,
+    space_from_doc,
+    spec_from_doc,
     trajectory_csv,
 )
 from flapkin.gait import GaitTrajectory, gait_metrics, generate_gait
 from flapkin.geometry import Point2
 from flapkin.kinematics import sweep_arrays
-from flapkin.mechanism import CompliantHinge, FourBar, fourbar_mechanism
+from flapkin.mechanism import CompliantHinge, FourBar, fourbar_mechanism, validate_mechanism
 from flapkin.synthesis import BOUNDS, GaitSpec
 
 from conftest import make_plunge_gait, marker_world, recovery_space, run_cli, triad_eight_bar
@@ -127,7 +129,10 @@ class TestMechanismFile:
     def test_unknown_entry_key_rejected(self, key, ident, kind):
         doc = json.loads(shipped_bytes())
         _entry(doc[key], ident)["color"] = "black"
-        with pytest.raises(SchemaError, match=rf"^{kind}: unknown keys \['color'\]$"):
+        takes = {"link": "id, markers, role",
+                 "joint": "actuated, id, link_a, link_b, marker_a, marker_b, rest_angle_rad, stiffness_nm_per_rad",
+                 "hinge": "joint, length_m, modulus_pa, rest_angle_rad, thickness_m, width_m"}[kind]
+        with pytest.raises(SchemaError, match=rf"^unknown keys \['color'\]; a {kind} takes {takes}$"):
             parse_mechanism(json.dumps(doc))
 
 
@@ -537,18 +542,18 @@ class TestCli:
     def test_spec_file_omitting_keys_takes_gaitspec_defaults(self, tmp_path):
         p, doc = tmp_path / "spec.json", {"plunge_amplitude_rad": 0.3, "extension_range": [0.5, 1.0]}
         p.write_text(json.dumps(doc))
-        assert _load_spec(str(p)) == GaitSpec(plunge_amplitude=0.3, extension_range=(0.5, 1.0))
+        assert read_spec(str(p)) == GaitSpec(plunge_amplitude=0.3, extension_range=(0.5, 1.0))
         p.write_text(json.dumps({**doc, "area_ratio_max": 0.8, "min_transmission_angle_rad": 0.6,
                                  "weights": {"extension_min": 2.0}}))
-        assert _load_spec(str(p)) == GaitSpec(0.3, (0.5, 1.0), 0.8, 0.6, {"extension_min": 2.0})
+        assert read_spec(str(p)) == GaitSpec(0.3, (0.5, 1.0), 0.8, 0.6, {"extension_min": 2.0})
 
     def test_every_spec_file_key_is_in_the_readme(self, tmp_path):
-        # the keys `_load_spec` accepts are those its unknown-key error lists; a
+        # the keys `read_spec` accepts are those its unknown-key error lists; a
         # new `BOUNDS` row adds one, which the README's spec-file list must name
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"no such key": 0.0}))
         with pytest.raises(SchemaError, match=r"\['no such key'\]; a gait spec takes ") as e:
-            _load_spec(str(p))
+            read_spec(str(p))
         keys = str(e.value).split("a gait spec takes ")[1].split(", ")
         assert {"plunge_amplitude_rad", "extension_range", "weights", *(key for _, _, key, *_ in BOUNDS)} == {*keys}
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -587,6 +592,19 @@ class TestCli:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(error)
+
+    def test_a_template_without_a_wingbeat_is_degenerate_before_it_is_invalid(self, tmp_path):
+        # a 2-vertex wing polygon breaks the wingbeat rule and validation (BAD_WING_POLYGON) at once: the
+        # space reads its template unvalidated, then checks the wingbeat first, as `DesignSpace` does
+        space_doc = json.loads((DATA / "armwing_space.json").read_text())
+        space_doc["template"]["wing_polygon"] = space_doc["template"]["wing_polygon"][:2]
+        assert "BAD_WING_POLYGON" in validate_mechanism(mechanism_from_doc(space_doc["template"], False)).codes
+        space_p, out_p = tmp_path / "space.json", tmp_path / "out.json"
+        space_p.write_text(json.dumps(space_doc))
+        code, out, err = run_cli(["synthesize", str(space_p), str(DATA / "armwing_spec.json"),
+                                  "--budget", "180", "--seed", "0", "--out", str(out_p)])
+        assert (code, out, err) == (1, "", "E_GAIT DEGENERATE: mechanism must declare shoulder, wingtip and "
+                                           "wing polygon\n") and not out_p.exists()
 
     @pytest.mark.parametrize("edit, key", [
         (lambda doc: doc.update(transmission_joint=doc.pop("transmission_joints")), "transmission_joint"),
@@ -748,13 +766,12 @@ class TestCliFuzz:
 
 
 
-def _leaves(doc, path=()):
-    """(key or index path, value) of each leaf (number, string, boolean, null) of a JSON document."""
+def _nodes(doc, path=()):
+    """(key or index path, value) of each node of a JSON document, a container before what it holds."""
+    yield path, doc
     if isinstance(doc, (dict, list)):
         for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
-            yield from _leaves(value, (*path, key))
-    else:
-        yield path, doc
+            yield from _nodes(value, (*path, key))
 
 
 def _mutated(doc, path, mutation):
@@ -783,7 +800,7 @@ def test_mutated_shipped_files_end_in_a_documented_exit_code(tmp_path):
         good[role].write_text(json.dumps(doc))
     cases = []
     for role, take in (("mechanism", 60), ("space", 60), ("spec", None)):
-        all_cases = [(role, path, mutation) for path, value in _leaves(docs[role])
+        all_cases = [(role, path, mutation) for path, value in _nodes(docs[role]) if not isinstance(value, (dict, list))
                      for mutation in ("delete", math.nan, math.inf, 0.5 if isinstance(value, str) else "x")]
         picks = range(len(all_cases)) if take is None else sorted(rng.choice(len(all_cases), take, replace=False))
         cases += [all_cases[i] for i in picks]
@@ -802,6 +819,48 @@ def test_mutated_shipped_files_end_in_a_documented_exit_code(tmp_path):
             assert code in (0, 1, 2, 3), (argv[0], path, mutation)
             assert "Traceback" not in err, (argv[0], path, mutation)
             assert sum(line.startswith("E_") for line in err.splitlines()) <= 1, (argv[0], path, mutation)
+
+
+READERS = {"armwing.json": mechanism_from_doc, "armwing_space.json": space_from_doc,
+           "armwing_spec.json": spec_from_doc}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_every_node_edit_of_a_shipped_document_is_read_or_a_flapkin_error(name):
+    """Each node (container or leaf) of a shipped document deleted, or replaced by null, [], {}, true, 0.5
+    or "x": its reader returns or raises a FlapkinError, never another exception."""
+    doc = json.loads((DATA / name).read_text())
+    escaped = []
+    for path, _ in _nodes(doc):
+        for edit in ("delete", None, [], {}, True, 0.5, "x"):
+            if path or edit != "delete":
+                try:
+                    READERS[name](_mutated(doc, path, edit) if path else edit)
+                except FlapkinError:
+                    pass
+                except Exception as e:
+                    escaped.append(f"{path} {edit!r}: {type(e).__name__}: {e}")
+    assert escaped == []
+
+
+@pytest.mark.parametrize("value", [0.5, None, True], ids=["number", "null", "boolean"])
+def test_a_wing_polygon_of_the_wrong_kind_is_a_schema_error_that_names_it(tmp_path, value):
+    doc = json.loads(shipped_bytes())
+    doc["wing_polygon"] = value
+    message = f"'wing_polygon' must be a list, got {value!r}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse_mechanism(json.dumps(doc))
+    space = json.loads((DATA / "armwing_space.json").read_text())
+    space["template"]["wing_polygon"] = value
+    mech_p, space_p = tmp_path / "mech.json", tmp_path / "space.json"
+    mech_p.write_text(json.dumps(doc))
+    space_p.write_text(json.dumps(space))
+    for path, argv in ((mech_p, ["validate"]), (mech_p, ["gait", "--period", "0.1", "--samples", "64"]),
+                       (mech_p, ["aero", "--period", "0.1", "--freestream", "3"]),
+                       (space_p, ["synthesize", str(DATA / "armwing_spec.json"), "--budget", "180", "--seed", "0",
+                                  "--out", str(tmp_path / "out.json")])):
+        code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+        assert (code, out, err) == (1, "", f"E_FORMAT SCHEMA_ERROR: {path}: {message}\n"), argv[0]
 
 
 def test_runtime_modules_import_no_test_dependency():
@@ -912,7 +971,7 @@ def test_integral_numbers_read_as_the_floats_they_equal(tmp_path):
     assert all(type(v) is float for link in m.links for p in link.markers.values() for v in (p.x, p.y))
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({"plunge_amplitude_rad": 1, "extension_range": [0, 1], "weights": {"extension_min": 2}}))
-    spec = _load_spec(str(p))
+    spec = read_spec(str(p))
     assert spec == GaitSpec(1.0, (0.0, 1.0), weights={"extension_min": 2.0})
     assert all(type(v) is float for v in (spec.plunge_amplitude, *spec.extension_range, *spec.weights.values()))
 

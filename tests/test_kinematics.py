@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flapkin import kinematics, mechanism
-from flapkin.cli import _load_space, _load_spec
 from flapkin.compliance import LoadCase, solve_equilibrium
 from flapkin.designs import two_stage_armwing
 from flapkin.errors import (BranchAmbiguousError, ConvergenceError, DisconnectedError, FlapkinError,
                             KinematicsError, NotAssemblableError, SingularJacobianError)
+from flapkin.fileio import read_space, read_spec
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
     Branch,
@@ -182,6 +182,15 @@ class TestAssemble:
                       lambda: assemble(m, 0.3)):
             with pytest.raises(DisconnectedError, match=r"^links not reachable from ground: \['loose'\]$"):
                 solve()
+
+    def test_a_duplicate_link_id_is_named_by_every_solver(self, armwing):
+        # a second 'crank' link: the error names the id, not the drive or a constraint count
+        m = dataclasses.replace(armwing, links=(*armwing.links, armwing.link("crank")))
+        for solve in (lambda: solve_equilibrium(m, 0.3, LoadCase()), lambda: sweep_arrays(m, np.array([0.3])),
+                      lambda: assemble(m, 0.3)):
+            with pytest.raises(KinematicsError, match=r"^duplicate link id 'crank'$") as e:
+                solve()
+            assert e.value.code == "DUPLICATE_ID"
 
     def test_an_actuator_off_the_ground_is_a_typed_error(self):
         # the (6, 2, 5, 5) four-bar driven at its crank-coupler pin: no crank turns on the ground, so no solver
@@ -768,9 +777,9 @@ class TestRotationForm:
         lo, hi = space.bounds()
         X = np.vstack([x, lo + np.random.default_rng(0).random((7, space.dim)) * 3 * (hi - lo)])
         assert (population_costs(space, spec, X) >= 1e6).any()  # failed rows included
-        arm_space = _load_space(str(data / "armwing_space.json"))
+        arm_space = read_space(str(data / "armwing_space.json"))
         lo, hi = arm_space.bounds()
-        assert population_costs(arm_space, _load_spec(str(data / "armwing_spec.json")), 0.5 * (lo + hi)[None]) < 1e5
+        assert population_costs(arm_space, read_spec(str(data / "armwing_spec.json")), 0.5 * (lo + hi)[None]) < 1e5
         path = str(data / "armwing.json")
         assert run_cli(["gait", path, "--period", "0.1", "--samples", "64", "--metrics",
                         "--transmission-joint", "j_b", "--transmission-joint", "j_d"])[0] == 0
@@ -860,7 +869,7 @@ class TestBatchRows:
                                                     Parameter("link.d1.marker.b.y", 5.3, 5.7)))
         else:
             space = recovery_space()[0] if space == "recovery" else \
-                _load_space(str(Path(kinematics.__file__).parent / "data" / "armwing_space.json"))
+                read_space(str(Path(kinematics.__file__).parent / "data" / "armwing_space.json"))
         lo, hi = space.bounds()
         half = 0.5 * box * (hi - lo)
         X = 0.5 * (lo + hi) - half + np.random.default_rng(4).random((rows, space.dim)) * 2 * half

@@ -143,6 +143,14 @@ class TestOneWalk:
             mobility(replace(fb_mech, ground="nope"))
         assert fourbar_sides(replace(fb_mech, ground="nope")) is None
 
+    def test_a_joint_on_an_unknown_link_names_it(self, fb_mech):
+        m = replace(fb_mech, joints=tuple(replace(j, link_b="ghost") if j.id == "j_b" else j for j in fb_mech.joints))
+        with pytest.raises(DisconnectedError, match=r"^joints name links not among links: \['ghost'\]$"):
+            mobility(m)
+        assert [(v.code, v.message) for v in validate_mechanism(m)] == [
+            ("UNKNOWN_LINK", "joint 'j_b': unknown link 'ghost'"),
+            ("DISCONNECTED", "joints name links not among links: ['ghost']")]
+
     def test_a_duplicate_link_id_is_not_disconnected(self, fb_mech):
         m = replace(fb_mech, links=(*fb_mech.links, fb_mech.link("rocker")))
         assert mobility(m) == 4

@@ -27,9 +27,9 @@ import pytest
 
 from conftest import recovery_space, run_cli, triad_eight_bar
 from test_compliance import _outcome, _pinned_cases
-from flapkin.cli import _load_space, _load_spec
 from flapkin.compliance import solve_equilibrium
 from flapkin.designs import two_stage_armwing
+from flapkin.fileio import read_space, read_spec
 from flapkin.kinematics import sweep_arrays
 from flapkin.synthesis import (
     ASSEMBLY_FAILURE_COST,
@@ -73,7 +73,7 @@ def boxes() -> dict[str, tuple[DesignSpace, GaitSpec]]:
     wide = DesignSpace(space.template, tuple(Parameter(p.name, m - 3.0 * h, m + 3.0 * h)
                                              for p, m, h in zip(space.parameters, mid, half)),
                        space.transmission_joints)
-    armwing = _load_space(str(DATA / "armwing_space.json")), _load_spec(str(DATA / "armwing_spec.json"))
+    armwing = read_space(str(DATA / "armwing_space.json")), read_spec(str(DATA / "armwing_spec.json"))
     return {"recovery": (space, spec), "recovery_3x": (wide, spec), "armwing": armwing}
 
 

@@ -1,8 +1,10 @@
 """Every Python file of the project parses as the oldest Python it supports,
 no module of the package imports another's private name, only
-`kinematics.damped_newton`, the one Newton loop, reads the iteration cap, and
+`kinematics.damped_newton`, the one Newton loop, reads the iteration cap,
 only `mechanism.placement`, the one walk of the joint graph, raises
-DisconnectedError.
+DisconnectedError, only `fileio`, the one reader of the input files, raises
+SchemaError, and no `except` clause of `cli` catches the errors a reader bug
+raises (KeyError, TypeError, AttributeError) or every error.
 
 `ast.parse` with `feature_version` set to pyproject's `requires-python`
 floor rejects the grammar that later versions added (`except*`, type
@@ -80,10 +82,19 @@ def _iteration_cap_readers(sources: dict[str, str]) -> list[str]:
                   and _named(node) == "MAX_ITERATIONS" or isinstance(node, ast.alias) and node.name == "MAX_ITERATIONS")
 
 
-def _disconnected_raisers(sources: dict[str, str]) -> list[str]:
-    """Where the sources raise DisconnectedError, by its name or an attribute so named, called or not."""
+def _raisers(sources: dict[str, str], error: str) -> list[str]:
+    """Where the sources raise the error, by its name or an attribute so named, called or not."""
     return _where(sources, lambda node: isinstance(node, ast.Raise) and node.exc is not None and _named(
-        node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "DisconnectedError")
+        node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == error)
+
+
+BUG_ERRORS = {"KeyError", "TypeError", "AttributeError", "Exception", "BaseException"}
+
+
+def _bug_catchers(sources: dict[str, str]) -> list[str]:
+    """Where the sources have a bare `except:` or one that names a BUG_ERRORS class, alone or in a tuple."""
+    return _where(sources, lambda node: isinstance(node, ast.ExceptHandler) and (node.type is None or any(
+        _named(t) in BUG_ERRORS for t in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]))))
 
 
 def _package_sources() -> dict[str, str]:
@@ -105,13 +116,40 @@ def test_the_iteration_cap_check_fails_on_a_second_reader():
 
 
 def test_only_placement_raises_disconnected():
-    assert set(_disconnected_raisers(_package_sources())) == {"mechanism.placement"}
+    assert set(_raisers(_package_sources(), "DisconnectedError")) == {"mechanism.placement"}
 
 
 def test_the_disconnected_check_fails_on_a_second_raiser():
     for second, where in (("def _reach(m):\n    raise DisconnectedError('links not reachable')\n",
                            ["kinematics._reach"]),
                           ("class P:\n    def walk(self):\n        raise errors.DisconnectedError\n", ["kinematics.P.walk"])):
-        found = _disconnected_raisers({**_package_sources(), "kinematics": second})
+        found = _raisers({**_package_sources(), "kinematics": second}, "DisconnectedError")
         assert set(found) != {"mechanism.placement"} and [f for f in found if f.startswith("kinematics")] == where
-    assert _disconnected_raisers({"mechanism": "try:\n    pass\nexcept DisconnectedError:\n    raise\n"}) == []
+    assert _raisers({"mechanism": "try:\n    pass\nexcept DisconnectedError:\n    raise\n"}, "DisconnectedError") == []
+
+
+def _modules(where: list[str]) -> set[str]:
+    return {w.split(".")[0] for w in where}
+
+
+def test_only_fileio_raises_schema_errors():
+    assert _modules(_raisers(_package_sources(), "SchemaError")) == {"fileio"}
+
+
+def test_the_schema_error_check_fails_on_a_second_raiser():
+    for second, where in (("def _load_doc(path, build):\n    raise SchemaError(f'{path}: bad')\n", ["cli._load_doc"]),
+                          ("class R:\n    def read(self):\n        raise errors.SchemaError\n", ["cli.R.read"])):
+        found = _raisers({**_package_sources(), "cli": second}, "SchemaError")
+        assert _modules(found) != {"fileio"} and [f for f in found if f.startswith("cli")] == where
+
+
+def test_the_cli_catches_no_reader_bug():
+    assert _bug_catchers({"cli": _package_sources()["cli"]}) == []
+
+
+def test_the_reader_bug_check_fails_on_a_planted_catch():
+    body = "def _load_doc(path, build):\n    try:\n        return build(path)\n    except {}:\n        raise\n"
+    for caught in ("KeyError", "(SchemaError, TypeError, ValueError) as e", "builtins.AttributeError", "Exception"):
+        assert _bug_catchers({"cli": body.format(caught)}) == ["cli._load_doc"]
+    assert _bug_catchers({"cli": body.replace(" {}", "")}) == ["cli._load_doc"]
+    assert _bug_catchers({"cli": body.format("(FlapkinError, ValueError, OSError)")}) == []

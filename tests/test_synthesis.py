@@ -15,8 +15,7 @@ from scipy import stats
 from scipy.optimize import minimize
 
 import flapkin
-from flapkin import cli, synthesis
-from flapkin.cli import _load_space, _load_spec
+from flapkin import fileio, synthesis
 from flapkin.designs import ARMWING_TRANSMISSION_JOINTS, two_stage_armwing
 from flapkin.errors import (
     BudgetTooSmallError,
@@ -26,7 +25,7 @@ from flapkin.errors import (
     MechanismValidationError,
     SynthesisError,
 )
-from flapkin.fileio import parse_mechanism, serialize_mechanism
+from flapkin.fileio import parse_mechanism, read_space, read_spec, serialize_mechanism
 from flapkin.geometry import Point2
 from flapkin.gait import gait_from_pose_arrays, gait_metrics, generate_gait, retraction_time
 from flapkin.kinematics import marker_table, sweep_arrays, transmission_angle_series
@@ -291,8 +290,8 @@ class TestNelderMead:
         if problem == "recovery":
             space, spec, _ = recovery_space()
         elif problem == "armwing":
-            space = _load_space(str(DATA / "armwing_space.json"))
-            spec = _load_spec(str(DATA / "armwing_spec.json"))
+            space = read_space(str(DATA / "armwing_space.json"))
+            spec = read_spec(str(DATA / "armwing_spec.json"))
         else:  # a hinge stiffness moves no marker: every point costs the same
             arm, spec = armwing_space()
             space = DesignSpace(arm.template, (Parameter("joint.j_b.stiffness", 0.02, 0.08),),
@@ -594,7 +593,7 @@ class TestApply:
     @pytest.mark.parametrize("case", ["recovery", "armwing", "shipped armwing", "triad"])
     def test_the_design_built_has_the_costed_marker_row(self, case):
         space = {"recovery": lambda: recovery_space()[0], "armwing": lambda: armwing_space()[0],
-                 "shipped armwing": lambda: _load_space(str(DATA / "armwing_space.json")),
+                 "shipped armwing": lambda: read_space(str(DATA / "armwing_space.json")),
                  "triad": triad_space}[case]()
         lo, hi = space.bounds()
         X = lo + np.random.default_rng(11).random((16, space.dim)) * (hi - lo)
@@ -730,9 +729,9 @@ class TestBoundsTable:
         row = ("plunge_amplitude", "plunge_amplitude_max", "plunge_amplitude_max_rad",
                lambda b: 0.0 < b < math.inf, "positive and finite", lambda t, b: t.amp - b,
                lambda t, b: f"plunge amplitude {t.amp:.3f} rad is above {b:.3f} rad")
-        for module in (synthesis, cli):
+        for module in (synthesis, fileio):
             monkeypatch.setattr(module, "BOUNDS", (*synthesis.BOUNDS, row))
-        monkeypatch.setattr(cli, "GaitSpec", CappedSpec)
+        monkeypatch.setattr(fileio, "GaitSpec", CappedSpec)
         loose = CappedSpec(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(GaitSpec)})
         tight = dataclasses.replace(loose, plunge_amplitude_max=spec.plunge_amplitude - 0.01)
         with pytest.raises(ValueError, match="plunge_amplitude_max must be positive and finite"):
@@ -750,7 +749,7 @@ class TestBoundsTable:
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"plunge_amplitude_rad": 0.3, "extension_range": [0.5, 1.0],
                                  "plunge_amplitude_max_rad": 0.4}))
-        assert cli._load_spec(str(p)) == CappedSpec(0.3, (0.5, 1.0), plunge_amplitude_max=0.4)
+        assert fileio.read_spec(str(p)) == CappedSpec(0.3, (0.5, 1.0), plunge_amplitude_max=0.4)
 
 
 class TestSpecValidation:
