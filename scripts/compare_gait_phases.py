@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 
-import numpy as np
-
-from flapkin.aero import AeroConfig, compare_gaits
+from flapkin.aero import AeroConfig, compare_gaits, default_span
 from flapkin.designs import two_stage_armwing
 from flapkin.gait import generate_gait, stroke_phases
 
@@ -37,7 +35,7 @@ def main() -> int:
 
     m = two_stage_armwing()
     gt = generate_gait(m, args.period, args.samples)
-    span = float(np.hypot(gt.wingtip[:, 0], gt.wingtip[:, 1]).max())
+    span = default_span(gt)
     cfg = AeroConfig(freestream=args.freestream, span=span,
                      chord_profile=(0.08, 0.075, 0.06, 0.03))
 

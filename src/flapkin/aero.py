@@ -73,6 +73,12 @@ def periodic_impulse(force: np.ndarray, dt: float) -> float:
     return float(force.sum() * dt)
 
 
+def default_span(gt: GaitTrajectory) -> float:
+    """The span to score a gait with when none is given: the wingtip's largest
+    distance over the gait from the world origin, not from the shoulder."""
+    return float(np.hypot(gt.wingtip[:, 0], gt.wingtip[:, 1]).max())
+
+
 def strip_kinematics(gt: GaitTrajectory, cfg: AeroConfig) -> StripKinematics:
     """Blade-element decomposition of the gait.
 

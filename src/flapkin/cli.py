@@ -16,10 +16,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .aero import AeroConfig, quasi_steady_forces
+from .aero import AeroConfig, default_span, quasi_steady_forces
 from .errors import FlapkinError
 from .fileio import (aero_csv, read_mechanism, read_space, read_spec, render_svg, serialize_mechanism,
                      trajectory_csv)
@@ -117,12 +115,7 @@ def cmd_aero(args) -> int:
         raise ValueError(f"--chord must be at least 2 nonnegative finite numbers, got {args.chord!r}")
     m = read_mechanism(args.mechanism)
     gt = generate_gait(m, args.period, args.samples, args.tol)
-    span = args.span
-    if span is None:
-        # reach at full extension
-        tip = gt.wingtip
-        d = tip - np.array([[0.0, 0.0]])
-        span = float(np.hypot(d[:, 0], d[:, 1]).max())
+    span = default_span(gt) if args.span is None else args.span
     cfg = AeroConfig(freestream=args.freestream, span=span, air_density=args.density,
                      strip_count=args.strips, chord_profile=chord)
     report = quasi_steady_forces(gt, cfg)

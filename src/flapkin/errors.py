@@ -42,10 +42,6 @@ class SingularJacobianError(KinematicsError):
     code = "SINGULAR_JACOBIAN"
 
 
-class BranchAmbiguousError(KinematicsError):
-    code = "BRANCH_AMBIGUOUS"
-
-
 class GaitError(FlapkinError):
     family = "E_GAIT"
 

@@ -165,11 +165,13 @@ def mechanism_from_doc(doc: Any, validate: bool = True) -> Mechanism:
                      "link {!r} marker {!r}: expected [x, y]", lid, name)
             points[name] = Point2(read_number(xy[0], "link {!r} marker {!r}", lid, name),
                                   read_number(xy[1], "link {!r} marker {!r}", lid, name))
-        links.append(_build(lambda: Link(lid, points, LinkRole(entry.get("role", "generic"))), "link {!r}: ", lid))
+        role = _build(lambda: LinkRole(entry.get("role", "generic")), "link {!r}: ", lid)
+        links.append(_build(lambda: Link(lid, points, role)))  # Link's own messages name the link
 
     hinge_specs: dict[str, CompliantHinge] = {}
     for entry in _entries(doc, "hinges", "a hinge", _HINGE_KEYS):
         jid = _typed(entry["joint"], str, "a hinge's 'joint'")
+        _require(jid not in hinge_specs, "joint {!r} has more than one 'hinges' entry", jid)
         dims = [read_number(entry[k], "hinge {!r} {!r}", jid, k) for k in _HINGE_DIMS]
         rest = read_number(entry.get("rest_angle_rad", 0.0), "hinge {!r} 'rest_angle_rad'", jid)
         geom = _build(lambda: HingeGeometry(*dims), "hinge {!r}: ", jid)
@@ -186,7 +188,7 @@ def mechanism_from_doc(doc: Any, validate: bool = True) -> Mechanism:
             _require(isinstance(kind, RigidPin),
                      "joint {!r}: give stiffness either inline or via 'hinges', not both", jid)
             kind = _build(lambda: CompliantHinge(*inline), "joint {!r}: ", jid)
-        joints.append(_build(lambda: Joint(jid, *refs, kind, actuated), "joint {!r}: ", jid))
+        joints.append(_build(lambda: Joint(jid, *refs, kind, actuated)))  # Joint's own message names the joint
     _require(not hinge_specs, "hinges reference unknown joints: {}", sorted(hinge_specs))
 
     ground = _typed(doc["ground"], str, "'ground'")

@@ -13,23 +13,25 @@ is off the ground is a KinematicsError (ACTUATOR_NOT_GROUNDED) in every
 solver. A dyad's root sign is its orientation, its assembly mode, which can
 only change where its two roots meet (its half-chord h is 0): a sweep keeps
 the sign but at samples where h may reach 0, and there takes the continuous
-root. A sweep takes the plan's markers from the table, and their lengths, then
-runs each step as a few array operations on slots of one pose block, for all
-rows of the table and all crank angles at once. Chains the plan cannot
-decompose (triads) fall back to `damped_newton`, the one Newton loop (the
-compliance layer runs it on its KKT conditions), on the joint-coincidence
-residuals, seeded step by step with the previous solution, one row of the
-table at a time; `assemble` is its one-angle case. Either way a sweep is a
-`PoseBatch`: the poses of the table's B mechanisms at the same crank angles.
+root. A sweep starts every dyad on the plan's own root (a four-bar on its
+`branch`) and takes no guess; only `assemble` starts from one. It takes the
+plan's markers from the table, and their lengths, then runs each step as a few
+array operations on slots of one pose block, for all rows of the table and all
+crank angles at once. Chains the plan cannot decompose (triads) fall back to
+`damped_newton`, the one Newton loop (the compliance layer runs it on its KKT
+conditions), on the joint-coincidence residuals, seeded step by step with the
+previous solution, one row of the table at a time; `assemble` is its one-angle
+case. Either way a sweep is a `PoseBatch`: the poses of the table's B
+mechanisms at the same crank angles.
 
 A pose in a sweep is an origin and a rotation stored as its unit vector
 (cos, sin), built from directions the plan already has (pin to joint in the
 world, the same two markers in the link frame): a sweep takes no arctan2, cos
 or sin per link. Link angles are derived from the rotations only when asked
 for (`PoseBatch.angles`); every physical output is read off the rotations, so
-none depends on a whole turn added to a link angle. Nor does a Newton solve
-from a guess depend on a whole turn in theta: its crank starts at the guess's
-angle plus the whole turns nearest theta.
+none depends on a whole turn added to a link angle. Nor does `assemble` from a
+guess depend on a whole turn in theta: its crank starts at the guess's angle
+plus the whole turns nearest theta.
 
 The crank coordinate theta is the world orientation of the crank link frame,
 measured counter-clockwise; derived angles are unwrapped so they stay
@@ -45,7 +47,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BranchAmbiguousError,
     ConvergenceError,
     KinematicsError,
     NotAssemblableError,
@@ -147,7 +148,6 @@ class PoseBatch:
     branches: list[Branch | None]
     solver: str = "dyad"  # "dyad" (closed-form plan) or "newton"
     crank: str | None = None  # the driven link, whose angle is theta
-    guess: Configuration | None = None  # angles take their whole turns from it
 
     def index(self, link_id: str) -> int:
         return self.ids.index(link_id)
@@ -169,15 +169,10 @@ class PoseBatch:
     @cached_property
     def angles(self) -> np.ndarray:
         """(B, L, N) link orientations: the crank's is theta exactly; every
-        other link's is the arctan2 of its rotation, unwrapped along the sweep
-        and moved by whole turns to the nearest of its angle in `guess` at
-        the first sample. Zero past failed_at."""
+        other link's is the arctan2 of its rotation, unwrapped along the sweep.
+        Zero past failed_at."""
         angles = np.unwrap(np.angle(_complex(self.rotations)), axis=-1)
         n = len(self.thetas)
-        if self.guess is not None and n:
-            ref = np.array([0.0 if lid in (self.ids[0], self.crank) else self.guess.pose(lid).angle
-                            for lid in self.ids])
-            angles += 2.0 * math.pi * np.round((ref - angles[..., 0]) / (2.0 * math.pi))[..., None]
         if self.crank is not None:
             angles[:, self.index(self.crank)] = self.thetas
         angles[np.broadcast_to((np.arange(n) >= self.failed_at[:, None])[:, None], angles.shape)] = 0.0
@@ -406,8 +401,7 @@ def _follow_roots(base: np.ndarray, offset: np.ndarray, hh: np.ndarray, n_ok: np
     return sign
 
 
-def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
-                       guess: Configuration | None, branch: Branch) -> PoseBatch:
+def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray, branch: Branch) -> PoseBatch:
     """Closed-form sweeps of the mechanisms of a marker table by their dyad plan,
     all B rows in one pass: each dyad keeps its start root but where `_follow_roots` flips it."""
     points = markers.take(plan.refs)
@@ -417,40 +411,14 @@ def _dyad_sweep_arrays(plan: _Plan, markers: Markers, thetas: np.ndarray,
     is_fourbar = fourbar_lengths_valid(loop) if plan.sides else np.zeros(rows, dtype=bool)
     flat = is_fourbar & fourbar_change_point(loop) if plan.sides else is_fourbar
     start = np.where(is_fourbar, plan.open_sign if branch is Branch.OPEN else -plan.open_sign, 1.0)
-    first = np.zeros(rows)  # root sign each row's first dyad starts on; 0 if none
-
-    def start_sign(step: tuple, base: np.ndarray, offset: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Each row's root at the first sample nearest the guess's place for link a's joint marker;
-        1.0 on rows that do not close there."""
-        if not live.any():  # no first sample to read, as in a sweep of no angles
-            return np.ones(rows)
-        shared = plan.spans[step[4][0], 1]  # link a's joint marker, a column
-        pose = guess.pose(lid := plan.refs[shared][0])
-        g = (complex(pose.origin.x, pose.origin.y)
-             + complex(math.cos(pose.angle), math.sin(pose.angle)) * points[:, shared])
-        d_plus, d_minus = np.abs(base[:, 0] + offset[:, 0] - g), np.abs(base[:, 0] - offset[:, 0] - g)
-        if (live & (np.abs(d_plus - d_minus) <= 1e-12 * lengths[:, list(step[4])].sum(axis=1))).any():
-            raise BranchAmbiguousError(
-                f"both roots of the {lid}-{plan.ids[step[1][1]]} dyad are equidistant from the "
-                "guess (change point); pass an explicit branch")
-        return np.where(~live | (d_plus < d_minus), 1.0, -1.0)
-
-    dyads = [step for step in plan.steps if step[0] == "dyad"]
-
-    def pick(i, base, offset, hh, n_ok):
-        s = start if guess is None else start_sign(dyads[i], base, offset, n_ok > 0)
-        if i == 0:
-            first[:] = np.where(n_ok > 0, s, 0.0)
-        return _follow_roots(base, offset, hh, n_ok, s, flat)
-
-    origins, rotations, failed_at = _place_steps(plan, points, lengths, units, thetas, pick)
+    origins, rotations, failed_at = _place_steps(
+        plan, points, lengths, units, thetas,
+        lambda i, base, offset, hh, n_ok: _follow_roots(base, offset, hh, n_ok, start, flat))
     for b in np.flatnonzero(failed_at < n).tolist():  # a row's poses past its failure
         origins[b, :, failed_at[b]:], rotations[b, :, failed_at[b]:] = 0.0, (1.0, 0.0)
-    branches = [(branch if not s else Branch.OPEN if s == plan.open_sign else Branch.CROSSED) if fb
-                else guess.branch if guess else None for s, fb in zip(first.tolist(), is_fourbar.tolist())]
     errors = [NotAssemblableError.code if f < n else None for f in failed_at.tolist()]
-    return PoseBatch(list(plan.ids), thetas, origins, rotations, failed_at, errors, markers, branches,
-                     crank=plan.crank, guess=guess)
+    return PoseBatch(list(plan.ids), thetas, origins, rotations, failed_at, errors, markers,
+                     [branch if fb else None for fb in is_fourbar.tolist()], crank=plan.crank)
 
 
 def solve_fourbar(fb: FourBar, theta: float, branch: Branch = Branch.OPEN) -> Configuration:
@@ -640,8 +608,7 @@ def assemble(m: Mechanism, theta: float, guess: Configuration | None = None) -> 
     return sys.config_from(q, theta, guess.branch if guess else None)
 
 
-def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol: float,
-                         guess: Configuration | None) -> PoseBatch:
+def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol: float) -> PoseBatch:
     """Newton continuation of each row of a marker table in turn: its root at
     the first crank angle as `assemble` finds it, then each step seeded with
     the previous root; a row stops where it fails."""
@@ -652,30 +619,31 @@ def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol
     for b in range(rows):
         sys = ConstraintSystem(m, Markers(markers.columns, markers.points[b:b + 1]))
         for k, theta in enumerate(thetas.tolist()):
-            q, code = _newton(sys, q, theta, tol) if k else first_roots(_require_square(sys), theta, guess, tol)
+            q, code = _newton(sys, q, theta, tol) if k else first_roots(_require_square(sys), theta, None, tol)
             if code is not None:
                 failed_at[b], errors[b] = k, code
                 break
             xya[b, 1:, k] = q.reshape(-1, 3)
     rotations = np.stack([np.cos(xya[..., 2]), np.sin(xya[..., 2])], axis=-1)
     return PoseBatch(list(plan.ids), thetas, xya[..., :2].copy(), rotations, failed_at, errors,
-                     markers, [guess.branch if guess else None] * rows, "newton", plan.crank, guess)
+                     markers, [None] * rows, "newton", plan.crank)
 
 
 def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,
-                 guess: Configuration | None = None, branch: Branch = Branch.OPEN,
-                 markers: Markers | None = None) -> PoseBatch:
+                 branch: Branch = Branch.OPEN, markers: Markers | None = None) -> PoseBatch:
     """Continuation sweeps over an array of crank angles, columnar output.
 
     A chain the dyad plan decomposes is solved in closed form at every angle at
-    once. Each dyad starts on the root nearest `guess`, or without one on the root
-    `start_block` tries first (`branch` for a four-bar), and keeps that assembly mode
-    but where its roots may meet between samples (`_follow_roots`); there it takes the
-    root continuous with the last two. Any other chain runs Newton seeded step by step
-    with the previous solution, to a residual norm of `tol`. With a marker table of B rows, m supplies only the
-    topology and the B mechanisms are swept, by the dyad plan together in one array
-    pass or by Newton one row after another; without one, m is swept alone, as the
-    table `marker_table(m)`.
+    once. Each dyad starts on the plan's own root, the one `start_block` tries
+    first (a four-bar's on `branch`), and keeps that assembly mode but where its
+    roots may meet between samples (`_follow_roots`); there it takes the root
+    continuous with the last two. Any other chain runs Newton from the first
+    `start_block` start that converges at the first angle, then seeded step by
+    step with the previous solution, to a residual norm of `tol`. A sweep takes
+    no guess; only `assemble` starts from one. With a marker table of B rows, m
+    supplies only the topology and the B mechanisms are swept, by the dyad plan
+    together in one array pass or by Newton one row after another; without one,
+    m is swept alone, as the table `marker_table(m)`.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -683,8 +651,8 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,
     markers = marker_table(m) if markers is None else markers
     plan = _plan(m)
     if plan.dyadic:
-        return _dyad_sweep_arrays(plan, markers, thetas, guess, branch)
-    return _newton_sweep_arrays(m, markers, thetas, tol, guess)
+        return _dyad_sweep_arrays(plan, markers, thetas, branch)
+    return _newton_sweep_arrays(m, markers, thetas, tol)
 
 
 def velocities(m: Mechanism, c: Configuration, crank_rate: float) -> dict[str, tuple[Point2, float]]:

@@ -1080,3 +1080,29 @@ def test_a_joint_rest_angle_needs_an_inline_stiffness(tmp_path, joint, value):
     code, _, err = run_cli(["validate", str(p)])
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith(f"E_FORMAT SCHEMA_ERROR: {p}: joint {joint!r}"), err
+
+
+def test_a_second_hinges_entry_for_a_joint_is_a_schema_error(tmp_path):
+    # a copy of j_b's entry with another width: neither may silently win
+    doc = json.loads(shipped_bytes())
+    doc["hinges"].append({**_entry(doc["hinges"], "j_b"), "width_m": 0.5})
+    p = tmp_path / "twice.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(p)])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"E_FORMAT SCHEMA_ERROR: {p}: joint 'j_b' has more than one 'hinges' entry"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _entry(d["links"], "crank").update(markers={}), "link 'crank' needs at least one marker"),
+    (lambda d: _entry(d["links"], "crank")["markers"].pop("origin"),
+     "link 'crank' is missing the required 'origin' marker"),
+    (lambda d: _entry(d["joints"], "j_a").update(link_a="crank", link_b="crank"),
+     "joint 'j_a' connects link 'crank' to itself"),
+], ids=["no markers", "no origin", "self joint"])
+def test_a_rejected_link_or_joint_is_named_once(edit, message):
+    doc = json.loads(shipped_bytes())
+    edit(doc)
+    with pytest.raises(SchemaError) as e:
+        mechanism_from_doc(doc)
+    assert str(e.value) == message

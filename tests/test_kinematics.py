@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from flapkin import kinematics, mechanism
 from flapkin.compliance import LoadCase, solve_equilibrium
 from flapkin.designs import two_stage_armwing
-from flapkin.errors import (BranchAmbiguousError, ConvergenceError, DisconnectedError, FlapkinError,
+from flapkin.errors import (ConvergenceError, DisconnectedError, FlapkinError,
                             KinematicsError, NotAssemblableError, SingularJacobianError)
 from flapkin.fileio import read_space, read_spec
 from flapkin.geometry import Point2, Pose
@@ -140,6 +140,24 @@ class TestAssemble:
                 turn = c.pose(lid).angle - want.pose(lid).angle
                 assert abs((turn + math.pi) % (2 * math.pi) - math.pi) <= 1e-9
                 assert (c.pose(lid).origin - want.pose(lid).origin).norm() <= 1e-9
+
+    def test_a_whole_turn_in_one_guessed_angle_moves_only_that_angle(self, armwing):
+        # each guess is the pose a step of 0.05 back, so Newton takes steps from it
+        thetas = 2 * math.pi * np.arange(24) / 24
+        back = sweep_arrays(armwing, thetas - 0.05)
+        crank = armwing.actuated_joint().other(armwing.ground)
+        for k, theta in enumerate(thetas.tolist()):
+            guess = back.configuration(k)
+            a = assemble(armwing, theta, guess)
+            assert a.pose(crank).angle == theta
+            for lid in set(armwing.moving_link_ids()) - {crank}:
+                p = guess.pose(lid)
+                b = assemble(armwing, theta, Configuration(guess.crank_angle, {
+                    **guess.poses, lid: Pose(p.origin, p.angle + 2 * math.pi)}))
+                for other in armwing.link_ids:
+                    turn = 2 * math.pi if other == lid else 0.0
+                    assert abs(b.pose(other).angle - a.pose(other).angle - turn) <= 1e-12
+                    assert (b.pose(other).origin - a.pose(other).origin).norm() <= 1e-12
 
     def test_two_stage_chain_residual(self, armwing):
         c = assemble(armwing, math.radians(30.0))
@@ -272,6 +290,14 @@ class TestSweep:
         values = [v for p in c.poses.values() for v in (p.origin.x, p.origin.y, p.angle)]
         assert all(type(v) is float for v in values)
 
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_a_first_sample_that_does_not_close_fails_the_row(self, branch):
+        # the crank of this triple rocker cannot reach pi: no pose at all, and the branch asked for
+        pb = sweep_arrays(fourbar_mechanism(FourBar(6, 3, 2, 4)), np.array([math.pi, 0.0]), branch=branch)
+        assert pb.failed_at.tolist() == [0] and pb.errors == [NotAssemblableError.code]
+        assert pb.branches == [branch] and pb.configurations() == []
+        assert not pb.origins.any() and (pb.rotations == (1.0, 0.0)).all()
+
     def test_degenerate_range(self, fb_mech):
         a, b = sweep_arrays(fb_mech, np.linspace(0.0, 0.0, 2)).configurations()
         for lid in fb_mech.link_ids:
@@ -283,15 +309,6 @@ class TestSweep:
         pb = sweep_arrays(m, np.array([]))
         assert pb.origins.shape == (1, len(m.links), 0, 2) and pb.angles.shape == (1, len(m.links), 0)
         assert pb.failed_at.tolist() == [0] and pb.errors == [None] and pb.configurations() == []
-
-    @pytest.mark.parametrize("thetas, errors", [([], [None]), ([math.pi, 0.0], [NotAssemblableError.code])],
-                             ids=["no angles", "first sample open"])
-    def test_guessed_sweep_without_a_closed_first_sample(self, thetas, errors):
-        # no row has a first sample for the guess to pick a root at: the sweep is the unguessed one
-        m = fourbar_mechanism(FourBar(6, 3, 2, 4))  # its crank cannot reach pi
-        pb, free = sweep_arrays(m, np.array(thetas), guess=assemble(m, 0.0)), sweep_arrays(m, np.array(thetas))
-        assert pb.failed_at.tolist() == [0] and pb.errors == free.errors == errors
-        assert pb.origins.tobytes() == free.origins.tobytes() and pb.rotations.tobytes() == free.rotations.tobytes()
 
     def test_crank_angles_unwrapped(self, fb_mech):
         thetas = np.linspace(0, 2 * math.pi, 90)
@@ -479,7 +496,7 @@ NEWTON_REF = 1e-13
 
 def assert_matches_newton(m, thetas):
     pa = sweep_arrays(m, thetas)
-    ref = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, NEWTON_REF, None)
+    ref = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, NEWTON_REF)
     assert pa.solver == "dyad" and ref.solver == "newton"
     assert pa.failed_at.tolist() == ref.failed_at.tolist()
     assert pa.ids == ref.ids == [m.ground, *m.moving_link_ids()]
@@ -555,8 +572,7 @@ class TestDyadPlan:
 
     def test_triad_falls_back_to_newton(self):
         m = triad_eight_bar()
-        guess = Configuration(0.0, {l.id: Pose(Point2(0, 0), 0.0) for l in m.links})
-        pa = sweep_arrays(m, np.linspace(0.0, 0.3, 16), guess=guess)
+        pa = sweep_arrays(m, np.linspace(0.0, 0.3, 16))
         assert pa.solver == "newton" and pa.errors == [None]
         assert coincidence_residual(m, pa) <= 1e-9
 
@@ -595,35 +611,6 @@ class TestDyadPlan:
                 turn = (p.angle - angle + math.pi) % (2 * math.pi) - math.pi
                 assert abs(turn) <= 1e-12
                 assert math.hypot(p.origin.x - origin[0], p.origin.y - origin[1]) <= 1e-12
-
-    def test_guess_picks_the_nearest_root(self, fb_mech, fb_example):
-        thetas = np.linspace(0.5, 1.5, 11)
-        crossed = solve_fourbar(fb_example, 0.5, Branch.CROSSED)
-        pa = sweep_arrays(fb_mech, thetas, guess=crossed)
-        assert pa.branches == [Branch.CROSSED]
-        ref = sweep_arrays(fb_mech, thetas, branch=Branch.CROSSED)
-        assert np.allclose(pa.origins, ref.origins, rtol=0, atol=1e-12)
-
-    def test_guess_roots_and_turns_on_the_armwing(self, armwing):
-        thetas = np.linspace(0.3, 0.6, 8)
-        first, second = bootstrap_candidates(armwing, 0.3)[:2]
-        for guess in (first, second):
-            # a whole turn added to one link's guessed angle carries into the sweep
-            poses = dict(guess.poses)
-            h = poses["humerus"]
-            poses["humerus"] = Pose(h.origin, h.angle + 2 * math.pi)
-            pa = sweep_arrays(armwing, thetas, guess=Configuration(0.3, poses))
-            assert pa.solver == "dyad" and pa.errors == [None]
-            start = pa.configuration(0)
-            for lid, p in poses.items():
-                assert start.pose(lid).angle == pytest.approx(p.angle, abs=1e-12)
-                assert (start.pose(lid).origin - p.origin).norm() <= 1e-12
-
-    def test_guess_at_change_point_is_ambiguous(self):
-        fb = FourBar(4, 2, 4, 2)
-        guess = solve_fourbar(fb, 0.0)
-        with pytest.raises(BranchAmbiguousError):
-            sweep_arrays(fourbar_mechanism(fb), np.linspace(0.0, 1.0, 8), guess=guess)
 
     @pytest.mark.parametrize("thetas", [np.arange(361) * math.pi / 180, 2 * math.pi * np.arange(63) / 63,
                                         2 * math.pi * np.arange(129) / 129], ids=["361", "63", "129"])
@@ -708,23 +695,6 @@ class TestDyadPlan:
 
 class TestRotationForm:
     """Sweeps store link rotations; link angles are derived only when asked for."""
-
-    def test_a_whole_turn_in_the_guess_moves_only_the_angles(self, armwing):
-        thetas = 2 * math.pi * np.arange(64) / 64
-        guess = sweep_arrays(armwing, thetas[:1]).configuration(0)
-        fixed = (armwing.ground, armwing.actuated_joint().other(armwing.ground))
-        turned = Configuration(guess.crank_angle, {
-            lid: Pose(p.origin, p.angle + (0.0 if lid in fixed else 2 * math.pi)) for lid, p in guess.poses.items()})
-        a, b = sweep_arrays(armwing, thetas, guess=guess), sweep_arrays(armwing, thetas, guess=turned)
-        assert a.errors == b.errors == [None]
-        assert np.array_equal(a.origins, b.origins) and np.array_equal(a.rotations, b.rotations)
-        for l in armwing.links:
-            for k in l.markers:
-                assert np.array_equal(a.marker_world((l.id, k)), b.marker_world((l.id, k)))
-        turn = (b.angles - a.angles) / (2 * math.pi)
-        moving = [i for i, lid in enumerate(a.ids) if lid not in fixed]
-        assert np.abs(turn[:, moving] - 1.0).max() <= 1e-14
-        assert not turn[:, [a.index(lid) for lid in fixed]].any()
 
     def test_ground_sits_at_the_identity_wherever_its_origin_marker_is(self, armwing):
         # every ground marker moved by the same offset: the chain moves with it
@@ -827,21 +797,6 @@ class TestBatchRows:
         assert len(set(costs.tolist())) == len(X)
         assert costs.tolist() == [population_costs(space, spec, x[None], samples=32)[0] for x in X]
 
-    def test_rows_from_a_guess_are_one_mechanism_sweeps_from_it(self, fb_mech):
-        # a row's own joint marker, placed by the guess, picks its start root: the coupler
-        # frames of rows 2 and 4 are turned so far that it lies nearer the crossed root
-        space = DesignSpace(fb_mech, (Parameter("link.coupler.marker.tip.x", -5.5, 5.5),
-                                      Parameter("link.coupler.marker.tip.y", -5.5, 5.5)))
-        thetas = 0.3 + 2 * math.pi * np.arange(16) / 16
-        guess = sweep_arrays(fb_mech, thetas[:1]).configuration(0)
-        X = np.array([[5.0, 0.0], [0.0, 5.0], [-3.0, 4.0], [3.0, -4.0], [0.0, -5.0]])
-        pb = sweep_arrays(fb_mech, thetas, guess=guess, markers=space.markers(X))
-        assert pb.branches == [Branch.OPEN, Branch.OPEN, Branch.CROSSED, Branch.OPEN, Branch.CROSSED]
-        for b, x in enumerate(X):
-            one = sweep_arrays(space.apply(x), thetas, guess=guess)
-            assert np.array_equal(pb.origins[b], one.origins[0]) and np.array_equal(pb.rotations[b], one.rotations[0])
-            assert pb.branches[b] == one.branches[0]
-
     @pytest.mark.parametrize("mechanism", ["armwing", "fourbar"])
     def test_samples_are_one_sample_sweeps(self, mechanism, armwing, fb_mech):
         # the same arithmetic whatever the block shape: numpy takes an in-place
@@ -893,7 +848,7 @@ def solver_outputs(m: Mechanism, theta: float, load: LoadCase) -> list:
 
     def newton_sweep():
         thetas = theta + 2 * math.pi * np.arange(32) / 32
-        pb = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, TOLERANCE, None)
+        pb = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, TOLERANCE)
         return pb.ids, pb.crank, pb.origins.tobytes(), pb.rotations.tobytes(), pb.failed_at.tolist(), pb.errors
 
     def velocity():

@@ -3,8 +3,10 @@ no module of the package imports another's private name, only
 `kinematics.damped_newton`, the one Newton loop, reads the iteration cap,
 only `mechanism.placement`, the one walk of the joint graph, raises
 DisconnectedError, only `fileio`, the one reader of the input files, raises
-SchemaError, and no `except` clause of `cli` catches the errors a reader bug
-raises (KeyError, TypeError, AttributeError) or every error.
+SchemaError, no `except` clause of `cli` catches the errors a reader bug
+raises (KeyError, TypeError, AttributeError) or every error, and only
+`kinematics.assemble` and the two Newton starts it runs take a `guess` (a
+sweep starts on the dyad plan's own roots).
 
 `ast.parse` with `feature_version` set to pyproject's `requires-python`
 floor rejects the grammar that later versions added (`except*`, type
@@ -153,3 +155,24 @@ def test_the_reader_bug_check_fails_on_a_planted_catch():
         assert _bug_catchers({"cli": body.format(caught)}) == ["cli._load_doc"]
     assert _bug_catchers({"cli": body.replace(" {}", "")}) == ["cli._load_doc"]
     assert _bug_catchers({"cli": body.format("(FlapkinError, ValueError, OSError)")}) == []
+
+
+GUESS_TAKERS = ["kinematics.assemble", "kinematics.first_roots", "kinematics.start_block"]
+
+
+def _guess_takers(sources: dict[str, str]) -> list[str]:
+    """Where the sources declare a parameter named guess, positional or keyword-only, by def or lambda."""
+    return _where(sources, lambda node: isinstance(node, ast.arg) and node.arg == "guess")
+
+
+def test_only_assemble_and_its_newton_starts_take_a_guess():
+    assert sorted(_guess_takers(_package_sources())) == GUESS_TAKERS
+
+
+def test_the_guess_check_fails_on_a_guessed_sweep():
+    kinematics = _package_sources()["kinematics"]
+    signature = "def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,"
+    assert kinematics.count(signature) == 1
+    planted = kinematics.replace(signature, f"{signature} guess: Configuration | None = None,")
+    assert sorted(_guess_takers({"kinematics": planted})) == sorted([*GUESS_TAKERS, "kinematics.sweep_arrays"])
+    assert _guess_takers({"gait": "class G:\n    def sweep(self, *, guess=None):\n        pass\n"}) == ["gait.G.sweep"]
