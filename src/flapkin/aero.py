@@ -112,23 +112,28 @@ def quasi_steady_forces(gt: GaitTrajectory, cfg: AeroConfig) -> AeroReport:
 
     Chords are rescaled each sample so the instantaneous planform area
     (sum of chord * strip width) matches the gait's membrane area, which is
-    how area modulation feeds the force model.
+    how area modulation feeds the force model. AeroError (NON_FINITE) where a
+    force or impulse overflows or is undefined (a span, density or chord near
+    the float range, a period whose time step underflows to 0).
     """
-    sk = strip_kinematics(gt, cfg)
-    chord = _chord_at(cfg, sk.stations)[None, :]                   # (1, S)
-    reach = gt.extension * cfg.span                                # (N,)
-    dr = (reach / cfg.strip_count)[:, None]                        # (N, 1)
-    planform = (chord * dr).sum(axis=1)                            # (N,)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
+        sk = strip_kinematics(gt, cfg)
+        chord = _chord_at(cfg, sk.stations)[None, :]                   # (1, S)
+        reach = gt.extension * cfg.span                                # (N,)
+        dr = (reach / cfg.strip_count)[:, None]                        # (N, 1)
+        planform = (chord * dr).sum(axis=1)                            # (N,)
         scale = np.where(planform > 0.0, gt.area / np.where(planform > 0, planform, 1.0), 0.0)
-    cl = np.clip(cfg.lift_slope * sk.alpha, -cfg.cl_max, cfg.cl_max)
-    magnitude = 0.5 * cfg.air_density * sk.speed * cl * chord * scale[:, None] * dr
-    # lift is perpendicular to the relative wind: unit (W_y, -W_x)/|W|
-    fx = (magnitude * sk.rel_wind[..., 1]).sum(axis=1)
-    fy = (magnitude * -sk.rel_wind[..., 0]).sum(axis=1)
-    dt = gt.dt
-    return AeroReport(gt.period, gt.t, fy, fx,
-                      periodic_impulse(fy, dt), periodic_impulse(fx, dt))
+        cl = np.clip(cfg.lift_slope * sk.alpha, -cfg.cl_max, cfg.cl_max)
+        magnitude = 0.5 * cfg.air_density * sk.speed * cl * chord * scale[:, None] * dr
+        # lift is perpendicular to the relative wind: unit (W_y, -W_x)/|W|
+        fx = (magnitude * sk.rel_wind[..., 1]).sum(axis=1)
+        fy = (magnitude * -sk.rel_wind[..., 0]).sum(axis=1)
+        dt = gt.dt
+        report = AeroReport(gt.period, gt.t, fy, fx, periodic_impulse(fy, dt), periodic_impulse(fx, dt))
+    if not all(np.isfinite(v).all() for v in (fy, fx, report.vertical_impulse, report.horizontal_impulse)):
+        raise AeroError("forces or impulses are not finite: a span, density or chord too large for floats, "
+                        "or a period whose time step underflows", code="NON_FINITE")
+    return report
 
 
 @dataclass(frozen=True)

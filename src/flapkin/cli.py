@@ -22,24 +22,23 @@ from .errors import FlapkinError
 from .fileio import (aero_csv, read_mechanism, read_space, read_spec, render_svg, serialize_mechanism,
                      trajectory_csv)
 from .gait import MIN_SAMPLES, gait_metrics, generate_gait, min_transmission_angle
-from .kinematics import TOLERANCE
 from .mechanism import validate_mechanism
 from .synthesis import synthesize
 
 
-_MAX_SAMPLES = 2 ** 16  # crank angles per sweep; far more than any gait needs
+_MAX_SAMPLES = 2 ** 16  # crank angles per sweep, and aero strips; far more than any gait needs
+_MAX_CELLS = 2 ** 20  # aero samples times strips: 128 times the default 256 x 32
 
 # (option, test, requirement) for each option value a command would reject only
 # after reading its input files, or not at all (a sample count that allocates
 # gigabytes); `main` checks them in this order before any command runs and
 # skips the options a command lacks
 _OPTION_CHECKS = (
-    *((opt, lambda v: v <= _MAX_SAMPLES, f"<= {_MAX_SAMPLES}") for opt in ("samples", "steps", "frames")),
+    *((opt, lambda v: v <= _MAX_SAMPLES, f"<= {_MAX_SAMPLES}") for opt in ("samples", "steps", "frames", "strips")),
     *((opt, lambda v: v >= MIN_SAMPLES, f">= {MIN_SAMPLES}") for opt in ("samples", "steps")),
     ("frames", lambda v: v >= 1, ">= 1"),
     ("seed", lambda v: v >= 0, ">= 0"),
     ("period", lambda v: 0.0 < v < math.inf, "positive and finite"),
-    ("tol", lambda v: 0.0 < v < math.inf, "positive and finite"),
     ("freestream", math.isfinite, "finite"),
     ("density", lambda v: 0.0 < v < math.inf, "positive and finite"),
     ("span", lambda v: 0.0 < v < math.inf, "positive and finite"),
@@ -60,7 +59,7 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     m = read_mechanism(args.mechanism)
-    gt = generate_gait(m, args.period, args.steps, args.tol)
+    gt = generate_gait(m, args.period, args.steps)
     sys.stdout.write(trajectory_csv(gt))
     return 0
 
@@ -69,7 +68,7 @@ def cmd_gait(args) -> int:
     m = read_mechanism(args.mechanism)
     if unknown := sorted(set(args.transmission_joint) - {j.id for j in m.joints}):
         raise ValueError(f"--transmission-joint {unknown[0]!r}: no such joint in {args.mechanism}")
-    gt = generate_gait(m, args.period, args.samples, args.tol)
+    gt = generate_gait(m, args.period, args.samples)
     text = ""
     if args.metrics or args.metrics_out:
         mu = min_transmission_angle(m, gt.poses, args.transmission_joint) if args.transmission_joint else None
@@ -113,8 +112,10 @@ def cmd_aero(args) -> int:
         raise ValueError(f"--chord must be comma-separated numbers, got {args.chord!r}") from None
     if len(chord) < 2 or not all(0.0 <= c < math.inf for c in chord):
         raise ValueError(f"--chord must be at least 2 nonnegative finite numbers, got {args.chord!r}")
+    if args.samples * args.strips > _MAX_CELLS:  # each (samples, strips) block of the strip model
+        raise ValueError(f"--samples times --strips must be <= {_MAX_CELLS}, got {args.samples} x {args.strips}")
     m = read_mechanism(args.mechanism)
-    gt = generate_gait(m, args.period, args.samples, args.tol)
+    gt = generate_gait(m, args.period, args.samples)
     span = default_span(gt) if args.span is None else args.span
     cfg = AeroConfig(freestream=args.freestream, span=span, air_density=args.density,
                      strip_count=args.strips, chord_profile=chord)
@@ -129,7 +130,7 @@ def cmd_aero(args) -> int:
 def cmd_animate(args) -> int:
     m = read_mechanism(args.mechanism)
     samples = max(args.frames, MIN_SAMPLES)
-    gt = generate_gait(m, args.period, samples, args.tol)
+    gt = generate_gait(m, args.period, samples)
     docs = render_svg(gt, m, args.frames)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -145,10 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"flapkin {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--tol", type=float, default=TOLERANCE,
-                       help="Newton tolerance, meters; read only by chains the dyad plan cannot decompose (triads)")
-
     p = sub.add_parser("validate", help="validate a mechanism file")
     p.add_argument("mechanism")
 
@@ -156,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mechanism")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--period", type=float, default=1.0, help="seconds per revolution for the t column")
-    add_common(p)
 
     p = sub.add_parser("gait", help="generate a wingbeat gait, CSV to stdout")
     p.add_argument("mechanism")
@@ -166,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", help="write metrics JSON to a file")
     p.add_argument("--transmission-joint", action="append", default=[],
                    help="joint id to track for the transmission-angle metric (repeatable)")
-    add_common(p)
 
     p = sub.add_parser("synthesize", help="fit link dimensions to a gait spec")
     p.add_argument("space", help="design space JSON (template + parameters)")
@@ -186,14 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strips", type=int, default=32)
     p.add_argument("--span", type=float, default=None, help="reach at full extension, m (default: from gait)")
     p.add_argument("--chord", default="0.08,0.075,0.06,0.03", help="root-to-tip chord samples, m")
-    add_common(p)
 
     p = sub.add_parser("animate", help="render SVG frames of the wingbeat")
     p.add_argument("mechanism")
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--period", type=float, default=1.0)
     p.add_argument("--out-dir", required=True)
-    add_common(p)
     return ap
 
 

@@ -181,7 +181,7 @@ def _square_pose(sys: ConstraintSystem, pot: _Potential, theta: float) -> np.nda
     """`assemble`'s pose of a square chain at theta, where the multipliers lam of J^T lam = -gradient hold
     it (within 100x the tolerance). ConvergenceError where no start closes, or J is singular: the solve
     fails, or |lam| outgrows the gradient by more than 1 / (RCOND_FLOOR |J|)."""
-    q, code = first_roots(sys, theta, None, TOLERANCE)
+    q, code = first_roots(sys, theta)
     if code is not None:
         raise ConvergenceError(f"no start closes at theta={theta:.6g} ({code})")
     g, J = pot.grad(q), sys.jacobian(q)

@@ -20,10 +20,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateGeometryError, GaitError, NoStrokeReversalError, ZeroReachError
-from .kinematics import TOLERANCE, PoseBatch, sweep_arrays, transmission_angle_series
+from .kinematics import PoseBatch, sweep_arrays, transmission_angle_series
 from .mechanism import Mechanism
 
 MIN_SAMPLES = 8  # fewest crank angles a wingbeat is sampled at
+RETRACTING = 1e-12  # least drop in extension per sample that counts as retracting
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def gait_from_pose_arrays(m: Mechanism, pb: PoseBatch, period: float,
                           np.stack(tip, axis=-1)[0], pb)
 
 
-def generate_gait(m: Mechanism, period: float, samples: int, tol: float = TOLERANCE) -> GaitTrajectory:
+def generate_gait(m: Mechanism, period: float, samples: int) -> GaitTrajectory:
     """Sweep one crank revolution from theta = 0 at constant rate and extract gait series.
 
     Raises on sweep failure (the mechanism must assemble over the whole
@@ -137,7 +138,7 @@ def generate_gait(m: Mechanism, period: float, samples: int, tol: float = TOLERA
         raise ValueError("period must be positive and finite")
     require_wingbeat(m)
     t = np.arange(samples) * (period / samples)
-    pb = sweep_arrays(m, crank_angles(samples), tol)
+    pb = sweep_arrays(m, crank_angles(samples))
     if error := pb.errors[0]:
         raise GaitError(
             f"sweep failed at step {pb.failed_at[0]} ({error}); "
@@ -239,8 +240,8 @@ def longest_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ends == length[:, None], (k - ends + 1) % n, n).min(axis=-1), length
 
 
-def retraction_time(gt: GaitTrajectory, tol: float = 1e-12) -> float:
+def retraction_time(gt: GaitTrajectory) -> float:
     """Duration of the longest contiguous phase with extension decreasing."""
     d_ext = np.roll(gt.extension, -1) - gt.extension
-    retracting = d_ext < -tol
+    retracting = d_ext < -RETRACTING
     return int(longest_runs(retracting[None])[1][0]) * gt.dt

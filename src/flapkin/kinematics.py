@@ -527,12 +527,12 @@ def damped_newton(residual, jacobian, x: np.ndarray, converged) -> tuple[np.ndar
     return x, F, "iterations"
 
 
-def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float) -> tuple[np.ndarray, str | None]:
-    """`damped_newton` on sys at theta from the guess q to a residual norm of tol: the root, its drive held at
-    theta where a step reached it (a guess that already closes comes back as it is), and the error code (None
-    where it converged; a stall is SINGULAR_JACOBIAN only at a Jacobian singular to 1e-12)."""
+def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float) -> tuple[np.ndarray, str | None]:
+    """`damped_newton` on sys at theta from q to a residual norm of TOLERANCE (read at each call): the root,
+    its drive held at theta where a step reached it (a q that already closes comes back as it is), and the
+    error code (None where it converged; a stall is SINGULAR_JACOBIAN only at a Jacobian singular to 1e-12)."""
     x, _, why = damped_newton(lambda x: sys.residual(x, theta), sys.jacobian, q,
-                              lambda F: np.linalg.norm(F) <= tol)
+                              lambda F: np.linalg.norm(F) <= TOLERANCE)
     if why == "converged":
         if x is not q and sys.plan.drive is not None:
             x[sys.plan.drive] = theta  # hold the drive coordinate exactly
@@ -543,21 +543,14 @@ def _newton(sys: ConstraintSystem, q: np.ndarray, theta: float, tol: float) -> t
     return x, ConvergenceError.code if why in ("stall", "iterations") else SingularJacobianError.code
 
 
-def start_block(sys: ConstraintSystem, theta: float,
-                guess: Configuration | None = None) -> tuple[np.ndarray, np.ndarray]:
+def start_block(sys: ConstraintSystem, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Where Newton starts on sys at one crank angle: the unknowns (C, n) of
-    each start and the (C,) mask of the starts it tries, in turn. From `guess`
-    alone (its crank moved by the whole turns nearest theta), or else one start
+    each start and the (C,) mask of the starts it tries, in turn. One start
     per combination of dyad-plan roots, '+' root first and earlier dyads
     varying slowest, repeats dropped, at most 16; circles that miss are clamped
     to their nearest approach, a tangent dyad gives one root, and links the
     plan can only hang sit at angle zero."""
     plan = sys.plan
-    if guess is not None:
-        q, drive = sys.q_from(guess), plan.drive
-        if drive is not None and (turns := round((theta - q[drive]) / (2.0 * math.pi))):
-            q[drive] += 2.0 * math.pi * turns
-        return q[None], np.ones(1, dtype=bool)
     signs = plan.signs
     new = np.ones(len(signs), dtype=bool)
 
@@ -583,14 +576,13 @@ def _require_square(sys: ConstraintSystem) -> ConstraintSystem:
     return sys
 
 
-def first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None,
-                tol: float) -> tuple[np.ndarray, str | None]:
-    """`_newton` at theta as `assemble` runs it: from each `start_block` start in turn until one converges
-    (a start that already closes is its own root, as the first is on a dyadic chain); where none
-    converges, the last one's error code."""
-    starts, tried = start_block(sys, theta, guess)
+def first_roots(sys: ConstraintSystem, theta: float) -> tuple[np.ndarray, str | None]:
+    """`_newton` at theta from each `start_block` start in turn until one converges (a start that already
+    closes is its own root, as the first is on a dyadic chain); where none converges, the last one's error
+    code."""
+    starts, tried = start_block(sys, theta)
     for start in starts[tried]:
-        q, code = _newton(sys, start, theta, tol)
+        q, code = _newton(sys, start, theta)
         if code is None:
             break
     return q, code
@@ -598,17 +590,24 @@ def first_roots(sys: ConstraintSystem, theta: float, guess: Configuration | None
 
 def assemble(m: Mechanism, theta: float, guess: Configuration | None = None) -> Configuration:
     """`damped_newton` on the joint-coincidence residuals at fixed crank angle:
-    the root continuously reachable from the guess, or without one from the
-    first `start_block` start that converges."""
-    sys = _require_square(ConstraintSystem(m))
-    q, code = first_roots(sys, float(theta), guess, TOLERANCE)
+    the root continuously reachable from the guess, its crank moved by the
+    whole turns nearest theta, or without one from the first `start_block`
+    start that converges (`first_roots`). The one solver that reads a guess."""
+    sys, theta = _require_square(ConstraintSystem(m)), float(theta)
+    if guess is None:
+        q, code = first_roots(sys, theta)
+    else:
+        q, drive = sys.q_from(guess), sys.plan.drive
+        if drive is not None and (turns := round((theta - q[drive]) / (2.0 * math.pi))):
+            q[drive] += 2.0 * math.pi * turns
+        q, code = _newton(sys, q, theta)
     if code is not None:
         raise {e.code: e for e in (ConvergenceError, SingularJacobianError)}[code](
             f"Newton failed at theta={theta:.6g} ({code})")
     return sys.config_from(q, theta, guess.branch if guess else None)
 
 
-def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol: float) -> PoseBatch:
+def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray) -> PoseBatch:
     """Newton continuation of each row of a marker table in turn: its root at
     the first crank angle as `assemble` finds it, then each step seeded with
     the previous root; a row stops where it fails."""
@@ -619,7 +618,7 @@ def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol
     for b in range(rows):
         sys = ConstraintSystem(m, Markers(markers.columns, markers.points[b:b + 1]))
         for k, theta in enumerate(thetas.tolist()):
-            q, code = _newton(sys, q, theta, tol) if k else first_roots(_require_square(sys), theta, None, tol)
+            q, code = _newton(sys, q, theta) if k else first_roots(_require_square(sys), theta)
             if code is not None:
                 failed_at[b], errors[b] = k, code
                 break
@@ -629,7 +628,7 @@ def _newton_sweep_arrays(m: Mechanism, markers: Markers, thetas: np.ndarray, tol
                      markers, [None] * rows, "newton", plan.crank)
 
 
-def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,
+def sweep_arrays(m: Mechanism, thetas: np.ndarray, *,
                  branch: Branch = Branch.OPEN, markers: Markers | None = None) -> PoseBatch:
     """Continuation sweeps over an array of crank angles, columnar output.
 
@@ -639,20 +638,18 @@ def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,
     roots may meet between samples (`_follow_roots`); there it takes the root
     continuous with the last two. Any other chain runs Newton from the first
     `start_block` start that converges at the first angle, then seeded step by
-    step with the previous solution, to a residual norm of `tol`. A sweep takes
-    no guess; only `assemble` starts from one. With a marker table of B rows, m
+    step with the previous solution, to a residual norm of `TOLERANCE`. A sweep
+    takes no guess; only `assemble` starts from one. With a marker table of B rows, m
     supplies only the topology and the B mechanisms are swept, by the dyad plan
     together in one array pass or by Newton one row after another; without one,
     m is swept alone, as the table `marker_table(m)`.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
     thetas = np.asarray(thetas, dtype=float)
     markers = marker_table(m) if markers is None else markers
     plan = _plan(m)
     if plan.dyadic:
         return _dyad_sweep_arrays(plan, markers, thetas, branch)
-    return _newton_sweep_arrays(m, markers, thetas, tol)
+    return _newton_sweep_arrays(m, markers, thetas)
 
 
 def velocities(m: Mechanism, c: Configuration, crank_rate: float) -> dict[str, tuple[Point2, float]]:

@@ -132,6 +132,11 @@ class TestCompareGaits:
         with pytest.raises(AeroError):
             compare_gaits([make_plunge_gait(samples=64)], CFG)
 
+    def test_forces_out_of_the_float_range_are_an_error(self):
+        with pytest.raises(AeroError) as e:
+            compare_gaits(self._three(), dataclasses.replace(CFG, span=1e308))
+        assert e.value.code == "NON_FINITE"
+
 
 class TestConfig:
     def test_bad_density(self):

@@ -24,7 +24,6 @@ from flapkin.compliance import (
 from flapkin.errors import ConvergenceError, LargeDeflectionWarning, SingularJacobianError
 from flapkin.geometry import Point2, Pose
 from flapkin.kinematics import (
-    TOLERANCE,
     Configuration,
     ConstraintSystem,
     assemble,
@@ -241,23 +240,23 @@ class TestEquilibrium:
         m, load, calls = triad_eight_bar(), LoadCase(forces=(("d1", "b", Point2(0.0, -1.0)),)), []
         newton = kinematics._newton
 
-        def first_start_fails(sys, q, theta, tol):
+        def first_start_fails(sys, q, theta):
             calls.append(q)
             if len(calls) == 1:
                 return q, ConvergenceError.code
-            return newton(sys, q, theta, tol)
+            return newton(sys, q, theta)
 
         monkeypatch.setattr(kinematics, "_newton", first_start_fails)
         c = solve_equilibrium(m, 0.3, load)
         sys = ConstraintSystem(m)
         assert len(calls) == 2 and np.array_equal(calls[1], start_block(sys, 0.3)[0][1])
-        root, _ = newton(sys, calls[1], 0.3, TOLERANCE)
+        root, _ = newton(sys, calls[1], 0.3)
         assert np.array_equal(sys.q_from(c), root)
 
     def test_a_square_chain_with_every_start_failing_raises_the_last_code(self, monkeypatch):
         m, calls = triad_eight_bar(), []
 
-        def every_start_fails(sys, q, theta, tol):
+        def every_start_fails(sys, q, theta):
             calls.append(q)
             return q, SingularJacobianError.code if len(calls) == tried else ConvergenceError.code
 

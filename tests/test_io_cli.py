@@ -261,7 +261,8 @@ class TestCli:
         ("aero", "--samples", ["--period", "0.1", "--freestream", "3"]),
         ("sweep", "--steps", []),
         ("animate", "--frames", ["--out-dir", "frames"]),
-    ], ids=["gait", "aero", "sweep", "animate"])
+        ("aero", "--strips", ["--period", "0.1", "--freestream", "3"]),
+    ], ids=["gait", "aero", "sweep", "animate", "aero --strips"])
     def test_sample_count_above_the_ceiling_is_a_usage_error(self, shipped_path, tmp_path, monkeypatch,
                                                              command, opt, args):
         # rejected before the sweep allocates its arrays (8.9 GiB for 1e8 samples)
@@ -290,7 +291,7 @@ class TestCli:
         ["animate", "--frames", "0", "--out-dir", "frames"],
     ], ids=["aero --strips 2", "aero --chord a,b", "aero --samples 4", "aero --freestream nan",
             "aero --freestream inf", "aero --density nan", "aero --span inf", "gait --period -1",
-            "gait --period nan", "gait --period inf", "gait --tol 0", "gait --transmission-joint nope",
+            "gait --period nan", "gait --period inf", "gait --tol unrecognized", "gait --transmission-joint nope",
             "sweep --steps 3", "animate --frames 0"])
     def test_rejected_argument_usage_error(self, shipped_path, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -325,18 +326,14 @@ class TestCli:
         (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--samples", "7"],
          "--samples must be >= 8, got 7"),
         (["sweep", "{missing}", "--steps", "3"], "--steps must be >= 8, got 3"),
-        (["gait", "{missing}", "--period", "0.1", "--samples", "16", "--tol", "0"], "--tol must be positive and finite, got 0.0"),
-        (["sweep", "{missing}", "--steps", "16", "--tol", "0"], "--tol must be positive and finite, got 0.0"),
-        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--tol", "0"], "--tol must be positive and finite, got 0.0"),
-        (["animate", "{missing}", "--frames", "2", "--out-dir", "frames", "--tol", "0"],
-         "--tol must be positive and finite, got 0.0"),
-        (["gait", "{missing}", "--period", "0.1", "--samples", "16", "--tol", "inf"],
-         "--tol must be positive and finite, got inf"),
+        # each (samples, strips) block of the strip model would take 32 GiB
+        (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--samples", "65536", "--strips", "65536"],
+         "--samples times --strips must be <= 1048576, got 65536 x 65536"),
     ], ids=["animate --frames 0", "synthesize --seed -1", "aero --chord abc", "aero --strips 2",
             "aero --chord 0.1", "aero --chord nan,1", "aero --freestream nan", "aero --density 0",
             "aero --span -1", "aero --period 0", "gait --period -1", "sweep --period inf",
             "animate --period nan", "gait --samples 4", "aero --samples 7", "sweep --steps 3",
-            "gait --tol 0", "sweep --tol 0", "aero --tol 0", "animate --tol 0", "gait --tol inf"])
+            "aero --samples x --strips"])
     def test_usage_error_names_the_option(self, shipped_path, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         data = resources.files("flapkin.data")
@@ -346,6 +343,27 @@ class TestCli:
         assert code == 2 and out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [f"flapkin: error: {message}"]
         assert list(tmp_path.iterdir()) == [shipped_path]
+
+    @pytest.mark.parametrize("command, args", [
+        ("sweep", ["--steps", "16"]),
+        ("gait", ["--period", "0.1", "--samples", "16"]),
+        ("aero", ["--period", "0.1", "--freestream", "3"]),
+        ("animate", ["--frames", "2", "--out-dir", "frames"]),
+    ], ids=["sweep", "gait", "aero", "animate"])
+    def test_tol_is_an_unrecognized_argument(self, shipped_path, tmp_path, monkeypatch, command, args):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([command, str(shipped_path), *args, "--tol", "1e-9"])
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "flapkin: error: unrecognized arguments: --tol 1e-9"
+        assert list(tmp_path.iterdir()) == [shipped_path]
+
+    @pytest.mark.parametrize("option", [["--span", "1e308"], ["--period", "5e-324"]], ids=" ".join)
+    def test_aero_forces_out_of_the_float_range_are_a_domain_error(self, shipped_path, option):
+        # the strip velocities overflow (a huge span) or divide by a time step that underflows to 0
+        argv = ["aero", str(shipped_path), "--period", "0.1", "--freestream", "3", *option]
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("E_AERO NON_FINITE: ")
 
     def test_repeated_calls_match_fresh_processes(self, shipped_path, tmp_path):
         # main reuses one parser per process: no call may see another's options
@@ -703,13 +721,13 @@ NUMBER = st.one_of(st.sampled_from(["0.1", "1", "0", "-1", "nan", "inf", "-inf",
 COUNT = st.integers(-5, 300).map(str)
 SUBCOMMAND_OPTIONS = {  # option -> value strategy; None for a flag
     "validate": {},
-    "sweep": {"--steps": COUNT, "--period": NUMBER, "--tol": NUMBER},
-    "gait": {"--period": NUMBER, "--samples": COUNT, "--metrics": None, "--tol": NUMBER,
+    "sweep": {"--steps": COUNT, "--period": NUMBER},
+    "gait": {"--period": NUMBER, "--samples": COUNT, "--metrics": None,
              "--transmission-joint": st.sampled_from(["j_b", "j_d", "nope"])},
     "aero": {"--period": NUMBER, "--freestream": NUMBER, "--density": NUMBER, "--samples": COUNT,
-             "--strips": COUNT, "--span": NUMBER, "--tol": NUMBER,
+             "--strips": COUNT, "--span": NUMBER,
              "--chord": st.sampled_from(["0.08,0.075,0.06,0.03", "0.1", "a,b", "", "-1,2", "nan,1"])},
-    "animate": {"--frames": COUNT, "--period": NUMBER, "--tol": NUMBER},
+    "animate": {"--frames": COUNT, "--period": NUMBER},
     "synthesize": {"--budget": st.integers(-5, 200).map(str), "--seed": st.integers(-2, 5).map(str),
                    "--threads": COUNT},
 }

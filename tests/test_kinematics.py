@@ -469,34 +469,32 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         fb = random_crank_rocker(rng)
         m = fourbar_mechanism(fb)
-        pb = sweep_arrays(m, np.linspace(0.0, 2 * math.pi, 64), TOLERANCE)
+        pb = sweep_arrays(m, np.linspace(0.0, 2 * math.pi, 64))
         assert pb.errors == [None]
         for c in pb.configurations()[::8]:
             assert np.linalg.norm(loop_residual(m, c)) <= TOLERANCE * sum(fb.lengths)
 
 
 class TestSettings:
-    def test_bad_tolerance_rejected(self, fb_mech):
-        with pytest.raises(ValueError):
-            sweep_arrays(fb_mech, np.zeros(1), 0.0)
-
-    def test_infinite_tolerance_rejected(self, fb_mech):
-        # Newton would take any start as converged
-        with pytest.raises(ValueError):
-            sweep_arrays(fb_mech, np.zeros(1), math.inf)
+    def test_a_third_positional_argument_is_a_type_error(self, fb_mech):
+        # a sweep takes no tolerance: an old positional one must not be read as `branch`
+        with pytest.raises(TypeError):
+            sweep_arrays(fb_mech, np.zeros(1), 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # Dyad plan against the Newton path that stays, and its branch contract
 
-# Newton's default tolerance (1e-10 m of residual) allows ~2e-9 rad of angle
-# error on the shipped armwing's short links; the reference is held tighter.
+# Newton's tolerance (1e-10 m of residual) allows ~2e-9 rad of angle error on
+# the shipped armwing's short links; the reference is held tighter.
 NEWTON_REF = 1e-13
 
 
 def assert_matches_newton(m, thetas):
     pa = sweep_arrays(m, thetas)
-    ref = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, NEWTON_REF)
+    with pytest.MonkeyPatch.context() as mp:  # `_newton` reads the constant at each call
+        mp.setattr(kinematics, "TOLERANCE", NEWTON_REF)
+        ref = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas)
     assert pa.solver == "dyad" and ref.solver == "newton"
     assert pa.failed_at.tolist() == ref.failed_at.tolist()
     assert pa.ids == ref.ids == [m.ground, *m.moving_link_ids()]
@@ -848,7 +846,7 @@ def solver_outputs(m: Mechanism, theta: float, load: LoadCase) -> list:
 
     def newton_sweep():
         thetas = theta + 2 * math.pi * np.arange(32) / 32
-        pb = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas, TOLERANCE)
+        pb = kinematics._newton_sweep_arrays(m, kinematics.marker_table(m), thetas)
         return pb.ids, pb.crank, pb.origins.tobytes(), pb.rotations.tobytes(), pb.failed_at.tolist(), pb.errors
 
     def velocity():

@@ -4,9 +4,10 @@ no module of the package imports another's private name, only
 only `mechanism.placement`, the one walk of the joint graph, raises
 DisconnectedError, only `fileio`, the one reader of the input files, raises
 SchemaError, no `except` clause of `cli` catches the errors a reader bug
-raises (KeyError, TypeError, AttributeError) or every error, and only
-`kinematics.assemble` and the two Newton starts it runs take a `guess` (a
-sweep starts on the dyad plan's own roots).
+raises (KeyError, TypeError, AttributeError) or every error, only
+`kinematics.assemble` takes a `guess` (a sweep starts on the dyad plan's own
+roots), and no function takes a `tol` (Newton closes to the one constant
+`kinematics.TOLERANCE`).
 
 `ast.parse` with `feature_version` set to pyproject's `requires-python`
 floor rejects the grammar that later versions added (`except*`, type
@@ -157,22 +158,36 @@ def test_the_reader_bug_check_fails_on_a_planted_catch():
     assert _bug_catchers({"cli": body.format("(FlapkinError, ValueError, OSError)")}) == []
 
 
-GUESS_TAKERS = ["kinematics.assemble", "kinematics.first_roots", "kinematics.start_block"]
+GUESS_TAKERS = ["kinematics.assemble"]
+SWEEP_SIGNATURE = "def sweep_arrays(m: Mechanism, thetas: np.ndarray, *,"
 
 
-def _guess_takers(sources: dict[str, str]) -> list[str]:
-    """Where the sources declare a parameter named guess, positional or keyword-only, by def or lambda."""
-    return _where(sources, lambda node: isinstance(node, ast.arg) and node.arg == "guess")
+def _takers(sources: dict[str, str], name: str) -> list[str]:
+    """Where the sources declare a parameter so named, positional or keyword-only, by def or lambda."""
+    return _where(sources, lambda node: isinstance(node, ast.arg) and node.arg == name)
+
+
+def _planted_sweep(parameter: str) -> dict[str, str]:
+    """The kinematics module's source, as a sources dict, with a parameter added to `sweep_arrays`."""
+    kinematics = _package_sources()["kinematics"]
+    assert kinematics.count(SWEEP_SIGNATURE) == 1
+    return {"kinematics": kinematics.replace(SWEEP_SIGNATURE, f"{SWEEP_SIGNATURE} {parameter},")}
 
 
 def test_only_assemble_and_its_newton_starts_take_a_guess():
-    assert sorted(_guess_takers(_package_sources())) == GUESS_TAKERS
+    assert sorted(_takers(_package_sources(), "guess")) == GUESS_TAKERS
 
 
 def test_the_guess_check_fails_on_a_guessed_sweep():
-    kinematics = _package_sources()["kinematics"]
-    signature = "def sweep_arrays(m: Mechanism, thetas: np.ndarray, tol: float = TOLERANCE,"
-    assert kinematics.count(signature) == 1
-    planted = kinematics.replace(signature, f"{signature} guess: Configuration | None = None,")
-    assert sorted(_guess_takers({"kinematics": planted})) == sorted([*GUESS_TAKERS, "kinematics.sweep_arrays"])
-    assert _guess_takers({"gait": "class G:\n    def sweep(self, *, guess=None):\n        pass\n"}) == ["gait.G.sweep"]
+    planted = _planted_sweep("guess: Configuration | None = None")
+    assert sorted(_takers(planted, "guess")) == sorted([*GUESS_TAKERS, "kinematics.sweep_arrays"])
+    assert _takers({"gait": "class G:\n    def sweep(self, *, guess=None):\n        pass\n"}, "guess") == ["gait.G.sweep"]
+
+
+def test_no_function_takes_a_tolerance():
+    assert _takers(_package_sources(), "tol") == []
+
+
+def test_the_tolerance_check_fails_on_a_planted_tol():
+    assert _takers(_planted_sweep("tol: float = TOLERANCE"), "tol") == ["kinematics.sweep_arrays"]
+    assert _takers({"gait": "retracting = lambda gt, tol=1e-12: gt\n"}, "tol") == ["gait"]
