@@ -323,6 +323,11 @@ class TestCli:
         (["animate", "{missing}", "--frames", "2", "--out-dir", "frames", "--period", "nan"],
          "--period must be positive and finite, got nan"),
         (["gait", "{missing}", "--period", "0.1", "--samples", "4"], "--samples must be >= 8, got 4"),
+        # Newton takes no tolerance: --tol is not an option of any command
+        (["gait", "{missing}", "--period", "0.1", "--samples", "16", "--tol", "0"],
+         "unrecognized arguments: --tol 0"),
+        (["gait", "{missing}", "--period", "0.1", "--samples", "16", "--tol", "inf"],
+         "unrecognized arguments: --tol inf"),
         (["aero", "{missing}", "--period", "0.1", "--freestream", "3", "--samples", "7"],
          "--samples must be >= 8, got 7"),
         (["sweep", "{missing}", "--steps", "3"], "--steps must be >= 8, got 3"),
@@ -332,7 +337,7 @@ class TestCli:
     ], ids=["animate --frames 0", "synthesize --seed -1", "aero --chord abc", "aero --strips 2",
             "aero --chord 0.1", "aero --chord nan,1", "aero --freestream nan", "aero --density 0",
             "aero --span -1", "aero --period 0", "gait --period -1", "sweep --period inf",
-            "animate --period nan", "gait --samples 4", "aero --samples 7", "sweep --steps 3",
+            "animate --period nan", "gait --samples 4", "gait --tol 0", "gait --tol inf", "aero --samples 7", "sweep --steps 3",
             "aero --samples x --strips"])
     def test_usage_error_names_the_option(self, shipped_path, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
